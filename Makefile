@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race bench bench-guard fuzz check ha-chaos lint-metrics cover crash-test examples experiments clean
+.PHONY: all build vet test test-short race bench bench-guard bench-smoke fuzz check ha-chaos lint-metrics cover crash-test examples experiments clean
 
 all: build vet lint-metrics test
 
@@ -30,14 +30,24 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Allocation regression guard for the interned hot path: the hit-heavy
-# steady state (cached spec repeats against a warm Manager) must run
-# allocation-free. A fixed iteration count keeps the run cheap and
+# Allocation regression guards. The interned hot path's hit-heavy steady
+# state (cached spec repeats against a warm Manager) and the fleet
+# master's per-request affinity question (one translated request tested
+# against every agent's indexed directory mirror) must both run
+# allocation-free. A fixed iteration count keeps the runs cheap and
 # deterministic; the guard fails the build the moment any per-request
-# allocation sneaks back onto the hit path.
+# allocation sneaks back onto either path.
+alloc_guard = awk -v pat='$(1)' '$$0 ~ pat { allocs = $$(NF-1); print; if (allocs + 0 != 0) { print "bench-guard: " pat " allocates " allocs " allocs/op, want 0"; exit 1 } found = 1 } END { if (!found) { print "bench-guard: " pat " benchmark did not run"; exit 1 } }'
+
 bench-guard:
-	$(GO) test -run '^$$' -bench '^BenchmarkManagerSerial$$/hit-heavy' -benchmem -benchtime 2000x . \
-		| awk '/hit-heavy/ { allocs = $$(NF-1); print; if (allocs + 0 != 0) { print "bench-guard: hit path allocates " allocs " allocs/op, want 0"; exit 1 } found = 1 } END { if (!found) { print "bench-guard: hit-heavy benchmark did not run"; exit 1 } }'
+	$(GO) test -run '^$$' -bench '^BenchmarkManagerSerial$$/hit-heavy' -benchmem -benchtime 2000x . | $(call alloc_guard,hit-heavy)
+	$(GO) test -run '^$$' -bench '^BenchmarkRouteAffinity$$' -benchmem -benchtime 2000x ./internal/fleet | $(call alloc_guard,BenchmarkRouteAffinity)
+
+# The repository's benchmark (bench/, a module of its own) calls fleet,
+# server, persist and config directly: vet it and run its short smoke so
+# a signature change breaks here, not in the benchmark driver.
+bench-smoke:
+	cd bench && $(GO) vet . && $(GO) test -short ./...
 
 # Brief fuzzing pass over every fuzz target. Patterns are anchored:
 # -fuzz is a regex, and an unanchored FuzzParse would also match
@@ -58,12 +68,14 @@ fuzz:
 # Short-budget invariant harness for every PR: the deterministic
 # simulation suites (differential fast-vs-reference, unsharded, and
 # sharded) and scaled-down soaks under the race detector, the mutant
-# self-test (each of the twelve seeded bugs — six Algorithm 1 clauses,
+# self-test (each of the thirteen seeded bugs — six Algorithm 1 clauses,
 # the shard-routing and budget-balancing mutants, the three fast-path
-# mutants intern/popcount/lshmiss, plus the HA epoch-fencing mutant
-# staleepoch — must be caught reproducibly; the fast-path three within
-# the differential suite's 900 requests, staleepoch within the HA
-# stage's first lease isolation), and one CLI chaos pass.
+# mutants intern/popcount/lshmiss, the HA epoch-fencing mutant
+# staleepoch, and the mirror-index mutant staleindex — must be caught
+# reproducibly; the fast-path three within the differential suite's 900
+# requests, staleepoch within the HA stage's first lease isolation,
+# staleindex within the fleet stage's eviction audit), and one CLI
+# chaos pass.
 # `landlord-check sim` runs the sharded suite too.
 check:
 	$(GO) test -race -short -count=1 ./internal/check

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/pkggraph"
 	"repro/internal/resilience"
 	"repro/internal/server"
 )
@@ -34,7 +35,12 @@ import (
 //     membership from agent re-registration and keeps serving;
 //   - bounded key movement: one agent joining moves at most 2/(N+1) of
 //     a sampled keyspace (all of it to the joiner), and the agent
-//     leaving again restores the original assignment exactly.
+//     leaving again restores the original assignment exactly;
+//   - indexed mirrors: after every round, and after every gossip frame
+//     of a mid-stream eviction audit, each member's routing index
+//     equals a rebuild from its mirrored directory
+//     (Master.CheckIntegrity — the audit that catches the staleindex
+//     mutant).
 type FleetChaosConfig struct {
 	Seed  int64
 	Steps int // requests through the master
@@ -139,10 +145,11 @@ func RunFleetChaos(cfg FleetChaosConfig) (FleetChaosReport, *Failure) {
 	masterURL := "http://" + addr
 
 	var hs *http.Server
+	var master *fleet.Master
 	var client *server.Client
 	bootMaster := func(l net.Listener) {
-		m := fleet.NewMaster(mcfg)
-		hs = &http.Server{Handler: m.Handler()}
+		master = fleet.NewMaster(mcfg)
+		hs = &http.Server{Handler: master.Handler()}
 		go hs.Serve(l)
 		// Fresh client per master life: keep-alive connections into the
 		// killed process would surface as spurious transport errors.
@@ -297,8 +304,14 @@ func RunFleetChaos(cfg FleetChaosConfig) (FleetChaosReport, *Failure) {
 			if f := auditKeyMovement(cfg, &rep, masterURL, client, agents, beatAll, step); f != nil {
 				return rep, f
 			}
+			if f := auditMirrorEvictions(cfg, repo, master, masterURL, step); f != nil {
+				return rep, f
+			}
 		}
 		beatAll()
+		if err := master.CheckIntegrity(); err != nil {
+			return rep, failf(cfg.Seed, step, "fleetchaos: master routing index: %v", err)
+		}
 
 		keys := keysOf(repo, stream.Next())
 		res, err := routeVia(keys)
@@ -446,6 +459,50 @@ func auditKeyMovement(cfg FleetChaosConfig, rep *FleetChaosReport, masterURL str
 			return failf(cfg.Seed, step,
 				"fleetchaos: departure did not restore key %d: %s != %s", i, after[i], before[i])
 		}
+	}
+	return nil
+}
+
+// mirrorAuditRequests is how many specs auditMirrorEvictions sends.
+const mirrorAuditRequests = 40
+
+// auditMirrorEvictions exercises the one gossip frame kind the run
+// otherwise never produces: the fleet's agents have unlimited capacity
+// (an acked spec must never be evicted), so their directories only
+// grow and no delta carries Removes. A throwaway agent over a small
+// capacity-bounded cache joins, is driven past its capacity directly —
+// nothing it serves is an acked fleet request — and gossips after every
+// request; the master's index of its mirror must follow each removal.
+// It deregisters before traffic resumes.
+func auditMirrorEvictions(cfg FleetChaosConfig, repo *pkggraph.Repo, master *fleet.Master, masterURL string, step int) *Failure {
+	srv, err := server.New(repo, core.Config{Alpha: cfg.Alpha, Capacity: simCapacity(repo, 0.15)})
+	if err != nil {
+		return failf(cfg.Seed, step, "fleetchaos: eviction-audit server: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	ag := fleet.NewAgent(fleet.AgentConfig{
+		ID: "agent-evict-audit", AdvertiseURL: ts.URL, MasterURL: masterURL,
+		Interval: time.Hour, BeatTimeout: time.Second,
+	}, srv)
+	direct := server.NewClient(ts.URL, ts.Client())
+	stream := NewStream(repo, cfg.Seed+3)
+	for i := 0; i < mirrorAuditRequests; i++ {
+		if _, err := requestNoShed(direct, keysOf(repo, stream.Next())); err != nil {
+			return failf(cfg.Seed, step, "fleetchaos: eviction-audit request %d: %v", i, err)
+		}
+		if err := ag.BeatNow(context.Background()); err != nil {
+			return failf(cfg.Seed, step, "fleetchaos: eviction-audit beat %d: %v", i, err)
+		}
+		if err := master.CheckIntegrity(); err != nil {
+			return failf(cfg.Seed, step, "fleetchaos: master routing index after eviction-audit request %d: %v", i, err)
+		}
+	}
+	if srv.StatsNow().Deletes == 0 {
+		return failf(cfg.Seed, step, "fleetchaos: eviction audit evicted nothing in %d requests; no Removes frame was gossiped", mirrorAuditRequests)
+	}
+	if err := ag.Deregister(); err != nil {
+		return failf(cfg.Seed, step, "fleetchaos: eviction-audit deregister: %v", err)
 	}
 	return nil
 }

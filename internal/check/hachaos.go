@@ -48,7 +48,10 @@ import (
 //     persistent agent's ExportState once the stream is drained;
 //   - warm handoff: a drained agent's acked specs are still hits
 //     through the fleet, served by the rendezvous successors its drain
-//     warmed.
+//     warmed;
+//   - indexed mirrors: after every round each live master's routing
+//     index equals a rebuild from its mirrored directories
+//     (Master.CheckIntegrity).
 type HAChaosConfig struct {
 	Seed  int64
 	Steps int
@@ -680,6 +683,14 @@ func RunHAChaos(cfg HAChaosConfig) (rep HAChaosReport, fail *Failure) {
 		rep.Steps++
 		if f := sendRound(step, keys, true); f != nil {
 			return rep, f
+		}
+		for _, s := range slots {
+			if !s.alive {
+				continue
+			}
+			if err := s.m.CheckIntegrity(); err != nil {
+				return rep, failf(cfg.Seed, step, "hachaos: %s routing index: %v", s.id, err)
+			}
 		}
 	}
 

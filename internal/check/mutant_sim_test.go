@@ -9,9 +9,9 @@ import (
 )
 
 // TestMutantSim runs under -tags landlord_mutants with LANDLORD_MUTANT
-// naming one seeded bug in internal/core (see core/mutant_on.go). It
-// asserts the harness DETECTS the mutant: the staged suites —
-// differential (900 requests), unsharded simulation, sharded
+// naming one seeded bug in internal/core or internal/fleet (see their
+// mutant_on.go). It asserts the harness DETECTS the mutant: the staged
+// suites — differential (900 requests), unsharded simulation, sharded
 // simulation — must report a Failure before they run dry. It runs the
 // stages twice and requires the two failures to be byte-identical —
 // the reproducibility the printed seed promises.
@@ -40,18 +40,34 @@ func TestMutantSim(t *testing.T) {
 		return "", rep.Steps
 	}
 
+	// fleetStage is a short fault-free fleet chaos run: what it keeps is
+	// the mid-stream eviction audit, the only place a gossip frame
+	// carries Removes — the frames the staleindex mutant mishandles —
+	// with Master.CheckIntegrity after each.
+	fleetStage := func() (string, int) {
+		cfg := FleetChaosDefault(*seedFlag)
+		cfg.Steps, cfg.PartitionEvery, cfg.MasterKillEvery = 60, 0, 0
+		rep, f := RunFleetChaos(cfg)
+		n := rep.Steps + mirrorAuditRequests
+		if f != nil {
+			return f.Error(), n
+		}
+		return "", n
+	}
+
 	detect := func() (string, int) {
 		requests := 0
-		// The fleet mutant (staleepoch) is invisible to every
-		// single-process stage — only the HA harness spawns masters —
-		// so it runs the HA stage first, keeping detection inside the
-		// 1000-request budget. Core mutants run it last (they fall to a
+		// The fleet mutants are invisible to every single-process stage
+		// — only the fleet harnesses spawn masters — so each runs its
+		// own stage first, keeping detection inside the 1000-request
+		// budget. Core mutants run the HA stage last (they fall to a
 		// cheaper stage long before).
-		if mutant == "staleepoch" {
-			if msg, n := haStage(); msg != "" {
-				return msg, requests + n
-			} else {
-				requests += n
+		ownStage := map[string]func() (string, int){"staleindex": fleetStage, "staleepoch": haStage}[mutant]
+		if ownStage != nil {
+			msg, n := ownStage()
+			requests += n
+			if msg != "" {
+				return msg, requests
 			}
 		}
 		// The differential suite runs first: the fast-path mutants

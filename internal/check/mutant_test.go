@@ -12,12 +12,12 @@ import (
 
 // mutants lists the seeded bugs compiled in by -tags landlord_mutants
 // (internal/core/mutant_on.go and internal/fleet/mutant_on.go); each
-// breaks exactly one clause of Algorithm 1 or one rule of the HA
-// protocol.
+// breaks exactly one clause of Algorithm 1, one rule of the HA
+// protocol, or one maintenance point of the master's mirror index.
 var mutants = []string{
 	"superset", "threshold", "conflict", "lru", "capacity", "touch", "route", "balance",
 	"intern", "popcount", "lshmiss",
-	"staleepoch",
+	"staleepoch", "staleindex",
 }
 
 // buildMutantBinary compiles this package's tests with the mutant tag

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 )
@@ -90,7 +89,7 @@ type Agent struct {
 	paused atomic.Bool
 
 	mu    sync.Mutex
-	dir   *cluster.Directory
+	dir   *Directory
 	beats uint64
 }
 
@@ -103,7 +102,7 @@ func NewAgent(cfg AgentConfig, srv *server.Server) *Agent {
 		srv: srv,
 		rtt: srv.Registry().Histogram(metricHeartbeatRTT, helpHeartbeatRTT,
 			telemetry.DefaultLatencyBuckets()),
-		dir: cluster.NewDirectory(cluster.DefaultDirJournal),
+		dir: NewDirectory(DefaultDirJournal),
 	}
 	for _, url := range cfg.MasterURLs {
 		cl := server.NewClient(url, cfg.HTTPClient)
@@ -214,7 +213,7 @@ func (a *Agent) registerLocked(ctx context.Context, l *masterLink) error {
 // beatLocked sends one heartbeat with the pending directory delta for
 // one master.
 func (a *Agent) beatLocked(ctx context.Context, l *masterLink) error {
-	var delta cluster.DirDelta
+	var delta DirDelta
 	if l.sendFull {
 		delta = a.dir.Full()
 	} else {
@@ -253,9 +252,9 @@ func (a *Agent) refreshDirLocked() {
 	for _, snap := range a.srv.SnapshotNow() {
 		pkgs[snap.ID] = snap.Packages
 	}
-	want := make(map[uint64]cluster.DirEntry, len(imgs))
+	want := make(map[uint64]DirEntry, len(imgs))
 	for _, im := range imgs {
-		want[im.ID] = cluster.DirEntry{ID: im.ID, Version: im.Version, Size: im.Size, Packages: pkgs[im.ID]}
+		want[im.ID] = DirEntry{ID: im.ID, Version: im.Version, Size: im.Size, Packages: pkgs[im.ID]}
 	}
 	for _, e := range a.dir.Full().Upserts {
 		if _, ok := want[e.ID]; !ok {

@@ -1,0 +1,161 @@
+package fleet
+
+import (
+	"fmt"
+	"slices"
+)
+
+// Directory-mirror index.
+//
+// Affinity routing asks, for every routed request and every candidate
+// agent, Algorithm 1's superset test against each image the agent
+// gossiped. The mirror answers it the way internal/core does: package
+// keys become dense bit positions and the test becomes a word-wise
+// AND-NOT. The master has no repository to intern against, so the
+// universe is a KeyDict grown from what gossip mentions; each Follower
+// keeps one imageBits per mirrored image, built where the mirror
+// changes (gossip.go). A request costs one dictionary lookup per key
+// and a few dozen words per candidate image, and allocates nothing.
+
+// KeyDict is the master-wide package-key dictionary: key → dense id in
+// first-mention order. Ids are never reassigned or dropped, so bitsets
+// built earlier stay valid as the dictionary grows; its size is bounded
+// by the repository the agents share. The map keys are the gossiped
+// strings themselves, not copies. Not goroutine-safe: like Membership,
+// the Master guards it with its route lock.
+type KeyDict struct {
+	ids map[string]uint32
+	// scratch is the one request being routed, as a bitset over ids. It
+	// grows with the dictionary, so Query never allocates.
+	scratch []uint64
+}
+
+// NewKeyDict creates an empty dictionary.
+func NewKeyDict() *KeyDict {
+	return &KeyDict{ids: make(map[string]uint32)}
+}
+
+// id returns key's bit position, assigning the next one on first
+// mention.
+func (d *KeyDict) id(key string) uint32 {
+	id, ok := d.ids[key]
+	if !ok {
+		id = uint32(len(d.ids))
+		d.ids[key] = id
+		if int(id>>6) >= len(d.scratch) {
+			d.scratch = append(d.scratch, 0)
+		}
+	}
+	return id
+}
+
+// imageBits is one mirrored image's package set over a KeyDict. words
+// reaches only to the image's highest id, so an image indexed before
+// the dictionary grew needs no rebuild; card is the distinct-key count.
+type imageBits struct {
+	words []uint64
+	card  int
+}
+
+// bitsOf indexes one image's package keys, growing the dictionary with
+// any key it has not seen.
+func (d *KeyDict) bitsOf(keys []string) imageBits {
+	var b imageBits
+	for _, k := range keys {
+		id := d.id(k)
+		w, bit := int(id>>6), uint64(1)<<(id&63)
+		for w >= len(b.words) {
+			b.words = append(b.words, 0)
+		}
+		if b.words[w]&bit == 0 {
+			b.words[w] |= bit
+			b.card++
+		}
+	}
+	return b
+}
+
+func (b imageBits) equal(o imageBits) bool {
+	return b.card == o.card && slices.Equal(b.words, o.words)
+}
+
+// covers reports req ⊆ b: no requested bit missing, exiting at the
+// first word that has one.
+func (b imageBits) covers(req []uint64) bool {
+	for i, w := range req {
+		if w == 0 {
+			continue
+		}
+		if i >= len(b.words) || w&^b.words[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// KeyQuery is a request's package keys translated by KeyDict.Query. It
+// aliases the dictionary's scratch words: valid until the next Query.
+type KeyQuery struct {
+	words    []uint64
+	distinct int
+}
+
+// Query translates a request's package keys into the dictionary's id
+// space. known is false when some key was never gossiped: no mirrored
+// image can contain it, so no agent holds the spec and the caller
+// skips every scan. A repeated key counts once.
+func (d *KeyDict) Query(packages []string) (q KeyQuery, known bool) {
+	clear(d.scratch)
+	for _, k := range packages {
+		id, ok := d.ids[k]
+		if !ok {
+			return KeyQuery{}, false
+		}
+		w, bit := id>>6, uint64(1)<<(id&63)
+		if d.scratch[w]&bit == 0 {
+			d.scratch[w] |= bit
+			q.distinct++
+		}
+	}
+	q.words = d.scratch
+	return q, true
+}
+
+// HoldsSuperset reports whether some mirrored image contains every key
+// of q, which must come from the follower's own dictionary.
+func (f *Follower) HoldsSuperset(q KeyQuery) bool {
+	for _, img := range f.index {
+		if img.card >= q.distinct && img.covers(q.words) {
+			return true
+		}
+	}
+	return false
+}
+
+// checkIndex rebuilds every mirrored image's bitset from its entry and
+// compares it with the maintained one, and requires the index to hold
+// nothing the mirror dropped. Images are visited in ID order so a
+// violation reads the same on every run.
+func (f *Follower) checkIndex() error {
+	for _, e := range f.Entries() {
+		got, ok := f.index[e.ID]
+		if !ok {
+			return fmt.Errorf("image %d is mirrored but not indexed", e.ID)
+		}
+		if want := f.dict.bitsOf(e.Packages); !got.equal(want) {
+			return fmt.Errorf("image %d v%d: indexed bitset (%d keys) differs from its mirrored package set (%d keys)",
+				e.ID, e.Version, got.card, want.card)
+		}
+	}
+	if len(f.index) != len(f.entries) {
+		var stale []uint64
+		for id := range f.index {
+			if _, ok := f.entries[id]; !ok {
+				stale = append(stale, id)
+			}
+		}
+		slices.Sort(stale)
+		return fmt.Errorf("index still holds image(s) %v the mirror removed", stale)
+	}
+	return nil
+}

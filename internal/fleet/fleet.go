@@ -1,13 +1,14 @@
-// Package fleet is the networked control plane: the promotion of the
-// in-process internal/cluster site model to a real master/agent
-// deployment. A landlordd running in master mode routes every
-// /v1/request to one of N landlordd agents over HTTP, choosing the
+// Package fleet is the networked control plane: a real master/agent
+// deployment of the site model internal/cluster simulates in-process.
+// A landlordd running in master mode routes every /v1/request to one
+// of N landlordd agents over HTTP, choosing the
 // agent by consistent hashing on the job specification's signature so
 // the same spec keeps landing on the same cache (and membership churn
 // moves a bounded slice of the keyspace). Agents register with the
 // master, heartbeat their liveness, and gossip their image-directory
-// state using the internal/cluster delta-sync encoding carried in the
-// heartbeat body.
+// state as delta-sync frames (gossip.go) carried in the heartbeat body;
+// the master indexes each mirror (dirindex.go) so affinity routing
+// never scans package lists.
 //
 // The resilience stack rides every hop: the master keeps a circuit
 // breaker per agent, propagates request deadlines (X-Landlord-Deadline)
@@ -31,9 +32,6 @@ package fleet
 import (
 	"hash/fnv"
 	"sort"
-	"strings"
-
-	"repro/internal/cluster"
 )
 
 // Wire types. Everything the control plane sends is JSON, matching the
@@ -63,8 +61,8 @@ type HeartbeatRequest struct {
 	ID  string `json:"id"`
 	Gen uint64 `json:"gen"`
 	// Delta carries the agent's image-directory changes since the last
-	// revision the master acknowledged (cluster delta-sync encoding).
-	Delta cluster.DirDelta `json:"delta"`
+	// revision the master acknowledged (delta-sync encoding, gossip.go).
+	Delta DirDelta `json:"delta"`
 }
 
 // HeartbeatResponse acks a beat.
@@ -175,6 +173,3 @@ func mix64(x uint64) uint64 {
 	x ^= x >> 31
 	return x
 }
-
-// joinKeys renders package keys for diagnostics.
-func joinKeys(keys []string) string { return strings.Join(keys, ",") }

@@ -1,18 +1,16 @@
-package cluster
+package fleet
 
 import "sort"
 
 // Delta-sync gossip encoding.
 //
-// The in-process DeltaSite ships image *contents* as exact package-set
-// differences. The fleet control plane needs the same idea one level
-// up: each agent's image *directory* — which (image, version) pairs it
-// holds — must reach the master without retransmitting the whole table
-// on every heartbeat. Directory/Follower are the two ends of that
-// stream: a revisioned directory on the agent emits DirDelta frames
-// relative to the last revision the master acknowledged; the master's
-// follower applies them, detecting duplicated, reordered, and lost
-// frames. The encoding is plain JSON-tagged structs, so it travels in
+// Each agent's image *directory* — which (image, version) pairs it
+// holds, and their package sets — must reach the master without
+// retransmitting the whole table on every heartbeat. Directory/Follower
+// are the two ends of that stream: a revisioned directory on the agent
+// emits DirDelta frames relative to the last revision the master
+// acknowledged; the master's follower applies them, detecting
+// duplicated, reordered, and lost frames. The encoding is plain JSON-tagged structs, so it travels in
 // the heartbeat body unchanged.
 //
 // The protocol is pull-ack, not reliable-stream: every frame carries
@@ -222,16 +220,28 @@ func (r ApplyResult) String() string {
 }
 
 // Follower mirrors a Directory from a stream of DirDelta frames that
-// may arrive duplicated or out of order. Not goroutine-safe; the
+// may arrive duplicated or out of order, and indexes the mirror for the
+// routing question "does this agent hold a superset of these keys?"
+// (dirindex.go): one bitset per mirrored image over the master-wide
+// KeyDict, maintained wherever the mirror changes — Apply and Reset —
+// so a routed request never builds anything. Not goroutine-safe; the
 // master applies frames under its membership lock.
 type Follower struct {
 	rev     uint64
 	entries map[uint64]DirEntry
+	dict    *KeyDict
+	index   map[uint64]imageBits
 }
 
-// NewFollower creates an empty follower at revision 0.
-func NewFollower() *Follower {
-	return &Follower{entries: make(map[uint64]DirEntry)}
+// NewFollower creates an empty follower at revision 0 whose index is
+// expressed over dict. Followers that answer the same Query must share
+// one dictionary.
+func NewFollower(dict *KeyDict) *Follower {
+	return &Follower{
+		entries: make(map[uint64]DirEntry),
+		dict:    dict,
+		index:   make(map[uint64]imageBits),
+	}
 }
 
 // Rev returns the last applied revision — the ack the leader's next
@@ -241,7 +251,9 @@ func (f *Follower) Rev() uint64 { return f.rev }
 // Len returns the number of mirrored entries.
 func (f *Follower) Len() int { return len(f.entries) }
 
-// Entries returns the mirrored directory sorted by image ID.
+// Entries returns a copy of the mirrored directory sorted by image ID.
+// It is for handoff planning and tests; routing reads the index
+// (HoldsSuperset) instead.
 func (f *Follower) Entries() []DirEntry {
 	out := make([]DirEntry, 0, len(f.entries))
 	for _, e := range f.entries {
@@ -256,6 +268,7 @@ func (f *Follower) Entries() []DirEntry {
 func (f *Follower) Reset() {
 	f.rev = 0
 	f.entries = make(map[uint64]DirEntry)
+	f.index = make(map[uint64]imageBits)
 }
 
 // Apply incorporates one frame. Duplicated and reordered-old frames
@@ -267,8 +280,9 @@ func (f *Follower) Apply(d DirDelta) ApplyResult {
 			return DeltaStale
 		}
 		f.entries = make(map[uint64]DirEntry, len(d.Upserts))
+		f.index = make(map[uint64]imageBits, len(d.Upserts))
 		for _, e := range d.Upserts {
-			f.entries[e.ID] = e
+			f.upsert(e)
 		}
 		f.rev = d.To
 		return DeltaApplied
@@ -280,11 +294,20 @@ func (f *Follower) Apply(d DirDelta) ApplyResult {
 		return DeltaGap
 	}
 	for _, e := range d.Upserts {
-		f.entries[e.ID] = e
+		f.upsert(e)
 	}
 	for _, id := range d.Removes {
 		delete(f.entries, id)
+		if !mutantEnabled("staleindex") {
+			delete(f.index, id)
+		}
 	}
 	f.rev = d.To
 	return DeltaApplied
+}
+
+// upsert mirrors e and (re)indexes its package set.
+func (f *Follower) upsert(e DirEntry) {
+	f.entries[e.ID] = e
+	f.index[e.ID] = f.dict.bitsOf(e.Packages)
 }

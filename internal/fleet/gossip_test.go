@@ -1,4 +1,4 @@
-package cluster
+package fleet
 
 import (
 	"encoding/json"
@@ -21,6 +21,37 @@ func applyAll(t *testing.T, dir *Directory, f *Follower, frames []DirDelta) {
 	}
 }
 
+// lossyWire is the transport of the out-of-order gossip tests: every
+// frame crosses a JSON hop like the real heartbeat body, ~30% are
+// duplicated, and delivery is shuffled within a sliding window of 6 so
+// ordering is violated but not unboundedly.
+func lossyWire(t *testing.T, rng *rand.Rand, frames []DirDelta) []DirDelta {
+	t.Helper()
+	delivered := make([]DirDelta, 0, len(frames)*2)
+	for _, fr := range frames {
+		b, err := json.Marshal(fr)
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		var back DirDelta
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatalf("unmarshal: %v", err)
+		}
+		delivered = append(delivered, back)
+		if rng.Float64() < 0.3 {
+			delivered = append(delivered, back)
+		}
+	}
+	for i := range delivered {
+		j := i + rng.Intn(6)
+		if j >= len(delivered) {
+			j = len(delivered) - 1
+		}
+		delivered[i], delivered[j] = delivered[j], delivered[i]
+	}
+	return delivered
+}
+
 func assertConverged(t *testing.T, dir *Directory, f *Follower) {
 	t.Helper()
 	// A final delta from the follower's ack must close any remaining
@@ -40,7 +71,7 @@ func assertConverged(t *testing.T, dir *Directory, f *Follower) {
 
 func TestDirectoryDeltaBasics(t *testing.T) {
 	dir := NewDirectory(0)
-	f := NewFollower()
+	f := NewFollower(NewKeyDict())
 
 	dir.Put(DirEntry{ID: 1, Version: 1, Size: 100})
 	dir.Put(DirEntry{ID: 2, Version: 1, Size: 200})
@@ -74,7 +105,7 @@ func TestDirectoryDeltaBasics(t *testing.T) {
 
 func TestDirectoryDeltaStaleAndGap(t *testing.T) {
 	dir := NewDirectory(0)
-	f := NewFollower()
+	f := NewFollower(NewKeyDict())
 	dir.Put(DirEntry{ID: 1, Version: 1, Size: 10})
 	first := dir.DeltaSince(0)
 	if got := f.Apply(first); got != DeltaApplied {
@@ -114,7 +145,7 @@ func TestDirectoryJournalAgingForcesFull(t *testing.T) {
 	if !d.Full {
 		t.Fatalf("aged-out ack did not force a full frame: %+v", d)
 	}
-	f := NewFollower()
+	f := NewFollower(NewKeyDict())
 	if got := f.Apply(d); got != DeltaApplied {
 		t.Fatalf("apply full: %v", got)
 	}
@@ -132,7 +163,7 @@ func TestGossipLossyTransport(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		dir := NewDirectory(64)
-		f := NewFollower()
+		f := NewFollower(NewKeyDict())
 
 		// Generate frames the way heartbeats would: mutate a little,
 		// emit DeltaSince(lastAck) — but only advance the ack when the
@@ -160,35 +191,7 @@ func TestGossipLossyTransport(t *testing.T) {
 			}
 		}
 
-		// Lossy delivery: duplicate ~30% of frames, then shuffle within
-		// a sliding window of 6 so ordering is violated but not
-		// unboundedly.
-		delivered := make([]DirDelta, 0, len(frames)*2)
-		for _, fr := range frames {
-			delivered = append(delivered, fr)
-			if rng.Float64() < 0.3 {
-				delivered = append(delivered, fr)
-			}
-		}
-		// Frames cross a JSON hop like the real heartbeat body.
-		for i, fr := range delivered {
-			b, err := json.Marshal(fr)
-			if err != nil {
-				t.Fatalf("seed %d: marshal: %v", seed, err)
-			}
-			var back DirDelta
-			if err := json.Unmarshal(b, &back); err != nil {
-				t.Fatalf("seed %d: unmarshal: %v", seed, err)
-			}
-			delivered[i] = back
-		}
-		for i := range delivered {
-			j := i + rng.Intn(6)
-			if j >= len(delivered) {
-				j = len(delivered) - 1
-			}
-			delivered[i], delivered[j] = delivered[j], delivered[i]
-		}
+		delivered := lossyWire(t, rng, frames)
 
 		applyAll(t, dir, f, delivered)
 		assertConverged(t, dir, f)
@@ -200,7 +203,7 @@ func TestGossipLossyTransport(t *testing.T) {
 func TestFollowerReset(t *testing.T) {
 	old := NewDirectory(0)
 	old.Put(DirEntry{ID: 9, Version: 9, Size: 9})
-	f := NewFollower()
+	f := NewFollower(NewKeyDict())
 	if got := f.Apply(old.Full()); got != DeltaApplied {
 		t.Fatalf("apply: %v", got)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -376,7 +377,7 @@ func (m *Master) maybeDemoteOnEpoch(err error) {
 		return
 	}
 	var se *server.StatusError
-	if !asStatusError(err, &se) {
+	if !errors.As(err, &se) {
 		return
 	}
 	m.ha.mu.Lock()

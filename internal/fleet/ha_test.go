@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -9,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/server"
 )
@@ -143,7 +143,7 @@ func TestHAStandbyRefusesRequestsWithEpoch(t *testing.T) {
 	err := cl.DoCtx(context.Background(), http.MethodPost, "/v1/request",
 		server.RequestBody{Packages: []string{"x"}, Close: true}, nil)
 	var se *server.StatusError
-	if !asStatusError(err, &se) {
+	if !errors.As(err, &se) {
 		t.Fatalf("standby /v1/request error = %v, want StatusError", err)
 	}
 	if se.Status != http.StatusServiceUnavailable {
@@ -220,7 +220,7 @@ func TestEpochGate(t *testing.T) {
 
 // seedMember registers one agent on m with the given directory
 // entries, straight through the membership layer.
-func seedMember(t *testing.T, m *Master, id string, entries ...cluster.DirEntry) {
+func seedMember(t *testing.T, m *Master, id string, entries ...DirEntry) {
 	t.Helper()
 	now := time.Unix(0, 0)
 	m.mu.Lock()
@@ -228,7 +228,7 @@ func seedMember(t *testing.T, m *Master, id string, entries ...cluster.DirEntry)
 	if m.ms.Register(RegisterRequest{ID: id, URL: "http://" + id, Gen: 1}, now) {
 		m.ring.Add(id)
 	}
-	d := cluster.NewDirectory(cluster.DefaultDirJournal)
+	d := NewDirectory(DefaultDirJournal)
 	for _, e := range entries {
 		d.Put(e)
 	}
@@ -279,7 +279,7 @@ func TestRouteAffinityOrder(t *testing.T) {
 
 	// A non-owner gossips a superset image: it outranks the owner and
 	// the route is an affinity redirect.
-	seedMember(t, m, holder, cluster.DirEntry{ID: 1, Version: 1, Size: 10,
+	seedMember(t, m, holder, DirEntry{ID: 1, Version: 1, Size: 10,
 		Packages: []string{"p1", "p2", "p3"}})
 	m.mu.Lock()
 	info = m.routeLocked(key, pkgs)
@@ -294,10 +294,19 @@ func TestRouteAffinityOrder(t *testing.T) {
 		}
 	}
 
+	// A request is a set: repeating a key does not push it past the
+	// holder's image size, so the route is the same redirect.
+	m.mu.Lock()
+	info = m.routeLocked(key, []string{"p1", "p2", "p2", "p1"})
+	m.mu.Unlock()
+	if !info.Affinity || info.Candidates[0] != holder {
+		t.Fatalf("repeated keys hid the superset holder: %+v, want %s first with affinity", info, holder)
+	}
+
 	// The owner also gossips a superset: owner-with-affinity leads, no
 	// redirect counted (the route went where the hash said anyway).
 	seedMember(t, m, owner,
-		cluster.DirEntry{ID: 2, Version: 1, Size: 10, Packages: []string{"p1", "p2", "p9"}})
+		DirEntry{ID: 2, Version: 1, Size: 10, Packages: []string{"p1", "p2", "p9"}})
 	m.mu.Lock()
 	info = m.routeLocked(key, pkgs)
 	m.mu.Unlock()
@@ -528,7 +537,7 @@ func TestAgentHandlerGatesStaleForwards(t *testing.T) {
 	err = cl.DoCtx(context.Background(), http.MethodPost, "/v1/request",
 		server.RequestBody{Packages: keys, Close: true}, nil)
 	var se *server.StatusError
-	if !asStatusError(err, &se) || se.Status != http.StatusServiceUnavailable {
+	if !errors.As(err, &se) || se.Status != http.StatusServiceUnavailable {
 		t.Fatalf("stale forward error = %v, want 503 StatusError", err)
 	}
 	if se.Epoch != 2 {

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -34,6 +35,9 @@ const (
 
 	metricRouteAffinity = "landlord_fleet_route_affinity_total"
 	helpRouteAffinity   = "Requests routed to a non-owner agent already holding a superset of the spec"
+
+	metricRouteSeconds = "landlord_fleet_route_seconds"
+	helpRouteSeconds   = "Time to choose a request's candidate agents: route key, ring and rendezvous order, directory affinity"
 )
 
 // probeKeys is how many sampled keys the key-movement histogram probes
@@ -123,7 +127,8 @@ type Master struct {
 	ring  *Ring
 	conns map[string]*agentConn
 
-	keyMove *telemetry.Histogram
+	keyMove   *telemetry.Histogram
+	routeTime *telemetry.Histogram
 
 	// ha is the high-availability half (ha.go). Lock order: m.mu
 	// before ha.mu, never the reverse.
@@ -146,6 +151,7 @@ func NewMaster(cfg MasterConfig) *Master {
 	}
 	m.keyMove = reg.Histogram(metricKeyMovement, helpKeyMovement,
 		[]float64{0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.75, 1})
+	m.routeTime = reg.Histogram(metricRouteSeconds, helpRouteSeconds, telemetry.DefaultLatencyBuckets())
 	m.initHA(cfg.HA)
 	for _, st := range []string{"known", "healthy", "suspect"} {
 		st := st
@@ -325,6 +331,10 @@ func (m *Master) handleTrace(w http.ResponseWriter, r *http.Request) {
 //  3. the ring owner, when routable (no superset)
 //  4. remaining routable agents, in rendezvous order
 //
+// The superset question is answered from the mirrors' index: the
+// request is translated once, and a key no agent ever gossiped rules
+// every holder out before any mirror is looked at.
+//
 // Caller holds m.mu.
 func (m *Master) routeLocked(key uint64, packages []string) RouteInfo {
 	info := RouteInfo{Key: key}
@@ -333,37 +343,31 @@ func (m *Master) routeLocked(key uint64, packages []string) RouteInfo {
 	// The ring's pick leads iff it is currently routable; otherwise the
 	// rendezvous order alone decides (the owner is partitioned or
 	// draining — its keys spill to stable fallbacks until it returns).
-	ownerRoutable := false
-	for _, id := range routable {
-		if id == owner {
-			ownerRoutable = true
-			break
-		}
-	}
+	ownerRoutable := contains(routable, owner)
 	if owner != "" {
 		info.Owner = owner
 	}
-	ownerHolds := packages != nil && ownerRoutable && m.holdsSupersetLocked(owner, packages)
-	if ownerHolds {
-		info.Candidates = append(info.Candidates, owner)
-	}
+	order := RendezvousOrder(routable, key)
+	ownerHolds := false
 	if packages != nil {
-		for _, id := range RendezvousOrder(routable, key) {
-			if id == owner {
-				continue
+		if q, known := m.ms.dict.Query(packages); known {
+			ownerHolds = ownerRoutable && m.ms.HoldsSuperset(owner, q)
+			if ownerHolds {
+				info.Candidates = append(info.Candidates, owner)
 			}
-			if m.holdsSupersetLocked(id, packages) {
-				if len(info.Candidates) == 0 {
-					info.Affinity = true // leading pick is an affinity redirect
+			for _, id := range order {
+				if id != owner && m.ms.HoldsSuperset(id, q) {
+					info.Candidates = append(info.Candidates, id)
 				}
-				info.Candidates = append(info.Candidates, id)
 			}
+			// A leading non-owner holder is an affinity redirect.
+			info.Affinity = !ownerHolds && len(info.Candidates) > 0
 		}
 	}
 	if ownerRoutable && !ownerHolds {
 		info.Candidates = append(info.Candidates, owner)
 	}
-	for _, id := range RendezvousOrder(routable, key) {
+	for _, id := range order {
 		if id == owner || contains(info.Candidates, id) {
 			continue
 		}
@@ -373,36 +377,6 @@ func (m *Master) routeLocked(key uint64, packages []string) RouteInfo {
 		info.Candidates = info.Candidates[:m.cfg.MaxAttempts]
 	}
 	return info
-}
-
-// holdsSupersetLocked reports whether id's gossiped directory mirror
-// holds an image covering every requested package key. Caller holds
-// m.mu.
-func (m *Master) holdsSupersetLocked(id string, packages []string) bool {
-	dir := m.ms.Dir(id)
-	if dir == nil {
-		return false
-	}
-	for _, e := range dir.Entries() {
-		if len(e.Packages) < len(packages) {
-			continue
-		}
-		have := make(map[string]bool, len(e.Packages))
-		for _, k := range e.Packages {
-			have[k] = true
-		}
-		ok := true
-		for _, k := range packages {
-			if !have[k] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return true
-		}
-	}
-	return false
 }
 
 func contains(ids []string, id string) bool {
@@ -483,10 +457,18 @@ func (m *Master) handleRequest(w http.ResponseWriter, r *http.Request) {
 	at := m.spans.Start(tid, parent)
 	routeSpan := at.Begin(telemetry.StageFleetRoute, at.Root())
 
+	routeStart := time.Now()
 	key := RouteKey(body.Packages)
+	// One lock hold covers the route and the leading candidate's client;
+	// fallbacks look theirs up only if the forward loop reaches them.
 	m.mu.Lock()
 	info := m.routeLocked(key, body.Packages)
+	var lead *agentConn
+	if len(info.Candidates) > 0 {
+		lead = m.connLocked(info.Candidates[0])
+	}
 	m.mu.Unlock()
+	m.routeTime.Observe(time.Since(routeStart).Seconds())
 	if info.Affinity {
 		m.reg.Counter(metricRouteAffinity, helpRouteAffinity).Inc()
 	}
@@ -506,10 +488,13 @@ func (m *Master) handleRequest(w http.ResponseWriter, r *http.Request) {
 	ctx = telemetry.ContextWithTrace(ctx, at)
 
 	var lastErr error
-	for _, id := range info.Candidates {
-		m.mu.Lock()
-		conn := m.connLocked(id)
-		m.mu.Unlock()
+	for i, id := range info.Candidates {
+		conn := lead
+		if i > 0 {
+			m.mu.Lock()
+			conn = m.connLocked(id)
+			m.mu.Unlock()
+		}
 		if conn == nil {
 			continue
 		}
@@ -552,7 +537,8 @@ func (m *Master) handleRequest(w http.ResponseWriter, r *http.Request) {
 			// verbatim — a different agent would only duplicate the spec's
 			// cache slice.
 			m.routeCount(id, outcome)
-			se := err.(*server.StatusError)
+			var se *server.StatusError
+			errors.As(err, &se) // the outcome came from a StatusError
 			at.Finish(outcome, se.Msg, 0)
 			if outcome == "shed" {
 				w.Header().Set("Retry-After", retryAfterSeconds(se))
@@ -601,7 +587,7 @@ func classifyForwardError(err error) string {
 		return "circuit_open"
 	}
 	var se *server.StatusError
-	if asStatusError(err, &se) {
+	if errors.As(err, &se) {
 		switch {
 		case se.Status == http.StatusServiceUnavailable:
 			return "unavailable"
@@ -612,23 +598,6 @@ func classifyForwardError(err error) string {
 		}
 	}
 	return "transport_error"
-}
-
-// asStatusError unwraps err to a *server.StatusError without importing
-// errors.As at every call site.
-func asStatusError(err error, out **server.StatusError) bool {
-	for err != nil {
-		if se, ok := err.(*server.StatusError); ok {
-			*out = se
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 func forwardErrMsg(se *server.StatusError) string {
@@ -734,6 +703,17 @@ func (m *Master) KeyMovementStats() (count int64, mean float64) {
 		mean = m.keyMove.Sum() / float64(count)
 	}
 	return count, mean
+}
+
+// CheckIntegrity audits the routing index: every member's per-image
+// bitsets are rebuilt from its mirrored directory entries and compared
+// with the incrementally maintained ones, and the index may hold no
+// image the mirror dropped. The chaos harnesses call it after every
+// round; it is not for the serving path.
+func (m *Master) CheckIntegrity() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.ms.CheckIndex()
 }
 
 // MembersNow returns the current membership snapshot.

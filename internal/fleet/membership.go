@@ -1,10 +1,9 @@
 package fleet
 
 import (
+	"fmt"
 	"sort"
 	"time"
-
-	"repro/internal/cluster"
 )
 
 // AgentState is one member's health as the master sees it.
@@ -41,7 +40,7 @@ type member struct {
 	gen      uint64
 	state    AgentState
 	lastBeat time.Time
-	dir      *cluster.Follower
+	dir      *Follower
 }
 
 // Membership is the master's agent table. It is soft state: built
@@ -49,7 +48,10 @@ type member struct {
 // restart, rebuilt by agents re-registering. Not goroutine-safe; the
 // Master guards it with its route lock.
 type Membership struct {
-	members      map[string]*member
+	members map[string]*member
+	// dict is the key dictionary every member's mirror index shares, so
+	// one translated request tests against all of them.
+	dict         *KeyDict
 	suspectAfter time.Duration
 	deadAfter    time.Duration
 }
@@ -60,6 +62,7 @@ type Membership struct {
 func NewMembership(suspectAfter, deadAfter time.Duration) *Membership {
 	return &Membership{
 		members:      make(map[string]*member),
+		dict:         NewKeyDict(),
 		suspectAfter: suspectAfter,
 		deadAfter:    deadAfter,
 	}
@@ -72,7 +75,7 @@ func NewMembership(suspectAfter, deadAfter time.Duration) *Membership {
 func (ms *Membership) Register(req RegisterRequest, now time.Time) (ringChanged bool) {
 	m, ok := ms.members[req.ID]
 	if !ok {
-		m = &member{id: req.ID, dir: cluster.NewFollower()}
+		m = &member{id: req.ID, dir: NewFollower(ms.dict)}
 		ms.members[req.ID] = m
 		ringChanged = true
 	}
@@ -112,7 +115,7 @@ func (ms *Membership) Heartbeat(req HeartbeatRequest, now time.Time) HeartbeatRe
 	m.state = AgentHealthy
 	resp := HeartbeatResponse{}
 	if !req.Delta.Empty() || req.Delta.To != m.dir.Rev() {
-		if m.dir.Apply(req.Delta) == cluster.DeltaGap {
+		if m.dir.Apply(req.Delta) == DeltaGap {
 			resp.Resync = true
 		}
 	}
@@ -220,10 +223,34 @@ func (ms *Membership) Snapshot(now time.Time) []MemberInfo {
 }
 
 // Dir returns an agent's mirrored image directory (nil when unknown),
-// for observability endpoints and tests.
-func (ms *Membership) Dir(id string) *cluster.Follower {
+// for handoff planning and tests.
+func (ms *Membership) Dir(id string) *Follower {
 	if m, ok := ms.members[id]; ok {
 		return m.dir
+	}
+	return nil
+}
+
+// HoldsSuperset reports whether id's gossiped directory holds an image
+// covering every key of q, a request translated by the membership's
+// dictionary (false for an unknown agent).
+func (ms *Membership) HoldsSuperset(id string, q KeyQuery) bool {
+	m, ok := ms.members[id]
+	return ok && m.dir.HoldsSuperset(q)
+}
+
+// CheckIndex audits every member's mirror index against its mirror
+// entries, in member-ID order.
+func (ms *Membership) CheckIndex() error {
+	ids := make([]string, 0, len(ms.members))
+	for id := range ms.members {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		if err := ms.members[id].dir.checkIndex(); err != nil {
+			return fmt.Errorf("member %s: %w", id, err)
+		}
 	}
 	return nil
 }

@@ -16,6 +16,12 @@ import (
 //	             and new master can mutate the same agent's cache.
 //	             check.RunHAChaos must catch it via the per-agent
 //	             epoch-monotonicity audit.
+//	staleindex — a gossip frame's Removes drop the image from the
+//	             master's directory mirror but not from the mirror's
+//	             routing index, so affinity keeps steering specs to an
+//	             agent that evicted the image. check.RunFleetChaos must
+//	             catch it via Master.CheckIntegrity after its eviction
+//	             round.
 var (
 	mutantOnce sync.Once
 	mutantName string
