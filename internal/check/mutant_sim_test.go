@@ -9,12 +9,13 @@ import (
 )
 
 // TestMutantSim runs under -tags landlord_mutants with LANDLORD_MUTANT
-// naming one seeded bug in internal/core or internal/fleet (see their
-// mutant_on.go). It asserts the harness DETECTS the mutant: the staged
-// suites — differential (900 requests), unsharded simulation, sharded
-// simulation — must report a Failure before they run dry. It runs the
-// stages twice and requires the two failures to be byte-identical —
-// the reproducibility the printed seed promises.
+// naming one seeded bug in internal/core, internal/fleet or
+// internal/server (see their mutant_on.go). It asserts the harness
+// DETECTS the mutant: the staged suites — differential (900 requests),
+// unsharded simulation, sharded simulation — must report a Failure
+// before they run dry. It runs the stages twice and requires the two
+// failures to be byte-identical — the reproducibility the printed seed
+// promises.
 //
 // TestMutantsAreDetected drives this from a normal build; the
 // MUTANT_FAILURE lines below are its machine-readable channel.
@@ -55,14 +56,31 @@ func TestMutantSim(t *testing.T) {
 		return "", n
 	}
 
+	// netStage is a fault-free network chaos run: clean transport, no
+	// disk faults, no crashes, and few enough requests that the shedder's
+	// burst covers them all, so the run — and the step at which an
+	// escaped body is first answered wrongly — is a function of the seed.
+	// It is the only stage that sends bodies over HTTP in more than one
+	// shape, which is what the reqscan mutant mishandles.
+	netStage := func() (string, int) {
+		rep, f := RunNetChaos(NetChaosConfig{Seed: *seedFlag, Steps: 60, Alpha: 0.6, Dir: t.TempDir()})
+		if f != nil {
+			return f.Error(), rep.Steps
+		}
+		return "", rep.Steps
+	}
+
 	detect := func() (string, int) {
 		requests := 0
 		// The fleet mutants are invisible to every single-process stage
-		// — only the fleet harnesses spawn masters — so each runs its
-		// own stage first, keeping detection inside the 1000-request
-		// budget. Core mutants run the HA stage last (they fall to a
-		// cheaper stage long before).
-		ownStage := map[string]func() (string, int){"staleindex": fleetStage, "staleepoch": haStage}[mutant]
+		// — only the fleet harnesses spawn masters — and the decoder
+		// mutant to every stage that calls the cache without HTTP, so
+		// each runs its own stage first, keeping detection inside the
+		// 1000-request budget. Core mutants run the HA stage last (they
+		// fall to a cheaper stage long before).
+		ownStage := map[string]func() (string, int){
+			"staleindex": fleetStage, "staleepoch": haStage, "reqscan": netStage,
+		}[mutant]
 		if ownStage != nil {
 			msg, n := ownStage()
 			requests += n

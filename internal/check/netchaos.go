@@ -2,6 +2,7 @@ package check
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"net/http"
@@ -30,6 +31,15 @@ import (
 // counter, and a degraded server refuses what it cannot make durable.
 // The fault schedule itself is seeded, so a failure's seed replays the
 // same schedule shape.
+//
+// The client writes its own bodies, a seeded half of them in shapes the
+// server's scanner must hand to encoding/json (escaped keys, close
+// first) or must take itself in spite of their looks (whitespace, close
+// omitted), and every answer is audited: no valid spec is refused, the
+// echoed package count is the spec's, a re-sent acknowledged spec is a
+// hit. With a clean network, no disk faults and no crashes the run is
+// deterministic, which is how the reqscan mutant is caught
+// reproducibly.
 type NetChaosConfig struct {
 	Seed  int64
 	Steps int // client requests to issue
@@ -95,6 +105,9 @@ func RunNetChaos(cfg NetChaosConfig) (NetChaosReport, *Failure) {
 		return NetChaosReport{}, failf(cfg.Seed, 0, "netchaos: Dir is required")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	// Body shapes draw from their own source: the fault schedule above
+	// stays what it was for a seed.
+	shapes := rand.New(rand.NewSource(cfg.Seed + 2))
 	repo := SmallRepo(cfg.Seed)
 	stream := NewStream(repo, cfg.Seed+1)
 	mcfg := core.Config{Alpha: cfg.Alpha} // unlimited capacity: acked specs can never be evicted
@@ -252,9 +265,12 @@ func RunNetChaos(cfg NetChaosConfig) (NetChaosReport, *Failure) {
 		}
 
 		keys := keysOf(repo, stream.Next())
+		joined := strings.Join(keys, ",")
+		body, shape := encodeRequest(shapes, keys)
 		before := srv.StatsNow().Requests
 		ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
-		res, err := client.RequestCtx(ctx, keys, false)
+		var res server.RequestResponse
+		err := client.DoCtx(ctx, http.MethodPost, "/v1/request", body, &res)
 		cancel()
 		rep.Steps++
 		if err != nil {
@@ -265,14 +281,29 @@ func RunNetChaos(cfg NetChaosConfig) (NetChaosReport, *Failure) {
 						"netchaos: shed request mutated the cache (requests %d -> %d)", before, after))
 				}
 			}
+			if isStatus(err, http.StatusBadRequest) || isStatus(err, http.StatusRequestEntityTooLarge) {
+				// Every spec the stream draws is valid, in any shape.
+				return rep, dump(failf(cfg.Seed, step,
+					"netchaos: valid spec refused (%s body): %v", shape, err))
+			}
 			classify(err, &rep)
 			continue
 		}
-		if res.Op == "" {
-			return rep, dump(failf(cfg.Seed, step, "netchaos: 200 with empty op"))
+		if res.Packages != len(keys) {
+			return rep, dump(failf(cfg.Seed, step,
+				"netchaos: %d-package spec echoed as %d packages (%s body)", len(keys), res.Packages, shape))
+		}
+		// Capacity is unlimited, so an acknowledged spec stays covered:
+		// sent again it can only be a hit.
+		if prev, ok := acked[joined]; ok && res.Op != "hit" {
+			return rep, dump(failf(cfg.Seed, step,
+				"netchaos: spec acked at step %d answered %q when re-sent, want hit (%s body)", prev.step, res.Op, shape))
+		}
+		if res.Op != "hit" && res.Op != "merge" && res.Op != "insert" {
+			return rep, dump(failf(cfg.Seed, step, "netchaos: 200 with op %q (%s body)", res.Op, shape))
 		}
 		rep.Acked++
-		acked[strings.Join(keys, ",")] = ackedReq{keys: keys, step: step}
+		acked[joined] = ackedReq{keys: keys, step: step}
 	}
 
 	// Final crash: every run ends with a recovery audit.
@@ -282,6 +313,30 @@ func RunNetChaos(cfg NetChaosConfig) (NetChaosReport, *Failure) {
 	rep.NetInjected = chaos.Injected()
 	rep.DiskInjected += ffs.Injected()
 	return rep, nil
+}
+
+// encodeRequest renders an unclosed request for keys in one of the
+// shapes a client may send, and names the shape. Half the draws are the
+// canonical body Client itself sends.
+func encodeRequest(rng *rand.Rand, keys []string) ([]byte, string) {
+	quoted := make([]string, len(keys))
+	for i, k := range keys {
+		q, _ := json.Marshal(k) // a string always marshals
+		quoted[i] = string(q)
+	}
+	list := strings.Join(quoted, ",")
+	switch rng.Intn(8) {
+	case 0:
+		return []byte(`{"packages":[` + strings.ReplaceAll(list, "/", `\/`) + `],"close":false}`), "escaped"
+	case 1:
+		return []byte("{ \"packages\" : [\n\t" + strings.Join(quoted, " ,\n\t") + "\n] ,\r\n \"close\" : false }\n"), "whitespace"
+	case 2:
+		return []byte(`{"close":false,"packages":[` + list + `]}`), "close-first"
+	case 3:
+		return []byte(`{"packages":[` + list + `]}`), "close-omitted"
+	default:
+		return []byte(`{"packages":[` + list + `],"close":false}`), "canonical"
+	}
 }
 
 // requestNoShed submits through the audit client, absorbing admission

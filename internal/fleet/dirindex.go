@@ -100,14 +100,15 @@ type KeyQuery struct {
 	distinct int
 }
 
-// Query translates a request's package keys into the dictionary's id
-// space. known is false when some key was never gossiped: no mirrored
-// image can contain it, so no agent holds the spec and the caller
-// skips every scan. A repeated key counts once.
-func (d *KeyDict) Query(packages []string) (q KeyQuery, known bool) {
+// Query translates a request's package keys (views into the request
+// body) into the dictionary's id space. known is false when some key
+// was never gossiped: no mirrored image can contain it, so no agent
+// holds the spec and the caller skips every scan. A repeated key counts
+// once.
+func (d *KeyDict) Query(packages [][]byte) (q KeyQuery, known bool) {
 	clear(d.scratch)
 	for _, k := range packages {
-		id, ok := d.ids[k]
+		id, ok := d.ids[string(k)]
 		if !ok {
 			return KeyQuery{}, false
 		}

@@ -38,8 +38,17 @@ func naiveHoldsSuperset(f *Follower, packages []string) bool {
 }
 
 func indexedHoldsSuperset(dict *KeyDict, f *Follower, packages []string) bool {
-	q, known := dict.Query(packages)
+	q, known := dict.Query(keyViews(packages))
 	return known && f.HoldsSuperset(q)
+}
+
+// keyViews renders package keys as the master's decoder hands them out.
+func keyViews(packages []string) [][]byte {
+	views := make([][]byte, len(packages))
+	for i, k := range packages {
+		views[i] = []byte(k)
+	}
+	return views
 }
 
 // randomKeySet draws n distinct keys of a universe-sized key space,
@@ -221,9 +230,9 @@ func BenchmarkRouteAffinity(b *testing.B) {
 			b.Fatalf("seeding %s: %+v", id, resp)
 		}
 	}
-	req := make([]string, 0, reqKeys)
+	req := make([][]byte, 0, reqKeys)
 	for _, i := range rng.Perm(len(last))[:reqKeys] {
-		req = append(req, last[i])
+		req = append(req, []byte(last[i]))
 	}
 	holds := func() (first, second bool) {
 		q, known := ms.dict.Query(req)

@@ -30,7 +30,9 @@
 package fleet
 
 import (
+	"bytes"
 	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -147,12 +149,27 @@ type RouteInfo struct {
 func RouteKey(packages []string) uint64 {
 	sorted := append([]string(nil), packages...)
 	sort.Strings(sorted)
-	h := fnv.New64a()
-	for _, k := range sorted {
-		h.Write([]byte(k))
-		h.Write([]byte{'\n'})
+	return hashLines(sorted)
+}
+
+// routeKeyBytes is RouteKey over key views into a request body. It
+// sorts keys in place and allocates nothing.
+func routeKeyBytes(keys [][]byte) uint64 {
+	slices.SortFunc(keys, bytes.Compare)
+	return hashLines(keys)
+}
+
+// hashLines is fnv64a over every key followed by a newline.
+func hashLines[K string | []byte](keys []K) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for _, k := range keys {
+		for i := 0; i < len(k); i++ {
+			h = (h ^ uint64(k[i])) * prime64
+		}
+		h = (h ^ '\n') * prime64
 	}
-	return h.Sum64()
+	return h
 }
 
 // hashString is fnv64a of s, the member-name hash the ring and

@@ -1,11 +1,13 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -140,20 +142,29 @@ func TestHAStandbyRefusesRequestsWithEpoch(t *testing.T) {
 
 	cl := server.NewClient(p.ts2.URL, nil)
 	cl.MaxRetries = 0
-	err := cl.DoCtx(context.Background(), http.MethodPost, "/v1/request",
-		server.RequestBody{Packages: []string{"x"}, Close: true}, nil)
-	var se *server.StatusError
-	if !errors.As(err, &se) {
-		t.Fatalf("standby /v1/request error = %v, want StatusError", err)
-	}
-	if se.Status != http.StatusServiceUnavailable {
-		t.Fatalf("standby refused with %d, want 503", se.Status)
-	}
-	if se.Epoch != 1 {
-		t.Fatalf("refusal carried epoch %d, want 1", se.Epoch)
-	}
-	if se.RetryAfter <= 0 {
-		t.Fatalf("refusal carried no Retry-After hint: %+v", se)
+	// The refusal comes before the body is read: a well-formed request,
+	// garbage, an empty spec and a body over the bound are all the same
+	// 503 — a standby neither 400s nor 413s.
+	for name, body := range map[string]any{
+		"well-formed": server.RequestBody{Packages: []string{"x"}, Close: true},
+		"malformed":   []byte(`{"packages":[`),
+		"no packages": []byte(`{"packages":[]}`),
+		"oversized":   bytes.Repeat([]byte{' '}, server.DefaultRequestBodyLimit+1),
+	} {
+		err := cl.DoCtx(context.Background(), http.MethodPost, "/v1/request", body, nil)
+		var se *server.StatusError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s: standby /v1/request error = %v, want StatusError", name, err)
+		}
+		if se.Status != http.StatusServiceUnavailable || !strings.HasPrefix(se.Msg, "not primary") {
+			t.Fatalf("%s: standby refused with %d %q, want 503 not primary", name, se.Status, se.Msg)
+		}
+		if se.Epoch != 1 {
+			t.Fatalf("%s: refusal carried epoch %d, want 1", name, se.Epoch)
+		}
+		if se.RetryAfter <= 0 {
+			t.Fatalf("%s: refusal carried no Retry-After hint: %+v", name, se)
+		}
 	}
 }
 
@@ -271,7 +282,7 @@ func TestRouteAffinityOrder(t *testing.T) {
 	// Nobody holds the spec: owner first, then rendezvous order, no
 	// affinity.
 	m.mu.Lock()
-	info := m.routeLocked(key, pkgs)
+	info := m.routeLocked(key, keyViews(pkgs))
 	m.mu.Unlock()
 	if info.Affinity || len(info.Candidates) != 3 || info.Candidates[0] != owner {
 		t.Fatalf("cold route: %+v, want owner %s first without affinity", info, owner)
@@ -282,7 +293,7 @@ func TestRouteAffinityOrder(t *testing.T) {
 	seedMember(t, m, holder, DirEntry{ID: 1, Version: 1, Size: 10,
 		Packages: []string{"p1", "p2", "p3"}})
 	m.mu.Lock()
-	info = m.routeLocked(key, pkgs)
+	info = m.routeLocked(key, keyViews(pkgs))
 	m.mu.Unlock()
 	want := []string{holder, owner, other}
 	if !info.Affinity {
@@ -297,7 +308,7 @@ func TestRouteAffinityOrder(t *testing.T) {
 	// A request is a set: repeating a key does not push it past the
 	// holder's image size, so the route is the same redirect.
 	m.mu.Lock()
-	info = m.routeLocked(key, []string{"p1", "p2", "p2", "p1"})
+	info = m.routeLocked(key, keyViews([]string{"p1", "p2", "p2", "p1"}))
 	m.mu.Unlock()
 	if !info.Affinity || info.Candidates[0] != holder {
 		t.Fatalf("repeated keys hid the superset holder: %+v, want %s first with affinity", info, holder)
@@ -308,7 +319,7 @@ func TestRouteAffinityOrder(t *testing.T) {
 	seedMember(t, m, owner,
 		DirEntry{ID: 2, Version: 1, Size: 10, Packages: []string{"p1", "p2", "p9"}})
 	m.mu.Lock()
-	info = m.routeLocked(key, pkgs)
+	info = m.routeLocked(key, keyViews(pkgs))
 	m.mu.Unlock()
 	want = []string{owner, holder, other}
 	if info.Affinity {
@@ -322,7 +333,7 @@ func TestRouteAffinityOrder(t *testing.T) {
 
 	// An image too small or mismatched is not a superset.
 	m.mu.Lock()
-	info = m.routeLocked(key, []string{"p1", "p2", "p4"})
+	info = m.routeLocked(key, keyViews([]string{"p1", "p2", "p4"}))
 	m.mu.Unlock()
 	if info.Affinity || info.Candidates[0] != owner {
 		t.Fatalf("non-superset image influenced routing: %+v", info)

@@ -129,6 +129,9 @@ type Master struct {
 
 	keyMove   *telemetry.Histogram
 	routeTime *telemetry.Histogram
+	// decoder reads /v1/request bodies; the master has no repository to
+	// derive the body bound from, so it takes the default.
+	decoder *server.RequestDecoder
 
 	// ha is the high-availability half (ha.go). Lock order: m.mu
 	// before ha.mu, never the reverse.
@@ -152,6 +155,7 @@ func NewMaster(cfg MasterConfig) *Master {
 	m.keyMove = reg.Histogram(metricKeyMovement, helpKeyMovement,
 		[]float64{0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.75, 1})
 	m.routeTime = reg.Histogram(metricRouteSeconds, helpRouteSeconds, telemetry.DefaultLatencyBuckets())
+	m.decoder = server.NewRequestDecoder(reg, server.DefaultRequestBodyLimit)
 	m.initHA(cfg.HA)
 	for _, st := range []string{"known", "healthy", "suspect"} {
 		st := st
@@ -336,7 +340,7 @@ func (m *Master) handleTrace(w http.ResponseWriter, r *http.Request) {
 // every holder out before any mirror is looked at.
 //
 // Caller holds m.mu.
-func (m *Master) routeLocked(key uint64, packages []string) RouteInfo {
+func (m *Master) routeLocked(key uint64, packages [][]byte) RouteInfo {
 	info := RouteInfo{Key: key}
 	routable := m.ms.Routable()
 	owner := m.ring.Lookup(key)
@@ -421,24 +425,17 @@ func (m *Master) connLocked(id string) *agentConn {
 }
 
 // handleRequest is POST /v1/request on the master: route by spec
-// signature, forward, fail over along the rendezvous order.
+// signature, forward the body as received, fail over along the
+// rendezvous order.
 func (m *Master) handleRequest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		fleetWriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var body server.RequestBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		fleetWriteError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	if len(body.Packages) == 0 {
-		fleetWriteError(w, http.StatusBadRequest, "request needs packages")
-		return
-	}
-
 	// Responses are stamped with the lease view whatever the outcome, so
-	// clients can tell which master term answered across a failover.
+	// clients can tell which master term answered across a failover. A
+	// standby refuses before it reads the body, as an agent sheds before
+	// it queues.
 	epoch, holder := m.haStamp()
 	if epoch > 0 {
 		w.Header().Set(server.EpochHeader, strconv.FormatUint(epoch, 10))
@@ -457,12 +454,38 @@ func (m *Master) handleRequest(w http.ResponseWriter, r *http.Request) {
 	at := m.spans.Start(tid, parent)
 	routeSpan := at.Begin(telemetry.StageFleetRoute, at.Root())
 
+	refuse := func(status int, msg string) {
+		at.End(routeSpan)
+		at.Finish("error", msg, 0)
+		fleetWriteError(w, status, "%s", msg)
+	}
+	dec, err := m.decoder.Decode(w, r, at, routeSpan)
+	if err != nil {
+		refuse(server.DecodeFailure(err))
+		return
+	}
+	if len(dec.Keys) == 0 {
+		dec.Release()
+		refuse(http.StatusBadRequest, "request needs packages")
+		return
+	}
+	// The forward sends dec.Body() itself. A forward that fails can leave
+	// its transport still writing those bytes after it returns, so only a
+	// request whose every forward was answered 200 — the agent has read
+	// the whole body by then — gives its buffer back to the pool.
+	reusable := true
+	defer func() {
+		if reusable {
+			dec.Release()
+		}
+	}()
+
 	routeStart := time.Now()
-	key := RouteKey(body.Packages)
+	key := routeKeyBytes(dec.Keys)
 	// One lock hold covers the route and the leading candidate's client;
 	// fallbacks look theirs up only if the forward loop reaches them.
 	m.mu.Lock()
-	info := m.routeLocked(key, body.Packages)
+	info := m.routeLocked(key, dec.Keys)
 	var lead *agentConn
 	if len(info.Candidates) > 0 {
 		lead = m.connLocked(info.Candidates[0])
@@ -501,8 +524,9 @@ func (m *Master) handleRequest(w http.ResponseWriter, r *http.Request) {
 		fwd := at.Begin(telemetry.StageFleetForward, at.Root())
 		at.AttrStr(fwd, "agent", id)
 		var resp server.RequestResponse
-		err := conn.client.DoCtx(ctx, http.MethodPost, "/v1/request", body, &resp)
+		err := conn.client.DoCtx(ctx, http.MethodPost, "/v1/request", dec.Body(), &resp)
 		at.End(fwd)
+		reusable = reusable && err == nil
 		if err == nil {
 			m.routeCount(id, "ok")
 			at.Finish(resp.Op, "", 0)

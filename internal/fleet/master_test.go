@@ -16,7 +16,7 @@ import (
 
 // testRepo is a tiny shared package universe: every agent serves the
 // same repository, as a real fleet would mount the same CVMFS tree.
-func testRepo(t *testing.T) *pkggraph.Repo {
+func testRepo(t testing.TB) *pkggraph.Repo {
 	t.Helper()
 	cfg := pkggraph.DefaultGenConfig()
 	cfg.CoreFamilies = 2

@@ -210,6 +210,13 @@ func (r *Repo) Lookup(key string) (PkgID, bool) {
 	return id, ok
 }
 
+// LookupBytes is Lookup for a key held as bytes (a view into a request
+// body): the map index converts without allocating.
+func (r *Repo) LookupBytes(key []byte) (PkgID, bool) {
+	id, ok := r.byKey[string(key)]
+	return id, ok
+}
+
 // Families returns the number of distinct package family names.
 func (r *Repo) Families() int { return len(r.families) }
 

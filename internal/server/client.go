@@ -183,13 +183,16 @@ func (c *Client) do(method, path string, in, out any) error {
 // DoCtx issues one API request under ctx — deadline/cancellation apply
 // to every attempt, and a context deadline is propagated to the server
 // in the X-Landlord-Deadline header so server-side work the caller has
-// abandoned aborts early. JSON-encodes in (nil = no body), decodes the
-// response into out (nil = discard), converts service error payloads
+// abandoned aborts early. JSON-encodes in (nil = no body; a []byte is
+// a body already encoded and is sent as it is), decodes the response
+// into out (nil = discard), converts service error payloads
 // into *StatusError, and retries idempotent requests per the client's
 // retry policy, breaker, and budget.
 func (c *Client) DoCtx(ctx context.Context, method, path string, in, out any) error {
 	var payload []byte
-	if in != nil {
+	if raw, ok := in.([]byte); ok {
+		payload = raw
+	} else if in != nil {
 		data, err := json.Marshal(in)
 		if err != nil {
 			return fmt.Errorf("server client: encoding request: %w", err)

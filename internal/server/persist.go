@@ -27,7 +27,8 @@ func NewPersistent(repo *pkggraph.Repo, cfg core.Config, store *persist.Store, c
 	if err != nil {
 		return nil, nil, err
 	}
-	s := &Server{repo: repo, reg: reg, ring: ring, cmgr: sm, store: store, ckptEvery: checkpointEvery}
+	s := &Server{repo: repo, reg: reg, ring: ring, cmgr: sm, store: store, ckptEvery: checkpointEvery,
+		decoder: NewRequestDecoder(reg, RequestBodyLimit(repo))}
 	s.initTracing()
 	s.registerCacheMetrics()
 	s.registerShardMetrics()

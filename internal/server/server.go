@@ -54,6 +54,9 @@ type Server struct {
 	traces *telemetry.TraceRing
 
 	cmgr *core.ShardedManager
+	// decoder reads /v1/request bodies (reqdecode.go), bounded by a
+	// limit derived from repo.
+	decoder *RequestDecoder
 	// sem, when non-nil, bounds concurrently processed /v1/request
 	// calls (SetMaxInflight). Acquire = send, release = receive.
 	sem chan struct{}
@@ -91,7 +94,8 @@ func New(repo *pkggraph.Repo, cfg core.Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{repo: repo, reg: reg, ring: ring, cmgr: cmgr}
+	s := &Server{repo: repo, reg: reg, ring: ring, cmgr: cmgr,
+		decoder: NewRequestDecoder(reg, RequestBodyLimit(repo))}
 	s.initTracing()
 	s.registerCacheMetrics()
 	s.registerShardMetrics()
@@ -475,29 +479,9 @@ func (s *Server) serveRequest(w http.ResponseWriter, r *http.Request, at *teleme
 			return "shed", "max_inflight queue abandoned: " + ctx.Err().Error(), 0
 		}
 	}
-	var body RequestBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return "error", "decoding request: " + err.Error(), 0
-	}
-	if len(body.Packages) == 0 {
-		writeError(w, http.StatusBadRequest, "no packages in specification")
-		return "error", "no packages in specification", 0
-	}
-	ids := make([]pkggraph.PkgID, 0, len(body.Packages))
-	for _, key := range body.Packages {
-		id, ok := s.repo.Lookup(key)
-		if !ok {
-			writeError(w, http.StatusBadRequest, "unknown package %q", key)
-			return "error", fmt.Sprintf("unknown package %q", key), 0
-		}
-		ids = append(ids, id)
-	}
-	var sp spec.Spec
-	if body.Close {
-		sp = spec.WithClosure(s.repo, ids)
-	} else {
-		sp = spec.New(ids)
+	sp, errMsg := s.requestSpec(w, r, at)
+	if errMsg != "" {
+		return "error", errMsg, 0
 	}
 
 	// Degraded mode: while the store is failing, mutations cannot be
@@ -561,6 +545,34 @@ func (s *Server) serveRequest(w http.ResponseWriter, r *http.Request, at *teleme
 		Packages:     sp.Len(),
 	})
 	return res.Op.String(), "", res.Seq
+}
+
+// requestSpec decodes the request body into the specification to
+// submit. A body it cannot use has been answered (413 or 400) when it
+// returns a non-empty error message. The order of the refusals is part
+// of the API: undecodable, then empty, then the first unknown package.
+func (s *Server) requestSpec(w http.ResponseWriter, r *http.Request, at *telemetry.ActiveTrace) (spec.Spec, string) {
+	dec, err := s.decoder.Decode(w, r, at, at.Root())
+	if err != nil {
+		status, msg := DecodeFailure(err)
+		writeError(w, status, "%s", msg)
+		return spec.Spec{}, msg
+	}
+	defer dec.Release()
+	if len(dec.Keys) == 0 {
+		writeError(w, http.StatusBadRequest, "no packages in specification")
+		return spec.Spec{}, "no packages in specification"
+	}
+	ids, unknown := dec.Resolve(s.repo)
+	if unknown != nil {
+		msg := fmt.Sprintf("unknown package %q", unknown)
+		writeError(w, http.StatusBadRequest, "%s", msg)
+		return spec.Spec{}, msg
+	}
+	if dec.Close {
+		return spec.WithClosure(s.repo, ids), ""
+	}
+	return spec.New(ids), ""
 }
 
 // serveDegraded answers a /v1/request while the store is failing.

@@ -24,6 +24,10 @@ const (
 	// StageDeadline is deadline extraction from the request header and
 	// context construction.
 	StageDeadline = "deadline"
+	// StageDecode is reading and decoding the /v1/request body (attrs
+	// bytes, keys, path=fast|reference). On a fleet master it sits
+	// under fleet_route.
+	StageDecode = "decode"
 	// StageLockWaitRead is time queued for the cache's shared lock.
 	StageLockWaitRead = "lock_wait_read"
 	// StageLockWaitWrite is time queued for the cache's exclusive lock.
@@ -65,7 +69,7 @@ const (
 // first. The check harness asserts a seeded run covers all of them.
 func CanonicalStages() []string {
 	return []string{
-		StageRequest, StageAdmission, StageDeadline,
+		StageRequest, StageAdmission, StageDeadline, StageDecode,
 		StageLockWaitRead, StageLockWaitWrite,
 		StageSupersetScan, StageMergeScan,
 		StageHit, StageMerge, StageInsert, StageEvict,

@@ -262,8 +262,8 @@ func TestCanonicalStagesAreUniqueAndRootFirst(t *testing.T) {
 		}
 		seen[s] = true
 	}
-	if len(stages) != 14 {
-		t.Fatalf("%d canonical stages, want 14 (update DESIGN.md section 9 too)", len(stages))
+	if len(stages) != 15 {
+		t.Fatalf("%d canonical stages, want 15 (update DESIGN.md section 9 too)", len(stages))
 	}
 }
 
