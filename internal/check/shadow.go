@@ -13,9 +13,10 @@ import (
 // maintains its own copy of the cache from the mutation stream alone
 // and checks, at each mutation, the properties the concurrent pipeline
 // guarantees — mutations arrive in exactly logical-clock order (the
-// linearization the WAL depends on), merges only grow images, deletes
-// pick the LRU victim, and the capacity bound holds whenever a
-// request's eviction pass has completed.
+// linearization the WAL depends on), a merge logs exactly the packages
+// it added on top of the version before it, deletes pick the LRU
+// victim, and the capacity bound holds whenever a request's eviction
+// pass has completed.
 //
 // Install it with core.Manager.SetCommitHook (chaining any existing
 // hook, e.g. the persist store) before serving traffic. All methods
@@ -178,12 +179,8 @@ func (sh *Shadow) check(mut core.Mutation) {
 			sh.failf("merge into unknown image %d", mut.ImageID)
 			return
 		}
-		merged := sh.specOf(mut.Packages)
-		if !img.spec.SubsetOf(merged) {
-			sh.failf("merge shrank image %d (new spec is not a superset of the old)", mut.ImageID)
-		}
-		if mut.Version != img.version+1 {
-			sh.failf("merge left image %d at version %d, want %d", mut.ImageID, mut.Version, img.version+1)
+		if bad := mergeViolation(img, mut, sh.specOf(mut.Added)); bad != "" {
+			sh.failf("merge into image %d %s", mut.ImageID, bad)
 		}
 	case core.MutDelete:
 		if img == nil {
@@ -238,6 +235,9 @@ func (sh *Shadow) apply(mut core.Mutation) {
 	case core.MutMerge, core.MutSplit:
 		if img := sh.images[mut.ImageID]; img != nil {
 			s := sh.specOf(mut.Packages)
+			if mut.Kind == core.MutMerge {
+				s = img.spec.Union(sh.specOf(mut.Added))
+			}
 			sh.total += s.Size(sh.repo) - img.size
 			img.spec = s
 			img.size = s.Size(sh.repo)
@@ -252,6 +252,27 @@ func (sh *Shadow) apply(mut core.Mutation) {
 			delete(sh.images, mut.ImageID)
 		}
 	}
+}
+
+// mergeViolation says what is wrong with a merge record landing on img,
+// or "". The record is a delta: it must carry no full list, name at
+// least one package, name none twice and none img already holds (the
+// live merge logs exactly s minus the image), and step the version by
+// one — the base-version rule replay enforces.
+func mergeViolation(img *shadowImg, mut core.Mutation, added spec.Spec) string {
+	switch {
+	case len(mut.Packages) != 0:
+		return "carries a full package list, want only the added keys"
+	case added.Empty():
+		return "adds no packages"
+	case added.Len() != len(mut.Added):
+		return "names an added package twice"
+	case added.IntersectionLen(img.spec) != 0:
+		return "adds a package the image already holds"
+	case mut.Version != img.version+1:
+		return fmt.Sprintf("yields version %d, want %d", mut.Version, img.version+1)
+	}
+	return ""
 }
 
 // specOf resolves package keys; unknown keys are themselves a

@@ -199,12 +199,8 @@ func (sh *ShardShadow) check(shard int, mut core.Mutation) {
 			sh.failf("shard %d: merge into unknown image %d", shard, mut.ImageID)
 			return
 		}
-		merged := sh.specOf(mut.Packages)
-		if !img.spec.SubsetOf(merged) {
-			sh.failf("shard %d: merge shrank image %d (new spec is not a superset of the old)", shard, mut.ImageID)
-		}
-		if mut.Version != img.version+1 {
-			sh.failf("shard %d: merge left image %d at version %d, want %d", shard, mut.ImageID, mut.Version, img.version+1)
+		if bad := mergeViolation(img, mut, sh.specOf(mut.Added)); bad != "" {
+			sh.failf("shard %d: merge into image %d %s", shard, mut.ImageID, bad)
 		}
 	case core.MutDelete:
 		if img == nil {
@@ -259,6 +255,9 @@ func (sh *ShardShadow) apply(shard int, mut core.Mutation) {
 	case core.MutMerge, core.MutSplit:
 		if img := ss.images[mut.ImageID]; img != nil {
 			s := sh.specOf(mut.Packages)
+			if mut.Kind == core.MutMerge {
+				s = img.spec.Union(sh.specOf(mut.Added))
+			}
 			ss.total += s.Size(sh.repo) - img.size
 			img.spec = s
 			img.size = s.Size(sh.repo)

@@ -525,6 +525,13 @@ func (m *Manager) RequestTraced(s spec.Spec, at *telemetry.ActiveTrace) (Result,
 	at.End(mergeScan)
 	if img != nil {
 		mergeSpan := at.Begin(telemetry.StageMerge, at.Root())
+		var added []string // what the merge record logs; nothing reads it without a hook
+		if m.cfg.Commit != nil {
+			added = m.keysOf(s.Diff(img.Spec))
+			if mutantEnabled("deltadrop") && len(added) > 1 {
+				added = added[1:]
+			}
+		}
 		merged := img.Spec.Union(s)
 		m.total -= img.Size
 		img.Spec = merged
@@ -551,7 +558,7 @@ func (m *Manager) RequestTraced(s spec.Spec, at *telemetry.ActiveTrace) (Result,
 			m.commitSpan(at, mergeSpan, Mutation{
 				Kind: MutMerge, ImageID: img.ID, LastUse: img.lastUse,
 				Version: img.Version, Merges: img.Merges,
-				RequestBytes: reqBytes, Packages: m.keysOf(img.Spec),
+				RequestBytes: reqBytes, Added: added,
 			})
 		}
 		res := Result{

@@ -11,7 +11,7 @@ import (
 // flatRepo builds n independent packages of the given size each, so
 // set sizes are exactly count*size and Jaccard arithmetic is easy to
 // verify by hand.
-func flatRepo(t *testing.T, n int, size int64) *pkggraph.Repo {
+func flatRepo(t testing.TB, n int, size int64) *pkggraph.Repo {
 	t.Helper()
 	pkgs := make([]pkggraph.Package, n)
 	for i := range pkgs {

@@ -28,6 +28,9 @@ import (
 //	            one, skewing every interned Jaccard distance
 //	lshmiss   — the band index drops its first candidate, so the
 //	            fast-path merge scan can miss the true closest target
+//	deltadrop — a merge record omits one of the keys the merge added
+//	            (when it added more than one), so replay rebuilds a
+//	            smaller image than the live one
 var (
 	mutantOnce sync.Once
 	mutantName string

@@ -1,17 +1,19 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/pkggraph"
+	"repro/internal/similarity"
 	"repro/internal/spec"
 )
 
 // Durable mutation log support.
 //
 // Algorithm 1 mutates the cache in exactly five ways: a hit refreshes
-// an image's LRU position, a merge rewrites an image, an insert
-// creates one, eviction deletes one, and a prune pass splits one. The
+// an image's LRU position, a merge grows an image, an insert creates
+// one, eviction deletes one, and a prune pass splits one. The
 // CommitHook receives a Mutation describing each of these as it is
 // applied, in application order, which is exactly what a write-ahead
 // log needs to reconstruct the manager after a crash
@@ -19,6 +21,17 @@ import (
 // a logged Mutation without re-running Algorithm 1's decisions, so
 // recovery reproduces the logged outcomes byte for byte regardless of
 // tie-breaking order.
+//
+// Counters, stamps and the package lists of insert and split are the
+// image's state after the operation. A merge is the one delta: it only
+// ever adds packages, so it logs the keys it added (a few hundred
+// bytes to a few KB) instead of the image's whole list (~30 KB at
+// paper scale), and replay unions them into the image it finds. That
+// makes a merge record meaningful only on top of the image state the
+// live manager merged into, so replay applies it only to an image
+// standing at Version-1 and refuses it with ErrDeltaBase otherwise;
+// inserts, splits and checkpoints carry full lists, so every delta has
+// a full record beneath it.
 
 // MutationKind identifies one of the five state-changing operations.
 type MutationKind string
@@ -32,9 +45,12 @@ const (
 	MutSplit  MutationKind = "split"
 )
 
-// Mutation is one durable state change. Fields record the image's
-// state *after* the operation (absolute values, not deltas), so replay
-// is insensitive to how the live manager arrived at them.
+// ErrDeltaBase reports a merge delta whose image does not stand at the
+// version the delta was computed against (a record before it is
+// missing from the log or stream). The delta is never applied.
+var ErrDeltaBase = errors.New("core: merge delta does not match the image's version")
+
+// Mutation is one durable state change.
 type Mutation struct {
 	Kind    MutationKind `json:"kind"`
 	ImageID uint64       `json:"image_id"`
@@ -49,15 +65,19 @@ type Mutation struct {
 	// accounting exactly.
 	RequestBytes int64 `json:"request_bytes,omitempty"`
 	// Packages are the image's package keys after the operation
-	// (insert, merge, split). Keys, not IDs, so logs survive repository
+	// (insert, split; a merge logged before deltas carries them too and
+	// replays like a split). Keys, not IDs, so logs survive repository
 	// reloads.
 	Packages []string `json:"packages,omitempty"`
+	// Added are the keys a merge added to the image as it stood at
+	// Version-1.
+	Added []string `json:"added,omitempty"`
 }
 
 // CommitHook receives each Mutation immediately after it is applied
 // in memory, from the goroutine driving the Manager. A nil hook costs
 // one branch per mutation. Implementations must not retain the
-// Packages slice beyond the call if they mutate it.
+// Packages or Added slice beyond the call if they mutate it.
 type CommitHook interface {
 	Commit(mut Mutation)
 }
@@ -73,7 +93,7 @@ func (m *Manager) commit(mut Mutation) {
 func (m *Manager) keysOf(s spec.Spec) []string {
 	keys := make([]string, 0, s.Len())
 	for _, id := range s.IDs() {
-		keys = append(keys, m.repo.Package(id).Key())
+		keys = append(keys, m.repo.Key(id))
 	}
 	return keys
 }
@@ -147,29 +167,56 @@ func (m *Manager) ApplyMutation(mut Mutation) error {
 		m.stats.ContainerEffSum += Result{ImageSize: img.Size, RequestBytes: mut.RequestBytes}.ContainerEfficiency()
 		return nil
 
-	case MutMerge:
+	case MutMerge, MutSplit:
 		img, ok := m.byID[mut.ImageID]
 		if !ok {
-			return fmt.Errorf("core: merge into unknown image %d", mut.ImageID)
+			return fmt.Errorf("core: %s of unknown image %d", mut.Kind, mut.ImageID)
 		}
-		s, err := m.specFromKeys(mut.Packages)
+		// A merge without a full list is a delta; one with it predates
+		// deltas and replays like a split.
+		delta := mut.Kind == MutMerge && len(mut.Packages) == 0
+		keys := mut.Packages
+		if delta {
+			if mut.Version != img.Version+1 {
+				return fmt.Errorf("%w: image %d at version %d, delta yields %d", ErrDeltaBase, mut.ImageID, img.Version, mut.Version)
+			}
+			keys = mut.Added
+		}
+		s, err := m.specFromKeys(keys)
+		if err == nil && s.Empty() {
+			err = errors.New("no packages")
+		}
 		if err != nil {
-			return fmt.Errorf("core: replaying merge into image %d: %w", mut.ImageID, err)
+			return fmt.Errorf("core: replaying %s of image %d: %w", mut.Kind, mut.ImageID, err)
+		}
+		if delta {
+			if img.sig != nil {
+				// As on the live path: MinHash of a union is the
+				// positionwise minimum.
+				similarity.MergeSignaturesInto(img.sig, m.sign(s))
+			}
+			s = img.Spec.Union(s)
+		} else {
+			img.sig = m.sign(s)
 		}
 		m.total -= img.Size
 		img.Spec = s
 		img.Size = s.Size(m.repo)
 		img.Version = mut.Version
-		img.Merges = mut.Merges
-		img.lastUse = mut.LastUse
-		img.sig = m.sign(s)
 		m.indexUpdate(img)
 		m.refreshBits(img)
 		m.total += img.Size
+		m.stats.BytesWritten += img.Size
+		if mut.Kind == MutSplit {
+			img.resetHot()
+			m.stats.Splits++
+			return nil
+		}
+		img.Merges = mut.Merges
+		img.lastUse = mut.LastUse
 		m.bumpClock(mut.LastUse)
 		m.stats.Requests++
 		m.stats.Merges++
-		m.stats.BytesWritten += img.Size
 		m.stats.RequestedBytes += mut.RequestBytes
 		m.stats.ContainerEffSum += Result{ImageSize: img.Size, RequestBytes: mut.RequestBytes}.ContainerEfficiency()
 		return nil
@@ -190,28 +237,6 @@ func (m *Manager) ApplyMutation(mut Mutation) error {
 		m.total -= img.Size
 		m.stats.Deletes++
 		m.compact()
-		return nil
-
-	case MutSplit:
-		img, ok := m.byID[mut.ImageID]
-		if !ok {
-			return fmt.Errorf("core: split of unknown image %d", mut.ImageID)
-		}
-		s, err := m.specFromKeys(mut.Packages)
-		if err != nil {
-			return fmt.Errorf("core: replaying split of image %d: %w", mut.ImageID, err)
-		}
-		m.total -= img.Size
-		img.Spec = s
-		img.Size = s.Size(m.repo)
-		img.Version = mut.Version
-		img.sig = m.sign(s)
-		m.indexUpdate(img)
-		m.refreshBits(img)
-		img.resetHot()
-		m.total += img.Size
-		m.stats.Splits++
-		m.stats.BytesWritten += img.Size
 		return nil
 
 	default:

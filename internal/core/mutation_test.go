@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -16,6 +17,7 @@ type recorder struct {
 
 func (r *recorder) Commit(mut Mutation) {
 	mut.Packages = append([]string(nil), mut.Packages...)
+	mut.Added = append([]string(nil), mut.Added...)
 	r.muts = append(r.muts, mut)
 }
 
@@ -43,8 +45,8 @@ func TestCommitHookEmitsOutcomes(t *testing.T) {
 	if merge.ImageID != 0 || merge.Version != 1 || merge.Merges != 1 {
 		t.Errorf("merge mutation carries wrong counters: %+v", merge)
 	}
-	if len(merge.Packages) != 3 {
-		t.Errorf("merge mutation packages = %v, want the merged union", merge.Packages)
+	if want := []string{key(repo, 2)}; len(merge.Packages) != 0 || !reflect.DeepEqual(merge.Added, want) {
+		t.Errorf("merge mutation packages = %v added = %v, want no full list and added %v", merge.Packages, merge.Added, want)
 	}
 	if del := rec.muts[4]; del.ImageID != 0 {
 		t.Errorf("delete mutation targets image %d, want 0", del.ImageID)
@@ -137,11 +139,15 @@ func TestApplyMutationErrors(t *testing.T) {
 		{"insert duplicate", Mutation{Kind: MutInsert, ImageID: 1, Packages: []string{key(repo, 1)}}},
 		{"insert unknown package", Mutation{Kind: MutInsert, ImageID: 2, Packages: []string{"no/such/pkg"}}},
 		{"insert empty", Mutation{Kind: MutInsert, ImageID: 2}},
-		{"merge unknown image", Mutation{Kind: MutMerge, ImageID: 9, Packages: []string{key(repo, 1)}}},
-		{"merge unknown package", Mutation{Kind: MutMerge, ImageID: 1, Packages: []string{"no/such/pkg"}}},
+		{"merge unknown image", Mutation{Kind: MutMerge, ImageID: 9, Version: 1, Added: []string{key(repo, 1)}}},
+		{"merge unknown package", Mutation{Kind: MutMerge, ImageID: 1, Version: 1, Added: []string{"no/such/pkg"}}},
+		{"merge adds nothing", Mutation{Kind: MutMerge, ImageID: 1, Version: 1}},
+		{"merge on wrong base", Mutation{Kind: MutMerge, ImageID: 1, Version: 2, Added: []string{key(repo, 1)}}},
+		{"legacy merge unknown package", Mutation{Kind: MutMerge, ImageID: 1, Version: 1, Packages: []string{"no/such/pkg"}}},
 		{"delete unknown", Mutation{Kind: MutDelete, ImageID: 9}},
 		{"split unknown image", Mutation{Kind: MutSplit, ImageID: 9, Packages: []string{key(repo, 0)}}},
 		{"split unknown package", Mutation{Kind: MutSplit, ImageID: 1, Packages: []string{"no/such/pkg"}}},
+		{"split to nothing", Mutation{Kind: MutSplit, ImageID: 1, Version: 1}},
 		{"unknown kind", Mutation{Kind: "frobnicate", ImageID: 1}},
 	}
 	for _, tc := range cases {
@@ -155,5 +161,71 @@ func TestApplyMutationErrors(t *testing.T) {
 	}
 	if m.Len() != 1 {
 		t.Fatalf("rejected mutations changed the cache: %d images", m.Len())
+	}
+}
+
+// TestApplyMergeDeltaAndLegacy: a delta merge record and a full-list
+// one from an older log rebuild the same image, and a delta is applied
+// only to the version it was computed against — a replayed, reordered
+// or orphaned one is refused with ErrDeltaBase and changes nothing.
+func TestApplyMergeDeltaAndLegacy(t *testing.T) {
+	repo := flatRepo(t, 8, 10)
+	insert := Mutation{Kind: MutInsert, ImageID: 1, LastUse: 1, RequestBytes: 10, Packages: []string{key(repo, 3)}}
+	delta := []Mutation{
+		insert,
+		{Kind: MutMerge, ImageID: 1, LastUse: 2, Version: 1, Merges: 1, RequestBytes: 20, Added: []string{key(repo, 5), key(repo, 0)}},
+		{Kind: MutMerge, ImageID: 1, LastUse: 3, Version: 2, Merges: 2, RequestBytes: 10, Added: []string{key(repo, 4)}},
+	}
+	legacy := []Mutation{
+		insert,
+		{Kind: MutMerge, ImageID: 1, LastUse: 2, Version: 1, Merges: 1, RequestBytes: 20, Packages: []string{key(repo, 0), key(repo, 3), key(repo, 5)}},
+		{Kind: MutMerge, ImageID: 1, LastUse: 3, Version: 2, Merges: 2, RequestBytes: 10, Packages: []string{key(repo, 0), key(repo, 3), key(repo, 4), key(repo, 5)}},
+	}
+	replay := func(muts []Mutation) *Manager {
+		m := mgr(t, repo, Config{Alpha: 0.5, MinHash: DefaultMinHash()})
+		for i, mut := range muts {
+			if err := m.ApplyMutation(mut); err != nil {
+				t.Fatalf("record %d: %v", i, err)
+			}
+		}
+		if err := m.CheckIntegrity(); err != nil {
+			t.Fatalf("invariants: %v", err)
+		}
+		return m
+	}
+	m := replay(delta)
+	want := m.ExportState()
+	if got := replay(legacy).ExportState(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("legacy full-list replay differs from delta replay:\n got %+v\nwant %+v", got, want)
+	}
+	for _, version := range []uint64{1, 2, 4} { // replayed, replayed, one record missing
+		err := m.ApplyMutation(Mutation{Kind: MutMerge, ImageID: 1, LastUse: 9, Version: version, Merges: 3, Added: []string{key(repo, 7)}})
+		if !errors.Is(err, ErrDeltaBase) {
+			t.Errorf("delta yielding version %d on an image at version 2: err = %v, want ErrDeltaBase", version, err)
+		}
+	}
+	if got := m.ExportState(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("refused deltas changed the cache:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+var keysSink []string
+
+// BenchmarkKeysOf renders a 2,000-package spec's keys, the work every
+// insert record and checkpoint image costs. `make bench-guard` holds it
+// to the one slice allocation: the keys themselves come from the
+// repository's table, never from concatenation.
+func BenchmarkKeysOf(b *testing.B) {
+	repo := flatRepo(b, 4000, 10)
+	m := MustNewManager(repo, Config{})
+	ids := make([]pkggraph.PkgID, 0, 2000)
+	for i := 0; i < repo.Len(); i += 2 {
+		ids = append(ids, pkggraph.PkgID(i))
+	}
+	s := spec.New(ids)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		keysSink = m.keysOf(s)
 	}
 }

@@ -8,8 +8,10 @@
 //
 //   - WAL segments (wal-<seq>.log): a stream of length-prefixed,
 //     CRC32C-checksummed JSON records, one per core.Mutation
-//     (insert/merge/touch/delete/split). Segments rotate at a
-//     configurable size; a checkpoint makes older segments garbage.
+//     (insert/merge/touch/delete/split). Insert and split records
+//     carry the image's full package list, a merge record only the
+//     keys it added. Segments rotate at a configurable size; a
+//     checkpoint makes older segments garbage.
 //   - Checkpoints (checkpoint-<seq>.ckpt): one framed JSON record
 //     holding a complete core.ManagerState. The sequence number names
 //     the first WAL segment NOT covered by the checkpoint, so recovery

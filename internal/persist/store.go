@@ -250,9 +250,13 @@ func (st *Store) RecoverSharded(repo *pkggraph.Repo, cfg core.Config) (*core.Sha
 // one shared clock and are globally unique). The cross-shard
 // interleaving in the file is whatever order the hooks reached the
 // store's append lock — NOT globally Seq-sorted — and replay tolerates
-// that because mutations carry absolute values and shards own disjoint
-// ImageIDs (ID mod shards names the owner), so records from different
-// shards commute under ApplyMutation.
+// that because shards own disjoint ImageIDs (ID mod shards names the
+// owner), so records from different shards commute under
+// ApplyMutation. A merge delta depends only on the records of its own
+// image before it, and those come from one shard, in order; when one
+// of them is missing (a corrupt segment skipped), the image's later
+// deltas are refused and counted in RecordsSkipped rather than applied
+// to the wrong base.
 func (st *Store) RecoverWith(newCache func() (CacheReplayer, error)) (CacheReplayer, *RecoveryReport, error) {
 	start := time.Now()
 	st.mu.Lock()

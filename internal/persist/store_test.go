@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -751,5 +752,177 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 	if got := stateJSON(t, m2.ExportState()); got != live {
 		t.Errorf("recovered state != live state:\n got %s\nlive %s", got, live)
+	}
+}
+
+// TestRecoverRefusesDeltasAfterHole pins the base-version rule: with
+// one merge delta missing from the middle of the log, the later deltas
+// of THAT image are refused (skipped and reported, never unioned into
+// the wrong base), its touches still apply, and every other image
+// recovers exactly as if nothing were missing.
+func TestRecoverRefusesDeltasAfterHole(t *testing.T) {
+	repo := testRepo(t, 24, 10)
+	cfg := core.Config{Alpha: 0.75}
+	dir := t.TempDir()
+	st, err := Open(dir, Options{SyncPolicy: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, _, err := st.Recover(repo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := func(v ...int) spec.Spec {
+		out := make([]pkggraph.PkgID, len(v))
+		for i, x := range v {
+			out[i] = pkggraph.PkgID(x)
+		}
+		return spec.New(out)
+	}
+	// Two images grown by interleaved merges, then one hit on each.
+	for i, s := range []spec.Spec{
+		ids(0, 1, 2), ids(6, 7, 8),
+		ids(0, 1, 3), ids(6, 7, 9),
+		ids(0, 1, 4), ids(6, 7, 10),
+		ids(0, 1, 5), ids(6, 7, 11),
+		ids(0, 1), ids(6, 7),
+	} {
+		if _, err := live.Request(s); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(st.segPath(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	muts, err := ReadSegment(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := muts[0].ImageID
+	hole := -1
+	var holed []byte
+	for i, mut := range muts {
+		if mut.Kind == core.MutMerge && len(mut.Packages) != 0 {
+			t.Fatalf("record %d: merge logged with a full package list: %+v", i, mut)
+		}
+		if hole < 0 && mut.Kind == core.MutMerge && mut.ImageID == victim {
+			hole = i
+			continue
+		}
+		if holed, err = EncodeRecord(holed, mut); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := live.Stats().Merges; hole < 0 || got != 6 {
+		t.Fatalf("workload made %d merges (first into image %d at record %d), want 6", got, victim, hole)
+	}
+
+	dir2 := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir2, "wal-0000000000000001.log"), holed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := Open(dir2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	rec, rep, err := st2.Recover(repo, cfg)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if rep.RecordsSkipped != 2 || rep.RecordsReplayed != len(muts)-3 {
+		t.Errorf("skipped %d replayed %d, want 2 and %d (the victim's two later deltas refused): %v",
+			rep.RecordsSkipped, rep.RecordsReplayed, len(muts)-3, rep.Warnings)
+	}
+	if len(rep.Warnings) != 2 || !strings.Contains(rep.Warnings[0], core.ErrDeltaBase.Error()) {
+		t.Errorf("warnings do not name the refused deltas: %v", rep.Warnings)
+	}
+	if err := rec.CheckIntegrity(); err != nil {
+		t.Errorf("recovered cache fails its invariants: %v", err)
+	}
+	want := map[uint64]core.ImageSnapshot{}
+	for _, snap := range live.ExportState().Images {
+		want[snap.ID] = snap
+	}
+	for _, snap := range rec.ExportState().Images {
+		if snap.ID != victim {
+			if !reflect.DeepEqual(snap, want[snap.ID]) {
+				t.Errorf("untouched image %d recovered as %+v, want %+v", snap.ID, snap, want[snap.ID])
+			}
+			continue
+		}
+		// The victim keeps its insert-time contents and still takes the
+		// final hit's stamp.
+		if len(snap.Packages) != 3 || snap.Version != 0 || snap.LastUse != want[victim].LastUse {
+			t.Errorf("victim image recovered as %+v, want its 3 inserted packages at version 0, last use %d", snap, want[victim].LastUse)
+		}
+	}
+	if rec.Len() != 2 {
+		t.Errorf("recovered %d images, want 2", rec.Len())
+	}
+}
+
+// TestRecoverPreDeltaStateDir recovers a state directory written by the
+// commit before merge deltas (testdata/state_pr15: a checkpoint plus a
+// segment whose merge records carry the full post-merge list, with
+// touches, inserts, deletes and splits between them; state.json is that
+// process's final ExportState) and requires the byte-identical state.
+func TestRecoverPreDeltaStateDir(t *testing.T) {
+	const golden = "testdata/state_pr15"
+	const segment = "wal-0000000000000002.log"
+	dir := t.TempDir()
+	for _, name := range []string{"checkpoint-0000000000000002.ckpt", segment} {
+		data, err := os.ReadFile(filepath.Join(golden, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := os.Open(filepath.Join(golden, segment))
+	if err != nil {
+		t.Fatal(err)
+	}
+	muts, err := ReadSegment(f)
+	f.Close()
+	if err != nil {
+		t.Fatalf("golden segment: %v", err)
+	}
+	legacyMerges := 0
+	for _, mut := range muts {
+		if mut.Kind == core.MutMerge && len(mut.Packages) > 0 && len(mut.Added) == 0 {
+			legacyMerges++
+		}
+	}
+	if legacyMerges == 0 {
+		t.Fatal("golden segment holds no full-list merge record; it no longer tests the old shape")
+	}
+	want, err := os.ReadFile(filepath.Join(golden, "state.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	mgr, rep, err := st.Recover(testRepo(t, 24, 10), core.Config{Alpha: 0.75, Capacity: 200})
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if rep.CheckpointSeq != 2 || rep.RecordsSkipped != 0 || len(rep.Warnings) != 0 {
+		t.Errorf("recovery of the golden directory was not clean: %s %v", rep, rep.Warnings)
+	}
+	if got := stateJSON(t, mgr.ExportState()); got != string(want) {
+		t.Errorf("recovered state differs from the writer's:\n got %s\nwant %s", got, want)
+	}
+	if err := mgr.CheckIntegrity(); err != nil {
+		t.Errorf("recovered cache fails its invariants: %v", err)
 	}
 }

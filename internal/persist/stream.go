@@ -330,7 +330,11 @@ func (f *Follower) Resyncs() int {
 // different stream or beyond the watermark returns ErrStreamGap. A
 // torn or corrupt tail ends the batch early with no error — the clean
 // prefix is applied, and the unchanged watermark makes the next poll
-// re-fetch the rest. Apply errors abort and are returned.
+// re-fetch the rest. Apply errors abort and are returned; a merge
+// delta its image's version refuses (core.ErrDeltaBase) means a record
+// before it never arrived, which retrying the same sequence cannot
+// repair, so it is reported as ErrStreamGap and Pull resyncs from a
+// checkpoint.
 func (f *Follower) ApplyBatch(stream, from uint64, frames []byte) (int, error) {
 	f.mu.Lock()
 	if f.stream == 0 && f.applied == 0 {
@@ -363,6 +367,9 @@ func (f *Follower) ApplyBatch(stream, from uint64, frames []byte) (int, error) {
 		// Torn/corrupt tail: the applied prefix is sound, the watermark
 		// re-fetches the rest.
 		return applied, nil
+	}
+	if errors.Is(err, core.ErrDeltaBase) {
+		err = fmt.Errorf("%w: %v", ErrStreamGap, err)
 	}
 	return applied, err
 }

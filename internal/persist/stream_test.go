@@ -3,6 +3,7 @@ package persist
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -28,6 +29,9 @@ func streamRepo(t *testing.T) *pkggraph.Repo {
 type streamedPrimary struct {
 	mgr *core.ShardedManager
 	str *Streamer
+	// drop, when set, keeps a mutation out of the stream: what a store
+	// that lost a commit while degraded does to its followers.
+	drop func(core.Mutation) bool
 }
 
 func newStreamedPrimary(t *testing.T, repo *pkggraph.Repo, ring int) *streamedPrimary {
@@ -50,6 +54,9 @@ func newStreamedPrimary(t *testing.T, repo *pkggraph.Repo, ring int) *streamedPr
 		return payload, next, cerr
 	})
 	p.mgr.SetCommitHook(commitFunc(func(mut core.Mutation) {
+		if p.drop != nil && p.drop(mut) {
+			return
+		}
 		payload, err := json.Marshal(mut)
 		if err != nil {
 			t.Errorf("encoding mutation: %v", err)
@@ -437,5 +444,56 @@ func TestStreamWatermarkAcks(t *testing.T) {
 	}
 	if b, ok := s.Batch(7, 0); !ok || b.Count != 0 {
 		t.Fatalf("caught-up watermark must serve an empty batch")
+	}
+}
+
+// TestStreamInapplicableDeltaResyncs: a merge delta whose predecessor
+// never reached the stream (here the primary drops its first merge
+// record) cannot be fixed by
+// fetching the same sequence again. The follower must report it as a
+// gap and resync from the checkpoint instead of polling it forever.
+func TestStreamInapplicableDeltaResyncs(t *testing.T) {
+	repo := streamRepo(t)
+	p := newStreamedPrimary(t, repo, 0)
+	dropped := false
+	p.drop = func(mut core.Mutation) bool {
+		first := mut.Kind == core.MutMerge && !dropped
+		dropped = dropped || first
+		return first
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/wal", p.str.ServeWAL)
+	mux.HandleFunc("/checkpoint", p.str.ServeCheckpoint)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	// Insert, merge (dropped from the stream), merge (a delta on a
+	// version the follower never saw), hit.
+	for i, ids := range [][]pkggraph.PkgID{{0, 1, 2}, {0, 1, 2, 3}, {0, 1, 2, 4}, {0, 1}} {
+		if _, err := p.mgr.Request(spec.New(ids)); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	if st := p.mgr.Stats(); !dropped || st.Merges != 2 {
+		t.Fatalf("workload made %d merges (dropped=%v), want 2", st.Merges, dropped)
+	}
+
+	direct := newReplica(t, repo)
+	batch, _ := p.str.Batch(1, 0)
+	if n, err := direct.fol.ApplyBatch(batch.StreamID, batch.From, batch.Frames); !errors.Is(err, ErrStreamGap) || n != 1 {
+		t.Fatalf("ApplyBatch over the hole applied %d, err %v; want 1 and ErrStreamGap", n, err)
+	}
+
+	r := newReplica(t, repo)
+	for i := 0; i < 3 && r.fol.Next() != p.str.Next(); i++ {
+		if _, err := r.fol.Pull(context.Background(), ts.Client(), ts.URL); err != nil {
+			t.Fatalf("pull %d: %v", i, err)
+		}
+	}
+	if r.fol.Next() != p.str.Next() || r.fol.Resyncs() != 1 {
+		t.Fatalf("follower at %d after %d resync(s), want %d after 1", r.fol.Next(), r.fol.Resyncs(), p.str.Next())
+	}
+	if got, want := stateBytes(t, r.mgr.ExportState()), stateBytes(t, p.mgr.ExportState()); got != want {
+		t.Fatalf("resynced replica diverged:\n got: %s\nwant: %s", got, want)
 	}
 }

@@ -17,7 +17,10 @@ func sampleMutations() []core.Mutation {
 	return []core.Mutation{
 		{Kind: core.MutInsert, ImageID: 0, LastUse: 1, RequestBytes: 30, Packages: []string{"a/1/x", "b/1/x"}},
 		{Kind: core.MutTouch, ImageID: 0, LastUse: 2, RequestBytes: 10},
-		{Kind: core.MutMerge, ImageID: 0, LastUse: 3, Version: 1, Merges: 1, RequestBytes: 20, Packages: []string{"a/1/x", "b/1/x", "c/1/x"}},
+		{Kind: core.MutMerge, ImageID: 0, LastUse: 3, Version: 1, Merges: 1, RequestBytes: 20, Added: []string{"c/1/x"}},
+		{Kind: core.MutMerge, ImageID: 0, LastUse: 4, Version: 2, Merges: 2, RequestBytes: 30, Added: []string{"e/1/x", "d/1/x"}},
+		// A merge as logged before deltas: the full post-merge list.
+		{Kind: core.MutMerge, ImageID: 0, LastUse: 5, Version: 3, Merges: 3, RequestBytes: 20, Packages: []string{"a/1/x", "b/1/x", "c/1/x", "d/1/x", "e/1/x", "f/1/x"}},
 		{Kind: core.MutDelete, ImageID: 0},
 		{Kind: core.MutSplit, ImageID: 4, Version: 2, Packages: []string{"c/1/x"}},
 	}

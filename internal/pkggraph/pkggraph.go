@@ -77,6 +77,7 @@ func (p *Package) Key() string {
 type Repo struct {
 	pkgs      []Package
 	byKey     map[string]PkgID
+	keys      []string           // per-PkgID key; shares byKey's strings
 	families  map[string][]PkgID // family name -> versions, in insertion order
 	closures  [][]PkgID          // per-package transitive closure (incl. self), sorted
 	totalSize int64
@@ -88,6 +89,7 @@ func New(pkgs []Package) (*Repo, error) {
 	r := &Repo{
 		pkgs:     pkgs,
 		byKey:    make(map[string]PkgID, len(pkgs)),
+		keys:     make([]string, len(pkgs)),
 		families: make(map[string][]PkgID),
 	}
 	for i := range pkgs {
@@ -103,6 +105,7 @@ func New(pkgs []Package) (*Repo, error) {
 			return nil, fmt.Errorf("pkggraph: duplicate package key %q", key)
 		}
 		r.byKey[key] = p.ID
+		r.keys[i] = key
 		r.families[p.Name] = append(r.families[p.Name], p.ID)
 		r.totalSize += p.Size
 		for _, d := range p.Deps {
@@ -203,6 +206,11 @@ func (r *Repo) TotalSize() int64 { return r.totalSize }
 // Package returns the package with the given ID. It panics on an
 // out-of-range ID, which always indicates a caller bug.
 func (r *Repo) Package(id PkgID) *Package { return &r.pkgs[id] }
+
+// Key returns Package(id).Key() from a table built once by New, so
+// rendering a specification's keys (WAL records, checkpoints) never
+// concatenates. It panics on an out-of-range ID, like Package.
+func (r *Repo) Key(id PkgID) string { return r.keys[id] }
 
 // Lookup finds a package by its name/version/platform key.
 func (r *Repo) Lookup(key string) (PkgID, bool) {
