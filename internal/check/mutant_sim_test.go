@@ -9,13 +9,13 @@ import (
 )
 
 // TestMutantSim runs under -tags landlord_mutants with LANDLORD_MUTANT
-// naming one seeded bug in internal/core, internal/fleet or
-// internal/server (see their mutant_on.go). It asserts the harness
-// DETECTS the mutant: the staged suites — differential (900 requests),
-// unsharded simulation, sharded simulation — must report a Failure
-// before they run dry. It runs the stages twice and requires the two
-// failures to be byte-identical — the reproducibility the printed seed
-// promises.
+// naming one seeded bug in internal/core, internal/fleet,
+// internal/server or internal/pkggraph (see their mutant_on.go). It
+// asserts the harness DETECTS the mutant: the staged suites —
+// differential (900 requests), unsharded simulation, sharded
+// simulation — must report a Failure before they run dry. It runs the
+// stages twice and requires the two failures to be byte-identical — the
+// reproducibility the printed seed promises.
 //
 // TestMutantsAreDetected drives this from a normal build; the
 // MUTANT_FAILURE lines below are its machine-readable channel.
@@ -61,7 +61,9 @@ func TestMutantSim(t *testing.T) {
 	// burst covers them all, so the run — and the step at which an
 	// escaped body is first answered wrongly — is a function of the seed.
 	// It is the only stage that sends bodies over HTTP in more than one
-	// shape, which is what the reqscan mutant mishandles.
+	// shape, which is what the reqscan mutant mishandles, and the only
+	// one that audits what the server made of a close:true body, which
+	// is where closuredrop shows.
 	netStage := func() (string, int) {
 		rep, f := RunNetChaos(NetChaosConfig{Seed: *seedFlag, Steps: 60, Alpha: 0.6, Dir: t.TempDir()})
 		if f != nil {
@@ -90,14 +92,16 @@ func TestMutantSim(t *testing.T) {
 		requests := 0
 		// The fleet mutants are invisible to every single-process stage
 		// — only the fleet harnesses spawn masters — and the decoder
-		// mutant to every stage that calls the cache without HTTP, so
-		// each runs its own stage first, keeping detection inside the
-		// 1000-request budget; deltadrop is caught only when a
-		// simulation ends, so it skips the 900 differential requests
-		// that cannot see it. Core mutants run the HA stage last (they
-		// fall to a cheaper stage long before).
+		// and closure mutants to every stage that calls the cache
+		// without HTTP (a stream closed by the same broken union is
+		// merely a different stream), so each runs its own stage first,
+		// keeping detection inside the 1000-request budget; deltadrop is
+		// caught only when a simulation ends, so it skips the 900
+		// differential requests that cannot see it. Core mutants run the
+		// HA stage last (they fall to a cheaper stage long before).
 		ownStage := map[string]func() (string, int){
 			"staleindex": fleetStage, "staleepoch": haStage, "reqscan": netStage, "deltadrop": simStage,
+			"closuredrop": netStage,
 		}[mutant]
 		if ownStage != nil {
 			msg, n := ownStage()

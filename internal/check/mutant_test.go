@@ -11,17 +11,18 @@ import (
 )
 
 // mutants lists the seeded bugs compiled in by -tags landlord_mutants
-// (mutant_on.go in internal/core, internal/fleet and internal/server);
-// each breaks exactly one clause of Algorithm 1, one rule of the HA
-// protocol, one maintenance point of the master's mirror index, one
-// fallback rule of the request scanner, or the merge record's
-// completeness.
+// (mutant_on.go in internal/core, internal/fleet, internal/server and
+// internal/pkggraph); each breaks exactly one clause of Algorithm 1, one
+// rule of the HA protocol, one maintenance point of the master's mirror
+// index, one fallback rule of the request scanner, the merge record's
+// completeness, or the closure union's.
 var mutants = []string{
 	"superset", "threshold", "conflict", "lru", "capacity", "touch", "route", "balance",
 	"intern", "popcount", "lshmiss",
 	"staleepoch", "staleindex",
 	"reqscan",
 	"deltadrop",
+	"closuredrop",
 }
 
 // buildMutantBinary compiles this package's tests with the mutant tag

@@ -36,10 +36,14 @@ import (
 // server's scanner must hand to encoding/json (escaped keys, close
 // first) or must take itself in spite of their looks (whitespace, close
 // omitted), and every answer is audited: no valid spec is refused, the
-// echoed package count is the spec's, a re-sent acknowledged spec is a
-// hit. With a clean network, no disk faults and no crashes the run is
-// deterministic, which is how the reqscan mutant is caught
-// reproducibly.
+// echoed package count and request bytes are the spec's, a re-sent
+// acknowledged spec is a hit. A seeded quarter of the bodies ask the
+// server to close a key list the client closed already: closure is
+// idempotent, so the answer must still echo the list as sent, and the
+// same list sent unclosed must hit the image just answered — the only
+// audit of the server's multi-package closure. With a clean network, no
+// disk faults and no crashes the run is deterministic, which is how the
+// reqscan and closuredrop mutants are caught reproducibly.
 type NetChaosConfig struct {
 	Seed  int64
 	Steps int // client requests to issue
@@ -264,9 +268,14 @@ func RunNetChaos(cfg NetChaosConfig) (NetChaosReport, *Failure) {
 			continue
 		}
 
-		keys := keysOf(repo, stream.Next())
+		sp := stream.Next()
+		shapeDraw, closed := shapes.Intn(8), shapes.Intn(4) == 0
+		if closed {
+			sp = spec.WithClosure(repo, sp.IDs())
+		}
+		keys := keysOf(repo, sp)
 		joined := strings.Join(keys, ",")
-		body, shape := encodeRequest(shapes, keys)
+		body, shape := encodeRequest(shapeDraw, closed, keys)
 		before := srv.StatsNow().Requests
 		ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
 		var res server.RequestResponse
@@ -289,9 +298,10 @@ func RunNetChaos(cfg NetChaosConfig) (NetChaosReport, *Failure) {
 			classify(err, &rep)
 			continue
 		}
-		if res.Packages != len(keys) {
+		if want := repo.SetSize(sp.IDs()); res.Packages != len(keys) || res.RequestBytes != want {
 			return rep, dump(failf(cfg.Seed, step,
-				"netchaos: %d-package spec echoed as %d packages (%s body)", len(keys), res.Packages, shape))
+				"netchaos: spec of %d packages, %d bytes echoed as %d packages, %d bytes (%s body)",
+				len(keys), want, res.Packages, res.RequestBytes, shape))
 		}
 		// Capacity is unlimited, so an acknowledged spec stays covered:
 		// sent again it can only be a hit.
@@ -304,6 +314,19 @@ func RunNetChaos(cfg NetChaosConfig) (NetChaosReport, *Failure) {
 		}
 		rep.Acked++
 		acked[joined] = ackedReq{keys: keys, step: step}
+		if closed {
+			// The server closed a closed list: the same keys unclosed name
+			// the same spec, so they hit the image it was answered with.
+			again, err := requestNoShed(audit, keys)
+			if err != nil {
+				return rep, dump(failf(cfg.Seed, step, "netchaos: acked spec unservable when re-sent unclosed: %v", err))
+			}
+			if again.Op != "hit" || again.ImageID != res.ImageID || again.Packages != res.Packages || again.RequestBytes != res.RequestBytes {
+				return rep, dump(failf(cfg.Seed, step,
+					"netchaos: %s body answered image %d (%d packages, %d bytes); re-sent unclosed: %s on image %d (%d packages, %d bytes)",
+					shape, res.ImageID, res.Packages, res.RequestBytes, again.Op, again.ImageID, again.Packages, again.RequestBytes))
+			}
+		}
 	}
 
 	// Final crash: every run ends with a recovery audit.
@@ -315,27 +338,34 @@ func RunNetChaos(cfg NetChaosConfig) (NetChaosReport, *Failure) {
 	return rep, nil
 }
 
-// encodeRequest renders an unclosed request for keys in one of the
-// shapes a client may send, and names the shape. Half the draws are the
-// canonical body Client itself sends.
-func encodeRequest(rng *rand.Rand, keys []string) ([]byte, string) {
+// encodeRequest renders a request for keys in the shape drawn (of 8;
+// half the draws are the canonical body Client itself sends), asking
+// the server to close the list or not, and names the shape.
+func encodeRequest(shape int, closed bool, keys []string) ([]byte, string) {
 	quoted := make([]string, len(keys))
 	for i, k := range keys {
 		q, _ := json.Marshal(k) // a string always marshals
 		quoted[i] = string(q)
 	}
 	list := strings.Join(quoted, ",")
-	switch rng.Intn(8) {
+	flag, suffix := "false", ""
+	if closed {
+		flag, suffix = "true", "+close"
+		if shape == 3 {
+			shape = 4 // an omitted close means false: send the canonical body
+		}
+	}
+	switch shape {
 	case 0:
-		return []byte(`{"packages":[` + strings.ReplaceAll(list, "/", `\/`) + `],"close":false}`), "escaped"
+		return []byte(`{"packages":[` + strings.ReplaceAll(list, "/", `\/`) + `],"close":` + flag + `}`), "escaped" + suffix
 	case 1:
-		return []byte("{ \"packages\" : [\n\t" + strings.Join(quoted, " ,\n\t") + "\n] ,\r\n \"close\" : false }\n"), "whitespace"
+		return []byte("{ \"packages\" : [\n\t" + strings.Join(quoted, " ,\n\t") + "\n] ,\r\n \"close\" : " + flag + " }\n"), "whitespace" + suffix
 	case 2:
-		return []byte(`{"close":false,"packages":[` + list + `]}`), "close-first"
+		return []byte(`{"close":` + flag + `,"packages":[` + list + `]}`), "close-first" + suffix
 	case 3:
 		return []byte(`{"packages":[` + list + `]}`), "close-omitted"
 	default:
-		return []byte(`{"packages":[` + list + `],"close":false}`), "canonical"
+		return []byte(`{"packages":[` + list + `],"close":` + flag + `}`), "canonical" + suffix
 	}
 }
 

@@ -31,32 +31,22 @@ func (r *Repo) Stats() RepoStats {
 		return s
 	}
 	var outDeg int
-	inCount := make([]int, r.Len()) // transitive dependent counts
-	depth := make([]int, r.Len())   // longest chain ending at pkg
+	inCount := r.TransitiveDependents()
+	depth := make([]int, r.Len()) // longest chain ending at pkg
 	for i := range r.pkgs {
 		p := &r.pkgs[i]
 		s.TierCounts[p.Tier]++
 		s.TierSizes[p.Tier] += p.Size
 		outDeg += len(p.Deps)
-		var closure int
-		closure = len(r.closures[i])
+		closure := len(r.closures[i])
 		s.MeanClosure += float64(closure)
 		if closure > s.MaxClosure {
 			s.MaxClosure = closure
 		}
-		for _, c := range r.closures[i] {
-			if c != PkgID(i) {
-				inCount[c]++
-			}
-		}
 	}
 	s.MeanClosure /= float64(r.Len())
 	s.MeanOutDeg = float64(outDeg) / float64(r.Len())
-	var inTotal int
-	for i := range r.pkgs {
-		inTotal += len(r.pkgs[i].Deps)
-	}
-	s.MeanInDeg = float64(inTotal) / float64(r.Len())
+	s.MeanInDeg = s.MeanOutDeg // every edge leaves one package and enters one
 
 	// Depth: packages are not guaranteed to be in topological order by
 	// ID, so walk a topological order.

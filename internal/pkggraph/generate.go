@@ -132,17 +132,7 @@ func (z *zipfSampler) sample(r *rand.Rand) int {
 	if len(z.cum) == 0 {
 		return 0
 	}
-	x := r.Float64() * z.cum[len(z.cum)-1]
-	lo, hi := 0, len(z.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cum[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return z.sampleBelow(r, len(z.cum))
 }
 
 // sampleBelow returns an index in [0, limit), used for intra-tier

@@ -9,13 +9,15 @@
 // behave like the paper's Figure 3.
 //
 // All higher layers (specifications, the cache manager, the simulator)
-// refer to packages by compact PkgID indices into a Repo, so set
-// operations are merge walks over sorted ID slices.
+// refer to packages by compact PkgID indices into a Repo: a set is a
+// sorted ID slice, a union of closures a scan of one bit per package.
 package pkggraph
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+	"sync"
 )
 
 // PkgID is a compact index of a package within a Repo. IDs are assigned
@@ -80,6 +82,7 @@ type Repo struct {
 	keys      []string           // per-PkgID key; shares byKey's strings
 	families  map[string][]PkgID // family name -> versions, in insertion order
 	closures  [][]PkgID          // per-package transitive closure (incl. self), sorted
+	scratch   sync.Pool          // *idBits; a Closure call owns one from Get to Put
 	totalSize int64
 }
 
@@ -116,8 +119,8 @@ func New(pkgs []Package) (*Repo, error) {
 				return nil, fmt.Errorf("pkggraph: package %q depends on itself", key)
 			}
 		}
-		if !sort.SliceIsSorted(p.Deps, func(a, b int) bool { return p.Deps[a] < p.Deps[b] }) {
-			sort.Slice(p.Deps, func(a, b int) bool { return p.Deps[a] < p.Deps[b] })
+		if !slices.IsSorted(p.Deps) {
+			slices.Sort(p.Deps)
 		}
 	}
 	order, err := topoOrder(pkgs)
@@ -125,6 +128,7 @@ func New(pkgs []Package) (*Repo, error) {
 		return nil, err
 	}
 	r.closures = buildClosures(pkgs, order)
+	r.scratch.New = func() any { return newIDBits(len(pkgs)) }
 	return r, nil
 }
 
@@ -168,30 +172,48 @@ func topoOrder(pkgs []Package) ([]PkgID, error) {
 	return order, nil
 }
 
+// idBits is the closure union's scratch: one bit per package of the
+// repository, all zero between unions.
+type idBits struct{ words []uint64 }
+
+func newIDBits(n int) *idBits { return &idBits{make([]uint64, (n+63)/64)} }
+
+// add sets the bit of every listed package.
+func (b *idBits) add(ids []PkgID) {
+	for _, id := range ids {
+		b.words[id>>6] |= 1 << (id & 63)
+	}
+}
+
+// drain returns the set packages as a new, exactly sized slice and
+// zeroes the words. Words are read low to high and each word's bits
+// lowest first, so the IDs come out ascending and nothing is sorted.
+func (b *idBits) drain() []PkgID {
+	n := 0
+	for _, w := range b.words {
+		n += bits.OnesCount64(w)
+	}
+	out := make([]PkgID, 0, n)
+	for i, w := range b.words {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, PkgID(i<<6+bits.TrailingZeros64(w)))
+		}
+		b.words[i] = 0
+	}
+	return out
+}
+
 // buildClosures computes, in dependency-first order, each package's
 // transitive closure (including itself) as a sorted ID slice.
 func buildClosures(pkgs []Package, order []PkgID) [][]PkgID {
 	closures := make([][]PkgID, len(pkgs))
+	b := newIDBits(len(pkgs))
 	for _, id := range order {
-		p := &pkgs[id]
-		if len(p.Deps) == 0 {
-			closures[id] = []PkgID{id}
-			continue
+		b.add([]PkgID{id})
+		for _, d := range pkgs[id].Deps {
+			b.add(closures[d])
 		}
-		// Union the dependency closures plus self via a mark set.
-		seen := make(map[PkgID]struct{}, 16)
-		seen[id] = struct{}{}
-		for _, d := range p.Deps {
-			for _, c := range closures[d] {
-				seen[c] = struct{}{}
-			}
-		}
-		cl := make([]PkgID, 0, len(seen))
-		for c := range seen {
-			cl = append(cl, c)
-		}
-		sort.Slice(cl, func(a, b int) bool { return cl[a] < cl[b] })
-		closures[id] = cl
+		closures[id] = b.drain()
 	}
 	return closures
 }
@@ -251,17 +273,15 @@ func (r *Repo) Closure(ids []PkgID) []PkgID {
 		copy(out, r.closures[ids[0]])
 		return out
 	}
-	seen := make(map[PkgID]struct{}, len(ids)*8)
+	b := r.scratch.Get().(*idBits)
 	for _, id := range ids {
-		for _, c := range r.closures[id] {
-			seen[c] = struct{}{}
-		}
+		b.add(r.closures[id])
 	}
-	out := make([]PkgID, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
+	out := b.drain()
+	r.scratch.Put(b)
+	if mutantEnabled("closuredrop") {
+		out = out[:len(out)-1]
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }
 

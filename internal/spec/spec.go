@@ -11,6 +11,7 @@ package spec
 
 import (
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"repro/internal/pkggraph"
@@ -24,21 +25,20 @@ type Spec struct {
 	ids []pkggraph.PkgID // sorted, unique
 }
 
-// New builds a Spec from ids, copying, sorting, and de-duplicating.
+// New builds a Spec from ids, copying, sorting, and de-duplicating. An
+// input already in canonical order (a body rendered from a Spec, a
+// replayed record) is only copied.
 func New(ids []pkggraph.PkgID) Spec {
 	if len(ids) == 0 {
 		return Spec{}
 	}
 	s := make([]pkggraph.PkgID, len(ids))
 	copy(s, ids)
-	sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
-	out := s[:1]
-	for _, id := range s[1:] {
-		if id != out[len(out)-1] {
-			out = append(out, id)
-		}
+	if !strictlyIncreasing(s) {
+		slices.Sort(s)
+		s = slices.Compact(s)
 	}
-	return Spec{ids: out}
+	return Spec{ids: s}
 }
 
 // FromSorted wraps an already sorted, duplicate-free slice without
@@ -46,12 +46,21 @@ func New(ids []pkggraph.PkgID) Spec {
 // input is not strictly increasing, since silently accepting unsorted
 // data would corrupt every set operation downstream.
 func FromSorted(ids []pkggraph.PkgID) Spec {
-	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
-			panic("spec: FromSorted input not strictly increasing")
-		}
+	if !strictlyIncreasing(ids) {
+		panic("spec: FromSorted input not strictly increasing")
 	}
 	return Spec{ids: ids}
+}
+
+// strictlyIncreasing reports whether ids is sorted and duplicate-free:
+// the canonical form every Spec holds.
+func strictlyIncreasing(ids []pkggraph.PkgID) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // WithClosure builds a Spec from the dependency closure of initial: the

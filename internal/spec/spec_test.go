@@ -11,14 +11,18 @@ import (
 func ids(vs ...pkggraph.PkgID) []pkggraph.PkgID { return vs }
 
 func TestNewSortsAndDedups(t *testing.T) {
-	s := New(ids(3, 1, 2, 3, 1))
 	want := ids(1, 2, 3)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	for i, id := range s.IDs() {
-		if id != want[i] {
-			t.Fatalf("IDs = %v, want %v", s.IDs(), want)
+	// Unsorted, sorted with a duplicate, and already canonical (the
+	// copy-only path).
+	for _, in := range [][]pkggraph.PkgID{ids(3, 1, 2, 3, 1), ids(1, 2, 2, 3), ids(1, 2, 3)} {
+		s := New(in)
+		if s.Len() != 3 {
+			t.Fatalf("New(%v): Len = %d", in, s.Len())
+		}
+		for i, id := range s.IDs() {
+			if id != want[i] {
+				t.Fatalf("New(%v): IDs = %v, want %v", in, s.IDs(), want)
+			}
 		}
 	}
 }
@@ -31,11 +35,12 @@ func TestNewEmpty(t *testing.T) {
 }
 
 func TestNewCopiesInput(t *testing.T) {
-	in := ids(2, 1)
-	s := New(in)
-	in[0] = 99
-	if s.Contains(99) {
-		t.Fatal("New aliased caller slice")
+	for _, in := range [][]pkggraph.PkgID{ids(2, 1), ids(1, 2)} {
+		s := New(in)
+		in[0] = 99
+		if s.Contains(99) {
+			t.Fatal("New aliased caller slice")
+		}
 	}
 }
 
