@@ -41,9 +41,12 @@ bench:
 # (the keys come from the repository's table; per-key concatenation was
 # ~660 allocations per merge), as must closing a 100-package selection
 # over the full repository (the bitset union kernel; the map+sort it
-# replaced made 6). A fixed iteration count keeps the runs cheap and
-# deterministic; the guard fails the build the moment any per-request
-# allocation sneaks back onto one of these paths.
+# replaced made 6). Framing a WAL record — a 322-key insert or a touch —
+# into the store's reused buffer must not allocate at all, and replaying
+# a segment of 10,000 touch records may allocate the reader and its
+# buffers (8 at most) but nothing per record. A fixed iteration count
+# keeps the runs cheap and deterministic; the guard fails the build the
+# moment any per-request allocation sneaks back onto one of these paths.
 # alloc_guard takes the benchmark pattern and the allocs/op allowed
 # (default 0).
 alloc_guard = awk -v pat='$(1)' -v max='$(2)' '$$0 ~ pat { allocs = $$(NF-1); print; if (allocs + 0 > max + 0) { print "bench-guard: " pat " allocates " allocs " allocs/op, want at most " max + 0; exit 1 } found = 1 } END { if (!found) { print "bench-guard: " pat " benchmark did not run"; exit 1 } }'
@@ -55,6 +58,8 @@ bench-guard:
 	$(GO) test -run '^$$' -bench '^BenchmarkRequestDecode$$' -benchmem -benchtime 2000x ./internal/fleet | $(call alloc_guard,BenchmarkRequestDecode)
 	$(GO) test -run '^$$' -bench '^BenchmarkKeysOf$$' -benchmem -benchtime 2000x ./internal/core | $(call alloc_guard,BenchmarkKeysOf,1)
 	$(GO) test -run '^$$' -bench '^BenchmarkClosure$$' -benchmem -benchtime 2000x . | $(call alloc_guard,BenchmarkClosure,1)
+	$(GO) test -run '^$$' -bench '^BenchmarkEncodeRecord$$' -benchmem -benchtime 2000x ./internal/persist | $(call alloc_guard,BenchmarkEncodeRecord)
+	$(GO) test -run '^$$' -bench '^BenchmarkReplaySegment$$' -benchmem -benchtime 100x ./internal/persist | $(call alloc_guard,BenchmarkReplaySegment,8)
 
 # The repository's benchmark (bench/, a module of its own) calls fleet,
 # server, persist and config directly: vet it and run its short smoke so
@@ -75,6 +80,7 @@ fuzz:
 	$(GO) test ./internal/pkggraph -fuzz '^FuzzClosure$$' -fuzztime 30s
 	$(GO) test ./internal/shrinkwrap -fuzz '^FuzzUnpack$$' -fuzztime 30s
 	$(GO) test ./internal/persist -fuzz '^FuzzWALDecode$$' -fuzztime 30s
+	$(GO) test ./internal/persist -fuzz '^FuzzRecordCodec$$' -fuzztime 30s
 	$(GO) test ./internal/spec -fuzz '^FuzzInternRoundTrip$$' -fuzztime 30s
 	$(GO) test ./internal/spec -fuzz '^FuzzBitsetJaccard$$' -fuzztime 30s
 	$(GO) test ./internal/core -fuzz '^FuzzShardRoute$$' -fuzztime 30s
@@ -83,18 +89,19 @@ fuzz:
 # Short-budget invariant harness for every PR: the deterministic
 # simulation suites (differential fast-vs-reference, unsharded, and
 # sharded) and scaled-down soaks under the race detector, the mutant
-# self-test (each of the sixteen seeded bugs — six Algorithm 1 clauses,
-# the shard-routing and budget-balancing mutants, the three fast-path
-# mutants intern/popcount/lshmiss, the HA epoch-fencing mutant
+# self-test (each of the seventeen seeded bugs — six Algorithm 1
+# clauses, the shard-routing and budget-balancing mutants, the three
+# fast-path mutants intern/popcount/lshmiss, the HA epoch-fencing mutant
 # staleepoch, the mirror-index mutant staleindex, the request-scanner
-# mutant reqscan, the merge-record mutant deltadrop, and the
-# closure-union mutant closuredrop — must be caught reproducibly; the
-# fast-path three within the differential suite's 900 requests,
-# staleepoch within the HA stage's first lease isolation, staleindex
-# within the fleet stage's eviction audit, reqscan at the first escaped
-# body and closuredrop at the first close:true body of a fault-free
-# network-chaos stage, deltadrop by the replayed-state byte-identity
-# audit that ends the first simulation), and one CLI chaos pass.
+# mutant reqscan, the merge-record mutant deltadrop, the closure-union
+# mutant closuredrop, and the record-scanner mutant walscan — must be
+# caught reproducibly; the fast-path three within the differential
+# suite's 900 requests, staleepoch within the HA stage's first lease
+# isolation, staleindex within the fleet stage's eviction audit, reqscan
+# at the first escaped body and closuredrop at the first close:true body
+# of a fault-free network-chaos stage, deltadrop and walscan by the
+# replayed-state byte-identity audit that ends the first simulation),
+# and one CLI chaos pass.
 # `landlord-check sim` runs the sharded suite too.
 check:
 	$(GO) test -race -short -count=1 ./internal/check

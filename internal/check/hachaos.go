@@ -288,6 +288,10 @@ func RunHAChaos(cfg HAChaosConfig) (rep HAChaosReport, fail *Failure) {
 	if err != nil {
 		return rep, failf(cfg.Seed, 0, "hachaos: replica manager: %v", err)
 	}
+	// The replica decodes records with encoding/json on purpose, not
+	// with persist's record scanner: the primary writes them with
+	// persist's encoder, so the state-equality audit below holds that
+	// encoder to the reference decoder.
 	replica := persist.NewFollower(
 		func(payload []byte) error {
 			var mut core.Mutation

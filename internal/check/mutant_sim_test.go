@@ -10,7 +10,8 @@ import (
 
 // TestMutantSim runs under -tags landlord_mutants with LANDLORD_MUTANT
 // naming one seeded bug in internal/core, internal/fleet,
-// internal/server or internal/pkggraph (see their mutant_on.go). It
+// internal/server, internal/pkggraph or internal/persist (see their
+// mutant_on.go). It
 // asserts the harness DETECTS the mutant: the staged suites —
 // differential (900 requests), unsharded simulation, sharded
 // simulation — must report a Failure before they run dry. It runs the
@@ -73,9 +74,11 @@ func TestMutantSim(t *testing.T) {
 	}
 
 	// simStage is the unsharded simulation suite. Its replay audit —
-	// the logged mutations rebuild the live manager's state byte for
-	// byte — is the only check that reads a merge record's keys against
-	// the image the merge produced, which is what deltadrop breaks.
+	// the logged mutations, encoded and decoded as the WAL would hold
+	// them, rebuild the live manager's state byte for byte — is the
+	// only check that reads a merge record's keys against the image the
+	// merge produced, which is what deltadrop breaks on the way into the
+	// record and walscan on the way out of it.
 	simStage := func() (string, int) {
 		requests := 0
 		for _, cfg := range Suite(*seedFlag) {
@@ -95,13 +98,14 @@ func TestMutantSim(t *testing.T) {
 		// and closure mutants to every stage that calls the cache
 		// without HTTP (a stream closed by the same broken union is
 		// merely a different stream), so each runs its own stage first,
-		// keeping detection inside the 1000-request budget; deltadrop is
-		// caught only when a simulation ends, so it skips the 900
-		// differential requests that cannot see it. Core mutants run the
-		// HA stage last (they fall to a cheaper stage long before).
+		// keeping detection inside the 1000-request budget; deltadrop and
+		// walscan are caught only when a simulation ends, so they skip
+		// the 900 differential requests that cannot see them. Core
+		// mutants run the HA stage last (they fall to a cheaper stage
+		// long before).
 		ownStage := map[string]func() (string, int){
 			"staleindex": fleetStage, "staleepoch": haStage, "reqscan": netStage, "deltadrop": simStage,
-			"closuredrop": netStage,
+			"closuredrop": netStage, "walscan": simStage,
 		}[mutant]
 		if ownStage != nil {
 			msg, n := ownStage()

@@ -11,11 +11,12 @@ import (
 )
 
 // mutants lists the seeded bugs compiled in by -tags landlord_mutants
-// (mutant_on.go in internal/core, internal/fleet, internal/server and
-// internal/pkggraph); each breaks exactly one clause of Algorithm 1, one
-// rule of the HA protocol, one maintenance point of the master's mirror
-// index, one fallback rule of the request scanner, the merge record's
-// completeness, or the closure union's.
+// (mutant_on.go in internal/core, internal/fleet, internal/server,
+// internal/pkggraph and internal/persist); each breaks exactly one
+// clause of Algorithm 1, one rule of the HA protocol, one maintenance
+// point of the master's mirror index, one fallback rule of the request
+// scanner, the merge record's completeness as written or as read back,
+// or the closure union's.
 var mutants = []string{
 	"superset", "threshold", "conflict", "lru", "capacity", "touch", "route", "balance",
 	"intern", "popcount", "lshmiss",
@@ -23,6 +24,7 @@ var mutants = []string{
 	"reqscan",
 	"deltadrop",
 	"closuredrop",
+	"walscan",
 }
 
 // buildMutantBinary compiles this package's tests with the mutant tag

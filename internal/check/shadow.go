@@ -1,10 +1,12 @@
 package check
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/persist"
 	"repro/internal/pkggraph"
 	"repro/internal/spec"
 )
@@ -306,16 +308,41 @@ func (sh *Shadow) Final() *Failure {
 	return sh.failure
 }
 
-// VerifyState replays the observed mutation stream into a fresh
-// manager and compares the resulting state with the live manager's
-// exported state — the same equivalence crash recovery relies on,
-// checked without a crash. base carries the state the stream started
-// from (zero value for an initially empty cache).
+// throughLog returns muts as recovery would read them: framed by the
+// WAL record encoder and decoded back by the segment reader. Replay
+// audits replay these, so a record that does not survive the codec
+// intact shows as a state divergence even in a run with no store.
+func throughLog(muts []core.Mutation) ([]core.Mutation, error) {
+	var log []byte
+	for i, mut := range muts {
+		var err error
+		if log, err = persist.EncodeRecord(log, mut); err != nil {
+			return nil, fmt.Errorf("check: encoding mutation %d: %w", i, err)
+		}
+	}
+	read, err := persist.ReadSegment(bytes.NewReader(log))
+	if err != nil {
+		return nil, fmt.Errorf("check: reading back the encoded mutations: %w", err)
+	}
+	if len(read) != len(muts) {
+		return nil, fmt.Errorf("check: %d mutations encoded, %d read back", len(muts), len(read))
+	}
+	return read, nil
+}
+
+// VerifyState replays the observed mutation stream, as the WAL codec
+// renders it (throughLog), into a fresh manager and compares the
+// resulting state with the live manager's exported state — the same
+// equivalence crash recovery relies on, checked without a crash. base
+// carries the state the stream started from (zero value for an
+// initially empty cache).
 func (sh *Shadow) VerifyState(mcfg core.Config, base, live core.ManagerState) error {
 	sh.mu.Lock()
-	muts := make([]core.Mutation, len(sh.muts))
-	copy(muts, sh.muts)
+	muts, err := throughLog(sh.muts)
 	sh.mu.Unlock()
+	if err != nil {
+		return err
+	}
 
 	mcfg.Commit = nil
 	mcfg.Tracer = nil

@@ -317,16 +317,18 @@ func (sh *ShardShadow) Final() *Failure {
 	return sh.failure
 }
 
-// VerifyState replays the observed mutation stream, in arrival order,
-// into a fresh sharded cache and compares the merged export against
-// the live one — the crash-recovery equivalence (cross-shard records
-// commute; per-shard subsequences are monotone) checked without a
-// crash.
+// VerifyState replays the observed mutation stream, in arrival order
+// and as the WAL codec renders it (throughLog), into a fresh sharded
+// cache and compares the merged export against the live one — the
+// crash-recovery equivalence (cross-shard records commute; per-shard
+// subsequences are monotone) checked without a crash.
 func (sh *ShardShadow) VerifyState(mcfg core.Config, live core.ManagerState) error {
 	sh.mu.Lock()
-	muts := make([]core.Mutation, len(sh.muts))
-	copy(muts, sh.muts)
+	muts, err := throughLog(sh.muts)
 	sh.mu.Unlock()
+	if err != nil {
+		return err
+	}
 
 	mcfg.Commit = nil
 	mcfg.Tracer = nil

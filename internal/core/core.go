@@ -243,6 +243,10 @@ type Manager struct {
 	fast   *fastPath
 	ordSrc uint64
 
+	// replaySig is ApplyMutation's signature scratch; replay holds the
+	// manager exclusively.
+	replaySig similarity.Signature
+
 	// clockSrc, when non-nil, replaces the manager-local logical clock
 	// with a shared atomic counter: every shard of a ShardedManager
 	// draws stamps from one source, so Seq stays globally dense across

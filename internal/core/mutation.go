@@ -24,14 +24,14 @@ import (
 //
 // Counters, stamps and the package lists of insert and split are the
 // image's state after the operation. A merge is the one delta: it only
-// ever adds packages, so it logs the keys it added (a few hundred
-// bytes to a few KB) instead of the image's whole list (~30 KB at
-// paper scale), and replay unions them into the image it finds. That
-// makes a merge record meaningful only on top of the image state the
-// live manager merged into, so replay applies it only to an image
-// standing at Version-1 and refuses it with ErrDeltaBase otherwise;
-// inserts, splits and checkpoints carry full lists, so every delta has
-// a full record beneath it.
+// ever adds packages, so it logs the keys it added (~6 KB at paper
+// scale) instead of the image's whole list (~14 KB for a fresh insert,
+// ~30 KB for an image merges have grown), and replay unions them into
+// the image it finds. That makes a merge record meaningful only on top
+// of the image state the live manager merged into, so replay applies
+// it only to an image standing at Version-1 and refuses it with
+// ErrDeltaBase otherwise; inserts, splits and checkpoints carry full
+// lists, so every delta has a full record beneath it.
 
 // MutationKind identifies one of the five state-changing operations.
 type MutationKind string
@@ -115,7 +115,9 @@ func (m *Manager) specFromKeys(keys []string) (spec.Spec, error) {
 // never invokes the commit hook, never evicts (deletions are replayed
 // explicitly), and does not rebuild hot-set windows (split tracking
 // restarts fresh after recovery). The stats it accumulates match what
-// the live manager recorded for the same operations.
+// the live manager recorded for the same operations. It resolves
+// Packages and Added to package ids at once and keeps neither slice, so
+// a caller may decode the next record into the same storage.
 func (m *Manager) ApplyMutation(mut Mutation) error {
 	switch mut.Kind {
 	case MutTouch:
@@ -192,8 +194,12 @@ func (m *Manager) ApplyMutation(mut Mutation) error {
 		if delta {
 			if img.sig != nil {
 				// As on the live path: MinHash of a union is the
-				// positionwise minimum.
-				similarity.MergeSignaturesInto(img.sig, m.sign(s))
+				// positionwise minimum. The delta's own signature is
+				// folded in and dropped, so it is signed into scratch.
+				if len(m.replaySig) != len(img.sig) {
+					m.replaySig = make(similarity.Signature, len(img.sig))
+				}
+				similarity.MergeSignaturesInto(img.sig, m.hasher.SignInto(m.replaySig, s))
 			}
 			s = img.Spec.Union(s)
 		} else {

@@ -82,7 +82,7 @@ func readCheckpointFile(fsys FS, path string) (Checkpoint, error) {
 	}
 	defer f.Close()
 	br := bufio.NewReader(f)
-	payload, err := readFrame(br)
+	payload, err := readFrame(br, nil)
 	if err != nil {
 		return Checkpoint{}, fmt.Errorf("persist: checkpoint %s: %w", path, err)
 	}

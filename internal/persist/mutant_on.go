@@ -1,0 +1,32 @@
+//go:build landlord_mutants
+
+package persist
+
+import (
+	"os"
+	"sync"
+)
+
+// Durability-layer mutants compiled in under the landlord_mutants tag,
+// selected by the LANDLORD_MUTANT environment variable (the same
+// mechanism as internal/core's, internal/fleet's, internal/server's and
+// internal/pkggraph's mutants):
+//
+//	walscan — the record scanner drops the last key of any "added" list
+//	          of two or more, so a replayed merge rebuilds a smaller
+//	          image than the one logged. A pure function of the input,
+//	          so reruns stay byte-identical. check.Shadow.VerifyState
+//	          must catch it: it replays the mutations it observed
+//	          through the record codec and compares the rebuilt state
+//	          with the live one.
+var (
+	mutantOnce sync.Once
+	mutantName string
+)
+
+// mutantEnabled reports whether the named mutant was selected via
+// LANDLORD_MUTANT. An empty or unset variable disables all mutants.
+func mutantEnabled(name string) bool {
+	mutantOnce.Do(func() { mutantName = os.Getenv("LANDLORD_MUTANT") })
+	return mutantName == name
+}

@@ -131,6 +131,11 @@ type RecoveryReport struct {
 	SegmentsScanned  int
 	RecordsReplayed  int
 	RecordsSkipped   int
+	// RecordsReference counts the records, replayed or skipped, whose
+	// payload was not in the shape this store writes and was decoded by
+	// encoding/json instead of the record scanner: 0 for a log this
+	// code wrote, unless a package key needs a JSON escape.
+	RecordsReference int
 	CorruptSegments  int
 	TornTail         bool
 	Warnings         []string
@@ -138,9 +143,9 @@ type RecoveryReport struct {
 
 // String renders a one-line log summary.
 func (r *RecoveryReport) String() string {
-	return fmt.Sprintf("checkpoint seq=%d images=%d, replayed %d record(s) from %d segment(s) in %v (skipped=%d corrupt_segments=%d torn_tail=%v warnings=%d)",
+	return fmt.Sprintf("checkpoint seq=%d images=%d, replayed %d record(s) from %d segment(s) in %v (skipped=%d reference_decoded=%d corrupt_segments=%d torn_tail=%v warnings=%d)",
 		r.CheckpointSeq, r.CheckpointImages, r.RecordsReplayed, r.SegmentsScanned,
-		r.Duration.Round(time.Millisecond), r.RecordsSkipped, r.CorruptSegments, r.TornTail, len(r.Warnings))
+		r.Duration.Round(time.Millisecond), r.RecordsSkipped, r.RecordsReference, r.CorruptSegments, r.TornTail, len(r.Warnings))
 }
 
 func (r *RecoveryReport) warn(format string, args ...any) {
@@ -199,6 +204,8 @@ func (st *Store) scan() (segs, ckpts []uint64, err error) {
 // it, so one recovery loop serves the unsharded and sharded caches.
 type CacheReplayer interface {
 	ImportState(core.ManagerState) error
+	// ApplyMutation must not keep the mutation's Packages or Added slice
+	// past the call: recovery decodes the next record into them.
 	ApplyMutation(core.Mutation) error
 }
 
@@ -310,6 +317,7 @@ func (st *Store) RecoverWith(newCache func() (CacheReplayer, error)) (CacheRepla
 	if len(ckpts) > 0 {
 		maxSeq = ckpts[len(ckpts)-1]
 	}
+	sr := newSegmentReader()
 	for i, seq := range segs {
 		if seq > maxSeq {
 			maxSeq = seq
@@ -324,16 +332,17 @@ func (st *Store) RecoverWith(newCache func() (CacheReplayer, error)) (CacheRepla
 			rep.warn("segment %d unreadable: %v", seq, err)
 			continue
 		}
-		muts, readErr := ReadSegment(f)
-		f.Close()
-		for _, mut := range muts {
+		// Each record is applied as it is decoded, out of storage the
+		// next record overwrites: a segment is never held in memory.
+		readErr := sr.each(f, func(mut core.Mutation) {
 			if err := mgr.ApplyMutation(mut); err != nil {
 				rep.RecordsSkipped++
 				rep.warn("segment %d: %v", seq, err)
-				continue
+				return
 			}
 			rep.RecordsReplayed++
-		}
+		})
+		f.Close()
 		if readErr != nil {
 			if i == len(segs)-1 {
 				// The normal crash signature: the final record was
@@ -346,6 +355,8 @@ func (st *Store) RecoverWith(newCache func() (CacheReplayer, error)) (CacheRepla
 			}
 		}
 	}
+
+	rep.RecordsReference = sr.dec.reference
 
 	// Open a fresh segment for post-recovery commits; earlier segments
 	// stay until the next checkpoint compacts them.

@@ -71,7 +71,7 @@ func DecodeFrames(b []byte, fn func(payload []byte) error) (int, error) {
 	br := bufio.NewReader(bytes.NewReader(b))
 	n := 0
 	for {
-		payload, err := readFrame(br)
+		payload, err := readFrame(br, nil)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return n, nil

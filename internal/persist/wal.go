@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -24,8 +25,9 @@ const (
 	frameHeaderSize = 8
 	// MaxRecordBytes caps a single frame's payload, so a corrupted
 	// length field cannot drive a multi-gigabyte allocation. A 16 MB
-	// record would hold a ~100k-package image; real records are a few
-	// hundred bytes to a few hundred kilobytes.
+	// record would hold a ~100k-package image; at paper scale a touch
+	// is ~80 bytes, a merge delta ~6 KB and an insert ~14 KB, and a
+	// checkpoint (one frame) a few hundred kilobytes.
 	MaxRecordBytes = 16 << 20
 )
 
@@ -38,45 +40,109 @@ var ErrCorrupt = errors.New("persist: corrupt record")
 
 // appendFrame appends the framed payload to buf and returns it.
 func appendFrame(buf, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	start := len(buf)
+	buf = append(append(buf, make([]byte, frameHeaderSize)...), payload...)
+	sealFrame(buf[start:])
+	return buf
 }
 
-// readFrame reads and validates one frame. io.EOF means a clean end of
+// sealFrame fills in the header of frame, whose payload is already in
+// place after the frameHeaderSize bytes reserved for it.
+func sealFrame(frame []byte) {
+	payload := frame[frameHeaderSize:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+}
+
+// readFrame reads and validates one frame into buf's storage, growing
+// it when the payload does not fit (callers that keep the payload pass
+// nil and get storage of their own). io.EOF means a clean end of
 // stream; io.ErrUnexpectedEOF a torn (partially written) frame; and
 // ErrCorrupt a frame that fails its length sanity check or checksum.
-func readFrame(r *bufio.Reader) ([]byte, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
+func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	// The header is read in place in r's buffer: an array handed to
+	// r.Read would be one heap allocation per frame.
+	hdr, err := r.Peek(frameHeaderSize)
+	if err != nil {
+		if len(hdr) == 0 && err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, io.ErrUnexpectedEOF
 	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
+	length, sum := binary.LittleEndian.Uint32(hdr[0:4]), binary.LittleEndian.Uint32(hdr[4:8])
 	if length == 0 || length > MaxRecordBytes {
 		return nil, fmt.Errorf("%w: frame length %d", ErrCorrupt, length)
 	}
-	payload := make([]byte, length)
+	r.Discard(frameHeaderSize) // cannot fail: Peek buffered these bytes
+	if uint32(cap(buf)) < length {
+		// append's growth, so a run of ever larger records does not
+		// reallocate at each one.
+		buf = append(buf[:0], make([]byte, length)...)
+	}
+	payload := buf[:length]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, io.ErrUnexpectedEOF
 	}
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
+	if crc32.Checksum(payload, castagnoli) != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	return payload, nil
 }
 
-// EncodeRecord frames one mutation for appending to a WAL segment.
+// EncodeRecord frames one mutation for appending to a WAL segment. The
+// payload is written into buf in place behind its header, which is
+// filled in afterwards.
 func EncodeRecord(buf []byte, mut core.Mutation) ([]byte, error) {
-	payload, err := json.Marshal(mut)
-	if err != nil {
-		return buf, err
+	start := len(buf)
+	buf = append(buf, make([]byte, frameHeaderSize)...)
+	out, ok := appendRecord(buf, mut)
+	if !ok {
+		payload, err := json.Marshal(mut)
+		if err != nil {
+			return buf[:start], err
+		}
+		out = append(buf, payload...)
 	}
-	return appendFrame(buf, payload), nil
+	sealFrame(out[start:])
+	return out, nil
+}
+
+// segmentReader replays WAL segments through one frame buffer and one
+// key slice, reused from record to record and from segment to segment.
+type segmentReader struct {
+	br    *bufio.Reader
+	frame []byte
+	dec   recordDecoder
+}
+
+// newSegmentReader creates a reader whose buffer holds a few of the
+// largest records the cache writes (a ~14 KB insert), so a record
+// rarely straddles a refill.
+func newSegmentReader() *segmentReader {
+	return &segmentReader{br: bufio.NewReaderSize(nil, 64<<10)}
+}
+
+// each decodes the records of segment r in order and hands each to fn.
+// It stops where ReadSegment does and returns the reason ReadSegment
+// returns. A mutation's Packages and Added are valid only until fn
+// returns.
+func (sr *segmentReader) each(r io.Reader, fn func(core.Mutation)) error {
+	sr.br.Reset(r)
+	for {
+		payload, err := readFrame(sr.br, sr.frame)
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		sr.frame = payload
+		mut, err := sr.dec.decode(payload)
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		fn(mut)
+	}
 }
 
 // ReadSegment decodes every intact record from r, stopping at the
@@ -89,21 +155,17 @@ func EncodeRecord(buf []byte, mut core.Mutation) ([]byte, error) {
 // A prefix property holds by construction: whatever bytes follow a bad
 // frame are never interpreted, so the result is always a prefix of the
 // records originally appended.
+//
+// Recovery does not come through here: it applies each record as
+// segmentReader yields it. This is the collecting form, for callers
+// that want the records themselves.
 func ReadSegment(r io.Reader) ([]core.Mutation, error) {
-	br := bufio.NewReader(r)
 	var out []core.Mutation
-	for {
-		payload, err := readFrame(br)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return out, nil
-			}
-			return out, err
-		}
-		var mut core.Mutation
-		if err := json.Unmarshal(payload, &mut); err != nil {
-			return out, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
+	err := newSegmentReader().each(r, func(mut core.Mutation) {
+		// The reader reuses the lists' storage.
+		mut.Packages = slices.Clone(mut.Packages)
+		mut.Added = slices.Clone(mut.Added)
 		out = append(out, mut)
-	}
+	})
+	return out, err
 }
