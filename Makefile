@@ -44,9 +44,14 @@ bench:
 # replaced made 6). Framing a WAL record — a 322-key insert or a touch —
 # into the store's reused buffer must not allocate at all, and replaying
 # a segment of 10,000 touch records may allocate the reader and its
-# buffers (8 at most) but nothing per record. A fixed iteration count
-# keeps the runs cheap and deterministic; the guard fails the build the
-# moment any per-request allocation sneaks back onto one of these paths.
+# buffers (8 at most) but nothing per record. Signing a spec into a
+# reused signature allocates nothing on either side of the probe gate
+# (322 and 160 ids of 9,660 probe, 8 take the direct kernel), nor does a
+# merge's band-index update; building the probe index, once per process,
+# may allocate the index's two slices and one sort buffer, never per id.
+# A fixed iteration count keeps the runs cheap and deterministic; the
+# guard fails the build the moment any per-request allocation sneaks
+# back onto one of these paths.
 # alloc_guard takes the benchmark pattern and the allocs/op allowed
 # (default 0).
 alloc_guard = awk -v pat='$(1)' -v max='$(2)' '$$0 ~ pat { allocs = $$(NF-1); print; if (allocs + 0 > max + 0) { print "bench-guard: " pat " allocates " allocs " allocs/op, want at most " max + 0; exit 1 } found = 1 } END { if (!found) { print "bench-guard: " pat " benchmark did not run"; exit 1 } }'
@@ -60,6 +65,9 @@ bench-guard:
 	$(GO) test -run '^$$' -bench '^BenchmarkClosure$$' -benchmem -benchtime 2000x . | $(call alloc_guard,BenchmarkClosure,1)
 	$(GO) test -run '^$$' -bench '^BenchmarkEncodeRecord$$' -benchmem -benchtime 2000x ./internal/persist | $(call alloc_guard,BenchmarkEncodeRecord)
 	$(GO) test -run '^$$' -bench '^BenchmarkReplaySegment$$' -benchmem -benchtime 100x ./internal/persist | $(call alloc_guard,BenchmarkReplaySegment,8)
+	$(GO) test -run '^$$' -bench '^BenchmarkSignInto$$' -benchmem -benchtime 2000x ./internal/similarity | $(call alloc_guard,BenchmarkSignInto)
+	$(GO) test -run '^$$' -bench '^BenchmarkProbeIndexBuild$$' -benchmem -benchtime 100x ./internal/similarity | $(call alloc_guard,BenchmarkProbeIndexBuild,3)
+	$(GO) test -run '^$$' -bench '^BenchmarkLSHUpdate$$' -benchmem -benchtime 20000x ./internal/similarity | $(call alloc_guard,BenchmarkLSHUpdate)
 
 # The repository's benchmark (bench/, a module of its own) calls fleet,
 # server, persist and config directly: vet it and run its short smoke so
@@ -85,23 +93,26 @@ fuzz:
 	$(GO) test ./internal/spec -fuzz '^FuzzBitsetJaccard$$' -fuzztime 30s
 	$(GO) test ./internal/core -fuzz '^FuzzShardRoute$$' -fuzztime 30s
 	$(GO) test ./internal/fleet -fuzz '^FuzzRequestDecode$$' -fuzztime 30s
+	$(GO) test ./internal/similarity -fuzz '^FuzzSign$$' -fuzztime 30s
 
 # Short-budget invariant harness for every PR: the deterministic
 # simulation suites (differential fast-vs-reference, unsharded, and
 # sharded) and scaled-down soaks under the race detector, the mutant
-# self-test (each of the seventeen seeded bugs — six Algorithm 1
+# self-test (each of the eighteen seeded bugs — six Algorithm 1
 # clauses, the shard-routing and budget-balancing mutants, the three
 # fast-path mutants intern/popcount/lshmiss, the HA epoch-fencing mutant
 # staleepoch, the mirror-index mutant staleindex, the request-scanner
 # mutant reqscan, the merge-record mutant deltadrop, the closure-union
-# mutant closuredrop, and the record-scanner mutant walscan — must be
-# caught reproducibly; the fast-path three within the differential
+# mutant closuredrop, the record-scanner mutant walscan, and the
+# signing mutant probeskip — must be caught reproducibly; the fast-path
+# three within the differential
 # suite's 900 requests, staleepoch within the HA stage's first lease
 # isolation, staleindex within the fleet stage's eviction audit, reqscan
 # at the first escaped body and closuredrop at the first close:true body
 # of a fault-free network-chaos stage, deltadrop and walscan by the
-# replayed-state byte-identity audit that ends the first simulation),
-# and one CLI chaos pass.
+# replayed-state byte-identity audit that ends the first simulation,
+# probeskip by CheckIntegrity's re-sign with the direct kernel inside
+# the differential suite), and one CLI chaos pass.
 # `landlord-check sim` runs the sharded suite too.
 check:
 	$(GO) test -race -short -count=1 ./internal/check

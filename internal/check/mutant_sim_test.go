@@ -10,8 +10,8 @@ import (
 
 // TestMutantSim runs under -tags landlord_mutants with LANDLORD_MUTANT
 // naming one seeded bug in internal/core, internal/fleet,
-// internal/server, internal/pkggraph or internal/persist (see their
-// mutant_on.go). It
+// internal/server, internal/pkggraph, internal/persist or
+// internal/similarity (see their mutant_on.go). It
 // asserts the harness DETECTS the mutant: the staged suites —
 // differential (900 requests), unsharded simulation, sharded
 // simulation — must report a Failure before they run dry. It runs the
@@ -118,8 +118,12 @@ func TestMutantSim(t *testing.T) {
 		// (intern, popcount, lshmiss) corrupt only the interned
 		// representation, which no single-pipeline oracle can see — they
 		// fall to the reference-vs-fast comparison, within its 900
-		// requests. The original six mutants fall to the unsharded
-		// suite; the sharding mutants (route, balance) are invisible to
+		// requests. So does probeskip, for another reason: both
+		// pipelines sign wrongly and agree, and only CheckIntegrity's
+		// re-sign with the direct kernel, which the rig runs every 64
+		// requests, disagrees. The original six mutants fall to the
+		// unsharded suite; the sharding mutants (route, balance) are
+		// invisible to
 		// both earlier stages — no unsharded run consults the router or
 		// the balancer — and fall to the sharded suite's route audit and
 		// budgets-sum audit.

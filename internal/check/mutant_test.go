@@ -12,11 +12,11 @@ import (
 
 // mutants lists the seeded bugs compiled in by -tags landlord_mutants
 // (mutant_on.go in internal/core, internal/fleet, internal/server,
-// internal/pkggraph and internal/persist); each breaks exactly one
-// clause of Algorithm 1, one rule of the HA protocol, one maintenance
-// point of the master's mirror index, one fallback rule of the request
-// scanner, the merge record's completeness as written or as read back,
-// or the closure union's.
+// internal/pkggraph, internal/persist and internal/similarity); each
+// breaks exactly one clause of Algorithm 1, one rule of the HA protocol,
+// one maintenance point of the master's mirror index, one fallback rule
+// of the request scanner, the merge record's completeness as written or
+// as read back, the closure union's, or the signing probe's first step.
 var mutants = []string{
 	"superset", "threshold", "conflict", "lru", "capacity", "touch", "route", "balance",
 	"intern", "popcount", "lshmiss",
@@ -25,6 +25,7 @@ var mutants = []string{
 	"deltadrop",
 	"closuredrop",
 	"walscan",
+	"probeskip",
 }
 
 // buildMutantBinary compiles this package's tests with the mutant tag

@@ -298,6 +298,13 @@ func (m *Manager) tick() uint64 {
 
 // NewManager validates cfg and creates an empty Manager over repo.
 func NewManager(repo *pkggraph.Repo, cfg Config) (*Manager, error) {
+	return newManager(repo, cfg, nil)
+}
+
+// newManager is NewManager with the MinHash hasher supplied: the shards
+// of a ShardedManager share one, and with it one probe index. A nil
+// hasher is built from cfg.
+func newManager(repo *pkggraph.Repo, cfg Config, h *similarity.Hasher) (*Manager, error) {
 	if cfg.Alpha < 0 || cfg.Alpha > 1 {
 		return nil, fmt.Errorf("core: alpha %v out of range [0,1]", cfg.Alpha)
 	}
@@ -310,9 +317,12 @@ func NewManager(repo *pkggraph.Repo, cfg Config) (*Manager, error) {
 		byID: make(map[uint64]*Image),
 	}
 	if cfg.MinHash != nil {
-		h, err := similarity.NewHasher(cfg.MinHash.K, cfg.MinHash.Seed)
-		if err != nil {
-			return nil, err
+		if h == nil {
+			var err error
+			if h, err = similarity.NewHasher(cfg.MinHash.K, cfg.MinHash.Seed); err != nil {
+				return nil, err
+			}
+			h.HintUniverse(repo.Len())
 		}
 		if cfg.MinHash.Margin < 0 {
 			return nil, fmt.Errorf("core: MinHash margin %v must be non-negative", cfg.MinHash.Margin)
@@ -430,13 +440,23 @@ func (m *Manager) Tracer() telemetry.Tracer { return m.cfg.Tracer }
 // collector (telemetry.Multi) onto an already-built Manager.
 func (m *Manager) SetTracer(t telemetry.Tracer) { m.cfg.Tracer = t }
 
-// sign computes the MinHash signature of s, or nil when the prefilter
-// is disabled.
+// sign computes the MinHash signature of s into storage of its own —
+// for a signature an image keeps — or nil when the prefilter is
+// disabled.
 func (m *Manager) sign(s spec.Spec) similarity.Signature {
 	if m.hasher == nil {
 		return nil
 	}
 	return m.hasher.Sign(s)
+}
+
+// resign recomputes img's signature after its spec was replaced rather
+// than grown (a split, a replayed full-list record), into the storage
+// the image already owns.
+func (m *Manager) resign(img *Image) {
+	if m.hasher != nil {
+		m.hasher.SignInto(img.sig, img.Spec)
+	}
 }
 
 // Request runs Algorithm 1 for specification s and returns how it was

@@ -52,7 +52,9 @@ func (m *Manager) CheckIntegrity() error {
 			return fmt.Errorf("image %d lastUse %d beyond clock %d", img.ID, img.lastUse, m.clock)
 		}
 		if m.hasher != nil {
-			want := m.hasher.Sign(img.Spec)
+			// The direct kernel, not SignInto: the audit must not share
+			// the probe index with the signatures it checks.
+			want := m.hasher.SignDirect(img.Spec)
 			for i := range want {
 				if img.sig[i] != want[i] {
 					return fmt.Errorf("image %d signature stale at position %d", img.ID, i)

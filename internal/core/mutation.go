@@ -202,11 +202,12 @@ func (m *Manager) ApplyMutation(mut Mutation) error {
 				similarity.MergeSignaturesInto(img.sig, m.hasher.SignInto(m.replaySig, s))
 			}
 			s = img.Spec.Union(s)
-		} else {
-			img.sig = m.sign(s)
 		}
 		m.total -= img.Size
 		img.Spec = s
+		if !delta {
+			m.resign(img)
+		}
 		img.Size = s.Size(m.repo)
 		img.Version = mut.Version
 		m.indexUpdate(img)

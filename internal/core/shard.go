@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/pkggraph"
+	"repro/internal/similarity"
 	"repro/internal/spec"
 	"repro/internal/telemetry"
 )
@@ -163,14 +164,16 @@ func NewSharded(repo *pkggraph.Repo, cfg Config) (*ShardedManager, error) {
 		sm.routes = NewRouteTable(repo)
 	}
 	budgets := SplitBudget(cfg.Capacity, n)
+	var hasher *similarity.Hasher // the first shard's, shared: one probe index per cache
 	for i := 0; i < n; i++ {
 		scfg := cfg
 		scfg.Shards = n
 		scfg.Capacity = budgets[i]
-		m, err := NewManager(repo, scfg)
+		m, err := newManager(repo, scfg, hasher)
 		if err != nil {
 			return nil, err
 		}
+		hasher = m.hasher
 		m.clockSrc = sm.clockSrc
 		m.idOffset = uint64(i)
 		m.idStride = uint64(n)

@@ -519,6 +519,29 @@ func TestShardForMatchesShardRoute(t *testing.T) {
 	}
 }
 
+// TestShardsShareOneHasher pins that a sharded cache signs through one
+// Hasher — one probe index per daemon, built once, whichever shard
+// meets the first dense spec — and an unsharded one through its own.
+func TestShardsShareOneHasher(t *testing.T) {
+	repo := concRepo(t)
+	sm, err := NewSharded(repo, Config{Alpha: 0.75, Shards: 4, MinHash: DefaultMinHash()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sh := range sm.shards {
+		if sh.m.hasher == nil || sh.m.hasher != sm.shards[0].m.hasher {
+			t.Fatalf("shard %d signs with hasher %p, shard 0 with %p", i, sh.m.hasher, sm.shards[0].m.hasher)
+		}
+	}
+	plain, err := NewSharded(repo, Config{Alpha: 0.75, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.shards[3].m.hasher != nil {
+		t.Fatal("a cache without MinHash was given a hasher")
+	}
+}
+
 func TestShardRouteDegenerate(t *testing.T) {
 	keys := []string{"b/1/p", "a/2/p", "c/3/p"}
 	for _, n := range []int{1, 0, -4} {

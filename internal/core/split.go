@@ -83,7 +83,7 @@ func (m *Manager) Prune(maxUtilization float64, minServed int) ([]SplitResult, e
 				img.Spec = img.hot
 				img.Size = hotSize
 				img.Version++
-				img.sig = m.sign(img.Spec)
+				m.resign(img)
 				m.indexUpdate(img)
 				m.refreshBits(img)
 				m.total += img.Size

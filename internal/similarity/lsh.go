@@ -31,6 +31,10 @@ type LSHIndex struct {
 	bands, rows int
 	tables      []map[uint64][]uint64 // band -> band hash -> ids
 	sigs        map[uint64]Signature  // id -> signature (for Remove)
+	// spare is the storage of emptied buckets, taken by the next bucket
+	// created: a merge moves an id from a bucket it was alone in to a
+	// new one, and an eviction's 64 buckets serve the next insert.
+	spare [][]uint64
 }
 
 // NewLSHIndex creates an index for signatures of length bands*rows.
@@ -80,10 +84,19 @@ func (x *LSHIndex) Insert(id uint64, sig Signature) error {
 	copy(own, sig)
 	x.sigs[id] = own
 	for b := 0; b < x.bands; b++ {
-		key := bandHash(own[b*x.rows : (b+1)*x.rows])
-		x.tables[b][key] = append(x.tables[b][key], id)
+		x.bucket(b, bandHash(own[b*x.rows:(b+1)*x.rows]), id)
 	}
 	return nil
+}
+
+// bucket adds id to one band's bucket, creating it from spare storage
+// when there is some.
+func (x *LSHIndex) bucket(b int, key, id uint64) {
+	ids, ok := x.tables[b][key]
+	if n := len(x.spare); !ok && n > 0 {
+		ids, x.spare = x.spare[n-1], x.spare[:n-1]
+	}
+	x.tables[b][key] = append(ids, id)
 }
 
 // Remove deletes an id from the index. Removing an absent id is a
@@ -95,31 +108,57 @@ func (x *LSHIndex) Remove(id uint64) {
 	}
 	delete(x.sigs, id)
 	for b := 0; b < x.bands; b++ {
-		key := bandHash(sig[b*x.rows : (b+1)*x.rows])
-		bucket := x.tables[b][key]
-		for i, v := range bucket {
-			if v == id {
-				bucket[i] = bucket[len(bucket)-1]
-				bucket = bucket[:len(bucket)-1]
-				break
-			}
+		x.unbucket(b, bandHash(sig[b*x.rows:(b+1)*x.rows]), id)
+	}
+}
+
+// unbucket takes id out of one band's bucket, deleting the bucket and
+// keeping its storage when id was alone in it.
+func (x *LSHIndex) unbucket(b int, key, id uint64) {
+	ids := x.tables[b][key]
+	for i, v := range ids {
+		if v == id {
+			ids[i] = ids[len(ids)-1]
+			ids = ids[:len(ids)-1]
+			break
 		}
-		if len(bucket) == 0 {
-			delete(x.tables[b], key)
-		} else {
-			x.tables[b][key] = bucket
-		}
+	}
+	if len(ids) > 0 {
+		x.tables[b][key] = ids
+		return
+	}
+	delete(x.tables[b], key)
+	if cap(ids) > 0 {
+		x.spare = append(x.spare, ids)
 	}
 }
 
 // Update replaces an id's signature (for merged images whose contents
-// grew).
+// grew), inserting the id if it is absent. The stored copy is
+// overwritten in place and only the bands whose values changed are
+// re-bucketed — after a min-fold most have not. Buckets are unordered
+// and retrieval sorts, so candidates are what Remove + Insert gives.
 func (x *LSHIndex) Update(id uint64, sig Signature) error {
 	if len(sig) != x.SignatureLen() {
 		return fmt.Errorf("similarity: signature length %d, index expects %d", len(sig), x.SignatureLen())
 	}
-	x.Remove(id)
-	return x.Insert(id, sig)
+	own, ok := x.sigs[id]
+	if !ok {
+		return x.Insert(id, sig)
+	}
+	for b := 0; b < x.bands; b++ {
+		was, now := own[b*x.rows:(b+1)*x.rows], sig[b*x.rows:(b+1)*x.rows]
+		if slices.Equal(was, now) {
+			continue
+		}
+		oldKey, newKey := bandHash(was), bandHash(now)
+		copy(was, now)
+		if oldKey != newKey {
+			x.unbucket(b, oldKey, id)
+			x.bucket(b, newKey, id)
+		}
+	}
+	return nil
 }
 
 // Candidates returns the ids sharing at least one band with sig, in

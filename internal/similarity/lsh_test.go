@@ -2,6 +2,7 @@ package similarity
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/pkggraph"
@@ -188,5 +189,120 @@ func TestLSHRowsSharpenCutoff(t *testing.T) {
 	cands, _ = loose.Candidates(h.Sign(spec.New(query)))
 	if len(cands) != 1 {
 		t.Errorf("1-row bands missed a ~5%%-similar set")
+	}
+}
+
+// removeInsert is Update as it was before it worked in place: the
+// reference TestLSHUpdateInPlace holds the new one to.
+func removeInsert(x *LSHIndex, id uint64, sig Signature) error {
+	x.Remove(id)
+	return x.Insert(id, sig)
+}
+
+// TestLSHUpdateInPlace drives two indexes through the same random
+// sequence of inserts, min-folds, replacements and removals — one
+// through Update, one through Remove + Insert — and requires the same
+// candidates for every stored and every fresh signature, and no bucket
+// left behind once everything is removed.
+func TestLSHUpdateInPlace(t *testing.T) {
+	for _, shape := range [][2]int{{64, 1}, {16, 4}, {1, 8}} {
+		bands, rows := shape[0], shape[1]
+		got, _ := NewLSHIndex(bands, rows)
+		want, _ := NewLSHIndex(bands, rows)
+		h := MustNewHasher(bands*rows, 3)
+		rng := rand.New(rand.NewSource(int64(bands)))
+		sigs := map[uint64]Signature{}
+		compare := func(step int, sig Signature) {
+			t.Helper()
+			g, _ := got.Candidates(sig)
+			w, _ := want.Candidates(sig)
+			ga, _ := got.CandidatesAppend(sig, nil)
+			if !slices.Equal(g, w) || !slices.Equal(ga, w) {
+				t.Fatalf("%dx%d step %d: candidates %v / %v, remove+insert gives %v", bands, rows, step, g, ga, w)
+			}
+		}
+		for step := 0; step < 1500; step++ {
+			id := uint64(rng.Intn(40))
+			fresh := h.Sign(randomSet(rng, 1+rng.Intn(30), 200))
+			switch cur, ok := sigs[id]; {
+			case ok && rng.Intn(10) == 0:
+				got.Remove(id)
+				want.Remove(id)
+				delete(sigs, id)
+			case ok && rng.Intn(3) > 0:
+				fresh = MergeSignatures(cur, fresh) // a merge: most bands keep their value
+				fallthrough
+			default: // replace (a split), or insert through Update
+				if err := got.Update(id, fresh); err != nil {
+					t.Fatal(err)
+				}
+				if err := removeInsert(want, id, fresh); err != nil {
+					t.Fatal(err)
+				}
+				sigs[id] = fresh
+			}
+			if got.Len() != want.Len() {
+				t.Fatalf("step %d: Len %d, want %d", step, got.Len(), want.Len())
+			}
+			compare(step, fresh)
+			for _, sig := range sigs {
+				compare(step, sig)
+			}
+		}
+		for id := range sigs {
+			got.Remove(id)
+		}
+		for b, table := range got.tables {
+			if len(table) != 0 {
+				t.Fatalf("%dx%d: band %d keeps %d buckets after every id was removed", bands, rows, b, len(table))
+			}
+		}
+	}
+}
+
+func TestLSHUpdateDoesNotAliasCaller(t *testing.T) {
+	x, _ := NewLSHIndex(4, 1)
+	a, b := Signature{1, 2, 3, 4}, Signature{1, 9, 3, 4}
+	x.Insert(1, a)
+	x.Update(1, b)
+	b[1] = 7 // the caller's storage is its own (core folds img.sig in place)
+	if c, _ := x.Candidates(Signature{0, 9, 0, 0}); len(c) != 1 {
+		t.Fatalf("candidates by the updated band: %v", c)
+	}
+	x.Remove(1)
+	for band, table := range x.tables {
+		if len(table) != 0 {
+			t.Fatalf("band %d keeps a bucket after Remove", band)
+		}
+	}
+}
+
+// BenchmarkLSHUpdate is a merge's index update: an image's signature
+// min-folded with a request's, then back (so the index does not drift),
+// among 200 resident images. In place it allocates nothing: the stored
+// copy is overwritten and a new bucket takes an emptied one's storage.
+func BenchmarkLSHUpdate(b *testing.B) {
+	const k = 64
+	x, _ := NewLSHIndex(k, 1)
+	h := MustNewHasher(k, 1)
+	rng := rand.New(rand.NewSource(1))
+	var base, folded []Signature
+	for id := 0; id < 200; id++ {
+		sig := h.Sign(randomSet(rng, 322, 9660))
+		base = append(base, sig)
+		folded = append(folded, MergeSignatures(sig, h.Sign(randomSet(rng, 40, 9660))))
+		x.Insert(uint64(id), sig)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := i % 200
+		sig := folded[id]
+		if i/200%2 == 1 {
+			sig = base[id]
+		}
+		if err := x.Update(uint64(id), sig); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

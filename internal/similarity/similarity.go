@@ -8,7 +8,10 @@ package similarity
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
+	"repro/internal/pkggraph"
 	"repro/internal/spec"
 )
 
@@ -49,9 +52,16 @@ func splitmix64(x uint64) uint64 {
 type Signature []uint64
 
 // Hasher produces MinHash signatures with k hash functions derived from
-// a seed. A Hasher is immutable and safe for concurrent use.
+// a seed. It is safe for concurrent use; its only mutable state is the
+// probe index (probe.go), built lazily on the first dense set it signs
+// and published through an atomic pointer.
 type Hasher struct {
 	seeds []uint64
+
+	hint  atomic.Int64 // universe size the owner expects ids to stay under
+	index atomic.Pointer[probeIndex]
+	build sync.Mutex // serialises index builds
+	bits  sync.Pool  // *[]uint64 membership scratch for signProbe
 }
 
 // NewHasher creates a Hasher with k hash functions (k >= 1). Larger k
@@ -81,49 +91,67 @@ func MustNewHasher(k int, seed int64) *Hasher {
 // K returns the number of hash functions.
 func (h *Hasher) K() int { return len(h.seeds) }
 
+// HintUniverse tells the hasher that the ids it will sign lie in
+// [0, n) — a repository's length — so the probe index is sized once.
+// Without a hint, or past it, the index covers the largest id seen and
+// regrows when a larger one appears. Signatures do not depend on it.
+func (h *Hasher) HintUniverse(n int) { h.hint.Store(int64(n)) }
+
+// hashID is hash function `seed` applied to one package id.
+func hashID(id pkggraph.PkgID, seed uint64) uint64 {
+	return splitmix64((uint64(id) + 0x100000001) ^ seed)
+}
+
+// minHash is the direct kernel for one position: the minimum of one
+// hash function over ids, math.MaxUint64 for none.
+func minHash(seed uint64, ids []pkggraph.PkgID) uint64 {
+	lo := uint64(math.MaxUint64)
+	for _, id := range ids {
+		if v := hashID(id, seed); v < lo {
+			lo = v
+		}
+	}
+	return lo
+}
+
 // Sign computes the MinHash signature of s. An empty specification
 // yields a signature of all math.MaxUint64, which estimates distance 0
 // against another empty signature and (almost surely) 1 against any
 // non-empty one — matching JaccardDistance's conventions.
 func (h *Hasher) Sign(s spec.Spec) Signature {
-	sig := make(Signature, len(h.seeds))
-	for i := range sig {
-		sig[i] = math.MaxUint64
-	}
-	for _, id := range s.IDs() {
-		x := uint64(id) + 0x100000001
-		for i, seed := range h.seeds {
-			v := splitmix64(x ^ seed)
-			if v < sig[i] {
-				sig[i] = v
-			}
-		}
-	}
-	return sig
+	return h.SignInto(make(Signature, len(h.seeds)), s)
 }
 
 // SignInto is Sign into caller-owned storage: dst must have length
-// h.K(). It fills dst with exactly the signature Sign would allocate
-// and returns it, so a pooled scratch buffer makes the miss path's
-// signing allocation-free (the hot path the interned-bitset manager
-// pools per request).
+// h.K(). A set dense in its universe is signed through the probe index
+// (probe.go), any other by the direct kernel; the two agree bit for
+// bit. With a reused dst the miss path's signing is allocation-free.
 func (h *Hasher) SignInto(dst Signature, s spec.Spec) Signature {
 	if len(dst) != len(h.seeds) {
 		panic(fmt.Sprintf("similarity: SignInto dst length %d, hasher has k=%d", len(dst), len(h.seeds)))
 	}
-	for i := range dst {
-		dst[i] = math.MaxUint64
-	}
-	for _, id := range s.IDs() {
-		x := uint64(id) + 0x100000001
-		for i, seed := range h.seeds {
-			v := splitmix64(x ^ seed)
-			if v < dst[i] {
-				dst[i] = v
-			}
-		}
+	ids := s.IDs()
+	if ix := h.probeFor(ids); ix != nil {
+		h.signProbe(dst, ids, ix)
+	} else {
+		h.signDirect(dst, ids)
 	}
 	return dst
+}
+
+// SignDirect is Sign by the direct kernel alone — k hashes of every id,
+// no index. It is what audits re-sign with (core.CheckIntegrity), so
+// that they check the probe rather than repeat it.
+func (h *Hasher) SignDirect(s spec.Spec) Signature {
+	sig := make(Signature, len(h.seeds))
+	h.signDirect(sig, s.IDs())
+	return sig
+}
+
+func (h *Hasher) signDirect(dst Signature, ids []pkggraph.PkgID) {
+	for i, seed := range h.seeds {
+		dst[i] = minHash(seed, ids)
+	}
 }
 
 // EstimateDistance estimates the Jaccard distance between the sets
