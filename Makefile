@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race bench bench-guard bench-smoke fuzz check ha-chaos lint-metrics cover crash-test examples experiments clean
+.PHONY: all build vet test test-short race bench bench-guard bench-smoke fuzz check ha-chaos lint-metrics loc cover crash-test examples experiments clean
 
 all: build vet lint-metrics test
 
@@ -19,11 +19,12 @@ test-short:
 	$(GO) test -short ./...
 
 # Full race-detector pass. Every package runs under -race — the
-# concurrent request pipeline (core.ConcurrentManager, the server's
-# handler fan-out, WAL group commit) makes data races a correctness
-# bug anywhere, not just in the historically concurrent corners. The
-# oracle-equivalence harness and soak are the heavyweight entries;
-# the timeout gives them headroom on slow CI runners.
+# concurrent request pipeline (core.ShardedManager's per-shard lock
+# pair, the server's handler fan-out, WAL group commit) makes data
+# races a correctness bug anywhere, not just in the historically
+# concurrent corners. The oracle-equivalence harness and soak are the
+# heavyweight entries; the timeout gives them headroom on slow CI
+# runners.
 race:
 	$(GO) test -race -timeout 20m ./...
 
@@ -96,25 +97,32 @@ fuzz:
 	$(GO) test ./internal/similarity -fuzz '^FuzzSign$$' -fuzztime 30s
 
 # Short-budget invariant harness for every PR: the deterministic
-# simulation suites (differential fast-vs-reference, unsharded, and
-# sharded) and scaled-down soaks under the race detector, the mutant
-# self-test (each of the eighteen seeded bugs — six Algorithm 1
-# clauses, the shard-routing and budget-balancing mutants, the three
-# fast-path mutants intern/popcount/lshmiss, the HA epoch-fencing mutant
-# staleepoch, the mirror-index mutant staleindex, the request-scanner
-# mutant reqscan, the merge-record mutant deltadrop, the closure-union
-# mutant closuredrop, the record-scanner mutant walscan, and the
-# signing mutant probeskip — must be caught reproducibly; the fast-path
-# three within the differential
-# suite's 900 requests, staleepoch within the HA stage's first lease
-# isolation, staleindex within the fleet stage's eviction audit, reqscan
-# at the first escaped body and closuredrop at the first close:true body
-# of a fault-free network-chaos stage, deltadrop and walscan by the
-# replayed-state byte-identity audit that ends the first simulation,
-# probeskip by CheckIntegrity's re-sign with the direct kernel inside
-# the differential suite), and one CLI chaos pass.
-# `landlord-check sim` runs the sharded suite too.
+# simulation suites (unsharded and sharded, exact rows and MinHash
+# rows, every request validated by the oracle — the one reference for
+# Algorithm 1, in exact and in margin mode) and scaled-down soaks under
+# the race detector, the mutant self-test (each of the eighteen seeded
+# bugs — six Algorithm 1 clauses, the shard-routing and
+# budget-balancing mutants, the three interned-path mutants
+# intern/popcount/lshmiss, the HA epoch-fencing mutant staleepoch, the
+# mirror-index mutant staleindex, the request-scanner mutant reqscan,
+# the merge-record mutant deltadrop, the closure-union mutant
+# closuredrop, the record-scanner mutant walscan, and the signing
+# mutant probeskip — must be caught reproducibly: the Algorithm 1 six,
+# intern, popcount and lshmiss by the oracle's re-derivation (lshmiss
+# in a MinHash row, where the oracle's index-free margin scan takes the
+# merge the dropped band candidate hid), probeskip by CheckIntegrity's
+# re-sign with the direct kernel at the first MinHash insert,
+# staleepoch within the HA stage's first lease isolation, staleindex
+# within the fleet stage's eviction audit, reqscan at the first escaped
+# body and closuredrop at the first close:true body of a fault-free
+# network-chaos stage, deltadrop and walscan by the replayed-state
+# byte-identity audit that ends the first simulation), and one CLI
+# chaos pass. `landlord-check sim` runs the sharded suite too. The
+# grep is a tripwire: the second decision pipeline, the middle manager
+# type and the second shadow were folded away and must not grow back.
 check:
+	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(' --include='*.go' --exclude-dir=.bench_build . \
+		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md, 'One decision procedure')"; exit 1; }
 	$(GO) test -race -short -count=1 ./internal/check
 	$(GO) test -run 'TestMutants|TestMutantFailure' -count=1 ./internal/check
 	$(GO) run ./cmd/landlord-check sim -seed 1
@@ -137,6 +145,17 @@ ha-chaos:
 # that execute. Fails the build on any conflict.
 lint-metrics:
 	$(GO) run ./cmd/landlord-lint -root .
+
+# Go line counts, non-test and test, per internal package and per
+# command, then the whole tree (root and examples/ included; bench/ is
+# a module of its own and is counted too): the figures simplification
+# PRs are judged by, from find and wc alone.
+loc:
+	@for d in internal/* cmd/* .; do \
+		printf '%-26s non-test %6d  test %6d\n' $$d \
+			$$(find $$d -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' -exec cat {} + | wc -l) \
+			$$(find $$d -name '*_test.go' ! -path './.bench_build/*' -exec cat {} + | wc -l); \
+	done
 
 # Coverage profile across every package (atomic mode: the concurrent
 # suites are the interesting part).

@@ -181,8 +181,10 @@ func BenchmarkLSHIndex(b *testing.B) {
 
 	b.Run("lsh-candidates", func(b *testing.B) {
 		b.ReportAllocs()
+		var ids []uint64
 		for i := 0; i < b.N; i++ {
-			if _, err := idx.Candidates(query); err != nil {
+			var err error
+			if ids, err = idx.CandidatesAppend(query, ids[:0]); err != nil {
 				b.Fatal(err)
 			}
 		}

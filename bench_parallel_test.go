@@ -1,6 +1,6 @@
 // Parallel cache benchmarks: the concurrent request pipeline
-// (core.ConcurrentManager) against the single-threaded Manager on the
-// two ends of the operational spectrum. "hit-heavy" repeats cached
+// (core.ShardedManager, at one shard and at several) against the
+// single-threaded Manager on the two ends of the operational spectrum. "hit-heavy" repeats cached
 // specs — every request rides the shared read lock, so throughput
 // should scale with cores. "merge-heavy" streams fresh specs — almost
 // every request needs the exclusive write lock, so parallel throughput
@@ -21,7 +21,8 @@ import (
 const parallelWarmImages = 50
 
 // The serial and parallel variants share one configuration, so the
-// comparison isolates the locking strategy.
+// comparison isolates the locking strategy: at GOMAXPROCS >= 4 the
+// hit-heavy shards=1 throughput must be at least 2x the serial baseline.
 
 func BenchmarkManagerSerial(b *testing.B) {
 	repo := benchFullRepo(b)
@@ -52,58 +53,9 @@ func BenchmarkManagerSerial(b *testing.B) {
 	})
 }
 
-// BenchmarkManagerParallel is the issue's acceptance benchmark: at
-// GOMAXPROCS >= 4 the hit-heavy parallel throughput must be at least
-// 2x the serial baseline above.
-func BenchmarkManagerParallel(b *testing.B) {
-	repo := benchFullRepo(b)
-	cfg := core.Config{Alpha: 0.75, Capacity: repo.TotalSize() * 2, MinHash: core.DefaultMinHash()}
-
-	b.Run("hit-heavy", func(b *testing.B) {
-		cm, err := core.NewConcurrent(repo, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		warm := warmSpecs(b, cm.Request, 11)
-		var worker atomic.Uint64
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			// Distinct stride per goroutine: workers collide on hot
-			// images without marching in lockstep.
-			off := int(worker.Add(1))
-			i := 0
-			for pb.Next() {
-				i++
-				if _, err := cm.Request(warm[(off*31+i)%len(warm)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	})
-
-	b.Run("merge-heavy", func(b *testing.B) {
-		cm, err := core.NewConcurrent(repo, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var seed atomic.Int64
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			gen := workload.NewDepClosure(repo, 1000+seed.Add(1))
-			for pb.Next() {
-				if _, err := cm.Request(gen.Next()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	})
-}
-
-// BenchmarkManagerSharded is PR 8's acceptance benchmark: the sharded
-// cache against the single write lock on the merge-heavy workload that
-// bottlenecks it. At GOMAXPROCS=8, shards=16 must deliver at least 3x
+// BenchmarkManagerSharded runs the concurrent cache at 1, 4 and 16
+// shards: the single lock pair, then the sharded cache against it on
+// the merge-heavy workload that bottlenecks one write lock. At GOMAXPROCS=8, shards=16 must deliver at least 3x
 // the shards=1 throughput (EXPERIMENTS.md records the measured table).
 func BenchmarkManagerSharded(b *testing.B) {
 	repo := benchFullRepo(b)

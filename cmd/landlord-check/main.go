@@ -97,8 +97,9 @@ func usage() {
 }
 
 // suite runs the canonical deterministic schedule for one seed: the
-// in-memory suite, then the persistent chaos run in a throwaway
-// directory. steps > 0 overrides the chaos run's length.
+// in-memory suite (exact rows, then MinHash rows), the sharded suite,
+// then the persistent chaos runs in a throwaway directory. steps > 0
+// overrides the chaos runs' length.
 func suite(seed int64, steps int) error {
 	for _, cfg := range check.Suite(seed) {
 		rep, f := check.RunSim(cfg)
@@ -112,8 +113,8 @@ func suite(seed int64, steps int) error {
 		if f != nil {
 			return f
 		}
-		fmt.Printf("shardsim seed=%d steps=%d shards=%d alpha=%.2f: hits=%d merges=%d inserts=%d rebalances=%d evicted=%d state=%s\n",
-			cfg.Seed, rep.Steps, cfg.Shards, cfg.Alpha,
+		fmt.Printf("shardsim seed=%d steps=%d shards=%d alpha=%.2f%s: hits=%d merges=%d inserts=%d rebalances=%d evicted=%d state=%s\n",
+			cfg.Seed, rep.Steps, cfg.Shards, cfg.Alpha, modeTag(cfg.MinHash, false),
 			rep.Stats.Hits, rep.Stats.Merges, rep.Stats.Inserts,
 			rep.Rebalances, rep.Evicted, rep.StateHash[:12])
 	}
@@ -122,21 +123,34 @@ func suite(seed int64, steps int) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	cfg := check.ChaosConfig(seed, dir)
-	if steps > 0 {
-		cfg.Steps = steps
+	for _, cfg := range check.ChaosSuite(seed, dir) {
+		if steps > 0 {
+			cfg.Steps = steps
+		}
+		rep, f := check.RunSim(cfg)
+		if f != nil {
+			return f
+		}
+		report(cfg, rep)
 	}
-	rep, f := check.RunSim(cfg)
-	if f != nil {
-		return f
-	}
-	report(cfg, rep)
 	return nil
 }
 
+// modeTag labels the rows beyond the exact-mode ones.
+func modeTag(minhash, uniform bool) string {
+	tag := ""
+	if minhash {
+		tag += " minhash"
+	}
+	if uniform {
+		tag += " uniform"
+	}
+	return tag
+}
+
 func report(cfg check.SimConfig, rep check.SimReport) {
-	fmt.Printf("sim seed=%d steps=%d alpha=%.2f persist=%v: hits=%d merges=%d inserts=%d deletes=%d splits=%d crashes=%d injected=%d state=%s\n",
-		cfg.Seed, rep.Steps, cfg.Alpha, cfg.Dir != "",
+	fmt.Printf("sim seed=%d steps=%d alpha=%.2f persist=%v%s: hits=%d merges=%d inserts=%d deletes=%d splits=%d crashes=%d injected=%d state=%s\n",
+		cfg.Seed, rep.Steps, cfg.Alpha, cfg.Dir != "", modeTag(cfg.MinHash, cfg.UniformOnly),
 		rep.Stats.Hits, rep.Stats.Merges, rep.Stats.Inserts, rep.Stats.Deletes,
 		rep.Stats.Splits, rep.Crashes, rep.Injected, rep.StateHash[:12])
 }

@@ -3,7 +3,12 @@ package check
 import (
 	"flag"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/spec"
 )
 
 // seedFlag reproduces a reported failure: every Failure's Error()
@@ -18,8 +23,8 @@ var shardsFlag = flag.Int("shards", 4, "shard count for TestShardSoak (nightly r
 // TestCheckReplay is the reproduction entry point: a failure anywhere
 // in the harness prints `go test ./internal/check -run TestCheckReplay
 // -seed=N`, and this test re-runs the full schedule — in-memory suite,
-// the sharded-cache suite, the persistent disk-fault chaos run, and
-// the network-fault chaos run — under that seed.
+// the sharded-cache suite, the persistent disk-fault chaos runs (exact
+// and MinHash), and the network-fault chaos run — under that seed.
 func TestCheckReplay(t *testing.T) {
 	seed := *seedFlag
 	for _, cfg := range Suite(seed) {
@@ -32,8 +37,10 @@ func TestCheckReplay(t *testing.T) {
 			t.Fatal(f)
 		}
 	}
-	if _, f := RunSim(ChaosConfig(seed, t.TempDir())); f != nil {
-		t.Fatal(f)
+	for _, cfg := range ChaosSuite(seed, t.TempDir()) {
+		if _, f := RunSim(cfg); f != nil {
+			t.Fatal(f)
+		}
 	}
 	if _, f := RunNetChaos(NetChaosDefault(seed, t.TempDir())); f != nil {
 		t.Fatal(f)
@@ -202,8 +209,8 @@ func TestCheckSoak(t *testing.T) {
 		rep.Stats.Requests, rep.Stats.Hits, rep.Stats.Merges, rep.Images, rep.Injected)
 }
 
-// TestShardSoak soaks the sharded cache: 8 goroutines against a
-// ShardedManager over a persistent store, with worker 0 interleaving
+// TestShardSoak soaks the cache at several shards: 8 goroutines against
+// a ShardedManager over a persistent store, with worker 0 interleaving
 // checkpoints, audited rebalances, and prune passes. The shard count
 // comes from -shards so the nightly can randomize it; a failure names
 // the exact count to rerun with.
@@ -225,8 +232,9 @@ func TestShardSoak(t *testing.T) {
 		shards, rep.Stats.Requests, rep.Stats.Hits, rep.Stats.Merges, rep.Images, rep.Injected)
 }
 
-// TestSoakMemoryOnly soaks the pure in-memory concurrent path (no
-// store in the hook chain), where read-path hits take the shared lock.
+// TestSoakMemoryOnly soaks the pure in-memory concurrent path at one
+// shard (no store in the hook chain), where read-path hits take the
+// shared lock.
 func TestSoakMemoryOnly(t *testing.T) {
 	cfg := SoakConfig{
 		Seed: *seedFlag + 7, Requests: 20000, Workers: 8,
@@ -237,5 +245,104 @@ func TestSoakMemoryOnly(t *testing.T) {
 	}
 	if _, err := RunSoak(cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRebalancePublishesBudgetsWithoutFalseAlarm is the regression test
+// for the 1-in-40 TestShardSoak failure ("shard N at X bytes exceeds
+// its budget … at the next request"). Rebalance has released every
+// shard lock by the time it returns, so a request can land on a shard
+// whose budget just grew before the driver hands the shadow the new
+// budgets; audited against the old ones, a legal fill reads as an
+// overflow. The scenario is built by hand — shard a holds two images
+// and fills its even share, shard b one — and then replayed twice: in
+// the old order (rebalance, request, publish) the shadow must raise
+// exactly that false alarm, which proves the request really lands in
+// the window; through ShardShadow.Rebalanced it must stay silent.
+func TestRebalancePublishesBudgetsWithoutFalseAlarm(t *testing.T) {
+	repo := SmallRepo(*seedFlag)
+	probe, err := core.NewSharded(repo, core.Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// From 64 fresh specs: shard a's two largest to fill its even share,
+	// its smallest to overfill it, and shard b's smallest so that nearly
+	// all of the balancer's pool follows the bytes to shard a. At alpha
+	// 0 each is an insert: the filler must not already be contained in
+	// an image.
+	stream := NewStream(repo, *seedFlag)
+	stream.RepeatProb = 0
+	var as, bs []spec.Spec
+	for i := 0; i < 64; i++ {
+		if s := stream.Next(); probe.ShardFor(s) == 0 {
+			as = append(as, s)
+		} else {
+			bs = append(bs, s)
+		}
+	}
+	bySize := func(ss []spec.Spec) {
+		sort.Slice(ss, func(i, j int) bool { return ss[i].Size(repo) > ss[j].Size(repo) })
+	}
+	bySize(as)
+	bySize(bs)
+	filler := len(as) - 1
+	for as[filler].SubsetOf(as[0]) || as[filler].SubsetOf(as[1]) {
+		filler--
+	}
+	as, b := []spec.Spec{as[0], as[1], as[filler]}, bs[len(bs)-1]
+	held := as[0].Size(repo) + as[1].Size(repo)
+	capacity := 2 * (held + 1) // shard a's even share holds exactly its first two images
+
+	for _, tc := range []struct {
+		name      string
+		rebalance func(sm *core.ShardedManager, shadow *ShardShadow, between func())
+		wantAlarm bool
+	}{
+		{"publish-after", func(sm *core.ShardedManager, shadow *ShardShadow, between func()) {
+			sm.Rebalance()
+			between()
+			shadow.SetBudgets(sm.Budgets())
+		}, true},
+		{"Rebalanced", func(sm *core.ShardedManager, shadow *ShardShadow, between func()) {
+			shadow.Rebalanced(func() []int64 {
+				sm.Rebalance()
+				between()
+				return sm.Budgets()
+			})
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sm, err := core.NewSharded(repo, core.Config{Capacity: capacity, Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shadow := NewShardShadow(repo, 2, *seedFlag, nil)
+			shadow.SetBudgets(sm.Budgets())
+			sm.SetCommitHook(shadow)
+			request := func(s spec.Spec) {
+				t.Helper()
+				if _, err := sm.Request(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			request(as[0])
+			request(as[1])
+			request(b)
+			old := sm.Budgets()[0]
+			tc.rebalance(sm, shadow, func() {
+				request(as[2]) // fills shard a past its old budget, inside its new one
+				request(as[0]) // the next stamped mutation on shard a: the audit point
+			})
+			if images, bytes, budget := sm.ShardUsage(0); images != 3 || bytes <= old || bytes > budget {
+				t.Fatalf("setup: shard 0 holds %d images, %d bytes, want 3 images above its old budget %d and within its new one %d", images, bytes, old, budget)
+			}
+			f := shadow.Final()
+			switch {
+			case tc.wantAlarm && (f == nil || !strings.Contains(f.Diagnostic, "exceeds its budget")):
+				t.Fatalf("the old publication order raised %v, want the false budget alarm (the request no longer lands in the window)", f)
+			case !tc.wantAlarm && f != nil:
+				t.Fatalf("false alarm across a rebalance: %v", f)
+			}
+		})
 	}
 }

@@ -13,8 +13,8 @@ import (
 // internal/server, internal/pkggraph, internal/persist or
 // internal/similarity (see their mutant_on.go). It
 // asserts the harness DETECTS the mutant: the staged suites —
-// differential (900 requests), unsharded simulation, sharded
-// simulation — must report a Failure before they run dry. It runs the
+// unsharded simulation (exact rows, then MinHash rows), sharded
+// simulation, HA — must report a Failure before they run dry. It runs the
 // stages twice and requires the two failures to be byte-identical — the
 // reproducibility the printed seed promises.
 //
@@ -79,9 +79,9 @@ func TestMutantSim(t *testing.T) {
 	// only check that reads a merge record's keys against the image the
 	// merge produced, which is what deltadrop breaks on the way into the
 	// record and walscan on the way out of it.
-	simStage := func() (string, int) {
+	simRows := func(rows []SimConfig) (string, int) {
 		requests := 0
-		for _, cfg := range Suite(*seedFlag) {
+		for _, cfg := range rows {
 			rep, f := RunSim(cfg)
 			requests += rep.Steps
 			if f != nil {
@@ -90,6 +90,11 @@ func TestMutantSim(t *testing.T) {
 		}
 		return "", requests
 	}
+	simStage := func() (string, int) { return simRows(Suite(*seedFlag)) }
+
+	// minhashStage is the suite's MinHash rows on their own: the only
+	// rows in which a band index is consulted and a signature signed.
+	minhashStage := func() (string, int) { return simRows(MinHashSuite(*seedFlag)) }
 
 	detect := func() (string, int) {
 		requests := 0
@@ -97,15 +102,15 @@ func TestMutantSim(t *testing.T) {
 		// — only the fleet harnesses spawn masters — and the decoder
 		// and closure mutants to every stage that calls the cache
 		// without HTTP (a stream closed by the same broken union is
-		// merely a different stream), so each runs its own stage first,
-		// keeping detection inside the 1000-request budget; deltadrop and
-		// walscan are caught only when a simulation ends, so they skip
-		// the 900 differential requests that cannot see them. Core
-		// mutants run the HA stage last (they fall to a cheaper stage
-		// long before).
+		// merely a different stream), so each runs its own stage first;
+		// lshmiss and probeskip live in code only a MinHash manager
+		// reaches, so they start at the MinHash rows instead of sitting
+		// through the 1000 exact-mode requests that cannot see them.
+		// Core mutants run the HA stage last (they fall to a cheaper
+		// stage long before).
 		ownStage := map[string]func() (string, int){
-			"staleindex": fleetStage, "staleepoch": haStage, "reqscan": netStage, "deltadrop": simStage,
-			"closuredrop": netStage, "walscan": simStage,
+			"staleindex": fleetStage, "staleepoch": haStage, "reqscan": netStage,
+			"closuredrop": netStage, "lshmiss": minhashStage, "probeskip": minhashStage,
 		}[mutant]
 		if ownStage != nil {
 			msg, n := ownStage()
@@ -114,26 +119,23 @@ func TestMutantSim(t *testing.T) {
 				return msg, requests
 			}
 		}
-		// The differential suite runs first: the fast-path mutants
-		// (intern, popcount, lshmiss) corrupt only the interned
-		// representation, which no single-pipeline oracle can see — they
-		// fall to the reference-vs-fast comparison, within its 900
-		// requests. So does probeskip, for another reason: both
-		// pipelines sign wrongly and agree, and only CheckIntegrity's
-		// re-sign with the direct kernel, which the rig runs every 64
-		// requests, disagrees. The original six mutants fall to the
-		// unsharded suite; the sharding mutants (route, balance) are
-		// invisible to
-		// both earlier stages — no unsharded run consults the router or
-		// the balancer — and fall to the sharded suite's route audit and
-		// budgets-sum audit.
-		for _, cfg := range DifferentialSuite(*seedFlag) {
-			rep, f := RunDifferential(cfg)
-			requests += rep.Steps
-			if f != nil {
-				return f.Error(), requests
-			}
-		}
+		// The unsharded suite runs first, and there is one pipeline in
+		// it, so everything falls to the oracle or to the audits it runs
+		// after every request. The six Algorithm 1 mutants and the
+		// interned-representation ones fall to its re-derivation over
+		// sorted id slices: superset, threshold, conflict, lru, capacity
+		// and touch as before; popcount when a skewed distance moves a
+		// merge decision; intern at the first request, to
+		// CheckIntegrity's bitset round trip. lshmiss falls to the
+		// margin-mode derivation — the oracle scans every image, so a
+		// dropped band candidate is a merge production did not make —
+		// and probeskip to CheckIntegrity's re-sign with the direct
+		// kernel at the first MinHash insert. deltadrop and walscan are
+		// caught when the first row ends, by the replay audit. The
+		// sharding mutants (route, balance) are invisible to every
+		// unsharded row — none consults the router or the balancer —
+		// and fall to the sharded suite's route audit and budgets-sum
+		// audit.
 		msg, n := simStage()
 		requests += n
 		if msg != "" {

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/core"
@@ -13,18 +14,26 @@ import (
 // decision Algorithm 1 must make (hit / merge / insert, on which
 // image, evicting which victims), and compares the manager's actual
 // transition against that derivation. It is a second, deliberately
-// naive implementation of the algorithm — O(images) per phase, no
-// prefilters, no caching — so a bug must be present in both the
-// production code and the oracle, in compatible ways, to go unseen.
+// naive implementation of the algorithm — O(images) per phase over
+// sorted id slices, no bitsets, no band index, no caching — and the
+// only reference there is: a bug must be present in both the production
+// code and the oracle, in compatible ways, to go unseen.
 //
-// The manager must run in exact mode (Config.MinHash nil, candidate
-// sorting on): the MinHash margin prefilter may drop merge candidates
-// the exact algorithm takes, which is a documented approximation, not
-// a bug the oracle should report.
+// It has two modes, following the manager's configuration (candidate
+// sorting must be on). Exact (Config.MinHash nil): every image is a
+// merge candidate. Margin (MinHash set): the documented approximation
+// is part of the specification, so the oracle applies it too — an image
+// is skipped when the estimated distance between the request's and the
+// image's signatures is at least α+margin — with a hasher of its own
+// built from the manager's K and Seed and every signature computed
+// afresh by the direct kernel, so it shares neither stored signatures,
+// nor the merge fold, nor the probe index with the code it checks.
 type Oracle struct {
-	m    *core.Manager
-	seed int64
-	step int
+	m      *core.Manager
+	seed   int64
+	step   int
+	hasher *similarity.Hasher // nil in exact mode
+	margin float64
 }
 
 // oimg is the oracle's copy of one image's checkable state.
@@ -39,10 +48,15 @@ type oimg struct {
 // NewOracle wraps m for validation. The seed labels failures for
 // reproduction; step counting starts at 0.
 func NewOracle(m *core.Manager, seed int64) *Oracle {
-	if m.MinHashEnabled() {
-		panic("check: oracle requires an exact-mode manager (Config.MinHash must be nil)")
+	o := &Oracle{m: m, seed: seed}
+	if mh := m.MinHash(); mh != nil {
+		h, err := similarity.NewHasher(mh.K, mh.Seed)
+		if err != nil {
+			panic(fmt.Sprintf("check: oracle hasher: %v", err)) // the manager validated the same K
+		}
+		o.hasher, o.margin = h, mh.Margin
 	}
-	return &Oracle{m: m, seed: seed}
+	return o
 }
 
 // Steps returns how many requests the oracle has validated.
@@ -176,7 +190,8 @@ func (o *Oracle) Step(s spec.Spec) (core.Result, *Failure) {
 // derive re-runs Algorithm 1's decision procedure over the captured
 // pre-state: smallest superset in insertion order, else closest
 // non-conflicting candidate under α (stable by distance, then
-// insertion order), else insert.
+// insertion order) among the images the margin prefilter admits (all
+// of them in exact mode), else insert.
 func (o *Oracle) derive(pre []oimg, s spec.Spec) (core.Op, uint64) {
 	best := -1
 	for i, img := range pre {
@@ -200,7 +215,14 @@ func (o *Oracle) derive(pre []oimg, s spec.Spec) (core.Op, uint64) {
 		d   float64
 	}
 	var cands []cand
+	var sig similarity.Signature
+	if o.hasher != nil {
+		sig = o.hasher.SignDirect(s)
+	}
 	for i, img := range pre {
+		if sig != nil && similarity.EstimateDistance(sig, o.hasher.SignDirect(img.spec)) >= alpha+o.margin {
+			continue
+		}
 		if d := similarity.JaccardDistance(s, img.spec); d < alpha {
 			cands = append(cands, cand{i, d})
 		}

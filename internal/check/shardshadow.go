@@ -1,25 +1,31 @@
 package check
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/persist"
 	"repro/internal/pkggraph"
 	"repro/internal/spec"
 )
 
-// ShardShadow validates a sharded cache through its commit hook. The
-// sharded linearization claim is weaker than the single-manager one —
-// there is no global total order of mutations, only N per-shard total
-// orders stitched together by globally unique Seq stamps — so the
-// shadow demultiplexes the stream by owning shard (ImageID mod N, the
-// strided-allocation invariant) and checks, per shard, exactly what
-// Shadow checks per manager:
+// ShardShadow validates a cache through its commit hook: it maintains
+// its own copy of the cache from the mutation stream alone and checks,
+// at each mutation, the properties the concurrent pipeline guarantees.
+// A sharded cache has no global total order of mutations, only N
+// per-shard total orders stitched together by globally unique Seq
+// stamps, so the shadow demultiplexes the stream by owning shard
+// (ImageID mod N, the strided-allocation invariant) and checks, per
+// shard:
 //
 //   - per-shard stamps are strictly increasing (each shard's hook
 //     fires under that shard's stamping lock, so its subsequence is
-//     monotone even though cross-shard interleaving is arbitrary);
+//     monotone even though cross-shard interleaving is arbitrary); at
+//     N = 1 there is no other shard to draw a stamp, so every stamp
+//     must be exactly its predecessor plus one — the total order WAL
+//     replay depends on, checked as each record arrives;
 //   - stamps are globally unique and, at Final, dense — the merged
 //     order the WAL replay and the equivalence proofs sort by;
 //   - every insert's packages route back to the shard that allocated
@@ -28,14 +34,20 @@ import (
 //     shard is self-consistent no matter which specs it is fed, so a
 //     per-shard oracle never notices a spec that landed on the wrong
 //     shard;
+//   - a merge logs exactly the packages it added on top of the version
+//     before it;
 //   - deletes pick the per-shard LRU victim, sparing the image the
 //     shard's in-flight request just used;
-//   - each shard's bytes respect its balancer-assigned budget (via
-//     SetBudgets; the budgets themselves summing to the global
-//     capacity is the driver's audit), so the global byte bound is the
-//     sum of the per-shard bounds.
+//   - each shard's bytes respect its budget whenever a request's
+//     eviction pass has completed (via SetBudgets: the whole capacity
+//     at N = 1, the balancer's assignment otherwise; the budgets
+//     themselves summing to the global capacity is the driver's audit),
+//     so the global byte bound is the sum of the per-shard bounds.
 //
-// All methods are safe for concurrent use.
+// Install it with SetCommitHook (chaining any existing hook, e.g. the
+// persist store) before serving traffic. All methods are safe for
+// concurrent use; the hook itself runs under the locks the cache
+// already holds, so the shadow's own mutex is uncontended in practice.
 type ShardShadow struct {
 	repo   *pkggraph.Repo
 	n      int
@@ -56,14 +68,22 @@ type ShardShadow struct {
 type shardShadowState struct {
 	images    map[uint64]*shadowImg
 	total     int64
-	lastStamp uint64
-	lastImage uint64
-	lastKind  core.MutationKind
+	lastStamp uint64            // clock of the shard's most recent stamped mutation
+	lastImage uint64            // image stamped by it (eviction must spare it)
+	lastKind  core.MutationKind // kind of the shard's most recent stamped mutation
 }
 
-// NewShardShadow creates a shadow for a ShardedManager with shards
-// shards over repo. next, if non-nil, receives every mutation after
-// validation (chain the persist store here).
+type shadowImg struct {
+	spec    spec.Spec
+	size    int64
+	lastUse uint64
+	version uint64
+}
+
+// NewShardShadow creates a shadow for a cache of shards shards (1 for a
+// plain Manager) over repo. next, if non-nil, receives every mutation
+// after validation — chain the persist store here so the WAL sees the
+// identical stream.
 func NewShardShadow(repo *pkggraph.Repo, shards int, seed int64, next core.CommitHook) *ShardShadow {
 	if shards < 1 {
 		shards = 1
@@ -94,6 +114,43 @@ func (sh *ShardShadow) SetBudgets(budgets []int64) {
 		return
 	}
 	sh.budgets = append(sh.budgets[:0], budgets...)
+}
+
+// LoadState seeds the shadow with a recovered manager state, so a
+// post-crash shadow validates the continuation instead of expecting an
+// empty cache. Must be called before any mutation flows.
+func (sh *ShardShadow) LoadState(base core.ManagerState) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, snap := range base.Images {
+		ss := sh.shards[snap.ID%uint64(sh.n)]
+		s := sh.specOf(snap.Packages)
+		ss.images[snap.ID] = &shadowImg{spec: s, size: s.Size(sh.repo), lastUse: snap.LastUse, version: snap.Version}
+		ss.total += s.Size(sh.repo)
+	}
+	// A recovered cache may legitimately exceed capacity (e.g. the WAL
+	// was cut between a merge and its evictions); the bound is only
+	// re-established by the next merge or insert, so lastKind stays
+	// unset and that mutation restarts the budget audit.
+	for _, ss := range sh.shards {
+		ss.lastStamp = base.Clock
+	}
+	sh.base = base.Clock
+}
+
+// Rebalanced runs pass — one balancer pass, returning the budgets it
+// left, which Rebalanced installs and returns — with the per-shard
+// budget audit suspended across it. The pass has released every shard
+// lock by the time it returns, so a request on a shard whose budget
+// just grew can fill past its *old* budget before the new ones are
+// installed here; audited against the old budget that is a false
+// "exceeds its budget". The shrink's own deletes are unstamped and stay
+// checked (LRU victim order).
+func (sh *ShardShadow) Rebalanced(pass func() []int64) []int64 {
+	sh.SetBudgets(nil)
+	budgets := pass()
+	sh.SetBudgets(budgets)
+	return budgets
 }
 
 // Err returns the first recorded violation, or nil.
@@ -144,6 +201,23 @@ func (sh *ShardShadow) Commit(mut core.Mutation) {
 	}
 }
 
+// stamped reports whether the mutation carries a request's clock value
+// (touches, merges, inserts — one per request). Deletes ride the
+// request that caused them; splits come from prune passes.
+func stamped(kind core.MutationKind) bool {
+	switch kind {
+	case core.MutTouch, core.MutMerge, core.MutInsert:
+		return true
+	}
+	return false
+}
+
+// evicts reports whether the request that emitted this stamped
+// mutation runs the eviction pass afterwards (hits never evict).
+func evicts(kind core.MutationKind) bool {
+	return kind == core.MutMerge || kind == core.MutInsert
+}
+
 // check validates mut against shard's shadow state (sh.mu held).
 func (sh *ShardShadow) check(shard int, mut core.Mutation) {
 	ss := sh.shards[shard]
@@ -153,6 +227,9 @@ func (sh *ShardShadow) check(shard int, mut core.Mutation) {
 		if mut.LastUse <= ss.lastStamp {
 			sh.failf("shard %d: %s of image %d stamped %d after stamp %d (per-shard commit ordering violated)",
 				shard, mut.Kind, mut.ImageID, mut.LastUse, ss.lastStamp)
+		} else if sh.n == 1 && mut.LastUse != ss.lastStamp+1 {
+			sh.failf("%s of image %d stamped %d, want %d (commit-hook ordering / linearization violated)",
+				mut.Kind, mut.ImageID, mut.LastUse, ss.lastStamp+1)
 		}
 		// Global uniqueness: every stamp is drawn once from the shared
 		// clock. A duplicate means two shards raced the clock source.
@@ -274,6 +351,27 @@ func (sh *ShardShadow) apply(shard int, mut core.Mutation) {
 	}
 }
 
+// mergeViolation says what is wrong with a merge record landing on img,
+// or "". The record is a delta: it must carry no full list, name at
+// least one package, name none twice and none img already holds (the
+// live merge logs exactly s minus the image), and step the version by
+// one — the base-version rule replay enforces.
+func mergeViolation(img *shadowImg, mut core.Mutation, added spec.Spec) string {
+	switch {
+	case len(mut.Packages) != 0:
+		return "carries a full package list, want only the added keys"
+	case added.Empty():
+		return "adds no packages"
+	case added.Len() != len(mut.Added):
+		return "names an added package twice"
+	case added.IntersectionLen(img.spec) != 0:
+		return "adds a package the image already holds"
+	case mut.Version != img.version+1:
+		return fmt.Sprintf("yields version %d, want %d", mut.Version, img.version+1)
+	}
+	return ""
+}
+
 // specOf resolves package keys; unknown keys are themselves a
 // violation (the stream must be self-describing).
 func (sh *ShardShadow) specOf(keys []string) spec.Spec {
@@ -317,12 +415,36 @@ func (sh *ShardShadow) Final() *Failure {
 	return sh.failure
 }
 
+// throughLog returns muts as recovery would read them: framed by the
+// WAL record encoder and decoded back by the segment reader. Replay
+// audits replay these, so a record that does not survive the codec
+// intact shows as a state divergence even in a run with no store.
+func throughLog(muts []core.Mutation) ([]core.Mutation, error) {
+	var log []byte
+	for i, mut := range muts {
+		var err error
+		if log, err = persist.EncodeRecord(log, mut); err != nil {
+			return nil, fmt.Errorf("check: encoding mutation %d: %w", i, err)
+		}
+	}
+	read, err := persist.ReadSegment(bytes.NewReader(log))
+	if err != nil {
+		return nil, fmt.Errorf("check: reading back the encoded mutations: %w", err)
+	}
+	if len(read) != len(muts) {
+		return nil, fmt.Errorf("check: %d mutations encoded, %d read back", len(muts), len(read))
+	}
+	return read, nil
+}
+
 // VerifyState replays the observed mutation stream, in arrival order
-// and as the WAL codec renders it (throughLog), into a fresh sharded
-// cache and compares the merged export against the live one — the
-// crash-recovery equivalence (cross-shard records commute; per-shard
-// subsequences are monotone) checked without a crash.
-func (sh *ShardShadow) VerifyState(mcfg core.Config, live core.ManagerState) error {
+// and as the WAL codec renders it (throughLog), into a fresh cache of
+// the same shard count and compares the merged export against the live
+// one — the crash-recovery equivalence (cross-shard records commute;
+// per-shard subsequences are monotone) checked without a crash. base
+// carries the state the stream started from (zero value for an
+// initially empty cache).
+func (sh *ShardShadow) VerifyState(mcfg core.Config, base, live core.ManagerState) error {
 	sh.mu.Lock()
 	muts, err := throughLog(sh.muts)
 	sh.mu.Unlock()
@@ -337,13 +459,18 @@ func (sh *ShardShadow) VerifyState(mcfg core.Config, live core.ManagerState) err
 	if err != nil {
 		return err
 	}
+	if len(base.Images) > 0 || base.Clock > 0 {
+		if err := replayer.ImportState(base); err != nil {
+			return fmt.Errorf("check: importing base state: %w", err)
+		}
+	}
 	for i, mut := range muts {
 		if err := replayer.ApplyMutation(mut); err != nil {
 			return fmt.Errorf("check: replaying mutation %d (%s of image %d): %w", i, mut.Kind, mut.ImageID, err)
 		}
 	}
 	if err := statesEqual(replayer.ExportState(), live); err != nil {
-		return fmt.Errorf("check: replayed sharded state diverges from live state: %w", err)
+		return fmt.Errorf("check: replayed state diverges from live state: %w", err)
 	}
 	return nil
 }

@@ -17,6 +17,8 @@ type ShardSimConfig struct {
 	Steps  int
 	Shards int
 	Alpha  float64
+	// MinHash as in SimConfig: every shard's oracle runs in margin mode.
+	MinHash bool
 	// CapacityFrac sizes the global cache as a fraction of the
 	// repository's total bytes (0 = unlimited); the balancer divides it
 	// across shards.
@@ -44,11 +46,14 @@ type ShardSimReport struct {
 // higher-alpha run at a different shard count (coprime with the first,
 // so residue-class bugs cannot hide in a common divisor). Together
 // they issue 1000 requests — the detection budget for the sharding
-// mutants (route, balance).
+// mutants (route, balance). The last row is MinHash across four shards:
+// the shards share one hasher (and its probe index), each has a band
+// index of its own, and each is checked by a margin-mode oracle.
 func ShardSuite(seed int64) []ShardSimConfig {
 	return []ShardSimConfig{
 		{Seed: seed, Steps: 500, Shards: 4, Alpha: 0.6, CapacityFrac: 0.3, RebalanceEvery: 50, PruneEvery: 90},
 		{Seed: seed, Steps: 500, Shards: 3, Alpha: 0.8, CapacityFrac: 0.25, RebalanceEvery: 40},
+		{Seed: seed, Steps: 200, Shards: 4, Alpha: 0.6, CapacityFrac: 0.3, MinHash: true},
 	}
 }
 
@@ -71,6 +76,9 @@ func RunShardSim(cfg ShardSimConfig) (ShardSimReport, *Failure) {
 	}
 
 	mcfg := core.Config{Alpha: cfg.Alpha, Capacity: capacity, Shards: n}
+	if cfg.MinHash {
+		mcfg.MinHash = core.DefaultMinHash()
+	}
 	var rep ShardSimReport
 
 	sm, err := core.NewSharded(repo, mcfg)
@@ -165,7 +173,7 @@ func RunShardSim(cfg ShardSimConfig) (ShardSimReport, *Failure) {
 		return rep, f
 	}
 	live := sm.ExportState()
-	if err := shadow.VerifyState(mcfg, live); err != nil {
+	if err := shadow.VerifyState(mcfg, core.ManagerState{}, live); err != nil {
 		return rep, failf(cfg.Seed, cfg.Steps, "%v", err)
 	}
 

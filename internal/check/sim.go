@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/persist"
@@ -24,6 +25,13 @@ type SimConfig struct {
 	// Conflicts enables the single-version conflict policy (every
 	// package family exclusive).
 	Conflicts bool
+	// MinHash runs the manager with the default MinHash prefilter (band
+	// index as the merge scan's candidate source) and the oracle in
+	// margin mode.
+	MinHash bool
+	// UniformOnly draws every fresh spec from the adversarial
+	// uniform-random scheme (no dependency structure, merging defeated).
+	UniformOnly bool
 	// Dir, when non-empty, runs the simulation over a persistent store
 	// (WAL + checkpoints) rooted there, with fsync=always semantics.
 	Dir string
@@ -82,23 +90,43 @@ func simPlan(rng *rand.Rand) FaultPlan {
 // replay and mutant tests run: a merge-heavy run without conflicts
 // (exercising the α boundary and eviction under pressure) and a
 // conflict-policy run (exercising the conflict scan, where merges are
-// rare). Together they cover every operation type within 1000
-// requests.
+// rare) — together every operation type within 1000 requests — then the
+// MinHash rows: the same merge-heavy shape with the band index as
+// candidate source (α+margin = 0.85), an adversarial uniform-random
+// stream (dense unstructured specs, α+margin = 1 exactly), and a
+// conflict run whose α+margin > 1 forces the linear margin scan. On
+// every request of those the oracle's index-free margin scan must pick
+// the image production's banded bitset scan picked.
 func Suite(seed int64) []SimConfig {
-	return []SimConfig{
+	return append([]SimConfig{
 		{Seed: seed, Steps: 500, Alpha: 0.6, CapacityFrac: 0.3, PruneEvery: 90},
 		{Seed: seed, Steps: 500, Alpha: 0.8, CapacityFrac: 0.5, Conflicts: true, PruneEvery: 90},
+	}, MinHashSuite(seed)...)
+}
+
+// MinHashSuite returns Suite's MinHash rows on their own.
+func MinHashSuite(seed int64) []SimConfig {
+	return []SimConfig{
+		{Seed: seed, Steps: 200, Alpha: 0.6, CapacityFrac: 0.3, MinHash: true, PruneEvery: 90},
+		{Seed: seed, Steps: 150, Alpha: 0.75, MinHash: true, UniformOnly: true},
+		{Seed: seed, Steps: 150, Alpha: 0.8, CapacityFrac: 0.5, Conflicts: true, MinHash: true},
 	}
 }
 
-// ChaosConfig returns the canonical persistent chaos configuration
-// rooted at dir: checkpoints, prune passes, injected filesystem faults
-// and crash/recovery cycles on one deterministic schedule.
-func ChaosConfig(seed int64, dir string) SimConfig {
-	return SimConfig{
+// ChaosSuite returns the canonical persistent chaos configurations
+// rooted under dir: checkpoints, prune passes, injected filesystem
+// faults and crash/recovery cycles on one deterministic schedule, in
+// exact mode and again with MinHash — where every recovery rebuilds
+// signatures, band index and insertion ordinals through ImportState and
+// replay, and the run continues under a margin-mode oracle.
+func ChaosSuite(seed int64, dir string) []SimConfig {
+	exact := SimConfig{
 		Seed: seed, Steps: 600, Alpha: 0.6, CapacityFrac: 0.3,
-		Dir: dir, CheckpointEvery: 50, PruneEvery: 90, CrashEvery: 120, Faults: true,
+		Dir: filepath.Join(dir, "exact"), CheckpointEvery: 50, PruneEvery: 90, CrashEvery: 120, Faults: true,
 	}
+	minhash := exact
+	minhash.Dir, minhash.MinHash = filepath.Join(dir, "minhash"), true
+	return []SimConfig{exact, minhash}
 }
 
 // RunSim executes the chaos schedule: a single goroutine interleaving
@@ -110,11 +138,17 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	repo := SmallRepo(cfg.Seed)
 	stream := NewStream(repo, cfg.Seed+1)
+	if cfg.UniformOnly {
+		stream.UniformProb = 1
+	}
 	capacity := simCapacity(repo, cfg.CapacityFrac)
 
 	mcfg := core.Config{Alpha: cfg.Alpha, Capacity: capacity}
 	if cfg.Conflicts {
 		mcfg.Conflicts = spec.NewSingleVersionPolicy(repo)
+	}
+	if cfg.MinHash {
+		mcfg.MinHash = core.DefaultMinHash()
 	}
 
 	var rep SimReport
@@ -127,11 +161,20 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 		mgr    *core.Manager
 		store  *persist.Store
 		ffs    *FaultFS
-		shadow *Shadow
+		shadow *ShardShadow
 		oracle *Oracle
 		base   core.ManagerState // state this life started from
 		acked  int               // shadow mutations covered by acked requests
 	)
+
+	// newShadow builds a life's one-shard shadow in front of next.
+	newShadow := func(next core.CommitHook) *ShardShadow {
+		sh := NewShardShadow(repo, 1, cfg.Seed, next)
+		if capacity > 0 {
+			sh.SetBudgets([]int64{capacity})
+		}
+		return sh
+	}
 
 	// boot starts a life at global request index step: open the store
 	// (over a fresh FaultFS with a seeded plan), recover, and install
@@ -143,7 +186,7 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 			if err != nil {
 				return failf(cfg.Seed, step, "manager: %v", err)
 			}
-			shadow = NewShadow(repo, capacity, cfg.Seed, nil)
+			shadow = newShadow(nil)
 			mgr.SetCommitHook(shadow)
 			oracle = NewOracle(mgr, cfg.Seed)
 			oracle.StartAt(step)
@@ -169,7 +212,7 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 		}
 		mgr = m
 		base = mgr.ExportState()
-		shadow = NewShadow(repo, capacity, cfg.Seed, mgr.CommitHook())
+		shadow = newShadow(mgr.CommitHook())
 		shadow.LoadState(base)
 		mgr.SetCommitHook(shadow)
 		oracle = NewOracle(mgr, cfg.Seed)

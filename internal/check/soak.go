@@ -24,10 +24,9 @@ type SoakConfig struct {
 	Alpha        float64
 	CapacityFrac float64
 	Conflicts    bool
-	// Shards > 1 soaks a ShardedManager instead of a single
-	// ConcurrentManager: the ShardShadow demultiplexes the merged
-	// commit stream by owning shard, and maintenance adds audited
-	// Rebalance passes.
+	// Shards is the cache's shard count (minimum 1). Above 1 the
+	// ShardShadow demultiplexes the merged commit stream by owning
+	// shard, and maintenance adds audited Rebalance passes.
 	Shards int
 	// Dir, when non-empty, wires a persistent store (fsync=always)
 	// into the hook chain; Faults arms injected write/sync failures
@@ -48,17 +47,6 @@ type SoakReport struct {
 	Injected int
 }
 
-// soakCache is the surface the soak drives, satisfied by both
-// *core.ConcurrentManager and *core.ShardedManager.
-type soakCache interface {
-	Request(spec.Spec) (core.Result, error)
-	Prune(maxUtilization float64, minServed int) ([]core.SplitResult, error)
-	Stats() core.Stats
-	Len() int
-	CheckIntegrity() error
-	ExportState() core.ManagerState
-}
-
 // RunSoak executes the soak and returns an error describing the first
 // violation, if any. Run it under -race: the unsynchronized accesses
 // it is designed to expose surface there, not as return values.
@@ -72,10 +60,7 @@ func RunSoak(cfg SoakConfig) (SoakReport, error) {
 	if cfg.Conflicts {
 		mcfg.Conflicts = spec.NewSingleVersionPolicy(repo)
 	}
-	sharded := cfg.Shards > 1
-	if sharded {
-		mcfg.Shards = cfg.Shards
-	}
+	mcfg.Shards = max(cfg.Shards, 1)
 
 	var (
 		rep   SoakReport
@@ -101,94 +86,45 @@ func RunSoak(cfg SoakConfig) (SoakReport, error) {
 		}
 	}
 
-	// Build the cache with its validating hook chain (shadow first,
-	// store chained behind it), and the maintenance/final closures that
-	// differ between the two cache flavors.
+	// Build the cache with its validating hook chain: shadow first,
+	// store chained behind it.
 	var (
-		cache      soakCache
-		checkpoint func()       // nil without a store
-		rebalance  func() error // nil unless sharded
-		finalCheck func() *Failure
-		verify     func(live core.ManagerState) error
+		cache *core.ShardedManager
+		next  core.CommitHook
+		err   error
 	)
-	var next core.CommitHook
 	if store != nil {
 		next = store
-	}
-	if sharded {
-		var (
-			sm  *core.ShardedManager
-			err error
-		)
-		if store != nil {
-			sm, _, err = store.RecoverSharded(repo, mcfg)
-		} else {
-			sm, err = core.NewSharded(repo, mcfg)
-		}
-		if err != nil {
-			return rep, err
-		}
-		shadow := NewShardShadow(repo, cfg.Shards, cfg.Seed, next)
-		if capacity > 0 {
-			shadow.SetBudgets(sm.Budgets())
-		}
-		sm.SetCommitHook(shadow)
-		cache = sm
-		if store != nil {
-			checkpoint = func() {
-				sm.WithExclusiveAll(func(ms []*core.Manager) {
-					store.Checkpoint(core.MergedState(ms)) // errors expected under faults
-				})
-			}
-		}
-		rebalance = func() error {
-			sm.Rebalance()
-			if capacity <= 0 {
-				return nil
-			}
-			budgets := sm.Budgets()
-			var sum int64
-			for _, b := range budgets {
-				sum += b
-			}
-			if sum != capacity {
-				return fmt.Errorf("check: shard budgets %v sum to %d, want the global capacity %d", budgets, sum, capacity)
-			}
-			shadow.SetBudgets(budgets)
-			return nil
-		}
-		finalCheck = shadow.Final
-		verify = func(live core.ManagerState) error { return shadow.VerifyState(mcfg, live) }
+		cache, _, err = store.RecoverSharded(repo, mcfg)
 	} else {
-		var (
-			cmgr *core.ConcurrentManager
-			err  error
-		)
-		if store != nil {
-			var mgr *core.Manager
-			mgr, _, err = store.Recover(repo, mcfg)
-			if err != nil {
-				return rep, err
-			}
-			cmgr = core.Concurrent(mgr)
-		} else {
-			cmgr, err = core.NewConcurrent(repo, mcfg)
-			if err != nil {
-				return rep, err
-			}
+		cache, err = core.NewSharded(repo, mcfg)
+	}
+	if err != nil {
+		return rep, err
+	}
+	shadow := NewShardShadow(repo, mcfg.Shards, cfg.Seed, next)
+	if capacity > 0 {
+		shadow.SetBudgets(cache.Budgets())
+	}
+	cache.SetCommitHook(shadow)
+	// rebalance runs one audited balancer pass: the budgets it leaves
+	// must sum exactly to the global capacity.
+	rebalance := func() error {
+		if capacity <= 0 || mcfg.Shards < 2 {
+			return nil // nothing to balance
 		}
-		shadow := NewShadow(repo, capacity, cfg.Seed, next)
-		cmgr.WithExclusive(func(m *core.Manager) { m.SetCommitHook(shadow) })
-		cache = cmgr
-		if store != nil {
-			checkpoint = func() {
-				cmgr.WithExclusive(func(m *core.Manager) {
-					store.Checkpoint(m.ExportState()) // errors expected under faults
-				})
-			}
+		budgets := shadow.Rebalanced(func() []int64 {
+			cache.Rebalance()
+			return cache.Budgets()
+		})
+		var sum int64
+		for _, b := range budgets {
+			sum += b
 		}
-		finalCheck = shadow.Final
-		verify = func(live core.ManagerState) error { return shadow.VerifyState(mcfg, core.ManagerState{}, live) }
+		if sum != capacity {
+			return fmt.Errorf("check: shard budgets %v sum to %d, want the global capacity %d", budgets, sum, capacity)
+		}
+		return nil
 	}
 
 	perWorker := cfg.Requests / cfg.Workers
@@ -214,14 +150,14 @@ func RunSoak(cfg SoakConfig) (SoakReport, error) {
 				}
 				switch {
 				case w == 0 && cfg.MaintainEvery > 0 && i%cfg.MaintainEvery == cfg.MaintainEvery-1:
-					if checkpoint != nil {
-						checkpoint()
+					if store != nil {
+						cache.WithExclusiveAll(func(ms []*core.Manager) {
+							store.Checkpoint(core.MergedState(ms)) // errors expected under faults
+						})
 					}
-					if rebalance != nil {
-						if err := rebalance(); err != nil {
-							errs[w] = err
-							return
-						}
+					if err := rebalance(); err != nil {
+						errs[w] = err
+						return
 					}
 					if _, err := cache.Prune(0.5, 2); err != nil {
 						errs[w] = fmt.Errorf("worker %d prune: %w", w, err)
@@ -260,13 +196,13 @@ func RunSoak(cfg SoakConfig) (SoakReport, error) {
 		}
 	}
 
-	if f := finalCheck(); f != nil {
+	if f := shadow.Final(); f != nil {
 		return rep, f
 	}
 	if err := cache.CheckIntegrity(); err != nil {
 		return rep, fmt.Errorf("check: integrity after soak: %w", err)
 	}
-	if err := verify(cache.ExportState()); err != nil {
+	if err := shadow.VerifyState(mcfg, core.ManagerState{}, cache.ExportState()); err != nil {
 		return rep, err
 	}
 

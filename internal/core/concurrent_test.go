@@ -12,7 +12,7 @@ import (
 	"repro/internal/workload"
 )
 
-// The oracle-equivalence harness: drive a ConcurrentManager with N
+// The oracle-equivalence harness: drive a one-shard ShardedManager with N
 // goroutines over a seeded workload, then prove the concurrent
 // execution equals SOME sequential execution of the same requests.
 //
@@ -38,7 +38,7 @@ type reqRec struct {
 }
 
 // recordingHook captures the mutation stream in commit order. It is
-// deliberately unsynchronized: the ConcurrentManager's linearization
+// deliberately unsynchronized: the ShardedManager's linearization
 // guarantee says hook invocations are totally ordered (hitMu for hits,
 // the write lock for the rest), so a data race here IS a violation of
 // that guarantee — and `go test -race` turns it into a failure.
@@ -101,7 +101,7 @@ func TestConcurrentOracleEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("config%d", ci), func(t *testing.T) {
 			hook := &recordingHook{}
 			cfg.Commit = hook
-			cm, err := NewConcurrent(repo, cfg)
+			cm, err := NewSharded(repo, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,8 @@ func TestConcurrentOracleEquivalence(t *testing.T) {
 				}
 				// Quiescent point: full structural invariants, byte
 				// accounting, and counter partition.
-				cm.WithExclusive(func(m *Manager) {
+				cm.WithExclusiveAll(func(ms []*Manager) {
+					m := ms[0]
 					if err := m.CheckIntegrity(); err != nil {
 						t.Fatalf("round %d invariants: %v", round, err)
 					}
@@ -216,7 +217,7 @@ func TestConcurrentOracleEquivalence(t *testing.T) {
 // write lock.
 func TestConcurrentReadOnlyTakesNoWriteLock(t *testing.T) {
 	repo := concRepo(t)
-	cm, err := NewConcurrent(repo, Config{Alpha: 0.8})
+	cm, err := NewSharded(repo, Config{Alpha: 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestConcurrentReadOnlyTakesNoWriteLock(t *testing.T) {
 func TestConcurrentTracerSeesHits(t *testing.T) {
 	repo := concRepo(t)
 	ring := telemetry.NewRing(64)
-	cm, err := NewConcurrent(repo, Config{Alpha: 0.8, Tracer: ring})
+	cm, err := NewSharded(repo, Config{Alpha: 0.8, Tracer: ring})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,14 +282,14 @@ func TestConcurrentTracerSeesHits(t *testing.T) {
 // TestConcurrentRejectsEmptySpec mirrors the sequential contract.
 func TestConcurrentRejectsEmptySpec(t *testing.T) {
 	repo := flatRepo(t, 4, 1)
-	cm, err := NewConcurrent(repo, Config{Alpha: 0.5})
+	cm, err := NewSharded(repo, Config{Alpha: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cm.Request(spec.Spec{}); err == nil {
 		t.Fatal("empty spec accepted")
 	}
-	if _, err := NewConcurrent(repo, Config{Alpha: 2}); err == nil {
+	if _, err := NewSharded(repo, Config{Alpha: 2}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }

@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -97,19 +98,6 @@ type Config struct {
 	// image insertion order, which Algorithm 1's comment ("Selection
 	// can be sorted by dj()") marks as optional.
 	NoCandidateSort bool
-	// NoBandIndex disables the LSH band index that accelerates the
-	// merge scan when MinHash is enabled (see findMergeTarget). The
-	// index changes no decision — it is a complete prefilter for the
-	// MinHash margin — so this knob exists for the identical-selection
-	// regression test and for ablation.
-	NoBandIndex bool
-	// NoFastPath disables the interned-bitset hot path (see fastpath.go)
-	// and runs every request through the string-set reference pipeline.
-	// The two pipelines make byte-identical decisions — the differential
-	// rig in internal/check replays seeded streams through both and
-	// compares exported state — so this knob exists for that rig and for
-	// ablation, not for correctness.
-	NoFastPath bool
 	// Shards is the shard count used by NewSharded and the server
 	// (default 1). NewManager itself ignores it: a Manager is always a
 	// single partition.
@@ -142,8 +130,7 @@ type Image struct {
 
 	// bits is the interned form of Spec (see fastpath.go), refreshed on
 	// every content change; ord is the insertion ordinal that keeps
-	// band-candidate enumeration in scan order. Both are maintained only
-	// when the fast path is enabled.
+	// band-candidate enumeration in scan order.
 	bits spec.Bitset
 	ord  uint64
 
@@ -157,9 +144,8 @@ type Image struct {
 type Result struct {
 	// Seq is the request's logical timestamp (the manager clock value
 	// stamped on it): the position of this request in the cache's
-	// linearization order. Concurrent callers (ConcurrentManager) can
-	// sort results by Seq to reconstruct the equivalent sequential
-	// execution.
+	// linearization order. Concurrent callers (ShardedManager) can sort
+	// results by Seq to reconstruct the equivalent sequential execution.
 	Seq     uint64
 	Op      Op
 	ImageID uint64
@@ -216,10 +202,11 @@ func (s Stats) MeanContainerEfficiency() float64 {
 	return s.ContainerEffSum / float64(s.Requests)
 }
 
-// Manager is the LANDLORD cache manager. It is not safe for concurrent
-// use: the simulator runs one Manager per goroutine, and the site
-// service wraps one in a ConcurrentManager, which serves hits under a
-// shared read lock and everything else under a write lock.
+// Manager is the LANDLORD cache manager: one partition, one goroutine.
+// It is not safe for concurrent use: the simulator runs one Manager per
+// goroutine, and the site service runs one per shard of a
+// ShardedManager, which serves hits under a shared read lock and
+// everything else under that shard's write lock.
 type Manager struct {
 	repo   *pkggraph.Repo
 	cfg    Config
@@ -232,12 +219,13 @@ type Manager struct {
 	nextID uint64
 	stats  Stats
 
-	// bandIndex, when non-nil, maps MinHash signatures to image IDs for
-	// the merge scan's candidate retrieval (see findMergeTarget). It is
-	// maintained alongside byID under the same locks.
+	// bandIndex, when non-nil (MinHash on), maps MinHash signatures to
+	// image IDs for the merge scan's candidate retrieval (see
+	// findMergeTarget). It is maintained alongside byID under the same
+	// locks.
 	bandIndex *similarity.LSHIndex
 
-	// fast, when non-nil, holds the interned-bitset hot path: the
+	// fast holds the interned representation every scan runs on: the
 	// package interner and the pooled per-request scratch (fastpath.go).
 	// ordSrc issues Image.ord insertion ordinals.
 	fast   *fastPath
@@ -315,6 +303,7 @@ func newManager(repo *pkggraph.Repo, cfg Config, h *similarity.Hasher) (*Manager
 		repo: repo,
 		cfg:  cfg,
 		byID: make(map[uint64]*Image),
+		fast: newFastPath(repo),
 	}
 	if cfg.MinHash != nil {
 		if h == nil {
@@ -328,22 +317,17 @@ func newManager(repo *pkggraph.Repo, cfg Config, h *similarity.Hasher) (*Manager
 			return nil, fmt.Errorf("core: MinHash margin %v must be non-negative", cfg.MinHash.Margin)
 		}
 		m.hasher = h
-		if !cfg.NoBandIndex {
-			// One band per signature position (rows=1): an image is a
-			// band candidate iff it shares at least one MinHash value
-			// with the query. Any image the margin prefilter would
-			// accept (est < alpha+margin < 1) shares a position, so the
-			// candidate set is a strict superset of the prefilter's
-			// accept set and consulting it first changes no decision.
-			idx, err := similarity.NewLSHIndex(cfg.MinHash.K, 1)
-			if err != nil {
-				return nil, err
-			}
-			m.bandIndex = idx
+		// One band per signature position (rows=1): an image is a band
+		// candidate iff it shares at least one MinHash value with the
+		// query. Any image the margin prefilter would accept
+		// (est < alpha+margin ≤ 1) shares a position, so the candidate
+		// set is a superset of the prefilter's accept set and consulting
+		// it first changes no decision.
+		idx, err := similarity.NewLSHIndex(cfg.MinHash.K, 1)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if !cfg.NoFastPath {
-		m.fast = newFastPath(repo)
+		m.bandIndex = idx
 	}
 	return m, nil
 }
@@ -473,76 +457,36 @@ func (m *Manager) Request(s spec.Spec) (Result, error) {
 // RequestTraced is Request with span-level latency attribution: each
 // phase of Algorithm 1 (superset scan, merge scan, hit/merge/insert
 // bookkeeping, WAL append, eviction) is recorded as a child span of at.
-// A nil at costs one branch per span site — the uninstrumented fast
-// path stays allocation-free.
+// A nil at costs one branch per span site — the uninstrumented hit path
+// stays allocation-free.
 func (m *Manager) RequestTraced(s spec.Spec, at *telemetry.ActiveTrace) (Result, error) {
 	if s.Empty() {
 		return Result{}, errEmptySpec()
 	}
-	m.tick()
-	m.stats.Requests++
 	reqBytes := s.Size(m.repo)
-	m.stats.RequestedBytes += reqBytes
+	ev, start := m.newEvent(s, reqBytes, at)
 
-	var ev *telemetry.Event
-	var start time.Time
-	if m.cfg.Tracer != nil {
-		start = time.Now()
-		ev = &telemetry.Event{
-			Seq:          m.clock,
-			SpecPackages: s.Len(),
-			RequestBytes: reqBytes,
-			TraceID:      at.TraceID(),
-		}
-	}
-
-	// Fast path: dense query words from the pooled scratch; signing is
-	// deferred to the miss path (hits never need a signature). Reference
-	// path: eager signature, string-set scans.
-	var sig similarity.Signature
-	var sc *scratch
-	if m.fast != nil {
-		sc = m.fast.get(s)
-		defer m.fast.put(sc)
-	} else {
-		sig = m.sign(s)
-	}
+	// Dense query words from the pooled scratch; signing is deferred to
+	// the miss path (hits never need a signature).
+	sc := m.fast.get(s)
+	defer m.fast.put(sc)
 
 	// Phase 1: an existing image satisfies s.
-	scanSpan := at.Begin(telemetry.StageSupersetScan, at.Root())
-	var img *Image
-	if sc != nil {
-		img = m.findSupersetFast(s, sc, ev)
-	} else {
-		img = m.findSuperset(s, sig, ev)
-	}
-	if ev != nil {
-		at.AttrInt(scanSpan, "scanned", int64(ev.SupersetScanned))
-	}
-	at.End(scanSpan)
-	if img != nil {
+	if img := m.findSuperset(at, s, sc, ev); img != nil {
 		hitSpan := at.Begin(telemetry.StageHit, at.Root())
-		if !mutantEnabled("touch") {
-			img.lastUse = m.clock
-		}
-		img.served(s)
-		m.stats.Hits++
-		m.commitSpan(at, hitSpan, Mutation{Kind: MutTouch, ImageID: img.ID, LastUse: img.lastUse, RequestBytes: reqBytes})
-		res := Result{Seq: m.clock, Op: OpHit, ImageID: img.ID, ImageVersion: img.Version, ImageSize: img.Size, RequestBytes: reqBytes}
-		m.stats.ContainerEffSum += res.ContainerEfficiency()
+		res := m.hit(at, hitSpan, img, s, reqBytes)
 		at.EndInt(hitSpan, "image_id", int64(img.ID))
 		m.trace(ev, res, start)
 		return res, nil
 	}
+	m.tick()
+	m.stats.Requests++
+	m.stats.RequestedBytes += reqBytes
 
 	// Phase 2: merge into a close-enough image.
 	mergeScan := at.Begin(telemetry.StageMergeScan, at.Root())
-	if sc != nil {
-		sig = m.signScratch(sc, s)
-		img = m.findMergeTargetFast(s, sig, sc, ev)
-	} else {
-		img = m.findMergeTarget(s, sig, ev)
-	}
+	sig := m.signScratch(sc, s)
+	img := m.findMergeTarget(s, sig, sc, ev)
 	if ev != nil {
 		at.AttrInt(mergeScan, "candidates", int64(len(ev.Candidates)))
 	}
@@ -565,13 +509,9 @@ func (m *Manager) RequestTraced(s spec.Spec, at *telemetry.ActiveTrace) (Result,
 		img.lastUse = m.clock
 		img.served(s)
 		if m.hasher != nil {
-			if sc != nil {
-				// img.sig is image-owned (cloned at insert), so the
-				// pooled request signature can be folded in place.
-				similarity.MergeSignaturesInto(img.sig, sig)
-			} else {
-				img.sig = similarity.MergeSignatures(img.sig, sig)
-			}
+			// img.sig is image-owned (cloned at insert), so the pooled
+			// request signature can be folded in place.
+			similarity.MergeSignaturesInto(img.sig, sig)
 			m.indexUpdate(img)
 		}
 		m.refreshBits(img)
@@ -601,20 +541,15 @@ func (m *Manager) RequestTraced(s spec.Spec, at *telemetry.ActiveTrace) (Result,
 		return res, nil
 	}
 
-	// Phase 3: insert a new image.
+	// Phase 3: insert a new image. The pooled signature is recycled on
+	// return; the image keeps its own copy.
 	insSpan := at.Begin(telemetry.StageInsert, at.Root())
-	sigStore := sig
-	if sc != nil && sig != nil {
-		// The pooled signature is recycled on return; the image keeps
-		// its own copy.
-		sigStore = append(similarity.Signature(nil), sig...)
-	}
 	img = &Image{
 		ID:      m.nextID,
 		Spec:    s,
 		Size:    reqBytes,
 		lastUse: m.clock,
-		sig:     sigStore,
+		sig:     slices.Clone(sig),
 		hot:     s,
 	}
 	m.nextID += m.stride()
@@ -643,6 +578,36 @@ func (m *Manager) RequestTraced(s spec.Spec, at *telemetry.ActiveTrace) (Result,
 	m.stats.ContainerEffSum += res.ContainerEfficiency()
 	m.trace(ev, res, start)
 	return res, nil
+}
+
+// hit commits a hit on img: it draws the request's clock stamp and
+// applies the whole mutable remainder — request and hit counters, the
+// image's LRU stamp and hot-set window, the touch record — as a child
+// of the caller's hit span. Callers hold whatever orders this manager's
+// commits: nothing (single-threaded use), the shard's write lock, or
+// its hitMu under the read lock.
+func (m *Manager) hit(at *telemetry.ActiveTrace, hitSpan telemetry.SpanRef, img *Image, s spec.Spec, reqBytes int64) Result {
+	clock := m.tick()
+	if !mutantEnabled("touch") {
+		img.lastUse = clock
+	}
+	img.served(s)
+	m.stats.Requests++
+	m.stats.Hits++
+	m.stats.RequestedBytes += reqBytes
+	res := Result{Seq: clock, Op: OpHit, ImageID: img.ID, ImageVersion: img.Version, ImageSize: img.Size, RequestBytes: reqBytes}
+	m.stats.ContainerEffSum += res.ContainerEfficiency()
+	m.commitSpan(at, hitSpan, Mutation{Kind: MutTouch, ImageID: img.ID, LastUse: img.lastUse, RequestBytes: reqBytes})
+	return res
+}
+
+// newEvent starts the request's telemetry.Event, or returns nil when no
+// Tracer is configured; trace completes and emits it.
+func (m *Manager) newEvent(s spec.Spec, reqBytes int64, at *telemetry.ActiveTrace) (*telemetry.Event, time.Time) {
+	if m.cfg.Tracer == nil {
+		return nil, time.Time{}
+	}
+	return &telemetry.Event{SpecPackages: s.Len(), RequestBytes: reqBytes, TraceID: at.TraceID()}, time.Now()
 }
 
 // commitSpan is commit wrapped in a wal_append child span: the commit
@@ -678,6 +643,7 @@ func (m *Manager) trace(ev *telemetry.Event, res Result, start time.Time) {
 	if ev == nil {
 		return
 	}
+	ev.Seq = res.Seq
 	ev.Op = res.Op.String()
 	ev.ImageID = res.ImageID
 	ev.ImageVersion = res.ImageVersion
@@ -691,124 +657,17 @@ func (m *Manager) trace(ev *telemetry.Event, res Result, start time.Time) {
 	m.cfg.Tracer.Trace(ev)
 }
 
-// findSuperset returns the image with s ⊆ i, preferring the smallest
-// satisfying image (least bloat for the job), or nil. When ev is
-// non-nil it records the number of images the scan examined.
-func (m *Manager) findSuperset(s spec.Spec, sig similarity.Signature, ev *telemetry.Event) *Image {
-	var best *Image
-	scanned := 0
-	for _, img := range m.images {
-		if img == nil || img.Spec.Len() < s.Len() {
-			continue
-		}
-		if best != nil && img.Size >= best.Size {
-			continue
-		}
-		scanned++
-		if sig != nil && !signatureSubset(sig, img.sig) {
-			continue
-		}
-		if s.SubsetOf(img.Spec) {
-			best = img
-		} else if mutantEnabled("superset") && s.Intersect(img.Spec).Len() >= s.Len()-1 {
-			best = img
-		}
-	}
-	if ev != nil {
-		ev.SupersetScanned = scanned
-	}
-	return best
-}
-
-// signatureSubset is a necessary condition for subset containment: if
-// A ⊆ B then min-hash(A ∪ B) = min-hash(B) positionwise. It never
-// rejects a true superset, so using it as a prefilter preserves
-// Algorithm 1's hits exactly.
-func signatureSubset(sub, super similarity.Signature) bool {
-	for i := range sub {
-		if sub[i] < super[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // candidate pairs an image with its (exact) distance from the request.
 type candidate struct {
 	img *Image
 	d   float64
 }
 
-// findMergeTarget returns the closest non-conflicting image with
-// d_j(s, j) < alpha, or nil. With MinHash enabled, exact distances are
-// only computed for images whose estimated distance is below
-// alpha+margin.
-//
-// When the band index is available it is consulted first: images that
-// share no signature position with the request have estimated distance
-// exactly 1, so whenever alpha+margin ≤ 1 the margin prefilter would
-// reject them anyway and they can be skipped without estimating — the
-// banded and scanned paths select the identical target (pinned by
-// TestBandIndexIdenticalSelection). When the index is unavailable, or
-// alpha+margin > 1 would admit disjoint images, the code falls back to
-// the full linear scan.
-//
-// When ev is non-nil it records the prefilter's accept/reject counts
-// and every candidate under α with its exact distance; skipped band
-// non-candidates are counted as prefilter rejections so traces are
-// identical with and without the index.
-func (m *Manager) findMergeTarget(s spec.Spec, sig similarity.Signature, ev *telemetry.Event) *Image {
-	alpha := m.cfg.Alpha
-	if mutantEnabled("threshold") {
-		alpha += 0.2
-	}
-	var banded map[uint64]struct{}
-	if sig != nil && m.bandIndex != nil && m.cfg.Alpha+m.cfg.MinHash.Margin <= 1 {
-		if ids, err := m.bandIndex.Candidates(sig); err == nil {
-			banded = make(map[uint64]struct{}, len(ids))
-			for _, id := range ids {
-				banded[id] = struct{}{}
-			}
-		}
-	}
-	var cands []candidate
-	for _, img := range m.images {
-		if img == nil {
-			continue
-		}
-		if sig != nil {
-			if banded != nil {
-				if _, ok := banded[img.ID]; !ok {
-					if ev != nil {
-						ev.PrefilterRejected++
-					}
-					continue
-				}
-			}
-			est := similarity.EstimateDistance(sig, img.sig)
-			if est >= m.cfg.Alpha+m.cfg.MinHash.Margin {
-				if ev != nil {
-					ev.PrefilterRejected++
-				}
-				continue
-			}
-			if ev != nil {
-				ev.PrefilterAccepted++
-			}
-		}
-		d := similarity.JaccardDistance(s, img.Spec)
-		if d < alpha {
-			cands = append(cands, candidate{img, d})
-		}
-	}
-	return m.pickMergeTarget(s, cands, ev)
-}
-
-// pickMergeTarget is the tail both merge scans share: the stable
-// distance sort, candidate telemetry, and the conflict walk that
-// returns the closest non-conflicting candidate. Candidates must
-// arrive in scan order so the stable sort breaks distance ties
-// identically for the reference and fast pipelines.
+// pickMergeTarget is the tail of the merge scan: the stable distance
+// sort, candidate telemetry, and the conflict walk that returns the
+// closest non-conflicting candidate. Candidates must arrive in scan
+// (insertion) order so the stable sort breaks distance ties the way
+// Algorithm 1's linear scan does — the order the oracle derives.
 func (m *Manager) pickMergeTarget(s spec.Spec, cands []candidate, ev *telemetry.Event) *Image {
 	if !m.cfg.NoCandidateSort {
 		sort.SliceStable(cands, func(a, b int) bool { return cands[a].d < cands[b].d })

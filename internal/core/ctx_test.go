@@ -11,7 +11,7 @@ import (
 func TestRequestCtxExpiredAbortsBeforeMutation(t *testing.T) {
 	repo := concRepo(t)
 	hook := &recordingHook{}
-	cm, err := NewConcurrent(repo, Config{Alpha: 0.75, Commit: hook})
+	cm, err := NewSharded(repo, Config{Alpha: 0.75, Commit: hook})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestRequestCtxExpiredAbortsBeforeMutation(t *testing.T) {
 func TestPeekHitMutatesNothing(t *testing.T) {
 	repo := concRepo(t)
 	hook := &recordingHook{}
-	cm, err := NewConcurrent(repo, Config{Alpha: 0.75, Commit: hook})
+	cm, err := NewSharded(repo, Config{Alpha: 0.75, Commit: hook})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,31 +10,33 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The interned hot path.
+// The interned decision procedure.
 //
 // Algorithm 1's decision procedure is two scans: the hit path tests
 // s ⊆ image per candidate image, and the miss path computes Jaccard
-// distances to every surviving candidate. The reference pipeline walks
-// sorted []PkgID slices for both. The fast path (default on; Config.
-// NoFastPath selects the reference) keeps an interned bitset per image
+// distances to every surviving candidate. Both run on one
+// representation: every image keeps an interned bitset beside its spec,
 // so containment is a word-wise AND-NOT loop, intersection cardinality
 // is popcount over AND, and the per-request state (dense query words,
 // MinHash signature, candidate buffers) lives in a sync.Pool so the
 // steady-state hit path performs zero heap allocations.
 //
-// The miss path also flips the LSH band index from prefilter to
-// primary candidate source: instead of walking every image and asking
-// "is it banded?", the band buckets are enumerated directly and
-// resolved through byID, so a merge scan touches only images sharing
-// at least one MinHash position. Candidates are then ordered by each
-// image's insertion ordinal (Image.ord), which reproduces the
-// reference scan's iteration order exactly — including after
+// With MinHash on, the miss path uses the LSH band index as its primary
+// candidate source: instead of walking every image, the band buckets
+// are enumerated directly and resolved through byID, so a merge scan
+// touches only images sharing at least one MinHash position. Candidates
+// are then ordered by each image's insertion ordinal (Image.ord), which
+// reproduces a linear scan's iteration order exactly — including after
 // ImportState/Restore re-sort the image slice by last use — so the
-// stable distance sort breaks ties identically and the two pipelines
-// pick the same target on every request. The differential rig
-// (internal/check.RunDifferential) replays every seeded stream through
-// both pipelines and asserts byte-identical ExportState; CheckIntegrity
-// audits bitset/spec round-trips and ordinal monotonicity continuously.
+// stable distance sort breaks ties the way the plain procedure would.
+//
+// There is no second copy of the procedure in this package to compare
+// against. The reference is internal/check's Oracle: a naive
+// re-derivation over sorted id slices — linear scans, no bitsets, no
+// band index, signatures from the direct kernel — that validates every
+// request of the simulation suites, in exact and in MinHash mode;
+// CheckIntegrity audits bitset/spec round-trips, signature freshness
+// and ordinal monotonicity continuously.
 
 // fastPath is the per-manager state of the interned pipeline.
 type fastPath struct {
@@ -42,9 +44,9 @@ type fastPath struct {
 	pool   sync.Pool // *scratch
 }
 
-// scratch is the pooled per-request working set. Requests under
-// ConcurrentManager's shared read lock scan concurrently, so scratch
-// must be drawn per request, never stored per manager.
+// scratch is the pooled per-request working set. Requests under a
+// shard's shared read lock scan concurrently, so scratch must be drawn
+// per request, never stored per manager.
 type scratch struct {
 	words []uint64             // dense form of the request spec
 	sig   similarity.Signature // pooled signature storage (miss path)
@@ -55,8 +57,7 @@ type scratch struct {
 
 // newFastPath builds the interner for repo. The "intern" mutant
 // aliases two packages at construction — the intern-collision seed bug
-// CheckIntegrity's round-trip audit and the differential oracle must
-// catch.
+// CheckIntegrity's round-trip audit and the oracle must catch.
 func newFastPath(repo *pkggraph.Repo) *fastPath {
 	f := &fastPath{intern: spec.NewInterner(repo)}
 	if mutantEnabled("intern") && repo.Len() >= 2 {
@@ -93,11 +94,9 @@ func (m *Manager) signScratch(sc *scratch, s spec.Spec) similarity.Signature {
 }
 
 // refreshBits re-interns an image's spec after any content change
-// (insert, merge, split, replay, import). A no-op in reference mode.
+// (insert, merge, split, replay, import).
 func (m *Manager) refreshBits(img *Image) {
-	if m.fast != nil {
-		img.bits = m.fast.intern.BitsetOf(img.Spec)
-	}
+	img.bits = m.fast.intern.BitsetOf(img.Spec)
 }
 
 // appendImage adds img to the live set, stamping the insertion ordinal
@@ -121,12 +120,14 @@ func (m *Manager) reorderOrds() {
 	m.ordSrc = uint64(len(m.images))
 }
 
-// findSupersetFast is findSuperset over interned bitsets: the same
-// scan order, size gating, and scan accounting, with the subset test a
-// word-wise AND-NOT against the pooled query words. No signature
-// prefilter is needed — the bitset test is exact and cheaper than the
-// sketch comparison it replaced.
-func (m *Manager) findSupersetFast(s spec.Spec, sc *scratch, ev *telemetry.Event) *Image {
+// findSuperset returns the image with s ⊆ i, preferring the smallest
+// satisfying image (least bloat for the job), or nil, as a
+// superset_scan child span of at. The subset test is a word-wise
+// AND-NOT against the pooled query words — exact, so no signature
+// prefilter is needed. When ev is non-nil it records the number of
+// images the scan examined.
+func (m *Manager) findSuperset(at *telemetry.ActiveTrace, s spec.Spec, sc *scratch, ev *telemetry.Event) *Image {
+	scanSpan := at.Begin(telemetry.StageSupersetScan, at.Root())
 	var best *Image
 	scanned := 0
 	reqLen := s.Len()
@@ -146,15 +147,18 @@ func (m *Manager) findSupersetFast(s spec.Spec, sc *scratch, ev *telemetry.Event
 	}
 	if ev != nil {
 		ev.SupersetScanned = scanned
+		at.AttrInt(scanSpan, "scanned", int64(scanned))
 	}
+	at.End(scanSpan)
 	return best
 }
 
-// distFast is similarity.JaccardDistance computed from the interned
+// dist is similarity.JaccardDistance computed from the interned
 // representation: popcount intersection, identical integers, identical
-// float expression — bit-for-bit the reference distance. Both sets are
-// non-empty here (requests and image specs are validated non-empty).
-func (m *Manager) distFast(s spec.Spec, img *Image, sc *scratch) float64 {
+// float expression — bit-for-bit the distance over the id slices. Both
+// sets are non-empty here (requests and image specs are validated
+// non-empty).
+func (m *Manager) dist(s spec.Spec, img *Image, sc *scratch) float64 {
 	inter := img.bits.IntersectWords(sc.words)
 	if mutantEnabled("popcount") && inter > 0 {
 		inter-- // seeded popcount-off-by-one bug
@@ -163,19 +167,23 @@ func (m *Manager) distFast(s spec.Spec, img *Image, sc *scratch) float64 {
 	return 1 - float64(inter)/float64(union)
 }
 
-// findMergeTargetFast is findMergeTarget with the band index promoted
-// from prefilter to primary candidate source. When the index applies
-// (MinHash on, alpha+margin ≤ 1), candidates come straight out of the
-// band buckets — an image sharing no signature position has estimated
-// distance exactly 1 and would be margin-rejected anyway — so the scan
-// touches only banded images and there is no fallback rescan of the
-// full image slice when the buckets come up empty (the reference
-// pipeline's redundant O(images) walk in that case; pinned equivalent
-// by TestMergeFallbackEmptyBands). Candidates are ordered by insertion
-// ordinal so the stable sort ties break exactly as the linear scan's
-// would. When the index does not apply the linear scan runs with
-// interned distances.
-func (m *Manager) findMergeTargetFast(s spec.Spec, sig similarity.Signature, sc *scratch, ev *telemetry.Event) *Image {
+// findMergeTarget returns the closest non-conflicting image with
+// d_j(s, j) < alpha, or nil. With MinHash enabled (sig non-nil), exact
+// distances are only computed for images whose estimated distance is
+// below alpha+margin, and when alpha+margin ≤ 1 the candidates come
+// straight out of the band buckets: an image sharing no signature
+// position has estimated distance exactly 1 and would be
+// margin-rejected anyway, so the scan touches only banded images and
+// does not rescan the image slice when the buckets come up empty.
+// Candidates are ordered by insertion ordinal so the stable sort's ties
+// break exactly as a linear scan's would. When the index does not apply
+// (exact mode, or alpha+margin > 1 admitting disjoint images) the
+// linear scan runs.
+//
+// When ev is non-nil it records the prefilter's accept/reject counts
+// and every candidate under α with its exact distance; live images
+// outside the bands count as prefilter rejections.
+func (m *Manager) findMergeTarget(s spec.Spec, sig similarity.Signature, sc *scratch, ev *telemetry.Event) *Image {
 	alpha := m.cfg.Alpha
 	if mutantEnabled("threshold") {
 		alpha += 0.2
@@ -208,8 +216,8 @@ func (m *Manager) findMergeTargetFast(s spec.Spec, sig similarity.Signature, sc 
 				return 0
 			})
 			if ev != nil {
-				// Non-banded live images are exactly what the reference
-				// pipeline counts as prefilter rejections.
+				// Non-banded live images are exactly what a linear scan
+				// would count as prefilter rejections.
 				ev.PrefilterRejected += len(m.byID) - len(sc.imgs)
 			}
 			for _, img := range sc.imgs {
@@ -223,7 +231,7 @@ func (m *Manager) findMergeTargetFast(s spec.Spec, sig similarity.Signature, sc 
 				if ev != nil {
 					ev.PrefilterAccepted++
 				}
-				if d := m.distFast(s, img, sc); d < alpha {
+				if d := m.dist(s, img, sc); d < alpha {
 					sc.cands = append(sc.cands, candidate{img, d})
 				}
 			}
@@ -246,7 +254,7 @@ func (m *Manager) findMergeTargetFast(s spec.Spec, sig similarity.Signature, sc 
 					ev.PrefilterAccepted++
 				}
 			}
-			if d := m.distFast(s, img, sc); d < alpha {
+			if d := m.dist(s, img, sc); d < alpha {
 				sc.cands = append(sc.cands, candidate{img, d})
 			}
 		}

@@ -18,8 +18,8 @@ import (
 // mutation it drives; it is cheap enough (one pass over the cache) to
 // run continuously in tests but is not intended for the serving path.
 //
-// Callers holding a ConcurrentManager must go through
-// ConcurrentManager.CheckIntegrity, which quiesces the cache first.
+// Callers holding a ShardedManager must go through
+// ShardedManager.CheckIntegrity, which quiesces each shard first.
 func (m *Manager) CheckIntegrity() error {
 	var total int64
 	live := 0
@@ -61,24 +61,22 @@ func (m *Manager) CheckIntegrity() error {
 				}
 			}
 		}
-		if m.fast != nil {
-			// The interned bitset must round-trip to exactly the spec it
-			// was built from — an intern collision or stale bits after a
-			// merge/split would silently corrupt every fast-path decision.
-			if img.bits.Card() != img.Spec.Len() {
-				return fmt.Errorf("image %d interned cardinality %d != spec length %d (intern collision or stale bits)", img.ID, img.bits.Card(), img.Spec.Len())
-			}
-			if !m.fast.intern.SpecOf(img.bits).Equal(img.Spec) {
-				return fmt.Errorf("image %d interned bitset does not round-trip to its spec", img.ID)
-			}
-			// Insertion ordinals must strictly increase in slice order:
-			// band-candidate enumeration sorts by ord to reproduce the
-			// reference scan's tie-breaking.
-			if ordSeen && img.ord <= prevOrd {
-				return fmt.Errorf("image %d ordinal %d not above predecessor's %d", img.ID, img.ord, prevOrd)
-			}
-			prevOrd, ordSeen = img.ord, true
+		// The interned bitset must round-trip to exactly the spec it was
+		// built from — an intern collision or stale bits after a
+		// merge/split would silently corrupt every decision.
+		if img.bits.Card() != img.Spec.Len() {
+			return fmt.Errorf("image %d interned cardinality %d != spec length %d (intern collision or stale bits)", img.ID, img.bits.Card(), img.Spec.Len())
 		}
+		if !m.fast.intern.SpecOf(img.bits).Equal(img.Spec) {
+			return fmt.Errorf("image %d interned bitset does not round-trip to its spec", img.ID)
+		}
+		// Insertion ordinals must strictly increase in slice order:
+		// band-candidate enumeration sorts by ord to reproduce a linear
+		// scan's tie-breaking.
+		if ordSeen && img.ord <= prevOrd {
+			return fmt.Errorf("image %d ordinal %d not above predecessor's %d", img.ID, img.ord, prevOrd)
+		}
+		prevOrd, ordSeen = img.ord, true
 		total += img.Size
 	}
 	if live != len(m.byID) {
@@ -92,15 +90,6 @@ func (m *Manager) CheckIntegrity() error {
 		return fmt.Errorf("ops %d+%d+%d do not partition %d requests", st.Hits, st.Inserts, st.Merges, st.Requests)
 	}
 	return nil
-}
-
-// CheckIntegrity runs Manager.CheckIntegrity with the cache quiescent
-// (read lock plus hitMu), so concurrent traffic cannot produce
-// torn reads of the structures being validated.
-func (c *ConcurrentManager) CheckIntegrity() error {
-	var err error
-	c.WithShared(func(m *Manager) { err = m.CheckIntegrity() })
-	return err
 }
 
 // Capacity returns the configured byte capacity (zero or negative
@@ -123,12 +112,10 @@ func (m *Manager) Clock() uint64 {
 	return m.clock
 }
 
-// MinHashEnabled reports whether the approximate candidate prefilter
-// is active. The invariant oracle (internal/check) refuses such
-// managers: the prefilter may legitimately drop merge candidates the
-// exact algorithm would take, so exact re-derivation only applies to
-// exact-mode managers.
-func (m *Manager) MinHashEnabled() bool { return m.hasher != nil }
+// MinHash returns the approximate-prefilter configuration (nil in exact
+// mode). The invariant oracle (internal/check) reads K, Seed and Margin
+// from it to re-derive the margin prefilter with signatures of its own.
+func (m *Manager) MinHash() *MinHashConfig { return m.cfg.MinHash }
 
 // LastUse returns the logical-clock timestamp of the image's last
 // hit, merge, or insert — its LRU position.
@@ -137,8 +124,8 @@ func (img *Image) LastUse() uint64 { return img.lastUse }
 // SetCommitHook replaces the commit hook. Harnesses use it to stack a
 // validating hook (internal/check's shadow checker) in front of an
 // already-installed durability hook; like SetTracer it must be called
-// before the manager serves traffic (or under WithExclusive on a
-// ConcurrentManager).
+// before the manager serves traffic (ShardedManager.SetCommitHook
+// installs one hook on every shard).
 func (m *Manager) SetCommitHook(h CommitHook) { m.cfg.Commit = h }
 
 // CommitHook returns the installed commit hook (nil when disabled).

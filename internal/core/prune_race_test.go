@@ -25,12 +25,12 @@ import (
 func TestPruneVsHitOrdering(t *testing.T) {
 	repo := concRepo(t)
 	cfg := Config{Alpha: 0.8} // unlimited: images bloat, so splits actually fire
-	cm, err := NewConcurrent(repo, cfg)
+	cm, err := NewSharded(repo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hook := &recordingHook{}
-	cm.WithExclusive(func(m *Manager) { m.cfg.Commit = hook })
+	cm.SetCommitHook(hook)
 
 	// Pre-warm with the full pool: at α=0.8 the closures merge into a
 	// few bloated images. The workers then hit only a narrow subset, so

@@ -1,213 +1,151 @@
-package core
+package core_test
 
 import (
+	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
+	"repro/internal/check"
+	"repro/internal/core"
 	"repro/internal/pkggraph"
-	"repro/internal/similarity"
 	"repro/internal/spec"
 	"repro/internal/workload"
 )
 
-// refManager is a deliberately naive reimplementation of Algorithm 1
-// used as a test oracle: straight scans, no signatures, no candidate
-// caching, no lazy compaction. Any divergence between it and Manager
-// on the same request stream is a bug in one of them.
-type refManager struct {
-	repo     *pkggraph.Repo
-	alpha    float64
-	capacity int64
+// The reference for Algorithm 1 is internal/check's Oracle — a naive
+// re-derivation over sorted id slices with linear scans, no bitsets, no
+// band index, and signatures from the direct kernel. These tests drive
+// a Manager through it on a mid-sized repository: every request's
+// operation, target image, post-state and eviction victims must be what
+// the oracle derives, and CheckIntegrity must hold after each.
 
-	images  []refImage
-	clock   uint64
-	nextID  uint64
-	total   int64
-	deletes int
+// refRepo is the mid-sized generated repository the reference tests
+// share.
+func refRepo(seed int64) *pkggraph.Repo {
+	cfg := pkggraph.DefaultGenConfig()
+	cfg.CoreFamilies = 3
+	cfg.FrameworkFamilies = 8
+	cfg.LibraryFamilies = 37
+	cfg.ApplicationFamilies = 72
+	return pkggraph.MustGenerate(cfg, seed)
 }
 
-type refImage struct {
-	id      uint64
-	spec    spec.Spec
-	size    int64
-	lastUse uint64
-	order   int // insertion order for stable candidate ties
-}
-
-type refOutcome struct {
-	op      Op
-	imageID uint64
-	size    int64
-	evicted int
-}
-
-func (r *refManager) request(s spec.Spec) refOutcome {
-	r.clock++
-	// Phase 1: smallest superset.
-	best := -1
-	for i := range r.images {
-		if s.SubsetOf(r.images[i].spec) {
-			if best < 0 || r.images[i].size < r.images[best].size {
-				best = i
-			}
+// underOracle issues n specs from next through the oracle.
+func underOracle(t *testing.T, o *check.Oracle, n int, next func() spec.Spec) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, f := o.Step(next()); f != nil {
+			t.Fatal(f)
 		}
 	}
-	if best >= 0 {
-		r.images[best].lastUse = r.clock
-		return refOutcome{op: OpHit, imageID: r.images[best].id, size: r.images[best].size}
-	}
-	// Phase 2: closest candidate under alpha (stable by insertion).
-	type cand struct {
-		idx int
-		d   float64
-	}
-	var cands []cand
-	for i := range r.images {
-		d := similarity.JaccardDistance(s, r.images[i].spec)
-		if d < r.alpha {
-			cands = append(cands, cand{i, d})
-		}
-	}
-	sort.SliceStable(cands, func(a, b int) bool { return cands[a].d < cands[b].d })
-	if len(cands) > 0 {
-		i := cands[0].idx
-		r.total -= r.images[i].size
-		r.images[i].spec = r.images[i].spec.Union(s)
-		r.images[i].size = r.images[i].spec.Size(r.repo)
-		r.images[i].lastUse = r.clock
-		r.total += r.images[i].size
-		out := refOutcome{op: OpMerge, imageID: r.images[i].id, size: r.images[i].size}
-		out.evicted = r.evict(r.images[i].id)
-		return out
-	}
-	// Phase 3: insert.
-	img := refImage{
-		id: r.nextID, spec: s, size: s.Size(r.repo),
-		lastUse: r.clock, order: int(r.nextID),
-	}
-	r.nextID++
-	r.images = append(r.images, img)
-	r.total += img.size
-	out := refOutcome{op: OpInsert, imageID: img.id, size: img.size}
-	out.evicted = r.evict(img.id)
-	return out
-}
-
-func (r *refManager) evict(keep uint64) int {
-	if r.capacity <= 0 {
-		return 0
-	}
-	n := 0
-	for r.total > r.capacity {
-		victim := -1
-		for i := range r.images {
-			if r.images[i].id == keep {
-				continue
-			}
-			if victim < 0 || r.images[i].lastUse < r.images[victim].lastUse {
-				victim = i
-			}
-		}
-		if victim < 0 {
-			break
-		}
-		r.total -= r.images[victim].size
-		r.images = append(r.images[:victim], r.images[victim+1:]...)
-		r.deletes++
-		n++
-	}
-	return n
 }
 
 // TestManagerMatchesReference replays random dependency-closed streams
-// through the optimized Manager (exact mode) and the oracle, requiring
-// identical operations, image identities, sizes, and eviction counts
-// at every step, across several alphas and capacities.
+// (40% repeats, to drive hits) through an exact-mode Manager under the
+// oracle, across several alphas and capacities.
 func TestManagerMatchesReference(t *testing.T) {
-	cfg := pkggraph.DefaultGenConfig()
-	cfg.CoreFamilies = 3
-	cfg.FrameworkFamilies = 8
-	cfg.LibraryFamilies = 37
-	cfg.ApplicationFamilies = 72
-	repo := pkggraph.MustGenerate(cfg, 77)
-
+	repo := refRepo(77)
 	for _, alpha := range []float64{0, 0.4, 0.75, 0.95, 1.0} {
-		for _, capMult := range []int64{0, 2, 8} {
+		for _, capDiv := range []int64{0, 2, 8} {
 			capacity := int64(0)
-			if capMult > 0 {
-				capacity = repo.TotalSize() / capMult
+			if capDiv > 0 {
+				capacity = repo.TotalSize() / capDiv
 			}
-			m := mgr(t, repo, Config{Alpha: alpha, Capacity: capacity})
-			ref := &refManager{repo: repo, alpha: alpha, capacity: capacity}
-
-			gen := workload.NewDepClosure(repo, int64(alpha*100)+capMult)
-			gen.MaxInitial = 6
-			rng := rand.New(rand.NewSource(5))
-			var history []spec.Spec
-			for i := 0; i < 250; i++ {
-				var s spec.Spec
-				if len(history) > 0 && rng.Float64() < 0.4 {
-					s = history[rng.Intn(len(history))] // repeats drive hits
-				} else {
-					s = gen.Next()
+			t.Run(fmt.Sprintf("alpha=%v/cap=%d", alpha, capacity), func(t *testing.T) {
+				m := core.MustNewManager(repo, core.Config{Alpha: alpha, Capacity: capacity})
+				gen := workload.NewDepClosure(repo, int64(alpha*100)+capDiv)
+				gen.MaxInitial = 6
+				rng := rand.New(rand.NewSource(5))
+				var history []spec.Spec
+				underOracle(t, check.NewOracle(m, 5), 250, func() spec.Spec {
+					if len(history) > 0 && rng.Float64() < 0.4 {
+						return history[rng.Intn(len(history))]
+					}
+					s := gen.Next()
 					history = append(history, s)
-				}
-				got, err := m.Request(s)
-				if err != nil {
-					t.Fatalf("alpha=%v cap=%d step %d: %v", alpha, capacity, i, err)
-				}
-				want := ref.request(s)
-				if got.Op != want.op || got.ImageID != want.imageID ||
-					got.ImageSize != want.size || got.Evicted != want.evicted {
-					t.Fatalf("alpha=%v cap=%d step %d diverged:\n manager: op=%v id=%d size=%d evicted=%d\n oracle:  op=%v id=%d size=%d evicted=%d",
-						alpha, capacity, i,
-						got.Op, got.ImageID, got.ImageSize, got.Evicted,
-						want.op, want.imageID, want.size, want.evicted)
-				}
-				if m.TotalData() != ref.total || m.Len() != len(ref.images) {
-					t.Fatalf("alpha=%v cap=%d step %d state diverged: total %d vs %d, images %d vs %d",
-						alpha, capacity, i, m.TotalData(), ref.total, m.Len(), len(ref.images))
-				}
-			}
-			if int(m.Stats().Deletes) != ref.deletes {
-				t.Fatalf("alpha=%v cap=%d delete totals diverged: %d vs %d",
-					alpha, capacity, m.Stats().Deletes, ref.deletes)
-			}
+					return s
+				})
+			})
 		}
 	}
 }
 
-// TestManagerMinHashNearReference replays a stream through the MinHash
-// manager and the oracle, tolerating no divergence: the subset
-// prefilter is exact-safe and the generous margin keeps candidate sets
-// identical on this workload. A systematic mismatch would indicate the
-// prefilter cutting true candidates.
+// TestManagerMinHashNearReference replays a stream through a MinHash
+// manager (K = 128, margin 0.3) under the oracle in margin mode,
+// tolerating no divergence: the band index must retrieve every image
+// the margin prefilter admits.
 func TestManagerMinHashNearReference(t *testing.T) {
-	cfg := pkggraph.DefaultGenConfig()
-	cfg.CoreFamilies = 3
-	cfg.FrameworkFamilies = 8
-	cfg.LibraryFamilies = 37
-	cfg.ApplicationFamilies = 72
-	repo := pkggraph.MustGenerate(cfg, 78)
-
-	m := mgr(t, repo, Config{
+	repo := refRepo(78)
+	m := core.MustNewManager(repo, core.Config{
 		Alpha:   0.75,
-		MinHash: &MinHashConfig{K: 128, Seed: 3, Margin: 0.3},
+		MinHash: &core.MinHashConfig{K: 128, Seed: 3, Margin: 0.3},
 	})
-	ref := &refManager{repo: repo, alpha: 0.75}
 	gen := workload.NewDepClosure(repo, 9)
 	gen.MaxInitial = 6
-	for i := 0; i < 200; i++ {
-		s := gen.Next()
-		got, err := m.Request(s)
-		if err != nil {
+	underOracle(t, check.NewOracle(m, 9), 200, gen.Next)
+}
+
+// TestBandIndexIdenticalSelection pins that taking merge candidates
+// from the LSH band index changes no decision: the oracle's margin scan
+// walks every image with no index, so the two must pick the identical
+// target on every request through a workload of merges, evictions, and
+// splits (which rewrite specs and signatures the index must track).
+func TestBandIndexIdenticalSelection(t *testing.T) {
+	repo := refRepo(77)
+	configs := []core.Config{
+		// alpha+margin = 0.85 ≤ 1: candidates come from the band buckets.
+		{Alpha: 0.6, MinHash: core.DefaultMinHash(), Capacity: repo.TotalSize() / 4},
+		// alpha+margin = 1.15 > 1: disjoint images pass the margin
+		// prefilter, so production must fall back to the linear scan.
+		{Alpha: 0.9, MinHash: core.DefaultMinHash()},
+	}
+	rounds := 4
+	if testing.Short() {
+		rounds = 2
+	}
+	for ci, cfg := range configs {
+		t.Run(fmt.Sprintf("config%d", ci), func(t *testing.T) {
+			m := core.MustNewManager(repo, cfg)
+			o := check.NewOracle(m, int64(200+ci))
+			gen := workload.NewDepClosure(repo, int64(200+ci))
+			for r := 0; r < rounds; r++ {
+				underOracle(t, o, 250, gen.Next)
+				if _, err := m.Prune(0.8, 1); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.CheckIntegrity(); err != nil {
+					t.Fatalf("integrity after prune %d: %v", r, err)
+				}
+			}
+		})
+	}
+}
+
+// TestBandIndexSurvivesImportRestore pins index maintenance on the
+// bulk-load paths: a manager rebuilt via ImportState must keep making
+// the oracle's decisions afterwards, and one rebuilt via Restore must
+// pass the integrity audit and serve.
+func TestBandIndexSurvivesImportRestore(t *testing.T) {
+	repo := refRepo(77)
+	cfg := core.Config{Alpha: 0.6, MinHash: core.DefaultMinHash(), Capacity: repo.TotalSize() / 4}
+	donor := core.MustNewManager(repo, cfg)
+	gen := workload.NewDepClosure(repo, 333)
+	for i := 0; i < 400; i++ {
+		if _, err := donor.Request(gen.Next()); err != nil {
 			t.Fatal(err)
 		}
-		want := ref.request(s)
-		if got.Op != want.op || got.ImageID != want.imageID {
-			t.Fatalf("step %d diverged: manager %v/%d vs oracle %v/%d",
-				i, got.Op, got.ImageID, want.op, want.imageID)
-		}
 	}
+	st := donor.ExportState()
+
+	imported := core.MustNewManager(repo, cfg)
+	if err := imported.ImportState(st); err != nil {
+		t.Fatal(err)
+	}
+	underOracle(t, check.NewOracle(imported, 333), 300, gen.Next)
+
+	restored := core.MustNewManager(repo, cfg)
+	if err := restored.Restore(st.Images); err != nil {
+		t.Fatal(err)
+	}
+	underOracle(t, check.NewOracle(restored, 333), 100, gen.Next)
 }

@@ -88,8 +88,8 @@ type pruneEvent struct {
 	minServed  int
 }
 
-// TestSoakConcurrent is the multi-goroutine soak: 8 workers hammer one
-// ConcurrentManager with a seeded mixed workload — requests plus
+// TestSoakConcurrent is the multi-goroutine soak: 8 workers hammer a
+// one-shard ShardedManager with a seeded mixed workload — requests plus
 // periodic split passes — with full invariant checks at every
 // quiescent point, and the final stats and state cross-checked against
 // the sequential oracle (the same requests and prunes replayed in
@@ -114,7 +114,7 @@ func TestSoakConcurrent(t *testing.T) {
 		{Alpha: 0.9, Capacity: repo.TotalSize() / 2},
 	}
 	for ci, cfg := range configs {
-		cm, err := NewConcurrent(repo, cfg)
+		cm, err := NewSharded(repo, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,8 @@ func TestSoakConcurrent(t *testing.T) {
 						step := round*perRound + i
 						if g == 0 && i > 0 && i%150 == 0 {
 							// Worker 0 doubles as the maintenance loop.
-							cm.WithExclusive(func(m *Manager) {
+							cm.WithExclusiveAll(func(ms []*Manager) {
+								m := ms[0]
 								ev := pruneEvent{afterClock: m.clock, maxUtil: 0.7, minServed: 2}
 								if _, err := m.Prune(ev.maxUtil, ev.minServed); err != nil {
 									t.Errorf("prune: %v", err)
@@ -159,7 +160,8 @@ func TestSoakConcurrent(t *testing.T) {
 			if t.Failed() {
 				t.Fatalf("config %d round %d aborted", ci, round)
 			}
-			cm.WithExclusive(func(m *Manager) {
+			cm.WithExclusiveAll(func(ms []*Manager) {
+				m := ms[0]
 				if err := m.CheckIntegrity(); err != nil {
 					t.Fatalf("config %d round %d: %v", ci, round, err)
 				}

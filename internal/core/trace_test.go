@@ -187,11 +187,11 @@ func TestRequestTracedRecordsAlgorithmSpans(t *testing.T) {
 	}
 }
 
-func TestConcurrentManagerTracesLockWaits(t *testing.T) {
+func TestShardedManagerTracesLockWaits(t *testing.T) {
 	repo := flatRepo(t, 10, 1)
 	ring := telemetry.NewTraceRing(16, 16)
 	spans := telemetry.NewSpanTracer(ring)
-	cm, err := NewConcurrent(repo, Config{Alpha: 0.6})
+	cm, err := NewSharded(repo, Config{Alpha: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 
 // TestConcurrentLoadSurvivesInjectedFaults extends the single-threaded
 // truncation tests to concurrent load: four goroutines drive a
-// persistent ConcurrentManager through a filesystem that injects a
+// persistent one-shard ShardedManager through a filesystem that injects a
 // sync failure and a torn write mid-run, then the process "loses
 // power" with a torn tail. The WAL must degrade to its sticky error
 // without disturbing the serving path, and recovery from the damaged
@@ -35,11 +35,10 @@ func TestConcurrentLoadSurvivesInjectedFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, _, err := store.Recover(repo, mcfg)
+	cmgr, _, err := store.RecoverSharded(repo, mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmgr := core.Concurrent(mgr)
 
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
@@ -72,7 +71,7 @@ func TestConcurrentLoadSurvivesInjectedFaults(t *testing.T) {
 	if store.Err() == nil {
 		t.Fatal("store has no sticky error despite an injected fault")
 	}
-	preClock := mgr.Clock()
+	preClock := cmgr.ExportState().Clock
 
 	if err := ffs.Crash(check.CrashPower, 17); err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 //	walscan — the record scanner drops the last key of any "added" list
 //	          of two or more, so a replayed merge rebuilds a smaller
 //	          image than the one logged. A pure function of the input,
-//	          so reruns stay byte-identical. check.Shadow.VerifyState
+//	          so reruns stay byte-identical. check.ShardShadow.VerifyState
 //	          must catch it: it replays the mutations it observed
 //	          through the record codec and compares the rebuilt state
 //	          with the live one.

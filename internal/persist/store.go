@@ -380,7 +380,7 @@ func (st *Store) RecoverWith(newCache func() (CacheReplayer, error)) (CacheRepla
 // failures — the first error sticks, later mutations are dropped, and
 // Err/metrics surface it.
 //
-// Commit is called with the cache's locks held (the ConcurrentManager
+// Commit is called with the cache's locks held (a ShardedManager shard
 // invokes the hook before releasing the lock that ordered the
 // mutation), so it must stay cheap: it writes to the OS but never
 // fsyncs under FsyncAlways. Durability under that policy is paid in

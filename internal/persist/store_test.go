@@ -640,7 +640,7 @@ func TestRecoveryOf10kImages(t *testing.T) {
 	t.Logf("recovered %d images + %d WAL records in %v", nImages, nTail, rep.Duration)
 }
 
-// TestGroupCommitConcurrent drives a ConcurrentManager backed by an
+// TestGroupCommitConcurrent drives a one-shard ShardedManager backed by an
 // FsyncAlways store from many goroutines, each acknowledging its
 // requests only after WaitDurable — the server's request pipeline in
 // miniature. It pins the two properties group commit must preserve:
@@ -659,13 +659,12 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, rep, err := st.Recover(repo, cfg)
+	cm, rep, err := st.RecoverSharded(repo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
 	st.RegisterMetrics(reg, rep)
-	cm := core.Concurrent(m)
 
 	const workers = 8
 	const perWorker = 150

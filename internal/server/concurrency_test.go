@@ -128,7 +128,7 @@ func TestMaxInflightBoundsRequests(t *testing.T) {
 // TestConcurrentHTTPPipeline hammers a persistent (fsync=always)
 // server with parallel clients mixing writes and read-only endpoints —
 // the whole pipeline under the race detector: handler concurrency,
-// ConcurrentManager, group commit, single-flight checkpoints.
+// the cache's shard locks, group commit, single-flight checkpoints.
 func TestConcurrentHTTPPipeline(t *testing.T) {
 	dir := t.TempDir()
 	store, err := persist.Open(dir, persist.Options{SyncPolicy: persist.FsyncAlways})

@@ -8,9 +8,8 @@
 //
 // The service runs a concurrent request pipeline: the cache is a
 // core.ShardedManager — cache_shards independently locked shards
-// (default 1), each a ConcurrentManager serving hits under a shared
-// read lock while merges, inserts, and maintenance serialize on that
-// shard's write lock. Requests route to their shard by the hash of
+// (default 1), each serving hits under a shared read lock while merges,
+// inserts, and maintenance serialize on that shard's write lock. Requests route to their shard by the hash of
 // their package keys, so with more than one shard even slow-path
 // traffic proceeds in parallel across shards. Read-only endpoints
 // (/v1/stats, /v1/images, the cache gauges on /metrics) ride the read
@@ -231,15 +230,14 @@ func (s *Server) registerCacheMetrics() {
 // special case for sharded sites.
 func (s *Server) registerShardMetrics() {
 	for i := 0; i < s.cmgr.NumShards(); i++ {
-		shard := s.cmgr.Shard(i)
 		label := telemetry.Label{Key: "shard", Value: strconv.Itoa(i)}
 		s.reg.GaugeFunc("landlord_cache_shard_images", "Images cached on this shard",
-			func() float64 { return float64(shard.Len()) }, label)
+			func() float64 { images, _, _ := s.cmgr.ShardUsage(i); return float64(images) }, label)
 		s.reg.GaugeFunc("landlord_cache_shard_bytes", "Bytes cached on this shard",
-			func() float64 { return float64(shard.TotalData()) }, label)
+			func() float64 { _, bytes, _ := s.cmgr.ShardUsage(i); return float64(bytes) }, label)
 		s.reg.GaugeFunc("landlord_cache_shard_budget_bytes",
 			"This shard's byte budget (the balancer reshapes it; 0 = unlimited)",
-			func() float64 { return float64(shard.Capacity()) }, label)
+			func() float64 { _, _, budget := s.cmgr.ShardUsage(i); return float64(budget) }, label)
 	}
 	bal := func(f func(st core.BalancerStats) float64) func() float64 {
 		return func() float64 { return f(s.cmgr.BalancerStats()) }

@@ -3,7 +3,6 @@ package similarity
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // LSHIndex is a banded locality-sensitive index over MinHash
@@ -161,34 +160,12 @@ func (x *LSHIndex) Update(id uint64, sig Signature) error {
 	return nil
 }
 
-// Candidates returns the ids sharing at least one band with sig, in
-// ascending order. The query itself (if indexed) is included.
-func (x *LSHIndex) Candidates(sig Signature) ([]uint64, error) {
-	if len(sig) != x.SignatureLen() {
-		return nil, fmt.Errorf("similarity: signature length %d, index expects %d", len(sig), x.SignatureLen())
-	}
-	seen := make(map[uint64]struct{})
-	for b := 0; b < x.bands; b++ {
-		key := bandHash(sig[b*x.rows : (b+1)*x.rows])
-		for _, id := range x.tables[b][key] {
-			seen[id] = struct{}{}
-		}
-	}
-	out := make([]uint64, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out, nil
-}
-
-// CandidatesAppend is Candidates into caller-owned storage: bucket
-// contents are appended to dst, then sorted and deduplicated in place,
-// and the (possibly regrown) slice is returned — the same ascending
-// unique IDs Candidates builds, without the per-query map. This is the
-// retrieval the interned hot path uses as its *primary* candidate
-// source, so it must not allocate once dst has warmed up to the
-// typical candidate count.
+// CandidatesAppend appends to dst the ids sharing at least one band
+// with sig, in ascending order without duplicates, and returns the
+// (possibly regrown) slice. The query itself (if indexed) is included.
+// Bucket contents are appended, then sorted and deduplicated in place:
+// this is the merge scan's *primary* candidate source, so it must not
+// allocate once dst has warmed up to the typical candidate count.
 func (x *LSHIndex) CandidatesAppend(sig Signature, dst []uint64) ([]uint64, error) {
 	if len(sig) != x.SignatureLen() {
 		return dst, fmt.Errorf("similarity: signature length %d, index expects %d", len(sig), x.SignatureLen())

@@ -35,7 +35,7 @@ func TestLSHInsertRemove(t *testing.T) {
 	if err := x.Insert(7, sig); err == nil {
 		t.Fatal("duplicate id accepted")
 	}
-	cands, err := x.Candidates(sig)
+	cands, err := x.CandidatesAppend(sig, nil)
 	if err != nil || len(cands) != 1 || cands[0] != 7 {
 		t.Fatalf("Candidates = %v, %v", cands, err)
 	}
@@ -44,7 +44,7 @@ func TestLSHInsertRemove(t *testing.T) {
 		t.Fatal("Remove failed")
 	}
 	x.Remove(7) // no-op
-	cands, _ = x.Candidates(sig)
+	cands, _ = x.CandidatesAppend(sig, nil)
 	if len(cands) != 0 {
 		t.Fatalf("stale candidates: %v", cands)
 	}
@@ -59,7 +59,7 @@ func TestLSHLengthMismatch(t *testing.T) {
 	if err := x.Update(1, short); err == nil {
 		t.Error("short update accepted")
 	}
-	if _, err := x.Candidates(short); err == nil {
+	if _, err := x.CandidatesAppend(short, nil); err == nil {
 		t.Error("short query accepted")
 	}
 }
@@ -70,7 +70,7 @@ func TestLSHIdenticalSetsAlwaysCollide(t *testing.T) {
 	a := h.Sign(sp(10, 20, 30, 40))
 	b := h.Sign(sp(40, 30, 20, 10))
 	x.Insert(1, a)
-	cands, _ := x.Candidates(b)
+	cands, _ := x.CandidatesAppend(b, nil)
 	if len(cands) != 1 || cands[0] != 1 {
 		t.Fatalf("identical sets did not collide: %v", cands)
 	}
@@ -82,7 +82,7 @@ func TestLSHInsertCopiesSignature(t *testing.T) {
 	sig := h.Sign(sp(1, 2))
 	x.Insert(1, sig)
 	sig[0] = 12345 // caller mutates its slice
-	cands, _ := x.Candidates(h.Sign(sp(1, 2)))
+	cands, _ := x.CandidatesAppend(h.Sign(sp(1, 2)), nil)
 	if len(cands) != 1 {
 		t.Fatal("index shared caller's slice")
 	}
@@ -100,7 +100,7 @@ func TestLSHUpdate(t *testing.T) {
 	if x.Len() != 1 {
 		t.Fatalf("Len = %d after update", x.Len())
 	}
-	cands, _ := x.Candidates(grown)
+	cands, _ := x.CandidatesAppend(grown, nil)
 	if len(cands) != 1 || cands[0] != 5 {
 		t.Fatalf("updated signature not retrievable: %v", cands)
 	}
@@ -137,7 +137,7 @@ func TestLSHRecall(t *testing.T) {
 		x.Insert(uint64(1000+i), h.Sign(spec.New(ids)))
 	}
 
-	cands, err := x.Candidates(h.Sign(query))
+	cands, err := x.CandidatesAppend(h.Sign(query), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestLSHRowsSharpenCutoff(t *testing.T) {
 		weak = append(weak, pkggraph.PkgID(5000+rng.Intn(5000)))
 	}
 	sharp.Insert(1, h.Sign(spec.New(weak)))
-	cands, _ := sharp.Candidates(h.Sign(spec.New(query)))
+	cands, _ := sharp.CandidatesAppend(h.Sign(spec.New(query)), nil)
 	if len(cands) != 0 {
 		t.Errorf("8-row bands retrieved a ~5%%-similar set: %v", cands)
 	}
@@ -186,7 +186,7 @@ func TestLSHRowsSharpenCutoff(t *testing.T) {
 	// The same pair under rows=1 is found essentially always.
 	loose, _ := NewLSHIndex(64, 1)
 	loose.Insert(1, h.Sign(spec.New(weak)))
-	cands, _ = loose.Candidates(h.Sign(spec.New(query)))
+	cands, _ = loose.CandidatesAppend(h.Sign(spec.New(query)), nil)
 	if len(cands) != 1 {
 		t.Errorf("1-row bands missed a ~5%%-similar set")
 	}
@@ -214,11 +214,10 @@ func TestLSHUpdateInPlace(t *testing.T) {
 		sigs := map[uint64]Signature{}
 		compare := func(step int, sig Signature) {
 			t.Helper()
-			g, _ := got.Candidates(sig)
-			w, _ := want.Candidates(sig)
-			ga, _ := got.CandidatesAppend(sig, nil)
-			if !slices.Equal(g, w) || !slices.Equal(ga, w) {
-				t.Fatalf("%dx%d step %d: candidates %v / %v, remove+insert gives %v", bands, rows, step, g, ga, w)
+			g, _ := got.CandidatesAppend(sig, nil)
+			w, _ := want.CandidatesAppend(sig, nil)
+			if !slices.Equal(g, w) {
+				t.Fatalf("%dx%d step %d: candidates %v, remove+insert gives %v", bands, rows, step, g, w)
 			}
 		}
 		for step := 0; step < 1500; step++ {
@@ -230,7 +229,7 @@ func TestLSHUpdateInPlace(t *testing.T) {
 				want.Remove(id)
 				delete(sigs, id)
 			case ok && rng.Intn(3) > 0:
-				fresh = MergeSignatures(cur, fresh) // a merge: most bands keep their value
+				MergeSignaturesInto(fresh, cur) // a merge: most bands keep their value
 				fallthrough
 			default: // replace (a split), or insert through Update
 				if err := got.Update(id, fresh); err != nil {
@@ -266,7 +265,7 @@ func TestLSHUpdateDoesNotAliasCaller(t *testing.T) {
 	x.Insert(1, a)
 	x.Update(1, b)
 	b[1] = 7 // the caller's storage is its own (core folds img.sig in place)
-	if c, _ := x.Candidates(Signature{0, 9, 0, 0}); len(c) != 1 {
+	if c, _ := x.CandidatesAppend(Signature{0, 9, 0, 0}, nil); len(c) != 1 {
 		t.Fatalf("candidates by the updated band: %v", c)
 	}
 	x.Remove(1)
@@ -290,7 +289,9 @@ func BenchmarkLSHUpdate(b *testing.B) {
 	for id := 0; id < 200; id++ {
 		sig := h.Sign(randomSet(rng, 322, 9660))
 		base = append(base, sig)
-		folded = append(folded, MergeSignatures(sig, h.Sign(randomSet(rng, 40, 9660))))
+		fold := h.Sign(randomSet(rng, 40, 9660))
+		MergeSignaturesInto(fold, sig)
+		folded = append(folded, fold)
 		x.Insert(uint64(id), sig)
 	}
 	b.ReportAllocs()

@@ -175,28 +175,10 @@ func EstimateDistance(a, b Signature) float64 {
 	return 1 - float64(same)/float64(len(a))
 }
 
-// MergeSignatures returns the signature of the union of the two
-// underlying sets: the positionwise minimum. This lets the cache
-// manager maintain the sketch of a merged image in O(k) without
-// re-signing the union.
-func MergeSignatures(a, b Signature) Signature {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("similarity: signature length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make(Signature, len(a))
-	for i := range a {
-		if a[i] < b[i] {
-			out[i] = a[i]
-		} else {
-			out[i] = b[i]
-		}
-	}
-	return out
-}
-
-// MergeSignaturesInto folds b into dst in place (positionwise
-// minimum): the allocation-free form of MergeSignatures for callers
-// that own dst, such as the manager updating a merged image's sketch.
+// MergeSignaturesInto folds b into dst in place, making dst the
+// signature of the union of the two underlying sets: the positionwise
+// minimum. This lets the cache manager maintain the sketch of a merged
+// image in O(k) without re-signing the union or allocating.
 func MergeSignaturesInto(dst, b Signature) {
 	if len(dst) != len(b) {
 		panic(fmt.Sprintf("similarity: signature length mismatch %d vs %d", len(dst), len(b)))

@@ -204,7 +204,8 @@ func TestMergeSignaturesProperty(t *testing.T) {
 	f := func(xs, ys []uint8) bool {
 		a := specFrom(xs)
 		b := specFrom(ys)
-		merged := MergeSignatures(h.Sign(a), h.Sign(b))
+		merged := h.Sign(a)
+		MergeSignaturesInto(merged, h.Sign(b))
 		direct := h.Sign(a.Union(b))
 		for i := range merged {
 			if merged[i] != direct[i] {
@@ -224,7 +225,7 @@ func TestMergeSignaturesMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MergeSignatures(make(Signature, 2), make(Signature, 3))
+	MergeSignaturesInto(make(Signature, 2), make(Signature, 3))
 }
 
 // Property: estimator is always in [0,1] and symmetric.
