@@ -34,10 +34,12 @@ bench:
 # Allocation regression guards. The interned hot path's hit-heavy steady
 # state (cached spec repeats against a warm Manager), the fleet
 # master's per-request affinity question (one translated request tested
-# against every agent's indexed directory mirror) and the /v1/request
-# body decoder (a 325-key canonical body read, scanned and resolved on
-# an agent; read, scanned, route-hashed and translated on the master)
-# must all run allocation-free, and rendering a 2,000-package spec's
+# against every agent's indexed directory mirror), its route key (seed-1
+# closed specs translated by a gossiped dictionary, one in five with a
+# key it never saw, so the unknown-key merge runs too) and the
+# /v1/request body decoder (a 325-key canonical body read, scanned and
+# resolved on an agent; read, scanned and translated into route key and
+# affinity query on the master) must all run allocation-free, and rendering a 2,000-package spec's
 # keys for a WAL record or checkpoint must cost the one result slice
 # (the keys come from the repository's table; per-key concatenation was
 # ~660 allocations per merge), as must closing a 100-package selection
@@ -60,6 +62,7 @@ alloc_guard = awk -v pat='$(1)' -v max='$(2)' '$$0 ~ pat { allocs = $$(NF-1); pr
 bench-guard:
 	$(GO) test -run '^$$' -bench '^BenchmarkManagerSerial$$/hit-heavy' -benchmem -benchtime 2000x . | $(call alloc_guard,hit-heavy)
 	$(GO) test -run '^$$' -bench '^BenchmarkRouteAffinity$$' -benchmem -benchtime 2000x ./internal/fleet | $(call alloc_guard,BenchmarkRouteAffinity)
+	$(GO) test -run '^$$' -bench '^BenchmarkRouteKey$$' -benchmem -benchtime 2000x ./internal/fleet | $(call alloc_guard,BenchmarkRouteKey)
 	$(GO) test -run '^$$' -bench '^BenchmarkRequestDecode$$' -benchmem -benchtime 2000x ./internal/server | $(call alloc_guard,BenchmarkRequestDecode)
 	$(GO) test -run '^$$' -bench '^BenchmarkRequestDecode$$' -benchmem -benchtime 2000x ./internal/fleet | $(call alloc_guard,BenchmarkRequestDecode)
 	$(GO) test -run '^$$' -bench '^BenchmarkKeysOf$$' -benchmem -benchtime 2000x ./internal/core | $(call alloc_guard,BenchmarkKeysOf,1)
@@ -100,11 +103,12 @@ fuzz:
 # simulation suites (unsharded and sharded, exact rows and MinHash
 # rows, every request validated by the oracle — the one reference for
 # Algorithm 1, in exact and in margin mode) and scaled-down soaks under
-# the race detector, the mutant self-test (each of the eighteen seeded
+# the race detector, the mutant self-test (each of the nineteen seeded
 # bugs — six Algorithm 1 clauses, the shard-routing and
 # budget-balancing mutants, the three interned-path mutants
 # intern/popcount/lshmiss, the HA epoch-fencing mutant staleepoch, the
-# mirror-index mutant staleindex, the request-scanner mutant reqscan,
+# mirror-index mutant staleindex, the key-rank mutant rankstale, the
+# request-scanner mutant reqscan,
 # the merge-record mutant deltadrop, the closure-union mutant
 # closuredrop, the record-scanner mutant walscan, and the signing
 # mutant probeskip — must be caught reproducibly: the Algorithm 1 six,
@@ -113,7 +117,8 @@ fuzz:
 # merge the dropped band candidate hid), probeskip by CheckIntegrity's
 # re-sign with the direct kernel at the first MinHash insert,
 # staleepoch within the HA stage's first lease isolation, staleindex
-# within the fleet stage's eviction audit, reqscan at the first escaped
+# within the fleet stage's eviction audit, rankstale at the fleet
+# stage's first CheckIntegrity after the dictionary grew out of order, reqscan at the first escaped
 # body and closuredrop at the first close:true body of a fault-free
 # network-chaos stage, deltadrop and walscan by the replayed-state
 # byte-identity audit that ends the first simulation), and one CLI

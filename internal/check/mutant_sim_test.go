@@ -45,7 +45,9 @@ func TestMutantSim(t *testing.T) {
 	// fleetStage is a short fault-free fleet chaos run: what it keeps is
 	// the mid-stream eviction audit, the only place a gossip frame
 	// carries Removes — the frames the staleindex mutant mishandles —
-	// with Master.CheckIntegrity after each.
+	// with Master.CheckIntegrity after each, and the CheckIntegrity of
+	// every step, whose rank audit sees the first gossip frame the
+	// rankstale mutant leaves out of order.
 	fleetStage := func() (string, int) {
 		cfg := FleetChaosDefault(*seedFlag)
 		cfg.Steps, cfg.PartitionEvery, cfg.MasterKillEvery = 60, 0, 0
@@ -109,7 +111,7 @@ func TestMutantSim(t *testing.T) {
 		// Core mutants run the HA stage last (they fall to a cheaper
 		// stage long before).
 		ownStage := map[string]func() (string, int){
-			"staleindex": fleetStage, "staleepoch": haStage, "reqscan": netStage,
+			"staleindex": fleetStage, "rankstale": fleetStage, "staleepoch": haStage, "reqscan": netStage,
 			"closuredrop": netStage, "lshmiss": minhashStage, "probeskip": minhashStage,
 		}[mutant]
 		if ownStage != nil {

@@ -38,7 +38,7 @@ func naiveHoldsSuperset(f *Follower, packages []string) bool {
 }
 
 func indexedHoldsSuperset(dict *KeyDict, f *Follower, packages []string) bool {
-	q, known := dict.Query(keyViews(packages))
+	_, q, known := dict.Route(keyViews(packages))
 	return known && f.HoldsSuperset(q)
 }
 
@@ -235,7 +235,7 @@ func BenchmarkRouteAffinity(b *testing.B) {
 		req = append(req, []byte(last[i]))
 	}
 	holds := func() (first, second bool) {
-		q, known := ms.dict.Query(req)
+		_, q, known := ms.dict.Route(req)
 		return known && ms.HoldsSuperset(agents[0], q), known && ms.HoldsSuperset(agents[1], q)
 	}
 	if first, second := holds(); first || !second {

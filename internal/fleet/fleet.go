@@ -30,10 +30,8 @@
 package fleet
 
 import (
-	"bytes"
 	"hash/fnv"
 	"slices"
-	"sort"
 )
 
 // Wire types. Everything the control plane sends is JSON, matching the
@@ -141,35 +139,31 @@ type RouteInfo struct {
 }
 
 // RouteKey derives the routing key from a job's package keys: the
-// spec-signature hash the ring consumes. It is order-insensitive (the
-// keys are sorted first) so a submitter's package ordering cannot
-// scatter one logical spec across agents. Closure expansion happens on
-// the agent, so the key hashes the requested packages, which is
-// exactly as stable.
+// spec-signature hash the ring consumes. It hashes the distinct keys in
+// sorted order, so neither ordering nor a repeated key (the agent's spec
+// is a set) scatters one spec across agents. Closure happens on the
+// agent, so it hashes the requested packages, which is as stable. It is
+// the reference for KeyDict.Route, which the master computes instead.
 func RouteKey(packages []string) uint64 {
-	sorted := append([]string(nil), packages...)
-	sort.Strings(sorted)
-	return hashLines(sorted)
-}
-
-// routeKeyBytes is RouteKey over key views into a request body. It
-// sorts keys in place and allocates nothing.
-func routeKeyBytes(keys [][]byte) uint64 {
-	slices.SortFunc(keys, bytes.Compare)
-	return hashLines(keys)
-}
-
-// hashLines is fnv64a over every key followed by a newline.
-func hashLines[K string | []byte](keys []K) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, k := range keys {
-		for i := 0; i < len(k); i++ {
-			h = (h ^ uint64(k[i])) * prime64
-		}
-		h = (h ^ '\n') * prime64
+	sorted := slices.Clone(packages)
+	slices.Sort(sorted)
+	key := uint64(offset64)
+	for _, k := range slices.Compact(sorted) {
+		key = hashLine(key, k)
 	}
-	return h
+	return key
+}
+
+// offset64 is fnv64a's initial state.
+const offset64 = 14695981039346656037
+
+// hashLine folds one key and a newline into the fnv64a state h.
+func hashLine[K string | []byte](h uint64, k K) uint64 {
+	const prime64 = 1099511628211
+	for i := 0; i < len(k); i++ {
+		h = (h ^ uint64(k[i])) * prime64
+	}
+	return (h ^ '\n') * prime64
 }
 
 // hashString is fnv64a of s, the member-name hash the ring and

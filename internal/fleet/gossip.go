@@ -234,8 +234,8 @@ type Follower struct {
 }
 
 // NewFollower creates an empty follower at revision 0 whose index is
-// expressed over dict. Followers that answer the same Query must share
-// one dictionary.
+// expressed over dict. Followers that answer the same KeyDict.Route must
+// share one dictionary.
 func NewFollower(dict *KeyDict) *Follower {
 	return &Follower{
 		entries: make(map[uint64]DirEntry),
@@ -274,7 +274,9 @@ func (f *Follower) Reset() {
 // Apply incorporates one frame. Duplicated and reordered-old frames
 // are dropped (DeltaStale); a frame from beyond the follower's
 // revision reports DeltaGap so the caller can request a Full resync.
+// Keys the frame adds to the dictionary are ranked before it returns.
 func (f *Follower) Apply(d DirDelta) ApplyResult {
+	defer f.dict.rerank()
 	if d.Full {
 		if d.To <= f.rev {
 			return DeltaStale

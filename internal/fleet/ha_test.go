@@ -264,7 +264,7 @@ func TestRouteAffinityOrder(t *testing.T) {
 		seedMember(t, m, id)
 	}
 	m.mu.Lock()
-	owner := m.routeLocked(key, nil).Owner
+	owner := m.routeLocked(key, KeyQuery{}, false).Owner
 	m.mu.Unlock()
 	rdv := RendezvousOrder(agents, key)
 	var holder, other string
@@ -282,7 +282,7 @@ func TestRouteAffinityOrder(t *testing.T) {
 	// Nobody holds the spec: owner first, then rendezvous order, no
 	// affinity.
 	m.mu.Lock()
-	info := m.routeLocked(key, keyViews(pkgs))
+	info := m.routeLocked(m.ms.dict.Route(keyViews(pkgs)))
 	m.mu.Unlock()
 	if info.Affinity || len(info.Candidates) != 3 || info.Candidates[0] != owner {
 		t.Fatalf("cold route: %+v, want owner %s first without affinity", info, owner)
@@ -293,7 +293,7 @@ func TestRouteAffinityOrder(t *testing.T) {
 	seedMember(t, m, holder, DirEntry{ID: 1, Version: 1, Size: 10,
 		Packages: []string{"p1", "p2", "p3"}})
 	m.mu.Lock()
-	info = m.routeLocked(key, keyViews(pkgs))
+	info = m.routeLocked(m.ms.dict.Route(keyViews(pkgs)))
 	m.mu.Unlock()
 	want := []string{holder, owner, other}
 	if !info.Affinity {
@@ -308,7 +308,7 @@ func TestRouteAffinityOrder(t *testing.T) {
 	// A request is a set: repeating a key does not push it past the
 	// holder's image size, so the route is the same redirect.
 	m.mu.Lock()
-	info = m.routeLocked(key, keyViews([]string{"p1", "p2", "p2", "p1"}))
+	info = m.routeLocked(m.ms.dict.Route(keyViews([]string{"p1", "p2", "p2", "p1"})))
 	m.mu.Unlock()
 	if !info.Affinity || info.Candidates[0] != holder {
 		t.Fatalf("repeated keys hid the superset holder: %+v, want %s first with affinity", info, holder)
@@ -319,7 +319,7 @@ func TestRouteAffinityOrder(t *testing.T) {
 	seedMember(t, m, owner,
 		DirEntry{ID: 2, Version: 1, Size: 10, Packages: []string{"p1", "p2", "p9"}})
 	m.mu.Lock()
-	info = m.routeLocked(key, keyViews(pkgs))
+	info = m.routeLocked(m.ms.dict.Route(keyViews(pkgs)))
 	m.mu.Unlock()
 	want = []string{owner, holder, other}
 	if info.Affinity {
@@ -333,7 +333,8 @@ func TestRouteAffinityOrder(t *testing.T) {
 
 	// An image too small or mismatched is not a superset.
 	m.mu.Lock()
-	info = m.routeLocked(key, keyViews([]string{"p1", "p2", "p4"}))
+	info = m.routeLocked(m.ms.dict.Route(keyViews([]string{"p1", "p2", "p4"})))
+	owner = m.routeLocked(RouteKey([]string{"p1", "p2", "p4"}), KeyQuery{}, false).Owner
 	m.mu.Unlock()
 	if info.Affinity || info.Candidates[0] != owner {
 		t.Fatalf("non-superset image influenced routing: %+v", info)
@@ -352,7 +353,7 @@ func TestRouteAffinityCounterEndToEnd(t *testing.T) {
 	for i := 0; ; i++ {
 		keys = specKeys(f.repo, i, 3)
 		f.master.mu.Lock()
-		owner := f.master.routeLocked(RouteKey(keys), nil).Owner
+		owner := f.master.routeLocked(RouteKey(keys), KeyQuery{}, false).Owner
 		f.master.mu.Unlock()
 		if owner != warm.id {
 			break

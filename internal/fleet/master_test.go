@@ -3,8 +3,11 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -198,7 +201,7 @@ func TestFleetFailoverRoutesAroundDeadAgent(t *testing.T) {
 	for i := 0; ; i++ {
 		keys = specKeys(f.repo, i, 3)
 		f.master.mu.Lock()
-		info := f.master.routeLocked(RouteKey(keys), nil)
+		info := f.master.routeLocked(RouteKey(keys), KeyQuery{}, false)
 		f.master.mu.Unlock()
 		if info.Owner == victim.id {
 			break
@@ -352,6 +355,94 @@ func TestFleetSweepAgesSilentAgents(t *testing.T) {
 	// removal + re-add, at least.
 	if count, mean := f.master.KeyMovementStats(); count < 2 || mean <= 0 {
 		t.Fatalf("key movement histogram count=%d mean=%v, want >= 2 observations", count, mean)
+	}
+}
+
+// TestFleetRepeatedKeysRouteTogether: a spec sent with a repeated key
+// is the same spec to the agent, so through the master it must land on
+// the agent that already holds it, as a hit.
+func TestFleetRepeatedKeysRouteTogether(t *testing.T) {
+	f := newTestFleet(t, 3, MasterConfig{SuspectAfter: -1})
+	f.beatAll()
+	for i := 0; i < 12; i++ {
+		keys := specKeys(f.repo, i, 3)
+		first, err := f.request(keys)
+		if err != nil {
+			t.Fatalf("spec %d: %v", i, err)
+		}
+		again, err := f.request(append([]string{keys[2]}, append(keys, keys[0])...))
+		if err != nil {
+			t.Fatalf("spec %d with repeats: %v", i, err)
+		}
+		if again.Agent != first.Agent || again.Op != "hit" {
+			t.Fatalf("spec %d: served by %s, with repeated keys %q on %s", i, first.Agent, again.Op, again.Agent)
+		}
+	}
+}
+
+// TestMasterKeepsAgentConnections: eight clients forwarding 300
+// requests each through the master open one connection apiece to the
+// agent. The agent holds the first eight forwards until all are in
+// flight, so the eight connections exist before any is freed (net/http
+// hands a connection freed mid-dial to the waiting request and keeps
+// the late dial's too, which would make the count racy). On
+// http.DefaultTransport's two idle connections per host the master
+// opened ~800.
+func TestMasterKeepsAgentConnections(t *testing.T) {
+	const clients, perClient = 8, 300
+	var opened atomic.Int64
+	var firstWave sync.WaitGroup
+	firstWave.Add(clients)
+	var served atomic.Int64
+	agent := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		if served.Add(1) <= clients {
+			firstWave.Done()
+			firstWave.Wait()
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"op":"hit","packages":1}`))
+	}))
+	agent.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	agent.Start()
+	defer agent.Close()
+
+	m := NewMaster(MasterConfig{SuspectAfter: -1})
+	m.mu.Lock()
+	m.ms.Register(RegisterRequest{ID: "agent-0", URL: agent.URL, Gen: 1}, time.Unix(0, 0))
+	m.ring.Add("agent-0")
+	m.mu.Unlock()
+	mts := httptest.NewServer(m.Handler())
+	defer mts.Close()
+
+	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
+	defer hc.CloseIdleConnections()
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl := server.NewClient(mts.URL, hc)
+			for i := 0; i < perClient; i++ {
+				if _, err := cl.Request([]string{"k"}, false); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if n := opened.Load(); n > clients {
+		t.Fatalf("%d clients x %d forwards opened %d master->agent connections, want at most %d", clients, perClient, n, clients)
 	}
 }
 

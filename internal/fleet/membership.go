@@ -239,9 +239,12 @@ func (ms *Membership) HoldsSuperset(id string, q KeyQuery) bool {
 	return ok && m.dir.HoldsSuperset(q)
 }
 
-// CheckIndex audits every member's mirror index against its mirror
-// entries, in member-ID order.
+// CheckIndex audits the shared dictionary's rank table, then every
+// member's mirror index against its mirror entries, in member-ID order.
 func (ms *Membership) CheckIndex() error {
+	if err := ms.dict.checkRanks(); err != nil {
+		return err
+	}
 	ids := make([]string, 0, len(ms.members))
 	for id := range ms.members {
 		ids = append(ids, id)

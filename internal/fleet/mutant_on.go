@@ -22,6 +22,10 @@ import (
 //	             agent that evicted the image. check.RunFleetChaos must
 //	             catch it via Master.CheckIntegrity after its eviction
 //	             round.
+//	rankstale  — keys new to the master's dictionary join its rank
+//	             order unsorted, so routes silently stop being RouteKey.
+//	             check.RunFleetChaos must catch it via the rank audit in
+//	             Master.CheckIntegrity.
 var (
 	mutantOnce sync.Once
 	mutantName string

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/pkggraph"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 )
@@ -28,24 +29,30 @@ func context5s(t *testing.T) context.Context {
 // keys in order, same close; every key resolves the same through
 // Lookup and LookupBytes; and the master's route key over the key views
 // is RouteKey over the strings, so the ring places the request where it
-// always did.
+// always did. subset picks which of the test repository's keys the
+// master's dictionary has seen (bit i%64 for package i), so the route
+// key meets every mix of ranked and unknown keys.
 func FuzzRequestDecode(f *testing.F) {
 	repo := testRepo(f)
 	k0 := strconv.Quote(repo.Package(0).Key())
 	k1 := strconv.Quote(repo.Package(1).Key())
-	f.Add([]byte(`{"packages":[` + k0 + `,` + k1 + `],"close":true}`))
-	f.Add([]byte(`{"packages":[` + k1 + `,` + k0 + `,` + k1 + `]}`))
-	f.Add([]byte(" {\n\t\"packages\" : [ " + k0 + " , \"ghost/1/p\" ] , \"close\" : false }\r\n"))
-	f.Add([]byte(`{"close":true,"packages":[` + k0 + `]}`))
-	f.Add([]byte(`{"packages":[` + strings.ReplaceAll(k0, "/", `\/`) + `],"close":true}`))
-	f.Add([]byte(`{"Packages":["a😀","\ud83d"],"close":null}`))
-	f.Add([]byte("{\"packages\":[\"a\xffb\",\"c\x01d\",\"e\x7ff\"]}"))
-	f.Add([]byte(`{"packages":[],"close":true}`))
-	f.Add([]byte(`{"packages":[` + k0 + `,null,7]} trailing`))
-	f.Add([]byte(`{"packages":[` + k0))
-	f.Add([]byte{})
+	for i, body := range []string{
+		`{"packages":[` + k0 + `,` + k1 + `],"close":true}`,
+		`{"packages":[` + k1 + `,` + k0 + `,` + k1 + `]}`,
+		" {\n\t\"packages\" : [ " + k0 + " , \"ghost/1/p\" ] , \"close\" : false }\r\n",
+		`{"close":true,"packages":[` + k0 + `]}`,
+		`{"packages":[` + strings.ReplaceAll(k0, "/", `\/`) + `],"close":true}`,
+		`{"Packages":["a😀","\ud83d"],"close":null}`,
+		"{\"packages\":[\"a\xffb\",\"c\x01d\",\"e\x7ff\"]}",
+		`{"packages":[],"close":true}`,
+		`{"packages":[` + k0 + `,null,7]} trailing`,
+		`{"packages":[` + k0,
+		``,
+	} {
+		f.Add([]byte(body), []uint64{0, ^uint64(0), 0x5555555555555555}[i%3])
+	}
 	rd := server.NewRequestDecoder(telemetry.NewRegistry(), server.DefaultRequestBodyLimit)
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, subset uint64) {
 		var want server.RequestBody
 		wantErr := json.NewDecoder(bytes.NewReader(data)).Decode(&want)
 		dec, err := rd.DecodeBody(bytes.NewReader(data), int64(len(data)), nil, telemetry.SpanNone)
@@ -79,8 +86,20 @@ func FuzzRequestDecode(f *testing.F) {
 				t.Fatalf("LookupBytes(%q) = %d,%v; Lookup = %d,%v", key, id, ok, wantID, wantOK)
 			}
 		}
-		if got, want := routeKeyBytes(dec.Keys), RouteKey(want.Packages); got != want {
-			t.Fatalf("routeKeyBytes = %x, RouteKey = %x for %q", got, want, data)
+		dict := NewKeyDict()
+		var seen []string
+		for i := 0; i < repo.Len(); i++ {
+			if subset>>(i%64)&1 != 0 {
+				seen = append(seen, repo.Package(pkggraph.PkgID(i)).Key())
+			}
+		}
+		for len(seen) > 0 { // a few gossip frames' worth, each ranked as it lands
+			n := min(len(seen), 7)
+			growDict(dict, seen[:n])
+			seen = seen[n:]
+		}
+		if got, want := routeKeyOf(dict, dec.Keys), RouteKey(want.Packages); got != want {
+			t.Fatalf("dictionary route key = %x, RouteKey = %x for %q (subset %x)", got, want, data, subset)
 		}
 	})
 }
@@ -188,8 +207,9 @@ func TestMasterDecodeSpanUnderRoute(t *testing.T) {
 
 // BenchmarkRequestDecode is the master's share of a routed request
 // before the forward: a 325-key ~14 KB canonical body read and scanned,
-// its route key hashed and its keys translated for the affinity index.
-// `make bench-guard` holds it to 0 allocs/op.
+// and its keys translated by a dictionary that has seen them all into
+// the route key and the affinity query. `make bench-guard` holds it to
+// 0 allocs/op.
 func BenchmarkRequestDecode(b *testing.B) {
 	var keys []string
 	body := []byte(`{"packages":[`)
@@ -203,7 +223,7 @@ func BenchmarkRequestDecode(b *testing.B) {
 	}
 	body = append(body, `],"close":false}`...)
 	dict := NewKeyDict()
-	dict.bitsOf(keys)
+	growDict(dict, keys)
 	rd := server.NewRequestDecoder(telemetry.NewRegistry(), server.DefaultRequestBodyLimit)
 	src := bytes.NewReader(body)
 	var sink uint64
@@ -216,11 +236,11 @@ func BenchmarkRequestDecode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sink += routeKeyBytes(dec.Keys)
-		q, known := dict.Query(dec.Keys)
+		key, q, known := dict.Route(dec.Keys)
 		if !known || q.distinct != len(keys) {
-			b.Fatalf("query: known=%v distinct=%d", known, q.distinct)
+			b.Fatalf("route: known=%v distinct=%d", known, q.distinct)
 		}
+		sink += key
 		dec.Release()
 	}
 	if sink == 0 {

@@ -2,10 +2,12 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net/http"
 	"sync"
 
@@ -21,13 +23,13 @@ import (
 //
 // with any insignificant JSON whitespace between tokens and plain keys
 // (no escape, every byte in 0x20..0x7f). RequestDecoder reads the body
-// once into a pooled buffer and scans that shape byte by byte, handing
-// out each key as a view into the buffer: no reflection, no string per
-// key. Whatever the scan does not recognise — an escape, a byte outside
-// that range, another field, another field order or case, null, an
-// empty array, a syntax error — it does not guess at: the buffered bytes
-// go through encoding/json exactly as the handlers decoded them before,
-// so every verdict and error text on that path is encoding/json's own.
+// once into a pooled buffer and scans that shape (key bytes eight at a
+// time), handing out each key as a view into the buffer: no reflection,
+// no string per key. Whatever the scan does not recognise — an escape, a
+// byte outside that range, another field, order or case, null, an empty
+// array, a syntax error — it does not guess at: the buffered bytes go
+// through encoding/json exactly as the handlers decoded them before, so
+// every verdict and error text on that path is encoding/json's own.
 // Which path runs is decided by the bytes alone. The master forwards
 // the bytes it received, so the agent decodes what the client sent.
 
@@ -214,15 +216,12 @@ func (d *DecodedRequest) scan() bool {
 		if !c.token(`"`) {
 			return false // not a string, or the empty array
 		}
-		i := c.i
-		for i < len(buf) && buf[i] != '"' {
-			if b := buf[i]; b < 0x20 || b >= 0x80 || (b == '\\' && !mutantEnabled("reqscan")) {
-				return false
-			}
-			i++
+		i := skipPlain(buf, c.i)
+		for i < len(buf) && buf[i] == '\\' && mutantEnabled("reqscan") {
+			i = skipPlain(buf, i+1)
 		}
-		if i == len(buf) {
-			return false
+		if i == len(buf) || buf[i] != '"' {
+			return false // unterminated, or a byte only encoding/json may judge
 		}
 		keys = append(keys, buf[c.i:i:i])
 		c.i = i + 1
@@ -244,6 +243,39 @@ func (d *DecodedRequest) scan() bool {
 	}
 	d.Keys, d.Close = keys, closeSpec
 	return true
+}
+
+// Word masks for skipPlain: every byte 0x01, 0x20, '"', '\' and 0x80.
+const (
+	ones        = 0x0101010101010101
+	spaces      = 0x20 * ones
+	quotes      = '"' * ones
+	backslashes = '\\' * ones
+	highs       = 0x80 * ones
+)
+
+// skipPlain returns the offset of the first byte at or after i that is
+// not a plain key byte — a '"', a '\', or a byte outside 0x20..0x7f — or
+// len(buf). It tests eight bytes per load: the mask flags bytes below
+// 0x20 ((w-spaces)&^w), equal to '"' or '\' (the same test on w xor the
+// byte) and at or above 0x80. A borrow can flag a byte above a true hit
+// but never below one, so the lowest flag is always the first special
+// byte; the tail of fewer than eight bytes goes byte by byte.
+func skipPlain(buf []byte, i int) int {
+	for ; i+8 <= len(buf); i += 8 {
+		w := binary.LittleEndian.Uint64(buf[i:])
+		q, s := w^quotes, w^backslashes
+		m := ((w-spaces)&^w | (q-ones)&^q | (s-ones)&^s | w) & highs
+		if m != 0 {
+			return i + bits.TrailingZeros64(m)>>3
+		}
+	}
+	for ; i < len(buf); i++ {
+		if b := buf[i]; b == '"' || b == '\\' || b < 0x20 || b >= 0x80 {
+			return i
+		}
+	}
+	return i
 }
 
 // cursor is the scanner's position in a body.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -218,6 +219,115 @@ func TestRequestDecodeDifferential(t *testing.T) {
 	}
 }
 
+// byteLoopScan is scan as it was before skipPlain: the same grammar
+// with the key bytes classified one at a time. It is the word scanner's
+// reference.
+func byteLoopScan(buf []byte) (keys [][]byte, closeSpec, ok bool) {
+	c := cursor{buf: buf}
+	if !(c.token(`{`) && c.token(`"packages"`) && c.token(`:`) && c.token(`[`)) {
+		return nil, false, false
+	}
+	for more := true; more; more = c.token(`,`) {
+		if !c.token(`"`) {
+			return nil, false, false
+		}
+		i := c.i
+		for i < len(buf) && buf[i] != '"' {
+			if b := buf[i]; b < 0x20 || b >= 0x80 || b == '\\' {
+				return nil, false, false
+			}
+			i++
+		}
+		if i == len(buf) {
+			return nil, false, false
+		}
+		keys = append(keys, buf[c.i:i])
+		c.i = i + 1
+	}
+	if !c.token(`]`) {
+		return nil, false, false
+	}
+	if c.token(`,`) {
+		if !(c.token(`"close"`) && c.token(`:`)) {
+			return nil, false, false
+		}
+		if closeSpec = c.token(`true`); !closeSpec && !c.token(`false`) {
+			return nil, false, false
+		}
+	}
+	if !c.token(`}`) || c.skipSpace() != len(buf) {
+		return nil, false, false
+	}
+	return keys, closeSpec, true
+}
+
+// byteLoopSkip is skipPlain one byte at a time.
+func byteLoopSkip(buf []byte, i int) int {
+	for i < len(buf) && buf[i] != '"' && buf[i] != '\\' && buf[i] >= 0x20 && buf[i] < 0x80 {
+		i++
+	}
+	return i
+}
+
+// TestScanMatchesByteLoop holds the word-at-a-time scanner to the byte
+// loop it replaced: every special-byte class (and the plain bytes that
+// border them) at every offset 0–15 of keys 0–24 bytes long, behind
+// prefixes that move the key across load boundaries, in bodies cut at
+// every length — so a special byte also sits in the final < 8 bytes.
+// skipPlain itself is compared from every offset of seeded random bytes.
+func TestScanMatchesByteLoop(t *testing.T) {
+	classes := []byte{'"', '\\', 0x00, 0x01, 0x1f, 0x80, 0x9f, 0xa0, 0xdc, 0xe2, 0xff, 0x20, 0x21, 0x23, 0x5b, 0x5d, 0x7f}
+	compared := 0
+	check := func(body []byte) {
+		t.Helper()
+		d := DecodedRequest{buf: body}
+		ok := d.scan()
+		wantKeys, wantClose, wantOK := byteLoopScan(body)
+		if ok != wantOK || (ok && (d.Close != wantClose || !slices.EqualFunc(d.Keys, wantKeys, bytes.Equal))) {
+			t.Fatalf("scan(%q) = %v %q close=%v; byte loop = %v %q close=%v",
+				body, ok, d.Keys, d.Close, wantOK, wantKeys, wantClose)
+		}
+		compared++
+	}
+	for _, special := range classes {
+		for n := 0; n <= 24; n++ {
+			for off := 0; off < 16; off++ {
+				if off >= n && off > 0 {
+					break // offset 0 of the empty key is the closing quote
+				}
+				key := []byte(strings.Repeat("abcdefgh/1.0-x", 2)[:n])
+				if off < n {
+					key[off] = special
+				}
+				for pad := 0; pad < 8; pad++ {
+					body := []byte(`{"packages":["` + strings.Repeat("p", pad) + `","`)
+					body = append(append(body, key...), `"],"close":true}`...)
+					for cut := len(body) - 24; cut <= len(body); cut++ {
+						check(body[:max(cut, 0)])
+					}
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 2000; n++ {
+		buf := make([]byte, rng.Intn(40))
+		for i := range buf {
+			if rng.Intn(6) == 0 {
+				buf[i] = classes[rng.Intn(len(classes))]
+			} else {
+				buf[i] = byte(0x20 + rng.Intn(0x60))
+			}
+		}
+		for i := 0; i <= len(buf); i++ {
+			if got, want := skipPlain(buf, i), byteLoopSkip(buf, i); got != want {
+				t.Fatalf("skipPlain(%q, %d) = %d, byte loop %d", buf, i, got, want)
+			}
+		}
+	}
+	t.Logf("%d bodies compared", compared)
+}
+
 // TestRequestDecodeReadError: a body that breaks off mid-read reaches
 // the reference decoder as the bytes read so far followed by the read
 // error, which is what decoding straight off the connection saw.
@@ -364,8 +474,10 @@ func TestRequestDecodeObservable(t *testing.T) {
 var decodeSink int
 
 // BenchmarkRequestDecode is the agent's share of a hit: a 325-key
-// ~14 KB canonical body read, scanned and resolved to package ids.
-// `make bench-guard` holds it to 0 allocs/op.
+// ~14 KB canonical body read, scanned and resolved to package ids —
+// ~11 µs on a quiet 2-core sandbox, where the byte-at-a-time scan took
+// 23–31 µs (results/bench_25/micro.txt). `make bench-guard` holds it to
+// 0 allocs/op.
 func BenchmarkRequestDecode(b *testing.B) {
 	repo := decodeRepo(b)
 	rd := NewRequestDecoder(telemetry.NewRegistry(), RequestBodyLimit(repo))
