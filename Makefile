@@ -35,8 +35,9 @@ bench:
 # state (cached spec repeats against a warm Manager), the fleet
 # master's per-request affinity question (one translated request tested
 # against every agent's indexed directory mirror), its route key (seed-1
-# closed specs translated by a gossiped dictionary, one in five with a
-# key it never saw, so the unknown-key merge runs too) and the
+# closed specs summed from a gossiped dictionary's stored route terms,
+# one in five with a key it never saw, so a streamed term is deduplicated
+# and added too) and the
 # /v1/request body decoder (a 325-key canonical body read, scanned and
 # resolved on an agent; read, scanned and translated into route key and
 # affinity query on the master) must all run allocation-free, and rendering a 2,000-package spec's
@@ -103,31 +104,32 @@ fuzz:
 # simulation suites (unsharded and sharded, exact rows and MinHash
 # rows, every request validated by the oracle — the one reference for
 # Algorithm 1, in exact and in margin mode) and scaled-down soaks under
-# the race detector, the mutant self-test (each of the nineteen seeded
-# bugs — six Algorithm 1 clauses, the shard-routing and
-# budget-balancing mutants, the three interned-path mutants
-# intern/popcount/lshmiss, the HA epoch-fencing mutant staleepoch, the
-# mirror-index mutant staleindex, the key-rank mutant rankstale, the
-# request-scanner mutant reqscan,
-# the merge-record mutant deltadrop, the closure-union mutant
-# closuredrop, the record-scanner mutant walscan, and the signing
-# mutant probeskip — must be caught reproducibly: the Algorithm 1 six,
-# intern, popcount and lshmiss by the oracle's re-derivation (lshmiss
-# in a MinHash row, where the oracle's index-free margin scan takes the
-# merge the dropped band candidate hid), probeskip by CheckIntegrity's
-# re-sign with the direct kernel at the first MinHash insert,
-# staleepoch within the HA stage's first lease isolation, staleindex
-# within the fleet stage's eviction audit, rankstale at the fleet
-# stage's first CheckIntegrity after the dictionary grew out of order, reqscan at the first escaped
-# body and closuredrop at the first close:true body of a fault-free
+# the race detector, the mutant self-test (each of the eighteen seeded
+# bugs — six Algorithm 1 clauses, the route-fold and budget-balancing
+# mutants, the three interned-path mutants intern/popcount/lshmiss, the
+# HA epoch-fencing mutant staleepoch, the mirror-index mutant
+# staleindex, the request-scanner mutant reqscan, the merge-record
+# mutant deltadrop, the closure-union mutant closuredrop, the
+# record-scanner mutant walscan, and the signing mutant probeskip —
+# must be caught reproducibly: the Algorithm 1 six, intern, popcount
+# and lshmiss by the oracle's re-derivation (lshmiss in a MinHash row,
+# where the oracle's index-free margin scan takes the merge the dropped
+# band candidate hid), probeskip by CheckIntegrity's re-sign with the
+# direct kernel at the first MinHash insert, route by both levels that
+# share its term table — the sharded suite's route audit and the fleet
+# stage's term audit in its first CheckIntegrity — staleepoch within
+# the HA stage's first lease isolation, staleindex within the fleet
+# stage's eviction audit, reqscan at the first escaped body and
+# closuredrop at the first close:true body of a fault-free
 # network-chaos stage, deltadrop and walscan by the replayed-state
 # byte-identity audit that ends the first simulation), and one CLI
 # chaos pass. `landlord-check sim` runs the sharded suite too. The
 # grep is a tripwire: the second decision pipeline, the middle manager
-# type and the second shadow were folded away and must not grow back.
+# type, the second shadow and the master's sorted-key dictionary were
+# folded away and must not grow back.
 check:
-	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(' --include='*.go' --exclude-dir=.bench_build . \
-		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md, 'One decision procedure')"; exit 1; }
+	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits' --include='*.go' --exclude-dir=.bench_build . \
+		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, and §10 for the route dictionary)"; exit 1; }
 	$(GO) test -race -short -count=1 ./internal/check
 	$(GO) test -run 'TestMutants|TestMutantFailure' -count=1 ./internal/check
 	$(GO) run ./cmd/landlord-check sim -seed 1

@@ -9,7 +9,7 @@ import (
 )
 
 // TestMutantSim runs under -tags landlord_mutants with LANDLORD_MUTANT
-// naming one seeded bug in internal/core, internal/fleet,
+// naming one seeded bug in internal/core, internal/spec, internal/fleet,
 // internal/server, internal/pkggraph, internal/persist or
 // internal/similarity (see their mutant_on.go). It
 // asserts the harness DETECTS the mutant: the staged suites —
@@ -46,8 +46,8 @@ func TestMutantSim(t *testing.T) {
 	// the mid-stream eviction audit, the only place a gossip frame
 	// carries Removes — the frames the staleindex mutant mishandles —
 	// with Master.CheckIntegrity after each, and the CheckIntegrity of
-	// every step, whose rank audit sees the first gossip frame the
-	// rankstale mutant leaves out of order.
+	// every step, whose term audit sees the first wrong route term the
+	// route mutant leaves in the master's key dictionary.
 	fleetStage := func() (string, int) {
 		cfg := FleetChaosDefault(*seedFlag)
 		cfg.Steps, cfg.PartitionEvery, cfg.MasterKillEvery = 60, 0, 0
@@ -111,7 +111,7 @@ func TestMutantSim(t *testing.T) {
 		// Core mutants run the HA stage last (they fall to a cheaper
 		// stage long before).
 		ownStage := map[string]func() (string, int){
-			"staleindex": fleetStage, "rankstale": fleetStage, "staleepoch": haStage, "reqscan": netStage,
+			"staleindex": fleetStage, "staleepoch": haStage, "reqscan": netStage,
 			"closuredrop": netStage, "lshmiss": minhashStage, "probeskip": minhashStage,
 		}[mutant]
 		if ownStage != nil {
@@ -171,4 +171,16 @@ func TestMutantSim(t *testing.T) {
 	}
 	t.Logf("mutant %q detected within %d requests", mutant, n1)
 	fmt.Printf("MUTANT_FAILURE %s: %s\n", mutant, first)
+
+	// route breaks the term table both routing levels keep, so each
+	// level's audit must catch it on its own: the sharded suite's route
+	// audit above, and the fleet stage's term audit here.
+	if mutant == "route" {
+		msg, n := fleetStage()
+		if msg == "" {
+			t.Fatalf("mutant %q survived the fleet stage's %d requests undetected", mutant, n)
+		}
+		t.Logf("mutant %q detected by the fleet stage within %d requests", mutant, n)
+		fmt.Printf("MUTANT_FAILURE %s/fleet: %s\n", mutant, msg)
+	}
 }

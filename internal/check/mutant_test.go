@@ -11,17 +11,18 @@ import (
 )
 
 // mutants lists the seeded bugs compiled in by -tags landlord_mutants
-// (mutant_on.go in internal/core, internal/fleet, internal/server,
-// internal/pkggraph, internal/persist and internal/similarity); each
-// breaks exactly one clause of Algorithm 1, one rule of the HA protocol,
-// one maintenance point of the master's mirror index or of its key
-// dictionary's rank order, one fallback rule of the request scanner,
-// the merge record's completeness as written or as read back, the
-// closure union's, or the signing probe's first step.
+// (mutant_on.go in internal/core, internal/spec, internal/fleet,
+// internal/server, internal/pkggraph, internal/persist and
+// internal/similarity); each breaks exactly one clause of Algorithm 1,
+// the route fold both routing levels share, one rule of the HA
+// protocol, one maintenance point of the master's mirror index, one
+// fallback rule of the request scanner, the merge record's completeness
+// as written or as read back, the closure union's, or the signing
+// probe's first step.
 var mutants = []string{
 	"superset", "threshold", "conflict", "lru", "capacity", "touch", "route", "balance",
 	"intern", "popcount", "lshmiss",
-	"staleepoch", "staleindex", "rankstale",
+	"staleepoch", "staleindex",
 	"reqscan",
 	"deltadrop",
 	"closuredrop",

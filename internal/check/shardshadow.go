@@ -53,7 +53,7 @@ type ShardShadow struct {
 	n      int
 	seed   int64
 	next   core.CommitHook // chained hook, may be nil
-	routes *core.RouteTable
+	routes spec.RouteTerms
 
 	mu      sync.Mutex
 	shards  []*shardShadowState
@@ -93,7 +93,7 @@ func NewShardShadow(repo *pkggraph.Repo, shards int, seed int64, next core.Commi
 		n:      shards,
 		seed:   seed,
 		next:   next,
-		routes: core.NewRouteTable(repo),
+		routes: spec.NewRouteTerms(repo),
 		shards: make([]*shardShadowState, shards),
 		stamps: make(map[uint64]struct{}),
 	}
@@ -264,9 +264,9 @@ func (sh *ShardShadow) check(shard int, mut core.Mutation) {
 		if want := core.ShardRoute(mut.Packages, sh.n); want != shard {
 			sh.failf("shard %d: insert of image %d whose packages route to shard %d (request misrouted)",
 				shard, mut.ImageID, want)
-		} else if got := sh.routes.Route(sh.specOf(mut.Packages), sh.n); got != want {
+		} else if got := core.ShardOf(sh.routes.Sum(sh.specOf(mut.Packages)), sh.n); got != want {
 			// The interned route table (per-PkgID terms summed) must
-			// agree with the streamed string hash on every inserted spec
+			// agree with the streamed string fold on every inserted spec
 			// — the pure-function identity the fast routing path rides.
 			sh.failf("shard %d: insert of image %d routes to %d interned but %d streamed (route table diverged)",
 				shard, mut.ImageID, got, want)

@@ -18,7 +18,6 @@ import (
 //	lru       — eviction removes the most recently used image
 //	capacity  — eviction tolerates 25% overflow
 //	touch     — hits do not refresh the image's LRU stamp
-//	route     — the shard router sends some specs to the wrong shard
 //	balance   — the balancer double-counts bytes freed by its previous
 //	            shrink pass, inflating the budget pool past capacity
 //	intern    — the package interner aliases two packages to one bit

@@ -18,8 +18,8 @@ import (
 //
 // A ShardedManager is the concurrent front of the cache: N ≥ 1
 // independently locked shards, each one single-threaded Manager behind
-// a lock pair, keyed by the request's package keys (the fleet RouteKey
-// fnv64a idiom). Hits — the overwhelmingly common case in the paper's
+// a lock pair, keyed by the request's package keys (the route fold the
+// fleet shares, internal/spec's RouteTerms). Hits — the overwhelmingly common case in the paper's
 // operational zone — are served under a shard's shared read lock so
 // they scale across cores; merges, inserts, evictions and maintenance
 // take that shard's write lock, so slow-path traffic on different
@@ -83,7 +83,7 @@ type ShardedManager struct {
 
 	// routes is the interned route-term table ShardFor sums (nil with
 	// one shard: there is nothing to route).
-	routes *RouteTable
+	routes spec.RouteTerms
 
 	balMu sync.Mutex
 	bal   BalancerStats
@@ -258,92 +258,24 @@ func (sh *shard) peekHit(s spec.Spec) (Result, bool) {
 	}, true
 }
 
-// fnv64a incremental hashing (hash/fnv without the allocating Hash64
-// wrapper — the router runs on every request).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// routeMix is the splitmix64 finalizer (same constants as the fleet
-// ring): the per-key sum below concentrates entropy in the low bits
-// poorly, so mix before reducing mod shards.
-func routeMix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// routeKeyHash is the per-key term of the route hash: fnv64a over the
-// key bytes plus a '\n' terminator (the fleet RouteKey framing).
-func routeKeyHash(k string) uint64 {
-	h := fnvString(fnvOffset64, k)
-	h ^= '\n'
-	h *= fnvPrime64
-	return h
-}
-
 // ShardRoute maps a request's package keys to a shard index in [0,
-// shards). The route is the splitmix-finalized *sum* of per-key fnv64a
-// hashes, so it is a pure function of the key multiset — key order
-// cannot matter by construction, and duplicate keys do not cancel (a
-// XOR would erase pairs) — the properties the shadow checker audits on
-// every insert and FuzzShardRoute fuzzes. shards < 2 always routes
-// to 0.
+// shards): the string form of the route, spec.RouteSum's fold reduced
+// by ShardOf. A sum of per-key terms is a pure function of the key
+// multiset — key order cannot matter by construction, and duplicate
+// keys do not cancel (a XOR would erase pairs) — the properties the
+// shadow checker audits on every insert and FuzzShardRoute fuzzes.
+// shards < 2 always routes to 0.
 func ShardRoute(packages []string, shards int) int {
+	return ShardOf(spec.RouteSum(packages), shards)
+}
+
+// ShardOf reduces a route sum to a shard index in [0, shards):
+// spec.RouteMix, then mod shards. shards < 2 always routes to 0.
+func ShardOf(sum uint64, shards int) int {
 	if shards < 2 {
 		return 0
 	}
-	var sum uint64
-	for _, k := range packages {
-		sum += routeKeyHash(k)
-	}
-	return int(routeMix(sum) % uint64(shards))
-}
-
-// RouteTable is the interned form of the route hash: each package's
-// routeKeyHash term, precomputed per PkgID at repository load, so
-// routing a request is one table lookup and one add per package — no
-// string bytes are ever re-hashed on the request path. Route is a pure
-// function identity with ShardRoute over the spec's keys; the shard
-// shadow checker audits the agreement on every insert and
-// FuzzShardRoute pins it across arbitrary specs and shard counts.
-type RouteTable struct {
-	terms []uint64
-}
-
-// NewRouteTable precomputes the per-package route terms for repo.
-func NewRouteTable(repo *pkggraph.Repo) *RouteTable {
-	rt := &RouteTable{terms: make([]uint64, repo.Len())}
-	for i := range rt.terms {
-		rt.terms[i] = routeKeyHash(repo.Package(pkggraph.PkgID(i)).Key())
-	}
-	return rt
-}
-
-// Route maps s to a shard index in [0, shards): the splitmix-finalized
-// sum of the spec's interned terms, byte-identical to
-// ShardRoute(keys, shards). shards < 2 always routes to 0.
-func (rt *RouteTable) Route(s spec.Spec, shards int) int {
-	if shards < 2 {
-		return 0
-	}
-	var sum uint64
-	for _, id := range s.IDs() {
-		sum += rt.terms[id]
-	}
-	return int(routeMix(sum) % uint64(shards))
+	return int(spec.RouteMix(sum) % uint64(shards))
 }
 
 // NewSharded validates cfg and creates an empty sharded manager with
@@ -363,7 +295,7 @@ func NewSharded(repo *pkggraph.Repo, cfg Config) (*ShardedManager, error) {
 		clockSrc: new(atomic.Uint64),
 	}
 	if n >= 2 {
-		sm.routes = NewRouteTable(repo)
+		sm.routes = spec.NewRouteTerms(repo)
 	}
 	budgets := SplitBudget(cfg.Capacity, n)
 	var hasher *similarity.Hasher // the first shard's, shared: one probe index per cache
@@ -403,18 +335,13 @@ func (sm *ShardedManager) ShardUsage(i int) (images int, bytes, budget int64) {
 func (sm *ShardedManager) Capacity() int64 { return sm.capacity }
 
 // ShardFor returns the shard a request for s routes to: the interned
-// RouteTable terms summed, the same hash as ShardRoute(keysOf(s), n)
-// without the per-request key-slice and key-string work.
+// route terms summed, the same route as ShardRoute(keysOf(s), n)
+// without reading a key byte or allocating.
 func (sm *ShardedManager) ShardFor(s spec.Spec) int {
-	n := len(sm.shards)
-	if n < 2 {
+	if len(sm.shards) < 2 {
 		return 0
 	}
-	route := sm.routes.Route(s, n)
-	if mutantEnabled("route") && s.Len()%3 == 1 {
-		route = (route + 1) % n
-	}
-	return route
+	return ShardOf(sm.routes.Sum(s), len(sm.shards))
 }
 
 // Request runs Algorithm 1 for s on the shard its key set routes to.

@@ -554,15 +554,53 @@ func TestShardRouteDegenerate(t *testing.T) {
 	}
 }
 
+// TestShardRoutePinned pins the shard route: image ids are strided by
+// shard and recovery routes by them, so a route that moved would strand
+// every persisted image. 1<<62 shards keeps 62 of the mixed sum's bits.
+func TestShardRoutePinned(t *testing.T) {
+	for _, tc := range []struct {
+		keys []string
+		want [5]int // at 2, 3, 4, 16 and 1<<62 shards
+	}{
+		{[]string{"a"}, [5]int{0, 1, 0, 12, 3216957245285230780}},
+		{[]string{"b/1/p", "a/2/p", "c/3/p"}, [5]int{1, 1, 3, 15, 4414258315557580271}},
+		{[]string{"core-000/2.1.0/x86_64-centos7-gcc8-opt", "app-0004/4.0.0/x86_64-centos7-gcc8-opt"}, [5]int{0, 0, 0, 4, 4428599360246242356}},
+		{[]string{""}, [5]int{0, 2, 0, 8, 1094985734709970104}},
+		{[]string{"x", "x"}, [5]int{0, 2, 0, 12, 2633860030269881708}},
+	} {
+		for i, n := range []int{2, 3, 4, 16, 1 << 62} {
+			if got := ShardRoute(tc.keys, n); got != tc.want[i] {
+				t.Errorf("ShardRoute(%q, %d) = %d, want %d", tc.keys, n, got, tc.want[i])
+			}
+		}
+	}
+	repo := concRepo(t)
+	sm, err := NewSharded(repo, Config{Alpha: 0.75, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := workload.NewDepClosure(repo, 1)
+	digest := uint64(14695981039346656037)
+	for i := 0; i < 500; i++ {
+		route := ShardRoute(sm.shards[0].m.keysOf(gen.Next()), 1<<62)
+		digest = (digest ^ uint64(route)) * 1099511628211
+	}
+	if digest != 0xe6c088532d348e95 {
+		t.Errorf("500 seed-1 specs route to digest %#x, want 0xe6c088532d348e95", digest)
+	}
+}
+
 // FuzzShardRoute fuzzes the shard router: for every key set and shard
 // count the route must be deterministic, land in [0, shards), ignore
 // key order, and degenerate to shard 0 for shard counts below 2. It
-// also pins the interned fast path: mapping the blob's bytes onto a
-// fixed repository's packages, the precomputed RouteTable must route
-// every spec exactly where streaming its package keys would.
+// also pins the interned fold: mapping the blob's bytes onto a fixed
+// repository's packages, the term table's sum (spec.RouteTerms, the
+// type the fleet's key dictionary keeps too) must equal the string
+// fold of the spec's keys, and so route every spec exactly where
+// streaming its keys would.
 func FuzzShardRoute(f *testing.F) {
 	repo := concRepo(f)
-	rt := NewRouteTable(repo)
+	terms := spec.NewRouteTerms(repo)
 	f.Add("base/1.0/p\nlib/2.0/p", 4)
 	f.Add("", 1)
 	f.Add("core-000/1.7.0/x86_64\napp/3/p\napp/3/p", 16)
@@ -579,9 +617,12 @@ func FuzzShardRoute(f *testing.F) {
 		for _, id := range s.IDs() {
 			specKeys = append(specKeys, repo.Package(id).Key())
 		}
+		if got, want := terms.Sum(s), spec.RouteSum(specKeys); got != want {
+			t.Fatalf("RouteTerms.Sum(%v) = %x, RouteSum over its keys = %x", s.IDs(), got, want)
+		}
 		for _, n := range []int{-1, 0, 1, 2, 3, 4, 16, shards} {
-			if got, want := rt.Route(s, n), ShardRoute(specKeys, n); got != want {
-				t.Fatalf("RouteTable.Route(%v, %d) = %d, streamed ShardRoute = %d", s.IDs(), n, got, want)
+			if got, want := ShardOf(terms.Sum(s), n), ShardRoute(specKeys, n); got != want {
+				t.Fatalf("ShardOf(table sum of %v, %d) = %d, streamed ShardRoute = %d", s.IDs(), n, got, want)
 			}
 		}
 		route := ShardRoute(keys, shards)

@@ -3,11 +3,9 @@ package fleet
 import (
 	"bytes"
 	"fmt"
-	"math"
-	"math/bits"
 	"slices"
-	"sort"
-	"strings"
+
+	"repro/internal/spec"
 )
 
 // Directory-mirror index.
@@ -26,20 +24,17 @@ import (
 // first-mention order. Ids are never reassigned or dropped, so bitsets
 // built earlier stay valid as the dictionary grows; its size is bounded
 // by the repository the agents share. The map keys are the gossiped
-// strings themselves, not copies. Each key also has a lexicographic
-// rank, refreshed on the gossip path (rerank), never on the request
+// strings themselves, not copies. Each key's route term (spec.RouteTerm)
+// is stored beside it when gossip first names it, never on the request
 // path. Not goroutine-safe: the Master guards it with its route lock.
 type KeyDict struct {
-	ids  map[string]uint32
-	keys []string // by id
-	// rank is each id's position in sorted key order, byRank its inverse;
-	// ids assigned since the last rerank have none yet.
-	rank, byRank []uint32
-	// scratch and rankBits are the request being routed as bitsets over
-	// ids and ranks, unknown its keys without a rank. They grow with the
-	// dictionary, so Route never allocates.
-	scratch, rankBits []uint64
-	unknown           [][]byte
+	ids   map[string]uint32
+	keys  []string        // by id
+	terms spec.RouteTerms // by id
+	// scratch is the request being routed as a bitset over ids, unknown
+	// its keys with no id. Both are reused, so Route never allocates.
+	scratch []uint64
+	unknown [][]byte
 }
 
 // NewKeyDict creates an empty dictionary.
@@ -47,67 +42,32 @@ func NewKeyDict() *KeyDict {
 	return &KeyDict{ids: make(map[string]uint32)}
 }
 
-// id returns key's bit position, assigning the next one on first
-// mention.
+// id returns key's bit position, assigning the next one, and storing
+// the key's route term, on first mention.
 func (d *KeyDict) id(key string) uint32 {
 	id, ok := d.ids[key]
 	if !ok {
 		id = uint32(len(d.keys))
 		d.ids[key] = id
 		d.keys = append(d.keys, key)
+		d.terms = d.terms.Append(key)
 		if int(id>>6) >= len(d.scratch) {
 			d.scratch = append(d.scratch, 0)
-			d.rankBits = append(d.rankBits, 0)
 		}
 	}
 	return id
 }
 
-// rerank gives the ids assigned since the last call their ranks: the
-// new keys are sorted among themselves and merged into the ranked
-// order, which is linear in the dictionary's size.
-func (d *KeyDict) rerank() {
-	n := len(d.rank)
-	if n == len(d.keys) {
-		return
+// checkTerms recomputes every key's route term and compares it with
+// the stored one. Nothing else reads a stored term, so a wrong one
+// would move every spec holding its key to another agent in silence.
+func (d *KeyDict) checkTerms() error {
+	if len(d.terms) != len(d.keys) {
+		return fmt.Errorf("key dictionary: %d keys, %d route terms", len(d.keys), len(d.terms))
 	}
-	fresh := make([]uint32, len(d.keys)-n)
-	for i := range fresh {
-		fresh[i] = uint32(n + i)
-	}
-	if mutantEnabled("rankstale") {
-		d.byRank = append(d.byRank, fresh...)
-	} else {
-		slices.SortFunc(fresh, func(a, b uint32) int { return strings.Compare(d.keys[a], d.keys[b]) })
-		merged := make([]uint32, 0, len(d.keys))
-		for old := d.byRank; len(old)+len(fresh) > 0; {
-			if len(fresh) > 0 && (len(old) == 0 || d.keys[fresh[0]] < d.keys[old[0]]) {
-				merged, fresh = append(merged, fresh[0]), fresh[1:]
-			} else {
-				merged, old = append(merged, old[0]), old[1:]
-			}
-		}
-		d.byRank = merged
-	}
-	d.rank = slices.Grow(d.rank, len(d.keys)-n)[:len(d.keys)]
-	for r, id := range d.byRank {
-		d.rank[id] = uint32(r)
-	}
-}
-
-// checkRanks audits the rank table: every key ranked, byRank a
-// permutation whose inverse is rank, and the keys strictly increasing in
-// rank order — so rank[id(k)] is k's position among the sorted keys.
-func (d *KeyDict) checkRanks() error {
-	if len(d.rank) != len(d.keys) || len(d.byRank) != len(d.keys) {
-		return fmt.Errorf("key dictionary: %d keys, %d ranked, rank order of %d", len(d.keys), len(d.rank), len(d.byRank))
-	}
-	for r, id := range d.byRank {
-		if int(id) >= len(d.rank) || d.rank[id] != uint32(r) {
-			return fmt.Errorf("key dictionary: rank %d names id %d, which does not have that rank", r, id)
-		}
-		if r > 0 && d.keys[d.byRank[r-1]] >= d.keys[id] {
-			return fmt.Errorf("key dictionary: rank %d %q does not sort after rank %d %q", r, d.keys[id], r-1, d.keys[d.byRank[r-1]])
+	for id, k := range d.keys {
+		if want := spec.RouteTerm(k); d.terms[id] != want {
+			return fmt.Errorf("key dictionary: id %d %q stores route term %x, its key's is %x", id, k, d.terms[id], want)
 		}
 	}
 	return nil
@@ -166,66 +126,40 @@ type KeyQuery struct {
 
 // Route translates a request's package keys (views into its body) in
 // one pass into RouteKey's value and into the id space of the affinity
-// question. A key's one map lookup sets its id bit and its rank bit, and
-// walking the rank bits hashes the distinct keys in sorted order. Keys
-// without a rank (never gossiped, or not yet reranked) are sorted apart
-// and merged in before the rank their binary search finds. known is
+// question. A key's one map lookup sets its id bit and, the first time,
+// adds its stored route term. Keys with no id (never gossiped) are
+// deduplicated among themselves and their terms streamed. known is
 // false when some key was never gossiped: no mirrored image can hold
 // the spec, so the caller skips every scan.
 func (d *KeyDict) Route(packages [][]byte) (key uint64, q KeyQuery, known bool) {
 	clear(d.scratch)
-	clear(d.rankBits)
 	unknown := d.unknown[:0]
-	known = true
+	var sum uint64
 	for _, k := range packages {
 		id, ok := d.ids[string(k)]
 		if !ok {
-			known = false
 			unknown = append(unknown, k)
 			continue
 		}
 		w, bit := id>>6, uint64(1)<<(id&63)
-		if d.scratch[w]&bit != 0 {
-			continue
-		}
-		d.scratch[w] |= bit
-		q.distinct++
-		if int(id) >= len(d.rank) {
-			unknown = append(unknown, k)
-			continue
-		}
-		r := d.rank[id]
-		d.rankBits[r>>6] |= 1 << (r & 63)
-	}
-	slices.SortFunc(unknown, bytes.Compare)
-	unknown = slices.CompactFunc(unknown, bytes.Equal)
-	// at is the rank before which unknown[u] sorts.
-	at := func(u int) int {
-		if u == len(unknown) {
-			return math.MaxInt
-		}
-		return sort.Search(len(d.byRank), func(r int) bool { return d.keys[d.byRank[r]] >= string(unknown[u]) })
-	}
-	key = offset64
-	u, next := 0, at(0)
-	for wi, w := range d.rankBits {
-		for ; w != 0; w &= w - 1 {
-			r := wi<<6 | bits.TrailingZeros64(w)
-			for ; next <= r; u, next = u+1, at(u+1) {
-				key = hashLine(key, unknown[u])
-			}
-			key = hashLine(key, d.keys[d.byRank[r]])
+		if d.scratch[w]&bit == 0 {
+			d.scratch[w] |= bit
+			q.distinct++
+			sum += d.terms[id]
 		}
 	}
-	for ; u < len(unknown); u++ {
-		key = hashLine(key, unknown[u])
-	}
-	clear(unknown)
-	d.unknown = unknown[:0]
+	known = len(unknown) == 0
 	if known {
 		q.words = d.scratch
+	} else {
+		slices.SortFunc(unknown, bytes.Compare)
+		for _, k := range slices.CompactFunc(unknown, bytes.Equal) {
+			sum += spec.RouteTerm(k)
+		}
+		clear(unknown)
 	}
-	return key, q, known
+	d.unknown = unknown[:0]
+	return routeKey(sum), q, known
 }
 
 // HoldsSuperset reports whether some mirrored image contains every key

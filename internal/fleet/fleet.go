@@ -32,6 +32,8 @@ package fleet
 import (
 	"hash/fnv"
 	"slices"
+
+	"repro/internal/spec"
 )
 
 // Wire types. Everything the control plane sends is JSON, matching the
@@ -139,32 +141,33 @@ type RouteInfo struct {
 }
 
 // RouteKey derives the routing key from a job's package keys: the
-// spec-signature hash the ring consumes. It hashes the distinct keys in
-// sorted order, so neither ordering nor a repeated key (the agent's spec
-// is a set) scatters one spec across agents. Closure happens on the
-// agent, so it hashes the requested packages, which is as stable. It is
-// the reference for KeyDict.Route, which the master computes instead.
+// spec-signature hash the ring consumes. It sums the route terms of the
+// distinct keys (spec.RouteSum), so neither ordering nor a repeated key
+// (the agent's spec is a set) scatters one spec across agents, and
+// finalises the sum with routeKey. Closure happens on the agent, so it
+// hashes the requested packages, which is as stable. It is the string
+// form of KeyDict.Route, which the master computes instead.
 func RouteKey(packages []string) uint64 {
-	sorted := slices.Clone(packages)
-	slices.Sort(sorted)
-	key := uint64(offset64)
-	for _, k := range slices.Compact(sorted) {
-		key = hashLine(key, k)
-	}
-	return key
+	distinct := slices.Clone(packages)
+	slices.Sort(distinct)
+	return routeKey(spec.RouteSum(slices.Compact(distinct)))
 }
 
-// offset64 is fnv64a's initial state.
-const offset64 = 14695981039346656037
+// agentRouteSeed keeps the fleet's route off the bits the cache's shard
+// route reduces (core.ShardOf finalises the same sum unseeded): a
+// spec's agent and its shard inside that agent are independent draws.
+// It is the high half of fnv128's offset basis, a constant with nothing
+// up its sleeve: any seed places specs as another random draw would.
+const agentRouteSeed = 0x6c62272e07bb0142
 
-// hashLine folds one key and a newline into the fnv64a state h.
-func hashLine[K string | []byte](h uint64, k K) uint64 {
-	const prime64 = 1099511628211
-	for i := 0; i < len(k); i++ {
-		h = (h ^ uint64(k[i])) * prime64
-	}
-	return (h ^ '\n') * prime64
-}
+// routeKey finalises a route sum into the key the ring places. The seed
+// alone would separate the levels, since Ring.Lookup and
+// RendezvousOrder mix their key again; the mix here is kept because the
+// key also leaves the ring (RouteInfo.Key, the trace's route_key), and a
+// raw sum of fnv terms is a poor hash to hand out: the low k bits of a
+// term depend only on the low k bits of the key's bytes. Dropping it
+// would also re-draw every spec's agent a second time.
+func routeKey(sum uint64) uint64 { return spec.RouteMix(sum ^ agentRouteSeed) }
 
 // hashString is fnv64a of s, the member-name hash the ring and
 // rendezvous scorer share.
@@ -172,15 +175,4 @@ func hashString(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
 	return h.Sum64()
-}
-
-// mix64 is the splitmix64 finalizer: decorrelates fnv outputs before
-// they index the ring.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }

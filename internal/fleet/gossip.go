@@ -274,9 +274,7 @@ func (f *Follower) Reset() {
 // Apply incorporates one frame. Duplicated and reordered-old frames
 // are dropped (DeltaStale); a frame from beyond the follower's
 // revision reports DeltaGap so the caller can request a Full resync.
-// Keys the frame adds to the dictionary are ranked before it returns.
 func (f *Follower) Apply(d DirDelta) ApplyResult {
-	defer f.dict.rerank()
 	if d.Full {
 		if d.To <= f.rev {
 			return DeltaStale

@@ -111,12 +111,54 @@ func (cfg MasterConfig) withDefaults() MasterConfig {
 	return cfg
 }
 
+// forwardOutcome is how one forward to an agent ended: the outcome label
+// of landlord_fleet_route_total.
+type forwardOutcome uint8
+
+const (
+	outcomeOK forwardOutcome = iota
+	outcomeShed
+	outcomeRejected
+	outcomeUnavailable
+	outcomeCircuitOpen
+	outcomeTransportError
+	numOutcomes
+)
+
+var outcomeNames = [numOutcomes]string{"ok", "shed", "rejected", "unavailable", "circuit_open", "transport_error"}
+
+func (o forwardOutcome) String() string { return outcomeNames[o] }
+
 // agentConn is the master's client to one agent: a server.Client with
 // its own circuit breaker, no client-side retries (failover to the next
-// candidate is the master's retry).
+// candidate is the master's retry), and the agent's series of
+// landlord_fleet_route_total by outcome, looked up on the first forward
+// so later ones only increment one.
 type agentConn struct {
 	url    string
 	client *server.Client
+
+	id     string
+	reg    *telemetry.Registry
+	once   sync.Once
+	routed [numOutcomes]*telemetry.Counter
+}
+
+// count records one forward to the agent with the given outcome. The
+// series are resolved here rather than in connLocked: a registry lookup
+// can take the registry's lock, and a /metrics scrape holds that lock
+// while the agents gauge takes m.mu, so it must never run under m.mu.
+func (c *agentConn) count(o forwardOutcome) {
+	c.once.Do(c.resolve)
+	c.routed[o].Inc()
+}
+
+func (c *agentConn) resolve() {
+	for o := range c.routed {
+		c.routed[o] = c.reg.Counter(metricRouteTotal, helpRouteTotal,
+			telemetry.Label{Key: "agent", Value: c.id},
+			telemetry.Label{Key: "outcome", Value: forwardOutcome(o).String()})
+	}
 }
 
 // Master is the fleet control plane: it owns membership, the
@@ -429,7 +471,7 @@ func (m *Master) connLocked(id string) *agentConn {
 			}
 		})
 	}
-	c := &agentConn{url: url, client: cl}
+	c := &agentConn{url: url, client: cl, id: id, reg: m.reg}
 	m.conns[id] = c
 	return c
 }
@@ -537,7 +579,7 @@ func (m *Master) handleRequest(w http.ResponseWriter, r *http.Request) {
 		at.End(fwd)
 		reusable = reusable && err == nil
 		if err == nil {
-			m.routeCount(id, "ok")
+			conn.count(outcomeOK)
 			at.Finish(resp.Op, "", 0)
 			w.Header().Set(AgentHeader, id)
 			fleetWriteJSON(w, http.StatusOK, RouteResponse{
@@ -564,27 +606,25 @@ func (m *Master) handleRequest(w http.ResponseWriter, r *http.Request) {
 				"not primary: superseded at epoch %d", newEpoch)
 			return
 		}
-		switch outcome := classifyForwardError(err); outcome {
-		case "shed", "rejected":
+		outcome := classifyForwardError(err)
+		conn.count(outcome)
+		switch outcome {
+		case outcomeShed, outcomeRejected:
 			// The agent answered and said no (429 admission, 4xx): relay
 			// verbatim — a different agent would only duplicate the spec's
 			// cache slice.
-			m.routeCount(id, outcome)
 			var se *server.StatusError
 			errors.As(err, &se) // the outcome came from a StatusError
-			at.Finish(outcome, se.Msg, 0)
-			if outcome == "shed" {
+			at.Finish(outcome.String(), se.Msg, 0)
+			if outcome == outcomeShed {
 				w.Header().Set("Retry-After", retryAfterSeconds(se))
 			}
 			fleetWriteError(w, se.Status, "%s", forwardErrMsg(se))
 			return
-		case "unavailable":
-			// 503: degraded/recovering agent — route around it.
-			m.routeCount(id, outcome)
-		case "circuit_open":
-			m.routeCount(id, outcome)
-		default: // transport error
-			m.routeCount(id, "transport_error")
+		case outcomeTransportError:
+			// An unavailable (503: degraded or recovering) or circuit-open
+			// agent is only routed around; a transport error also marks it
+			// suspect.
 			m.mu.Lock()
 			m.ms.Suspect(id)
 			m.mu.Unlock()
@@ -615,22 +655,22 @@ func (m *Master) forwardContext(r *http.Request) (context.Context, context.Cance
 
 // classifyForwardError buckets a forward failure for the routing loop
 // and the route_total outcome label.
-func classifyForwardError(err error) string {
+func classifyForwardError(err error) forwardOutcome {
 	if server.IsCircuitOpen(err) {
-		return "circuit_open"
+		return outcomeCircuitOpen
 	}
 	var se *server.StatusError
 	if errors.As(err, &se) {
 		switch {
 		case se.Status == http.StatusServiceUnavailable:
-			return "unavailable"
+			return outcomeUnavailable
 		case se.Status == http.StatusTooManyRequests:
-			return "shed"
+			return outcomeShed
 		default:
-			return "rejected"
+			return outcomeRejected
 		}
 	}
-	return "transport_error"
+	return outcomeTransportError
 }
 
 func forwardErrMsg(se *server.StatusError) string {
@@ -648,12 +688,6 @@ func retryAfterSeconds(se *server.StatusError) string {
 		return strconv.Itoa(int((se.RetryAfter + time.Second - 1) / time.Second))
 	}
 	return "1"
-}
-
-func (m *Master) routeCount(agent, outcome string) {
-	m.reg.Counter(metricRouteTotal, helpRouteTotal,
-		telemetry.Label{Key: "agent", Value: agent},
-		telemetry.Label{Key: "outcome", Value: outcome}).Inc()
 }
 
 // ---- sweeping & ring movement ----
@@ -738,11 +772,12 @@ func (m *Master) KeyMovementStats() (count int64, mean float64) {
 	return count, mean
 }
 
-// CheckIntegrity audits the routing index: every member's per-image
-// bitsets are rebuilt from its mirrored directory entries and compared
-// with the incrementally maintained ones, and the index may hold no
-// image the mirror dropped. The chaos harnesses call it after every
-// round; it is not for the serving path.
+// CheckIntegrity audits the routing index: every route term the key
+// dictionary stored is recomputed from its key, every member's
+// per-image bitsets are rebuilt from its mirrored directory entries and
+// compared with the incrementally maintained ones, and the index may
+// hold no image the mirror dropped. The chaos harnesses call it after
+// every round; it is not for the serving path.
 func (m *Master) CheckIntegrity() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

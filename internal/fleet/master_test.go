@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/pkggraph"
 	"repro/internal/server"
+	"repro/internal/telemetry"
 )
 
 // testRepo is a tiny shared package universe: every agent serves the
@@ -451,4 +453,122 @@ func decodeJSONBody(t *testing.T, resp *http.Response, out any) {
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		t.Fatalf("decoding body: %v", err)
 	}
+}
+
+// TestForwardCountAllocatesNothing: an agent connection resolves its
+// landlord_fleet_route_total series once, so counting a forward — every
+// request's ok path — allocates nothing, and the count lands on the
+// series the registry renders.
+func TestForwardCountAllocatesNothing(t *testing.T) {
+	m := NewMaster(MasterConfig{SuspectAfter: -1})
+	seedMember(t, m, "a1")
+	m.mu.Lock()
+	conn := m.connLocked("a1")
+	m.mu.Unlock()
+	if allocs := testing.AllocsPerRun(1000, func() { conn.count(outcomeOK) }); allocs != 0 {
+		t.Fatalf("counting an ok forward allocates %.1f times, want 0", allocs)
+	}
+	series := m.reg.Counter(metricRouteTotal, helpRouteTotal,
+		telemetry.Label{Key: "agent", Value: "a1"}, telemetry.Label{Key: "outcome", Value: "ok"})
+	if got := series.Value(); got != 1001 {
+		t.Fatalf("ok series reads %d, want the 1001 counted forwards", got)
+	}
+}
+
+// TestMetricsScrapeDuringAgentChurn scrapes /metrics in a loop while
+// agents join and move between URLs and requests are forwarded to them.
+// A scrape holds the registry's lock while the agents gauge takes m.mu,
+// so creating an agent's route series under m.mu would deadlock the two;
+// the test fails on the timeout if it does.
+func TestMetricsScrapeDuringAgentChurn(t *testing.T) {
+	stub := func() *httptest.Server {
+		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			w.Header().Set("Content-Type", "application/json")
+			w.Write([]byte(`{"op":"hit","packages":1}`))
+		}))
+	}
+	// The servers are closed only on success: Close waits for in-flight
+	// requests, which a deadlock never finishes.
+	urls := [2]*httptest.Server{stub(), stub()}
+	m := NewMaster(MasterConfig{SuspectAfter: -1})
+	mts := httptest.NewServer(m.Handler())
+
+	const agents, rounds = 40, 4
+	post := func(path string, body any) error {
+		return server.NewClient(mts.URL, nil).DoCtx(context.Background(), http.MethodPost, path, body, nil)
+	}
+	if err := post("/fleet/v1/register", RegisterRequest{ID: "agent-0", URL: urls[0].URL, Gen: 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	wg.Add(3)
+	go func() { // scraper
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Get(mts.URL + "/metrics")
+			if err != nil {
+				errs <- err
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	for c := 0; c < 2; c++ { // forwarders, each key routed afresh
+		go func(c int) {
+			defer wg.Done()
+			cl := server.NewClient(mts.URL, nil)
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := cl.Request([]string{"k" + strconv.Itoa(c*1_000_000+i)}, false); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(c)
+	}
+
+	done := make(chan error, 1)
+	go func() { // joins, then URL moves: every one opens a fresh connection
+		for r := 0; r < rounds; r++ {
+			for a := 0; a < agents; a++ {
+				req := RegisterRequest{ID: "agent-" + strconv.Itoa(a), URL: urls[(r+a)%2].URL, Gen: uint64(r + 1)}
+				if err := post("/fleet/v1/register", req); err != nil {
+					done <- err
+					return
+				}
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("registrations stalled for 20s while /metrics was scraped: lock-order deadlock")
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	mts.Close()
+	urls[0].Close()
+	urls[1].Close()
 }

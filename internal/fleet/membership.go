@@ -239,10 +239,10 @@ func (ms *Membership) HoldsSuperset(id string, q KeyQuery) bool {
 	return ok && m.dir.HoldsSuperset(q)
 }
 
-// CheckIndex audits the shared dictionary's rank table, then every
+// CheckIndex audits the shared dictionary's route terms, then every
 // member's mirror index against its mirror entries, in member-ID order.
 func (ms *Membership) CheckIndex() error {
-	if err := ms.dict.checkRanks(); err != nil {
+	if err := ms.dict.checkTerms(); err != nil {
 		return err
 	}
 	ids := make([]string, 0, len(ms.members))

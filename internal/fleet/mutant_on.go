@@ -22,10 +22,9 @@ import (
 //	             agent that evicted the image. check.RunFleetChaos must
 //	             catch it via Master.CheckIntegrity after its eviction
 //	             round.
-//	rankstale  — keys new to the master's dictionary join its rank
-//	             order unsorted, so routes silently stop being RouteKey.
-//	             check.RunFleetChaos must catch it via the rank audit in
-//	             Master.CheckIntegrity.
+//
+// The route mutant that reaches the master's key dictionary lives in
+// the term table it shares with the shard router (internal/spec).
 var (
 	mutantOnce sync.Once
 	mutantName string

@@ -31,7 +31,7 @@ func context5s(t *testing.T) context.Context {
 // is RouteKey over the strings, so the ring places the request where it
 // always did. subset picks which of the test repository's keys the
 // master's dictionary has seen (bit i%64 for package i), so the route
-// key meets every mix of ranked and unknown keys.
+// key meets every mix of stored and streamed terms.
 func FuzzRequestDecode(f *testing.F) {
 	repo := testRepo(f)
 	k0 := strconv.Quote(repo.Package(0).Key())
@@ -93,9 +93,9 @@ func FuzzRequestDecode(f *testing.F) {
 				seen = append(seen, repo.Package(pkggraph.PkgID(i)).Key())
 			}
 		}
-		for len(seen) > 0 { // a few gossip frames' worth, each ranked as it lands
+		for len(seen) > 0 { // a few gossiped images' worth
 			n := min(len(seen), 7)
-			growDict(dict, seen[:n])
+			dict.bitsOf(seen[:n])
 			seen = seen[n:]
 		}
 		if got, want := routeKeyOf(dict, dec.Keys), RouteKey(want.Packages); got != want {
@@ -223,7 +223,7 @@ func BenchmarkRequestDecode(b *testing.B) {
 	}
 	body = append(body, `],"close":false}`...)
 	dict := NewKeyDict()
-	growDict(dict, keys)
+	dict.bitsOf(keys)
 	rd := server.NewRequestDecoder(telemetry.NewRegistry(), server.DefaultRequestBodyLimit)
 	src := bytes.NewReader(body)
 	var sink uint64

@@ -3,6 +3,8 @@ package fleet
 import (
 	"sort"
 	"strconv"
+
+	"repro/internal/spec"
 )
 
 // Consistent-hash ring with virtual nodes, plus rendezvous ordering
@@ -76,7 +78,7 @@ func (r *Ring) Add(member string) {
 	}
 	r.members[member] = true
 	for i := 0; i < r.vnodes; i++ {
-		h := mix64(hashString(member + "#" + strconv.Itoa(i)))
+		h := spec.RouteMix(hashString(member + "#" + strconv.Itoa(i)))
 		r.points = append(r.points, ringPoint{hash: h, owner: member})
 	}
 	sort.Slice(r.points, func(i, j int) bool {
@@ -109,7 +111,7 @@ func (r *Ring) Lookup(key uint64) string {
 	if len(r.points) == 0 {
 		return ""
 	}
-	h := mix64(key)
+	h := spec.RouteMix(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0 // wrap: first point clockwise
@@ -128,7 +130,7 @@ func RendezvousOrder(members []string, key uint64) []string {
 	}
 	ss := make([]scored, 0, len(members))
 	for _, m := range members {
-		ss = append(ss, scored{member: m, score: mix64(key ^ hashString(m))})
+		ss = append(ss, scored{member: m, score: spec.RouteMix(key ^ hashString(m))})
 	}
 	sort.Slice(ss, func(i, j int) bool {
 		if ss[i].score != ss[j].score {

@@ -8,15 +8,10 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/pkggraph"
 	"repro/internal/workload"
 )
-
-// growDict feeds keys to d as one gossiped image: indexed, then ranked.
-func growDict(d *KeyDict, keys []string) {
-	d.bitsOf(keys)
-	d.rerank()
-}
 
 // routeKeyOf is the dictionary's route key for a request's key views.
 func routeKeyOf(d *KeyDict, keys [][]byte) uint64 {
@@ -26,13 +21,12 @@ func routeKeyOf(d *KeyDict, keys [][]byte) uint64 {
 
 // TestRouteKeyHashesDistinctKeys: a repeated key is the same spec to
 // the agent, so it must be the same route — through RouteKey and
-// through the master's dictionary — while a body without repeats keeps
-// the key it always had (fnv64a of the sorted keys, one per line).
+// through the master's dictionary — and the key itself is pinned (the
+// seeded finaliser over the two keys' summed route terms): a route
+// that moved would send every warm spec to a cold agent.
 func TestRouteKeyHashesDistinctKeys(t *testing.T) {
-	h := fnv.New64a()
-	h.Write([]byte("a\nb\n"))
-	if got := RouteKey([]string{"b", "a"}); got != h.Sum64() {
-		t.Fatalf("RouteKey([b a]) = %x, fnv64a(\"a\\nb\\n\") = %x: a duplicate-free route moved", got, h.Sum64())
+	if got := RouteKey([]string{"b", "a"}); got != 0x719be83e0c553a7d {
+		t.Fatalf("RouteKey([b a]) = %#x, want 0x719be83e0c553a7d: the route moved", got)
 	}
 	dup, plain := []string{"a", "b", "a"}, []string{"b", "a"}
 	if RouteKey(dup) != RouteKey(plain) {
@@ -59,12 +53,9 @@ func TestRouteKeyHashesDistinctKeys(t *testing.T) {
 // TestRouteKeyDictionaryDifferential grows one dictionary through two
 // agents' seeded gossip — upserts and removes over the lossy wire, gaps
 // answered by full resyncs, generation resets — and after every applied
-// frame requires the rank audit to pass and the dictionary's route key
-// to equal RouteKey on requests all known, partly and wholly unknown
-// (never-gossiped keys sort before, between and after the known ones),
-// with repeats, of one key, empty, and permuted. Once per generation it
-// also routes keys indexed but not yet ranked, which Route must merge
-// like unknown ones.
+// frame requires the term audit to pass and the dictionary's route key
+// to equal RouteKey on requests all known, partly and wholly unknown,
+// with repeats (known and unknown), of one key, empty, and permuted.
 func TestRouteKeyDictionaryDifferential(t *testing.T) {
 	const universe = 300
 	for seed := int64(1); seed <= 4; seed++ {
@@ -77,7 +68,7 @@ func TestRouteKeyDictionaryDifferential(t *testing.T) {
 		}
 		probe := func(when string) {
 			t.Helper()
-			if err := dict.checkRanks(); err != nil {
+			if err := dict.checkTerms(); err != nil {
 				t.Fatalf("seed %d, %s: %v", seed, when, err)
 			}
 			for n := 0; n < 16; n++ {
@@ -146,16 +137,6 @@ func TestRouteKeyDictionaryDifferential(t *testing.T) {
 				}
 				assertConverged(t, dir, f)
 			}
-			// Keys indexed but not yet ranked: the route key must not move.
-			fresh := []string{"pkg-" + strconv.Itoa(universe+gen), dict.keys[0] + "~", "0"}
-			dict.bitsOf(fresh)
-			for i := 0; i < 8; i++ {
-				req := append(slices.Clone(fresh[:1+rng.Intn(3)]), dict.keys[rng.Intn(len(dict.keys))], ghost())
-				if got, want := routeKeyOf(dict, keyViews(req)), RouteKey(req); got != want {
-					t.Fatalf("seed %d gen %d: unranked keys: route key %x, RouteKey %x for %q", seed, gen, got, want, req)
-				}
-			}
-			dict.rerank()
 		}
 		if compared == 0 || len(dict.keys) < universe/2 {
 			t.Fatalf("seed %d: %d comparisons over a %d-key dictionary", seed, compared, len(dict.keys))
@@ -163,34 +144,40 @@ func TestRouteKeyDictionaryDifferential(t *testing.T) {
 	}
 }
 
-// benchRouteRequests is the route-key workload at the benchmark's
-// scale: seed-1 closed specs over the default 9,660-package repository,
-// a dictionary grown from one full gossip frame of the first 256 (a
-// warm agent's directory), and the requests after them in body order,
-// one in five carrying a key no agent gossiped.
-func benchRouteRequests(tb testing.TB, n int) (*KeyDict, [][][]byte) {
+// seedSpecKeys returns the package keys of the first n seed-1 closed
+// specs over the default 9,660-package repository — the benchmark's
+// fleet_mixed specs, the first 256 its warm set.
+func seedSpecKeys(tb testing.TB, n int) [][]string {
 	tb.Helper()
 	repo, err := pkggraph.Generate(pkggraph.DefaultGenConfig(), 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	gen := workload.NewDepClosure(repo, 1)
-	keysOf := func() []string {
-		var keys []string
+	specs := make([][]string, n)
+	for i := range specs {
 		for _, id := range gen.Next().IDs() {
-			keys = append(keys, repo.Package(id).Key())
+			specs[i] = append(specs[i], repo.Package(id).Key())
 		}
-		return keys
 	}
+	return specs
+}
+
+// benchRouteRequests is the route-key workload at the benchmark's
+// scale: a dictionary grown from one full gossip frame of the first 256
+// seed-1 specs (a warm agent's directory), and the n specs after them
+// in body order, one in five carrying a key no agent gossiped.
+func benchRouteRequests(tb testing.TB, n int) (*KeyDict, [][][]byte) {
+	tb.Helper()
+	specs := seedSpecKeys(tb, 256+n)
 	dir := NewDirectory(0)
-	for i := 0; i < 256; i++ {
-		dir.Put(DirEntry{ID: uint64(i), Version: 1, Size: 1, Packages: keysOf()})
+	for i, keys := range specs[:256] {
+		dir.Put(DirEntry{ID: uint64(i), Version: 1, Size: 1, Packages: keys})
 	}
 	dict := NewKeyDict()
 	NewFollower(dict).Apply(dir.Full())
 	reqs := make([][][]byte, n)
-	for i := range reqs {
-		keys := keysOf()
+	for i, keys := range specs[256:] {
 		if i%5 == 0 {
 			keys = append(keys, "ghost-"+strconv.Itoa(i)+"/1.0.0/x86_64-centos7-gcc8-opt")
 		}
@@ -237,6 +224,93 @@ func TestRouteKeyPlacement(t *testing.T) {
 		}
 		if got, want := routeKeyOf(dict, oneUnknown), RouteKey(strs(oneUnknown)); got != want {
 			t.Fatalf("spec %d, one more unknown key: dictionary route key %x, RouteKey %x", i, got, want)
+		}
+	}
+}
+
+// ringOf builds the ring of agents agent-1..agent-n, the benchmark
+// topology's names.
+func ringOf(n int) *Ring {
+	r := NewRing(DefaultVNodes)
+	for i := 1; i <= n; i++ {
+		r.Add("agent-" + strconv.Itoa(i))
+	}
+	return r
+}
+
+// TestRouteLevelsIndependent: an agent's arc and a spec's shard inside
+// that agent fold the same route sum, so they must not read the same
+// bits, or an agent would see only the specs of a few of its shards.
+// 10,000 seed-1 specs go through a 3-agent ring; inside each agent's
+// arc, the busiest shard at N ∈ {2, 4, 16} may hold at most 1.25× an
+// even share. (That is ~3.5 standard deviations at N = 16, where an
+// even share is ~210 specs.)
+func TestRouteLevelsIndependent(t *testing.T) {
+	const maxOverMean = 1.25
+	specs := seedSpecKeys(t, 10000)
+	ring := ringOf(3)
+	agents := make([]string, len(specs))
+	for i, keys := range specs {
+		agents[i] = ring.Lookup(RouteKey(keys))
+	}
+	for _, shards := range []int{2, 4, 16} {
+		hist := map[string][]int{}
+		for i, keys := range specs {
+			if hist[agents[i]] == nil {
+				hist[agents[i]] = make([]int, shards)
+			}
+			hist[agents[i]][core.ShardRoute(keys, shards)]++
+		}
+		if len(hist) != 3 {
+			t.Fatalf("%d agents own specs, want 3", len(hist))
+		}
+		worst := 0.0
+		for agent, h := range hist {
+			total := 0
+			for _, c := range h {
+				total += c
+			}
+			ratio := float64(slices.Max(h)) * float64(shards) / float64(total)
+			if ratio > maxOverMean {
+				t.Errorf("%s at %d shards: busiest shard holds %.2f× an even share of its %d specs %v", agent, shards, ratio, total, h)
+			}
+			worst = max(worst, ratio)
+		}
+		t.Logf("%d shards: busiest shard in any agent's arc holds %.3f× an even share", shards, worst)
+	}
+}
+
+// sortedFNVRouteKey is the route key the fleet used before it summed
+// route terms: fnv64a over the distinct keys in sorted order, each
+// followed by a newline. It is kept only to count what moving off it
+// costs.
+func sortedFNVRouteKey(packages []string) uint64 {
+	sorted := slices.Clone(packages)
+	slices.Sort(sorted)
+	h := fnv.New64a()
+	for _, k := range slices.Compact(sorted) {
+		h.Write([]byte(k + "\n"))
+	}
+	return h.Sum64()
+}
+
+// TestRouteUpgradeCost counts what the summed route costs once, at
+// upgrade: of the benchmark's 256 seed-1 warm specs, how many change
+// agent between sortedFNVRouteKey and RouteKey on a ring of 2 and of 3
+// agents (DESIGN.md §10 quotes these counts). A random reassignment
+// would move (N−1)/N of them.
+func TestRouteUpgradeCost(t *testing.T) {
+	specs := seedSpecKeys(t, 256)
+	for agents, want := range map[int]int{2: 115, 3: 153} {
+		ring, moved := ringOf(agents), 0
+		for _, keys := range specs {
+			if ring.Lookup(sortedFNVRouteKey(keys)) != ring.Lookup(RouteKey(keys)) {
+				moved++
+			}
+		}
+		t.Logf("%d agents: %d of %d warm specs (%.1f%%) change agent", agents, moved, len(specs), 100*float64(moved)/float64(len(specs)))
+		if moved != want {
+			t.Errorf("%d agents: %d of %d warm specs change agent, want %d", agents, moved, len(specs), want)
 		}
 	}
 }

@@ -1,7 +1,10 @@
 package persist
 
 import (
+	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -186,5 +189,103 @@ func TestRecoverShardedCrossCount(t *testing.T) {
 	}
 	if err := wide.CheckIntegrity(); err != nil {
 		t.Errorf("post-reload integrity: %v", err)
+	}
+}
+
+// writeShardedState is the run behind testdata/state_sharded2: a
+// 2-shard cache over testRepo(24, 10) serves 150 seeded 1-3 package
+// specs, checkpointing after the 100th, and closes.
+func writeShardedState(t *testing.T, dir string) {
+	t.Helper()
+	repo := testRepo(t, 24, 10)
+	st, err := Open(dir, Options{SyncPolicy: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, _, err := st.RecoverSharded(repo, shardedConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 150; i++ {
+		if _, err := live.Request(randSpec(rng, repo.Len())); err != nil {
+			t.Fatal(err)
+		}
+		if i+1 == 100 {
+			if _, err := st.Checkpoint(live.ExportState()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverShardedGoldenStateDir: testdata/state_sharded2 holds the
+// files writeShardedState left when the shard route was still computed
+// by internal/core's own copy of the fold, and state.json the state
+// that commit recovered from them. Recovering the directory today must
+// give that state byte for byte — images, ids, clock and stats — and
+// the same run today must write the same segment and checkpoint the
+// same state: no spec changed shard, so no image id and no WAL record
+// moved.
+func TestRecoverShardedGoldenStateDir(t *testing.T) {
+	const golden = "testdata/state_sharded2"
+	want, err := os.ReadFile(filepath.Join(golden, "state.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, err := filepath.Glob(filepath.Join(golden, "*-*"))
+	if err != nil || len(names) < 2 {
+		t.Fatalf("golden directory holds %d state files (%v), want a checkpoint and a segment", len(names), err)
+	}
+	dir := t.TempDir()
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(name)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	mgr, rep, err := st.RecoverSharded(testRepo(t, 24, 10), shardedConfig(2))
+	if err != nil {
+		t.Fatalf("RecoverSharded: %v", err)
+	}
+	if rep.CheckpointSeq == 0 || rep.RecordsSkipped != 0 || len(rep.Warnings) != 0 {
+		t.Errorf("recovery of the golden directory was not clean: %s %v", rep, rep.Warnings)
+	}
+	if got := stateJSON(t, mgr.ExportState()); got != string(want) {
+		t.Errorf("recovered state differs from the writer's:\n got %s\nwant %s", got, want)
+	}
+	if err := mgr.CheckIntegrity(); err != nil {
+		t.Errorf("recovered cache fails its invariants: %v", err)
+	}
+
+	again := t.TempDir()
+	writeShardedState(t, again)
+	// A checkpoint stamps its save time, so it is compared by content.
+	for _, name := range names {
+		base := filepath.Base(name)
+		if filepath.Ext(base) == ".ckpt" {
+			old, err1 := ReadCheckpointFile(name)
+			now, err2 := ReadCheckpointFile(filepath.Join(again, base))
+			if err1 != nil || err2 != nil || now.WALSeq != old.WALSeq || stateJSON(t, now.State) != stateJSON(t, old.State) {
+				t.Errorf("%s: the same run today checkpoints a different state (%v, %v)", base, err1, err2)
+			}
+			continue
+		}
+		old, _ := os.ReadFile(name)
+		now, err := os.ReadFile(filepath.Join(again, base))
+		if err != nil || !bytes.Equal(now, old) {
+			t.Errorf("%s: the same run today writes %d different bytes (%v)", base, len(now), err)
+		}
 	}
 }

@@ -234,17 +234,20 @@ func canonical(labels []Label) (string, []Label) {
 	return b.String(), ls
 }
 
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// Exposition escapers, built once: a Replacer is safe for concurrent
+// use and returns a string with nothing to escape as it is, where
+// building one per value allocated for every label.
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
+
+// escapeLabel escapes a label value: backslash, quote and newline.
+func escapeLabel(v string) string { return labelEscaper.Replace(v) }
 
 // escapeHelp escapes HELP text per the exposition format: backslash
 // and newline only (quotes are legal in help).
-func escapeHelp(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(v)
-}
+func escapeHelp(v string) string { return helpEscaper.Replace(v) }
 
 // lookup returns the series for (name, labels), creating family and
 // series via make on a miss. It panics when the name is already
