@@ -48,7 +48,10 @@ bench:
 # replaced made 6). Framing a WAL record — a 322-key insert or a touch —
 # into the store's reused buffer must not allocate at all, and replaying
 # a segment of 10,000 touch records may allocate the reader and its
-# buffers (8 at most) but nothing per record. Signing a spec into a
+# buffers (8 at most) but nothing per record. A traced hit — one shard,
+# RequestCtx with a live span trace on the context, every span and
+# attribute recorded into the pooled trace's reused storage — may
+# allocate only the context that carries the trace. Signing a spec into a
 # reused signature allocates nothing on either side of the probe gate
 # (322 and 160 ids of 9,660 probe, 8 take the direct kernel), nor does a
 # merge's band-index update; building the probe index, once per process,
@@ -67,6 +70,7 @@ bench-guard:
 	$(GO) test -run '^$$' -bench '^BenchmarkRequestDecode$$' -benchmem -benchtime 2000x ./internal/server | $(call alloc_guard,BenchmarkRequestDecode)
 	$(GO) test -run '^$$' -bench '^BenchmarkRequestDecode$$' -benchmem -benchtime 2000x ./internal/fleet | $(call alloc_guard,BenchmarkRequestDecode)
 	$(GO) test -run '^$$' -bench '^BenchmarkKeysOf$$' -benchmem -benchtime 2000x ./internal/core | $(call alloc_guard,BenchmarkKeysOf,1)
+	$(GO) test -run '^$$' -bench '^BenchmarkTracedHit$$' -benchmem -benchtime 2000x ./internal/core | $(call alloc_guard,BenchmarkTracedHit,1)
 	$(GO) test -run '^$$' -bench '^BenchmarkClosure$$' -benchmem -benchtime 2000x . | $(call alloc_guard,BenchmarkClosure,1)
 	$(GO) test -run '^$$' -bench '^BenchmarkEncodeRecord$$' -benchmem -benchtime 2000x ./internal/persist | $(call alloc_guard,BenchmarkEncodeRecord)
 	$(GO) test -run '^$$' -bench '^BenchmarkReplaySegment$$' -benchmem -benchtime 100x ./internal/persist | $(call alloc_guard,BenchmarkReplaySegment,8)
@@ -125,11 +129,12 @@ fuzz:
 # byte-identity audit that ends the first simulation), and one CLI
 # chaos pass. `landlord-check sim` runs the sharded suite too. The
 # grep is a tripwire: the second decision pipeline, the middle manager
-# type, the second shadow and the master's sorted-key dictionary were
-# folded away and must not grow back.
+# type, the second shadow, the master's sorted-key dictionary and the
+# per-request event hook beside the spans were folded away and must not
+# grow back.
 check:
-	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits' --include='*.go' --exclude-dir=.bench_build . \
-		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, and §10 for the route dictionary)"; exit 1; }
+	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits|SetTracer|telemetry\.Tracer\b|newEvent|opTracer|timelineTracer' --include='*.go' --exclude-dir=.bench_build . \
+		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, §10 for the route dictionary, §9 for the event hook)"; exit 1; }
 	$(GO) test -race -short -count=1 ./internal/check
 	$(GO) test -run 'TestMutants|TestMutantFailure' -count=1 ./internal/check
 	$(GO) run ./cmd/landlord-check sim -seed 1

@@ -65,7 +65,7 @@ func b(reg *Registry) {
 func TestLocalConstsDoNotLeakAcrossFunctions(t *testing.T) {
 	dir := t.TempDir()
 	// Two functions reuse the idiomatic `const name` with different
-	// values — the repo's registerContentionMetrics/newOpTracer shape.
+	// values — the repo's registerContentionMetrics/registerRequestMetrics shape.
 	write(t, dir, "a.go", `package p
 
 func a(reg *Registry) {

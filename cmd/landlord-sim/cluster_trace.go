@@ -142,7 +142,7 @@ func cmdReplay(repo *pkggraph.Repo, opt *options) error {
 	if err != nil {
 		return err
 	}
-	res, err := sim.Replay(mgr, stream, 0)
+	res, err := sim.Replay(mgr, stream, 0, nil)
 	if err != nil {
 		return err
 	}

@@ -54,7 +54,7 @@ func baseParams(repo *pkggraph.Repo, opt *options) sim.Params {
 		MaxInitial: opt.maxInitial,
 		Seed:       opt.seed,
 		UseMinHash: true,
-		Tracer:     opt.tracer,
+		Events:     opt.events,
 	}
 }
 

@@ -53,9 +53,9 @@ type options struct {
 	// out receives all experiment output (stdout in the binary,
 	// buffers in tests).
 	out io.Writer
-	// tracer is the request-event hook built from -events (nil when
+	// events is the request-event sink opened from -events (nil when
 	// event logging is off). Tests inject their own.
-	tracer telemetry.Tracer
+	events *telemetry.JSONLSink
 }
 
 func usage() {
@@ -130,7 +130,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "landlord-sim: %v\n", err)
 			os.Exit(1)
 		}
-		opt.tracer = sink
+		opt.events = sink
 		closeEvents = cf
 	}
 	repo, err := loadRepo(opt)

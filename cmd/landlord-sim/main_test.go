@@ -131,7 +131,7 @@ func TestCmdFig5EventsJSONL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.tracer = sink
+	opt.events = sink
 	if err := cmdFig5(testRepo(t), opt); err != nil {
 		t.Fatal(err)
 	}

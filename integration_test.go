@@ -152,7 +152,7 @@ func TestEndToEndSiteLifecycle(t *testing.T) {
 	}
 	run := func() sim.Result {
 		m := core.MustNewManager(repo, core.Config{Alpha: 0.8, MinHash: core.DefaultMinHash()})
-		res, err := sim.Replay(m, loaded, 0)
+		res, err := sim.Replay(m, loaded, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -453,7 +453,6 @@ func (sh *ShardShadow) VerifyState(mcfg core.Config, base, live core.ManagerStat
 	}
 
 	mcfg.Commit = nil
-	mcfg.Tracer = nil
 	mcfg.Shards = sh.n
 	replayer, err := core.NewSharded(sh.repo, mcfg)
 	if err != nil {

@@ -327,7 +327,6 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 // no acknowledged request lost, no state invented.
 func verifyPrefix(repo *pkggraph.Repo, mcfg core.Config, base core.ManagerState, muts []core.Mutation, ackedLen int, recovered core.ManagerState) error {
 	mcfg.Commit = nil
-	mcfg.Tracer = nil
 	replayer, err := core.NewManager(repo, mcfg)
 	if err != nil {
 		return err

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/pkggraph"
 	"repro/internal/spec"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -250,32 +249,27 @@ func TestConcurrentReadOnlyTakesNoWriteLock(t *testing.T) {
 	}
 }
 
-// TestConcurrentTracerSeesHits verifies the fast path still emits
-// telemetry events, since the server's /v1/events ring and latency
-// histograms are fed through the tracer.
+// TestConcurrentTracerSeesHits verifies a hit served on the read path
+// still records what its event needs, since the server's /v1/events
+// ring and latency histograms are fed from EventOf.
 func TestConcurrentTracerSeesHits(t *testing.T) {
 	repo := concRepo(t)
-	ring := telemetry.NewRing(64)
-	cm, err := NewSharded(repo, Config{Alpha: 0.8, Tracer: ring})
+	cm, err := NewSharded(repo, Config{Alpha: 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rig := newTraceRig()
 	s := specPool(repo, 1, 9)[0]
-	if _, err := cm.Request(s); err != nil {
-		t.Fatal(err)
+	rig.sharded(t, cm, s)
+	_, ev, _ := rig.sharded(t, cm, s)
+	if ev.Op != "hit" {
+		t.Errorf("second event op = %q, want hit", ev.Op)
 	}
-	if _, err := cm.Request(s); err != nil {
-		t.Fatal(err)
-	}
-	evs := ring.Events(0)
-	if len(evs) != 2 {
-		t.Fatalf("traced %d events, want 2", len(evs))
-	}
-	if evs[1].Op != "hit" {
-		t.Errorf("second event op = %q, want hit", evs[1].Op)
-	}
-	if evs[1].Seq == 0 {
+	if ev.Seq == 0 {
 		t.Error("hit event missing its linearization Seq")
+	}
+	if ev.SupersetScanned == 0 || ev.Images != 1 || ev.CachedBytes != cm.TotalData() {
+		t.Errorf("hit event lost its scan count or occupancy: %+v", ev)
 	}
 }
 

@@ -102,11 +102,6 @@ type Config struct {
 	// (default 1). NewManager itself ignores it: a Manager is always a
 	// single partition.
 	Shards int
-	// Tracer, when non-nil, receives one telemetry.Event per request:
-	// the operation taken, scan/prefilter work, merge candidates with
-	// their distances, eviction churn, and wall-clock duration. A nil
-	// Tracer costs one branch per request.
-	Tracer telemetry.Tracer
 	// Commit, when non-nil, receives one Mutation per state change
 	// (touch/merge/insert/delete/split) as it is applied — the hook the
 	// durability layer (internal/persist) logs through. A nil hook
@@ -417,13 +412,6 @@ func (m *Manager) Images() []*Image {
 // Alpha returns the configured merge threshold.
 func (m *Manager) Alpha() float64 { return m.cfg.Alpha }
 
-// Tracer returns the configured request tracer (nil when disabled).
-func (m *Manager) Tracer() telemetry.Tracer { return m.cfg.Tracer }
-
-// SetTracer replaces the request tracer. Harnesses use it to stack a
-// collector (telemetry.Multi) onto an already-built Manager.
-func (m *Manager) SetTracer(t telemetry.Tracer) { m.cfg.Tracer = t }
-
 // sign computes the MinHash signature of s into storage of its own —
 // for a signature an image keeps — or nil when the prefilter is
 // disabled.
@@ -446,25 +434,22 @@ func (m *Manager) resign(img *Image) {
 // Request runs Algorithm 1 for specification s and returns how it was
 // satisfied. Empty specifications are rejected: they indicate an
 // unresolved job and must not silently hit every image.
-//
-// When a Tracer is configured, one telemetry.Event describing the
-// request's whole lifecycle is emitted before returning; with a nil
-// Tracer no per-request instrumentation state is allocated or updated.
 func (m *Manager) Request(s spec.Spec) (Result, error) {
 	return m.RequestTraced(s, nil)
 }
 
 // RequestTraced is Request with span-level latency attribution: each
 // phase of Algorithm 1 (superset scan, merge scan, hit/merge/insert
-// bookkeeping, WAL append, eviction) is recorded as a child span of at.
-// A nil at costs one branch per span site — the uninstrumented hit path
-// stays allocation-free.
+// bookkeeping, WAL append, eviction) is recorded as a child span of at,
+// and the scans' work counts, the merge candidates and the cache's
+// occupancy as span attributes (EventOf reads them back). A nil at
+// costs one branch per span site — the uninstrumented hit path stays
+// allocation-free.
 func (m *Manager) RequestTraced(s spec.Spec, at *telemetry.ActiveTrace) (Result, error) {
 	if s.Empty() {
 		return Result{}, errEmptySpec()
 	}
 	reqBytes := s.Size(m.repo)
-	ev, start := m.newEvent(s, reqBytes, at)
 
 	// Dense query words from the pooled scratch; signing is deferred to
 	// the miss path (hits never need a signature).
@@ -472,11 +457,11 @@ func (m *Manager) RequestTraced(s spec.Spec, at *telemetry.ActiveTrace) (Result,
 	defer m.fast.put(sc)
 
 	// Phase 1: an existing image satisfies s.
-	if img := m.findSuperset(at, s, sc, ev); img != nil {
+	if img := m.findSuperset(at, s, sc); img != nil {
 		hitSpan := at.Begin(telemetry.StageHit, at.Root())
 		res := m.hit(at, hitSpan, img, s, reqBytes)
 		at.EndInt(hitSpan, "image_id", int64(img.ID))
-		m.trace(ev, res, start)
+		m.noteOccupancy(at, hitSpan)
 		return res, nil
 	}
 	m.tick()
@@ -486,10 +471,7 @@ func (m *Manager) RequestTraced(s spec.Spec, at *telemetry.ActiveTrace) (Result,
 	// Phase 2: merge into a close-enough image.
 	mergeScan := at.Begin(telemetry.StageMergeScan, at.Root())
 	sig := m.signScratch(sc, s)
-	img := m.findMergeTarget(s, sig, sc, ev)
-	if ev != nil {
-		at.AttrInt(mergeScan, "candidates", int64(len(ev.Candidates)))
-	}
+	img := m.findMergeTarget(at, mergeScan, s, sig, sc)
 	at.End(mergeScan)
 	if img != nil {
 		mergeSpan := at.Begin(telemetry.StageMerge, at.Root())
@@ -537,7 +519,7 @@ func (m *Manager) RequestTraced(s spec.Spec, at *telemetry.ActiveTrace) (Result,
 		at.EndInt(mergeSpan, "bytes_written", img.Size)
 		res.Evicted, res.EvictedBytes = m.evictTraced(at, img.ID)
 		m.stats.ContainerEffSum += res.ContainerEfficiency()
-		m.trace(ev, res, start)
+		m.noteOccupancy(at, mergeSpan)
 		return res, nil
 	}
 
@@ -576,7 +558,7 @@ func (m *Manager) RequestTraced(s spec.Spec, at *telemetry.ActiveTrace) (Result,
 	at.EndInt(insSpan, "bytes_written", img.Size)
 	res.Evicted, res.EvictedBytes = m.evictTraced(at, img.ID)
 	m.stats.ContainerEffSum += res.ContainerEfficiency()
-	m.trace(ev, res, start)
+	m.noteOccupancy(at, insSpan)
 	return res, nil
 }
 
@@ -601,13 +583,12 @@ func (m *Manager) hit(at *telemetry.ActiveTrace, hitSpan telemetry.SpanRef, img 
 	return res
 }
 
-// newEvent starts the request's telemetry.Event, or returns nil when no
-// Tracer is configured; trace completes and emits it.
-func (m *Manager) newEvent(s spec.Spec, reqBytes int64, at *telemetry.ActiveTrace) (*telemetry.Event, time.Time) {
-	if m.cfg.Tracer == nil {
-		return nil, time.Time{}
-	}
-	return &telemetry.Event{SpecPackages: s.Len(), RequestBytes: reqBytes, TraceID: at.TraceID()}, time.Now()
+// noteOccupancy records the cache's occupancy after the request —
+// bytes cached and images resident, read under the lock that ordered
+// it — on the request's hit, merge or insert span.
+func (m *Manager) noteOccupancy(at *telemetry.ActiveTrace, outcome telemetry.SpanRef) {
+	at.AttrInt(outcome, "cached_bytes", m.total)
+	at.AttrInt(outcome, "images", int64(len(m.byID)))
 }
 
 // commitSpan is commit wrapped in a wal_append child span: the commit
@@ -637,24 +618,55 @@ func (m *Manager) evictTraced(at *telemetry.ActiveTrace, keep uint64) (int, int6
 // errEmptySpec is the rejection both request paths share.
 func errEmptySpec() error { return fmt.Errorf("core: empty specification") }
 
-// trace completes ev from the request's Result and cache state and
-// emits it. ev is nil when tracing is disabled.
-func (m *Manager) trace(ev *telemetry.Event, res Result, start time.Time) {
-	if ev == nil {
-		return
+// EventOf is the one place a request's telemetry.Event is built: the
+// flat view /v1/events and `landlord-sim -events` serve, read from the
+// request's Result and the attributes core recorded on its spans. It
+// must run before at is finished. s is the submitted specification and
+// d the caller's timing of the whole cache call. With a nil at the scan
+// counts, candidates and occupancy read as zero.
+//
+// A request that missed on a ShardedManager's read path carries two
+// superset scans; the event reports the last, the one that decided it
+// under the write lock.
+func EventOf(s spec.Spec, res Result, at *telemetry.ActiveTrace, d time.Duration) telemetry.Event {
+	ev := telemetry.Event{
+		Seq:           res.Seq,
+		Op:            res.Op.String(),
+		SpecPackages:  s.Len(),
+		RequestBytes:  res.RequestBytes,
+		ImageID:       res.ImageID,
+		ImageVersion:  res.ImageVersion,
+		ImageSize:     res.ImageSize,
+		BytesWritten:  res.BytesWritten,
+		Evicted:       res.Evicted,
+		EvictedBytes:  res.EvictedBytes,
+		DurationNanos: d.Nanoseconds(),
+		TraceID:       at.TraceID(),
 	}
-	ev.Seq = res.Seq
-	ev.Op = res.Op.String()
-	ev.ImageID = res.ImageID
-	ev.ImageVersion = res.ImageVersion
-	ev.ImageSize = res.ImageSize
-	ev.BytesWritten = res.BytesWritten
-	ev.Evicted = res.Evicted
-	ev.EvictedBytes = res.EvictedBytes
-	ev.CachedBytes = m.total
-	ev.Images = len(m.byID)
-	ev.DurationNanos = time.Since(start).Nanoseconds()
-	m.cfg.Tracer.Trace(ev)
+	for _, a := range at.LastAttrs(telemetry.StageSupersetScan) {
+		if a.Key == "scanned" {
+			ev.SupersetScanned = int(a.Num)
+		}
+	}
+	for _, a := range at.LastAttrs(telemetry.StageMergeScan) {
+		switch a.Key {
+		case "prefilter_accepted":
+			ev.PrefilterAccepted = int(a.Num)
+		case "prefilter_rejected":
+			ev.PrefilterRejected = int(a.Num)
+		case "candidate":
+			ev.Candidates = append(ev.Candidates, telemetry.Candidate{ImageID: uint64(a.Num), Distance: a.F})
+		}
+	}
+	for _, a := range at.LastAttrs(res.Op.String()) { // the outcome span is named after its op
+		switch a.Key {
+		case "cached_bytes":
+			ev.CachedBytes = a.Num
+		case "images":
+			ev.Images = int(a.Num)
+		}
+	}
+	return ev
 }
 
 // candidate pairs an image with its (exact) distance from the request.
@@ -664,19 +676,18 @@ type candidate struct {
 }
 
 // pickMergeTarget is the tail of the merge scan: the stable distance
-// sort, candidate telemetry, and the conflict walk that returns the
-// closest non-conflicting candidate. Candidates must arrive in scan
-// (insertion) order so the stable sort breaks distance ties the way
-// Algorithm 1's linear scan does — the order the oracle derives.
-func (m *Manager) pickMergeTarget(s spec.Spec, cands []candidate, ev *telemetry.Event) *Image {
+// sort, one candidate attribute per candidate on the scan span (image
+// ID and exact distance, in the order considered), and the conflict
+// walk that returns the closest non-conflicting candidate. Candidates
+// must arrive in scan (insertion) order so the stable sort breaks
+// distance ties the way Algorithm 1's linear scan does — the order the
+// oracle derives.
+func (m *Manager) pickMergeTarget(at *telemetry.ActiveTrace, scanSpan telemetry.SpanRef, s spec.Spec, cands []candidate) *Image {
 	if !m.cfg.NoCandidateSort {
 		sort.SliceStable(cands, func(a, b int) bool { return cands[a].d < cands[b].d })
 	}
-	if ev != nil && len(cands) > 0 {
-		ev.Candidates = make([]telemetry.Candidate, len(cands))
-		for i, c := range cands {
-			ev.Candidates[i] = telemetry.Candidate{ImageID: c.img.ID, Distance: c.d}
-		}
+	for _, c := range cands {
+		at.Attr(scanSpan, telemetry.Attr{Key: "candidate", Num: int64(c.img.ID), F: c.d})
 	}
 	for _, c := range cands {
 		if mutantEnabled("conflict") || !m.cfg.Conflicts.Conflicts(s, c.img.Spec) {

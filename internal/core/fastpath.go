@@ -124,9 +124,9 @@ func (m *Manager) reorderOrds() {
 // satisfying image (least bloat for the job), or nil, as a
 // superset_scan child span of at. The subset test is a word-wise
 // AND-NOT against the pooled query words — exact, so no signature
-// prefilter is needed. When ev is non-nil it records the number of
-// images the scan examined.
-func (m *Manager) findSuperset(at *telemetry.ActiveTrace, s spec.Spec, sc *scratch, ev *telemetry.Event) *Image {
+// prefilter is needed. The span's scanned attribute counts the images
+// the scan examined.
+func (m *Manager) findSuperset(at *telemetry.ActiveTrace, s spec.Spec, sc *scratch) *Image {
 	scanSpan := at.Begin(telemetry.StageSupersetScan, at.Root())
 	var best *Image
 	scanned := 0
@@ -145,10 +145,7 @@ func (m *Manager) findSuperset(at *telemetry.ActiveTrace, s spec.Spec, sc *scrat
 			best = img
 		}
 	}
-	if ev != nil {
-		ev.SupersetScanned = scanned
-		at.AttrInt(scanSpan, "scanned", int64(scanned))
-	}
+	at.AttrInt(scanSpan, "scanned", int64(scanned))
 	at.End(scanSpan)
 	return best
 }
@@ -180,15 +177,17 @@ func (m *Manager) dist(s spec.Spec, img *Image, sc *scratch) float64 {
 // (exact mode, or alpha+margin > 1 admitting disjoint images) the
 // linear scan runs.
 //
-// When ev is non-nil it records the prefilter's accept/reject counts
-// and every candidate under α with its exact distance; live images
-// outside the bands count as prefilter rejections.
-func (m *Manager) findMergeTarget(s spec.Spec, sig similarity.Signature, sc *scratch, ev *telemetry.Event) *Image {
+// The scan span (scanSpan of at) records the number of candidates under
+// α and the prefilter's accept/reject counts — live images outside the
+// bands count as prefilter rejections — and pickMergeTarget adds each
+// candidate with its exact distance.
+func (m *Manager) findMergeTarget(at *telemetry.ActiveTrace, scanSpan telemetry.SpanRef, s spec.Spec, sig similarity.Signature, sc *scratch) *Image {
 	alpha := m.cfg.Alpha
 	if mutantEnabled("threshold") {
 		alpha += 0.2
 	}
 	sc.cands = sc.cands[:0]
+	accepted, rejected := 0, 0
 	banded := false
 	if sig != nil && m.bandIndex != nil && m.cfg.Alpha+m.cfg.MinHash.Margin <= 1 {
 		ids, err := m.bandIndex.CandidatesAppend(sig, sc.band[:0])
@@ -215,22 +214,16 @@ func (m *Manager) findMergeTarget(s spec.Spec, sig similarity.Signature, sc *scr
 				}
 				return 0
 			})
-			if ev != nil {
-				// Non-banded live images are exactly what a linear scan
-				// would count as prefilter rejections.
-				ev.PrefilterRejected += len(m.byID) - len(sc.imgs)
-			}
+			// Non-banded live images are exactly what a linear scan would
+			// count as prefilter rejections.
+			rejected = len(m.byID) - len(sc.imgs)
 			for _, img := range sc.imgs {
 				est := similarity.EstimateDistance(sig, img.sig)
 				if est >= m.cfg.Alpha+m.cfg.MinHash.Margin {
-					if ev != nil {
-						ev.PrefilterRejected++
-					}
+					rejected++
 					continue
 				}
-				if ev != nil {
-					ev.PrefilterAccepted++
-				}
+				accepted++
 				if d := m.dist(s, img, sc); d < alpha {
 					sc.cands = append(sc.cands, candidate{img, d})
 				}
@@ -245,19 +238,18 @@ func (m *Manager) findMergeTarget(s spec.Spec, sig similarity.Signature, sc *scr
 			if sig != nil {
 				est := similarity.EstimateDistance(sig, img.sig)
 				if est >= m.cfg.Alpha+m.cfg.MinHash.Margin {
-					if ev != nil {
-						ev.PrefilterRejected++
-					}
+					rejected++
 					continue
 				}
-				if ev != nil {
-					ev.PrefilterAccepted++
-				}
+				accepted++
 			}
 			if d := m.dist(s, img, sc); d < alpha {
 				sc.cands = append(sc.cands, candidate{img, d})
 			}
 		}
 	}
-	return m.pickMergeTarget(s, sc.cands, ev)
+	at.AttrInt(scanSpan, "candidates", int64(len(sc.cands)))
+	at.AttrInt(scanSpan, "prefilter_accepted", int64(accepted))
+	at.AttrInt(scanSpan, "prefilter_rejected", int64(rejected))
+	return m.pickMergeTarget(at, scanSpan, s, sc.cands)
 }

@@ -123,8 +123,8 @@ func (img *Image) LastUse() uint64 { return img.lastUse }
 
 // SetCommitHook replaces the commit hook. Harnesses use it to stack a
 // validating hook (internal/check's shadow checker) in front of an
-// already-installed durability hook; like SetTracer it must be called
-// before the manager serves traffic (ShardedManager.SetCommitHook
+// already-installed durability hook; it must be called before the
+// manager serves traffic (ShardedManager.SetCommitHook
 // installs one hook on every shard).
 func (m *Manager) SetCommitHook(h CommitHook) { m.cfg.Commit = h }
 

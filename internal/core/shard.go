@@ -71,10 +71,9 @@ import (
 //     byte bound is the sum of per-shard bounds, which the check
 //     harness audits across shards.
 //
-// Tracers and commit hooks configured on a ShardedManager must be safe
-// for concurrent use (telemetry.Ring, JSONLSink, registry-backed
-// tracers and the persist store all are). Trace events are emitted
-// outside hitMu and may arrive at the sink slightly out of Seq order.
+// Commit hooks configured on a ShardedManager must be safe for
+// concurrent use (the persist store is). A request's spans belong to
+// its own ActiveTrace, so recording them needs no lock of its own.
 type ShardedManager struct {
 	repo     *pkggraph.Repo
 	shards   []*shard
@@ -195,12 +194,11 @@ func (sh *shard) requestCtx(ctx context.Context, s spec.Spec) (Result, error) {
 	sc := m.fast.get(s)
 	defer m.fast.put(sc)
 	reqBytes := s.Size(m.repo)
-	ev, start := m.newEvent(s, reqBytes, at)
 
 	rlSpan := at.Begin(telemetry.StageLockWaitRead, at.Root())
 	sh.rlock()
 	at.End(rlSpan)
-	if img := m.findSuperset(at, s, sc, ev); img != nil {
+	if img := m.findSuperset(at, s, sc); img != nil {
 		hitSpan := at.Begin(telemetry.StageHit, at.Root())
 		// The hook must run before hitMu is released so the WAL sees
 		// touches in clock order (see the linearization guarantee above).
@@ -208,8 +206,8 @@ func (sh *shard) requestCtx(ctx context.Context, s spec.Spec) (Result, error) {
 		res := m.hit(at, hitSpan, img, s, reqBytes)
 		sh.hitMu.Unlock()
 		at.EndInt(hitSpan, "image_id", int64(img.ID))
+		m.noteOccupancy(at, hitSpan)
 		sh.readHits.Add(1)
-		m.trace(ev, res, start)
 		sh.mu.RUnlock()
 		return res, nil
 	}
@@ -245,7 +243,7 @@ func (sh *shard) peekHit(s spec.Spec) (Result, bool) {
 	defer m.fast.put(sc)
 	sh.rlock()
 	defer sh.mu.RUnlock()
-	img := m.findSuperset(nil, s, sc, nil)
+	img := m.findSuperset(nil, s, sc)
 	if img == nil {
 		return Result{}, false
 	}
@@ -282,8 +280,8 @@ func ShardOf(sum uint64, shards int) int {
 // cfg.Shards shards (minimum 1). The capacity is split evenly across
 // shards (remainder bytes to the lowest indices) so budgets sum to the
 // configured capacity exactly; Rebalance reshapes the split later.
-// cfg.Commit and cfg.Tracer are shared by every shard and must be safe
-// for concurrent use.
+// cfg.Commit is shared by every shard and must be safe for concurrent
+// use.
 func NewSharded(repo *pkggraph.Repo, cfg Config) (*ShardedManager, error) {
 	n := cfg.Shards
 	if n < 1 {
@@ -471,9 +469,6 @@ func (sm *ShardedManager) CacheEfficiency() float64 {
 
 // Alpha returns the configured merge threshold.
 func (sm *ShardedManager) Alpha() float64 { return sm.shards[0].m.Alpha() }
-
-// Tracer returns the configured request tracer (nil when disabled).
-func (sm *ShardedManager) Tracer() telemetry.Tracer { return sm.shards[0].m.Tracer() }
 
 // CheckIntegrity validates every shard (see Manager.CheckIntegrity),
 // each quiescent (read lock plus hitMu) so concurrent traffic cannot

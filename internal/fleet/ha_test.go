@@ -566,3 +566,63 @@ func TestAgentHandlerGatesStaleForwards(t *testing.T) {
 		t.Fatalf("unstamped request refused: %v", err)
 	}
 }
+
+// TestDrainedSpecHitsThroughAffinity records why route affinity stays
+// (DESIGN.md §10). A drain hands each image to its rendezvous successor
+// among the survivors, but a request for the spec goes where the
+// consistent-hash ring says, and over the survivors the two picks often
+// differ. Then only the affinity redirect — the gossiped directory says
+// the successor already holds a superset — turns the warm handoff into
+// a hit instead of a rebuild on the ring owner.
+func TestDrainedSpecHitsThroughAffinity(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		f := newTestFleet(t, 3, MasterConfig{SuspectAfter: -1})
+		f.beatAll()
+		drainer, survivors := f.agents[0], f.agents[1:]
+		keys := specKeys(f.repo, i, 3)
+		if _, err := server.NewClient(drainer.ts.URL, nil).Request(keys, true); err != nil {
+			t.Fatalf("warming the drainer: %v", err)
+		}
+		f.beatAll()
+		if err := drainer.ag.Drain(context.Background()); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		for _, a := range survivors {
+			if err := a.ag.BeatNow(context.Background()); err != nil {
+				t.Fatalf("agent %s beat: %v", a.id, err)
+			}
+		}
+		var holder string
+		for _, a := range survivors {
+			if len(a.srv.SnapshotNow()) > 0 {
+				holder = a.id
+			}
+		}
+		if holder == "" {
+			t.Fatalf("spec %v: the handoff warmed no survivor", keys)
+		}
+		f.master.mu.Lock()
+		owner := f.master.routeLocked(RouteKey(keys), KeyQuery{}, false).Owner
+		info := f.master.routeLocked(f.master.ms.dict.Route(keyViews(keys)))
+		f.master.mu.Unlock()
+		if owner == holder {
+			continue // the ring agrees with the handoff here; try another spec
+		}
+
+		if !info.Affinity || info.Candidates[0] != holder {
+			t.Fatalf("spec %v: route %+v, want an affinity redirect to successor %s over owner %s", keys, info, holder, owner)
+		}
+		res, err := f.request(keys)
+		if err != nil {
+			t.Fatalf("request: %v", err)
+		}
+		if res.Agent != holder || res.Op != "hit" {
+			t.Fatalf("drained spec %v was a %q on %s, want a hit on successor %s (ring owner %s)", keys, res.Op, res.Agent, holder, owner)
+		}
+		if got := f.master.Registry().Counter(metricRouteAffinity, helpRouteAffinity).Value(); got != 1 {
+			t.Fatalf("%s = %d, want 1", metricRouteAffinity, got)
+		}
+		return
+	}
+	t.Fatal("no spec in 20 whose post-drain ring owner differs from its successor")
+}

@@ -4,18 +4,15 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/pkggraph"
 	"repro/internal/spec"
 	"repro/internal/telemetry"
 )
-
-// tracerFunc adapts a closure to telemetry.Tracer.
-type tracerFunc func(*telemetry.Event)
-
-func (f tracerFunc) Trace(ev *telemetry.Event) { f(ev) }
 
 // mustSpec resolves a package key to its dependency-closed spec.
 func mustSpec(t *testing.T, repo *pkggraph.Repo, key string) spec.Spec {
@@ -174,23 +171,101 @@ func TestEventsEndpoint(t *testing.T) {
 	}
 }
 
-func TestConfiguredTracerStillReceivesEvents(t *testing.T) {
-	// A tracer supplied via core.Config must keep working alongside the
-	// server's ring and histograms.
-	var events []telemetry.Event
-	tracer := tracerFunc(func(ev *telemetry.Event) { events = append(events, *ev) })
-	repo := testRepo(t)
-	srv, err := New(repo, core.Config{Alpha: 0.6, Tracer: tracer})
+// TestEventsMergeSchema reads /v1/events the strict way: every field
+// the server sends is one telemetry.Event knows, and a merge carries its
+// scan detail — candidates with their exact distances — and the cache's
+// occupancy after it, all read back from the request's spans.
+func TestEventsMergeSchema(t *testing.T) {
+	ts, client := testService(t, core.Config{Alpha: 0.6})
+	for _, keys := range [][]string{{"libA/1.0/p"}, {"libB/1.0/p"}} {
+		if _, err := client.Request(keys, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/events?outcome=merge")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.cmgr.Request(mustSpec(t, repo, "libA/1.0/p")); err != nil {
-		t.Fatal(err)
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	dec.DisallowUnknownFields()
+	var events []telemetry.Event
+	if err := dec.Decode(&events); err != nil {
+		t.Fatalf("/v1/events does not decode strictly: %v", err)
 	}
 	if len(events) != 1 {
-		t.Fatalf("configured tracer saw %d events", len(events))
+		t.Fatalf("got %d merge events, want 1", len(events))
 	}
-	if got := srv.ring.Total(); got != 1 {
-		t.Fatalf("ring saw %d events", got)
+	ev := events[0]
+	if len(ev.Candidates) != 1 || ev.Candidates[0].ImageID != ev.ImageID {
+		t.Fatalf("merge candidates %+v, want the merged image %d", ev.Candidates, ev.ImageID)
+	}
+	if d := ev.Candidates[0].Distance; d <= 0 || d >= 0.6 {
+		t.Fatalf("candidate distance %v, want within (0, alpha)", d)
+	}
+	if ev.SupersetScanned != 1 || ev.Images != 1 || ev.CachedBytes != ev.ImageSize || ev.TraceID == 0 {
+		t.Fatalf("merge event lost its scan count, occupancy or trace: %+v", ev)
+	}
+}
+
+// TestRequestLatencyCoversLockWait pins the interval the request
+// histogram observes: the whole cache call. A merge that queued behind a
+// held lock reports at least its trace's lock_wait_write span, in
+// /v1/events and in landlord_request_duration_seconds alike.
+func TestRequestLatencyCoversLockWait(t *testing.T) {
+	srv, client, base := testServiceWithServer(t, core.Config{Alpha: 0.6})
+	if _, err := client.Request([]string{"libA/1.0/p"}, true); err != nil {
+		t.Fatal(err)
+	}
+
+	// Hold every shard's read lock: the merge scans beside it, then
+	// queues for the write lock until the hold ends.
+	release := make(chan struct{})
+	held := make(chan struct{})
+	go srv.cmgr.WithSharedAll(func([]*core.Manager) {
+		close(held)
+		<-release
+	})
+	<-held
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		close(release)
+	}()
+	resp, err := http.Post(base+"/v1/request", "application/json",
+		strings.NewReader(`{"packages":["libB/1.0/p"],"close":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	id, _, ok := telemetry.ParseTraceHeader(resp.Header.Get(telemetry.TraceHeaderName))
+	if !ok {
+		t.Fatalf("no trace header on the merge")
+	}
+	tr, ok := srv.TraceRing().Get(id)
+	if !ok || tr.Outcome != "merge" {
+		t.Fatalf("merge trace %s not retained (outcome %q)", id, tr.Outcome)
+	}
+	var wait int64
+	for _, sp := range tr.Spans {
+		if sp.Stage == telemetry.StageLockWaitWrite {
+			wait = sp.Duration()
+		}
+	}
+	if wait < int64(time.Millisecond) {
+		t.Fatalf("lock_wait_write %v: the merge did not queue behind the held lock", time.Duration(wait))
+	}
+
+	events, err := client.Events(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 1 || events[0].TraceID != id || events[0].DurationNanos < wait {
+		t.Fatalf("merge event %+v, want trace %s lasting at least the %v lock wait", events, id, time.Duration(wait))
+	}
+	sc := scrape(t, base)
+	sum, ok := sc.Value("landlord_request_duration_seconds_sum", telemetry.Label{Key: "op", Value: "merge"})
+	if !ok || sum < time.Duration(wait).Seconds() {
+		t.Fatalf("merge latency sum %vs (present=%v), want at least the %v lock wait", sum, ok, time.Duration(wait))
 	}
 }

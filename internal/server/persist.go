@@ -21,15 +21,14 @@ import (
 // immediately, so the next restart starts from a compact log.
 func NewPersistent(repo *pkggraph.Repo, cfg core.Config, store *persist.Store, checkpointEvery int) (*Server, *persist.RecoveryReport, error) {
 	reg := telemetry.NewRegistry()
-	ring := telemetry.NewRing(EventRingSize)
-	cfg.Tracer = telemetry.Multi(cfg.Tracer, ring, newOpTracer(reg))
 	sm, rep, err := store.RecoverSharded(repo, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	s := &Server{repo: repo, reg: reg, ring: ring, cmgr: sm, store: store, ckptEvery: checkpointEvery,
+	s := &Server{repo: repo, reg: reg, ring: telemetry.NewRing(EventRingSize), cmgr: sm, store: store, ckptEvery: checkpointEvery,
 		decoder: NewRequestDecoder(reg, RequestBodyLimit(repo))}
 	s.initTracing()
+	s.registerRequestMetrics()
 	s.registerCacheMetrics()
 	s.registerShardMetrics()
 	s.registerContentionMetrics()

@@ -156,7 +156,7 @@ func (s *Server) transition(next ServeState) {
 // /v1/events ring, so operators replaying an incident see overload
 // transitions inline with the request stream they shaped.
 func (s *Server) noteStateEvent(next ServeState) {
-	s.ring.Trace(&telemetry.Event{Op: "state:" + next.String()})
+	s.ring.Add(telemetry.Event{Op: "state:" + next.String()})
 }
 
 // noteShed records a shed decision: healthy flips to shedding (but a

@@ -45,7 +45,13 @@ const EventRingSize = 4096
 type Server struct {
 	repo *pkggraph.Repo
 	reg  *telemetry.Registry
-	ring *telemetry.Ring
+	ring *telemetry.Ring // the /v1/events FIFO of recent requests
+
+	// Per-request series the handler feeds once a request is served
+	// (noteServed): latency by core.Op and the eviction-churn pair.
+	opLatency    [3]*telemetry.Histogram
+	evicted      *telemetry.Counter
+	evictedBytes *telemetry.Counter
 
 	// Span tracing (trace.go): every request is traced; the
 	// tail-sampling ring keeps the slowest and the interesting ones.
@@ -82,20 +88,19 @@ type Server struct {
 }
 
 // New creates a Server with a fresh Manager. The server installs its
-// own telemetry: request events flow into a bounded ring buffer
-// (served by /v1/events) and per-operation latency histograms; any
-// Tracer already present in cfg keeps receiving events too.
+// own telemetry: every served request becomes one event in a bounded
+// ring buffer (served by /v1/events) and one observation in the
+// per-operation latency histograms.
 func New(repo *pkggraph.Repo, cfg core.Config) (*Server, error) {
 	reg := telemetry.NewRegistry()
-	ring := telemetry.NewRing(EventRingSize)
-	cfg.Tracer = telemetry.Multi(cfg.Tracer, ring, newOpTracer(reg))
 	cmgr, err := core.NewSharded(repo, cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{repo: repo, reg: reg, ring: ring, cmgr: cmgr,
+	s := &Server{repo: repo, reg: reg, ring: telemetry.NewRing(EventRingSize), cmgr: cmgr,
 		decoder: NewRequestDecoder(reg, RequestBodyLimit(repo))}
 	s.initTracing()
+	s.registerRequestMetrics()
 	s.registerCacheMetrics()
 	s.registerShardMetrics()
 	s.registerContentionMetrics()
@@ -144,42 +149,32 @@ func (s *Server) registerContentionMetrics() {
 // processes (the daemon, tests) can add their own series.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
-// opTracer feeds the registry from core request events: one latency
-// histogram and one eviction-churn pair per operation kind.
-type opTracer struct {
-	hists      map[string]*telemetry.Histogram
-	fallback   *telemetry.Histogram
-	evicted    *telemetry.Counter
-	evictedByt *telemetry.Counter
-}
-
-func newOpTracer(reg *telemetry.Registry) *opTracer {
+// registerRequestMetrics creates the series noteServed feeds: one
+// latency histogram per operation and the eviction-churn pair.
+func (s *Server) registerRequestMetrics() {
 	const name = "landlord_request_duration_seconds"
 	const help = "Cache request latency by operation"
-	t := &opTracer{hists: make(map[string]*telemetry.Histogram)}
-	for _, op := range []string{"hit", "merge", "insert"} {
-		t.hists[op] = reg.Histogram(name, help, telemetry.DefaultLatencyBuckets(),
-			telemetry.Label{Key: "op", Value: op})
+	for _, op := range []core.Op{core.OpHit, core.OpMerge, core.OpInsert} {
+		s.opLatency[op] = s.reg.Histogram(name, help, telemetry.DefaultLatencyBuckets(),
+			telemetry.Label{Key: "op", Value: op.String()})
 	}
-	t.fallback = t.hists["insert"]
-	t.evicted = reg.Counter("landlord_evicted_images_total", "Images evicted by LRU pressure")
-	t.evictedByt = reg.Counter("landlord_evicted_bytes_total", "Bytes evicted by LRU pressure")
-	return t
+	s.evicted = s.reg.Counter("landlord_evicted_images_total", "Images evicted by LRU pressure")
+	s.evictedBytes = s.reg.Counter("landlord_evicted_bytes_total", "Bytes evicted by LRU pressure")
 }
 
-// Trace implements telemetry.Tracer. Traced requests stamp their
-// latency bucket with an exemplar, linking the histogram's tail
-// buckets to concrete trace IDs in the tail-sampling ring.
-func (t *opTracer) Trace(ev *telemetry.Event) {
-	h, ok := t.hists[ev.Op]
-	if !ok {
-		h = t.fallback
+// noteServed records one request the cache served: its latency d — the
+// whole cache call, lock waits included — in its operation's histogram
+// with the trace as exemplar (linking the tail buckets to retained
+// traces), its eviction churn, and its /v1/events entry, the EventOf
+// view over its Result and spans. It runs with no cache lock held and
+// before the trace is finished.
+func (s *Server) noteServed(sp spec.Spec, res core.Result, at *telemetry.ActiveTrace, d time.Duration) {
+	s.opLatency[res.Op].ObserveExemplar(d.Seconds(), at.TraceID())
+	if res.Evicted > 0 {
+		s.evicted.Add(int64(res.Evicted))
+		s.evictedBytes.Add(res.EvictedBytes)
 	}
-	h.ObserveExemplar(float64(ev.DurationNanos)/float64(time.Second), ev.TraceID)
-	if ev.Evicted > 0 {
-		t.evicted.Add(int64(ev.Evicted))
-		t.evictedByt.Add(ev.EvictedBytes)
-	}
+	s.ring.Add(core.EventOf(sp, res, at, d))
 }
 
 // registerCacheMetrics exposes the manager's counters and live cache
@@ -494,7 +489,9 @@ func (s *Server) serveRequest(w http.ResponseWriter, r *http.Request, at *teleme
 		return s.serveDegraded(w, sp)
 	}
 
+	start := time.Now()
 	res, err := s.cmgr.RequestCtx(ctx, sp)
+	took := time.Since(start)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
@@ -508,6 +505,7 @@ func (s *Server) serveRequest(w http.ResponseWriter, r *http.Request, at *teleme
 			return "error", err.Error(), 0
 		}
 	}
+	s.noteServed(sp, res, at, took)
 	s.maybeCheckpoint()
 	if s.store != nil {
 		// Group-commit barrier: the request's WAL records must be on

@@ -10,6 +10,7 @@ package sim
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/pkggraph"
@@ -77,11 +78,11 @@ type Params struct {
 	// (0 = no timeline).
 	TimelineEvery int
 
-	// Tracer, when non-nil, receives one telemetry.Event per simulated
-	// request (the `landlord-sim -events` hook). Sweeps share the
-	// tracer across repetitions, so it must be safe for concurrent use
-	// (telemetry.JSONLSink and telemetry.Ring are).
-	Tracer telemetry.Tracer
+	// Events, when non-nil, receives one telemetry.Event per simulated
+	// request (the `landlord-sim -events` sink); requests are
+	// span-traced only then. Sweeps share the sink across repetitions
+	// (JSONLSink is safe for concurrent use).
+	Events *telemetry.JSONLSink
 }
 
 func (p Params) validate() error {
@@ -149,7 +150,6 @@ func (p Params) managerConfig() core.Config {
 		Capacity:        p.CacheBytes,
 		Conflicts:       p.Conflicts,
 		NoCandidateSort: p.NoCandidateSort,
-		Tracer:          p.Tracer,
 	}
 	if p.UseMinHash {
 		cfg.MinHash = core.DefaultMinHash()
@@ -171,60 +171,60 @@ func Run(p Params) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return Replay(mgr, stream, p.TimelineEvery)
-}
-
-// timelineTracer accumulates the Figure 5 timeline from per-request
-// telemetry events: operation counts, eviction churn, cache occupancy
-// and cumulative writes, sampled every `every` requests. It replaces
-// the earlier ad-hoc Stats polling, so the timeline and the event
-// trace are definitionally consistent.
-type timelineTracer struct {
-	every int
-	cum   TimelinePoint
-	out   []TimelinePoint
-}
-
-// Trace implements telemetry.Tracer.
-func (t *timelineTracer) Trace(ev *telemetry.Event) {
-	t.cum.Request++
-	switch ev.Op {
-	case "hit":
-		t.cum.Hits++
-	case "merge":
-		t.cum.Merges++
-	case "insert":
-		t.cum.Inserts++
-	}
-	t.cum.Deletes += int64(ev.Evicted)
-	t.cum.BytesWritten += ev.BytesWritten
-	t.cum.CachedBytes = ev.CachedBytes
-	if t.cum.Request%t.every == 0 {
-		t.out = append(t.out, t.cum)
-	}
+	return Replay(mgr, stream, p.TimelineEvery, p.Events)
 }
 
 // Replay drives an existing Manager with a request stream, recording a
 // timeline point every `every` requests (0 disables the timeline). It
 // is also the entry point for trace-driven runs (see internal/trace).
 // Timeline counters start at zero from the first replayed request,
-// regardless of the Manager's prior history; any tracer already on the
-// Manager keeps receiving events.
-func Replay(mgr *core.Manager, stream []spec.Spec, every int) (Result, error) {
-	var tl *timelineTracer
-	if every > 0 {
-		tl = &timelineTracer{every: every}
-		orig := mgr.Tracer()
-		mgr.SetTracer(telemetry.Multi(orig, tl))
-		defer mgr.SetTracer(orig)
+// regardless of the Manager's prior history. The Figure 5 timeline
+// accumulates from each request's Result and the cache's occupancy
+// after it. With a non-nil events sink, each request runs under a span
+// trace and its event (core.EventOf) is written before the trace is
+// finished.
+func Replay(mgr *core.Manager, stream []spec.Spec, every int, events *telemetry.JSONLSink) (Result, error) {
+	var spans *telemetry.SpanTracer // nil: requests run untraced
+	if events != nil {
+		spans = telemetry.NewSpanTracer(nil)
+		spans.SetIDGen(func() uint64 { return 1 }) // no trace outlives its event
 	}
+	var cum TimelinePoint
+	var timeline []TimelinePoint
 	for i, s := range stream {
-		if _, err := mgr.Request(s); err != nil {
+		at := spans.Start(0, 0)
+		start := time.Now()
+		res, err := mgr.RequestTraced(s, at)
+		if err != nil {
 			return Result{}, fmt.Errorf("sim: request %d: %w", i, err)
+		}
+		if at != nil {
+			ev := core.EventOf(s, res, at, time.Since(start))
+			ev.TraceID = 0 // nothing retains the trace, so there is nothing to link
+			events.Add(ev)
+			at.Finish(res.Op.String(), "", res.Seq)
+		}
+		if every <= 0 {
+			continue
+		}
+		cum.Request++
+		switch res.Op {
+		case core.OpHit:
+			cum.Hits++
+		case core.OpMerge:
+			cum.Merges++
+		case core.OpInsert:
+			cum.Inserts++
+		}
+		cum.Deletes += int64(res.Evicted)
+		cum.BytesWritten += res.BytesWritten
+		cum.CachedBytes = mgr.TotalData()
+		if cum.Request%every == 0 {
+			timeline = append(timeline, cum)
 		}
 	}
 	st := mgr.Stats()
-	res := Result{
+	return Result{
 		Alpha:               mgr.Alpha(),
 		Requests:            len(stream),
 		Stats:               st,
@@ -233,9 +233,6 @@ func Replay(mgr *core.Manager, stream []spec.Spec, every int) (Result, error) {
 		UniqueData:          mgr.UniqueData(),
 		CacheEfficiency:     mgr.CacheEfficiency(),
 		ContainerEfficiency: st.MeanContainerEfficiency(),
-	}
-	if tl != nil {
-		res.Timeline = tl.out
-	}
-	return res, nil
+		Timeline:            timeline,
+	}, nil
 }

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -424,7 +427,7 @@ func TestReplayWithTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Replay(m, stream, 0)
+	res, err := Replay(m, stream, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,35 +439,51 @@ func TestReplayWithTrace(t *testing.T) {
 	}
 }
 
-// tracerFunc adapts a closure to telemetry.Tracer.
-type tracerFunc func(*telemetry.Event)
-
-func (f tracerFunc) Trace(ev *telemetry.Event) { f(ev) }
-
 func TestRunTracerSeesEveryRequest(t *testing.T) {
-	// The Params.Tracer hook (the `-events` path) must observe one event
-	// per request and must coexist with the tracer-driven timeline.
+	// The Params.Events sink (the `-events` path) must receive one event
+	// per request, and tracing must leave the run — timeline included —
+	// exactly as an untraced run leaves it.
 	p := testParams(t)
 	p.TimelineEvery = 10
-	var events int
-	ops := map[string]int64{}
-	p.Tracer = tracerFunc(func(ev *telemetry.Event) {
-		events++
-		ops[ev.Op]++
-	})
+	untraced, err := Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	p.Events = telemetry.NewJSONLSink(&buf)
 	res, err := Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := p.Events.Err(); err != nil {
+		t.Fatal(err)
+	}
 	want := p.UniqueJobs * p.Repeats
+	ops := map[string]int64{}
+	dec := json.NewDecoder(&buf)
+	events := 0
+	for dec.More() {
+		var ev telemetry.Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.TraceID != 0 {
+			t.Fatalf("event %d links trace %s, which nothing retains", events, ev.TraceID)
+		}
+		events++
+		ops[ev.Op]++
+	}
 	if events != want {
-		t.Fatalf("tracer saw %d events, want %d", events, want)
+		t.Fatalf("sink saw %d events, want %d", events, want)
 	}
 	if ops["hit"] != res.Stats.Hits || ops["insert"] != res.Stats.Inserts || ops["merge"] != res.Stats.Merges {
-		t.Fatalf("tracer op counts %v disagree with stats %+v", ops, res.Stats)
+		t.Fatalf("event op counts %v disagree with stats %+v", ops, res.Stats)
 	}
 	if len(res.Timeline) != want/10 {
 		t.Fatalf("timeline points = %d, want %d", len(res.Timeline), want/10)
+	}
+	if !reflect.DeepEqual(res, untraced) {
+		t.Fatalf("traced run differs from the untraced one:\n traced %+v\n untraced %+v", res, untraced)
 	}
 }
 

@@ -122,12 +122,14 @@ func ParseTraceID(s string) (TraceID, error) {
 	return TraceID(v), nil
 }
 
-// Attr is one key/value annotation on a span. Exactly one of Num/Str is
-// meaningful; numeric attributes dominate (scan counts, byte totals).
+// Attr is one key/value annotation on a span. Numeric attributes
+// dominate (scan counts, byte totals); F carries a float beside Num,
+// as a merge candidate's exact distance beside its image ID.
 type Attr struct {
-	Key string `json:"k"`
-	Num int64  `json:"n,omitempty"`
-	Str string `json:"s,omitempty"`
+	Key string  `json:"k"`
+	Num int64   `json:"n,omitempty"`
+	F   float64 `json:"f,omitempty"`
+	Str string  `json:"s,omitempty"`
 }
 
 // SpanRef indexes a span inside its trace. Refs stay valid for the
@@ -286,11 +288,22 @@ func (t *SpanTracer) Start(id TraceID, remoteParent uint32) *ActiveTrace {
 	at.t.Err = ""
 	at.t.Seq = 0
 	at.t.Kept = ""
-	if cap(at.t.Spans) > 0 {
-		at.t.Spans = at.t.Spans[:0]
-	}
-	at.t.Spans = append(at.t.Spans, Span{Stage: StageRequest, Parent: SpanNone})
+	at.t.Spans = at.t.Spans[:0]
+	at.push(Span{Stage: StageRequest, Parent: SpanNone})
 	return at
+}
+
+// push appends sp, reusing the attr storage of the slot it lands in:
+// Finish truncates every span's attrs for exactly this reuse, so a
+// pooled trace records its attributes without allocating.
+func (at *ActiveTrace) push(sp Span) {
+	if n := len(at.t.Spans); n < cap(at.t.Spans) {
+		at.t.Spans = at.t.Spans[:n+1]
+		sp.Attrs = at.t.Spans[n].Attrs[:0]
+		at.t.Spans[n] = sp
+		return
+	}
+	at.t.Spans = append(at.t.Spans, sp)
 }
 
 // ActiveTrace is a trace under construction. It is owned by one request
@@ -325,7 +338,7 @@ func (at *ActiveTrace) Begin(stage string, parent SpanRef) SpanRef {
 		return SpanNone
 	}
 	ref := SpanRef(len(at.t.Spans))
-	at.t.Spans = append(at.t.Spans, Span{
+	at.push(Span{
 		Stage:  stage,
 		Parent: parent,
 		Start:  at.tr.clock() - at.base,
@@ -347,22 +360,38 @@ func (at *ActiveTrace) EndInt(ref SpanRef, key string, v int64) {
 	at.End(ref)
 }
 
-// AttrInt attaches a numeric attribute to an open or closed span.
-func (at *ActiveTrace) AttrInt(ref SpanRef, key string, v int64) {
+// Attr attaches a to an open or closed span.
+func (at *ActiveTrace) Attr(ref SpanRef, a Attr) {
 	if at == nil || ref < 0 || int(ref) >= len(at.t.Spans) {
 		return
 	}
 	sp := &at.t.Spans[ref]
-	sp.Attrs = append(sp.Attrs, Attr{Key: key, Num: v})
+	sp.Attrs = append(sp.Attrs, a)
+}
+
+// AttrInt attaches a numeric attribute to an open or closed span.
+func (at *ActiveTrace) AttrInt(ref SpanRef, key string, v int64) {
+	at.Attr(ref, Attr{Key: key, Num: v})
 }
 
 // AttrStr attaches a string attribute to an open or closed span.
 func (at *ActiveTrace) AttrStr(ref SpanRef, key, v string) {
-	if at == nil || ref < 0 || int(ref) >= len(at.t.Spans) {
-		return
+	at.Attr(ref, Attr{Key: key, Str: v})
+}
+
+// LastAttrs returns the attributes of the most recent span of stage,
+// or nil when the trace has none (or is nil). The slice aliases the
+// trace's pooled storage: read it before Finish.
+func (at *ActiveTrace) LastAttrs(stage string) []Attr {
+	if at == nil {
+		return nil
 	}
-	sp := &at.t.Spans[ref]
-	sp.Attrs = append(sp.Attrs, Attr{Key: key, Str: v})
+	for i := len(at.t.Spans) - 1; i >= 0; i-- {
+		if at.t.Spans[i].Stage == stage {
+			return at.t.Spans[i].Attrs
+		}
+	}
+	return nil
 }
 
 // Finish closes the root span, stamps the outcome, hands the trace to

@@ -92,8 +92,12 @@ func TestNilTracerAndNilTraceAreNoOps(t *testing.T) {
 	}
 	at.AttrInt(ref, "k", 1)
 	at.AttrStr(ref, "k", "v")
+	at.Attr(ref, Attr{Key: "k", Num: 1, F: 0.5})
 	at.EndInt(ref, "k", 1)
 	at.End(ref)
+	if at.LastAttrs(StageHit) != nil {
+		t.Fatalf("nil trace returned attrs")
+	}
 	at.Finish("hit", "", 0)
 	if tr.Started() != 0 {
 		t.Fatalf("nil tracer counted starts")
@@ -110,6 +114,47 @@ func TestNilTracePathDoesNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("nil-trace span site allocates %.1f per op, want 0", allocs)
 	}
+}
+
+// TestPooledTraceReusesAttrStorage pins that a pooled trace records
+// its attributes into the storage the previous trace on it left: Finish
+// truncates every span's attrs for reuse, and Start and Begin keep it.
+func TestPooledTraceReusesAttrStorage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	tr := NewSpanTracer(nil)
+	tr.SetIDGen(func() uint64 { return 1 })
+	request := func() {
+		at := tr.Start(0, 0)
+		at.AttrStr(at.Root(), "path", "fast")
+		scan := at.Begin(StageMergeScan, at.Root())
+		at.AttrInt(scan, "candidates", 2)
+		at.Attr(scan, Attr{Key: "candidate", Num: 7, F: 0.25})
+		at.Attr(scan, Attr{Key: "candidate", Num: 9, F: 0.5})
+		at.End(scan)
+		at.Finish("merge", "", 1)
+	}
+	request() // the first trace grows the storage
+	if allocs := testing.AllocsPerRun(100, request); allocs != 0 {
+		t.Fatalf("a pooled trace with attributed spans allocates %.1f per request, want 0", allocs)
+	}
+}
+
+func TestLastAttrsReadsTheLatestSpanOfAStage(t *testing.T) {
+	tr := NewSpanTracer(nil)
+	at := tr.Start(0, 0)
+	first := at.Begin(StageSupersetScan, at.Root())
+	at.EndInt(first, "scanned", 1)
+	second := at.Begin(StageSupersetScan, at.Root())
+	at.EndInt(second, "scanned", 2)
+	if got := at.LastAttrs(StageSupersetScan); len(got) != 1 || got[0].Num != 2 {
+		t.Fatalf("LastAttrs = %+v, want the second scan's", got)
+	}
+	if got := at.LastAttrs(StageMerge); got != nil {
+		t.Fatalf("LastAttrs of an absent stage = %+v", got)
+	}
+	at.Finish("hit", "", 0)
 }
 
 func TestPoolReuseClearsAttrs(t *testing.T) {

@@ -1,5 +1,5 @@
 // Package telemetry is the observability layer for the LANDLORD cache:
-// structured per-request trace events, a metrics registry with
+// span traces, structured per-request events, a metrics registry with
 // Prometheus text exposition, and HTTP instrumentation middleware.
 //
 // The paper's evaluation is entirely about *operational* behaviour —
@@ -7,14 +7,19 @@
 // how much eviction churn the cache endures — so the production
 // deployment needs the same visibility at runtime that the simulation
 // harness has offline. Everything here is stdlib-only and
-// pay-for-what-you-use: a Manager with a nil Tracer pays one branch
-// per request, and metric updates are single atomic operations.
+// pay-for-what-you-use: an untraced request (nil *ActiveTrace) pays
+// one branch per span site, and metric updates are single atomic
+// operations.
 //
-// The three pieces:
+// The pieces:
 //
-//   - Tracer: a per-request event hook (core.Config.Tracer). Sinks
-//     include a JSONL writer for offline analysis and a bounded Ring
-//     served by the daemon's /v1/events endpoint.
+//   - Spans: the one per-request record. core records each phase of
+//     Algorithm 1 on the request's ActiveTrace, with the scan detail
+//     as span attributes; the tail-sampling TraceRing retains some.
+//   - Event: a flat view of one request, built at the edge from the
+//     cache's result and the request's spans (core.EventOf). Sinks are
+//     a JSONL writer for offline analysis and a bounded Ring served by
+//     the daemon's /v1/events endpoint.
 //   - Registry: counters, gauges, and log-bucketed histograms with
 //     lock-cheap updates, exposed in the Prometheus text format.
 //   - Middleware: per-route HTTP request/latency/status instrumentation
@@ -36,8 +41,8 @@ type Candidate struct {
 
 // Event is one request's journey through the cache manager: which
 // branch of Algorithm 1 satisfied it, how much work the scans did, and
-// what it cost. The manager emits exactly one Event per successful
-// Request call.
+// what it cost. It is a view over one successful request: core.EventOf
+// builds it from the request's Result and its spans.
 type Event struct {
 	// Seq is the manager's logical clock at the request (1-based).
 	Seq uint64 `json:"seq"`
@@ -79,49 +84,13 @@ type Event struct {
 	CachedBytes int64 `json:"cached_bytes"`
 	Images      int   `json:"images"`
 
-	// DurationNanos is the wall-clock cost of the Request call.
+	// DurationNanos is the wall-clock cost of the whole cache call, lock
+	// waits included, as timed by the caller.
 	DurationNanos int64 `json:"duration_ns"`
 
 	// TraceID links the event to its span trace when the request was
 	// traced (zero otherwise).
 	TraceID TraceID `json:"trace_id,omitempty"`
-}
-
-// Tracer receives one Event per cache request. Implementations must be
-// safe for use from the single goroutine driving a Manager; sinks
-// shared across managers (JSONLSink, Ring) serialize internally.
-// The *Event is only valid for the duration of the call: retain a copy,
-// not the pointer.
-type Tracer interface {
-	Trace(ev *Event)
-}
-
-// multi fans one event out to several tracers.
-type multi []Tracer
-
-func (m multi) Trace(ev *Event) {
-	for _, t := range m {
-		t.Trace(ev)
-	}
-}
-
-// Multi combines tracers into one, dropping nils. It returns nil when
-// no non-nil tracer remains, so Multi(nil, nil) keeps the fast path.
-func Multi(tracers ...Tracer) Tracer {
-	var out multi
-	for _, t := range tracers {
-		if t != nil {
-			out = append(out, t)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	default:
-		return out
-	}
 }
 
 // JSONLSink writes each event as one JSON line, the trace format the
@@ -139,14 +108,14 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 	return &JSONLSink{enc: json.NewEncoder(w)}
 }
 
-// Trace implements Tracer.
-func (s *JSONLSink) Trace(ev *Event) {
+// Add writes ev as one JSON line.
+func (s *JSONLSink) Add(ev Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
 		return
 	}
-	s.err = s.enc.Encode(ev)
+	s.err = s.enc.Encode(&ev)
 }
 
 // Err returns the first write error, if any.
@@ -163,7 +132,7 @@ type Ring struct {
 	mu    sync.Mutex
 	buf   []Event
 	next  int    // index the next event is written at
-	total uint64 // events ever traced
+	total uint64 // events ever added
 }
 
 // NewRing creates a ring retaining up to n events (minimum 1).
@@ -174,14 +143,14 @@ func NewRing(n int) *Ring {
 	return &Ring{buf: make([]Event, 0, n)}
 }
 
-// Trace implements Tracer, storing a copy of the event.
-func (r *Ring) Trace(ev *Event) {
+// Add stores ev as the most recent event.
+func (r *Ring) Add(ev Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, *ev)
+		r.buf = append(r.buf, ev)
 	} else {
-		r.buf[r.next] = *ev
+		r.buf[r.next] = ev
 	}
 	r.next = (r.next + 1) % cap(r.buf)
 	r.total++
@@ -228,7 +197,7 @@ func (r *Ring) EventsWhere(outcome string, limit int) []Event {
 	return all
 }
 
-// Total returns the number of events ever traced (retained or not).
+// Total returns the number of events ever added (retained or not).
 func (r *Ring) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -9,27 +9,11 @@ import (
 	"testing"
 )
 
-func TestMultiDropsNils(t *testing.T) {
-	if got := Multi(nil, nil); got != nil {
-		t.Fatalf("Multi(nil, nil) = %v, want nil", got)
-	}
-	ring := NewRing(4)
-	if got := Multi(nil, ring); got != Tracer(ring) {
-		t.Fatalf("Multi(nil, ring) should return ring itself, got %T", got)
-	}
-	ring2 := NewRing(4)
-	m := Multi(ring, nil, ring2)
-	m.Trace(&Event{Op: "hit"})
-	if ring.Total() != 1 || ring2.Total() != 1 {
-		t.Fatalf("fan-out missed a sink: %d, %d", ring.Total(), ring2.Total())
-	}
-}
-
 func TestJSONLSinkEmitsOneLinePerEvent(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf)
 	for i := 1; i <= 3; i++ {
-		sink.Trace(&Event{Seq: uint64(i), Op: "insert", SpecPackages: i,
+		sink.Add(Event{Seq: uint64(i), Op: "insert", SpecPackages: i,
 			Candidates: []Candidate{{ImageID: 7, Distance: 0.25}}})
 	}
 	if err := sink.Err(); err != nil {
@@ -57,11 +41,11 @@ func TestJSONLSinkEmitsOneLinePerEvent(t *testing.T) {
 
 func TestJSONLSinkRetainsFirstError(t *testing.T) {
 	sink := NewJSONLSink(failWriter{})
-	sink.Trace(&Event{Op: "hit"})
+	sink.Add(Event{Op: "hit"})
 	if sink.Err() == nil {
 		t.Fatal("expected write error")
 	}
-	sink.Trace(&Event{Op: "hit"}) // must not panic or reset the error
+	sink.Add(Event{Op: "hit"}) // must not panic or reset the error
 	if sink.Err() == nil {
 		t.Fatal("error lost")
 	}
@@ -83,7 +67,7 @@ func TestRingRetainsMostRecent(t *testing.T) {
 		t.Fatalf("empty ring returned %d events", len(got))
 	}
 	for i := 1; i <= 5; i++ {
-		r.Trace(&Event{Seq: uint64(i)})
+		r.Add(Event{Seq: uint64(i)})
 	}
 	if r.Total() != 5 {
 		t.Fatalf("Total = %d, want 5", r.Total())
@@ -102,7 +86,7 @@ func TestRingRetainsMostRecent(t *testing.T) {
 func TestRingLimit(t *testing.T) {
 	r := NewRing(8)
 	for i := 1; i <= 6; i++ {
-		r.Trace(&Event{Seq: uint64(i)})
+		r.Add(Event{Seq: uint64(i)})
 	}
 	got := r.Events(2)
 	if len(got) != 2 || got[0].Seq != 5 || got[1].Seq != 6 {
@@ -115,8 +99,8 @@ func TestRingLimit(t *testing.T) {
 
 func TestRingCopiesEvents(t *testing.T) {
 	r := NewRing(2)
-	ev := &Event{Seq: 1, Op: "hit"}
-	r.Trace(ev)
+	ev := Event{Seq: 1, Op: "hit"}
+	r.Add(ev)
 	ev.Op = "mutated"
 	if got := r.Events(0)[0].Op; got != "hit" {
 		t.Fatalf("ring retained caller's pointer: op = %q", got)
@@ -146,7 +130,7 @@ func TestRingEventsWhere(t *testing.T) {
 	r := NewRing(8)
 	ops := []string{"hit", "merge", "hit", "insert", "hit", "merge"}
 	for i, op := range ops {
-		r.Trace(&Event{Seq: uint64(i + 1), Op: op})
+		r.Add(Event{Seq: uint64(i + 1), Op: op})
 	}
 	hits := r.EventsWhere("hit", 0)
 	if len(hits) != 3 || hits[0].Seq != 1 || hits[2].Seq != 5 {
@@ -174,7 +158,7 @@ func TestRingConcurrentTraceAndFilter(t *testing.T) {
 			defer wg.Done()
 			ops := []string{"hit", "merge", "insert"}
 			for i := 0; i < 500; i++ {
-				r.Trace(&Event{Seq: uint64(g*1000 + i), Op: ops[i%3]})
+				r.Add(Event{Seq: uint64(g*1000 + i), Op: ops[i%3]})
 			}
 		}(g)
 	}
