@@ -128,13 +128,18 @@ fuzz:
 # network-chaos stage, deltadrop and walscan by the replayed-state
 # byte-identity audit that ends the first simulation), and one CLI
 # chaos pass. `landlord-check sim` runs the sharded suite too. The
-# grep is a tripwire: the second decision pipeline, the middle manager
-# type, the second shadow, the master's sorted-key dictionary and the
-# per-request event hook beside the spans were folded away and must not
-# grow back.
+# first grep is a tripwire: the second decision pipeline, the middle
+# manager type, the second shadow, the master's sorted-key dictionary,
+# the per-request event hook beside the spans, and the seams only the
+# socket-bound chaos harnesses used (the agent pause switch, the
+# per-agent transport hook, the TCP fault proxy, the HA state file's
+# reader) were folded away and must not grow back. The second keeps
+# the harnesses on the in-memory network: no listener, no test server.
 check:
-	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits|SetTracer|telemetry\.Tracer\b|newEvent|opTracer|timelineTracer' --include='*.go' --exclude-dir=.bench_build . \
-		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, §10 for the route dictionary, §9 for the event hook)"; exit 1; }
+	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits|SetTracer|telemetry\.Tracer\b|newEvent|opTracer|timelineTracer|SetPaused|TransportFor|ChaosProxy|ReadHAState' --include='*.go' --exclude-dir=.bench_build . \
+		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, §10 for the route dictionary, §9 for the event hook, §7 for the harness seams)"; exit 1; }
+	@! grep -nE 'net\.Listen|httptest\.' $$(ls internal/check/*.go | grep -v '_test\.go$$') \
+		|| { echo "check: a harness in internal/check opens a socket; run it on the in-memory network (DESIGN.md §7)"; exit 1; }
 	$(GO) test -race -short -count=1 ./internal/check
 	$(GO) test -run 'TestMutants|TestMutantFailure' -count=1 ./internal/check
 	$(GO) run ./cmd/landlord-check sim -seed 1

@@ -15,32 +15,38 @@
 // passes, injected filesystem faults and crash/recovery cycles — under
 // one seed. soak hammers one cache from many goroutines with injected
 // persist faults (-shards > 1 soaks the sharded core with audited
-// rebalances); run the binary built with -race for full effect. netchaos drives a real HTTP server through a
-// fault-injecting transport (resets, truncation, latency, blackholes)
-// on top of disk faults and crashes, auditing the acked-request,
-// shed, and degraded-mode invariants. tracesim runs the deterministic
-// span-tracing coverage harness: a serially driven HTTP server whose
-// tracer runs on a logical clock, auditing that the retained trace
-// dump covers every canonical stage and replays byte-identically.
-// fleetchaos boots a real master fronting N in-process agents and
-// audits the fleet invariants — zero lost acks across master
-// kill/restart cycles and agent partitions, route-around of
-// partitioned agents, and bounded key movement under membership churn.
-// hachaos boots a primary + standby master pair with epoch-gated
-// agents and a WAL read replica, and audits the high-availability
-// invariants: two-tick standby promotion, recovered-state
-// byte-identity with the dead primary's durable ha-state.json, a
-// single acking primary per round, warm drain handoff, and replica
-// state equality (-kill-phase rotates the fault schedule; the nightly
-// soak sweeps it). chaos loops the whole harness over consecutive
-// seeds until the duration expires (the nightly soak).
+// rebalances); run the binary built with -race for full effect. The
+// HTTP harnesses run their nodes on an in-memory network (no sockets):
+// netchaos drives the HTTP server through a fault-injecting transport
+// (resets, truncation, latency, blackholes) on top of disk faults and
+// crashes, auditing the acked-request, shed, and degraded-mode
+// invariants. tracesim runs the deterministic span-tracing coverage
+// harness: a serially driven HTTP server whose tracer runs on a
+// logical clock, auditing that the retained trace dump covers every
+// canonical stage and replays byte-identically. fleetchaos runs a
+// master fronting N agents on a logical clock and audits the fleet
+// invariants — zero lost acks across master kill/restart cycles and
+// agent partitions, route-around of partitioned agents, and bounded
+// key movement under membership churn. hachaos runs a primary +
+// standby master pair with epoch-gated agents and a WAL read replica,
+// and audits the high-availability invariants: two-tick standby
+// promotion, recovered-state byte-identity with the dead primary's
+// last folded state, a single acking primary per round, warm drain
+// handoff, and replica state equality (-kill-phase rotates the fault
+// schedule; the nightly soak sweeps it). chaos loops the whole harness
+// over consecutive seeds until the duration expires (the nightly soak).
 //
 // -trace-dump writes the failing run's tail-sampling trace ring to the
 // given path as JSON, so CI can upload where-the-latency-went context
 // alongside the reproduction seed.
 //
-// Every failure prints the seed and the exact `go test` command that
-// reproduces it bit-for-bit; the process exits non-zero.
+// Every failure prints its seed and a reproduction command, and the
+// process exits non-zero. sim, tracesim, fleetchaos and hachaos are
+// functions of their flags: rerun with the same ones and the failure
+// recurs at the same step with the same diagnostic. soak interleaves
+// goroutines freely, and netchaos with faults injects latency and
+// backs off on the wall clock, so those replay their schedule, not
+// every count.
 package main
 
 import (

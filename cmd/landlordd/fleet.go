@@ -28,13 +28,6 @@ import (
 // no state directory, no recovery phase, and readiness is purely "a
 // quorum of agents has registered" (fleet_quorum).
 func runMaster(site config.Site, drainWindow time.Duration, pprofOn bool) {
-	if site.HAEnabled() && site.StateDir != "" {
-		// The folded HA state persists here on every lease-log append.
-		if err := os.MkdirAll(site.StateDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "landlordd: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	m := fleet.NewMaster(site.FleetMasterConfig())
 	stopSweep := m.StartSweeper(site.HeartbeatInterval())
 	defer stopSweep()
@@ -104,13 +97,9 @@ func newFleetAgent(site config.Site, srv *server.Server) *fleet.Agent {
 // master. The returned stop halts the loop and deregisters; prefer
 // drainFleetAgent on shutdown for the warm variant.
 func startFleetAgent(site config.Site, ag *fleet.Agent) (stop func()) {
-	masters := site.MasterURLs
-	if len(masters) == 0 {
-		masters = []string{site.MasterURL}
-	}
 	cfg := site.FleetAgentConfig(0)
 	log.Printf("landlordd: agent %q joining fleet at %v (advertise %s, beat every %v)",
-		cfg.ID, masters, cfg.AdvertiseURL, cfg.Interval)
+		cfg.ID, cfg.MasterURLs, cfg.AdvertiseURL, cfg.Interval)
 	return ag.Start()
 }
 

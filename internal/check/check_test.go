@@ -24,7 +24,8 @@ var shardsFlag = flag.Int("shards", 4, "shard count for TestShardSoak (nightly r
 // in the harness prints `go test ./internal/check -run TestCheckReplay
 // -seed=N`, and this test re-runs the full schedule — in-memory suite,
 // the sharded-cache suite, the persistent disk-fault chaos runs (exact
-// and MinHash), and the network-fault chaos run — under that seed.
+// and MinHash), the network-fault chaos run, and the fleet and HA chaos
+// runs (the default kill phase) — under that seed.
 func TestCheckReplay(t *testing.T) {
 	seed := *seedFlag
 	for _, cfg := range Suite(seed) {
@@ -46,6 +47,9 @@ func TestCheckReplay(t *testing.T) {
 		t.Fatal(f)
 	}
 	if _, f := RunFleetChaos(FleetChaosDefault(seed)); f != nil {
+		t.Fatal(f)
+	}
+	if _, f := RunHAChaos(HAChaosDefault(seed)); f != nil {
 		t.Fatal(f)
 	}
 }

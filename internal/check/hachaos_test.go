@@ -1,6 +1,9 @@
 package check
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestHAChaos runs the high-availability chaos schedule: primary
 // kills with two-tick promotion audits, lease-holder isolations with
@@ -38,4 +41,21 @@ func TestHAChaos(t *testing.T) {
 		rep.Steps, rep.Acked, rep.Unavailable, rep.Sheds, rep.Errors,
 		rep.Kills, rep.Isolations, rep.Promotions, rep.Demotions,
 		rep.MaxEpoch, rep.ReplicaRecords, rep.StaleRejects, rep.HandoffSpecs)
+}
+
+// TestHAChaosDeterministic pins the same for the HA schedule: two runs
+// of the default config report identically.
+func TestHAChaosDeterministic(t *testing.T) {
+	cfg := HAChaosDefault(*seedFlag)
+	first, f := RunHAChaos(cfg)
+	if f != nil {
+		t.Fatal(f)
+	}
+	second, f := RunHAChaos(cfg)
+	if f != nil {
+		t.Fatal(f)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("two runs of seed %d diverge:\n first: %+v\nsecond: %+v", cfg.Seed, first, second)
+	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"time"
 
@@ -18,19 +17,19 @@ import (
 	"repro/internal/spec"
 )
 
-// NetChaosConfig parameterizes one network-fault chaos run: a real
-// HTTP server over a persistent store, driven through a client whose
-// transport injects seeded connection resets, truncated bodies,
-// latency, and blackholes — on top of the usual disk faults and
+// NetChaosConfig parameterizes one network-fault chaos run: the HTTP
+// server over a persistent store, a node of a memNet, driven through a
+// client whose transport injects seeded connection resets, truncated
+// bodies, latency, and blackholes — on top of the usual disk faults and
 // crash/recovery cycles.
 //
-// Unlike RunSim, the report is not bit-for-bit reproducible (retry
-// counts depend on real scheduling); the contract is the invariants:
-// every request the client saw acknowledged is served as a hit after
-// every crash and recovery, a shed (429) never moves the request
-// counter, and a degraded server refuses what it cannot make durable.
-// The fault schedule itself is seeded, so a failure's seed replays the
-// same schedule shape.
+// The contract is the invariants: every request the client saw
+// acknowledged is served as a hit after every crash and recovery, a
+// shed (429) never moves the request counter, and a degraded server
+// refuses what it cannot make durable. The fault schedule is seeded,
+// but with faults on the report is not pinned: injected latency,
+// blackhole deadlines, backoff and the shedder's refill run on the wall
+// clock.
 //
 // The client writes its own bodies, a seeded half of them in shapes the
 // server's scanner must hand to encoding/json (escaped keys, close
@@ -42,8 +41,9 @@ import (
 // idempotent, so the answer must still echo the list as sent, and the
 // same list sent unclosed must hit the image just answered — the only
 // audit of the server's multi-package closure. With a clean network, no
-// disk faults and no crashes the run is deterministic, which is how the
-// reqscan and closuredrop mutants are caught reproducibly.
+// disk faults and no crashes the run is a function of the seed: the
+// reqscan and closuredrop mutant stages run it twice and require the
+// same failure at the same step.
 type NetChaosConfig struct {
 	Seed  int64
 	Steps int // client requests to issue
@@ -94,11 +94,35 @@ func NetChaosDefault(seed int64, dir string) NetChaosConfig {
 	}
 }
 
-// ackedReq is one client-acknowledged request: the durability contract
-// says its spec must be served as a hit by every future process life.
+// ackedReq is one acknowledged request: the durability contract says
+// its spec must be served as a hit by every later audit.
 type ackedReq struct {
-	keys []string
-	step int
+	keys  []string
+	step  int
+	agent string // the fleet agent that acked it (fleet harnesses)
+}
+
+// ackLog holds the acknowledged requests in the order first acked, so
+// the first loss an audit reports is a function of the schedule; a
+// spec acked again updates its entry in place.
+type ackLog struct {
+	acks []ackedReq
+	at   map[string]int // joined keys -> index in acks
+}
+
+// add records a, returning the entry it replaced, if any.
+func (l *ackLog) add(a ackedReq) (prev ackedReq, again bool) {
+	joined := strings.Join(a.keys, ",")
+	if i, ok := l.at[joined]; ok {
+		prev, l.acks[i] = l.acks[i], a
+		return prev, true
+	}
+	if l.at == nil {
+		l.at = make(map[string]int)
+	}
+	l.at[joined] = len(l.acks)
+	l.acks = append(l.acks, a)
+	return ackedReq{}, false
 }
 
 // RunNetChaos executes the network chaos schedule and audits the
@@ -121,11 +145,10 @@ func RunNetChaos(cfg NetChaosConfig) (NetChaosReport, *Failure) {
 		ffs    *FaultFS
 		store  *persist.Store
 		srv    *server.Server
-		ts     *httptest.Server
 		client *server.Client // through the chaos transport
 		audit  *server.Client // clean path for invariant audits
 	)
-	acked := make(map[string]ackedReq) // keyed by joined package keys
+	var acked ackLog
 
 	// dump attaches the server's trace ring to a failure so CI can
 	// upload where-the-time-went context alongside the repro seed.
@@ -136,7 +159,8 @@ func RunNetChaos(cfg NetChaosConfig) (NetChaosReport, *Failure) {
 		return f
 	}
 
-	chaos := resilience.NewChaosTransport(http.DefaultTransport, cfg.Net)
+	net := newMemNet()
+	chaos := resilience.NewChaosTransport(net.transport("client"), cfg.Net)
 
 	// bootLife opens the store and recovers the server under one fault
 	// plan. An error here can be an injected boot-time fault, which the
@@ -173,9 +197,9 @@ func RunNetChaos(cfg NetChaosConfig) (NetChaosReport, *Failure) {
 		// Admission control generous enough that steady traffic flows,
 		// tight enough that bursts (the audit loop, retry storms) shed.
 		srv.SetAdmission(resilience.ShedderConfig{Rate: 2000, Burst: 64})
-		ts = httptest.NewServer(srv.Handler())
+		net.register("server", srv.Handler())
 
-		client = server.NewClient(ts.URL, &http.Client{Transport: chaos})
+		client = server.NewClient(nodeURL("server"), &http.Client{Transport: chaos})
 		client.MaxRetries = 3
 		client.RetryBase = time.Millisecond
 		client.RetryCap = 4 * time.Millisecond
@@ -185,7 +209,7 @@ func RunNetChaos(cfg NetChaosConfig) (NetChaosReport, *Failure) {
 		}))
 		client.SetRetryBudget(resilience.NewRetryBudget(0.5, 20))
 
-		audit = server.NewClient(ts.URL, ts.Client())
+		audit = server.NewClient(nodeURL("server"), net.client("audit"))
 		audit.RetryBase = time.Millisecond
 		audit.RetryCap = 4 * time.Millisecond
 		return nil
@@ -198,7 +222,7 @@ func RunNetChaos(cfg NetChaosConfig) (NetChaosReport, *Failure) {
 		if err := audit.Ready(); err != nil {
 			return failf(cfg.Seed, step, "netchaos: server not ready after recovery: %v", err)
 		}
-		for _, a := range acked {
+		for _, a := range acked.acks {
 			res, err := requestNoShed(audit, a.keys)
 			if err != nil {
 				return failf(cfg.Seed, step, "netchaos: acked request from step %d unservable after recovery: %v", a.step, err)
@@ -220,7 +244,7 @@ func RunNetChaos(cfg NetChaosConfig) (NetChaosReport, *Failure) {
 		if err := ffs.Crash(mode, rng.Int63n(64)); err != nil {
 			return failf(cfg.Seed, step, "netchaos: crashing: %v", err)
 		}
-		ts.Close()
+		net.unregister("server")
 		rep.Crashes++
 		rep.DiskInjected += ffs.Injected()
 		if f := boot(step); f != nil {
@@ -232,10 +256,7 @@ func RunNetChaos(cfg NetChaosConfig) (NetChaosReport, *Failure) {
 	if f := boot(0); f != nil {
 		return rep, dump(f)
 	}
-	defer func() {
-		ts.Close()
-		store.Close()
-	}()
+	defer func() { store.Close() }()
 
 	event := func(mean int) bool {
 		return mean > 0 && rng.Float64() < 1/float64(mean)
@@ -274,7 +295,6 @@ func RunNetChaos(cfg NetChaosConfig) (NetChaosReport, *Failure) {
 			sp = spec.WithClosure(repo, sp.IDs())
 		}
 		keys := keysOf(repo, sp)
-		joined := strings.Join(keys, ",")
 		body, shape := encodeRequest(shapeDraw, closed, keys)
 		before := srv.StatsNow().Requests
 		ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
@@ -303,17 +323,16 @@ func RunNetChaos(cfg NetChaosConfig) (NetChaosReport, *Failure) {
 				"netchaos: spec of %d packages, %d bytes echoed as %d packages, %d bytes (%s body)",
 				len(keys), want, res.Packages, res.RequestBytes, shape))
 		}
-		// Capacity is unlimited, so an acknowledged spec stays covered:
-		// sent again it can only be a hit.
-		if prev, ok := acked[joined]; ok && res.Op != "hit" {
-			return rep, dump(failf(cfg.Seed, step,
-				"netchaos: spec acked at step %d answered %q when re-sent, want hit (%s body)", prev.step, res.Op, shape))
-		}
 		if res.Op != "hit" && res.Op != "merge" && res.Op != "insert" {
 			return rep, dump(failf(cfg.Seed, step, "netchaos: 200 with op %q (%s body)", res.Op, shape))
 		}
+		// Capacity is unlimited, so an acknowledged spec stays covered:
+		// sent again it can only be a hit.
+		if prev, again := acked.add(ackedReq{keys: keys, step: step}); again && res.Op != "hit" {
+			return rep, dump(failf(cfg.Seed, step,
+				"netchaos: spec acked at step %d answered %q when re-sent, want hit (%s body)", prev.step, res.Op, shape))
+		}
 		rep.Acked++
-		acked[joined] = ackedReq{keys: keys, step: step}
 		if closed {
 			// The server closed a closed list: the same keys unclosed name
 			// the same spec, so they hit the image it was answered with.

@@ -2,7 +2,6 @@ package check
 
 import (
 	"context"
-	"net/http/httptest"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -15,12 +14,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TraceSimConfig parameterizes one deterministic trace-coverage run: a
-// real HTTP server over a persistent store, driven serially by a
-// traced client, with the span tracer's clock replaced by a logical
-// counter and its ID generator by a seeded sequence. Two runs of the
-// same config produce byte-identical trace-ring dumps — the replay
-// contract ROADMAP's observability item requires.
+// TraceSimConfig parameterizes one deterministic trace-coverage run:
+// the HTTP server over a persistent store, a node of a memNet, driven
+// serially by a traced client, with the span tracer's clock replaced
+// by a logical counter and its ID generator by a seeded sequence. Two
+// runs of the same config produce byte-identical trace-ring dumps —
+// the replay contract ROADMAP's observability item requires.
 type TraceSimConfig struct {
 	Seed  int64
 	Steps int // client requests through the HTTP path
@@ -136,9 +135,9 @@ func RunTraceSim(cfg TraceSimConfig) (TraceSimReport, *Failure) {
 	ht.SetClock(tick)
 	ht.SetIDGen(traceSimIDGen(cfg.Seed + 3))
 
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	client := server.NewClient(ts.URL, ts.Client())
+	net := newMemNet()
+	net.register("server", srv.Handler())
+	client := server.NewClient(nodeURL("server"), net.client("client"))
 	client.MaxRetries = 0
 
 	// traced issues one request with a propagated harness trace and a

@@ -74,7 +74,8 @@ type Site struct {
 
 	// StateDir enables durable cache state: a write-ahead log plus
 	// checkpoints under this directory, recovered at startup. Empty
-	// disables persistence (the cache restarts cold).
+	// disables persistence (the cache restarts cold). A master has no
+	// cache and writes nothing, so master mode refuses it.
 	StateDir string `json:"state_dir"`
 	// Fsync is the WAL flush policy: "always", "interval" (default),
 	// or "never". See internal/persist for the trade-offs.
@@ -156,11 +157,12 @@ type Site struct {
 	// forwards are stamped X-Landlord-Epoch/-Master, and the master
 	// serves /fleet/v1/lease. StandbyOf makes this master a warm
 	// standby of the given primary's base URL — it mirrors the
-	// primary's durable lease + membership log over the lease channel
-	// and promotes after two silent lease intervals. PeerURL points a
+	// primary's lease + membership log over the lease channel and
+	// promotes after two silent lease intervals. PeerURL points a
 	// primary at its standby so a deposed primary demotes into polling
-	// it; StandbyOf and PeerURL are mutually exclusive. With StateDir
-	// set, the folded HA state persists there as ha-state.json.
+	// it; StandbyOf and PeerURL are mutually exclusive. The log lives in
+	// memory only: a restarted master learns the current epoch from its
+	// peer and the agents.
 	MasterID        string `json:"master_id"`
 	StandbyOf       string `json:"standby_of"`
 	PeerURL         string `json:"peer_url"`
@@ -277,6 +279,9 @@ func (s Site) Validate() error {
 		if s.MasterURL != "" {
 			return fmt.Errorf("master_url requires mode %q", ModeAgent)
 		}
+		if s.StateDir != "" {
+			return fmt.Errorf("state_dir has no effect in mode %q (a master keeps no durable state)", ModeMaster)
+		}
 	case ModeAgent:
 		if s.MasterURL == "" && len(s.MasterURLs) == 0 {
 			return fmt.Errorf("mode %q requires master_url or master_urls", ModeAgent)
@@ -387,7 +392,6 @@ func (s Site) FleetHAConfig() fleet.HAConfig {
 		ID:            s.MasterID,
 		PeerURL:       peer,
 		StartPrimary:  s.StandbyOf == "",
-		StateDir:      s.StateDir,
 		LeaseInterval: s.LeaseInterval(),
 	}
 }
@@ -400,11 +404,14 @@ func (s Site) FleetAgentConfig(gen uint64) fleet.AgentConfig {
 	if id == "" {
 		id = s.Advertise
 	}
+	masters := s.MasterURLs
+	if len(masters) == 0 && s.MasterURL != "" {
+		masters = []string{s.MasterURL}
+	}
 	return fleet.AgentConfig{
 		ID:           id,
 		AdvertiseURL: s.Advertise,
-		MasterURL:    s.MasterURL,
-		MasterURLs:   s.MasterURLs,
+		MasterURLs:   masters,
 		Gen:          gen,
 		Interval:     s.HeartbeatInterval(),
 	}

@@ -123,6 +123,9 @@ func TestLoadErrors(t *testing.T) {
 	if _, err := Load(writeConfig(t, `{"master_url": "http://m:8080"}`)); err == nil {
 		t.Error("master_url in standalone mode accepted")
 	}
+	if _, err := Load(writeConfig(t, `{"mode": "master", "state_dir": "/var/lib/landlord"}`)); err == nil {
+		t.Error("state_dir in master mode accepted")
+	}
 	if _, err := Load(writeConfig(t, `{"mode": "master", "fleet_quorum": -1}`)); err == nil {
 		t.Error("negative fleet_quorum accepted")
 	}
@@ -213,7 +216,7 @@ func TestFleetConfig(t *testing.T) {
 	if ac.ID != "http://agent1:8081" {
 		t.Fatalf("agent id should default to advertise: %+v", ac)
 	}
-	if ac.MasterURL != "http://master:8080" || ac.Gen != 42 || ac.Interval != time.Second {
+	if len(ac.MasterURLs) != 1 || ac.MasterURLs[0] != "http://master:8080" || ac.Gen != 42 || ac.Interval != time.Second {
 		t.Fatalf("agent config: %+v", ac)
 	}
 	a.AgentID = "agent-1"
@@ -228,7 +231,6 @@ func TestHAConfig(t *testing.T) {
 		"mode": "master",
 		"master_id": "master-b",
 		"standby_of": "http://master-a:8080",
-		"state_dir": "/var/lib/landlord/ha",
 		"lease_interval_ms": 250
 	}`))
 	if err != nil {
@@ -241,7 +243,7 @@ func TestHAConfig(t *testing.T) {
 	if hc.ID != "master-b" || hc.PeerURL != "http://master-a:8080" || hc.StartPrimary {
 		t.Fatalf("standby HA config: %+v", hc)
 	}
-	if hc.StateDir != "/var/lib/landlord/ha" || hc.LeaseInterval != 250*time.Millisecond {
+	if hc.LeaseInterval != 250*time.Millisecond {
 		t.Fatalf("standby HA config: %+v", hc)
 	}
 	if s.FleetMasterConfig().HA.ID != "master-b" {

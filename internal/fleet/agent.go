@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/server"
@@ -25,12 +24,10 @@ type AgentConfig struct {
 	ID string
 	// AdvertiseURL is the base URL the master forwards requests to.
 	AdvertiseURL string
-	// MasterURL is the master's base URL.
-	MasterURL string
-	// MasterURLs lists every master in an HA fleet; the agent
-	// registers with and heartbeats all of them, which is what keeps
-	// the standby's membership, ring, and gossip mirrors warm for
-	// promotion. When set it supersedes MasterURL.
+	// MasterURLs lists the masters' base URLs: one, or every master in
+	// an HA fleet. The agent registers with and heartbeats all of them,
+	// which is what keeps the standby's membership, ring, and gossip
+	// mirrors warm for promotion.
 	MasterURLs []string
 	// Gen is the process generation; it must differ across restarts so
 	// the master resets its gossip mirror (<= 0 takes 1, which suits
@@ -38,8 +35,8 @@ type AgentConfig struct {
 	Gen uint64
 	// Interval is the heartbeat period (<= 0 takes 1s).
 	Interval time.Duration
-	// HTTPClient talks to the masters (nil = http.DefaultClient); the
-	// chaos harness injects fault transports here.
+	// HTTPClient talks to the masters and, on a drain, to the
+	// successors (nil = http.DefaultClient).
 	HTTPClient *http.Client
 	// BeatTimeout bounds one register/heartbeat exchange (<= 0 takes
 	// 2s).
@@ -55,9 +52,6 @@ func (cfg AgentConfig) withDefaults() AgentConfig {
 	}
 	if cfg.BeatTimeout <= 0 {
 		cfg.BeatTimeout = 2 * time.Second
-	}
-	if len(cfg.MasterURLs) == 0 && cfg.MasterURL != "" {
-		cfg.MasterURLs = []string{cfg.MasterURL}
 	}
 	return cfg
 }
@@ -86,8 +80,6 @@ type Agent struct {
 	rtt   *telemetry.Histogram
 	gate  EpochGate
 
-	paused atomic.Bool
-
 	mu    sync.Mutex
 	dir   *Directory
 	beats uint64
@@ -106,16 +98,15 @@ func NewAgent(cfg AgentConfig, srv *server.Server) *Agent {
 	}
 	for _, url := range cfg.MasterURLs {
 		cl := server.NewClient(url, cfg.HTTPClient)
-		cl.MaxRetries = 0 // the next beat is the retry
+		// The next beat is the retry, so neither a client-side retry nor
+		// a breaker: one that opened while a master was down would fail
+		// its first beats back fast for its cool-down.
+		cl.MaxRetries = 0
+		cl.SetBreaker(nil)
 		a.links = append(a.links, &masterLink{url: url, client: cl})
 	}
 	return a
 }
-
-// SetPaused suspends (true) or resumes (false) heartbeating — the
-// chaos harness's partition switch. A paused agent's BeatNow is a
-// no-op, so the master's suspect/dead aging takes over.
-func (a *Agent) SetPaused(v bool) { a.paused.Store(v) }
 
 // Registered reports whether the last exchange left the agent
 // registered with at least one master.
@@ -143,9 +134,6 @@ func (a *Agent) Beats() uint64 {
 // harnesses can drive the control plane deterministically. The error
 // is nil when at least one master acknowledged the beat.
 func (a *Agent) BeatNow(ctx context.Context) error {
-	if a.paused.Load() {
-		return nil
-	}
 	ctx, cancel := context.WithTimeout(ctx, a.cfg.BeatTimeout)
 	defer cancel()
 

@@ -1,14 +1,10 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -26,10 +22,11 @@ import (
 // the response carries the primary's HA-log frames from the standby's
 // watermark (the poll's From field is the ack), or a checkpoint when
 // the watermark has gapped. The HA log records epoch changes and
-// durable membership (registrations/deregistrations), and the primary
-// persists the folded state to StateDir on every append, so the
-// standby's mirror is provably byte-identical to the primary's last
-// durable state once the stream is drained.
+// membership (registrations/deregistrations), so once the stream is
+// drained the standby's mirror is byte-identical to the primary's
+// folded state. Nothing is written to disk: a restarted master boots
+// from StartPrimary and learns the current epoch from its peer's lease
+// answers and the agents' epoch gates.
 //
 // Failover is epoch-counted, not wall-clocked: a standby that misses
 // two consecutive lease polls promotes itself to epoch+1 — "within two
@@ -62,25 +59,16 @@ type HAConfig struct {
 	// StartPrimary boots this master holding the lease at epoch 1; a
 	// standby (false) boots polling PeerURL.
 	StartPrimary bool
-	// StateDir, when set, is where the primary persists the folded HA
-	// state (ha-state.json, one CRC frame) on every log append.
-	StateDir string
 	// LeaseInterval is the tick period for StartLeaseLoop (<= 0 takes
 	// 1s). Harness-driven masters call LeaseTick directly instead.
 	LeaseInterval time.Duration
-	// HTTPClient talks to the peer (nil = http.DefaultClient); the
-	// chaos harness injects fault transports here.
-	HTTPClient *http.Client
 }
-
-// haStateFile is the durable state's filename inside StateDir.
-const haStateFile = "ha-state.json"
 
 // haLogRing bounds the HA log's replay ring; control-plane records are
 // tiny and a gapped standby resyncs from a checkpoint anyway.
 const haLogRing = 1024
 
-// HAMember is one durably-recorded agent registration.
+// HAMember is one logged agent registration.
 type HAMember struct {
 	ID  string `json:"id"`
 	URL string `json:"url"`
@@ -88,7 +76,7 @@ type HAMember struct {
 }
 
 // HAState is the folded control-plane state: the lease position plus
-// the durable member set, members sorted by ID so the encoding is
+// the logged member set, members sorted by ID so the encoding is
 // canonical — byte-comparable across primary and standby.
 type HAState struct {
 	Epoch   uint64     `json:"epoch"`
@@ -221,7 +209,11 @@ func (m *Master) initHA(cfg HAConfig) {
 		return
 	}
 	if cfg.PeerURL != "" {
-		cl := server.NewClient(cfg.PeerURL, cfg.HTTPClient)
+		var hc *http.Client
+		if m.cfg.Transport != nil {
+			hc = &http.Client{Transport: m.cfg.Transport}
+		}
+		cl := server.NewClient(cfg.PeerURL, hc)
 		cl.MaxRetries = 0 // the next tick is the retry
 		cl.SetBreaker(nil)
 		m.ha.peer = cl
@@ -236,11 +228,11 @@ func (m *Master) initHA(cfg HAConfig) {
 
 // becomePrimaryLocked installs this master as the epoch's holder: a
 // fresh HA log whose stream identity is the epoch (so any follower of
-// the old log gaps into a resync), the epoch record appended, the
-// folded state persisted. Members inherited from the previous epoch
-// (the mirror at promotion) are re-logged so the fresh log is
-// self-contained — a standby replaying it from record 1 rebuilds the
-// full state, not just the epoch line. Caller holds ha.mu.
+// the old log gaps into a resync) and the epoch record appended.
+// Members inherited from the previous epoch (the mirror at promotion)
+// are re-logged so the fresh log is self-contained — a standby
+// replaying it from record 1 rebuilds the full state, not just the
+// epoch line. Caller holds ha.mu.
 func (m *Master) becomePrimaryLocked(epoch uint64) {
 	ha := &m.ha
 	ha.primary = true
@@ -271,9 +263,8 @@ func (m *Master) haCheckpointLocked() ([]byte, uint64, error) {
 	return payload, m.ha.log.Next(), err
 }
 
-// haAppendLocked publishes one record to the HA log, folds it into the
-// state, and persists the fold. Caller holds ha.mu and must be
-// primary.
+// haAppendLocked publishes one record to the HA log and folds it into
+// the state. Caller holds ha.mu and must be primary.
 func (m *Master) haAppendLocked(rec haRecord) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -281,44 +272,6 @@ func (m *Master) haAppendLocked(rec haRecord) {
 	}
 	m.ha.log.Publish(payload)
 	m.ha.state.apply(rec)
-	m.haPersistLocked()
-}
-
-// haPersistLocked writes the folded state to StateDir as one CRC
-// frame, atomically (temp + rename). Caller holds ha.mu.
-func (m *Master) haPersistLocked() {
-	dir := m.ha.cfg.StateDir
-	if dir == "" {
-		return
-	}
-	frame := persist.AppendFrame(nil, m.ha.state.canon())
-	tmp := filepath.Join(dir, haStateFile+".tmp")
-	if err := os.WriteFile(tmp, frame, 0o644); err != nil {
-		return
-	}
-	os.Rename(tmp, filepath.Join(dir, haStateFile))
-}
-
-// ReadHAState decodes a persisted ha-state.json (one CRC frame of
-// canonical HAState JSON) — the harness reads a killed primary's file
-// with it for the byte-identity audit.
-func ReadHAState(path string) ([]byte, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var payload []byte
-	n, err := persist.DecodeFrames(b, func(p []byte) error {
-		payload = append([]byte(nil), p...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if n != 1 {
-		return nil, fmt.Errorf("fleet: ha state file holds %d frames, want 1", n)
-	}
-	return payload, nil
 }
 
 // haStamp returns the epoch and holder to stamp on forwards and
@@ -343,8 +296,8 @@ func (m *Master) haIsPrimary() bool {
 	return m.ha.primary
 }
 
-// haNoteMember durably records a registration (primary only; standbys
-// learn it over replication).
+// haNoteMember logs a registration (primary only; standbys learn it
+// over replication).
 func (m *Master) haNoteMember(id, url string, gen uint64) {
 	if !m.ha.enabled() {
 		return
@@ -356,7 +309,7 @@ func (m *Master) haNoteMember(id, url string, gen uint64) {
 	}
 }
 
-// haNoteUnmember durably records a deregistration.
+// haNoteUnmember logs a deregistration.
 func (m *Master) haNoteUnmember(id string) {
 	if !m.ha.enabled() {
 		return
@@ -608,7 +561,3 @@ func (m *Master) HAStatusNow() HAStatus {
 func (m *Master) handleHA(w http.ResponseWriter, r *http.Request) {
 	fleetWriteJSON(w, http.StatusOK, m.HAStatusNow())
 }
-
-// HAStateEqual reports whether two canonical state encodings match —
-// a readable helper for tests and the harness.
-func HAStateEqual(a, b []byte) bool { return bytes.Equal(a, b) }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -24,12 +23,11 @@ type haPair struct {
 	m1, m2   *Master
 	h1, h2   atomic.Value // http.Handler
 	ts1, ts2 *httptest.Server
-	dir1     string
 }
 
 func newHAPair(t *testing.T) *haPair {
 	t.Helper()
-	p := &haPair{t: t, dir1: t.TempDir()}
+	p := &haPair{t: t}
 	serve := func(h *atomic.Value) *httptest.Server {
 		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			h.Load().(http.Handler).ServeHTTP(w, r)
@@ -40,7 +38,7 @@ func newHAPair(t *testing.T) *haPair {
 	t.Cleanup(p.ts1.Close)
 	t.Cleanup(p.ts2.Close)
 	p.m1 = NewMaster(MasterConfig{SuspectAfter: -1, HA: HAConfig{
-		ID: "m1", PeerURL: p.ts2.URL, StartPrimary: true, StateDir: p.dir1,
+		ID: "m1", PeerURL: p.ts2.URL, StartPrimary: true,
 	}})
 	p.m2 = NewMaster(MasterConfig{SuspectAfter: -1, HA: HAConfig{
 		ID: "m2", PeerURL: p.ts1.URL,
@@ -79,33 +77,25 @@ func TestHALeaseReplicatesAndPromotesInTwoTicks(t *testing.T) {
 	if st2.MirrorNext != st1.StreamNext {
 		t.Fatalf("standby mirror at %d, primary log at %d: not drained", st2.MirrorNext, st1.StreamNext)
 	}
-	if !HAStateEqual(st1.State, st2.State) {
+	if !bytes.Equal(st1.State, st2.State) {
 		t.Fatalf("replicated state differs:\n primary %s\n standby %s", st1.State, st2.State)
-	}
-
-	// The primary's durable ha-state.json matches its in-memory fold.
-	onDisk, err := ReadHAState(filepath.Join(p.dir1, haStateFile))
-	if err != nil {
-		t.Fatalf("reading ha-state.json: %v", err)
-	}
-	if !HAStateEqual(onDisk, st1.State) {
-		t.Fatalf("durable state differs from live state:\n disk %s\n live %s", onDisk, st1.State)
 	}
 
 	// Membership changes keep replicating incrementally (no resync).
 	p.register("ag3")
 	st2 = p.m2.LeaseTick(ctx)
 	st1 = p.m1.HAStatusNow()
-	if !HAStateEqual(st1.State, st2.State) {
+	if !bytes.Equal(st1.State, st2.State) {
 		t.Fatalf("post-register state differs:\n primary %s\n standby %s", st1.State, st2.State)
 	}
 	if st2.Resyncs != 0 {
 		t.Fatalf("incremental replication resynced %d times", st2.Resyncs)
 	}
 
-	// Kill the primary. The first missed poll is a suspicion, the second
-	// promotes: within two lease intervals of primary silence.
-	lastDurable := st1.State
+	// Kill the primary, keeping its last folded state. The first missed
+	// poll is a suspicion, the second promotes: within two lease
+	// intervals of primary silence.
+	last := p.m1.HAStatusNow().State
 	p.ts1.CloseClientConnections()
 	p.ts1.Close()
 
@@ -120,17 +110,10 @@ func TestHALeaseReplicatesAndPromotesInTwoTicks(t *testing.T) {
 
 	// The promoted master's recovered state — its mirror as-at
 	// promotion, before its own epoch record — is byte-identical to the
-	// dead primary's last durable state.
-	if !HAStateEqual(st2.RecoveredState, lastDurable) {
-		t.Fatalf("recovered state differs from dead primary's durable state:\n recovered %s\n durable   %s",
-			st2.RecoveredState, lastDurable)
-	}
-	onDisk, err = ReadHAState(filepath.Join(p.dir1, haStateFile))
-	if err != nil {
-		t.Fatalf("re-reading ha-state.json: %v", err)
-	}
-	if !HAStateEqual(st2.RecoveredState, onDisk) {
-		t.Fatalf("recovered state differs from ha-state.json on disk")
+	// dead primary's last state.
+	if !bytes.Equal(st2.RecoveredState, last) {
+		t.Fatalf("recovered state differs from dead primary's last state:\n recovered %s\n last      %s",
+			st2.RecoveredState, last)
 	}
 }
 
@@ -427,6 +410,14 @@ func TestHandoffDrainWarmsSuccessors(t *testing.T) {
 		t.Fatalf("plan covers %d images, want %d", total, wantSpecs)
 	}
 
+	// One more spec, after the last beat: no master's mirror holds it
+	// until the drain gossips it.
+	late := specKeys(f.repo, 3, 3)
+	if _, err := direct.Request(late, true); err != nil {
+		t.Fatalf("warming drainer: %v", err)
+	}
+	specs = append(specs, late)
+
 	// Drain: successors are warmed, the drainer leaves the fleet.
 	if err := drainer.ag.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
@@ -516,13 +507,47 @@ func TestAgentMultiMasterBeatsAndGate(t *testing.T) {
 	}
 }
 
+// TestAgentBeatsAsSoonAsMasterReturns: an agent's link to a master
+// keeps no circuit breaker — the next beat is its retry — so after five
+// beats a restarting master refused, the sixth, sent at once, registers.
+// Behind the client's default breaker it failed fast for a second.
+func TestAgentBeatsAsSoonAsMasterReturns(t *testing.T) {
+	m := NewMaster(MasterConfig{SuspectAfter: -1})
+	var refusals atomic.Int32
+	refusals.Store(5)
+	mts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if refusals.Add(-1) >= 0 {
+			fleetWriteError(w, http.StatusServiceUnavailable, "restarting")
+			return
+		}
+		m.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(mts.Close)
+	srv, err := server.New(testRepo(t), core.Config{Alpha: 0.6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag := NewAgent(AgentConfig{ID: "ag1", AdvertiseURL: "http://ag1", MasterURLs: []string{mts.URL}}, srv)
+	for i := 0; i < 5; i++ {
+		if err := ag.BeatNow(context.Background()); err == nil {
+			t.Fatalf("beat %d registered with a master answering 503", i)
+		}
+	}
+	if err := ag.BeatNow(context.Background()); err != nil {
+		t.Fatalf("first beat after the master returned: %v", err)
+	}
+	if !ag.Registered() || len(m.MembersNow()) != 1 {
+		t.Fatalf("agent registered=%v, master members %+v", ag.Registered(), m.MembersNow())
+	}
+}
+
 func TestAgentHandlerGatesStaleForwards(t *testing.T) {
 	repo := testRepo(t)
 	srv, err := server.New(repo, core.Config{Alpha: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ag := NewAgent(AgentConfig{ID: "ag1", AdvertiseURL: "http://ag1", MasterURL: "http://m"}, srv)
+	ag := NewAgent(AgentConfig{ID: "ag1", AdvertiseURL: "http://ag1", MasterURLs: []string{"http://m"}}, srv)
 	ts := httptest.NewServer(ag.Handler())
 	t.Cleanup(ts.Close)
 

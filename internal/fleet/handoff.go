@@ -87,12 +87,15 @@ func (m *Master) handoffPlanLocked(id string) HandoffPlan {
 	return plan
 }
 
-// Drain performs the warm handoff and deregisters: fetch the plan from
-// the first master that answers, push each successor's slice to its
-// /v1/warm, then leave the fleet. Warm pushes are best-effort — a
-// refused or unreachable successor re-warms organically — but the
-// deregistration always runs.
+// Drain performs the warm handoff and deregisters: gossip the current
+// directory, fetch the plan from the first master that answers, push
+// each successor's slice to its /v1/warm, then leave the fleet. The
+// beat comes first because the plan is built from the masters' mirrors,
+// which lack any image made since the last one. Warm pushes are
+// best-effort — a refused or unreachable successor re-warms
+// organically — but the deregistration always runs.
 func (a *Agent) Drain(ctx context.Context) error {
+	a.BeatNow(ctx) // a master it cannot reach fails the plan request below
 	var plan HandoffPlan
 	var planErr error
 	got := false

@@ -80,11 +80,12 @@ type MasterConfig struct {
 	MaxAttempts int
 	// Breaker configures the per-agent circuit breaker.
 	Breaker resilience.BreakerConfig
-	// TransportFor, when set, supplies the http.RoundTripper for the
-	// connection to an agent URL — the chaos harness injects fault
-	// transports here. nil gives each agent a clone of
-	// http.DefaultTransport that keeps forwardIdleConns idle connections.
-	TransportFor func(agentURL string) http.RoundTripper
+	// Transport, when set, carries every request the master sends: its
+	// forwards to agents and its lease polls to the HA peer. nil gives
+	// each agent a clone of http.DefaultTransport that keeps
+	// forwardIdleConns idle connections, and the peer
+	// http.DefaultClient's transport.
+	Transport http.RoundTripper
 	// Clock is the time source (nil = time.Now); injectable for tests.
 	Clock func() time.Time
 	// HA enables the high-availability layer (ha.go); the zero value
@@ -228,10 +229,6 @@ func NewMaster(cfg MasterConfig) *Master {
 // Registry returns the master's metric registry (for /metrics and
 // tests).
 func (m *Master) Registry() *telemetry.Registry { return m.reg }
-
-// Tracer returns the master's span tracer, so harnesses can install a
-// logical clock and seeded trace IDs.
-func (m *Master) Tracer() *telemetry.SpanTracer { return m.spans }
 
 // Handler returns the master's HTTP routes.
 func (m *Master) Handler() http.Handler {
@@ -450,10 +447,8 @@ func (m *Master) connLocked(id string) *agentConn {
 	if c, ok := m.conns[id]; ok && c.url == url {
 		return c
 	}
-	hc := &http.Client{}
-	if m.cfg.TransportFor != nil {
-		hc.Transport = m.cfg.TransportFor(url)
-	} else {
+	hc := &http.Client{Transport: m.cfg.Transport}
+	if hc.Transport == nil {
 		t := http.DefaultTransport.(*http.Transport).Clone()
 		t.MaxIdleConnsPerHost = forwardIdleConns
 		hc.Transport = t

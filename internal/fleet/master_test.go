@@ -92,7 +92,7 @@ func (f *testFleet) addAgent(id string) *testAgent {
 	ts := httptest.NewServer(srv.Handler())
 	f.t.Cleanup(ts.Close)
 	ag := NewAgent(AgentConfig{
-		ID: id, AdvertiseURL: ts.URL, MasterURL: f.mts.URL,
+		ID: id, AdvertiseURL: ts.URL, MasterURLs: []string{f.mts.URL},
 		Interval: 10 * time.Millisecond,
 	}, srv)
 	a := &testAgent{id: id, srv: srv, ts: ts, ag: ag}

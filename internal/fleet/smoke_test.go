@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -22,10 +23,12 @@ func TestFleetSmoke(t *testing.T) {
 		SuspectAfter:   30 * time.Millisecond,
 		ForwardTimeout: 2 * time.Second,
 	})
-	for _, a := range f.agents {
-		stop := a.ag.Start()
-		t.Cleanup(stop)
-	}
+	survivor, victim := f.agents[0], f.agents[1]
+	t.Cleanup(survivor.ag.Start())
+	// The victim beats from a loop of its own, so the kill can stop its
+	// beats without the graceful deregister Start's stop sends.
+	stopVictimBeats := beatLoop(victim.ag, 10*time.Millisecond)
+	t.Cleanup(stopVictimBeats)
 	stopSweep := f.master.StartSweeper(10 * time.Millisecond)
 	t.Cleanup(stopSweep)
 
@@ -49,13 +52,12 @@ func TestFleetSmoke(t *testing.T) {
 		agent string
 	}
 	acked := make(map[string]ack)
-	victim := f.agents[1]
 
 	for i := 0; i < steps; i++ {
 		if i == steps/2 {
 			// SIGKILL one agent: listener gone, in-flight connections
 			// severed, heartbeats stop. No graceful deregister.
-			victim.ag.SetPaused(true)
+			stopVictimBeats()
 			victim.ts.CloseClientConnections()
 			victim.ts.Close()
 		}
@@ -88,7 +90,7 @@ func TestFleetSmoke(t *testing.T) {
 			t.Errorf("acked spec %s unservable after agent kill: %v", strings.Join(a.keys, ","), err)
 			continue
 		}
-		if a.agent == f.agents[0].id && res.Agent == a.agent && res.Op != "hit" {
+		if a.agent == survivor.id && res.Agent == a.agent && res.Op != "hit" {
 			t.Errorf("spec %s acked by survivor %s re-served as %q, want hit",
 				strings.Join(a.keys, ","), a.agent, res.Op)
 		}
@@ -96,4 +98,26 @@ func TestFleetSmoke(t *testing.T) {
 	if lost > 0 {
 		t.Fatalf("%d of %d acked specs lost after agent kill", lost, len(acked))
 	}
+}
+
+// beatLoop heartbeats ag every interval until the returned stop is
+// called. stop waits for the loop to exit and does not deregister: what
+// a SIGKILL leaves behind.
+func beatLoop(ag *Agent, interval time.Duration) (stop func()) {
+	done, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		tick := time.NewTicker(interval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				ag.BeatNow(context.Background()) // the next tick retries
+			}
+		}
+	}()
+	var once sync.Once
+	return func() { once.Do(func() { close(done); <-exited }) }
 }

@@ -85,18 +85,6 @@ func NewChaosTransport(inner http.RoundTripper, plan ChaosPlan) *ChaosTransport 
 	return &ChaosTransport{inner: inner, plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
 }
 
-// SetPlan swaps the transport's fault probabilities at runtime,
-// keeping the RNG stream (the schedule stays a deterministic function
-// of the original seed and the attempt sequence). Chaos harnesses use
-// it to model partitions: flip an agent's transport to BlackholeP=1
-// for the partition window, then back.
-func (t *ChaosTransport) SetPlan(plan ChaosPlan) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	plan.Seed = t.plan.Seed
-	t.plan = plan
-}
-
 // Attempts returns how many round trips have been attempted (including
 // ones that faulted before reaching the server).
 func (t *ChaosTransport) Attempts() int64 {

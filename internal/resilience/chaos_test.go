@@ -147,62 +147,3 @@ func TestChaosTransportDeterministicSchedule(t *testing.T) {
 		}
 	}
 }
-
-func TestChaosProxyCleanForwarding(t *testing.T) {
-	srv := chaosBackend(t)
-	px, err := NewChaosProxy(strings.TrimPrefix(srv.URL, "http://"), ProxyPlan{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer px.Close()
-	resp, err := http.Get("http://" + px.Addr())
-	if err != nil {
-		t.Fatalf("clean proxy errored: %v", err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || len(body) != 1024 {
-		t.Fatalf("body = %d bytes, err=%v", len(body), err)
-	}
-	if px.Conns() == 0 || px.Injected() != 0 {
-		t.Fatalf("conns/injected = %d/%d, want >0/0", px.Conns(), px.Injected())
-	}
-}
-
-func TestChaosProxyRefusesConnections(t *testing.T) {
-	srv := chaosBackend(t)
-	px, err := NewChaosProxy(strings.TrimPrefix(srv.URL, "http://"), ProxyPlan{Seed: 1, RefuseP: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer px.Close()
-	hc := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
-	if _, err := hc.Get("http://" + px.Addr()); err == nil {
-		t.Fatal("refused connection returned a response")
-	}
-	if px.Injected() == 0 {
-		t.Fatal("no injected faults recorded")
-	}
-}
-
-func TestChaosProxyCutsMidStream(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, strings.Repeat("z", 1<<20))
-	}))
-	defer srv.Close()
-	px, err := NewChaosProxy(strings.TrimPrefix(srv.URL, "http://"),
-		ProxyPlan{Seed: 1, CutAfterP: 1, CutAfterBytes: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer px.Close()
-	hc := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
-	resp, err := hc.Get("http://" + px.Addr())
-	if err == nil {
-		_, err = io.ReadAll(resp.Body)
-		resp.Body.Close()
-	}
-	if err == nil {
-		t.Fatal("1MiB body survived a 2KiB cut budget")
-	}
-}
