@@ -1,5 +1,5 @@
-// Benchmarks for the deployment layers (distributed cluster, HTTP site
-// service, batch integration) and the remaining DESIGN.md ablations:
+// Benchmarks for the deployment layers (HTTP site service, batch
+// integration) and the remaining DESIGN.md ablations:
 // A5 image splitting and the LSH candidate index.
 package repro
 
@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/campaign"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/cvmfs"
 	"repro/internal/dedup"
@@ -20,44 +19,6 @@ import (
 	"repro/internal/spec"
 	"repro/internal/workload"
 )
-
-// BenchmarkClusterStream measures the multi-site deployment: a stream
-// dispatched across 3 sites x 4 workers under affinity routing.
-func BenchmarkClusterStream(b *testing.B) {
-	repo := benchFullRepo(b)
-	stream, err := workload.Stream(workload.NewDepClosure(repo, 1), 60, 3, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sites []*cluster.Site
-		for s := 0; s < 3; s++ {
-			site, err := cluster.NewSite(repo, cluster.SiteConfig{
-				Name:    fmt.Sprintf("s%d", s),
-				Workers: 4,
-				Core: core.Config{
-					Alpha:    0.8,
-					Capacity: repo.TotalSize(),
-					MinHash:  core.DefaultMinHash(),
-				},
-				WorkerCapacity: repo.TotalSize() / 2,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sites = append(sites, site)
-		}
-		c, err := cluster.New(sites, cluster.Affinity{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.RunStream(stream); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkServerRequest measures one job submission through the HTTP
 // site service (client -> loopback HTTP -> manager).

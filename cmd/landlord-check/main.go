@@ -273,8 +273,8 @@ func tracesim(seed int64, steps int, dump string) error {
 		writeTraceDump(dump, f)
 		return f
 	}
-	fmt.Printf("tracesim seed=%d steps=%d: acked=%d cluster_jobs=%d traces_started=%d kept=%d propagated=%d stages=%d/%d\n",
-		seed, rep.Steps, rep.Acked, rep.ClusterJobs, rep.Started, rep.Kept,
+	fmt.Printf("tracesim seed=%d steps=%d: acked=%d traces_started=%d kept=%d propagated=%d stages=%d/%d\n",
+		seed, rep.Steps, rep.Acked, rep.Started, rep.Kept,
 		rep.Propagated, len(rep.StagesCovered), len(rep.StagesCovered)+len(rep.MissingStages))
 	return nil
 }

@@ -2,13 +2,15 @@ package main
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
+	"slices"
 
 	"repro/internal/campaign"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/cvmfs"
 	"repro/internal/dedup"
+	"repro/internal/fleet"
 	"repro/internal/pkggraph"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -17,74 +19,106 @@ import (
 	"repro/internal/workload"
 )
 
-// cmdCluster runs the multi-site distributed experiment: one job
-// stream spread over several sites (each with its own LANDLORD head
-// node and worker pool) under each scheduling policy, reporting head
-// I/O, worker transfer volume, and worker-local reuse.
+// clusterSites is the multi-site experiment's site count.
+const clusterSites = 4
+
+// sitePolicy places each job of the multi-site experiment on one site.
+type sitePolicy struct {
+	name  string
+	place func(job spec.Spec) int
+}
+
+// sitePolicies returns the placements the multi-site experiment
+// compares over the named sites: rotation, seeded uniform random, and
+// the fleet ring — fleet.NewRing(0) over the site names, looked up with
+// fleet.RouteKey of the job's package keys, which is where a landlordd
+// master sends the spec before directory affinity (not modelled here)
+// can redirect it to an agent already holding a superset.
+func sitePolicies(repo *pkggraph.Repo, sites []string, seed int64) []sitePolicy {
+	next := 0
+	rng := rand.New(rand.NewSource(seed))
+	ring := fleet.NewRing(0)
+	index := make(map[string]int, len(sites))
+	for i, name := range sites {
+		ring.Add(name)
+		index[name] = i
+	}
+	return []sitePolicy{
+		{"round-robin", func(spec.Spec) int {
+			i := next % len(sites)
+			next++
+			return i
+		}},
+		{"random", func(spec.Spec) int { return rng.Intn(len(sites)) }},
+		{"fleet ring", func(job spec.Spec) int {
+			return index[ring.Lookup(fleet.RouteKey(jobKeys(repo, job)))]
+		}},
+	}
+}
+
+// jobKeys renders a job's package keys, as a client sends them.
+func jobKeys(repo *pkggraph.Repo, job spec.Spec) []string {
+	keys := make([]string, 0, job.Len())
+	for _, id := range job.IDs() {
+		keys = append(keys, repo.Key(id))
+	}
+	return keys
+}
+
+// cmdCluster runs the multi-site experiment: one job stream spread
+// over several sites, each one LANDLORD head-node cache, under each
+// placement policy, reporting head I/O, the images the sites end up
+// holding, their mean cache efficiency and how evenly the jobs spread.
 func cmdCluster(repo *pkggraph.Repo, opt *options) error {
 	stream, err := workload.Stream(workload.NewDepClosure(repo, opt.seed), opt.uniqueJobs, opt.repeats, opt.seed+0x5eed)
 	if err != nil {
 		return err
 	}
-	const nSites, nWorkers = 4, 8
-	workerCap := repo.TotalSize() / 4
-
-	fmt.Fprintf(opt.out, "Distributed deployment: %d sites x %d workers, worker scratch %s,\n",
-		nSites, nWorkers, stats.FormatBytes(workerCap))
-	fmt.Fprintf(opt.out, "head caches %.1fx repo at alpha=%.2f, %d requests\n\n",
-		opt.cacheX, opt.alpha, len(stream))
-
-	policies := []cluster.Policy{
-		&cluster.RoundRobin{},
-		cluster.NewRandomPolicy(opt.seed),
-		cluster.Affinity{},
+	names := make([]string, clusterSites)
+	for i := range names {
+		names[i] = fmt.Sprintf("site-%d", i)
 	}
+
+	fmt.Fprintf(opt.out, "Distributed deployment: %d sites, head caches %.1fx repo at alpha=%.2f, %d requests\n\n",
+		len(names), opt.cacheX, opt.alpha, len(stream))
 	w := tabw(opt.out)
-	fmt.Fprintf(w, "policy\thead writes\tworker transfers\tworker reuse\tsite images\tsite cache eff\t\n")
-	for _, pol := range policies {
-		var sites []*cluster.Site
-		for i := 0; i < nSites; i++ {
-			site, err := cluster.NewSite(repo, cluster.SiteConfig{
-				Name:    fmt.Sprintf("site-%d", i),
-				Workers: nWorkers,
-				Core: core.Config{
-					Alpha:    opt.alpha,
-					Capacity: int64(opt.cacheX * float64(repo.TotalSize())),
-					MinHash:  core.DefaultMinHash(),
-				},
-				WorkerCapacity: workerCap,
-			})
-			if err != nil {
+	fmt.Fprintf(w, "policy\thead writes\tsite images\tsite cache eff\tmax/mean jobs\t\n")
+	for _, pol := range sitePolicies(repo, names, opt.seed) {
+		sites := make([]*core.Manager, len(names))
+		for i := range sites {
+			if sites[i], err = core.NewManager(repo, core.Config{
+				Alpha:    opt.alpha,
+				Capacity: int64(opt.cacheX * float64(repo.TotalSize())),
+				MinHash:  core.DefaultMinHash(),
+			}); err != nil {
 				return err
 			}
-			sites = append(sites, site)
 		}
-		c, err := cluster.New(sites, pol)
-		if err != nil {
-			return err
+		jobs := make([]int, len(sites))
+		for n, job := range stream {
+			i := pol.place(job)
+			if _, err := sites[i].Request(job); err != nil {
+				return fmt.Errorf("%s: job %d: %w", pol.name, n, err)
+			}
+			jobs[i]++
 		}
-		rep, err := c.RunStream(stream)
-		if err != nil {
-			return err
-		}
+		var written int64
 		var images int
 		var eff float64
-		for _, sr := range rep.PerSite {
-			images += sr.Images
-			eff += sr.CacheEfficiency
+		for _, m := range sites {
+			written += m.Stats().BytesWritten
+			images += m.Len()
+			eff += m.CacheEfficiency()
 		}
-		eff /= float64(len(rep.PerSite))
-		fmt.Fprintf(w, "%s\t%s\t%s\t%.1f%%\t%d\t%.1f%%\t\n",
-			rep.Policy,
-			stats.FormatBytes(rep.HeadBytesWritten),
-			stats.FormatBytes(rep.WorkerTransferredBytes),
-			rep.WorkerLocalHitRate*100,
-			images, eff*100)
+		mean := float64(len(stream)) / float64(len(sites))
+		fmt.Fprintf(w, "%s\t%s\t%d\t%.1f%%\t%.2f\t\n",
+			pol.name, stats.FormatBytes(written), images,
+			eff/float64(len(sites))*100, float64(slices.Max(jobs))/mean)
 	}
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	fmt.Fprintf(opt.out, "\naffinity routing keeps repeats at one site, so head and worker caches stay warm\n")
+	fmt.Fprintf(opt.out, "\nthe fleet ring sends every repeat of a spec to one site, so it hits the image built there\n")
 	return nil
 }
 

@@ -73,7 +73,7 @@ commands:
   fig7        reproduce Figure 7 (impact of dependencies)
   fig8        reproduce Figure 8 (limits on efficiency / operational zone)
   baselines   compare LANDLORD with naive / layered / full-repo stores
-  cluster     multi-site deployment: scheduling policies vs transfer volume
+  cluster     multi-site deployment: placement policies vs head-node I/O
   trace-gen   generate a request-stream trace file
   replay      replay a trace file against a fresh cache
   drift       evolving workload: image bloat and splitting

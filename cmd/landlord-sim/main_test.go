@@ -8,8 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fleet"
 	"repro/internal/pkggraph"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // testRepo is a scaled-down repository so every command runs in
@@ -213,14 +215,52 @@ func TestCmdBaselines(t *testing.T) {
 func TestCmdCluster(t *testing.T) {
 	opt, buf := testOptions(t)
 	opt.uniqueJobs = 15
-	if err := cmdCluster(testRepo(t), opt); err != nil {
+	repo := testRepo(t)
+	if err := cmdCluster(repo, opt); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"round-robin", "random", "affinity"} {
+	for _, want := range []string{"round-robin", "random", "fleet ring"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("cluster missing %q", want)
 		}
+	}
+
+	// The fleet-ring row places jobs exactly as a master's ring does:
+	// every repeat of a spec lands on one site, the ring's owner of
+	// the spec's route key.
+	stream, err := workload.Stream(workload.NewDepClosure(repo, opt.seed), opt.uniqueJobs, opt.repeats, opt.seed+0x5eed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"site-0", "site-1", "site-2", "site-3"}
+	ring := fleet.NewRing(0)
+	for _, name := range names {
+		ring.Add(name)
+	}
+	var pol *sitePolicy
+	policies := sitePolicies(repo, names, opt.seed)
+	for i := range policies {
+		if policies[i].name == "fleet ring" {
+			pol = &policies[i]
+		}
+	}
+	if pol == nil {
+		t.Fatal("no fleet ring policy")
+	}
+	placed := make(map[uint64]int)
+	for n, job := range stream {
+		i := pol.place(job)
+		if want := ring.Lookup(fleet.RouteKey(jobKeys(repo, job))); names[i] != want {
+			t.Fatalf("job %d placed on %s, ring owner is %s", n, names[i], want)
+		}
+		if prev, ok := placed[job.Hash()]; ok && prev != i {
+			t.Fatalf("job %d: repeat placed on %s, earlier copy on %s", n, names[i], names[prev])
+		}
+		placed[job.Hash()] = i
+	}
+	if len(placed) != opt.uniqueJobs {
+		t.Fatalf("stream has %d distinct specs, want %d", len(placed), opt.uniqueJobs)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/persist"
 	"repro/internal/resilience"
@@ -28,25 +27,20 @@ type TraceSimConfig struct {
 	// repository's total bytes so evictions occur (0 = unlimited,
 	// which leaves the evict stage uncovered).
 	CapacityFrac float64
-	// ClusterJobs is the number of jobs dispatched through a
-	// span-sharing cluster site after the HTTP phase, covering the
-	// cluster_dispatch stage and the wire-format hop.
-	ClusterJobs int
 	// Dir roots the persistent store (required).
 	Dir string
 }
 
 // TraceSimDefault is the canonical trace-sim configuration for a seed.
-// Steps + ClusterJobs + the guaranteed-hit tail stays under the
-// server's slowest-N ring capacity so every started trace is retained
-// and the dump is a complete, replayable record of the run.
+// Steps + the guaranteed-hit tail stays under the server's slowest-N
+// ring capacity so every started trace is retained and the dump is a
+// complete, replayable record of the run.
 func TraceSimDefault(seed int64, dir string) TraceSimConfig {
 	return TraceSimConfig{
 		Seed:         seed,
 		Steps:        48,
 		Alpha:        0.6,
 		CapacityFrac: 0.3,
-		ClusterJobs:  8,
 		Dir:          dir,
 	}
 }
@@ -55,10 +49,9 @@ func TraceSimDefault(seed int64, dir string) TraceSimConfig {
 // seeded schedule and the logical clock, so two runs of the same
 // config must compare equal — including the embedded trace dump.
 type TraceSimReport struct {
-	Steps       int
-	Acked       int
-	Errors      int // deliberate bad requests (interesting-ring bait)
-	ClusterJobs int
+	Steps  int
+	Acked  int
+	Errors int // deliberate bad requests (interesting-ring bait)
 	// Started counts traces minted by the server tracer; Kept is the
 	// tail-sampling ring's census at the end of the run.
 	Started uint64
@@ -186,31 +179,6 @@ func RunTraceSim(cfg TraceSimConfig) (TraceSimReport, *Failure) {
 		return rep, failf(cfg.Seed, cfg.Steps, "tracesim: bad request unexpectedly succeeded")
 	}
 	rep.Errors++
-
-	// Cluster hop: a site sharing the server's tracer, fed jobs whose
-	// wire header continues a harness trace — the in-process shape of
-	// the networked dispatch hop. Covers cluster_dispatch.
-	if cfg.ClusterJobs > 0 {
-		site, err := cluster.NewSite(repo, cluster.SiteConfig{
-			Name:    "tracesim",
-			Core:    core.Config{Alpha: cfg.Alpha},
-			Workers: 2,
-		})
-		if err != nil {
-			return rep, failf(cfg.Seed, cfg.Steps, "tracesim: building site: %v", err)
-		}
-		site.SetSpanTracer(srv.SpanTracer())
-		for i := 0; i < cfg.ClusterJobs; i++ {
-			hat := ht.Start(0, 0)
-			wire := telemetry.FormatTraceHeader(hat.TraceID(), hat.Root())
-			_, err := site.SubmitTrace(wire, stream.Next())
-			hat.Finish("dispatch", "", 0)
-			if err != nil {
-				return rep, failf(cfg.Seed, cfg.Steps, "tracesim: cluster job %d: %v", i, err)
-			}
-			rep.ClusterJobs++
-		}
-	}
 
 	rep.Started = srv.SpanTracer().Started()
 	rep.Dump = srv.TraceRing().Dump(0)

@@ -184,7 +184,8 @@ func TestCheckIndexCatchesDivergence(t *testing.T) {
 }
 
 // TestFleetDoesNotImportClusterSim pins the dependency cut: the
-// networked control plane must not link the in-process site simulator.
+// networked control plane is the one site model and must not link the
+// retired in-process one (make check's tripwire keeps it retired).
 func TestFleetDoesNotImportClusterSim(t *testing.T) {
 	banned := "repro/internal/" + "cluster"
 	files, err := filepath.Glob("*.go")

@@ -1,10 +1,10 @@
-// Package fleet is the networked control plane: a real master/agent
-// deployment of the site model internal/cluster simulates in-process.
-// A landlordd running in master mode routes every /v1/request to one
-// of N landlordd agents over HTTP, choosing the
-// agent by consistent hashing on the job specification's signature so
-// the same spec keeps landing on the same cache (and membership churn
-// moves a bounded slice of the keyspace). Agents register with the
+// Package fleet is the networked control plane: a master/agent
+// deployment of the paper's one-LANDLORD-cache-per-site model, each
+// agent one site's cache. A landlordd running in master mode routes
+// every /v1/request to one of N landlordd agents over HTTP, choosing
+// the agent by consistent hashing on the job specification's signature
+// so the same spec keeps landing on the same cache (and membership
+// churn moves a bounded slice of the keyspace). Agents register with the
 // master, heartbeat their liveness, and gossip their image-directory
 // state as delta-sync frames (gossip.go) carried in the heartbeat body;
 // the master indexes each mirror (dirindex.go) so affinity routing

@@ -183,9 +183,7 @@ func (ms *Membership) Counts() (known, healthy, suspect int) {
 }
 
 // Routable returns member IDs forwarding may target, sorted: healthy
-// members, or — when none are healthy — suspects as forced probes
-// (the same last-resort policy the cluster scheduler uses when every
-// circuit is open).
+// members, or — when none are healthy — suspects as forced probes.
 func (ms *Membership) Routable() []string {
 	var healthy, suspect []string
 	for id, m := range ms.members {

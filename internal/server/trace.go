@@ -33,8 +33,7 @@ func (s *Server) initTracing() {
 }
 
 // SpanTracer returns the server's span tracer. Harnesses inject a
-// deterministic clock and ID generator through it; cluster sites share
-// it so their dispatch traces land in the same ring.
+// deterministic clock and ID generator through it.
 func (s *Server) SpanTracer() *telemetry.SpanTracer { return s.spans }
 
 // TraceRing returns the tail-sampling trace ring backing /v1/trace.

@@ -51,8 +51,6 @@ const (
 	// StageFsyncWait is the group-commit wait for the WAL to be durable
 	// before acking.
 	StageFsyncWait = "fsync_wait"
-	// StageClusterDispatch is head-to-worker image dispatch at a site.
-	StageClusterDispatch = "cluster_dispatch"
 
 	// StageFleetRoute is the fleet master's routing decision: hashing
 	// the spec signature onto the agent ring and assembling the
@@ -73,7 +71,7 @@ func CanonicalStages() []string {
 		StageLockWaitRead, StageLockWaitWrite,
 		StageSupersetScan, StageMergeScan,
 		StageHit, StageMerge, StageInsert, StageEvict,
-		StageWALAppend, StageFsyncWait, StageClusterDispatch,
+		StageWALAppend, StageFsyncWait,
 	}
 }
 
@@ -439,7 +437,7 @@ func CopyTrace(t *Trace) Trace {
 type traceCtxKey struct{}
 
 // ContextWithTrace attaches an ActiveTrace to ctx so downstream layers
-// (client, cluster) can continue the trace across hops. A nil trace
+// (client, fleet master) can continue the trace across hops. A nil trace
 // returns ctx unchanged.
 func ContextWithTrace(ctx context.Context, at *ActiveTrace) context.Context {
 	if at == nil {
