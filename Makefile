@@ -105,8 +105,8 @@ fuzz:
 	$(GO) test ./internal/similarity -fuzz '^FuzzSign$$' -fuzztime 30s
 
 # Short-budget invariant harness for every PR: the deterministic
-# simulation suites (unsharded and sharded, exact rows and MinHash
-# rows, every request validated by the oracle — the one reference for
+# simulation suite (one-shard and sharded rows, exact and MinHash,
+# every request validated by the oracle — the one reference for
 # Algorithm 1, in exact and in margin mode) and scaled-down soaks under
 # the race detector, the mutant self-test (each of the eighteen seeded
 # bugs — six Algorithm 1 clauses, the route-fold and budget-balancing
@@ -120,28 +120,36 @@ fuzz:
 # where the oracle's index-free margin scan takes the merge the dropped
 # band candidate hid), probeskip by CheckIntegrity's re-sign with the
 # direct kernel at the first MinHash insert, route by both levels that
-# share its term table — the sharded suite's route audit and the fleet
+# share its term table — the sharded rows' route audit and the fleet
 # stage's term audit in its first CheckIntegrity — staleepoch within
 # the HA stage's first lease isolation, staleindex within the fleet
 # stage's eviction audit, reqscan at the first escaped body and
 # closuredrop at the first close:true body of a fault-free
 # network-chaos stage, deltadrop and walscan by the replayed-state
 # byte-identity audit that ends the first simulation), and one CLI
-# chaos pass. `landlord-check sim` runs the sharded suite too. The
+# chaos pass. `landlord-check sim` runs the sharded rows too. The
 # first grep is a tripwire: the second decision pipeline, the middle
 # manager type, the second shadow, the master's sorted-key dictionary,
 # the per-request event hook beside the spans, and the seams only the
 # socket-bound chaos harnesses used (the agent pause switch, the
 # per-agent transport hook, the TCP fault proxy, the HA state file's
 # reader) and the second site model (the in-process cluster simulator,
-# its dispatch stage, delta transfers and per-site gauges) were folded
-# away and must not grow back. The second keeps
-# the harnesses on the in-memory network: no listener, no test server.
+# its dispatch stage, delta transfers and per-site gauges), the second
+# simulation driver and the site's admission switch were folded away
+# and must not grow back. The second keeps the harnesses on the
+# in-memory network: no listener, no test server. The last two keep
+# every cache node on the one assembly, server.Open: no command opens a
+# store, recovers a server or starts a heal probe by hand, and no
+# harness builds a durable server around a store it opened itself.
 check:
-	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits|SetTracer|telemetry\.Tracer\b|newEvent|opTracer|timelineTracer|SetPaused|TransportFor|ChaosProxy|ReadHAState|repro/internal/cluster|StageClusterDispatch|cluster_dispatch|DeltaSite|landlord_site_' --include='*.go' --exclude-dir=.bench_build . \
-		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, §10 for the route dictionary, §9 for the event hook, §7 for the harness seams and the site model)"; exit 1; }
+	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits|SetTracer|telemetry\.Tracer\b|newEvent|opTracer|timelineTracer|SetPaused|TransportFor|ChaosProxy|ReadHAState|repro/internal/cluster|StageClusterDispatch|cluster_dispatch|DeltaSite|landlord_site_|RunShardSim|ShardSimConfig|ShardSimReport|ShedderEnabled' --include='*.go' --exclude-dir=.bench_build . \
+		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, §10 for the route dictionary, §9 for the event hook, §7 for the harness seams, the site model and the simulation driver, §6 for the node assembly)"; exit 1; }
 	@! grep -nE 'net\.Listen|httptest\.' $$(ls internal/check/*.go | grep -v '_test\.go$$') \
 		|| { echo "check: a harness in internal/check opens a socket; run it on the in-memory network (DESIGN.md §7)"; exit 1; }
+	@! grep -nE 'persist\.Open\(|NewPersistent\(|StartDegradedProbe\(' $$(find cmd -name '*.go' ! -name '*_test.go') \
+		|| { echo "check: a command assembles a cache node by hand; boot it through server.Open (DESIGN.md §6)"; exit 1; }
+	@! grep -nE 'NewPersistent\(' $$(ls internal/check/*.go | grep -v '_test\.go$$') \
+		|| { echo "check: a harness in internal/check builds a durable server by hand; boot it through server.Open (DESIGN.md §7)"; exit 1; }
 	$(GO) test -race -short -count=1 ./internal/check
 	$(GO) test -run 'TestMutants|TestMutantFailure' -count=1 ./internal/check
 	$(GO) run ./cmd/landlord-check sim -seed 1

@@ -9,11 +9,11 @@
 //	landlord-check hachaos  -seed 1 [-steps 200] [-agents 3] [-kill-phase 0] [-trace-dump path]
 //	landlord-check chaos    -duration 10m [-seed 0] [-trace-dump path]
 //
-// sim runs the canonical deterministic suite — two in-memory
-// simulations, the sharded-cache suite (per-shard oracles, route and
-// budget audits), plus a persistent chaos run with checkpoints, prune
-// passes, injected filesystem faults and crash/recovery cycles — under
-// one seed. soak hammers one cache from many goroutines with injected
+// sim runs the canonical deterministic suite under one seed: the
+// in-memory simulations of the serving cache, one-shard rows and
+// sharded rows (per-shard oracles, route and budget audits), plus the
+// persistent chaos runs with checkpoints, prune passes, injected
+// filesystem faults and crash/recovery cycles. soak hammers one cache from many goroutines with injected
 // persist faults (-shards > 1 soaks the sharded core with audited
 // rebalances); run the binary built with -race for full effect. The
 // HTTP harnesses run their nodes on an in-memory network (no sockets):
@@ -93,7 +93,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: landlord-check <sim|soak|netchaos|tracesim|fleetchaos|hachaos|chaos> [flags]
 
-  sim      -seed N [-steps N]               deterministic suite (incl. sharded) + persistent chaos run
+  sim      -seed N [-steps N]               deterministic suite (one-shard and sharded rows) + persistent chaos runs
   soak     -seed N [-requests N] [-workers N] [-shards N]  concurrent soak with injected persist faults
   netchaos -seed N [-steps N] [-trace-dump P]  HTTP server under network + disk chaos
   tracesim -seed N [-steps N] [-trace-dump P]  deterministic span-trace coverage + replay audit
@@ -103,9 +103,9 @@ func usage() {
 }
 
 // suite runs the canonical deterministic schedule for one seed: the
-// in-memory suite (exact rows, then MinHash rows), the sharded suite,
-// then the persistent chaos runs in a throwaway directory. steps > 0
-// overrides the chaos runs' length.
+// in-memory suite (one-shard exact rows, one-shard MinHash rows,
+// sharded rows), then the persistent chaos runs in a throwaway
+// directory. steps > 0 overrides the chaos runs' length.
 func suite(seed int64, steps int) error {
 	for _, cfg := range check.Suite(seed) {
 		rep, f := check.RunSim(cfg)
@@ -113,16 +113,6 @@ func suite(seed int64, steps int) error {
 			return f
 		}
 		report(cfg, rep)
-	}
-	for _, cfg := range check.ShardSuite(seed) {
-		rep, f := check.RunShardSim(cfg)
-		if f != nil {
-			return f
-		}
-		fmt.Printf("shardsim seed=%d steps=%d shards=%d alpha=%.2f%s: hits=%d merges=%d inserts=%d rebalances=%d evicted=%d state=%s\n",
-			cfg.Seed, rep.Steps, cfg.Shards, cfg.Alpha, modeTag(cfg.MinHash, false),
-			rep.Stats.Hits, rep.Stats.Merges, rep.Stats.Inserts,
-			rep.Rebalances, rep.Evicted, rep.StateHash[:12])
 	}
 	dir, err := os.MkdirTemp("", "landlord-check-")
 	if err != nil {
@@ -155,10 +145,10 @@ func modeTag(minhash, uniform bool) string {
 }
 
 func report(cfg check.SimConfig, rep check.SimReport) {
-	fmt.Printf("sim seed=%d steps=%d alpha=%.2f persist=%v%s: hits=%d merges=%d inserts=%d deletes=%d splits=%d crashes=%d injected=%d state=%s\n",
-		cfg.Seed, rep.Steps, cfg.Alpha, cfg.Dir != "", modeTag(cfg.MinHash, cfg.UniformOnly),
+	fmt.Printf("sim seed=%d steps=%d shards=%d alpha=%.2f persist=%v%s: hits=%d merges=%d inserts=%d deletes=%d splits=%d rebalances=%d evicted=%d crashes=%d injected=%d state=%s\n",
+		cfg.Seed, rep.Steps, max(cfg.Shards, 1), cfg.Alpha, cfg.Dir != "", modeTag(cfg.MinHash, cfg.UniformOnly),
 		rep.Stats.Hits, rep.Stats.Merges, rep.Stats.Inserts, rep.Stats.Deletes,
-		rep.Stats.Splits, rep.Crashes, rep.Injected, rep.StateHash[:12])
+		rep.Stats.Splits, rep.Rebalances, rep.Evicted, rep.Crashes, rep.Injected, rep.StateHash[:12])
 }
 
 func runSim(args []string) error {

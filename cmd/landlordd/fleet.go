@@ -8,13 +8,7 @@ package main
 
 import (
 	"context"
-	"fmt"
 	"log"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/config"
@@ -22,17 +16,15 @@ import (
 	"repro/internal/server"
 )
 
-// runMaster serves the fleet control plane until SIGINT/SIGTERM. The
-// master holds only soft state — membership, ring, directory mirrors —
-// all rebuilt from agent re-registration after a restart, so there is
-// no state directory, no recovery phase, and readiness is purely "a
-// quorum of agents has registered" (fleet_quorum).
-func runMaster(site config.Site, drainWindow time.Duration, pprofOn bool) {
+// bootMaster boots the fleet control plane. The master holds only soft
+// state — membership, ring, directory mirrors — all rebuilt from agent
+// re-registration after a restart, so there is no state directory, no
+// recovery phase, and readiness is purely "a quorum of agents has
+// registered" (fleet_quorum).
+func bootMaster(site config.Site) *node {
 	m := fleet.NewMaster(site.FleetMasterConfig())
 	stopSweep := m.StartSweeper(site.HeartbeatInterval())
-	defer stopSweep()
 	stopLease := m.StartLeaseLoop()
-	defer stopLease()
 	if site.HAEnabled() {
 		role := "primary"
 		if site.StandbyOf != "" {
@@ -41,44 +33,19 @@ func runMaster(site config.Site, drainWindow time.Duration, pprofOn bool) {
 		log.Printf("landlordd: high availability on (master_id=%s, %s, lease every %v, failover after 2 missed leases)",
 			site.MasterID, role, site.LeaseInterval())
 	}
-
-	mux := http.NewServeMux()
-	mux.Handle("/", m.Handler())
-	if pprofOn {
-		mountPprof(mux)
-	}
-	httpSrv := &http.Server{
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	ln, err := net.Listen("tcp", site.Addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "landlordd: %v\n", err)
-		os.Exit(1)
-	}
-	log.Printf("landlordd: listening on %s", ln.Addr())
 	log.Printf("landlordd: master control plane (quorum=%d, heartbeat=%v)",
 		site.FleetQuorum, site.HeartbeatInterval())
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-serveErr:
-		log.Fatalf("landlordd: %v", err)
-	case <-ctx.Done():
-		stop()
-		log.Printf("landlordd: shutdown signal received, draining (up to %v)", drainWindow)
-		drainCtx, cancel := context.WithTimeout(context.Background(), drainWindow)
-		defer cancel()
-		if err := httpSrv.Shutdown(drainCtx); err != nil {
-			log.Printf("landlordd: drain incomplete: %v", err)
-		}
-		for _, mi := range m.MembersNow() {
-			log.Printf("landlordd: final member %s state=%s images=%d", mi.ID, mi.State, mi.DirImages)
-		}
+	return &node{
+		handler: m.Handler(),
+		start:   func(context.Context) {},
+		leave:   func() {},
+		seal: func() {
+			for _, mi := range m.MembersNow() {
+				log.Printf("landlordd: final member %s state=%s images=%d", mi.ID, mi.State, mi.DirImages)
+			}
+			stopLease()
+			stopSweep()
+		},
 	}
 }
 

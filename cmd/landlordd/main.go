@@ -55,6 +55,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -62,7 +63,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/fleet"
-	"repro/internal/persist"
+	"repro/internal/pkggraph"
 	"repro/internal/server"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -104,117 +105,148 @@ func mountPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-func main() {
-	var (
-		configPath  = flag.String("config", "", "site configuration file (JSON; flags override)")
-		addr        = flag.String("addr", "", "listen address (overrides config)")
-		alpha       = flag.Float64("alpha", -1, "merge threshold (overrides config)")
-		capacityGB  = flag.Float64("capacity-gb", -1, "cache capacity in GB, 0 = unlimited (overrides config)")
-		cacheShards = flag.Int("cache-shards", 0, "independently locked cache shards, >= 1 (overrides config)")
-		repoSeed    = flag.Int64("repo-seed", 0, "seed for the synthetic repository (overrides config)")
-		repoFile    = flag.String("repo-file", "", "load the repository from this JSONL file (overrides config)")
-		stateDir    = flag.String("state-dir", "", "durable state directory: WAL + checkpoints (overrides config)")
-		pprofOn     = flag.Bool("pprof", false, "serve runtime profiles under /debug/pprof/")
-		statsEvery  = flag.Duration("stats-interval", 5*time.Minute, "cache-utilization self-log interval (0 disables)")
-		drainWindow = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
-		mode        = flag.String("mode", "", "deployment mode: standalone, master, or agent (overrides config)")
-		masterURL   = flag.String("master-url", "", "master base URL for agent mode (overrides config)")
-		masterURLs  = flag.String("master-urls", "", "comma-separated master base URLs for an HA fleet, agent mode (overrides config)")
-		advertise   = flag.String("advertise", "", "URL the master reaches this agent at, agent mode (overrides config)")
-		agentID     = flag.String("agent-id", "", "fleet name for this agent, agent mode (overrides config)")
-		quorum      = flag.Int("quorum", -1, "agents required before the master reports ready (overrides config)")
-		heartbeatMS = flag.Int("heartbeat-ms", 0, "agent heartbeat cadence in ms (overrides config)")
-		masterID    = flag.String("master-id", "", "lease identity enabling master high availability (overrides config)")
-		standbyOf   = flag.String("standby-of", "", "primary base URL this master is a warm standby of (overrides config)")
-		peerURL     = flag.String("peer-url", "", "standby base URL this primary renews its lease with (overrides config)")
-		leaseMS     = flag.Int("lease-ms", 0, "lease renewal cadence in ms for HA masters (overrides config)")
-	)
-	flag.Parse()
+// siteFlag is a command-line override of one config.Site field: set
+// parses the flag's value into the field.
+type siteFlag struct {
+	name, usage string
+	set         func(s *config.Site, v string) error
+}
 
+// siteFlags are the flags that override the config file, one per Site
+// field. A flag left off the command line leaves the file's value.
+var siteFlags = []siteFlag{
+	{"addr", "listen address", func(s *config.Site, v string) error { s.Addr = v; return nil }},
+	{"alpha", "merge threshold", func(s *config.Site, v string) (err error) {
+		s.Alpha = new(float64)
+		*s.Alpha, err = strconv.ParseFloat(v, 64)
+		return err
+	}},
+	{"capacity-gb", "cache capacity in GB, 0 = unlimited", func(s *config.Site, v string) (err error) {
+		s.CapacityGB, err = strconv.ParseFloat(v, 64)
+		return err
+	}},
+	{"cache-shards", "independently locked cache shards, >= 1", func(s *config.Site, v string) (err error) {
+		s.CacheShards = new(int)
+		*s.CacheShards, err = strconv.Atoi(v)
+		return err
+	}},
+	{"repo-seed", "seed for the synthetic repository", func(s *config.Site, v string) (err error) {
+		s.RepoSeed, err = strconv.ParseInt(v, 10, 64)
+		return err
+	}},
+	{"repo-file", "load the repository from this JSONL file", func(s *config.Site, v string) error { s.RepoFile = v; return nil }},
+	{"state-dir", "durable state directory: WAL + checkpoints", func(s *config.Site, v string) error { s.StateDir = v; return nil }},
+	{"mode", "deployment mode: standalone, master, or agent", func(s *config.Site, v string) error { s.Mode = v; return nil }},
+	{"master-url", "master base URL for agent mode", func(s *config.Site, v string) error { s.MasterURL = v; return nil }},
+	{"master-urls", "comma-separated master base URLs for an HA fleet, agent mode", func(s *config.Site, v string) error {
+		s.MasterURLs = strings.Split(v, ",")
+		return nil
+	}},
+	{"advertise", "URL the master reaches this agent at, agent mode", func(s *config.Site, v string) error { s.Advertise = v; return nil }},
+	{"agent-id", "fleet name for this agent, agent mode", func(s *config.Site, v string) error { s.AgentID = v; return nil }},
+	{"quorum", "agents required before the master reports ready", func(s *config.Site, v string) (err error) {
+		s.FleetQuorum, err = strconv.Atoi(v)
+		return err
+	}},
+	{"heartbeat-ms", "agent heartbeat cadence in ms", func(s *config.Site, v string) (err error) {
+		s.HeartbeatIntervalMS, err = strconv.Atoi(v)
+		return err
+	}},
+	{"master-id", "lease identity enabling master high availability", func(s *config.Site, v string) error { s.MasterID = v; return nil }},
+	{"standby-of", "primary base URL this master is a warm standby of", func(s *config.Site, v string) error { s.StandbyOf = v; return nil }},
+	{"peer-url", "standby base URL this primary renews its lease with", func(s *config.Site, v string) error { s.PeerURL = v; return nil }},
+	{"lease-ms", "lease renewal cadence in ms for HA masters", func(s *config.Site, v string) (err error) {
+		s.LeaseIntervalMS, err = strconv.Atoi(v)
+		return err
+	}},
+}
+
+// runFlags are the flags that shape the process rather than the site.
+type runFlags struct {
+	pprof      bool
+	statsEvery time.Duration
+	drain      time.Duration
+}
+
+// parseArgs reads the command line: the site file named by -config (or
+// the defaults), with every site flag given applied over it in command
+// line order. The caller validates the result.
+func parseArgs(args []string) (config.Site, runFlags, error) {
+	fs := flag.NewFlagSet("landlordd", flag.ExitOnError)
+	configPath := fs.String("config", "", "site configuration file (JSON; flags override)")
+	var rf runFlags
+	fs.BoolVar(&rf.pprof, "pprof", false, "serve runtime profiles under /debug/pprof/")
+	fs.DurationVar(&rf.statsEvery, "stats-interval", 5*time.Minute, "cache-utilization self-log interval (0 disables)")
+	fs.DurationVar(&rf.drain, "drain", 10*time.Second, "graceful-shutdown drain window")
+	// A value is parsed when the flag is read, so a bad one is refused
+	// with the usage text; a value that parsed there parses again below.
+	var given []func(*config.Site)
+	for _, f := range siteFlags {
+		fs.Func(f.name, f.usage+" (overrides config)", func(v string) error {
+			if err := f.set(&config.Site{}, v); err != nil {
+				return err
+			}
+			given = append(given, func(s *config.Site) { f.set(s, v) })
+			return nil
+		})
+	}
+	if err := fs.Parse(args); err != nil {
+		return config.Site{}, rf, err
+	}
 	site := config.Default()
 	if *configPath != "" {
 		loaded, err := config.Load(*configPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "landlordd: %v\n", err)
-			os.Exit(1)
+			return config.Site{}, rf, err
 		}
 		site = loaded
 	}
-	if *addr != "" {
-		site.Addr = *addr
+	for _, set := range given {
+		set(&site)
 	}
-	if *alpha >= 0 {
-		site.Alpha = alpha
-	}
-	if *capacityGB >= 0 {
-		site.CapacityGB = *capacityGB
-	}
-	if *cacheShards != 0 {
-		site.CacheShards = cacheShards // Validate rejects counts < 1
-	}
-	if *repoSeed != 0 {
-		site.RepoSeed = *repoSeed
-	}
-	if *repoFile != "" {
-		site.RepoFile = *repoFile
-	}
-	if *stateDir != "" {
-		site.StateDir = *stateDir
-	}
-	if *mode != "" {
-		site.Mode = *mode
-	}
-	if *masterURL != "" {
-		site.MasterURL = *masterURL
-	}
-	if *masterURLs != "" {
-		site.MasterURLs = strings.Split(*masterURLs, ",")
-	}
-	if *masterID != "" {
-		site.MasterID = *masterID
-	}
-	if *standbyOf != "" {
-		site.StandbyOf = *standbyOf
-	}
-	if *peerURL != "" {
-		site.PeerURL = *peerURL
-	}
-	if *leaseMS > 0 {
-		site.LeaseIntervalMS = *leaseMS
-	}
-	if *advertise != "" {
-		site.Advertise = *advertise
-	}
-	if *agentID != "" {
-		site.AgentID = *agentID
-	}
-	if *quorum >= 0 {
-		site.FleetQuorum = *quorum
-	}
-	if *heartbeatMS > 0 {
-		site.HeartbeatIntervalMS = *heartbeatMS
-	}
-	if err := site.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "landlordd: %v\n", err)
-		os.Exit(1)
-	}
+	return site, rf, nil
+}
 
-	// Master mode is a different daemon entirely: no repository, no
-	// cache, no persistence — just the routing control plane.
-	if site.FleetMode() == config.ModeMaster {
-		runMaster(site, *drainWindow, *pprofOn)
-		return
+func main() {
+	site, rf, err := parseArgs(os.Args[1:])
+	if err == nil {
+		err = site.Validate()
 	}
-
-	repo, err := site.OpenRepo()
+	if err == nil {
+		err = run(site, rf)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "landlordd: %v\n", err)
 		os.Exit(1)
 	}
+}
 
-	// Bind and serve 503s immediately; the handler swaps to the real
-	// mux once recovery (below) finishes, so restarting daemons are
-	// "come back later" instead of connection-refused.
+// node is what one daemon role serves once it has booted.
+type node struct {
+	handler http.Handler
+	// start runs once the handler is live; ctx ends at the shutdown
+	// signal.
+	start func(ctx context.Context)
+	// leave runs at shutdown before the listener drains, seal after.
+	leave, seal func()
+}
+
+// run is the daemon's one skeleton for every mode: bind and answer 503
+// while the role boots (a restarting cache replays its WAL meanwhile),
+// serve the role's handler until SIGINT/SIGTERM, then leave, drain the
+// listener and seal.
+func run(site config.Site, rf runFlags) error {
+	// A master has no repository, no cache and no persistence — just the
+	// routing control plane.
+	boot := func(site config.Site) (*node, error) { return bootMaster(site), nil }
+	if site.FleetMode() != config.ModeMaster {
+		repo, err := site.OpenRepo()
+		if err != nil {
+			return err
+		}
+		boot = func(site config.Site) (*node, error) { return bootCache(site, repo, rf) }
+	}
+
 	var handler atomic.Pointer[http.Handler]
 	recovering := server.RecoveringHandler()
 	handler.Store(&recovering)
@@ -227,184 +259,159 @@ func main() {
 	}
 	ln, err := net.Listen("tcp", site.Addr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "landlordd: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	log.Printf("landlordd: listening on %s", ln.Addr())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
-	var srv *server.Server
-	var store *persist.Store
-	if site.StateDir != "" {
-		store, err = persist.Open(site.StateDir, site.PersistOptions())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "landlordd: %v\n", err)
-			os.Exit(1)
-		}
-		s, rep, err := server.NewPersistent(repo, site.CoreConfig(repo), store, site.CheckpointEveryRequests)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "landlordd: %v\n", err)
-			os.Exit(1)
-		}
-		for _, warn := range rep.Warnings {
-			log.Printf("landlordd: recovery warning: %s", warn)
-		}
-		log.Printf("landlordd: recovered state from %s: %s", site.StateDir, rep)
-		srv = s
-	} else {
-		srv, err = server.New(repo, site.CoreConfig(repo))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "landlordd: %v\n", err)
-			os.Exit(1)
-		}
+	site.Addr = ln.Addr().String()
+	n, err := boot(site)
+	if err != nil {
+		return err
 	}
-
-	if site.MaxInflight > 0 {
-		srv.SetMaxInflight(site.MaxInflight)
-		log.Printf("landlordd: bounding concurrent cache requests at %d (max_inflight)", site.MaxInflight)
-	}
-	if site.ShedderEnabled() {
-		srv.SetAdmission(site.ShedderConfig())
-		log.Printf("landlordd: admission control on (shed_rate=%g shed_burst=%d shed_queue_depth=%d)",
-			site.ShedRate, site.ShedBurst, site.ShedQueueDepth)
-	}
-	stopProbe := func() {}
-	if store != nil && site.DegradedProbeInterval() > 0 {
-		stopProbe = srv.StartDegradedProbe(site.DegradedProbeInterval())
-		log.Printf("landlordd: degraded-mode heal probe every %v", site.DegradedProbeInterval())
-	}
-
-	// Agent mode: the cache daemon above is unchanged; the fleet agent
-	// rides alongside, registering with every master once the handler
-	// is live and heartbeating the image directory from then on. The
-	// agent's handler wraps the server's with the epoch gate, so
-	// forwards from a superseded master are refused instead of applied.
-	var fleetAgent *fleet.Agent
-	if site.FleetMode() == config.ModeAgent {
-		fleetAgent = newFleetAgent(site, srv)
-	}
-
 	mux := http.NewServeMux()
-	if fleetAgent != nil {
-		mux.Handle("/", fleetAgent.Handler())
-	} else {
-		mux.Handle("/", srv.Handler())
-	}
-	if *pprofOn {
+	mux.Handle("/", n.handler)
+	if rf.pprof {
 		mountPprof(mux)
 	}
 	var live http.Handler = mux
 	handler.Store(&live)
 
-	stopFleet := func() {}
-	if fleetAgent != nil {
-		stopFleet = startFleetAgent(site, fleetAgent)
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	n.start(ctx)
+	select {
+	case err := <-serveErr:
+		return err
+	case <-ctx.Done():
+	}
+	stop() // restore default signal handling: a second signal kills immediately
+	log.Printf("landlordd: shutdown signal received, draining (up to %v)", rf.drain)
+	n.leave()
+	drainCtx, cancel := context.WithTimeout(context.Background(), rf.drain)
+	defer cancel()
+	if err := httpSrv.Shutdown(drainCtx); err != nil {
+		log.Printf("landlordd: drain incomplete: %v", err)
+	}
+	n.seal()
+	return nil
+}
 
-	// Runtime metrics (goroutines, heap, GC pauses, uptime) are polled
-	// on the maintenance cadence rather than at scrape time, so a slow
-	// collector can never stall /metrics. The poller always runs — and
-	// on sharded sites the eviction balancer rides the same ticker, so
-	// budgets track load even when no prune schedule is configured; the
-	// prune-driven maintenance pass below stays config-gated.
-	runtimeMetrics := telemetry.NewRuntimeCollector(srv.Registry())
+// every runs fn on a ticker of period d until ctx ends.
+func every(ctx context.Context, d time.Duration, fn func()) {
 	go func() {
-		interval := maintenanceInterval(site.PruneEveryRequests)
-		ticker := time.NewTicker(interval)
+		ticker := time.NewTicker(d)
 		defer ticker.Stop()
 		for {
 			select {
 			case <-ctx.Done():
 				return
 			case <-ticker.C:
-				runtimeMetrics.Poll()
-				if site.Shards() > 1 {
-					if bal := srv.RebalanceNow(); bal.LastFreed > 0 {
-						log.Printf("landlordd: rebalance shrank hot shards by %s (pass %d)",
-							stats.FormatBytes(bal.LastFreed), bal.Rebalances)
-					}
-				}
+				fn()
 			}
 		}
 	}()
+}
 
-	if site.PruneEveryRequests > 0 {
-		interval := maintenanceInterval(site.PruneEveryRequests)
-		log.Printf("landlordd: maintenance pass every %v (prune_every_requests=%d)",
-			interval, site.PruneEveryRequests)
-		go func() {
-			ticker := time.NewTicker(interval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-					splits := srv.PruneNow(site.PruneUtilization, site.PruneMinServed)
-					if splits > 0 {
-						log.Printf("landlordd: maintenance pass split %d image(s)", splits)
-					}
-				}
-			}
-		}()
+// bootCache assembles the cache node (server.Open: recovery, max
+// inflight, admission, heal probe) and, in agent mode, the fleet agent
+// riding alongside it.
+func bootCache(site config.Site, repo *pkggraph.Repo, rf runFlags) (*node, error) {
+	srv, rep, err := server.Open(repo, site.ServerConfig(repo))
+	if err != nil {
+		return nil, err
+	}
+	if rep != nil {
+		for _, warn := range rep.Warnings {
+			log.Printf("landlordd: recovery warning: %s", warn)
+		}
+		log.Printf("landlordd: recovered state from %s: %s", site.StateDir, rep)
+	}
+	if site.MaxInflight > 0 {
+		log.Printf("landlordd: bounding concurrent cache requests at %d (max_inflight)", site.MaxInflight)
+	}
+	if site.ShedRate > 0 || site.ShedQueueDepth > 0 {
+		log.Printf("landlordd: admission control on (shed_rate=%g shed_burst=%d shed_queue_depth=%d)",
+			site.ShedRate, site.ShedBurst, site.ShedQueueDepth)
+	}
+	if site.StateDir != "" && site.DegradedProbeInterval() > 0 {
+		log.Printf("landlordd: degraded-mode heal probe every %v", site.DegradedProbeInterval())
 	}
 
-	if *statsEvery > 0 {
-		go func() {
-			ticker := time.NewTicker(*statsEvery)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-					log.Printf("landlordd: cache %s", statsLogLine(srv.StatsNow()))
-				}
-			}
-		}()
-	}
-
-	log.Printf("landlordd: serving %d-package repository (%s) on %s (alpha=%.2f, cache_shards=%d, pprof=%v)",
-		repo.Len(), stats.FormatBytes(repo.TotalSize()), ln.Addr(), *site.Alpha, site.Shards(), *pprofOn)
-
-	select {
-	case err := <-serveErr:
-		log.Fatalf("landlordd: %v", err)
-	case <-ctx.Done():
-		stop() // restore default signal handling: a second signal kills immediately
-		log.Printf("landlordd: shutdown signal received, draining (up to %v)", *drainWindow)
+	// Agent mode: the cache daemon is unchanged; the fleet agent rides
+	// alongside, registering with every master once the handler is live
+	// and heartbeating the image directory from then on. The agent's
+	// handler wraps the server's with the epoch gate, so forwards from a
+	// superseded master are refused instead of applied.
+	n := &node{handler: srv.Handler(), leave: func() {}}
+	var fleetAgent *fleet.Agent
+	stopFleet := func() {}
+	if site.FleetMode() == config.ModeAgent {
+		fleetAgent = newFleetAgent(site, srv)
+		n.handler = fleetAgent.Handler()
 		// Leave the fleet first, warm: the handoff plan pushes this
 		// agent's resident specs to its rendezvous successors, then
-		// deregistration moves the keyspace to the survivors — all
-		// before the listener closes, so no master forwards into a
-		// draining daemon and the departing cache's heat survives it.
+		// deregistration moves the keyspace to the survivors — all before
+		// the listener closes, so no master forwards into a draining
+		// daemon and the departing cache's heat survives it.
+		n.leave = func() {
+			drainFleetAgent(fleetAgent, rf.drain)
+			stopFleet()
+		}
+	}
+
+	n.start = func(ctx context.Context) {
 		if fleetAgent != nil {
-			drainFleetAgent(fleetAgent, *drainWindow)
+			stopFleet = startFleetAgent(site, fleetAgent)
 		}
-		stopFleet()
-		drainCtx, cancel := context.WithTimeout(context.Background(), *drainWindow)
-		defer cancel()
-		if err := httpSrv.Shutdown(drainCtx); err != nil {
-			log.Printf("landlordd: drain incomplete: %v", err)
+		// One maintenance loop. Runtime metrics (goroutines, heap, GC
+		// pauses, uptime) are polled here rather than at scrape time, so
+		// a slow collector can never stall /metrics; on sharded sites the
+		// eviction balancer rides the same tick, so budgets track load
+		// even when no prune schedule is configured; the prune pass is
+		// config-gated.
+		interval := maintenanceInterval(site.PruneEveryRequests)
+		if site.PruneEveryRequests > 0 {
+			log.Printf("landlordd: maintenance pass every %v (prune_every_requests=%d)",
+				interval, site.PruneEveryRequests)
 		}
-		stopProbe()
-		if store != nil {
-			// Seal the durable state: checkpoint the drained cache, so
-			// the next start recovers instantly from a compact log.
-			if info, err := srv.CheckpointNow(); err != nil {
-				log.Printf("landlordd: final checkpoint failed (WAL remains authoritative): %v", err)
-			} else {
-				log.Printf("landlordd: checkpointed %d image(s) as seq %d (%s)",
-					info.Images, info.Seq, stats.FormatBytes(info.Bytes))
+		runtimeMetrics := telemetry.NewRuntimeCollector(srv.Registry())
+		every(ctx, interval, func() {
+			runtimeMetrics.Poll()
+			if site.Shards() > 1 {
+				if bal := srv.RebalanceNow(); bal.LastFreed > 0 {
+					log.Printf("landlordd: rebalance shrank hot shards by %s (pass %d)",
+						stats.FormatBytes(bal.LastFreed), bal.Rebalances)
+				}
 			}
-			if err := store.Close(); err != nil {
-				log.Printf("landlordd: closing state store: %v", err)
+			if site.PruneEveryRequests > 0 {
+				if splits := srv.PruneNow(site.PruneUtilization, site.PruneMinServed); splits > 0 {
+					log.Printf("landlordd: maintenance pass split %d image(s)", splits)
+				}
 			}
+		})
+		if rf.statsEvery > 0 {
+			every(ctx, rf.statsEvery, func() {
+				log.Printf("landlordd: cache %s", statsLogLine(srv.StatsNow()))
+			})
+		}
+		log.Printf("landlordd: serving %d-package repository (%s) on %s (alpha=%.2f, cache_shards=%d, pprof=%v)",
+			repo.Len(), stats.FormatBytes(repo.TotalSize()), site.Addr, *site.Alpha, site.Shards(), rf.pprof)
+	}
+
+	// Seal the durable state: Close checkpoints the drained cache, so
+	// the next start recovers instantly from a compact log.
+	n.seal = func() {
+		info, err := srv.Close()
+		switch {
+		case err != nil:
+			log.Printf("landlordd: %v", err)
+		case site.StateDir != "":
+			log.Printf("landlordd: checkpointed %d image(s) as seq %d (%s)",
+				info.Images, info.Seq, stats.FormatBytes(info.Bytes))
 		}
 		log.Printf("landlordd: final %s", statsLogLine(srv.StatsNow()))
 	}
+	return n, nil
 }

@@ -22,19 +22,14 @@ var shardsFlag = flag.Int("shards", 4, "shard count for TestShardSoak (nightly r
 
 // TestCheckReplay is the reproduction entry point: a failure anywhere
 // in the harness prints `go test ./internal/check -run TestCheckReplay
-// -seed=N`, and this test re-runs the full schedule — in-memory suite,
-// the sharded-cache suite, the persistent disk-fault chaos runs (exact
+// -seed=N`, and this test re-runs the full schedule — the in-memory
+// suite (one-shard and sharded rows), the persistent disk-fault chaos runs (exact
 // and MinHash), the network-fault chaos run, and the fleet and HA chaos
 // runs (the default kill phase) — under that seed.
 func TestCheckReplay(t *testing.T) {
 	seed := *seedFlag
 	for _, cfg := range Suite(seed) {
 		if _, f := RunSim(cfg); f != nil {
-			t.Fatal(f)
-		}
-	}
-	for _, cfg := range ShardSuite(seed) {
-		if _, f := RunShardSim(cfg); f != nil {
 			t.Fatal(f)
 		}
 	}
@@ -102,17 +97,17 @@ func TestSimDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardSimDeterministic pins the sharded driver the same way: two
+// TestShardSimDeterministic pins the sharded rows the same way: two
 // runs of each canonical sharded config must report identically, and
 // the configs must actually exercise the balancer (a suite that never
 // rebalances would let the balance mutant survive).
 func TestShardSimDeterministic(t *testing.T) {
 	for _, cfg := range ShardSuite(*seedFlag) {
-		first, f := RunShardSim(cfg)
+		first, f := RunSim(cfg)
 		if f != nil {
 			t.Fatal(f)
 		}
-		second, f := RunShardSim(cfg)
+		second, f := RunSim(cfg)
 		if f != nil {
 			t.Fatal(f)
 		}

@@ -12,31 +12,28 @@ import (
 // measures every image from freshly signed id slices — so CI runs them
 // on their own under the race detector.
 
-// TestDifferentialEquivalence runs every MinHash row of the unsharded
-// and sharded suites: each request's op, target, post-state and victims
+// TestDifferentialEquivalence runs every MinHash row of the suite, one
+// shard and sharded: each request's op, target, post-state and victims
 // must be the oracle's, with CheckIntegrity (direct-kernel re-sign,
 // bitset round trip) after every step.
 func TestDifferentialEquivalence(t *testing.T) {
-	for i, cfg := range MinHashSuite(*seedFlag) {
+	sharded := 0
+	for i, cfg := range Suite(*seedFlag) {
+		if !cfg.MinHash {
+			continue
+		}
+		if cfg.Shards > 1 {
+			sharded++
+		}
 		rep, fail := RunSim(cfg)
 		if fail != nil {
 			t.Fatalf("MinHash row %d (%+v): %v", i, cfg, fail)
 		}
-		t.Logf("row %d: %d steps, %d images, hits=%d merges=%d inserts=%d, state %s",
-			i, rep.Steps, rep.Images, rep.Stats.Hits, rep.Stats.Merges, rep.Stats.Inserts, rep.StateHash[:12])
-	}
-	sharded := 0
-	for _, cfg := range ShardSuite(*seedFlag) {
-		if !cfg.MinHash {
-			continue
-		}
-		sharded++
-		if _, fail := RunShardSim(cfg); fail != nil {
-			t.Fatalf("sharded MinHash row (%+v): %v", cfg, fail)
-		}
+		t.Logf("row %d: %d shards, %d steps, %d images, hits=%d merges=%d inserts=%d, state %s",
+			i, max(cfg.Shards, 1), rep.Steps, rep.Images, rep.Stats.Hits, rep.Stats.Merges, rep.Stats.Inserts, rep.StateHash[:12])
 	}
 	if sharded == 0 {
-		t.Fatal("ShardSuite has no MinHash row")
+		t.Fatal("Suite has no sharded MinHash row")
 	}
 }
 

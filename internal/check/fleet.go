@@ -55,9 +55,9 @@ type fleetTopo struct {
 	agents  []*topoAgent
 	acks    ackLog // every spec acknowledged through the fleet
 
-	// In an HA fleet agent 0 keeps its WAL in dir and a read replica
-	// follows its stream.
-	store      *persist.Store
+	// In an HA fleet agent 0 is durable, its WAL in dir, and a read
+	// replica follows its stream.
+	durable    *server.Server
 	dir        string
 	replica    *persist.Follower
 	replicaMgr *core.ShardedManager
@@ -135,12 +135,13 @@ func (t *fleetTopo) bootDurable(a *topoAgent) error {
 		return err
 	}
 	t.dir = dir
-	if t.store, err = persist.Open(filepath.Join(dir, a.id), persist.Options{}); err != nil {
+	if a.srv, _, err = server.Open(t.repo, server.Config{
+		Core:     core.Config{Alpha: t.alpha},
+		StateDir: filepath.Join(dir, a.id),
+	}); err != nil {
 		return err
 	}
-	if a.srv, _, err = server.NewPersistent(t.repo, core.Config{Alpha: t.alpha}, t.store, 0); err != nil {
-		return err
-	}
+	t.durable = a.srv
 	if err := a.srv.EnableReplication(1); err != nil {
 		return err
 	}
@@ -176,10 +177,10 @@ func (t *fleetTopo) bootDurable(a *topoAgent) error {
 	return nil
 }
 
-// close releases the persistent agent's store and scratch directory.
+// close shuts the durable agent down and removes its scratch directory.
 func (t *fleetTopo) close() {
-	if t.store != nil {
-		t.store.Close()
+	if t.durable != nil {
+		t.durable.Close()
 	}
 	if t.dir != "" {
 		os.RemoveAll(t.dir)

@@ -13,8 +13,8 @@ import (
 // internal/server, internal/pkggraph, internal/persist or
 // internal/similarity (see their mutant_on.go). It
 // asserts the harness DETECTS the mutant: the staged suites —
-// unsharded simulation (exact rows, then MinHash rows), sharded
-// simulation, HA — must report a Failure before they run dry. It runs the
+// simulation (one-shard exact rows, one-shard MinHash rows, sharded
+// rows), HA — must report a Failure before they run dry. It runs the
 // stages twice and requires the two failures to be byte-identical — the
 // reproducibility the printed seed promises.
 //
@@ -75,7 +75,7 @@ func TestMutantSim(t *testing.T) {
 		return "", rep.Steps
 	}
 
-	// simStage is the unsharded simulation suite. Its replay audit —
+	// simStage is the simulation suite. Its replay audit —
 	// the logged mutations, encoded and decoded as the WAL would hold
 	// them, rebuild the live manager's state byte for byte — is the
 	// only check that reads a merge record's keys against the image the
@@ -121,9 +121,9 @@ func TestMutantSim(t *testing.T) {
 				return msg, requests
 			}
 		}
-		// The unsharded suite runs first, and there is one pipeline in
-		// it, so everything falls to the oracle or to the audits it runs
-		// after every request. The six Algorithm 1 mutants and the
+		// The suite's one-shard rows run first, and there is one
+		// pipeline in them, so everything falls to the oracle or to the
+		// audits it runs after every request. The six Algorithm 1 mutants and the
 		// interned-representation ones fall to its re-derivation over
 		// sorted id slices: superset, threshold, conflict, lru, capacity
 		// and touch as before; popcount when a skewed distance moves a
@@ -135,20 +135,13 @@ func TestMutantSim(t *testing.T) {
 		// kernel at the first MinHash insert. deltadrop and walscan are
 		// caught when the first row ends, by the replay audit. The
 		// sharding mutants (route, balance) are invisible to every
-		// unsharded row — none consults the router or the balancer —
-		// and fall to the sharded suite's route audit and budgets-sum
-		// audit.
+		// one-shard row — none consults the router or the balancer —
+		// and fall to the sharded rows' route audit and budgets-sum
+		// audit, which run last.
 		msg, n := simStage()
 		requests += n
 		if msg != "" {
 			return msg, requests
-		}
-		for _, cfg := range ShardSuite(*seedFlag) {
-			rep, f := RunShardSim(cfg)
-			requests += rep.Steps
-			if f != nil {
-				return f.Error(), requests
-			}
 		}
 		if mutant != "staleepoch" {
 			if msg, n := haStage(); msg != "" {
@@ -173,7 +166,7 @@ func TestMutantSim(t *testing.T) {
 	fmt.Printf("MUTANT_FAILURE %s: %s\n", mutant, first)
 
 	// route breaks the term table both routing levels keep, so each
-	// level's audit must catch it on its own: the sharded suite's route
+	// level's audit must catch it on its own: the sharded rows' route
 	// audit above, and the fleet stage's term audit here.
 	if mutant == "route" {
 		msg, n := fleetStage()

@@ -143,7 +143,6 @@ func RunNetChaos(cfg NetChaosConfig) (NetChaosReport, *Failure) {
 	var rep NetChaosReport
 	var (
 		ffs    *FaultFS
-		store  *persist.Store
 		srv    *server.Server
 		client *server.Client // through the chaos transport
 		audit  *server.Client // clean path for invariant audits
@@ -164,19 +163,23 @@ func RunNetChaos(cfg NetChaosConfig) (NetChaosReport, *Failure) {
 
 	// bootLife opens the store and recovers the server under one fault
 	// plan. An error here can be an injected boot-time fault, which the
-	// caller retries with a clean plan.
+	// caller retries with a clean plan. Admission control is generous
+	// enough that steady traffic flows, tight enough that bursts (the
+	// audit loop, retry storms) shed.
 	bootLife := func(plan FaultPlan) error {
 		ffs = NewFaultFS(plan)
 		var err error
-		store, err = persist.Open(cfg.Dir, persist.Options{
-			FS:           ffs,
-			SyncPolicy:   persist.FsyncAlways,
-			SegmentBytes: 16 << 10,
+		srv, _, err = server.Open(repo, server.Config{
+			Core:     mcfg,
+			StateDir: cfg.Dir,
+			Persist: persist.Options{
+				FS:           ffs,
+				SyncPolicy:   persist.FsyncAlways,
+				SegmentBytes: 16 << 10,
+			},
+			CheckpointEvery: 25,
+			Admission:       resilience.ShedderConfig{Rate: 2000, Burst: 64},
 		})
-		if err != nil {
-			return err
-		}
-		srv, _, err = server.NewPersistent(repo, mcfg, store, 25)
 		return err
 	}
 
@@ -194,9 +197,6 @@ func RunNetChaos(cfg NetChaosConfig) (NetChaosReport, *Failure) {
 				return failf(cfg.Seed, step, "netchaos: clean recovery failed: %v", err)
 			}
 		}
-		// Admission control generous enough that steady traffic flows,
-		// tight enough that bursts (the audit loop, retry storms) shed.
-		srv.SetAdmission(resilience.ShedderConfig{Rate: 2000, Burst: 64})
 		net.register("server", srv.Handler())
 
 		client = server.NewClient(nodeURL("server"), &http.Client{Transport: chaos})
@@ -256,7 +256,7 @@ func RunNetChaos(cfg NetChaosConfig) (NetChaosReport, *Failure) {
 	if f := boot(0); f != nil {
 		return rep, dump(f)
 	}
-	defer func() { store.Close() }()
+	defer func() { srv.Close() }()
 
 	event := func(mean int) bool {
 		return mean > 0 && rng.Float64() < 1/float64(mean)
@@ -272,12 +272,10 @@ func RunNetChaos(cfg NetChaosConfig) (NetChaosReport, *Failure) {
 		// fault), probe. FaultFS faults are one-shot, so a heal usually
 		// lands; a heal that hits another armed fault stays degraded and
 		// is retried next time.
-		if store.Err() != nil {
-			if err := srv.ProbeDegradedNow(); err == nil {
-				rep.Heals++
-				if !srv.Ready() {
-					return rep, dump(failf(cfg.Seed, step, "netchaos: healed server not ready"))
-				}
+		if healed, _ := srv.ProbeDegradedNow(); healed {
+			rep.Heals++
+			if !srv.Ready() {
+				return rep, dump(failf(cfg.Seed, step, "netchaos: healed server not ready"))
 			}
 		}
 

@@ -13,21 +13,25 @@ import (
 
 // SimConfig parameterizes one deterministic chaos run. Everything
 // derives from Seed: the repository, the request stream, the schedule
-// of checkpoints, prunes and crashes, and the fault plans. The same
-// config always produces the same SimReport or the same Failure.
+// of checkpoints, rebalances, prunes and crashes, and the fault plans.
+// The same config always produces the same SimReport or the same
+// Failure.
 type SimConfig struct {
 	Seed  int64
 	Steps int // requests to issue
+	// Shards is the cache's shard count (0 or 1: one shard).
+	Shards int
 	// Alpha is the merge threshold; CapacityFrac sizes the cache as a
-	// fraction of the repository's total bytes (0 = unlimited).
+	// fraction of the repository's total bytes (0 = unlimited); the
+	// balancer divides it across shards.
 	Alpha        float64
 	CapacityFrac float64
 	// Conflicts enables the single-version conflict policy (every
 	// package family exclusive).
 	Conflicts bool
-	// MinHash runs the manager with the default MinHash prefilter (band
-	// index as the merge scan's candidate source) and the oracle in
-	// margin mode.
+	// MinHash runs the cache with the default MinHash prefilter (band
+	// index as the merge scan's candidate source) and every shard's
+	// oracle in margin mode.
 	MinHash bool
 	// UniformOnly draws every fresh spec from the adversarial
 	// uniform-random scheme (no dependency structure, merging defeated).
@@ -35,10 +39,11 @@ type SimConfig struct {
 	// Dir, when non-empty, runs the simulation over a persistent store
 	// (WAL + checkpoints) rooted there, with fsync=always semantics.
 	Dir string
-	// CheckpointEvery / PruneEvery / CrashEvery are mean gaps, in
-	// requests, between the respective events (0 disables). Crashes
-	// and checkpoints require Dir.
+	// CheckpointEvery / RebalanceEvery / PruneEvery / CrashEvery are
+	// mean gaps, in requests, between the respective events (0
+	// disables). Crashes and checkpoints require Dir.
 	CheckpointEvery int
+	RebalanceEvery  int
 	PruneEvery      int
 	CrashEvery      int
 	// Faults arms a seeded FaultPlan each process life: injected write
@@ -49,13 +54,15 @@ type SimConfig struct {
 // SimReport summarizes a clean run. Two runs of the same config must
 // report identically — TestSimDeterministic compares these wholesale.
 type SimReport struct {
-	Steps     int
-	Stats     core.Stats
-	Images    int
-	Crashes   int
-	Injected  int
-	Acked     int // mutations covered by an acknowledged request
-	StateHash string
+	Steps      int
+	Stats      core.Stats
+	Images     int
+	Rebalances int64 // balancer passes
+	Evicted    int64 // images the balancer's shrink passes evicted
+	Crashes    int
+	Injected   int
+	Acked      int // mutations covered by an acknowledged request
+	StateHash  string
 }
 
 // simCapacity derives the byte capacity from the repository.
@@ -87,29 +94,48 @@ func simPlan(rng *rand.Rand) FaultPlan {
 }
 
 // Suite returns the canonical in-memory simulation configurations the
-// replay and mutant tests run: a merge-heavy run without conflicts
-// (exercising the α boundary and eviction under pressure) and a
-// conflict-policy run (exercising the conflict scan, where merges are
-// rare) — together every operation type within 1000 requests — then the
-// MinHash rows: the same merge-heavy shape with the band index as
-// candidate source (α+margin = 0.85), an adversarial uniform-random
-// stream (dense unstructured specs, α+margin = 1 exactly), and a
-// conflict run whose α+margin > 1 forces the linear margin scan. On
-// every request of those the oracle's index-free margin scan must pick
-// the image production's banded bitset scan picked.
+// replay and mutant tests run. First the one-shard rows: a merge-heavy
+// run without conflicts (exercising the α boundary and eviction under
+// pressure) and a conflict-policy run (exercising the conflict scan,
+// where merges are rare) — together every operation type within 1000
+// requests — then the MinHash rows (MinHashSuite), then the sharded
+// rows (ShardSuite).
 func Suite(seed int64) []SimConfig {
-	return append([]SimConfig{
+	rows := append([]SimConfig{
 		{Seed: seed, Steps: 500, Alpha: 0.6, CapacityFrac: 0.3, PruneEvery: 90},
 		{Seed: seed, Steps: 500, Alpha: 0.8, CapacityFrac: 0.5, Conflicts: true, PruneEvery: 90},
 	}, MinHashSuite(seed)...)
+	return append(rows, ShardSuite(seed)...)
 }
 
-// MinHashSuite returns Suite's MinHash rows on their own.
+// MinHashSuite returns Suite's one-shard MinHash rows: the merge-heavy
+// shape with the band index as candidate source (α+margin = 0.85), an
+// adversarial uniform-random stream (dense unstructured specs, α+margin
+// = 1 exactly), and a conflict run whose α+margin > 1 forces the linear
+// margin scan. On every request of those the oracle's index-free margin
+// scan must pick the image production's banded bitset scan picked.
 func MinHashSuite(seed int64) []SimConfig {
 	return []SimConfig{
 		{Seed: seed, Steps: 200, Alpha: 0.6, CapacityFrac: 0.3, MinHash: true, PruneEvery: 90},
 		{Seed: seed, Steps: 150, Alpha: 0.75, MinHash: true, UniformOnly: true},
 		{Seed: seed, Steps: 150, Alpha: 0.8, CapacityFrac: 0.5, Conflicts: true, MinHash: true},
+	}
+}
+
+// ShardSuite returns Suite's sharded rows: a merge-heavy run under byte
+// pressure with frequent rebalances (the regime where the balancer
+// works and budgets move), and a higher-alpha run at a different shard
+// count (coprime with the first, so residue-class bugs cannot hide in a
+// common divisor). Together they issue 1000 requests — the detection
+// budget for the sharding mutants (route, balance). The last row is
+// MinHash across four shards: the shards share one hasher (and its
+// probe index), each has a band index of its own, and each is checked
+// by a margin-mode oracle.
+func ShardSuite(seed int64) []SimConfig {
+	return []SimConfig{
+		{Seed: seed, Steps: 500, Shards: 4, Alpha: 0.6, CapacityFrac: 0.3, RebalanceEvery: 50, PruneEvery: 90},
+		{Seed: seed, Steps: 500, Shards: 3, Alpha: 0.8, CapacityFrac: 0.25, RebalanceEvery: 40},
+		{Seed: seed, Steps: 200, Shards: 4, Alpha: 0.6, CapacityFrac: 0.3, MinHash: true},
 	}
 }
 
@@ -129,11 +155,19 @@ func ChaosSuite(seed int64, dir string) []SimConfig {
 	return []SimConfig{exact, minhash}
 }
 
-// RunSim executes the chaos schedule: a single goroutine interleaving
-// oracle-validated requests with checkpoints, prune passes, and — when
-// persistence is on — injected filesystem faults and simulated
-// crashes, each followed by recovery and a durability audit. It
-// returns a nil Failure on a clean run.
+// RunSim executes the chaos schedule on the cache that serves,
+// core.ShardedManager at cfg.Shards shards: a single goroutine
+// interleaving oracle-validated requests with audited rebalances,
+// checkpoints, prune passes and — when persistence is on — injected
+// filesystem faults and simulated crashes, each followed by recovery
+// and a durability audit. Every request is routed by the production
+// router (ShardFor) and validated by that shard's Oracle against the
+// shard's pre-state; the ShardShadow checks the commit stream; every
+// Rebalance is followed by the budgets-sum audit (budgets must sum
+// exactly to the global capacity — the identity that makes the global
+// byte bound the sum of per-shard bounds). The run ends with the
+// shadow's finals and a full replay of the mutation stream into a
+// fresh cache. It returns a nil Failure on a clean run.
 func RunSim(cfg SimConfig) (SimReport, *Failure) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	repo := SmallRepo(cfg.Seed)
@@ -142,8 +176,9 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 		stream.UniformProb = 1
 	}
 	capacity := simCapacity(repo, cfg.CapacityFrac)
+	n := max(cfg.Shards, 1)
 
-	mcfg := core.Config{Alpha: cfg.Alpha, Capacity: capacity}
+	mcfg := core.Config{Alpha: cfg.Alpha, Capacity: capacity, Shards: n}
 	if cfg.Conflicts {
 		mcfg.Conflicts = spec.NewSingleVersionPolicy(repo)
 	}
@@ -154,69 +189,61 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 	var rep SimReport
 	persistent := cfg.Dir != ""
 
-	// One process life: the manager, its validating hook chain
-	// (oracle around, shadow inside, store last), and the durability
-	// bookkeeping for the next crash audit.
+	// One process life: the cache, its validating hook chain (a
+	// per-shard oracle around each shard, the shadow inside, the store
+	// last), and the durability bookkeeping for the next crash audit.
 	var (
-		mgr    *core.Manager
-		store  *persist.Store
-		ffs    *FaultFS
-		shadow *ShardShadow
-		oracle *Oracle
-		base   core.ManagerState // state this life started from
-		acked  int               // shadow mutations covered by acked requests
+		sm      *core.ShardedManager
+		store   *persist.Store
+		ffs     *FaultFS
+		shadow  *ShardShadow
+		oracles []*Oracle
+		base    core.ManagerState // state this life started from
+		acked   int               // shadow mutations covered by acked requests
 	)
 
-	// newShadow builds a life's one-shard shadow in front of next.
-	newShadow := func(next core.CommitHook) *ShardShadow {
-		sh := NewShardShadow(repo, 1, cfg.Seed, next)
-		if capacity > 0 {
-			sh.SetBudgets([]int64{capacity})
-		}
-		return sh
-	}
-
-	// boot starts a life at global request index step: open the store
-	// (over a fresh FaultFS with a seeded plan), recover, and install
-	// the validation chain.
+	// boot starts a life at global request index step: in memory a
+	// fresh cache; with a store, open it (over a fresh FaultFS with a
+	// seeded plan) and recover. Then install the validation chain.
 	boot := func(step int) *Failure {
-		if !persistent {
-			var err error
-			mgr, err = core.NewManager(repo, mcfg)
-			if err != nil {
-				return failf(cfg.Seed, step, "manager: %v", err)
-			}
-			shadow = newShadow(nil)
-			mgr.SetCommitHook(shadow)
-			oracle = NewOracle(mgr, cfg.Seed)
-			oracle.StartAt(step)
-			return nil
-		}
-		var plan FaultPlan
-		if cfg.Faults {
-			plan = simPlan(rng)
-		}
-		ffs = NewFaultFS(plan)
+		var next core.CommitHook
 		var err error
-		store, err = persist.Open(cfg.Dir, persist.Options{
-			FS:           ffs,
-			SyncPolicy:   persist.FsyncAlways,
-			SegmentBytes: 16 << 10, // small segments exercise rotation
-		})
-		if err != nil {
-			return failf(cfg.Seed, step, "opening store: %v", err)
+		if persistent {
+			var plan FaultPlan
+			if cfg.Faults {
+				plan = simPlan(rng)
+			}
+			ffs = NewFaultFS(plan)
+			store, err = persist.Open(cfg.Dir, persist.Options{
+				FS:           ffs,
+				SyncPolicy:   persist.FsyncAlways,
+				SegmentBytes: 16 << 10, // small segments exercise rotation
+			})
+			if err != nil {
+				return failf(cfg.Seed, step, "opening store: %v", err)
+			}
+			if sm, _, err = store.RecoverSharded(repo, mcfg); err != nil {
+				return failf(cfg.Seed, step, "recovery: %v", err)
+			}
+			next = store
+		} else if sm, err = core.NewSharded(repo, mcfg); err != nil {
+			return failf(cfg.Seed, step, "sharded manager: %v", err)
 		}
-		m, _, err := store.Recover(repo, mcfg)
-		if err != nil {
-			return failf(cfg.Seed, step, "recovery: %v", err)
-		}
-		mgr = m
-		base = mgr.ExportState()
-		shadow = newShadow(mgr.CommitHook())
+		base = sm.ExportState()
+		shadow = NewShardShadow(repo, n, cfg.Seed, next)
 		shadow.LoadState(base)
-		mgr.SetCommitHook(shadow)
-		oracle = NewOracle(mgr, cfg.Seed)
-		oracle.StartAt(step)
+		if capacity > 0 {
+			shadow.SetBudgets(sm.Budgets())
+		}
+		sm.SetCommitHook(shadow)
+		// The driver is single-goroutine, so the oracles may drive the
+		// shards' managers directly.
+		oracles = oracles[:0]
+		sm.WithExclusiveAll(func(ms []*core.Manager) {
+			for _, m := range ms {
+				oracles = append(oracles, NewOracle(m, cfg.Seed))
+			}
+		})
 		acked = 0
 		return nil
 	}
@@ -250,6 +277,26 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 		return nil
 	}
 
+	auditBudgets := func(step int) *Failure {
+		if capacity <= 0 {
+			return nil
+		}
+		budgets := sm.Budgets()
+		var sum int64
+		for i, b := range budgets {
+			if b <= 0 {
+				return failf(cfg.Seed, step, "balancer left shard %d with non-positive budget %d", i, b)
+			}
+			sum += b
+		}
+		if sum != capacity {
+			return failf(cfg.Seed, step, "shard budgets %v sum to %d, want exactly the global capacity %d",
+				budgets, sum, capacity)
+		}
+		shadow.SetBudgets(budgets)
+		return nil
+	}
+
 	if f := boot(0); f != nil {
 		return rep, f
 	}
@@ -264,11 +311,23 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 				return rep, f
 			}
 		}
+		if event(cfg.RebalanceEvery) {
+			sm.Rebalance()
+			if f := auditBudgets(step); f != nil {
+				return rep, f
+			}
+			if err := sm.CheckIntegrity(); err != nil {
+				return rep, failf(cfg.Seed, step, "integrity after rebalance: %v", err)
+			}
+			if f := shadow.Err(); f != nil {
+				return rep, f
+			}
+		}
 		if event(cfg.PruneEvery) {
-			if _, err := mgr.Prune(0.5, 2); err != nil {
+			if _, err := sm.Prune(0.5, 2); err != nil {
 				return rep, failf(cfg.Seed, step, "prune: %v", err)
 			}
-			if err := mgr.CheckIntegrity(); err != nil {
+			if err := sm.CheckIntegrity(); err != nil {
 				return rep, failf(cfg.Seed, step, "integrity after prune: %v", err)
 			}
 			if f := shadow.Err(); f != nil {
@@ -276,14 +335,20 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 			}
 		}
 		if persistent && event(cfg.CheckpointEvery) {
-			if _, err := store.Checkpoint(mgr.ExportState()); err == nil {
+			if _, err := store.Checkpoint(sm.ExportState()); err == nil {
 				acked = shadow.Len()
 			}
 			// A failed checkpoint (injected fault) leaves stale files
 			// recovery tolerates; nothing to do.
 		}
 
-		if _, f := oracle.Step(stream.Next()); f != nil {
+		s := stream.Next()
+		shard := sm.ShardFor(s)
+		if shard < 0 || shard >= n {
+			return rep, failf(cfg.Seed, step, "router returned shard %d outside [0,%d)", shard, n)
+		}
+		oracles[shard].StartAt(step)
+		if _, f := oracles[shard].Step(s); f != nil {
 			return rep, f
 		}
 		if f := shadow.Err(); f != nil {
@@ -300,7 +365,10 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 	if f := shadow.Final(); f != nil {
 		return rep, f
 	}
-	live := mgr.ExportState()
+	if f := auditBudgets(cfg.Steps); f != nil {
+		return rep, f
+	}
+	live := sm.ExportState()
 	if err := shadow.VerifyState(mcfg, base, live); err != nil {
 		return rep, failf(cfg.Seed, cfg.Steps, "%v", err)
 	}
@@ -310,11 +378,13 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 		if f := crash(cfg.Steps); f != nil {
 			return rep, f
 		}
-		live = mgr.ExportState()
+		live = sm.ExportState()
 	}
 
-	rep.Stats = mgr.Stats()
-	rep.Images = mgr.Len()
+	bal := sm.BalancerStats()
+	rep.Stats = sm.Stats()
+	rep.Images = sm.Len()
+	rep.Rebalances, rep.Evicted = bal.Rebalances, bal.Evicted
 	rep.StateHash = StateHash(live)
 	if persistent {
 		rep.Injected += ffs.Injected()
@@ -327,7 +397,7 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 // no acknowledged request lost, no state invented.
 func verifyPrefix(repo *pkggraph.Repo, mcfg core.Config, base core.ManagerState, muts []core.Mutation, ackedLen int, recovered core.ManagerState) error {
 	mcfg.Commit = nil
-	replayer, err := core.NewManager(repo, mcfg)
+	replayer, err := core.NewSharded(repo, mcfg)
 	if err != nil {
 		return err
 	}
@@ -337,8 +407,7 @@ func verifyPrefix(repo *pkggraph.Repo, mcfg core.Config, base core.ManagerState,
 		}
 	}
 	match := func() bool {
-		if replayer.Clock() != recovered.Clock ||
-			replayer.Len() != len(recovered.Images) ||
+		if replayer.Len() != len(recovered.Images) ||
 			replayer.Stats().Requests != recovered.Stats.Requests {
 			return false
 		}

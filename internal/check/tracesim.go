@@ -93,22 +93,18 @@ func RunTraceSim(cfg TraceSimConfig) (TraceSimReport, *Failure) {
 	stream := NewStream(repo, cfg.Seed+1)
 	var rep TraceSimReport
 
-	store, err := persist.Open(cfg.Dir, persist.Options{
-		SyncPolicy:   persist.FsyncAlways,
-		SegmentBytes: 16 << 10,
+	// Admission generous enough that nothing sheds (serial traffic),
+	// but armed, so every trace carries an admission span.
+	srv, _, err := server.Open(repo, server.Config{
+		Core:      core.Config{Alpha: cfg.Alpha, Capacity: simCapacity(repo, cfg.CapacityFrac)},
+		StateDir:  cfg.Dir,
+		Persist:   persist.Options{SyncPolicy: persist.FsyncAlways, SegmentBytes: 16 << 10},
+		Admission: resilience.ShedderConfig{Rate: 1 << 20, Burst: 1 << 20},
 	})
-	if err != nil {
-		return rep, failf(cfg.Seed, 0, "tracesim: opening store: %v", err)
-	}
-	defer store.Close()
-	mcfg := core.Config{Alpha: cfg.Alpha, Capacity: simCapacity(repo, cfg.CapacityFrac)}
-	srv, _, err := server.NewPersistent(repo, mcfg, store, 0)
 	if err != nil {
 		return rep, failf(cfg.Seed, 0, "tracesim: booting server: %v", err)
 	}
-	// Admission generous enough that nothing sheds (serial traffic),
-	// but armed, so every trace carries an admission span.
-	srv.SetAdmission(resilience.ShedderConfig{Rate: 1 << 20, Burst: 1 << 20})
+	defer srv.Close()
 
 	// The logical clock: every tracer timestamp is the next tick of a
 	// shared counter. Requests are strictly serial, so the sequence of

@@ -17,6 +17,7 @@ import (
 	"repro/internal/persist"
 	"repro/internal/pkggraph"
 	"repro/internal/resilience"
+	"repro/internal/server"
 	"repro/internal/spec"
 	"repro/internal/stats"
 )
@@ -105,16 +106,12 @@ type Site struct {
 	// 1000ms).
 	DegradedProbeIntervalMS int `json:"degraded_probe_interval_ms"`
 
-	// Client resilience defaults for tooling built against this site:
-	// the retry-budget deposit ratio (retries per initial request a
-	// sustained brown-out may cost, default 0.2) and the circuit
-	// breaker around every exchange (consecutive failures to open,
-	// cool-down, half-open probe count). Zero values take the
-	// internal/resilience defaults.
-	RetryBudget     float64 `json:"retry_budget"`
-	BreakerFailures int     `json:"breaker_failures"`
-	BreakerOpenMS   int     `json:"breaker_open_ms"`
-	BreakerProbes   int     `json:"breaker_probes"`
+	// The master's per-agent forward breakers (master mode): consecutive
+	// failures to open, cool-down, half-open probe count. Zero values
+	// take the internal/resilience defaults.
+	BreakerFailures int `json:"breaker_failures"`
+	BreakerOpenMS   int `json:"breaker_open_ms"`
+	BreakerProbes   int `json:"breaker_probes"`
 
 	// Fleet deployment (internal/fleet). Mode selects the daemon role:
 	// "" or "standalone" serves the local cache directly; "master"
@@ -263,9 +260,6 @@ func (s Site) Validate() error {
 	}
 	if s.DegradedProbeIntervalMS < 0 {
 		return fmt.Errorf("degraded_probe_interval_ms must be non-negative")
-	}
-	if s.RetryBudget < 0 || s.RetryBudget > 1 {
-		return fmt.Errorf("retry_budget %v out of range [0,1]", s.RetryBudget)
 	}
 	if s.BreakerFailures < 0 || s.BreakerOpenMS < 0 || s.BreakerProbes < 0 {
 		return fmt.Errorf("breaker_* values must be non-negative")
@@ -417,18 +411,23 @@ func (s Site) FleetAgentConfig(gen uint64) fleet.AgentConfig {
 	}
 }
 
-// ShedderEnabled reports whether the site configures admission control.
-func (s Site) ShedderEnabled() bool {
-	return s.ShedRate > 0 || s.ShedQueueDepth > 0
-}
-
-// ShedderConfig assembles the admission-control configuration. Only
-// meaningful when ShedderEnabled.
-func (s Site) ShedderConfig() resilience.ShedderConfig {
-	return resilience.ShedderConfig{
-		Rate:       s.ShedRate,
-		Burst:      s.ShedBurst,
-		QueueDepth: s.ShedQueueDepth,
+// ServerConfig assembles the cache node server.Open builds: the cache,
+// the state directory and its durability options, the checkpoint
+// cadence, the max-inflight bound, admission control (armed by
+// shed_rate or shed_queue_depth) and the heal-probe cadence.
+func (s Site) ServerConfig(repo *pkggraph.Repo) server.Config {
+	return server.Config{
+		Core:            s.CoreConfig(repo),
+		StateDir:        s.StateDir,
+		Persist:         s.PersistOptions(),
+		CheckpointEvery: s.CheckpointEveryRequests,
+		MaxInflight:     s.MaxInflight,
+		Admission: resilience.ShedderConfig{
+			Rate:       s.ShedRate,
+			Burst:      s.ShedBurst,
+			QueueDepth: s.ShedQueueDepth,
+		},
+		ProbeInterval: s.DegradedProbeInterval(),
 	}
 }
 
@@ -437,8 +436,8 @@ func (s Site) DegradedProbeInterval() time.Duration {
 	return time.Duration(s.DegradedProbeIntervalMS) * time.Millisecond
 }
 
-// BreakerConfig assembles the client circuit-breaker configuration the
-// site recommends; zero fields take the resilience defaults.
+// BreakerConfig assembles the master's per-agent forward-breaker
+// configuration; zero fields take the resilience defaults.
 func (s Site) BreakerConfig() resilience.BreakerConfig {
 	return resilience.BreakerConfig{
 		Failures: s.BreakerFailures,

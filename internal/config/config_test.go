@@ -105,9 +105,6 @@ func TestLoadErrors(t *testing.T) {
 	if _, err := Load(writeConfig(t, `{"degraded_probe_interval_ms": -1}`)); err == nil {
 		t.Error("negative degraded_probe_interval_ms accepted")
 	}
-	if _, err := Load(writeConfig(t, `{"retry_budget": 1.5}`)); err == nil {
-		t.Error("retry_budget > 1 accepted")
-	}
 	if _, err := Load(writeConfig(t, `{"breaker_open_ms": -1}`)); err == nil {
 		t.Error("negative breaker_open_ms accepted")
 	}
@@ -306,7 +303,6 @@ func TestResilienceConfig(t *testing.T) {
 		"shed_burst": 100,
 		"shed_queue_depth": 64,
 		"degraded_probe_interval_ms": 250,
-		"retry_budget": 0.3,
 		"breaker_failures": 4,
 		"breaker_open_ms": 2000,
 		"breaker_probes": 2
@@ -314,35 +310,44 @@ func TestResilienceConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.ShedderEnabled() {
-		t.Fatal("shedder not enabled")
-	}
-	sc := s.ShedderConfig()
+	sc := s.ServerConfig(nil).Admission
 	if sc.Rate != 500 || sc.Burst != 100 || sc.QueueDepth != 64 {
-		t.Fatalf("shedder config: %+v", sc)
+		t.Fatalf("admission config: %+v", sc)
 	}
-	if s.DegradedProbeInterval() != 250*time.Millisecond {
-		t.Errorf("probe interval = %v, want 250ms", s.DegradedProbeInterval())
+	if got := s.ServerConfig(nil).ProbeInterval; got != 250*time.Millisecond {
+		t.Errorf("probe interval = %v, want 250ms", got)
 	}
 	bc := s.BreakerConfig()
 	if bc.Failures != 4 || bc.OpenFor != 2*time.Second || bc.Probes != 2 {
 		t.Fatalf("breaker config: %+v", bc)
 	}
-	if s.RetryBudget != 0.3 {
-		t.Errorf("retry_budget = %v, want 0.3", s.RetryBudget)
-	}
 
 	// Defaults: no shedding, probe on at 1s, zero-value client knobs
 	// defer to internal/resilience defaults.
 	d := Default()
-	if d.ShedderEnabled() {
-		t.Error("default config sheds")
+	if sc := d.ServerConfig(nil).Admission; sc.Rate != 0 || sc.QueueDepth != 0 {
+		t.Errorf("default config sheds: %+v", sc)
 	}
 	if d.DegradedProbeInterval() != time.Second {
 		t.Errorf("default probe interval = %v, want 1s", d.DegradedProbeInterval())
 	}
 	if bc := d.BreakerConfig(); bc.Failures != 0 || bc.OpenFor != 0 || bc.Probes != 0 {
 		t.Errorf("default breaker config not zero: %+v", bc)
+	}
+}
+
+// TestRetiredRetryBudgetStillLoads: retry_budget configured nothing
+// and is gone from Site, but a site file that still sets it — to any
+// value — must keep loading, with the rest of the file applied.
+func TestRetiredRetryBudgetStillLoads(t *testing.T) {
+	for _, v := range []string{"0.2", "1.5"} {
+		s, err := Load(writeConfig(t, `{"retry_budget": `+v+`, "max_inflight": 4}`))
+		if err != nil {
+			t.Fatalf("retry_budget %s: %v", v, err)
+		}
+		if s.MaxInflight != 4 {
+			t.Errorf("retry_budget %s: max_inflight = %d, want 4", v, s.MaxInflight)
+		}
 	}
 }
 

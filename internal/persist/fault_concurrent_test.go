@@ -85,15 +85,16 @@ func TestConcurrentLoadSurvivesInjectedFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store2.Close()
-	mgr2, rec, err := store2.Recover(repo, mcfg)
+	mgr2, rec, err := store2.RecoverSharded(repo, mcfg)
 	if err != nil {
 		t.Fatalf("recovery from fault-damaged directory: %v", err)
 	}
 	if err := mgr2.CheckIntegrity(); err != nil {
 		t.Fatalf("recovered state is inconsistent: %v", err)
 	}
-	if got := mgr2.Clock(); got > preClock {
+	got := mgr2.ExportState().Clock
+	if got > preClock {
 		t.Fatalf("recovered clock %d exceeds pre-crash clock %d (recovery invented state)", got, preClock)
 	}
-	t.Logf("recovered clock %d of %d after %d injected fault(s); report: %+v", mgr2.Clock(), preClock, ffs.Injected(), rec)
+	t.Logf("recovered clock %d of %d after %d injected fault(s); report: %+v", got, preClock, ffs.Injected(), rec)
 }

@@ -17,7 +17,7 @@ type healHarness struct {
 	dir   string
 	ffs   *check.FaultFS
 	store *persist.Store
-	mgr   *core.Manager
+	mgr   *core.ShardedManager
 	cfg   core.Config
 }
 
@@ -32,7 +32,7 @@ func newHealHarness(t *testing.T, plan check.FaultPlan) (*healHarness, *check.St
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, _, err := store.Recover(repo, cfg)
+	mgr, _, err := store.RecoverSharded(repo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestHealClearsStickyAndTaint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store2.Close()
-	mgr2, _, err := store2.Recover(seedRepo, h.cfg)
+	mgr2, _, err := store2.RecoverSharded(seedRepo, h.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestFailedRotationTripsSticky(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	mgr, _, err := store.Recover(repo, cfg)
+	mgr, _, err := store.RecoverSharded(repo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -278,11 +278,11 @@ func TestWALBytesUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, _, err := st.Recover(repo, testConfig())
+	mgr, _, err := st.RecoverSharded(repo, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	hook := &recordingHook{t: t, next: mgr.CommitHook(), n: map[core.MutationKind]int{}}
+	hook := &recordingHook{t: t, next: st, n: map[core.MutationKind]int{}}
 	mgr.SetCommitHook(hook)
 	rng := rand.New(rand.NewSource(21))
 	for i := 0; i < 2000; i++ {
@@ -315,7 +315,7 @@ func TestWALBytesUnchanged(t *testing.T) {
 // referenceRecover is the replay loop recovery ran before it streamed:
 // each segment materialised by ReadSegment, then applied. Test-side
 // only, as the oracle for the streamed loop.
-func referenceRecover(t *testing.T, st *Store, mgr CacheReplayer) *RecoveryReport {
+func referenceRecover(t *testing.T, st *Store, mgr *core.ShardedManager) *RecoveryReport {
 	t.Helper()
 	segs, _, err := st.scan()
 	if err != nil {
@@ -364,7 +364,7 @@ func TestReplayStreamsInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, _, err := st.Recover(repo, cfg)
+	live, _, err := st.RecoverSharded(repo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestReplayStreamsInOrder(t *testing.T) {
 	damage(segs[1], func(b []byte) []byte { b[len(b)/3] ^= 0x10; return b })
 	damage(segs[len(segs)-1], func(b []byte) []byte { return b[:len(b)-5] })
 
-	ref, err := core.NewManager(repo, cfg)
+	ref, err := core.NewSharded(repo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestReplayStreamsInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	got, rep, err := st2.Recover(repo, cfg)
+	got, rep, err := st2.RecoverSharded(repo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,13 +428,13 @@ func TestReplayStreamsInOrder(t *testing.T) {
 // directory, positive — with the state still exact — when a key needs a
 // JSON escape and its records go through encoding/json both ways.
 func TestRecoveryCountsReferenceRecords(t *testing.T) {
-	recoverDir := func(dir string, repo *pkggraph.Repo, cfg core.Config) (*core.Manager, *RecoveryReport) {
+	recoverDir := func(dir string, repo *pkggraph.Repo, cfg core.Config) (*core.ShardedManager, *RecoveryReport) {
 		st, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { st.Close() })
-		mgr, rep, err := st.Recover(repo, cfg)
+		mgr, rep, err := st.RecoverSharded(repo, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,7 +446,7 @@ func TestRecoveryCountsReferenceRecords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mgr, _, err := st.Recover(repo, testConfig())
+		mgr, _, err := st.RecoverSharded(repo, testConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,19 +18,19 @@ import (
 )
 
 // Store ties the WAL and checkpoints together for one state
-// directory. Lifecycle: Open, Recover (which returns the reconstructed
-// Manager and installs the store as its commit hook), then Commit
-// flows mutations to the WAL until Close. Checkpoint compacts at any
-// point; the caller must hold whatever lock serializes access to the
-// Manager while exporting the state it passes in (the HTTP server
-// holds its request mutex, so commits and checkpoints never
+// directory. Lifecycle: Open, RecoverSharded (which returns the
+// reconstructed cache and installs the store as its commit hook), then
+// Commit flows mutations to the WAL until Close. Checkpoint compacts at
+// any point; the caller must hold whatever lock serializes access to
+// the cache while exporting the state it passes in (the HTTP server
+// holds every shard's write lock, so commits and checkpoints never
 // interleave).
 type Store struct {
 	dir  string
 	opts Options
 
 	mu       sync.Mutex
-	f        File   // open append segment; nil before Recover / after Close
+	f        File   // open append segment; nil before RecoverSharded / after Close
 	seq      uint64 // sequence number of the open segment
 	segBytes int64
 	lastSync time.Time
@@ -82,12 +82,12 @@ type pendingRec struct {
 }
 
 var (
-	errNotRecovered = errors.New("persist: store not recovered; call Recover before Commit")
+	errNotRecovered = errors.New("persist: store not recovered; call RecoverSharded before Commit")
 	errClosed       = errors.New("persist: store closed")
 )
 
 // Open prepares a store over dir, creating it if needed. No files are
-// opened until Recover.
+// opened until RecoverSharded.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := opts.FS.MkdirAll(dir, 0o755); err != nil {
@@ -123,7 +123,7 @@ func (st *Store) Err() error {
 	return st.sticky
 }
 
-// RecoveryReport describes what Recover found and did.
+// RecoveryReport describes what RecoverSharded found and did.
 type RecoveryReport struct {
 	Duration         time.Duration
 	CheckpointSeq    uint64 // 0 when no checkpoint was loaded
@@ -198,58 +198,22 @@ func (st *Store) scan() (segs, ckpts []uint64, err error) {
 	return segs, ckpts, nil
 }
 
-// CacheReplayer is the cache surface recovery drives: bulk state
-// import from a checkpoint plus record-at-a-time mutation replay from
-// the WAL tail. Both *core.Manager and *core.ShardedManager satisfy
-// it, so one recovery loop serves the unsharded and sharded caches.
-type CacheReplayer interface {
-	ImportState(core.ManagerState) error
-	// ApplyMutation must not keep the mutation's Packages or Added slice
-	// past the call: recovery decodes the next record into them.
-	ApplyMutation(core.Mutation) error
-}
-
-// Recover rebuilds a Manager from the newest valid checkpoint plus the
-// WAL tail, installs the store as the manager's commit hook
-// (overriding any hook already in cfg), and opens a fresh segment for
-// subsequent commits. It never fails on corrupt state — the report's
-// Warnings say what was skipped — only on I/O errors reaching the
-// directory or invalid cfg.
-func (st *Store) Recover(repo *pkggraph.Repo, cfg core.Config) (*core.Manager, *RecoveryReport, error) {
-	cfg.Commit = st
-	c, rep, err := st.RecoverWith(func() (CacheReplayer, error) { return core.NewManager(repo, cfg) })
-	if err != nil {
-		return nil, nil, err
-	}
-	return c.(*core.Manager), rep, nil
-}
-
-// RecoverSharded is Recover for the sharded cache: it rebuilds a
-// ShardedManager with cfg.Shards shards from the same checkpoint + WAL
-// state directory. Checkpoints partition by ImageID mod shards
-// (strided ID allocation makes the owner recoverable from the ID with
-// no format change), so a directory written by a shards=1 daemon
-// reloads into any shard count and vice versa — though changing the
-// count across a restart re-homes only *new* images, so resident
-// images stop matching the router until they age out; keep cache_shards
-// stable for full hit retention.
-func (st *Store) RecoverSharded(repo *pkggraph.Repo, cfg core.Config) (*core.ShardedManager, *RecoveryReport, error) {
-	cfg.Commit = st
-	c, rep, err := st.RecoverWith(func() (CacheReplayer, error) { return core.NewSharded(repo, cfg) })
-	if err != nil {
-		return nil, nil, err
-	}
-	return c.(*core.ShardedManager), rep, nil
-}
-
-// RecoverWith is the generic recovery loop under Recover and
-// RecoverSharded. newCache must return a fresh, empty cache on every
-// call: recovery constructs one per checkpoint candidate (abandoning
-// the half-imported cache when a checkpoint is unreadable or rejected)
-// and a final empty one when no checkpoint loads. The constructor is
-// responsible for wiring this store as the cache's commit hook; a
-// constructor error is fatal (invalid configuration), unlike corrupt
-// state, which only warns.
+// RecoverSharded rebuilds the cache — a ShardedManager with
+// cfg.Shards shards — from the newest valid checkpoint plus the WAL
+// tail, installs the store as its commit hook (overriding any hook
+// already in cfg), and opens a fresh segment for subsequent commits. It
+// never fails on corrupt state — the report's Warnings say what was
+// skipped — only on I/O errors reaching the directory or invalid cfg.
+//
+// Checkpoints partition by ImageID mod shards (strided ID allocation
+// makes the owner recoverable from the ID with no format change), so a
+// directory written at one shard count reloads into any other — though
+// changing the count across a restart re-homes only *new* images, so
+// resident images stop matching the router until they age out; keep
+// cache_shards stable for full hit retention. Recovery builds one
+// cache per checkpoint candidate (abandoning the half-imported cache
+// when a checkpoint is unreadable or rejected) and a final empty one
+// when no checkpoint loads.
 //
 // WAL ordering under sharding: every shard's commit hook fires under
 // that shard's stamping lock, so the log is a merge of per-shard
@@ -264,12 +228,13 @@ func (st *Store) RecoverSharded(repo *pkggraph.Repo, cfg core.Config) (*core.Sha
 // of them is missing (a corrupt segment skipped), the image's later
 // deltas are refused and counted in RecordsSkipped rather than applied
 // to the wrong base.
-func (st *Store) RecoverWith(newCache func() (CacheReplayer, error)) (CacheReplayer, *RecoveryReport, error) {
+func (st *Store) RecoverSharded(repo *pkggraph.Repo, cfg core.Config) (*core.ShardedManager, *RecoveryReport, error) {
+	cfg.Commit = st
 	start := time.Now()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.f != nil {
-		return nil, nil, errors.New("persist: Recover called twice")
+		return nil, nil, errors.New("persist: RecoverSharded called twice")
 	}
 
 	segs, ckpts, err := st.scan()
@@ -279,7 +244,7 @@ func (st *Store) RecoverWith(newCache func() (CacheReplayer, error)) (CacheRepla
 	rep := &RecoveryReport{}
 
 	// Newest checkpoint that both parses and imports wins.
-	var mgr CacheReplayer
+	var mgr *core.ShardedManager
 	var ckptSeq uint64
 	for i := len(ckpts) - 1; i >= 0; i-- {
 		seq := ckpts[i]
@@ -288,7 +253,7 @@ func (st *Store) RecoverWith(newCache func() (CacheReplayer, error)) (CacheRepla
 			rep.warn("checkpoint %d unreadable: %v", seq, err)
 			continue
 		}
-		m, err := newCache()
+		m, err := core.NewSharded(repo, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -305,11 +270,9 @@ func (st *Store) RecoverWith(newCache func() (CacheReplayer, error)) (CacheRepla
 		break
 	}
 	if mgr == nil {
-		m, err := newCache()
-		if err != nil {
+		if mgr, err = core.NewSharded(repo, cfg); err != nil {
 			return nil, nil, err
 		}
-		mgr = m
 	}
 
 	// Replay segments not covered by the checkpoint, oldest first.
@@ -333,7 +296,8 @@ func (st *Store) RecoverWith(newCache func() (CacheReplayer, error)) (CacheRepla
 			continue
 		}
 		// Each record is applied as it is decoded, out of storage the
-		// next record overwrites: a segment is never held in memory.
+		// next record overwrites (ApplyMutation keeps neither key slice):
+		// a segment is never held in memory.
 		readErr := sr.each(f, func(mut core.Mutation) {
 			if err := mgr.ApplyMutation(mut); err != nil {
 				rep.RecordsSkipped++
@@ -806,10 +770,5 @@ func (st *Store) RegisterMetrics(reg *telemetry.Registry, rep *RecoveryReport) {
 		})
 }
 
-// ensure Store satisfies the hook interface and both cache flavors
-// satisfy the recovery interface.
-var (
-	_ core.CommitHook = (*Store)(nil)
-	_ CacheReplayer   = (*core.Manager)(nil)
-	_ CacheReplayer   = (*core.ShardedManager)(nil)
-)
+// ensure Store satisfies the hook interface.
+var _ core.CommitHook = (*Store)(nil)

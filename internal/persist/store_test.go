@@ -86,7 +86,7 @@ func buildWALRun(t *testing.T, requests, pruneEvery int) *walRun {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	live, rep, err := st.Recover(repo, cfg)
+	live, rep, err := st.RecoverSharded(repo, cfg)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -151,7 +151,7 @@ func buildWALRun(t *testing.T, requests, pruneEvery int) *walRun {
 	}
 
 	// Reference state after each record prefix.
-	replay, err := core.NewManager(repo, cfg)
+	replay, err := core.NewSharded(repo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestCrashRecoveryEveryTruncation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mgr, rep, err := st.Recover(run.repo, run.cfg)
+		mgr, rep, err := st.RecoverSharded(run.repo, run.cfg)
 		if err != nil {
 			t.Fatalf("cut %d: Recover: %v", cut, err)
 		}
@@ -253,7 +253,7 @@ func TestCrashRecoveryEveryBitFlip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mgr, rep, err := st.Recover(run.repo, run.cfg)
+		mgr, rep, err := st.RecoverSharded(run.repo, run.cfg)
 		if err != nil {
 			t.Fatalf("flip at %d: Recover: %v", off, err)
 		}
@@ -286,7 +286,7 @@ func TestTornTailAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	mgr, rep, err := st.Recover(run.repo, run.cfg)
+	mgr, rep, err := st.RecoverSharded(run.repo, run.cfg)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -312,7 +312,7 @@ func TestCheckpointCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, _, err := st.Recover(repo, cfg)
+	live, _, err := st.RecoverSharded(repo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestCheckpointCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	mgr, rep, err := st2.Recover(repo, cfg)
+	mgr, rep, err := st2.RecoverSharded(repo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestRecoverFallsBackPastBadCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, _, err := st.Recover(repo, cfg)
+	live, _, err := st.RecoverSharded(repo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestRecoverFallsBackPastBadCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	mgr, rep, err := st2.Recover(repo, cfg)
+	mgr, rep, err := st2.RecoverSharded(repo, cfg)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -470,7 +470,7 @@ func TestFsyncPolicies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			live, _, err := st.Recover(repo, cfg)
+			live, _, err := st.RecoverSharded(repo, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -490,7 +490,7 @@ func TestFsyncPolicies(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer st2.Close()
-			mgr, _, err := st2.Recover(repo, cfg)
+			mgr, _, err := st2.RecoverSharded(repo, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -518,10 +518,10 @@ func TestStoreLifecycleErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st2.Recover(repo, testConfig()); err != nil {
+	if _, _, err := st2.RecoverSharded(repo, testConfig()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st2.Recover(repo, testConfig()); err == nil {
+	if _, _, err := st2.RecoverSharded(repo, testConfig()); err == nil {
 		t.Error("second Recover succeeded")
 	}
 	if err := st2.Close(); err != nil {
@@ -541,7 +541,7 @@ func TestRegisterMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	live, rep, err := st.Recover(repo, testConfig())
+	live, rep, err := st.RecoverSharded(repo, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,7 +600,7 @@ func TestRecoveryOf10kImages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.Recover(repo, cfg); err != nil {
+	if _, _, err := st.RecoverSharded(repo, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Checkpoint(state); err != nil {
@@ -624,7 +624,7 @@ func TestRecoveryOf10kImages(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	mgr, rep, err := st2.Recover(repo, cfg)
+	mgr, rep, err := st2.RecoverSharded(repo, cfg)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -745,7 +745,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	m2, _, err := st2.Recover(repo, cfg)
+	m2, _, err := st2.RecoverSharded(repo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -767,7 +767,7 @@ func TestRecoverRefusesDeltasAfterHole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, _, err := st.Recover(repo, cfg)
+	live, _, err := st.RecoverSharded(repo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -830,7 +830,7 @@ func TestRecoverRefusesDeltasAfterHole(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	rec, rep, err := st2.Recover(repo, cfg)
+	rec, rep, err := st2.RecoverSharded(repo, cfg)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -911,7 +911,7 @@ func TestRecoverPreDeltaStateDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	mgr, rep, err := st.Recover(testRepo(t, 24, 10), core.Config{Alpha: 0.75, Capacity: 200})
+	mgr, rep, err := st.RecoverSharded(testRepo(t, 24, 10), core.Config{Alpha: 0.75, Capacity: 200})
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}

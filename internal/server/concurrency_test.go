@@ -94,7 +94,7 @@ func TestReadOnlyEndpointsTakeNoWriteLock(t *testing.T) {
 // traffic flow again.
 func TestMaxInflightBoundsRequests(t *testing.T) {
 	srv, client := concurrentService(t, core.Config{Alpha: 0.6})
-	srv.SetMaxInflight(1)
+	srv.setMaxInflight(1)
 
 	// Occupy the only slot, as an in-flight request would.
 	srv.sem <- struct{}{}
@@ -131,15 +131,16 @@ func TestMaxInflightBoundsRequests(t *testing.T) {
 // the cache's shard locks, group commit, single-flight checkpoints.
 func TestConcurrentHTTPPipeline(t *testing.T) {
 	dir := t.TempDir()
-	store, err := persist.Open(dir, persist.Options{SyncPolicy: persist.FsyncAlways})
+	srv, _, err := Open(testRepo(t), Config{
+		Core:            core.Config{Alpha: 0.6},
+		StateDir:        dir,
+		Persist:         persist.Options{SyncPolicy: persist.FsyncAlways},
+		CheckpointEvery: 25,
+		MaxInflight:     4,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, _, err := NewPersistent(testRepo(t), core.Config{Alpha: 0.6}, store, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetMaxInflight(4)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -178,13 +179,13 @@ func TestConcurrentHTTPPipeline(t *testing.T) {
 	if want := int64(workers * perWorker); st.Requests != want {
 		t.Errorf("served %d requests, want %d", st.Requests, want)
 	}
-	if err := store.Err(); err != nil {
+	if err := srv.store.Err(); err != nil {
 		t.Errorf("store degraded: %v", err)
 	}
 	ts.Close()
 
 	// Everything acknowledged must be visible after a restart.
-	if err := store.Close(); err != nil {
+	if err := srv.store.Close(); err != nil {
 		t.Fatal(err)
 	}
 	store2, err := persist.Open(dir, persist.Options{})

@@ -2,55 +2,44 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 
 	"repro/internal/core"
 	"repro/internal/persist"
 	"repro/internal/pkggraph"
-	"repro/internal/telemetry"
 )
 
-// NewPersistent creates a Server whose cache state is durable: the
-// manager is recovered from the store's checkpoint + WAL, the store is
-// installed as the manager's commit hook, and the durability metrics
-// join the server's registry. checkpointEvery > 0 compacts the log
-// after that many requests; zero leaves checkpointing to shutdown and
-// explicit POST /v1/checkpoint calls.
-//
-// If recovery replayed a WAL tail, the state is checkpointed
-// immediately, so the next restart starts from a compact log.
+// NewPersistent creates a Server whose cache state is durable over an
+// already opened store: Open's assembly with only the core config and
+// the checkpoint cadence set.
 func NewPersistent(repo *pkggraph.Repo, cfg core.Config, store *persist.Store, checkpointEvery int) (*Server, *persist.RecoveryReport, error) {
-	reg := telemetry.NewRegistry()
-	sm, rep, err := store.RecoverSharded(repo, cfg)
+	return open(repo, Config{Core: cfg, CheckpointEvery: checkpointEvery}, store)
+}
+
+// Close shuts the node down: it stops the heal probe, checkpoints a
+// durable cache — so the next Open recovers from a compact log — and
+// closes its store. It returns that final checkpoint; a memory-only
+// server has nothing to seal and returns the zero CheckpointInfo.
+func (s *Server) Close() (persist.CheckpointInfo, error) {
+	s.stopProbe()
+	if s.store == nil {
+		return persist.CheckpointInfo{}, nil
+	}
+	info, err := s.CheckpointNow()
 	if err != nil {
-		return nil, nil, err
+		err = fmt.Errorf("final checkpoint failed (WAL remains authoritative): %w", err)
 	}
-	s := &Server{repo: repo, reg: reg, ring: telemetry.NewRing(EventRingSize), cmgr: sm, store: store, ckptEvery: checkpointEvery,
-		decoder: NewRequestDecoder(reg, RequestBodyLimit(repo))}
-	s.initTracing()
-	s.registerRequestMetrics()
-	s.registerCacheMetrics()
-	s.registerShardMetrics()
-	s.registerContentionMetrics()
-	s.registerResilienceMetrics()
-	store.RegisterMetrics(reg, rep)
-	if rep.RecordsReplayed > 0 {
-		var ckptErr error
-		sm.WithExclusiveAll(func(ms []*core.Manager) {
-			_, ckptErr = store.Checkpoint(core.MergedState(ms))
-		})
-		if ckptErr != nil {
-			return nil, nil, ckptErr
-		}
+	if cerr := s.store.Close(); cerr != nil {
+		err = errors.Join(err, fmt.Errorf("closing state store: %w", cerr))
 	}
-	return s, rep, nil
+	return info, err
 }
 
 var errNoStore = errors.New("server: no persistence configured")
 
 // CheckpointNow durably checkpoints the cache state and compacts the
-// WAL. It fails with an error when the server was built without a
-// store (New rather than NewPersistent).
+// WAL. It fails with an error when the server has no store.
 func (s *Server) CheckpointNow() (persist.CheckpointInfo, error) {
 	if s.store == nil {
 		return persist.CheckpointInfo{}, errNoStore

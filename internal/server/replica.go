@@ -23,7 +23,7 @@ import (
 // design.
 
 // EnableReplication attaches a WAL streamer with stream identity id.
-// Requires a persistent server (NewPersistent); call before Handler
+// Requires a durable server (one with a state dir); call before Handler
 // and before serving traffic.
 func (s *Server) EnableReplication(id uint64) error {
 	if s.store == nil {

@@ -112,12 +112,12 @@ func (h *health) count() int64 {
 	return h.transitions
 }
 
-// SetAdmission installs server-side admission control: requests are
+// setAdmission installs server-side admission control: requests are
 // refused with 429 + Retry-After before they queue on the inflight
 // semaphore, so a saturated server stays responsive instead of
 // stacking goroutines until max_inflight back-pressure turns into
-// client timeouts. Call before serving.
-func (s *Server) SetAdmission(cfg resilience.ShedderConfig) {
+// client timeouts.
+func (s *Server) setAdmission(cfg resilience.ShedderConfig) {
 	s.shedder = resilience.NewShedder(cfg)
 	s.reg.GaugeFunc("landlord_shed_requests_total",
 		"Requests refused by admission control, by reason", func() float64 {
@@ -129,8 +129,7 @@ func (s *Server) SetAdmission(cfg resilience.ShedderConfig) {
 		func() float64 { return float64(s.shedder.Inflight()) })
 }
 
-// registerResilienceMetrics exposes the serve-state machine. Called
-// from both constructors.
+// registerResilienceMetrics exposes the serve-state machine.
 func (s *Server) registerResilienceMetrics() {
 	s.reg.GaugeFunc("landlord_serve_state",
 		"Serve state: 0 healthy, 1 shedding, 2 degraded, 3 recovering",
@@ -242,25 +241,22 @@ func (s *Server) StartDegradedProbe(interval time.Duration) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// ProbeDegradedNow runs one heal probe if the store is failing,
-// returning the store's health afterwards (nil = healthy). Safe to
-// call at any time; a healthy store is a no-op.
-func (s *Server) ProbeDegradedNow() error {
-	if s.store == nil {
-		return nil
-	}
-	if err := s.store.Err(); err == nil {
-		return nil
+// ProbeDegradedNow runs one heal probe if the store is failing. It
+// reports whether the probe healed a failing store, and the store's
+// health afterwards (nil = healthy). Safe to call at any time; a
+// healthy store is a no-op.
+func (s *Server) ProbeDegradedNow() (healed bool, err error) {
+	if s.store == nil || s.store.Err() == nil {
+		return false, nil
 	}
 	s.transition(StateRecovering)
-	var healErr error
 	s.cmgr.WithExclusiveAll(func(ms []*core.Manager) {
-		healErr = s.store.Heal(core.MergedState(ms))
+		err = s.store.Heal(core.MergedState(ms))
 	})
-	if healErr != nil {
+	if err != nil {
 		s.transition(StateDegraded)
-		return healErr
+		return false, err
 	}
 	s.transition(StateHealthy)
-	return nil
+	return true, nil
 }

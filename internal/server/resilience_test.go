@@ -72,7 +72,7 @@ func postRequest(t testing.TB, url string, body RequestBody) *http.Response {
 func TestAdmissionControlShedsByRate(t *testing.T) {
 	clk := newFakeClock()
 	srv, ts := resilientService(t, core.Config{Alpha: 0.6})
-	srv.SetAdmission(resilience.ShedderConfig{Rate: 1, Burst: 2, Now: clk.Now})
+	srv.setAdmission(resilience.ShedderConfig{Rate: 1, Burst: 2, Now: clk.Now})
 
 	body := RequestBody{Packages: []string{"libA/1.0/p"}, Close: true}
 	for i := 0; i < 2; i++ {
@@ -128,7 +128,7 @@ func (g *gatedReader) Read(p []byte) (int, error) {
 // can pile onto the inflight semaphore.
 func TestAdmissionControlShedsByQueueDepth(t *testing.T) {
 	srv, ts := resilientService(t, core.Config{Alpha: 0.6})
-	srv.SetAdmission(resilience.ShedderConfig{QueueDepth: 1})
+	srv.setAdmission(resilience.ShedderConfig{QueueDepth: 1})
 
 	gate := make(chan struct{})
 	firstDone := make(chan error, 1)
@@ -398,7 +398,7 @@ func TestDegradedModeLifecycle(t *testing.T) {
 	}
 
 	// A probe while the disk is still dead fails and re-enters degraded.
-	if err := srv.ProbeDegradedNow(); err == nil {
+	if _, err := srv.ProbeDegradedNow(); err == nil {
 		t.Fatal("heal probe succeeded against a dead disk")
 	}
 	if got := srv.ServeStateNow(); got != StateDegraded {
@@ -407,8 +407,8 @@ func TestDegradedModeLifecycle(t *testing.T) {
 
 	// Disk returns: the probe heals, taint clears, service resumes.
 	tfs.fail.Store(false)
-	if err := srv.ProbeDegradedNow(); err != nil {
-		t.Fatalf("heal probe after recovery: %v", err)
+	if healed, err := srv.ProbeDegradedNow(); err != nil || !healed {
+		t.Fatalf("heal probe after recovery: healed=%v err=%v", healed, err)
 	}
 	if got := srv.ServeStateNow(); got != StateHealthy {
 		t.Fatalf("serve state after heal = %v, want healthy", got)

@@ -13,7 +13,7 @@
 // their package keys, so with more than one shard even slow-path
 // traffic proceeds in parallel across shards. Read-only endpoints
 // (/v1/stats, /v1/images, the cache gauges on /metrics) ride the read
-// path and never block request traffic. SetMaxInflight optionally
+// path and never block request traffic. Config.MaxInflight optionally
 // bounds concurrently processed requests.
 package server
 
@@ -41,7 +41,7 @@ import (
 const EventRingSize = 4096
 
 // Server wraps a sharded concurrent cache behind an HTTP API. Create
-// with New, mount via Handler.
+// with Open, mount via Handler, stop with Close.
 type Server struct {
 	repo *pkggraph.Repo
 	reg  *telemetry.Registry
@@ -63,20 +63,21 @@ type Server struct {
 	// limit derived from repo.
 	decoder *RequestDecoder
 	// sem, when non-nil, bounds concurrently processed /v1/request
-	// calls (SetMaxInflight). Acquire = send, release = receive.
+	// calls (Config.MaxInflight). Acquire = send, release = receive.
 	sem chan struct{}
-	// Durability (nil/zero without NewPersistent): the WAL+checkpoint
-	// store, the checkpoint-every-N-requests threshold, the number of
-	// requests served since the last successful checkpoint, and the
-	// single-flight latch that keeps concurrent threshold-crossers from
-	// piling up behind one checkpoint.
+	// Durability (nil/zero without a store): the WAL+checkpoint store,
+	// the checkpoint-every-N-requests threshold, the number of requests
+	// served since the last successful checkpoint, the single-flight
+	// latch that keeps concurrent threshold-crossers from piling up
+	// behind one checkpoint, and the heal probe's stop.
 	store     *persist.Store
 	ckptEvery int
 	sinceCkpt atomic.Int64
 	ckptBusy  atomic.Bool
+	stopProbe func()
 
 	// Overload protection (resilience.go): optional admission control
-	// installed by SetAdmission, and the serve-state machine
+	// (Config.Admission), and the serve-state machine
 	// (healthy/shedding/degraded/recovering) driving /v1/readyz,
 	// degraded-mode serving, and the state:* events.
 	shedder *resilience.Shedder
@@ -87,37 +88,104 @@ type Server struct {
 	streamer *persist.Streamer
 }
 
-// New creates a Server with a fresh Manager. The server installs its
-// own telemetry: every served request becomes one event in a bounded
-// ring buffer (served by /v1/events) and one observation in the
-// per-operation latency histograms.
-func New(repo *pkggraph.Repo, cfg core.Config) (*Server, error) {
-	reg := telemetry.NewRegistry()
-	cmgr, err := core.NewSharded(repo, cfg)
-	if err != nil {
-		return nil, err
+// Config is everything Open assembles a cache node from. Each field is
+// a value the site file already carries; config.Site.ServerConfig
+// builds it.
+type Config struct {
+	// Core configures the cache: shards, α, capacity, MinHash.
+	Core core.Config
+	// StateDir, when non-empty, makes the cache durable: Open opens the
+	// store there with Persist and recovers the cache from it.
+	StateDir string
+	Persist  persist.Options
+	// CheckpointEvery > 0 compacts the log after that many requests;
+	// zero leaves checkpointing to Close and POST /v1/checkpoint.
+	CheckpointEvery int
+	// MaxInflight > 0 bounds how many /v1/request calls are processed
+	// concurrently; excess requests queue.
+	MaxInflight int
+	// Admission arms admission control when its Rate or QueueDepth is
+	// positive.
+	Admission resilience.ShedderConfig
+	// ProbeInterval > 0 runs the degraded-mode heal probe at that
+	// cadence on a durable server.
+	ProbeInterval time.Duration
+}
+
+// Open assembles a cache node: the cache (recovered from cfg.StateDir
+// when set), its telemetry — every served request becomes one event in
+// a bounded ring buffer (served by /v1/events) and one observation in
+// the per-operation latency histograms — and the configured
+// max-inflight bound, admission control and heal probe. The report is
+// nil for a memory-only node. Close shuts the node down.
+func Open(repo *pkggraph.Repo, cfg Config) (*Server, *persist.RecoveryReport, error) {
+	if cfg.StateDir == "" {
+		return open(repo, cfg, nil)
 	}
-	s := &Server{repo: repo, reg: reg, ring: telemetry.NewRing(EventRingSize), cmgr: cmgr,
-		decoder: NewRequestDecoder(reg, RequestBodyLimit(repo))}
+	store, err := persist.Open(cfg.StateDir, cfg.Persist)
+	if err != nil {
+		return nil, nil, err
+	}
+	s, rep, err := open(repo, cfg, store)
+	if err != nil {
+		store.Close()
+	}
+	return s, rep, err
+}
+
+// New creates a memory-only Server over a fresh cache.
+func New(repo *pkggraph.Repo, cfg core.Config) (*Server, error) {
+	s, _, err := open(repo, Config{Core: cfg}, nil)
+	return s, err
+}
+
+// open is the one assembly under Open, New and NewPersistent. With a
+// store the cache is recovered from its checkpoint + WAL and the store
+// becomes the cache's commit hook; a replayed WAL tail is checkpointed
+// at once, so the next restart starts from a compact log.
+func open(repo *pkggraph.Repo, cfg Config, store *persist.Store) (*Server, *persist.RecoveryReport, error) {
+	reg := telemetry.NewRegistry()
+	s := &Server{repo: repo, reg: reg, ring: telemetry.NewRing(EventRingSize), store: store,
+		ckptEvery: cfg.CheckpointEvery, decoder: NewRequestDecoder(reg, RequestBodyLimit(repo)),
+		stopProbe: func() {}}
+	var rep *persist.RecoveryReport
+	var err error
+	if store != nil {
+		s.cmgr, rep, err = store.RecoverSharded(repo, cfg.Core)
+	} else {
+		s.cmgr, err = core.NewSharded(repo, cfg.Core)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
 	s.initTracing()
 	s.registerRequestMetrics()
 	s.registerCacheMetrics()
 	s.registerShardMetrics()
 	s.registerContentionMetrics()
 	s.registerResilienceMetrics()
-	return s, nil
+	if store != nil {
+		store.RegisterMetrics(reg, rep)
+		if rep.RecordsReplayed > 0 {
+			if _, err := s.CheckpointNow(); err != nil {
+				return nil, nil, err
+			}
+		}
+		s.stopProbe = s.StartDegradedProbe(cfg.ProbeInterval)
+	}
+	if cfg.MaxInflight > 0 {
+		s.setMaxInflight(cfg.MaxInflight)
+	}
+	if cfg.Admission.Rate > 0 || cfg.Admission.QueueDepth > 0 {
+		s.setAdmission(cfg.Admission)
+	}
+	return s, rep, nil
 }
 
-// SetMaxInflight bounds how many /v1/request calls are processed
+// setMaxInflight bounds how many /v1/request calls are processed
 // concurrently; excess requests queue on the semaphore (or fail with
-// 503 when the client gives up first). n <= 0 removes the bound. Call
-// before serving — it is not safe to change while requests are in
-// flight.
-func (s *Server) SetMaxInflight(n int) {
-	if n <= 0 {
-		s.sem = nil
-		return
-	}
+// 503 when the client gives up first).
+func (s *Server) setMaxInflight(n int) {
 	sem := make(chan struct{}, n)
 	s.sem = sem
 	s.reg.GaugeFunc("landlord_inflight_requests",

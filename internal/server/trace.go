@@ -20,7 +20,7 @@ const (
 
 // initTracing wires the span pipeline into a freshly constructed
 // server: the tail-sampling ring, the tracer feeding it, and the
-// retention metrics. Shared by New and NewPersistent.
+// retention metrics.
 func (s *Server) initTracing() {
 	s.traces = telemetry.NewTraceRing(TraceRingSlow, TraceRingInteresting)
 	s.spans = telemetry.NewSpanTracer(s.traces)
