@@ -48,7 +48,13 @@ bench:
 # replaced made 6). Framing a WAL record — a 322-key insert or a touch —
 # into the store's reused buffer must not allocate at all, and replaying
 # a segment of 10,000 touch records may allocate the reader and its
-# buffers (8 at most) but nothing per record. A traced hit — one shard,
+# buffers (8 at most) but nothing per record. Replaying the closure
+# mix's merge-heavy MinHash tail (2,000 requests after a checkpoint) as
+# one pass stays at its reading of 5,299 allocations (5,400 at most;
+# per-record replay read 10,752): a merge is applied as a delta and each
+# surviving image settled once, so a union, signature or scratch
+# allocated per record again breaks the bound (DESIGN.md §6). A traced
+# hit — one shard,
 # RequestCtx with a live span trace on the context, every span and
 # attribute recorded into the pooled trace's reused storage — may
 # allocate only the context that carries the trace. Signing a spec into a
@@ -74,6 +80,7 @@ bench-guard:
 	$(GO) test -run '^$$' -bench '^BenchmarkClosure$$' -benchmem -benchtime 2000x . | $(call alloc_guard,BenchmarkClosure,1)
 	$(GO) test -run '^$$' -bench '^BenchmarkEncodeRecord$$' -benchmem -benchtime 2000x ./internal/persist | $(call alloc_guard,BenchmarkEncodeRecord)
 	$(GO) test -run '^$$' -bench '^BenchmarkReplaySegment$$' -benchmem -benchtime 100x ./internal/persist | $(call alloc_guard,BenchmarkReplaySegment,8)
+	$(GO) test -run '^$$' -bench '^BenchmarkReplayMerges$$' -benchmem -benchtime 5x ./internal/persist | $(call alloc_guard,BenchmarkReplayMerges,5400)
 	$(GO) test -run '^$$' -bench '^BenchmarkSignInto$$' -benchmem -benchtime 2000x ./internal/similarity | $(call alloc_guard,BenchmarkSignInto)
 	$(GO) test -run '^$$' -bench '^BenchmarkProbeIndexBuild$$' -benchmem -benchtime 100x ./internal/similarity | $(call alloc_guard,BenchmarkProbeIndexBuild,3)
 	$(GO) test -run '^$$' -bench '^BenchmarkLSHUpdate$$' -benchmem -benchtime 20000x ./internal/similarity | $(call alloc_guard,BenchmarkLSHUpdate)
@@ -108,14 +115,15 @@ fuzz:
 # simulation suite (one-shard and sharded rows, exact and MinHash,
 # every request validated by the oracle — the one reference for
 # Algorithm 1, in exact and in margin mode) and scaled-down soaks under
-# the race detector, the mutant self-test (each of the eighteen seeded
+# the race detector, the mutant self-test (each of the twenty seeded
 # bugs — six Algorithm 1 clauses, the route-fold and budget-balancing
 # mutants, the three interned-path mutants intern/popcount/lshmiss, the
 # HA epoch-fencing mutant staleepoch, the mirror-index mutant
 # staleindex, the request-scanner mutant reqscan, the merge-record
 # mutant deltadrop, the closure-union mutant closuredrop, the
-# record-scanner mutant walscan, and the signing mutant probeskip —
-# must be caught reproducibly: the Algorithm 1 six, intern, popcount
+# record-scanner mutant walscan, the signing mutant probeskip, the
+# replay-pass mutant replaystale and the record-encoder mutant
+# deltaoverlap — must be caught reproducibly: the Algorithm 1 six, intern, popcount
 # and lshmiss by the oracle's re-derivation (lshmiss in a MinHash row,
 # where the oracle's index-free margin scan takes the merge the dropped
 # band candidate hid), probeskip by CheckIntegrity's re-sign with the
@@ -125,9 +133,13 @@ fuzz:
 # the HA stage's first lease isolation, staleindex within the fleet
 # stage's eviction audit, reqscan at the first escaped body and
 # closuredrop at the first close:true body of a fault-free
-# network-chaos stage, deltadrop and walscan by the replayed-state
-# byte-identity audit that ends the first simulation), and one CLI
-# chaos pass. `landlord-check sim` runs the sharded rows too. The
+# network-chaos stage, deltadrop, walscan and deltaoverlap by the
+# replayed-state byte-identity audit that ends the first simulation
+# (deltaoverlap by the replay pass's settle check inside it),
+# replaystale by the CheckIntegrity after the first crash of the
+# persistent MinHash chaos row; replaystale and deltaoverlap each again
+# by the two-shard persistent MinHash row on its own, whose crash audit
+# compares shard by shard), and one CLI chaos pass. `landlord-check sim` runs the sharded rows too. The
 # first grep is a tripwire: the second decision pipeline, the middle
 # manager type, the second shadow, the master's sorted-key dictionary,
 # the per-request event hook beside the spans, and the seams only the
@@ -136,14 +148,15 @@ fuzz:
 # reader) and the second site model (the in-process cluster simulator,
 # its dispatch stage, delta transfers and per-site gauges), the second
 # simulation driver and the site's admission switch were folded away
-# and must not grow back. The second keeps the harnesses on the
+# and must not grow back, nor the per-record replay signature scratch
+# (replaySig) that the replay pass replaced (DESIGN.md §6). The second keeps the harnesses on the
 # in-memory network: no listener, no test server. The last two keep
 # every cache node on the one assembly, server.Open: no command opens a
 # store, recovers a server or starts a heal probe by hand, and no
 # harness builds a durable server around a store it opened itself.
 check:
-	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits|SetTracer|telemetry\.Tracer\b|newEvent|opTracer|timelineTracer|SetPaused|TransportFor|ChaosProxy|ReadHAState|repro/internal/cluster|StageClusterDispatch|cluster_dispatch|DeltaSite|landlord_site_|RunShardSim|ShardSimConfig|ShardSimReport|ShedderEnabled' --include='*.go' --exclude-dir=.bench_build . \
-		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, §10 for the route dictionary, §9 for the event hook, §7 for the harness seams, the site model and the simulation driver, §6 for the node assembly)"; exit 1; }
+	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits|SetTracer|telemetry\.Tracer\b|newEvent|opTracer|timelineTracer|SetPaused|TransportFor|ChaosProxy|ReadHAState|repro/internal/cluster|StageClusterDispatch|cluster_dispatch|DeltaSite|landlord_site_|RunShardSim|ShardSimConfig|ShardSimReport|ShedderEnabled|replaySig' --include='*.go' --exclude-dir=.bench_build . \
+		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, §10 for the route dictionary, §9 for the event hook, §7 for the harness seams, the site model and the simulation driver, §6 for the node assembly and the replay pass)"; exit 1; }
 	@! grep -nE 'net\.Listen|httptest\.' $$(ls internal/check/*.go | grep -v '_test\.go$$') \
 		|| { echo "check: a harness in internal/check opens a socket; run it on the in-memory network (DESIGN.md §7)"; exit 1; }
 	@! grep -nE 'persist\.Open\(|NewPersistent\(|StartDegradedProbe\(' $$(find cmd -name '*.go' ! -name '*_test.go') \

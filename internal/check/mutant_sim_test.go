@@ -98,6 +98,23 @@ func TestMutantSim(t *testing.T) {
 	// rows in which a band index is consulted and a signature signed.
 	minhashStage := func() (string, int) { return simRows(MinHashSuite(*seedFlag)) }
 
+	// chaosRows is the persistent chaos suite's MinHash rows at the given
+	// shard count (0: every count, one shard first): the only rows whose
+	// cache one replay pass rebuilds and CheckIntegrity then audits — its
+	// re-sign with the direct kernel and its band audit, right after
+	// every recovery — which is where replaystale shows. Each call runs
+	// in fresh directories.
+	chaosRows := func(shards int) []SimConfig {
+		var rows []SimConfig
+		for _, cfg := range ChaosSuite(*seedFlag, t.TempDir()) {
+			if cfg.MinHash && (shards == 0 || max(cfg.Shards, 1) == shards) {
+				rows = append(rows, cfg)
+			}
+		}
+		return rows
+	}
+	chaosStage := func() (string, int) { return simRows(chaosRows(0)) }
+
 	detect := func() (string, int) {
 		requests := 0
 		// The fleet mutants are invisible to every single-process stage
@@ -107,12 +124,15 @@ func TestMutantSim(t *testing.T) {
 		// merely a different stream), so each runs its own stage first;
 		// lshmiss and probeskip live in code only a MinHash manager
 		// reaches, so they start at the MinHash rows instead of sitting
-		// through the 1000 exact-mode requests that cannot see them.
-		// Core mutants run the HA stage last (they fall to a cheaper
-		// stage long before).
+		// through the 1000 exact-mode requests that cannot see them;
+		// replaystale lives at the end of a replay pass of more than one
+		// record, which only recovery runs, so it starts at the
+		// persistent MinHash rows. Core mutants run the HA stage last
+		// (they fall to a cheaper stage long before).
 		ownStage := map[string]func() (string, int){
 			"staleindex": fleetStage, "staleepoch": haStage, "reqscan": netStage,
 			"closuredrop": netStage, "lshmiss": minhashStage, "probeskip": minhashStage,
+			"replaystale": chaosStage,
 		}[mutant]
 		if ownStage != nil {
 			msg, n := ownStage()
@@ -132,8 +152,9 @@ func TestMutantSim(t *testing.T) {
 		// margin-mode derivation — the oracle scans every image, so a
 		// dropped band candidate is a merge production did not make —
 		// and probeskip to CheckIntegrity's re-sign with the direct
-		// kernel at the first MinHash insert. deltadrop and walscan are
-		// caught when the first row ends, by the replay audit. The
+		// kernel at the first MinHash insert. deltadrop, walscan and
+		// deltaoverlap are caught when the first row ends, by the replay
+		// audit (deltaoverlap by the settle check inside it). The
 		// sharding mutants (route, balance) are invisible to every
 		// one-shard row — none consults the router or the balancer —
 		// and fall to the sharded rows' route audit and budgets-sum
@@ -175,5 +196,17 @@ func TestMutantSim(t *testing.T) {
 		}
 		t.Logf("mutant %q detected by the fleet stage within %d requests", mutant, n)
 		fmt.Printf("MUTANT_FAILURE %s/fleet: %s\n", mutant, msg)
+	}
+
+	// The replay-pass mutants must also fall to the two-shard persistent
+	// row on its own — the shape the site service recovers — whose crash
+	// audit compares shard by shard.
+	if mutant == "replaystale" || mutant == "deltaoverlap" {
+		msg, n := simRows(chaosRows(2))
+		if msg == "" {
+			t.Fatalf("mutant %q survived the two-shard chaos row's %d requests undetected", mutant, n)
+		}
+		t.Logf("mutant %q detected by the two-shard chaos row within %d requests", mutant, n)
+		fmt.Printf("MUTANT_FAILURE %s/shards2: %s\n", mutant, msg)
 	}
 }

@@ -17,8 +17,9 @@ import (
 // the route fold both routing levels share, one rule of the HA
 // protocol, one maintenance point of the master's mirror index, one
 // fallback rule of the request scanner, the merge record's completeness
-// as written or as read back, the closure union's, or the signing
-// probe's first step.
+// as written or as read back, the closure union's, the signing probe's
+// first step, the end of a replay pass, or the merge record's
+// disjointness from its image.
 var mutants = []string{
 	"superset", "threshold", "conflict", "lru", "capacity", "touch", "route", "balance",
 	"intern", "popcount", "lshmiss",
@@ -28,6 +29,7 @@ var mutants = []string{
 	"closuredrop",
 	"walscan",
 	"probeskip",
+	"replaystale", "deltaoverlap",
 }
 
 // buildMutantBinary compiles this package's tests with the mutant tag

@@ -439,12 +439,13 @@ func throughLog(muts []core.Mutation) ([]core.Mutation, error) {
 
 // VerifyState replays the observed mutation stream, in arrival order
 // and as the WAL codec renders it (throughLog), into a fresh cache of
-// the same shard count and compares the merged export against the live
-// one — the crash-recovery equivalence (cross-shard records commute;
-// per-shard subsequences are monotone) checked without a crash. base
-// carries the state the stream started from (zero value for an
-// initially empty cache).
-func (sh *ShardShadow) VerifyState(mcfg core.Config, base, live core.ManagerState) error {
+// the same shard count and compares it, shard by shard, against the
+// live one — the crash-recovery equivalence (cross-shard records
+// commute; per-shard subsequences are monotone) checked without a
+// crash. base holds each shard's state when the stream started (nil for
+// an initially empty cache) and live each shard's state now (see
+// shardStates).
+func (sh *ShardShadow) VerifyState(mcfg core.Config, base, live []core.ManagerState) error {
 	sh.mu.Lock()
 	muts, err := throughLog(sh.muts)
 	sh.mu.Unlock()
@@ -452,23 +453,19 @@ func (sh *ShardShadow) VerifyState(mcfg core.Config, base, live core.ManagerStat
 		return err
 	}
 
-	mcfg.Commit = nil
-	mcfg.Shards = sh.n
-	replayer, err := core.NewSharded(sh.repo, mcfg)
-	if err != nil {
-		return err
+	if base == nil {
+		base = make([]core.ManagerState, sh.n)
 	}
-	if len(base.Images) > 0 || base.Clock > 0 {
-		if err := replayer.ImportState(base); err != nil {
-			return fmt.Errorf("check: importing base state: %w", err)
-		}
+	replayer, err := shardReplayer(sh.repo, mcfg, base)
+	if err != nil {
+		return fmt.Errorf("check: %w", err)
 	}
 	for i, mut := range muts {
 		if err := replayer.ApplyMutation(mut); err != nil {
 			return fmt.Errorf("check: replaying mutation %d (%s of image %d): %w", i, mut.Kind, mut.ImageID, err)
 		}
 	}
-	if err := statesEqual(replayer.ExportState(), live); err != nil {
+	if err := shardsEqual(shardStates(replayer), live); err != nil {
 		return fmt.Errorf("check: replayed state diverges from live state: %w", err)
 	}
 	return nil

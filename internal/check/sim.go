@@ -144,7 +144,10 @@ func ShardSuite(seed int64) []SimConfig {
 // faults and crash/recovery cycles on one deterministic schedule, in
 // exact mode and again with MinHash — where every recovery rebuilds
 // signatures, band index and insertion ordinals through ImportState and
-// replay, and the run continues under a margin-mode oracle.
+// one replay pass, and the run continues under a margin-mode oracle —
+// and last the MinHash row at two shards, the site service's shape: a
+// checkpoint written by two shards and imported into two, and a WAL
+// tail whose shards interleave.
 func ChaosSuite(seed int64, dir string) []SimConfig {
 	exact := SimConfig{
 		Seed: seed, Steps: 600, Alpha: 0.6, CapacityFrac: 0.3,
@@ -152,7 +155,9 @@ func ChaosSuite(seed int64, dir string) []SimConfig {
 	}
 	minhash := exact
 	minhash.Dir, minhash.MinHash = filepath.Join(dir, "minhash"), true
-	return []SimConfig{exact, minhash}
+	sharded := minhash
+	sharded.Dir, sharded.Shards = filepath.Join(dir, "minhash-shards2"), 2
+	return []SimConfig{exact, minhash, sharded}
 }
 
 // RunSim executes the chaos schedule on the cache that serves,
@@ -198,8 +203,9 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 		ffs     *FaultFS
 		shadow  *ShardShadow
 		oracles []*Oracle
-		base    core.ManagerState // state this life started from
-		acked   int               // shadow mutations covered by acked requests
+		base    []core.ManagerState // each shard's state when this life started
+		ckpts   []lifeCheckpoint    // checkpoints this life attempted
+		acked   int                 // shadow mutations covered by acked requests
 	)
 
 	// boot starts a life at global request index step: in memory a
@@ -229,9 +235,9 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 		} else if sm, err = core.NewSharded(repo, mcfg); err != nil {
 			return failf(cfg.Seed, step, "sharded manager: %v", err)
 		}
-		base = sm.ExportState()
+		base, ckpts = shardStates(sm), nil
 		shadow = NewShardShadow(repo, n, cfg.Seed, next)
-		shadow.LoadState(base)
+		shadow.LoadState(sm.ExportState())
 		if capacity > 0 {
 			shadow.SetBudgets(sm.Budgets())
 		}
@@ -249,9 +255,10 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 	}
 
 	// crash kills the current life and audits the recovery: the
-	// recovered state must equal the life's base state plus some
-	// prefix of its observed mutations covering every acknowledged
-	// request.
+	// recovered cache must pass CheckIntegrity — one replay pass derived
+	// its specs, bits, signatures and bands — and equal, shard by shard,
+	// the life's base state plus some prefix of its observed mutations
+	// covering every acknowledged request (see verifyPrefix).
 	crash := func(step int) *Failure {
 		if f := shadow.Err(); f != nil {
 			return f // don't let the reboot discard a pending violation
@@ -267,11 +274,14 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 		rep.Crashes++
 		rep.Injected += ffs.Injected()
 		muts := shadow.Mutations()
-		prevBase, prevAcked := base, acked
+		prevBase, prevCkpts, prevAcked := base, ckpts, acked
 		if f := boot(step); f != nil {
 			return f
 		}
-		if err := verifyPrefix(repo, mcfg, prevBase, muts, prevAcked, base); err != nil {
+		if err := sm.CheckIntegrity(); err != nil {
+			return failf(cfg.Seed, step, "integrity after recovery: %v", err)
+		}
+		if err := verifyPrefix(repo, mcfg, prevBase, prevCkpts, muts, prevAcked, base); err != nil {
 			return failf(cfg.Seed, step, "recovery audit: %v", err)
 		}
 		return nil
@@ -335,11 +345,13 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 			}
 		}
 		if persistent && event(cfg.CheckpointEvery) {
-			if _, err := store.Checkpoint(sm.ExportState()); err == nil {
+			// A failed checkpoint (injected fault) may still leave a file
+			// recovery loads, so the audit keeps every attempt.
+			state := sm.ExportState()
+			ckpts = append(ckpts, lifeCheckpoint{at: shadow.Len(), state: state})
+			if _, err := store.Checkpoint(state); err == nil {
 				acked = shadow.Len()
 			}
-			// A failed checkpoint (injected fault) leaves stale files
-			// recovery tolerates; nothing to do.
 		}
 
 		s := stream.Next()
@@ -368,10 +380,10 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 	if f := auditBudgets(cfg.Steps); f != nil {
 		return rep, f
 	}
-	live := sm.ExportState()
-	if err := shadow.VerifyState(mcfg, base, live); err != nil {
+	if err := shadow.VerifyState(mcfg, base, shardStates(sm)); err != nil {
 		return rep, failf(cfg.Seed, cfg.Steps, "%v", err)
 	}
+	live := sm.ExportState()
 	if persistent {
 		// End the run with one final crash + recovery audit so every
 		// simulation exercises the durability path at least once.
@@ -392,37 +404,122 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 	return rep, nil
 }
 
-// verifyPrefix checks the crash-recovery contract: recovered must
-// equal base plus muts[:k] for some k with ackedLen ≤ k ≤ len(muts) —
-// no acknowledged request lost, no state invented.
-func verifyPrefix(repo *pkggraph.Repo, mcfg core.Config, base core.ManagerState, muts []core.Mutation, ackedLen int, recovered core.ManagerState) error {
-	mcfg.Commit = nil
-	replayer, err := core.NewSharded(repo, mcfg)
+// lifeCheckpoint is a checkpoint a life attempted: the merged state it
+// wrote, and how many of the life's mutations that state covers.
+type lifeCheckpoint struct {
+	at    int
+	state core.ManagerState
+}
+
+// verifyPrefix checks the crash-recovery contract shard by shard: every
+// shard of recovered must equal its state at one point of the life —
+// base plus muts[:k], the same k for every shard, ackedLen ≤ k ≤
+// len(muts) — as replay from the life's base rebuilds it. No
+// acknowledged request lost, no state invented.
+//
+// A sharded cache recovered from a checkpoint holds that point in
+// another shape: importing a merged checkpoint puts the whole Stats on
+// shard 0 and gives every shard the merged clock and NextID, rounded up
+// into its residue class. So with more than one shard a recovery may
+// instead match a checkpoint the life attempted (see checkpointStart),
+// replayed on from the checkpoint's mutation. With one shard the shapes
+// coincide and only the base replay is tried.
+func verifyPrefix(repo *pkggraph.Repo, mcfg core.Config, base []core.ManagerState, ckpts []lifeCheckpoint, muts []core.Mutation, ackedLen int, recovered []core.ManagerState) error {
+	replayer, err := shardReplayer(repo, mcfg, base)
 	if err != nil {
 		return err
 	}
-	if len(base.Images) > 0 || base.Clock > 0 {
-		if err := replayer.ImportState(base); err != nil {
-			return fmt.Errorf("importing base state: %w", err)
-		}
+	if ok, err := replaysTo(replayer, muts, 0, ackedLen, recovered); ok || err != nil {
+		return err
 	}
-	match := func() bool {
-		if replayer.Len() != len(recovered.Images) ||
-			replayer.Stats().Requests != recovered.Stats.Requests {
-			return false
-		}
-		return statesEqual(replayer.ExportState(), recovered) == nil
-	}
-	for k := 0; k <= len(muts); k++ {
-		if k > 0 {
-			if err := replayer.ApplyMutation(muts[k-1]); err != nil {
-				return fmt.Errorf("replaying mutation %d (%s of image %d): %w", k-1, muts[k-1].Kind, muts[k-1].ImageID, err)
+	if len(base) > 1 {
+		for i := len(ckpts) - 1; i >= 0; i-- {
+			start, err := checkpointStart(repo, mcfg, base, muts, ckpts[i])
+			if err != nil {
+				return err
+			}
+			if ok, err := replaysTo(start, muts, ckpts[i].at, ackedLen, recovered); ok || err != nil {
+				return err
 			}
 		}
-		if k >= ackedLen && match() {
-			return nil
-		}
+	}
+	var clock uint64
+	images, requests := 0, int64(0)
+	for _, st := range recovered {
+		clock = max(clock, st.Clock)
+		images += len(st.Images)
+		requests += st.Stats.Requests
 	}
 	return fmt.Errorf("recovered state (clock=%d, %d images, %d requests) matches no mutation prefix ≥ the acked boundary %d of %d",
-		recovered.Clock, len(recovered.Images), recovered.Stats.Requests, ackedLen, len(muts))
+		clock, images, requests, ackedLen, len(muts))
+}
+
+// replaysTo applies muts[from:] to replayer one record at a time and
+// reports whether, after some prefix muts[:k] with k ≥ ackedLen, it
+// equals recovered shard by shard.
+func replaysTo(replayer *core.ShardedManager, muts []core.Mutation, from, ackedLen int, recovered []core.ManagerState) (bool, error) {
+	for k := from; k <= len(muts); k++ {
+		if k > from {
+			if err := replayer.ApplyMutation(muts[k-1]); err != nil {
+				return false, fmt.Errorf("replaying mutation %d (%s of image %d): %w", k-1, muts[k-1].Kind, muts[k-1].ImageID, err)
+			}
+		}
+		if k < ackedLen {
+			continue
+		}
+		cheap := true // counts first; a full export only when they agree
+		replayer.WithSharedAll(func(ms []*core.Manager) {
+			for i, m := range ms {
+				cheap = cheap && m.Len() == len(recovered[i].Images) && m.Stats().Requests == recovered[i].Stats.Requests
+			}
+		})
+		if cheap && shardsEqual(shardStates(replayer), recovered) == nil {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// checkpointStart returns the cache recovery rebuilds from ckpt: the
+// checkpoint imported into len(base) shards — held first to the
+// mutation stream. The checkpoint must be the merged state of the base
+// replay to its mutation, and the import must give every shard exactly
+// that replay's images, with the merged clock, the merged NextID
+// rounded up into the shard's residue class, and the merged Stats on
+// shard 0 and none elsewhere. So all the start takes on trust from
+// ImportState is that shape, stated here on its own.
+func checkpointStart(repo *pkggraph.Repo, mcfg core.Config, base []core.ManagerState, muts []core.Mutation, ckpt lifeCheckpoint) (*core.ShardedManager, error) {
+	replayer, err := shardReplayer(repo, mcfg, base)
+	if err != nil {
+		return nil, err
+	}
+	for k, mut := range muts[:ckpt.at] {
+		if err := replayer.ApplyMutation(mut); err != nil {
+			return nil, fmt.Errorf("replaying mutation %d (%s of image %d): %w", k, mut.Kind, mut.ImageID, err)
+		}
+	}
+	merged := replayer.ExportState()
+	if err := statesEqual(merged, ckpt.state); err != nil {
+		return nil, fmt.Errorf("the checkpoint at mutation %d is not the replay to that point: %w", ckpt.at, err)
+	}
+	n := uint64(len(base))
+	want := shardStates(replayer)
+	for i := range want {
+		want[i].Clock = merged.Clock
+		want[i].NextID = merged.NextID + (uint64(i)+n-merged.NextID%n)%n
+		want[i].Stats = core.Stats{}
+	}
+	want[0].Stats = merged.Stats
+	mcfg.Commit, mcfg.Shards = nil, len(base)
+	start, err := core.NewSharded(repo, mcfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := start.ImportState(ckpt.state); err != nil {
+		return nil, fmt.Errorf("importing the checkpoint at mutation %d: %w", ckpt.at, err)
+	}
+	if err := shardsEqual(want, shardStates(start)); err != nil {
+		return nil, fmt.Errorf("importing the checkpoint at mutation %d: %w", ckpt.at, err)
+	}
+	return start, nil
 }

@@ -202,7 +202,7 @@ func RunSoak(cfg SoakConfig) (SoakReport, error) {
 	if err := cache.CheckIntegrity(); err != nil {
 		return rep, fmt.Errorf("check: integrity after soak: %w", err)
 	}
-	if err := shadow.VerifyState(mcfg, core.ManagerState{}, cache.ExportState()); err != nil {
+	if err := shadow.VerifyState(mcfg, nil, shardStates(cache)); err != nil {
 		return rep, err
 	}
 

@@ -133,6 +133,12 @@ type Image struct {
 	// the last Prune pass, and hotCount how many; see split.go.
 	hot      spec.Spec
 	hotCount int
+
+	// pending holds the package ids the open replay pass's merge deltas
+	// added, not yet unioned into Spec; noted marks the image as on the
+	// manager's settle list. See mutation.go.
+	pending []pkggraph.PkgID
+	noted   bool
 }
 
 // Result reports how one request was satisfied.
@@ -226,9 +232,11 @@ type Manager struct {
 	fast   *fastPath
 	ordSrc uint64
 
-	// replaySig is ApplyMutation's signature scratch; replay holds the
+	// noted lists the images the open replay pass changed, in the
+	// order first changed; settle derives their spec, bits, signature
+	// and bands when the pass ends (mutation.go). Replay holds the
 	// manager exclusively.
-	replaySig similarity.Signature
+	noted []*Image
 
 	// clockSrc, when non-nil, replaces the manager-local logical clock
 	// with a shared atomic counter: every shard of a ShardedManager
@@ -536,6 +544,7 @@ func (m *Manager) RequestTraced(s spec.Spec, at *telemetry.ActiveTrace) (Result,
 	}
 	m.nextID += m.stride()
 	m.appendImage(img)
+	m.refreshBits(img)
 	m.indexInsert(img)
 	m.total += img.Size
 	m.stats.Inserts++

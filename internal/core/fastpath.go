@@ -100,12 +100,12 @@ func (m *Manager) refreshBits(img *Image) {
 }
 
 // appendImage adds img to the live set, stamping the insertion ordinal
-// that keeps band-candidate enumeration in scan order, and interning
-// its spec. Every append goes through here.
+// that keeps band-candidate enumeration in scan order. Every append
+// goes through here; the caller interns the spec (refreshBits), at
+// once or, in a replay pass, when the pass settles.
 func (m *Manager) appendImage(img *Image) {
 	img.ord = m.ordSrc
 	m.ordSrc++
-	m.refreshBits(img)
 	m.images = append(m.images, img)
 	m.byID[img.ID] = img
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
+	"repro/internal/similarity"
 	"repro/internal/spec"
 )
 
@@ -11,7 +13,8 @@ import (
 // image slice and byID index agree, cached sizes and the byte total
 // match a recomputation from the repository, specs are canonical,
 // LRU stamps never run ahead of the clock, MinHash signatures are
-// fresh, and the operation counters partition the request count. Any
+// fresh and the band index holds exactly the live images under them,
+// and the operation counters partition the request count. Any
 // violation is a bug regardless of the workload that produced it.
 //
 // The simulation harness (internal/check) calls this after every
@@ -55,9 +58,23 @@ func (m *Manager) CheckIntegrity() error {
 			// The direct kernel, not SignInto: the audit must not share
 			// the probe index with the signatures it checks.
 			want := m.hasher.SignDirect(img.Spec)
+			if len(img.sig) != len(want) {
+				return fmt.Errorf("image %d signature has %d positions, want %d", img.ID, len(img.sig), len(want))
+			}
 			for i := range want {
 				if img.sig[i] != want[i] {
 					return fmt.Errorf("image %d signature stale at position %d", img.ID, i)
+				}
+			}
+			// The merge scan retrieves the image by the bands it is
+			// filed under, so they must be its current signature's.
+			if m.bandIndex != nil {
+				banded, ok := m.bandIndex.Signature(img.ID)
+				if !ok {
+					return fmt.Errorf("image %d missing from the band index", img.ID)
+				}
+				if !slices.Equal(banded, img.sig) {
+					return fmt.Errorf("image %d banded under a stale signature", img.ID)
 				}
 			}
 		}
@@ -81,6 +98,9 @@ func (m *Manager) CheckIntegrity() error {
 	}
 	if live != len(m.byID) {
 		return fmt.Errorf("live images %d != byID size %d", live, len(m.byID))
+	}
+	if m.bandIndex != nil && m.bandIndex.Len() != live {
+		return fmt.Errorf("band index holds %d images, the cache %d", m.bandIndex.Len(), live)
 	}
 	if total != m.total {
 		return fmt.Errorf("cached total %d != recomputed %d", m.total, total)
@@ -116,6 +136,20 @@ func (m *Manager) Clock() uint64 {
 // mode). The invariant oracle (internal/check) reads K, Seed and Margin
 // from it to re-derive the margin prefilter with signatures of its own.
 func (m *Manager) MinHash() *MinHashConfig { return m.cfg.MinHash }
+
+// Signature returns the image's MinHash signature (nil in exact mode).
+// The slice is the image's own and must not be modified.
+func (img *Image) Signature() similarity.Signature { return img.sig }
+
+// BandCandidates returns the ids of the images the band index files
+// under at least one of sig's bands, ascending and de-duplicated, as the
+// merge scan retrieves them; nil when MinHash is off.
+func (m *Manager) BandCandidates(sig similarity.Signature) ([]uint64, error) {
+	if m.bandIndex == nil {
+		return nil, nil
+	}
+	return m.bandIndex.CandidatesAppend(sig, nil)
+}
 
 // LastUse returns the logical-clock timestamp of the image's last
 // hit, merge, or insert — its LRU position.

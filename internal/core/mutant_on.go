@@ -30,6 +30,10 @@ import (
 //	deltadrop — a merge record omits one of the keys the merge added
 //	            (when it added more than one), so replay rebuilds a
 //	            smaller image than the live one
+//	replaystale — a replay pass ends without settling the last image
+//	            it changed, so that image keeps the spec, bits,
+//	            signature and bands it had before the pass (or none, if
+//	            the pass inserted it)
 var (
 	mutantOnce sync.Once
 	mutantName string

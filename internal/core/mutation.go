@@ -26,8 +26,8 @@ import (
 // image's state after the operation. A merge is the one delta: it only
 // ever adds packages, so it logs the keys it added (~6 KB at paper
 // scale) instead of the image's whole list (~14 KB for a fresh insert,
-// ~30 KB for an image merges have grown), and replay unions them into
-// the image it finds. That makes a merge record meaningful only on top
+// ~30 KB for an image merges have grown), and replay adds them to the
+// image it finds. That makes a merge record meaningful only on top
 // of the image state the live manager merged into, so replay applies
 // it only to an image standing at Version-1 and refuses it with
 // ErrDeltaBase otherwise; inserts, splits and checkpoints carry full
@@ -118,7 +118,27 @@ func (m *Manager) specFromKeys(keys []string) (spec.Spec, error) {
 // the live manager recorded for the same operations. It resolves
 // Packages and Added to package ids at once and keeps neither slice, so
 // a caller may decode the next record into the same storage.
+//
+// One call is a replay pass of one record: the image it changed is
+// settled before it returns. ShardedManager.Replay runs a whole log as
+// one pass.
 func (m *Manager) ApplyMutation(mut Mutation) error {
+	err := m.apply(&mut)
+	if serr := m.settle(); err == nil {
+		err = serr
+	}
+	return err
+}
+
+// apply is one record of a replay pass. Ids, counters, sizes, stamps
+// and Stats are applied here, in record order, exactly as the live
+// manager applied them. An image's derived state is not: a merge
+// delta's ids wait on the image's pending list, its size grows by
+// their summed package sizes, and settle derives the spec, interned
+// bits, MinHash signature and bands once, from the final package set,
+// when the pass ends. A record is validated before anything changes,
+// so a rejected one leaves the cache as it was.
+func (m *Manager) apply(mut *Mutation) error {
 	switch mut.Kind {
 	case MutTouch:
 		img, ok := m.byID[mut.ImageID]
@@ -151,11 +171,10 @@ func (m *Manager) ApplyMutation(mut Mutation) error {
 			Version: mut.Version,
 			Merges:  mut.Merges,
 			lastUse: mut.LastUse,
-			sig:     m.sign(s),
 			hot:     s,
 		}
 		m.appendImage(img)
-		m.indexInsert(img)
+		m.note(img)
 		m.total += img.Size
 		if mut.ImageID >= m.nextID {
 			m.nextID = mut.ImageID + m.stride()
@@ -176,43 +195,32 @@ func (m *Manager) ApplyMutation(mut Mutation) error {
 		}
 		// A merge without a full list is a delta; one with it predates
 		// deltas and replays like a split.
-		delta := mut.Kind == MutMerge && len(mut.Packages) == 0
-		keys := mut.Packages
-		if delta {
+		if mut.Kind == MutMerge && len(mut.Packages) == 0 {
 			if mut.Version != img.Version+1 {
 				return fmt.Errorf("%w: image %d at version %d, delta yields %d", ErrDeltaBase, mut.ImageID, img.Version, mut.Version)
 			}
-			keys = mut.Added
-		}
-		s, err := m.specFromKeys(keys)
-		if err == nil && s.Empty() {
-			err = errors.New("no packages")
-		}
-		if err != nil {
-			return fmt.Errorf("core: replaying %s of image %d: %w", mut.Kind, mut.ImageID, err)
-		}
-		if delta {
-			if img.sig != nil {
-				// As on the live path: MinHash of a union is the
-				// positionwise minimum. The delta's own signature is
-				// folded in and dropped, so it is signed into scratch.
-				if len(m.replaySig) != len(img.sig) {
-					m.replaySig = make(similarity.Signature, len(img.sig))
-				}
-				similarity.MergeSignaturesInto(img.sig, m.hasher.SignInto(m.replaySig, s))
+			added, err := m.pend(img, mut.Added)
+			if err != nil {
+				return fmt.Errorf("core: replaying merge of image %d: %w", mut.ImageID, err)
 			}
-			s = img.Spec.Union(s)
+			img.Size += added
+			m.total += added
+		} else {
+			s, err := m.specFromKeys(mut.Packages)
+			if err == nil && s.Empty() {
+				err = errors.New("no packages")
+			}
+			if err != nil {
+				return fmt.Errorf("core: replaying %s of image %d: %w", mut.Kind, mut.ImageID, err)
+			}
+			m.total -= img.Size
+			img.Spec = s
+			img.pending = img.pending[:0]
+			img.Size = s.Size(m.repo)
+			m.total += img.Size
 		}
-		m.total -= img.Size
-		img.Spec = s
-		if !delta {
-			m.resign(img)
-		}
-		img.Size = s.Size(m.repo)
 		img.Version = mut.Version
-		m.indexUpdate(img)
-		m.refreshBits(img)
-		m.total += img.Size
+		m.note(img)
 		m.stats.BytesWritten += img.Size
 		if mut.Kind == MutSplit {
 			img.resetHot()
@@ -249,6 +257,88 @@ func (m *Manager) ApplyMutation(mut Mutation) error {
 	default:
 		return fmt.Errorf("core: unknown mutation kind %q", mut.Kind)
 	}
+}
+
+// pend resolves a merge delta's keys onto img's pending list and
+// returns their summed package sizes: what the merge added to the
+// image, since a delta holds only keys the image lacked. On an error
+// the list is as it was.
+func (m *Manager) pend(img *Image, keys []string) (int64, error) {
+	if len(keys) == 0 {
+		return 0, errors.New("no packages")
+	}
+	n := len(img.pending)
+	var added int64
+	for _, key := range keys {
+		id, ok := m.repo.Lookup(key)
+		if !ok {
+			img.pending = img.pending[:n]
+			return 0, fmt.Errorf("core: unknown package %q", key)
+		}
+		img.pending = append(img.pending, id)
+		added += m.repo.Package(id).Size
+	}
+	return added, nil
+}
+
+// note puts img on the pass's settle list, once per pass.
+func (m *Manager) note(img *Image) {
+	if !img.noted {
+		img.noted = true
+		m.noted = append(m.noted, img)
+	}
+}
+
+// settle ends a replay pass. Every image the pass changed that is still
+// live has its pending ids unioned into its spec, and is interned,
+// signed into its own storage and re-banded once; an image the pass
+// evicted gets none of that. The result is byte for byte what settling
+// after every record gives (DESIGN.md §6), provided each delta is
+// disjoint from its image and duplicate-free, as every delta this
+// package logs is. A union shorter than its parts breaks that, and
+// settle refuses it with an error naming the image. A pass that changed
+// nothing (a touch) returns at once.
+func (m *Manager) settle() error {
+	if len(m.noted) == 0 {
+		return nil
+	}
+	return m.settleNoted()
+}
+
+// settleNoted is settle's work over a non-empty settle list.
+func (m *Manager) settleNoted() error {
+	var err error
+	noted := m.noted
+	if mutantEnabled("replaystale") {
+		noted = noted[:len(noted)-1]
+	}
+	for _, img := range noted {
+		if m.byID[img.ID] != img {
+			continue // evicted within the pass
+		}
+		if len(img.pending) > 0 {
+			base := img.Spec.Len()
+			img.Spec = img.Spec.Union(spec.New(img.pending))
+			if got, want := img.Spec.Len(), base+len(img.pending); got != want && err == nil {
+				err = fmt.Errorf("core: replayed merge deltas of image %d add %d packages to its %d, but the union holds %d: a delta repeats a package",
+					img.ID, len(img.pending), base, got)
+			}
+		}
+		m.refreshBits(img)
+		if m.hasher != nil {
+			if img.sig == nil {
+				img.sig = make(similarity.Signature, m.hasher.K())
+			}
+			m.hasher.SignInto(img.sig, img.Spec)
+			m.indexUpdate(img)
+		}
+	}
+	for i, img := range m.noted {
+		img.noted, img.pending = false, nil
+		m.noted[i] = nil
+	}
+	m.noted = m.noted[:0]
+	return err
 }
 
 // bumpClock advances the logical clock to at least t.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/pkggraph"
@@ -126,10 +127,11 @@ func key(repo *pkggraph.Repo, i int) string {
 
 func TestApplyMutationErrors(t *testing.T) {
 	repo := flatRepo(t, 8, 10)
-	m := mgr(t, repo, Config{})
+	m := mgr(t, repo, Config{MinHash: DefaultMinHash()})
 	if err := m.ApplyMutation(Mutation{Kind: MutInsert, ImageID: 1, LastUse: 1, Packages: []string{key(repo, 0)}}); err != nil {
 		t.Fatalf("seed insert: %v", err)
 	}
+	before := m.ExportState()
 
 	cases := []struct {
 		name string
@@ -141,6 +143,7 @@ func TestApplyMutationErrors(t *testing.T) {
 		{"insert empty", Mutation{Kind: MutInsert, ImageID: 2}},
 		{"merge unknown image", Mutation{Kind: MutMerge, ImageID: 9, Version: 1, Added: []string{key(repo, 1)}}},
 		{"merge unknown package", Mutation{Kind: MutMerge, ImageID: 1, Version: 1, Added: []string{"no/such/pkg"}}},
+		{"merge with one unknown package", Mutation{Kind: MutMerge, ImageID: 1, Version: 1, Added: []string{key(repo, 1), "no/such/pkg"}}},
 		{"merge adds nothing", Mutation{Kind: MutMerge, ImageID: 1, Version: 1}},
 		{"merge on wrong base", Mutation{Kind: MutMerge, ImageID: 1, Version: 2, Added: []string{key(repo, 1)}}},
 		{"legacy merge unknown package", Mutation{Kind: MutMerge, ImageID: 1, Version: 1, Packages: []string{"no/such/pkg"}}},
@@ -159,8 +162,166 @@ func TestApplyMutationErrors(t *testing.T) {
 	if err := m.CheckIntegrity(); err != nil {
 		t.Fatalf("invariants after rejected mutations: %v", err)
 	}
-	if m.Len() != 1 {
-		t.Fatalf("rejected mutations changed the cache: %d images", m.Len())
+	if got := m.ExportState(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("rejected mutations changed the cache:\n got %+v\nwant %+v", got, before)
+	}
+
+	// Inside one replay pass a rejected record changes nothing either —
+	// not even what the pass has pending for the image — so a pass over
+	// the good records with bad ones after them ends where the good
+	// records alone do.
+	good := []Mutation{
+		{Kind: MutInsert, ImageID: 1, LastUse: 1, Packages: []string{key(repo, 0)}},
+		{Kind: MutMerge, ImageID: 1, LastUse: 2, Version: 1, Merges: 1, Added: []string{key(repo, 2)}},
+		{Kind: MutMerge, ImageID: 1, LastUse: 3, Version: 2, Merges: 2, Added: []string{key(repo, 3), key(repo, 4)}},
+	}
+	rejected := map[int][]Mutation{ // by the good record they follow
+		1: {
+			{Kind: MutMerge, ImageID: 1, Version: 2, Added: []string{key(repo, 5), "no/such/pkg"}},
+			{Kind: MutMerge, ImageID: 1, Version: 3, Added: []string{key(repo, 5)}},
+		},
+	}
+	for _, tc := range cases {
+		rejected[0] = append(rejected[0], tc.mut)
+	}
+	replay := func(bad bool) ManagerState {
+		sm, err := NewSharded(repo, Config{MinHash: DefaultMinHash()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = sm.Replay(func(apply func(Mutation) error) {
+			for i, mut := range good {
+				if err := apply(mut); err != nil {
+					t.Fatalf("%s of image %d: %v", mut.Kind, mut.ImageID, err)
+				}
+				for _, r := range rejected[i] {
+					if bad && apply(r) == nil {
+						t.Errorf("after record %d, %+v: no error in a pass", i, r)
+					}
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("settling the pass: %v", err)
+		}
+		if err := sm.CheckIntegrity(); err != nil {
+			t.Fatalf("invariants after the pass: %v", err)
+		}
+		return sm.ExportState()
+	}
+	if got, want := replay(true), replay(false); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rejected records changed the pass:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestReplayPassMatchesPerRecord: one replay pass over a sharded
+// cache's whole mutation stream — merges as deltas, each surviving
+// image settled once at the end — rebuilds what per-record replay and
+// the live cache hold, signatures and bands included.
+func TestReplayPassMatchesPerRecord(t *testing.T) {
+	repo := flatRepo(t, 24, 10)
+	rec := &recorder{}
+	cfg := Config{Alpha: 0.8, Capacity: 240, MinHash: DefaultMinHash(), Shards: 2}
+	live, err := NewSharded(repo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.SetCommitHook(rec)
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 300; i++ {
+		ids := make([]pkggraph.PkgID, 1+rng.Intn(3))
+		for j := range ids {
+			ids[j] = pkggraph.PkgID(rng.Intn(repo.Len()))
+		}
+		if _, err := live.Request(spec.New(ids)); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%25 == 0 {
+			if _, err := live.Prune(0.5, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	kinds := map[MutationKind]int{}
+	for _, mut := range rec.muts {
+		kinds[mut.Kind]++
+	}
+	if kinds[MutMerge] == 0 || kinds[MutDelete] == 0 || kinds[MutSplit] == 0 {
+		t.Fatalf("stream holds %v; want merges, deletes and splits", kinds)
+	}
+
+	pass, err := NewSharded(repo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pass.Replay(func(apply func(Mutation) error) {
+		for i, mut := range rec.muts {
+			if err := apply(mut); err != nil {
+				t.Fatalf("record %d: %v", i, err)
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	perRecord, err := NewSharded(repo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, mut := range rec.muts {
+		if err := perRecord.ApplyMutation(mut); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+	}
+	want := live.ExportState()
+	for name, sm := range map[string]*ShardedManager{"pass": pass, "per-record": perRecord} {
+		if err := sm.CheckIntegrity(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := sm.ExportState(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s replay differs from the live cache:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+	li, pi := live.Images(), pass.Images()
+	for i := range li {
+		if !reflect.DeepEqual(li[i].Signature(), pi[i].Signature()) {
+			t.Fatalf("image %d: pass signs %v, live holds %v", li[i].ID, pi[i].Signature(), li[i].Signature())
+		}
+	}
+}
+
+// TestReplayRefusesOverlappingDelta: a merge delta names only packages
+// its image lacked, so replay sums their sizes instead of re-sizing the
+// union. A delta that repeats one breaks that, and settle refuses it
+// with an error naming the image, in a pass and record by record.
+func TestReplayRefusesOverlappingDelta(t *testing.T) {
+	repo := flatRepo(t, 8, 10)
+	muts := []Mutation{
+		{Kind: MutInsert, ImageID: 3, LastUse: 1, Packages: []string{key(repo, 0), key(repo, 1)}},
+		{Kind: MutMerge, ImageID: 3, LastUse: 2, Version: 1, Merges: 1, Added: []string{key(repo, 2), key(repo, 1)}},
+	}
+	m := mgr(t, repo, Config{})
+	var err error
+	for _, mut := range muts {
+		if err = m.ApplyMutation(mut); err != nil {
+			break
+		}
+	}
+	if err == nil || !strings.Contains(err.Error(), "image 3") {
+		t.Fatalf("per-record replay of an overlapping delta: err = %v, want one naming image 3", err)
+	}
+	sm, err := NewSharded(repo, Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sm.Replay(func(apply func(Mutation) error) {
+		for _, mut := range muts {
+			if err := apply(mut); err != nil {
+				t.Fatalf("%s: %v", mut.Kind, err)
+			}
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "image 3") {
+		t.Fatalf("a pass over an overlapping delta: err = %v, want one naming image 3", err)
 	}
 }
 

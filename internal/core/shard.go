@@ -564,17 +564,53 @@ func (sm *ShardedManager) ImportState(st ManagerState) error {
 }
 
 // ApplyMutation replays one logged mutation during recovery, routed to
-// the owning shard by ImageID. Only for single-goroutine use before
-// the manager serves traffic.
+// the owning shard by ImageID: a replay pass of one record (see
+// Replay). Only for single-goroutine use before the manager serves
+// traffic.
 func (sm *ShardedManager) ApplyMutation(mut Mutation) error {
+	err := sm.apply(mut)
+	if serr := sm.settle(); err == nil {
+		err = serr
+	}
+	return err
+}
+
+// Replay runs fn as one replay pass: fn hands apply each logged
+// mutation in log order, and apply replays it as ApplyMutation does,
+// except that the images it changes are settled — merge deltas
+// unioned in, specs interned, signed and re-banded — once, when fn
+// returns, instead of after every record (see Manager.settle). A record
+// apply rejects changes nothing and the pass goes on. Replay returns
+// settle's error: a log whose merge deltas overlap their images, which
+// no writer of this package produces. Recovery replays a whole WAL tail
+// this way. Only for single-goroutine use before the manager serves
+// traffic.
+func (sm *ShardedManager) Replay(fn func(apply func(Mutation) error)) error {
+	fn(sm.apply)
+	return sm.settle()
+}
+
+// apply is one record of a replay pass, on the shard its ImageID names.
+func (sm *ShardedManager) apply(mut Mutation) error {
 	i := int(mut.ImageID % uint64(len(sm.shards)))
-	if err := sm.shards[i].m.ApplyMutation(mut); err != nil {
+	if err := sm.shards[i].m.apply(&mut); err != nil {
 		return err
 	}
 	if mut.LastUse > sm.clockSrc.Load() {
 		sm.clockSrc.Store(mut.LastUse)
 	}
 	return nil
+}
+
+// settle ends a replay pass on every shard.
+func (sm *ShardedManager) settle() error {
+	var err error
+	for _, sh := range sm.shards {
+		if serr := sh.m.settle(); err == nil {
+			err = serr
+		}
+	}
+	return err
 }
 
 // Restore loads a legacy snapshot into an empty sharded cache: images

@@ -101,6 +101,7 @@ func (m *Manager) ImportState(st ManagerState) error {
 			sig:     m.sign(s),
 		}
 		m.appendImage(img)
+		m.refreshBits(img)
 		m.indexInsert(img)
 		m.total += img.Size
 		if snap.LastUse > maxClock {
@@ -158,6 +159,7 @@ func (m *Manager) Restore(snaps []ImageSnapshot) error {
 		}
 		m.nextID += m.stride()
 		m.appendImage(img)
+		m.refreshBits(img)
 		m.indexInsert(img)
 		m.total += img.Size
 		if snap.LastUse > maxClock {

@@ -19,6 +19,12 @@ import (
 //	          must catch it: it replays the mutations it observed
 //	          through the record codec and compares the rebuilt state
 //	          with the live one.
+//	deltaoverlap — the record encoder writes a merge's first added key
+//	          a second time, so the logged delta overlaps the image it
+//	          grows — a package the merge adds twice — while the commit
+//	          stream the harness audits stays clean. A union replay
+//	          absorbs the repeat; the replay pass's settle check must
+//	          refuse it, in VerifyState's replay or in recovery.
 var (
 	mutantOnce sync.Once
 	mutantName string

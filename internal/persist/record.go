@@ -98,7 +98,11 @@ func appendRecord(buf []byte, mut core.Mutation) ([]byte, bool) {
 	if buf, ok = appendList(buf, `,"packages":`, mut.Packages); !ok {
 		return buf, false
 	}
-	if buf, ok = appendList(buf, `,"added":`, mut.Added); !ok {
+	added := mut.Added
+	if mutantEnabled("deltaoverlap") && len(added) > 0 {
+		added = append(added[:len(added):len(added)], added[0])
+	}
+	if buf, ok = appendList(buf, `,"added":`, added); !ok {
 		return buf, false
 	}
 	return append(buf, '}'), true

@@ -203,7 +203,9 @@ func (st *Store) scan() (segs, ckpts []uint64, err error) {
 // tail, installs the store as its commit hook (overriding any hook
 // already in cfg), and opens a fresh segment for subsequent commits. It
 // never fails on corrupt state — the report's Warnings say what was
-// skipped — only on I/O errors reaching the directory or invalid cfg.
+// skipped — only on I/O errors reaching the directory, invalid cfg, or
+// a tail whose merge deltas repeat packages their images hold, which
+// this store never writes (see core.ShardedManager.Replay).
 //
 // Checkpoints partition by ImageID mod shards (strided ID allocation
 // makes the owner recoverable from the ID with no format change), so a
@@ -281,43 +283,51 @@ func (st *Store) RecoverSharded(repo *pkggraph.Repo, cfg core.Config) (*core.Sha
 		maxSeq = ckpts[len(ckpts)-1]
 	}
 	sr := newSegmentReader()
-	for i, seq := range segs {
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-		if seq < ckptSeq {
-			continue // compacted into the checkpoint; stale file
-		}
-		rep.SegmentsScanned++
-		f, err := st.opts.FS.Open(st.segPath(seq))
-		if err != nil {
-			rep.CorruptSegments++
-			rep.warn("segment %d unreadable: %v", seq, err)
-			continue
-		}
-		// Each record is applied as it is decoded, out of storage the
-		// next record overwrites (ApplyMutation keeps neither key slice):
-		// a segment is never held in memory.
-		readErr := sr.each(f, func(mut core.Mutation) {
-			if err := mgr.ApplyMutation(mut); err != nil {
-				rep.RecordsSkipped++
-				rep.warn("segment %d: %v", seq, err)
-				return
+	// The whole tail is one replay pass: each image it changed is
+	// settled — its merge deltas unioned in, its spec interned, signed
+	// and re-banded — once, when the pass ends.
+	err = mgr.Replay(func(apply func(core.Mutation) error) {
+		for i, seq := range segs {
+			if seq > maxSeq {
+				maxSeq = seq
 			}
-			rep.RecordsReplayed++
-		})
-		f.Close()
-		if readErr != nil {
-			if i == len(segs)-1 {
-				// The normal crash signature: the final record was
-				// mid-write when the process died.
-				rep.TornTail = true
-				rep.warn("segment %d ends with a torn record: %v", seq, readErr)
-			} else {
+			if seq < ckptSeq {
+				continue // compacted into the checkpoint; stale file
+			}
+			rep.SegmentsScanned++
+			f, err := st.opts.FS.Open(st.segPath(seq))
+			if err != nil {
 				rep.CorruptSegments++
-				rep.warn("segment %d corrupt mid-stream: %v", seq, readErr)
+				rep.warn("segment %d unreadable: %v", seq, err)
+				continue
+			}
+			// Each record is applied as it is decoded, out of storage the
+			// next record overwrites (apply keeps neither key slice): a
+			// segment is never held in memory.
+			readErr := sr.each(f, func(mut core.Mutation) {
+				if err := apply(mut); err != nil {
+					rep.RecordsSkipped++
+					rep.warn("segment %d: %v", seq, err)
+					return
+				}
+				rep.RecordsReplayed++
+			})
+			f.Close()
+			if readErr != nil {
+				if i == len(segs)-1 {
+					// The normal crash signature: the final record was
+					// mid-write when the process died.
+					rep.TornTail = true
+					rep.warn("segment %d ends with a torn record: %v", seq, readErr)
+				} else {
+					rep.CorruptSegments++
+					rep.warn("segment %d corrupt mid-stream: %v", seq, readErr)
+				}
 			}
 		}
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("persist: replaying the WAL tail: %w", err)
 	}
 
 	rep.RecordsReference = sr.dec.reference

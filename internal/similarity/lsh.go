@@ -59,6 +59,13 @@ func (x *LSHIndex) SignatureLen() int { return x.bands * x.rows }
 // Len returns the number of indexed sets.
 func (x *LSHIndex) Len() int { return len(x.sigs) }
 
+// Signature returns the signature id is indexed under — the index's own
+// copy, which the caller must not modify — and whether id is indexed.
+func (x *LSHIndex) Signature(id uint64) (Signature, bool) {
+	sig, ok := x.sigs[id]
+	return sig, ok
+}
+
 // bandHash mixes one band of the signature into a bucket key.
 func bandHash(band Signature) uint64 {
 	h := uint64(14695981039346656037)
