@@ -62,6 +62,11 @@ bench:
 # (322 and 160 ids of 9,660 probe, 8 take the direct kernel), nor does a
 # merge's band-index update; building the probe index, once per process,
 # may allocate the index's two slices and one sort buffer, never per id.
+# A rejoin's full-directory heartbeat (17 images of 1,000 keys, ~0.7 MB)
+# is read and scanned in 5 allocations (the body, its one string copy,
+# one entry slice, one key slice), and the closure mix's checkpoint is
+# framed in 1 and read back in 4 — never one per key or image, as the
+# encoding/json paths they replaced (17,221 and 6,311) did.
 # A fixed iteration count keeps the runs cheap and deterministic; the
 # guard fails the build the moment any per-request allocation sneaks
 # back onto one of these paths.
@@ -84,6 +89,9 @@ bench-guard:
 	$(GO) test -run '^$$' -bench '^BenchmarkSignInto$$' -benchmem -benchtime 2000x ./internal/similarity | $(call alloc_guard,BenchmarkSignInto)
 	$(GO) test -run '^$$' -bench '^BenchmarkProbeIndexBuild$$' -benchmem -benchtime 100x ./internal/similarity | $(call alloc_guard,BenchmarkProbeIndexBuild,3)
 	$(GO) test -run '^$$' -bench '^BenchmarkLSHUpdate$$' -benchmem -benchtime 20000x ./internal/similarity | $(call alloc_guard,BenchmarkLSHUpdate)
+	$(GO) test -run '^$$' -bench '^BenchmarkHeartbeatDecode$$' -benchmem -benchtime 100x ./internal/fleet | $(call alloc_guard,BenchmarkHeartbeatDecode,5)
+	$(GO) test -run '^$$' -bench '^BenchmarkCheckpointCodec$$/encode' -benchmem -benchtime 200x ./internal/persist | $(call alloc_guard,BenchmarkCheckpointCodec/encode,1)
+	$(GO) test -run '^$$' -bench '^BenchmarkCheckpointCodec$$/decode' -benchmem -benchtime 200x ./internal/persist | $(call alloc_guard,BenchmarkCheckpointCodec/decode,4)
 
 # The repository's benchmark (bench/, a module of its own) calls fleet,
 # server, persist and config directly: vet it and run its short smoke so
@@ -105,6 +113,8 @@ fuzz:
 	$(GO) test ./internal/shrinkwrap -fuzz '^FuzzUnpack$$' -fuzztime 30s
 	$(GO) test ./internal/persist -fuzz '^FuzzWALDecode$$' -fuzztime 30s
 	$(GO) test ./internal/persist -fuzz '^FuzzRecordCodec$$' -fuzztime 30s
+	$(GO) test ./internal/persist -fuzz '^FuzzCheckpointCodec$$' -fuzztime 30s
+	$(GO) test ./internal/fleet -fuzz '^FuzzHeartbeat$$' -fuzztime 30s
 	$(GO) test ./internal/spec -fuzz '^FuzzInternRoundTrip$$' -fuzztime 30s
 	$(GO) test ./internal/spec -fuzz '^FuzzBitsetJaccard$$' -fuzztime 30s
 	$(GO) test ./internal/core -fuzz '^FuzzShardRoute$$' -fuzztime 30s
@@ -115,15 +125,16 @@ fuzz:
 # simulation suite (one-shard and sharded rows, exact and MinHash,
 # every request validated by the oracle — the one reference for
 # Algorithm 1, in exact and in margin mode) and scaled-down soaks under
-# the race detector, the mutant self-test (each of the twenty seeded
+# the race detector, the mutant self-test (each of the twenty-two seeded
 # bugs — six Algorithm 1 clauses, the route-fold and budget-balancing
 # mutants, the three interned-path mutants intern/popcount/lshmiss, the
 # HA epoch-fencing mutant staleepoch, the mirror-index mutant
 # staleindex, the request-scanner mutant reqscan, the merge-record
 # mutant deltadrop, the closure-union mutant closuredrop, the
 # record-scanner mutant walscan, the signing mutant probeskip, the
-# replay-pass mutant replaystale and the record-encoder mutant
-# deltaoverlap — must be caught reproducibly: the Algorithm 1 six, intern, popcount
+# replay-pass mutant replaystale, the record-encoder mutant
+# deltaoverlap, the heartbeat-scanner mutant dirscan and the
+# checkpoint-scanner mutant ckptscan — must be caught reproducibly: the Algorithm 1 six, intern, popcount
 # and lshmiss by the oracle's re-derivation (lshmiss in a MinHash row,
 # where the oracle's index-free margin scan takes the merge the dropped
 # band candidate hid), probeskip by CheckIntegrity's re-sign with the
@@ -139,7 +150,10 @@ fuzz:
 # replaystale by the CheckIntegrity after the first crash of the
 # persistent MinHash chaos row; replaystale and deltaoverlap each again
 # by the two-shard persistent MinHash row on its own, whose crash audit
-# compares shard by shard), and one CLI chaos pass. `landlord-check sim` runs the sharded rows too. The
+# compares shard by shard; dirscan by the fleet stage's mirror audit
+# after its first heartbeat round with an image, ckptscan by the crash
+# audit of the first recovery from a checkpoint), and one CLI chaos
+# pass. `landlord-check sim` runs the sharded rows too. The
 # first grep is a tripwire: the second decision pipeline, the middle
 # manager type, the second shadow, the master's sorted-key dictionary,
 # the per-request event hook beside the spans, and the seams only the

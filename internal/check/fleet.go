@@ -2,12 +2,14 @@ package check
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -349,6 +351,55 @@ func (t *fleetTopo) checkIntegrity(step int) *Failure {
 		if m.alive {
 			if err := m.m.CheckIntegrity(); err != nil {
 				return t.failf(step, "%s routing index: %v", m.id, err)
+			}
+		}
+	}
+	return nil
+}
+
+// auditMirrors requires every live master's mirror of every agent the
+// round's beats reached to be that agent's directory as the beat
+// gossiped it: the images its server holds, with their versions, sizes
+// and package keys. CheckIntegrity holds the index to the mirror; this
+// holds the mirror to the agent, so a frame the master misread shows
+// here. Partitioned and drained agents are skipped, their last beat
+// having reached no master; nothing may run between the round and this
+// audit.
+func (t *fleetTopo) auditMirrors(step int) *Failure {
+	for _, a := range t.agents {
+		if a.partitioned || a.drained {
+			continue
+		}
+		sizes := make(map[uint64]server.ImageInfo)
+		for _, im := range a.srv.ImagesNow() {
+			sizes[im.ID] = im
+		}
+		var want []fleet.DirEntry
+		for _, snap := range a.srv.SnapshotNow() {
+			im := sizes[snap.ID]
+			want = append(want, fleet.DirEntry{ID: snap.ID, Version: im.Version, Size: im.Size, Packages: snap.Packages})
+		}
+		slices.SortFunc(want, func(x, y fleet.DirEntry) int { return cmp.Compare(x.ID, y.ID) })
+		for _, m := range t.masters {
+			if !m.alive {
+				continue
+			}
+			mirror, ok := m.m.Mirror(a.id)
+			if !ok {
+				return t.failf(step, "%s has no mirror of %s after a heartbeat round", m.id, a.id)
+			}
+			got := mirror.Upserts
+			for i := 0; i < max(len(got), len(want)); i++ {
+				switch {
+				case i == len(got):
+					return t.failf(step, "%s's mirror of %s (rev %d) lacks image %d", m.id, a.id, mirror.To, want[i].ID)
+				case i == len(want):
+					return t.failf(step, "%s's mirror of %s (rev %d) holds image %d the agent does not", m.id, a.id, mirror.To, got[i].ID)
+				case !got[i].Equal(want[i]):
+					g, w := got[i], want[i]
+					return t.failf(step, "%s's mirror of %s (rev %d) holds image %d v%d, %d bytes, %d package(s); the agent holds image %d v%d, %d bytes, %d package(s)",
+						m.id, a.id, mirror.To, g.ID, g.Version, g.Size, len(g.Packages), w.ID, w.Version, w.Size, len(w.Packages))
+				}
 			}
 		}
 	}

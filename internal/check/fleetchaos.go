@@ -34,6 +34,10 @@ import (
 //     of a mid-stream eviction audit, each member's routing index
 //     equals a rebuild from its mirrored directory
 //     (Master.CheckIntegrity — the audit that catches the staleindex
+//     mutant);
+//   - faithful mirrors: after every heartbeat round, each master's
+//     mirror of an agent the round reached equals that agent's own
+//     directory (auditMirrors — the audit that catches the dirscan
 //     mutant).
 type FleetChaosConfig struct {
 	Seed  int64
@@ -96,6 +100,9 @@ func RunFleetChaos(cfg FleetChaosConfig) (FleetChaosReport, *Failure) {
 		rep.MasterKills++
 		t.bootMaster(0, true)
 		t.beatAll()
+		if f := t.auditMirrors(step); f != nil {
+			return f
+		}
 		if err := t.api(t.masters[0].id).Ready(); err != nil {
 			return t.failf(step, "master not ready after restart (no agent re-registered): %v", err)
 		}
@@ -144,6 +151,9 @@ func RunFleetChaos(cfg FleetChaosConfig) (FleetChaosReport, *Failure) {
 		}
 		t.beatAll()
 		if f := t.checkIntegrity(step); f != nil {
+			return rep, f
+		}
+		if f := t.auditMirrors(step); f != nil {
 			return rep, f
 		}
 

@@ -37,7 +37,8 @@ import (
 //     warmed;
 //   - indexed mirrors: after every round each live master's routing
 //     index equals a rebuild from its mirrored directories
-//     (Master.CheckIntegrity).
+//     (Master.CheckIntegrity), and each of those mirrors equals the
+//     agent's own directory after every heartbeat round (auditMirrors).
 type HAChaosConfig struct {
 	Seed  int64
 	Steps int
@@ -215,6 +216,9 @@ func RunHAChaos(cfg HAChaosConfig) (rep HAChaosReport, fail *Failure) {
 		rep.Kills++
 		t.bootMaster(p, false)
 		t.beatAll()
+		if f := t.auditMirrors(step); f != nil {
+			return f
+		}
 		if err := t.api(t.masters[p].id).Ready(); err != nil {
 			return t.failf(step, "restarted master %s never became ready: %v", t.masters[p].id, err)
 		}
@@ -304,6 +308,9 @@ func RunHAChaos(cfg HAChaosConfig) (rep HAChaosReport, fail *Failure) {
 		}
 		t.leaseTicks()
 		t.beatAll()
+		if f := t.auditMirrors(step); f != nil {
+			return rep, f
+		}
 		if step%5 == 0 {
 			t.pullReplica()
 		}
@@ -339,6 +346,9 @@ func RunHAChaos(cfg HAChaosConfig) (rep HAChaosReport, fail *Failure) {
 	// affinity routing can only steer a drained spec to its new holder
 	// once the master's directory mirror has seen it.
 	t.beatAll()
+	if f := t.auditMirrors(cfg.Steps); f != nil {
+		return rep, f
+	}
 	for _, ack := range drained {
 		res, ok := t.serve(ack.keys)
 		if !ok {

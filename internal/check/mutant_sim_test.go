@@ -45,9 +45,11 @@ func TestMutantSim(t *testing.T) {
 	// fleetStage is a short fault-free fleet chaos run: what it keeps is
 	// the mid-stream eviction audit, the only place a gossip frame
 	// carries Removes — the frames the staleindex mutant mishandles —
-	// with Master.CheckIntegrity after each, and the CheckIntegrity of
+	// with Master.CheckIntegrity after each, the CheckIntegrity of
 	// every step, whose term audit sees the first wrong route term the
-	// route mutant leaves in the master's key dictionary.
+	// route mutant leaves in the master's key dictionary, and the mirror
+	// audit of every heartbeat round, which sees the first package key
+	// the dirscan mutant drops from a frame.
 	fleetStage := func() (string, int) {
 		cfg := FleetChaosDefault(*seedFlag)
 		cfg.Steps, cfg.PartitionEvery, cfg.MasterKillEvery = 60, 0, 0
@@ -102,8 +104,9 @@ func TestMutantSim(t *testing.T) {
 	// shard count (0: every count, one shard first): the only rows whose
 	// cache one replay pass rebuilds and CheckIntegrity then audits — its
 	// re-sign with the direct kernel and its band audit, right after
-	// every recovery — which is where replaystale shows. Each call runs
-	// in fresh directories.
+	// every recovery — which is where replaystale shows, and the only
+	// rows that recover from a checkpoint, which is where ckptscan
+	// shows, to the crash audit. Each call runs in fresh directories.
 	chaosRows := func(shards int) []SimConfig {
 		var rows []SimConfig
 		for _, cfg := range ChaosSuite(*seedFlag, t.TempDir()) {
@@ -126,13 +129,14 @@ func TestMutantSim(t *testing.T) {
 		// reaches, so they start at the MinHash rows instead of sitting
 		// through the 1000 exact-mode requests that cannot see them;
 		// replaystale lives at the end of a replay pass of more than one
-		// record, which only recovery runs, so it starts at the
-		// persistent MinHash rows. Core mutants run the HA stage last
+		// record, which only recovery runs, and ckptscan in the
+		// checkpoint a recovery reads, so both start at the persistent
+		// MinHash rows. Core mutants run the HA stage last
 		// (they fall to a cheaper stage long before).
 		ownStage := map[string]func() (string, int){
 			"staleindex": fleetStage, "staleepoch": haStage, "reqscan": netStage,
 			"closuredrop": netStage, "lshmiss": minhashStage, "probeskip": minhashStage,
-			"replaystale": chaosStage,
+			"replaystale": chaosStage, "dirscan": fleetStage, "ckptscan": chaosStage,
 		}[mutant]
 		if ownStage != nil {
 			msg, n := ownStage()

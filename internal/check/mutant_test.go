@@ -18,8 +18,9 @@ import (
 // protocol, one maintenance point of the master's mirror index, one
 // fallback rule of the request scanner, the merge record's completeness
 // as written or as read back, the closure union's, the signing probe's
-// first step, the end of a replay pass, or the merge record's
-// disjointness from its image.
+// first step, the end of a replay pass, the merge record's disjointness
+// from its image, or the completeness of a heartbeat frame or a
+// checkpoint as read back.
 var mutants = []string{
 	"superset", "threshold", "conflict", "lru", "capacity", "touch", "route", "balance",
 	"intern", "popcount", "lshmiss",
@@ -30,6 +31,7 @@ var mutants = []string{
 	"walscan",
 	"probeskip",
 	"replaystale", "deltaoverlap",
+	"dirscan", "ckptscan",
 }
 
 // buildMutantBinary compiles this package's tests with the mutant tag

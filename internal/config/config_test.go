@@ -284,12 +284,12 @@ func TestHAConfig(t *testing.T) {
 
 	// Validation rejects inconsistent HA wiring.
 	for _, bad := range []string{
-		`{"mode": "master", "standby_of": "http://a"}`,                                  // no identity
+		`{"mode": "master", "standby_of": "http://a"}`,                                           // no identity
 		`{"mode": "master", "master_id": "m", "standby_of": "http://a", "peer_url": "http://b"}`, // both peers
-		`{"mode": "standalone", "master_id": "m"}`,                                      // wrong mode
-		`{"mode": "master", "master_urls": ["http://a"]}`,                               // wrong mode
-		`{"mode": "agent", "advertise": "http://x", "master_urls": [""]}`,               // empty entry
-		`{"mode": "master", "lease_interval_ms": 100}`,                                  // lease without HA
+		`{"mode": "standalone", "master_id": "m"}`,                                               // wrong mode
+		`{"mode": "master", "master_urls": ["http://a"]}`,                                        // wrong mode
+		`{"mode": "agent", "advertise": "http://x", "master_urls": [""]}`,                        // empty entry
+		`{"mode": "master", "lease_interval_ms": 100}`,                                           // lease without HA
 	} {
 		if _, err := Parse([]byte(bad)); err == nil {
 			t.Errorf("config accepted: %s", bad)

@@ -210,7 +210,7 @@ func (a *Agent) beatLocked(ctx context.Context, l *masterLink) error {
 	req := HeartbeatRequest{ID: a.cfg.ID, Gen: a.cfg.Gen, Delta: delta}
 	var resp HeartbeatResponse
 	start := time.Now()
-	if err := l.client.DoCtx(ctx, http.MethodPost, "/fleet/v1/heartbeat", req, &resp); err != nil {
+	if err := l.client.DoCtx(ctx, http.MethodPost, "/fleet/v1/heartbeat", heartbeatBody(&req), &resp); err != nil {
 		return fmt.Errorf("fleet agent %s: heartbeat: %w", a.cfg.ID, err)
 	}
 	a.rtt.Observe(time.Since(start).Seconds())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/spec"
 )
@@ -23,8 +24,10 @@ import (
 // KeyDict is the master-wide package-key dictionary: key → dense id in
 // first-mention order. Ids are never reassigned or dropped, so bitsets
 // built earlier stay valid as the dictionary grows; its size is bounded
-// by the repository the agents share. The map keys are the gossiped
-// strings themselves, not copies. Each key's route term (spec.RouteTerm)
+// by the repository the agents share. A key is cloned the first time
+// gossip names it, since gossip hands over views into a heartbeat body;
+// the mirrors store the dictionary's string, so all of them share one
+// per key and none pins a body. Each key's route term (spec.RouteTerm)
 // is stored beside it when gossip first names it, never on the request
 // path. Not goroutine-safe: the Master guards it with its route lock.
 type KeyDict struct {
@@ -42,11 +45,12 @@ func NewKeyDict() *KeyDict {
 	return &KeyDict{ids: make(map[string]uint32)}
 }
 
-// id returns key's bit position, assigning the next one, and storing
-// the key's route term, on first mention.
+// id returns key's bit position, assigning the next one, and storing a
+// clone of the key and its route term, on first mention.
 func (d *KeyDict) id(key string) uint32 {
 	id, ok := d.ids[key]
 	if !ok {
+		key = strings.Clone(key)
 		id = uint32(len(d.keys))
 		d.ids[key] = id
 		d.keys = append(d.keys, key)
@@ -82,11 +86,15 @@ type imageBits struct {
 }
 
 // bitsOf indexes one image's package keys, growing the dictionary with
-// any key it has not seen.
-func (d *KeyDict) bitsOf(keys []string) imageBits {
+// any key it has not seen. With interned non-nil, interned[i] is set to
+// the dictionary's string for keys[i].
+func (d *KeyDict) bitsOf(keys, interned []string) imageBits {
 	var b imageBits
-	for _, k := range keys {
+	for i, k := range keys {
 		id := d.id(k)
+		if interned != nil {
+			interned[i] = d.keys[id]
+		}
 		w, bit := int(id>>6), uint64(1)<<(id&63)
 		for w >= len(b.words) {
 			b.words = append(b.words, 0)
@@ -183,7 +191,7 @@ func (f *Follower) checkIndex() error {
 		if !ok {
 			return fmt.Errorf("image %d is mirrored but not indexed", e.ID)
 		}
-		if want := f.dict.bitsOf(e.Packages); !got.equal(want) {
+		if want := f.dict.bitsOf(e.Packages, nil); !got.equal(want) {
 			return fmt.Errorf("image %d v%d: indexed bitset (%d keys) differs from its mirrored package set (%d keys)",
 				e.ID, e.Version, got.card, want.card)
 		}

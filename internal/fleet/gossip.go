@@ -306,8 +306,14 @@ func (f *Follower) Apply(d DirDelta) ApplyResult {
 	return DeltaApplied
 }
 
-// upsert mirrors e and (re)indexes its package set.
+// upsert mirrors e and (re)indexes its package set. The mirror keeps
+// the dictionary's strings, not e's, which may be views into a frame.
 func (f *Follower) upsert(e DirEntry) {
+	var interned []string
+	if e.Packages != nil {
+		interned = make([]string, len(e.Packages))
+	}
+	f.index[e.ID] = f.dict.bitsOf(e.Packages, interned)
+	e.Packages = interned
 	f.entries[e.ID] = e
-	f.index[e.ID] = f.dict.bitsOf(e.Packages)
 }

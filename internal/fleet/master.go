@@ -288,8 +288,8 @@ func (m *Master) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		fleetWriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var req HeartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	req, err := readHeartbeat(r.Body, r.ContentLength)
+	if err != nil {
 		fleetWriteError(w, http.StatusBadRequest, "decoding heartbeat: %v", err)
 		return
 	}
@@ -777,6 +777,20 @@ func (m *Master) CheckIntegrity() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.ms.CheckIndex()
+}
+
+// Mirror returns the master's mirror of agent id's image directory as
+// a Full frame at the revision it acknowledged (false for an unknown
+// agent). Audits compare it with the agent's own directory; routing
+// reads the index instead.
+func (m *Master) Mirror(id string) (DirDelta, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f := m.ms.Dir(id)
+	if f == nil {
+		return DirDelta{}, false
+	}
+	return DirDelta{To: f.Rev(), Full: true, Upserts: f.Entries()}, true
 }
 
 // MembersNow returns the current membership snapshot.

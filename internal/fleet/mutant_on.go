@@ -22,6 +22,12 @@ import (
 //	             agent that evicted the image. check.RunFleetChaos must
 //	             catch it via Master.CheckIntegrity after its eviction
 //	             round.
+//	dirscan    — the heartbeat scanner drops the last package key of
+//	             every upsert, so the master mirrors each image one
+//	             package short while its index agrees with the mirror.
+//	             check.RunFleetChaos must catch it via the mirror audit
+//	             after a heartbeat round, which compares each master's
+//	             mirror with the agent's own directory.
 //
 // The route mutant that reaches the master's key dictionary lives in
 // the term table it shares with the shard router (internal/spec).

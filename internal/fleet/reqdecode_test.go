@@ -95,7 +95,7 @@ func FuzzRequestDecode(f *testing.F) {
 		}
 		for len(seen) > 0 { // a few gossiped images' worth
 			n := min(len(seen), 7)
-			dict.bitsOf(seen[:n])
+			dict.bitsOf(seen[:n], nil)
 			seen = seen[n:]
 		}
 		if got, want := routeKeyOf(dict, dec.Keys), RouteKey(want.Packages); got != want {
@@ -223,7 +223,7 @@ func BenchmarkRequestDecode(b *testing.B) {
 	}
 	body = append(body, `],"close":false}`...)
 	dict := NewKeyDict()
-	dict.bitsOf(keys)
+	dict.bitsOf(keys, nil)
 	rd := server.NewRequestDecoder(telemetry.NewRegistry(), server.DefaultRequestBodyLimit)
 	src := bytes.NewReader(body)
 	var sink uint64

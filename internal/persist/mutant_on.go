@@ -25,6 +25,10 @@ import (
 //	          stream the harness audits stays clean. A union replay
 //	          absorbs the repeat; the replay pass's settle check must
 //	          refuse it, in VerifyState's replay or in recovery.
+//	ckptscan — the checkpoint scanner drops the last image, so a
+//	          recovery from a checkpoint loses it while the checkpoint
+//	          on disk is whole. check.RunSim's crash audit must catch it
+//	          at the first recovery from a checkpoint.
 var (
 	mutantOnce sync.Once
 	mutantName string

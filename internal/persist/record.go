@@ -28,57 +28,12 @@ import (
 // case, and bytes on disk and on the replication stream are the ones
 // json.Marshal would have produced.
 
-// plain marks the bytes json.Marshal copies into a string unescaped and
-// json.Unmarshal reads back as themselves: ASCII from space to DEL
-// except the quote, the backslash and the three json.Marshal escapes
-// for HTML.
-var plain = func() (t [256]bool) {
-	for b := 0x20; b < 0x80; b++ {
-		t[b] = true
-	}
-	for _, b := range []byte(`"\<>&`) {
-		t[b] = false
-	}
-	return t
-}()
-
-// appendString appends s as a JSON string; false means s has a byte
-// that is not plain and nothing usable was appended.
-func appendString(buf []byte, s string) ([]byte, bool) {
-	for i := 0; i < len(s); i++ {
-		if !plain[s[i]] {
-			return buf, false
-		}
-	}
-	buf = append(buf, '"')
-	buf = append(buf, s...)
-	return append(buf, '"'), true
-}
-
-// appendList appends ,"name":["k",…] for a non-empty list.
-func appendList(buf []byte, name string, keys []string) ([]byte, bool) {
-	if len(keys) == 0 {
-		return buf, true
-	}
-	buf = append(buf, name...)
-	sep := byte('[')
-	for _, k := range keys {
-		buf = append(buf, sep)
-		var ok bool
-		if buf, ok = appendString(buf, k); !ok {
-			return buf, false
-		}
-		sep = ','
-	}
-	return append(buf, ']'), true
-}
-
 // appendRecord appends mut's payload to buf in place. false means one
 // of its strings is not plain: what was appended is to be discarded and
 // the record marshalled by encoding/json.
 func appendRecord(buf []byte, mut core.Mutation) ([]byte, bool) {
 	buf = append(buf, `{"kind":`...)
-	buf, ok := appendString(buf, string(mut.Kind))
+	buf, ok := AppendString(buf, string(mut.Kind))
 	if !ok {
 		return buf, false
 	}
@@ -95,14 +50,14 @@ func appendRecord(buf []byte, mut core.Mutation) ([]byte, bool) {
 	if mut.RequestBytes != 0 {
 		buf = strconv.AppendInt(append(buf, `,"request_bytes":`...), mut.RequestBytes, 10)
 	}
-	if buf, ok = appendList(buf, `,"packages":`, mut.Packages); !ok {
+	if buf, ok = AppendList(buf, `,"packages":`, mut.Packages); !ok {
 		return buf, false
 	}
 	added := mut.Added
 	if mutantEnabled("deltaoverlap") && len(added) > 0 {
 		added = append(added[:len(added):len(added)], added[0])
 	}
-	if buf, ok = appendList(buf, `,"added":`, added); !ok {
+	if buf, ok = AppendList(buf, `,"added":`, added); !ok {
 		return buf, false
 	}
 	return append(buf, '}'), true
@@ -137,8 +92,8 @@ var recordKinds = [...]core.MutationKind{core.MutInsert, core.MutMerge, core.Mut
 // scan recognises the canonical shape. false means the payload is
 // something else, not that it is invalid.
 func (d *recordDecoder) scan(p []byte) (mut core.Mutation, ok bool) {
-	c := recordCursor{p: p}
-	if !c.lit(`{"kind":"`) {
+	c := NewCursor(p)
+	if !c.Lit(`{"kind":"`) {
 		return mut, false
 	}
 	kind := c.i
@@ -150,34 +105,34 @@ func (d *recordDecoder) scan(p []byte) (mut core.Mutation, ok bool) {
 			mut.Kind = k
 		}
 	}
-	if mut.Kind == "" || !c.lit(`","image_id":`) {
+	if mut.Kind == "" || !c.Lit(`","image_id":`) {
 		return mut, false
 	}
-	mut.ImageID = c.uint(math.MaxUint64)
-	if c.lit(`,"last_use":`) {
-		mut.LastUse = c.uint(math.MaxUint64)
+	mut.ImageID = c.Uint(math.MaxUint64)
+	if c.Lit(`,"last_use":`) {
+		mut.LastUse = c.Uint(math.MaxUint64)
 	}
-	if c.lit(`,"version":`) {
-		mut.Version = c.uint(math.MaxUint64)
+	if c.Lit(`,"version":`) {
+		mut.Version = c.Uint(math.MaxUint64)
 	}
-	if c.lit(`,"merges":`) {
-		mut.Merges = int(c.int(math.MaxInt))
+	if c.Lit(`,"merges":`) {
+		mut.Merges = int(c.Int(math.MaxInt))
 	}
-	if c.lit(`,"request_bytes":`) {
-		mut.RequestBytes = c.int(math.MaxInt64)
+	if c.Lit(`,"request_bytes":`) {
+		mut.RequestBytes = c.Int(math.MaxInt64)
 	}
 	keys, packages := d.keys[:0], 0
-	if c.lit(`,"packages":`) {
-		keys = c.list(keys)
+	if c.Lit(`,"packages":`) {
+		keys = c.List(keys)
 		packages = len(keys)
 	}
-	if c.lit(`,"added":`) {
-		keys = c.list(keys)
+	if c.Lit(`,"added":`) {
+		keys = c.List(keys)
 		if mutantEnabled("walscan") && len(keys)-packages >= 2 {
 			keys = keys[:len(keys)-1]
 		}
 	}
-	if c.bad || !c.lit(`}`) || c.i != len(p) {
+	if !c.Lit(`}`) || !c.End() {
 		return mut, false
 	}
 	d.keys = keys
@@ -188,85 +143,4 @@ func (d *recordDecoder) scan(p []byte) (mut core.Mutation, ok bool) {
 		mut.Added = keys[packages:]
 	}
 	return mut, true
-}
-
-// recordCursor is the scanner's position in a payload. A number or a
-// list that is not in the canonical form sets bad and the scan carries
-// on to its end, where bad is read once.
-type recordCursor struct {
-	p   []byte
-	s   string // the payload as a string, made when the first list is met
-	i   int
-	bad bool
-}
-
-// lit consumes tok if it is next.
-func (c *recordCursor) lit(tok string) bool {
-	if len(c.p)-c.i < len(tok) || string(c.p[c.i:c.i+len(tok)]) != tok {
-		return false
-	}
-	c.i += len(tok)
-	return true
-}
-
-// uint consumes a decimal as json.Marshal writes one: digits only, no
-// leading zero, at most max.
-func (c *recordCursor) uint(max uint64) (n uint64) {
-	start := c.i
-	for c.i < len(c.p) {
-		d := uint64(c.p[c.i] - '0')
-		if d > 9 {
-			break
-		}
-		if n > (max-d)/10 {
-			c.bad = true
-			return 0
-		}
-		n = n*10 + d
-		c.i++
-	}
-	if c.i == start || (c.p[start] == '0' && c.i-start > 1) {
-		c.bad = true
-	}
-	return n
-}
-
-// int is uint with an optional minus sign; the one negative whose
-// magnitude exceeds max is left to encoding/json.
-func (c *recordCursor) int(max uint64) int64 {
-	if c.lit(`-`) {
-		return -int64(c.uint(max))
-	}
-	return int64(c.uint(max))
-}
-
-// list consumes ["k",…] of one or more plain strings, appending each to
-// keys as a view into c.s.
-func (c *recordCursor) list(keys []string) []string {
-	if !c.lit(`["`) {
-		c.bad = true
-		return keys
-	}
-	if c.s == "" {
-		c.s = string(c.p)
-	}
-	for {
-		// The hot loop of recovery, over locals so it runs in registers.
-		p, i := c.p, c.i
-		for i < len(p) && plain[p[i]] {
-			i++
-		}
-		if i == len(p) || p[i] != '"' {
-			c.bad = true
-			return keys
-		}
-		keys = append(keys, c.s[c.i:i])
-		c.i = i + 1
-		if !c.lit(`,"`) {
-			if !c.lit(`]`) {
-				c.bad = true
-			}
-			return keys
-		}
-	}
 }

@@ -136,16 +136,22 @@ type RecoveryReport struct {
 	// encoding/json instead of the record scanner: 0 for a log this
 	// code wrote, unless a package key needs a JSON escape.
 	RecordsReference int
-	CorruptSegments  int
-	TornTail         bool
-	Warnings         []string
+	// CheckpointReference reports that the loaded checkpoint was not in
+	// the shape this store writes and was decoded by encoding/json
+	// instead of the checkpoint scanner: false for a checkpoint this
+	// code wrote, unless a package key needs a JSON escape.
+	CheckpointReference bool
+	CorruptSegments     int
+	TornTail            bool
+	Warnings            []string
 }
 
 // String renders a one-line log summary.
 func (r *RecoveryReport) String() string {
-	return fmt.Sprintf("checkpoint seq=%d images=%d, replayed %d record(s) from %d segment(s) in %v (skipped=%d reference_decoded=%d corrupt_segments=%d torn_tail=%v warnings=%d)",
+	return fmt.Sprintf("checkpoint seq=%d images=%d, replayed %d record(s) from %d segment(s) in %v (skipped=%d reference_decoded=%d checkpoint_reference=%v corrupt_segments=%d torn_tail=%v warnings=%d)",
 		r.CheckpointSeq, r.CheckpointImages, r.RecordsReplayed, r.SegmentsScanned,
-		r.Duration.Round(time.Millisecond), r.RecordsSkipped, r.RecordsReference, r.CorruptSegments, r.TornTail, len(r.Warnings))
+		r.Duration.Round(time.Millisecond), r.RecordsSkipped, r.RecordsReference, r.CheckpointReference,
+		r.CorruptSegments, r.TornTail, len(r.Warnings))
 }
 
 func (r *RecoveryReport) warn(format string, args ...any) {
@@ -250,7 +256,7 @@ func (st *Store) RecoverSharded(repo *pkggraph.Repo, cfg core.Config) (*core.Sha
 	var ckptSeq uint64
 	for i := len(ckpts) - 1; i >= 0; i-- {
 		seq := ckpts[i]
-		ck, err := readCheckpointFile(st.opts.FS, st.ckptPath(seq))
+		ck, reference, err := readCheckpointFile(st.opts.FS, st.ckptPath(seq))
 		if err != nil {
 			rep.warn("checkpoint %d unreadable: %v", seq, err)
 			continue
@@ -266,6 +272,7 @@ func (st *Store) RecoverSharded(repo *pkggraph.Repo, cfg core.Config) (*core.Sha
 		mgr, ckptSeq = m, seq
 		rep.CheckpointSeq = seq
 		rep.CheckpointImages = len(ck.State.Images)
+		rep.CheckpointReference = reference
 		if ck.SavedUnixNano != 0 {
 			st.lastCkptUnixNano.Store(ck.SavedUnixNano)
 		}
