@@ -119,6 +119,7 @@ fuzz:
 	$(GO) test ./internal/spec -fuzz '^FuzzBitsetJaccard$$' -fuzztime 30s
 	$(GO) test ./internal/core -fuzz '^FuzzShardRoute$$' -fuzztime 30s
 	$(GO) test ./internal/fleet -fuzz '^FuzzRequestDecode$$' -fuzztime 30s
+	$(GO) test ./internal/fleet -fuzz '^FuzzLease$$' -fuzztime 30s
 	$(GO) test ./internal/similarity -fuzz '^FuzzSign$$' -fuzztime 30s
 
 # Short-budget invariant harness for every PR: the deterministic
@@ -163,14 +164,16 @@ fuzz:
 # its dispatch stage, delta transfers and per-site gauges), the second
 # simulation driver and the site's admission switch were folded away
 # and must not grow back, nor the per-record replay signature scratch
-# (replaySig) that the replay pass replaced (DESIGN.md §6). The second keeps the harnesses on the
+# (replaySig) that the replay pass replaced (DESIGN.md §6), nor the
+# master pair's replicated HA log, its folded state and its stream
+# watermarks, which the lease's epoch and holder replaced (§13). The second keeps the harnesses on the
 # in-memory network: no listener, no test server. The last two keep
 # every cache node on the one assembly, server.Open: no command opens a
 # store, recovers a server or starts a heal probe by hand, and no
 # harness builds a durable server around a store it opened itself.
 check:
-	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits|SetTracer|telemetry\.Tracer\b|newEvent|opTracer|timelineTracer|SetPaused|TransportFor|ChaosProxy|ReadHAState|repro/internal/cluster|StageClusterDispatch|cluster_dispatch|DeltaSite|landlord_site_|RunShardSim|ShardSimConfig|ShardSimReport|ShedderEnabled|replaySig' --include='*.go' --exclude-dir=.bench_build . \
-		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, §10 for the route dictionary, §9 for the event hook, §7 for the harness seams, the site model and the simulation driver, §6 for the node assembly and the replay pass)"; exit 1; }
+	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits|SetTracer|telemetry\.Tracer\b|newEvent|opTracer|timelineTracer|SetPaused|TransportFor|ChaosProxy|ReadHAState|repro/internal/cluster|StageClusterDispatch|cluster_dispatch|DeltaSite|landlord_site_|RunShardSim|ShardSimConfig|ShardSimReport|ShedderEnabled|replaySig|haRecord|haCheckpoint|haLogRing|HAState|RecoveredState|MirrorNext\b|StreamNext\b|haNoteMember' --include='*.go' --exclude-dir=.bench_build . \
+		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, §10 for the route dictionary, §9 for the event hook, §7 for the harness seams, the site model and the simulation driver, §6 for the node assembly and the replay pass, §13 for the HA log the lease replaced)"; exit 1; }
 	@! grep -nE 'net\.Listen|httptest\.' $$(ls internal/check/*.go | grep -v '_test\.go$$') \
 		|| { echo "check: a harness in internal/check opens a socket; run it on the in-memory network (DESIGN.md §7)"; exit 1; }
 	@! grep -nE 'persist\.Open\(|NewPersistent\(|StartDegradedProbe\(' $$(find cmd -name '*.go' ! -name '*_test.go') \
@@ -185,10 +188,10 @@ check:
 	$(GO) run ./cmd/landlord-check hachaos -seed 1
 
 # High-availability chaos gate: the primary+standby failover harness
-# under the race detector (two-tick promotion, recovered-state
-# byte-identity, single acking primary per round, warm drain handoff,
-# WAL replica equality), then one CLI pass with a shifted fault
-# schedule.
+# under the race detector (two-tick promotion, a promoted master
+# healthy toward every agent its predecessor could route to, single
+# acking primary per round, warm drain handoff, WAL replica equality),
+# then one CLI pass with a shifted fault schedule.
 ha-chaos:
 	$(GO) test -race -count=1 -run TestHAChaos ./internal/check
 	$(GO) run ./cmd/landlord-check hachaos -seed 1 -kill-phase 7

@@ -30,8 +30,8 @@
 // key movement under membership churn. hachaos runs a primary +
 // standby master pair with epoch-gated agents and a WAL read replica,
 // and audits the high-availability invariants: two-tick standby
-// promotion, recovered-state byte-identity with the dead primary's
-// last folded state, a single acking primary per round, warm drain
+// promotion, a promoted master healthy toward every agent the dead
+// primary could route to, a single acking primary per round, warm drain
 // handoff, and replica state equality (-kill-phase rotates the fault
 // schedule; the nightly soak sweeps it). chaos loops the whole harness
 // over consecutive seeds until the duration expires (the nightly soak).

@@ -1,7 +1,6 @@
 package check
 
 import (
-	"bytes"
 	"context"
 	"net/http"
 )
@@ -27,9 +26,11 @@ import (
 //     holder conflict, and no 200 ever arrives stamped with an epoch
 //     older than one the client has already seen (the audit that
 //     catches the staleepoch mutant);
-//   - recovered state byte-identity: a promoted master's inherited
-//     mirror equals the dead or isolated primary's last folded state,
-//     read when it was cut off, byte for byte;
+//   - promoted routing: a promoted master can route to every agent
+//     its predecessor could — each agent healthy on the dead or
+//     isolated primary just before the cut is healthy on the promoted
+//     master before any further beat, learned from the agents' own
+//     heartbeats, since the pair exchanges only epoch and holder;
 //   - replica byte-identity: the WAL follower's cache state equals the
 //     persistent agent's ExportState once the stream is drained;
 //   - warm handoff: a drained agent's acked specs are still hits
@@ -171,20 +172,21 @@ func RunHAChaos(cfg HAChaosConfig) (rep HAChaosReport, fail *Failure) {
 		return nil
 	}
 
-	// cutOff drains replication from primary p into standby s, reads p's
-	// folded state, and lets sever cut p off from s's lease polls (a kill
-	// or an isolation). It then drives s through exactly two lease ticks
-	// of silence and audits the lease state machine: suspicion after
-	// one, promotion to the next epoch after two, inherited state
-	// byte-identical to what p last held.
+	// cutOff renews s's lease from primary p, reads the agents p can
+	// route to, and lets sever cut p off from s's lease polls (a kill or
+	// an isolation). It then drives s through exactly two lease ticks of
+	// silence and audits the lease state machine — suspicion after one,
+	// promotion to the next epoch after two — and, before any beat, that
+	// every agent healthy on p is healthy on s.
 	cutOff := func(step, p, s int, sever func()) *Failure {
 		pm, sm := t.masters[p], t.masters[s]
 		st := sm.m.LeaseTick(ctx)
 		pst := pm.m.HAStatusNow()
-		if st.Role != "standby" || st.MirrorNext != pst.StreamNext {
-			return t.failf(step, "standby %s not drained before the cut: mirror %d, primary log %d",
-				sm.id, st.MirrorNext, pst.StreamNext)
+		if st.Role != "standby" || st.Epoch != pst.Epoch || st.Holder != pst.Holder {
+			return t.failf(step, "standby %s not renewed before the cut: role %s epoch %d holder %q, primary at epoch %d holder %q",
+				sm.id, st.Role, st.Epoch, st.Holder, pst.Epoch, pst.Holder)
 		}
+		routable := pm.m.MembersNow()
 		sever()
 		if st = sm.m.LeaseTick(ctx); st.Role != "standby" {
 			return t.failf(step, "standby %s promoted after ONE missed lease tick", sm.id)
@@ -195,9 +197,15 @@ func RunHAChaos(cfg HAChaosConfig) (rep HAChaosReport, fail *Failure) {
 				sm.id, pst.Epoch+1, st.Role, st.Epoch)
 		}
 		rep.Promotions++
-		if !bytes.Equal(st.RecoveredState, pst.State) {
-			return t.failf(step, "promoted %s recovered state differs from %s's last state:\n recovered %s\n last      %s",
-				sm.id, pm.id, st.RecoveredState, pst.State)
+		state := map[string]string{}
+		for _, mem := range sm.m.MembersNow() {
+			state[mem.ID] = mem.State
+		}
+		for _, mem := range routable {
+			if mem.State == "healthy" && state[mem.ID] != "healthy" {
+				return t.failf(step, "promoted %s cannot route to %s: healthy on %s before the cut, %q here",
+					sm.id, mem.ID, pm.id, state[mem.ID])
+			}
 		}
 		return nil
 	}

@@ -153,12 +153,12 @@ type Site struct {
 	// names this master in the lease protocol and enables HA when set:
 	// forwards are stamped X-Landlord-Epoch/-Master, and the master
 	// serves /fleet/v1/lease. StandbyOf makes this master a warm
-	// standby of the given primary's base URL — it mirrors the
-	// primary's lease + membership log over the lease channel and
-	// promotes after two silent lease intervals. PeerURL points a
+	// standby of the given primary's base URL — it polls the primary's
+	// lease for its epoch and holder, routes from the agents' own beats,
+	// and promotes after two silent lease intervals. PeerURL points a
 	// primary at its standby so a deposed primary demotes into polling
-	// it; StandbyOf and PeerURL are mutually exclusive. The log lives in
-	// memory only: a restarted master learns the current epoch from its
+	// it; StandbyOf and PeerURL are mutually exclusive. Nothing is kept
+	// on disk: a restarted master learns the current epoch from its
 	// peer and the agents.
 	MasterID        string `json:"master_id"`
 	StandbyOf       string `json:"standby_of"`

@@ -223,7 +223,8 @@ func TestFleetConfig(t *testing.T) {
 }
 
 func TestHAConfig(t *testing.T) {
-	// A standby master: mirrors the named primary, promotes on silence.
+	// A standby master: polls the named primary's lease, promotes on
+	// silence.
 	s, err := Load(writeConfig(t, `{
 		"mode": "master",
 		"master_id": "master-b",

@@ -20,11 +20,12 @@
 // Cache state is never replicated across agents: each agent owns its
 // slice of the keyspace independently, and a restarted master rebuilds
 // its routing state (membership, gossip mirrors, breakers) from agent
-// re-registration. What IS replicated is the control plane itself: a
-// standby master mirrors the primary's durable lease + membership log
-// over the lease channel and promotes on primary silence, agents fence
-// stale primaries by epoch, and a draining agent hands its hot specs to
-// its rendezvous successors (ha.go, epoch.go, handoff.go). See
+// re-registration. The control plane is highly available without
+// replicating anything but the lease: a standby master learns the
+// primary's epoch and holder from lease polls, builds its own routing
+// state from the same agent beats, and promotes on primary silence;
+// agents fence stale primaries by epoch, and a draining agent hands its
+// hot specs to its rendezvous successors (ha.go, epoch.go, handoff.go). See
 // DESIGN.md section 10 for the failure-semantics contract and section
 // 13 for the high-availability protocol.
 package fleet

@@ -279,7 +279,6 @@ func (m *Master) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	known, _, _ := m.ms.Counts()
 	m.mu.Unlock()
-	m.haNoteMember(req.ID, req.URL, req.Gen)
 	fleetWriteJSON(w, http.StatusOK, RegisterResponse{OK: true, Known: known})
 }
 
@@ -321,7 +320,6 @@ func (m *Master) handleDeregister(w http.ResponseWriter, r *http.Request) {
 		delete(m.conns, req.ID)
 	}
 	m.mu.Unlock()
-	m.haNoteUnmember(req.ID)
 	fleetWriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 

@@ -25,15 +25,14 @@ import (
 // prefix property means a torn response yields a clean prefix the next
 // poll simply re-extends. When a follower's watermark has aged out of
 // the ring — or the stream identity changed because the primary
-// restarted or re-based — the streamer answers "gap" and the follower
+// restarted — the streamer answers "gap" and the follower
 // resyncs from a checkpoint the streamer's provider captures, then
 // re-enters the record stream at the checkpoint's sequence.
 //
-// The same pair serves two deployments: the fleet master ships its
-// durable control-plane log to the standby inside lease renewals
-// (push), and a cache server exposes ServeWAL/ServeCheckpoint so read
-// replicas pull over HTTP. Both directions carry identical frames, so
-// corruption detection, gap handling, and resync behave the same.
+// The pair has one deployment: a cache server exposes ServeWAL and
+// ServeCheckpoint (server.EnableReplication), and a read replica pulls
+// both over HTTP. Stream frames are the WAL's own frames, so corruption
+// detection and the prefix property are the WAL's.
 
 // Stream HTTP headers.
 const (
@@ -56,18 +55,13 @@ var ErrStreamGap = errors.New("persist: stream gap, checkpoint resync required")
 // laggards are forced through a checkpoint resync.
 const DefaultStreamRing = 4096
 
-// AppendFrame appends one CRC-framed payload to buf and returns it —
-// the exported face of the WAL frame codec, for callers building
-// streamable records outside the Store (the fleet's HA log).
-func AppendFrame(buf, payload []byte) []byte { return appendFrame(buf, payload) }
-
-// DecodeFrames invokes fn for every intact frame in b, in order,
+// decodeFrames invokes fn for every intact frame in b, in order,
 // stopping at the first torn or corrupt frame. It returns how many
 // frames were decoded and why decoding stopped: nil for a clean end,
 // io.ErrUnexpectedEOF for a torn tail, an ErrCorrupt-wrapped error for
 // a failed checksum or length, or fn's error. The prefix property
 // holds: bytes after a bad frame are never interpreted.
-func DecodeFrames(b []byte, fn func(payload []byte) error) (int, error) {
+func decodeFrames(b []byte, fn func(payload []byte) error) (int, error) {
 	br := bufio.NewReader(bytes.NewReader(b))
 	n := 0
 	for {
@@ -120,8 +114,7 @@ type StreamCheckpoint struct {
 // published before `next` is reflected in the payload and none at or
 // after it — which the provider guarantees by capturing state and
 // reading Streamer.Next under the same exclusion that serializes
-// Publish calls (for the cache server, the all-shard exclusive lock;
-// for the fleet master, its state mutex).
+// Publish calls (for the cache server, the all-shard exclusive lock).
 type CheckpointFunc func() (payload []byte, next uint64, err error)
 
 // Streamer is the primary side of WAL streaming: a bounded ring of
@@ -132,28 +125,17 @@ type Streamer struct {
 
 	mu     sync.Mutex
 	id     uint64
-	max    int
 	floor  uint64 // sequence of frames[0]
 	next   uint64 // sequence the next Publish assigns
 	frames [][]byte
 }
 
 // NewStreamer creates a streamer with identity id (must be non-zero;
-// followers treat 0 as "no stream yet") retaining up to maxRecords
-// frames (<= 0 takes DefaultStreamRing). ckpt provides resync
-// checkpoints; nil disables resync (gapped followers stay gapped).
-func NewStreamer(id uint64, maxRecords int, ckpt CheckpointFunc) *Streamer {
-	if maxRecords <= 0 {
-		maxRecords = DefaultStreamRing
-	}
-	return &Streamer{id: id, max: maxRecords, floor: 1, next: 1, ckpt: ckpt}
-}
-
-// ID returns the stream identity.
-func (s *Streamer) ID() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.id
+// followers treat 0 as "no stream yet") retaining up to
+// DefaultStreamRing frames. ckpt provides resync checkpoints; nil
+// disables resync (gapped followers stay gapped).
+func NewStreamer(id uint64, ckpt CheckpointFunc) *Streamer {
+	return &Streamer{id: id, floor: 1, next: 1, ckpt: ckpt}
 }
 
 // Next returns the sequence the next published record will get (one
@@ -173,24 +155,12 @@ func (s *Streamer) Publish(payload []byte) uint64 {
 	seq := s.next
 	s.next++
 	s.frames = append(s.frames, frame)
-	if len(s.frames) > s.max {
-		drop := len(s.frames) - s.max
+	if len(s.frames) > DefaultStreamRing {
+		drop := len(s.frames) - DefaultStreamRing
 		s.frames = append([][]byte(nil), s.frames[drop:]...)
 		s.floor += uint64(drop)
 	}
 	return seq
-}
-
-// Bump changes the stream identity (clearing the ring), forcing every
-// follower through a checkpoint resync. Embedders call it when the
-// record stream re-bases — a WAL heal, a promotion seeding a new
-// primary's log from replicated state.
-func (s *Streamer) Bump(id uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.id = id
-	s.frames = nil
-	s.floor = s.next
 }
 
 // Batch returns frames covering [from, next), capped at maxBytes of
@@ -348,7 +318,7 @@ func (f *Follower) ApplyBatch(stream, from uint64, frames []byte) (int, error) {
 	f.mu.Unlock()
 
 	applied := 0
-	_, err := DecodeFrames(frames, func(payload []byte) error {
+	_, err := decodeFrames(frames, func(payload []byte) error {
 		if skip > 0 {
 			skip--
 			return nil
@@ -379,7 +349,7 @@ func (f *Follower) ApplyBatch(stream, from uint64, frames []byte) (int, error) {
 // record stream at next.
 func (f *Follower) ApplyCheckpoint(stream, next uint64, frame []byte) error {
 	var payload []byte
-	n, err := DecodeFrames(frame, func(p []byte) error {
+	n, err := decodeFrames(frame, func(p []byte) error {
 		payload = append([]byte(nil), p...)
 		return nil
 	})

@@ -34,7 +34,7 @@ type streamedPrimary struct {
 	drop func(core.Mutation) bool
 }
 
-func newStreamedPrimary(t *testing.T, repo *pkggraph.Repo, ring int) *streamedPrimary {
+func newStreamedPrimary(t *testing.T, repo *pkggraph.Repo) *streamedPrimary {
 	t.Helper()
 	p := &streamedPrimary{}
 	cfg := core.Config{Alpha: 0.6}
@@ -43,7 +43,7 @@ func newStreamedPrimary(t *testing.T, repo *pkggraph.Repo, ring int) *streamedPr
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
 	}
-	p.str = NewStreamer(1, ring, func() ([]byte, uint64, error) {
+	p.str = NewStreamer(1, func() ([]byte, uint64, error) {
 		var payload []byte
 		var next uint64
 		var cerr error
@@ -141,7 +141,7 @@ func stateBytes(t *testing.T, st core.ManagerState) string {
 // converges to a state byte-identical to the primary's ExportState.
 func TestStreamReplicaByteIdentical(t *testing.T) {
 	repo := streamRepo(t)
-	p := newStreamedPrimary(t, repo, 0)
+	p := newStreamedPrimary(t, repo)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/ha/v1/wal", p.str.ServeWAL)
 	mux.HandleFunc("/ha/v1/checkpoint", p.str.ServeCheckpoint)
@@ -174,7 +174,7 @@ func TestStreamReplicaByteIdentical(t *testing.T) {
 // reaches byte-identical state.
 func TestStreamGapForcesCheckpointResync(t *testing.T) {
 	repo := streamRepo(t)
-	p := newStreamedPrimary(t, repo, 8) // tiny ring: laggards gap fast
+	p := newStreamedPrimary(t, repo)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/wal", p.str.ServeWAL)
 	mux.HandleFunc("/checkpoint", p.str.ServeCheckpoint)
@@ -182,7 +182,7 @@ func TestStreamGapForcesCheckpointResync(t *testing.T) {
 	defer ts.Close()
 
 	r := newReplica(t, repo)
-	driveRequests(t, repo, p, 80, 0) // far beyond the 8-record ring
+	driveRequests(t, repo, p, DefaultStreamRing+80, 0) // beyond the ring
 	for i := 0; i < 10 && r.fol.Next() != p.str.Next(); i++ {
 		if _, err := r.fol.Pull(context.Background(), ts.Client(), ts.URL); err != nil {
 			t.Fatalf("pull: %v", err)
@@ -202,7 +202,7 @@ func TestStreamGapForcesCheckpointResync(t *testing.T) {
 // crash-recovery contract, one network hop out.
 func TestStreamFollowerCrashRestart(t *testing.T) {
 	repo := streamRepo(t)
-	p := newStreamedPrimary(t, repo, 16)
+	p := newStreamedPrimary(t, repo)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/wal", p.str.ServeWAL)
 	mux.HandleFunc("/checkpoint", p.str.ServeCheckpoint)
@@ -219,7 +219,7 @@ func TestStreamFollowerCrashRestart(t *testing.T) {
 
 	// Crash: the replica process dies; a fresh one starts from zero
 	// while the primary keeps moving past the ring bound.
-	driveRequests(t, repo, p, 60, 5)
+	driveRequests(t, repo, p, DefaultStreamRing+60, 5)
 	r2 := newReplica(t, repo)
 	for i := 0; i < 10 && r2.fol.Next() != p.str.Next(); i++ {
 		if _, err := r2.fol.Pull(context.Background(), ts.Client(), ts.URL); err != nil {
@@ -245,7 +245,7 @@ func TestStreamFollowerCrashRestart(t *testing.T) {
 // batch is re-fetched.
 func TestStreamBatchTruncationEveryOffset(t *testing.T) {
 	repo := streamRepo(t)
-	p := newStreamedPrimary(t, repo, 0)
+	p := newStreamedPrimary(t, repo)
 	driveRequests(t, repo, p, 12, 0)
 	batch, ok := p.str.Batch(1, 0)
 	if !ok || batch.Count == 0 {
@@ -281,7 +281,7 @@ func TestStreamBatchTruncationEveryOffset(t *testing.T) {
 // re-fetches the damaged record.
 func TestStreamCorruptFrameStopsCleanly(t *testing.T) {
 	repo := streamRepo(t)
-	p := newStreamedPrimary(t, repo, 0)
+	p := newStreamedPrimary(t, repo)
 	driveRequests(t, repo, p, 8, 0)
 	batch, _ := p.str.Batch(1, 0)
 	if batch.Count < 3 {
@@ -306,44 +306,6 @@ func TestStreamCorruptFrameStopsCleanly(t *testing.T) {
 	}
 }
 
-// TestStreamBumpForcesResync: a stream identity change (primary
-// re-based its log) gaps every follower into a checkpoint resync.
-func TestStreamBumpForcesResync(t *testing.T) {
-	repo := streamRepo(t)
-	p := newStreamedPrimary(t, repo, 0)
-	driveRequests(t, repo, p, 10, 0)
-	r := newReplica(t, repo)
-	batch, _ := p.str.Batch(1, 0)
-	if _, err := r.fol.ApplyBatch(batch.StreamID, batch.From, batch.Frames); err != nil {
-		t.Fatalf("initial batch: %v", err)
-	}
-
-	p.str.Bump(2)
-	driveRequests(t, repo, p, 10, 3)
-	if _, ok := p.str.Batch(r.fol.Next(), 0); ok {
-		// The watermark may or may not be serviceable after Bump; what
-		// matters is the identity check below.
-		t.Log("batch served post-bump; follower must still detect the identity change")
-	}
-	b2, ok := p.str.Batch(p.str.Next(), 0)
-	if !ok {
-		t.Fatalf("empty batch at next should serve")
-	}
-	if _, err := r.fol.ApplyBatch(b2.StreamID, b2.From, b2.Frames); err != ErrStreamGap {
-		t.Fatalf("stream identity change: got %v, want ErrStreamGap", err)
-	}
-	cb, err := p.str.Checkpoint()
-	if err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	if err := r.fol.ApplyCheckpoint(cb.StreamID, cb.Next, cb.Frame); err != nil {
-		t.Fatalf("resync: %v", err)
-	}
-	if got, want := stateBytes(t, r.mgr.ExportState()), stateBytes(t, p.mgr.ExportState()); got != want {
-		t.Fatalf("post-bump resync diverged")
-	}
-}
-
 // TestStreamStoreTap: the Store's commit tap publishes exactly the
 // WAL's records, so a streamer attached to a persistent server
 // replicates what recovery would replay.
@@ -359,7 +321,7 @@ func TestStreamStoreTap(t *testing.T) {
 		t.Fatalf("Recover: %v", err)
 	}
 	var taps []core.Mutation
-	str := NewStreamer(1, 0, nil)
+	str := NewStreamer(1, nil)
 	st.SetTap(func(payload []byte) {
 		var mut core.Mutation
 		if err := json.Unmarshal(payload, &mut); err != nil {
@@ -416,21 +378,22 @@ func TestStreamStoreTap(t *testing.T) {
 // re-serves acked records, and Batch rejects watermarks outside
 // [floor, next].
 func TestStreamWatermarkAcks(t *testing.T) {
-	s := NewStreamer(9, 4, nil)
-	for i := 0; i < 6; i++ {
+	s := NewStreamer(9, nil)
+	const published = DefaultStreamRing + 2
+	for i := 0; i < published; i++ {
 		s.Publish([]byte(fmt.Sprintf("rec-%d", i)))
 	}
-	// Ring of 4 with 6 published: floor is 3 (seqs 3..6 retained).
+	// Two past the ring: floor is 3 (seqs 3..published retained).
 	if _, ok := s.Batch(2, 0); ok {
 		t.Fatalf("aged-out watermark 2 must gap")
 	}
-	b, ok := s.Batch(5, 0)
-	if !ok || b.From != 5 || b.Count != 2 || b.Next != 7 {
-		t.Fatalf("batch from 5: ok=%v from=%d count=%d next=%d", ok, b.From, b.Count, b.Next)
+	b, ok := s.Batch(published-1, 0)
+	if !ok || b.From != published-1 || b.Count != 2 || b.Next != published+1 {
+		t.Fatalf("batch from %d: ok=%v from=%d count=%d next=%d", published-1, ok, b.From, b.Count, b.Next)
 	}
 	n := 0
-	if _, err := DecodeFrames(b.Frames, func(p []byte) error {
-		want := fmt.Sprintf("rec-%d", 4+n) // seq 5 carries rec-4 (seq 1 carried rec-0)
+	if _, err := decodeFrames(b.Frames, func(p []byte) error {
+		want := fmt.Sprintf("rec-%d", published-2+n) // seq k carries rec-(k-1)
 		if string(p) != want {
 			return fmt.Errorf("frame %d: %q != %q", n, p, want)
 		}
@@ -439,10 +402,10 @@ func TestStreamWatermarkAcks(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Batch(8, 0); ok {
-		t.Fatalf("future watermark 8 must gap")
+	if _, ok := s.Batch(published+2, 0); ok {
+		t.Fatalf("future watermark must gap")
 	}
-	if b, ok := s.Batch(7, 0); !ok || b.Count != 0 {
+	if b, ok := s.Batch(published+1, 0); !ok || b.Count != 0 {
 		t.Fatalf("caught-up watermark must serve an empty batch")
 	}
 }
@@ -454,7 +417,7 @@ func TestStreamWatermarkAcks(t *testing.T) {
 // gap and resync from the checkpoint instead of polling it forever.
 func TestStreamInapplicableDeltaResyncs(t *testing.T) {
 	repo := streamRepo(t)
-	p := newStreamedPrimary(t, repo, 0)
+	p := newStreamedPrimary(t, repo)
 	dropped := false
 	p.drop = func(mut core.Mutation) bool {
 		first := mut.Kind == core.MutMerge && !dropped

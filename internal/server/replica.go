@@ -16,9 +16,8 @@ import (
 //
 // EnableReplication republishes every WAL record the store commits
 // into a persist.Streamer, served at /ha/v1/wal with checkpoint
-// resync at /ha/v1/checkpoint, so read replicas (and a standby master
-// mirroring a cache server) follow the live WAL instead of polling
-// snapshots. /v1/warm lets a draining fleet agent push its hot specs
+// resync at /ha/v1/checkpoint, so read replicas follow the live WAL
+// instead of polling snapshots. /v1/warm lets a draining fleet agent push its hot specs
 // to the rendezvous successor — the warm-handoff half of the HA
 // design.
 
@@ -29,7 +28,7 @@ func (s *Server) EnableReplication(id uint64) error {
 	if s.store == nil {
 		return fmt.Errorf("server: replication requires a persistent store")
 	}
-	str := persist.NewStreamer(id, 0, func() ([]byte, uint64, error) {
+	str := persist.NewStreamer(id, func() ([]byte, uint64, error) {
 		var payload []byte
 		var next uint64
 		var err error
