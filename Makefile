@@ -166,14 +166,18 @@ fuzz:
 # and must not grow back, nor the per-record replay signature scratch
 # (replaySig) that the replay pass replaced (DESIGN.md §6), nor the
 # master pair's replicated HA log, its folded state and its stream
-# watermarks, which the lease's epoch and holder replaced (§13). The second keeps the harnesses on the
+# watermarks, which the lease's epoch and holder replaced, nor the WAL
+# read replica (its streamer, follower, store tap and /ha/v1/ routes),
+# whose audit a recovery of the durable agent's state directory
+# replaced (§13). The watermark names match unanchored: with the
+# replica's stream headers gone no other name contains them. The second keeps the harnesses on the
 # in-memory network: no listener, no test server. The last two keep
 # every cache node on the one assembly, server.Open: no command opens a
 # store, recovers a server or starts a heal probe by hand, and no
 # harness builds a durable server around a store it opened itself.
 check:
-	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits|SetTracer|telemetry\.Tracer\b|newEvent|opTracer|timelineTracer|SetPaused|TransportFor|ChaosProxy|ReadHAState|repro/internal/cluster|StageClusterDispatch|cluster_dispatch|DeltaSite|landlord_site_|RunShardSim|ShardSimConfig|ShardSimReport|ShedderEnabled|replaySig|haRecord|haCheckpoint|haLogRing|HAState|RecoveredState|MirrorNext\b|StreamNext\b|haNoteMember' --include='*.go' --exclude-dir=.bench_build . \
-		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, §10 for the route dictionary, §9 for the event hook, §7 for the harness seams, the site model and the simulation driver, §6 for the node assembly and the replay pass, §13 for the HA log the lease replaced)"; exit 1; }
+	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits|SetTracer|telemetry\.Tracer\b|newEvent|opTracer|timelineTracer|SetPaused|TransportFor|ChaosProxy|ReadHAState|repro/internal/cluster|StageClusterDispatch|cluster_dispatch|DeltaSite|landlord_site_|RunShardSim|ShardSimConfig|ShardSimReport|ShedderEnabled|replaySig|haRecord|haCheckpoint|haLogRing|HAState|RecoveredState|MirrorNext|StreamNext|haNoteMember|EnableReplication|NewStreamer|persist\.Streamer|persist\.Follower|StreamCheckpoint|ErrStreamGap|SetTap\(|/ha/v1/' --include='*.go' --exclude-dir=.bench_build . \
+		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, §10 for the route dictionary, §9 for the event hook, §7 for the harness seams, the site model and the simulation driver, §6 for the node assembly and the replay pass, §13 for the HA log the lease replaced and the WAL read replica the recovery audit replaced)"; exit 1; }
 	@! grep -nE 'net\.Listen|httptest\.' $$(ls internal/check/*.go | grep -v '_test\.go$$') \
 		|| { echo "check: a harness in internal/check opens a socket; run it on the in-memory network (DESIGN.md §7)"; exit 1; }
 	@! grep -nE 'persist\.Open\(|NewPersistent\(|StartDegradedProbe\(' $$(find cmd -name '*.go' ! -name '*_test.go') \
@@ -190,7 +194,8 @@ check:
 # High-availability chaos gate: the primary+standby failover harness
 # under the race detector (two-tick promotion, a promoted master
 # healthy toward every agent its predecessor could route to, single
-# acking primary per round, warm drain handoff, WAL replica equality),
+# acking primary per round, warm drain handoff, the durable agent's
+# recovered state equal to its live state after every primary kill),
 # then one CLI pass with a shifted fault schedule.
 ha-chaos:
 	$(GO) test -race -count=1 -run TestHAChaos ./internal/check

@@ -28,12 +28,13 @@
 // invariants — zero lost acks across master kill/restart cycles and
 // agent partitions, route-around of partitioned agents, and bounded
 // key movement under membership churn. hachaos runs a primary +
-// standby master pair with epoch-gated agents and a WAL read replica,
+// standby master pair with epoch-gated agents, one of them persistent,
 // and audits the high-availability invariants: two-tick standby
 // promotion, a promoted master healthy toward every agent the dead
 // primary could route to, a single acking primary per round, warm drain
-// handoff, and replica state equality (-kill-phase rotates the fault
-// schedule; the nightly soak sweeps it). chaos loops the whole harness
+// handoff, and a recovery of the persistent agent's state directory
+// equal to its live state after every primary kill (-kill-phase
+// rotates the fault schedule; the nightly soak sweeps it). chaos loops the whole harness
 // over consecutive seeds until the duration expires (the nightly soak).
 //
 // -trace-dump writes the failing run's tail-sampling trace ring to the
@@ -98,7 +99,7 @@ func usage() {
   netchaos -seed N [-steps N] [-trace-dump P]  HTTP server under network + disk chaos
   tracesim -seed N [-steps N] [-trace-dump P]  deterministic span-trace coverage + replay audit
   fleetchaos -seed N [-steps N] [-agents N]    master/agent fleet under partitions + master kills
-  hachaos  -seed N [-steps N] [-agents N] [-kill-phase N] [-trace-dump P]  primary+standby failover, epoch fencing, WAL replica
+  hachaos  -seed N [-steps N] [-agents N] [-kill-phase N] [-trace-dump P]  primary+standby failover, epoch fencing, recovery audit
   chaos    -duration D [-seed N] [-trace-dump P]  loop sim+soak+netchaos+tracesim+fleetchaos+hachaos over consecutive seeds (0 = from clock)`)
 }
 
@@ -321,10 +322,10 @@ func hachaos(seed int64, steps, agents, killPhase int, dump string) error {
 		writeTraceDump(dump, f)
 		return f
 	}
-	fmt.Printf("hachaos seed=%d steps=%d agents=%d kill_phase=%d: acked=%d unavailable=%d kills=%d isolations=%d promotions=%d demotions=%d epoch=%d replica=%d stale_rejects=%d handoff=%d\n",
+	fmt.Printf("hachaos seed=%d steps=%d agents=%d kill_phase=%d: acked=%d unavailable=%d kills=%d isolations=%d promotions=%d demotions=%d epoch=%d recovered=%d stale_rejects=%d handoff=%d\n",
 		seed, rep.Steps, cfg.Agents, killPhase, rep.Acked, rep.Unavailable,
 		rep.Kills, rep.Isolations, rep.Promotions, rep.Demotions,
-		rep.MaxEpoch, rep.ReplicaRecords, rep.StaleRejects, rep.HandoffSpecs)
+		rep.MaxEpoch, rep.Recovered, rep.StaleRejects, rep.HandoffSpecs)
 	return nil
 }
 

@@ -57,12 +57,9 @@ type fleetTopo struct {
 	agents  []*topoAgent
 	acks    ackLog // every spec acknowledged through the fleet
 
-	// In an HA fleet agent 0 is durable, its WAL in dir, and a read
-	// replica follows its stream.
-	durable    *server.Server
-	dir        string
-	replica    *persist.Follower
-	replicaMgr *core.ShardedManager
+	// In an HA fleet agent 0 is durable, its state directory under dir.
+	durable *server.Server
+	dir     string
 }
 
 type topoMaster struct {
@@ -90,8 +87,8 @@ type fleetReply struct {
 
 // newFleetTopo boots the fleet: agents, then masters, then one heartbeat
 // round. With ha set the masters are a pair, master-a starting as
-// primary, and agent 0 is persistent with the read replica following
-// it; otherwise one plain master fronts in-memory agents.
+// primary, and agent 0 is persistent; otherwise one plain master fronts
+// in-memory agents.
 func newFleetTopo(name string, seed int64, agents int, alpha float64, ha bool) (*fleetTopo, *Failure) {
 	t := &fleetTopo{
 		name: name, seed: seed, alpha: alpha,
@@ -126,11 +123,8 @@ func newFleetTopo(name string, seed int64, agents int, alpha float64, ha bool) (
 	return t, nil
 }
 
-// bootDurable makes a the persistent agent, replicating its WAL, and
-// starts the replica that follows it. The replica decodes records with
-// encoding/json on purpose, not with persist's record scanner: the
-// agent writes them with persist's encoder, so auditReplica holds that
-// encoder to the reference decoder.
+// bootDurable makes a the persistent agent, its state directory under
+// a fresh scratch directory.
 func (t *fleetTopo) bootDurable(a *topoAgent) error {
 	dir, err := os.MkdirTemp("", t.name+"-*")
 	if err != nil {
@@ -144,38 +138,6 @@ func (t *fleetTopo) bootDurable(a *topoAgent) error {
 		return err
 	}
 	t.durable = a.srv
-	if err := a.srv.EnableReplication(1); err != nil {
-		return err
-	}
-	newMgr := func() (*core.ShardedManager, error) {
-		return core.NewSharded(t.repo, core.Config{Alpha: t.alpha})
-	}
-	if t.replicaMgr, err = newMgr(); err != nil {
-		return err
-	}
-	t.replica = persist.NewFollower(
-		func(payload []byte) error {
-			var mut core.Mutation
-			if err := json.Unmarshal(payload, &mut); err != nil {
-				return err
-			}
-			return t.replicaMgr.ApplyMutation(mut)
-		},
-		func(payload []byte) error {
-			var ck persist.StreamCheckpoint
-			if err := json.Unmarshal(payload, &ck); err != nil {
-				return err
-			}
-			fresh, err := newMgr()
-			if err != nil {
-				return err
-			}
-			if err := fresh.ImportState(ck.State); err != nil {
-				return err
-			}
-			t.replicaMgr = fresh
-			return nil
-		})
 	return nil
 }
 
@@ -406,32 +368,56 @@ func (t *fleetTopo) auditMirrors(step int) *Failure {
 	return nil
 }
 
-// pullReplica runs one replication poll; lag is fine, the next pull
-// catches up.
-func (t *fleetTopo) pullReplica() {
-	t.replica.Pull(context.Background(), t.client, nodeURL(t.agents[0].id)+"/ha/v1")
-}
-
-// auditReplica drains the replica to the persistent agent's stream head
-// and requires the two cache states to be byte-identical.
-func (t *fleetTopo) auditReplica(step int) *Failure {
-	want := t.agents[0].srv.Streamer().Next()
-	for i := 0; i < 10 && t.replica.Next() < want; i++ {
-		t.pullReplica()
-	}
-	if t.replica.Next() < want {
-		return t.failf(step, "replica never drained to %d (at %d)", want, t.replica.Next())
-	}
-	got, err := json.Marshal(t.replicaMgr.ExportState())
+// auditRecovery recovers a copy of the persistent agent's state
+// directory, as a restart would, and requires the recovered cache to
+// pass CheckIntegrity and to equal the live agent's state byte for
+// byte. It returns how many WAL records the recovery replayed.
+func (t *fleetTopo) auditRecovery(step int) (int, *Failure) {
+	a := t.agents[0]
+	src := filepath.Join(t.dir, a.id)
+	dst, err := os.MkdirTemp(t.dir, "recovery-*")
 	if err != nil {
-		return t.failf(step, "marshal replica state: %v", err)
+		return 0, t.failf(step, "recovery audit: %v", err)
 	}
-	live, err := json.Marshal(t.agents[0].srv.ExportState())
+	defer os.RemoveAll(dst)
+	files, err := os.ReadDir(src)
 	if err != nil {
-		return t.failf(step, "marshal %s state: %v", t.agents[0].id, err)
+		return 0, t.failf(step, "recovery audit: %v", err)
+	}
+	for _, f := range files {
+		if !f.Type().IsRegular() {
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(src, f.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dst, f.Name()), b, 0o644)
+		}
+		if err != nil {
+			return 0, t.failf(step, "recovery audit: copying %s: %v", f.Name(), err)
+		}
+	}
+	st, err := persist.Open(dst, persist.Options{})
+	if err != nil {
+		return 0, t.failf(step, "recovery audit: %v", err)
+	}
+	defer st.Close()
+	mgr, rec, err := st.RecoverSharded(t.repo, core.Config{Alpha: t.alpha})
+	if err != nil {
+		return 0, t.failf(step, "recovering %s's state dir: %v", a.id, err)
+	}
+	if err := mgr.CheckIntegrity(); err != nil {
+		return 0, t.failf(step, "recovered %s fails its integrity audit after %d records: %v", a.id, rec.RecordsReplayed, err)
+	}
+	got, err := json.Marshal(mgr.ExportState())
+	if err != nil {
+		return 0, t.failf(step, "marshal recovered state: %v", err)
+	}
+	live, err := json.Marshal(a.srv.ExportState())
+	if err != nil {
+		return 0, t.failf(step, "marshal %s state: %v", a.id, err)
 	}
 	if !bytes.Equal(got, live) {
-		return t.failf(step, "replica state diverged from %s after %d records", t.agents[0].id, t.replica.Applied())
+		return 0, t.failf(step, "recovered state diverged from %s after %d records", a.id, rec.RecordsReplayed)
 	}
-	return nil
+	return rec.RecordsReplayed, nil
 }

@@ -7,12 +7,11 @@ import (
 
 // RunHAChaos audits the fleet's high-availability layer end to end: a
 // primary + standby master pair fronting N agents that heartbeat both
-// masters through their epoch-gated handlers, with a WAL-streaming read
-// replica following the persistent agent (fleetTopo). The schedule
-// kills the primary and isolates the lease holder at deterministic
-// steps, and the run drives every lease tick, heartbeat, and replica
-// pull itself, so failover timing is exact, not wall-clocked; two runs
-// of a config report identically (TestHAChaosDeterministic).
+// masters through their epoch-gated handlers, agent 0 persistent
+// (fleetTopo). The schedule kills the primary and isolates the lease
+// holder at deterministic steps, and the run drives every lease tick
+// and heartbeat itself, so failover timing is exact, not wall-clocked;
+// two runs of a config report identically (TestHAChaosDeterministic).
 //
 // The invariants:
 //
@@ -31,8 +30,9 @@ import (
 //     isolated primary just before the cut is healthy on the promoted
 //     master before any further beat, learned from the agents' own
 //     heartbeats, since the pair exchanges only epoch and holder;
-//   - replica byte-identity: the WAL follower's cache state equals the
-//     persistent agent's ExportState once the stream is drained;
+//   - recovery byte-identity: after every primary kill, a copy of the
+//     persistent agent's state directory recovers to a cache that
+//     passes CheckIntegrity and equals the agent's ExportState;
 //   - warm handoff: a drained agent's acked specs are still hits
 //     through the fleet, served by the rendezvous successors its drain
 //     warmed;
@@ -43,8 +43,7 @@ import (
 type HAChaosConfig struct {
 	Seed  int64
 	Steps int
-	// Agents is the fleet size (>= 2; agent 0 is the persistent one the
-	// replica follows).
+	// Agents is the fleet size (>= 2; agent 0 is the persistent one).
 	Agents int
 	Alpha  float64
 	// Kills is how many scheduled primary kill/restart cycles run; a
@@ -80,8 +79,8 @@ type HAChaosReport struct {
 	Promotions  int // audited standby promotions
 	Demotions   int // audited old-primary demotions
 	MaxEpoch    uint64
-	// ReplicaRecords is how many WAL records the read replica applied.
-	ReplicaRecords uint64
+	// Recovered sums the WAL records the recovery audits replayed.
+	Recovered int
 	// StaleRejects sums the agents' epoch-gate rejections — nonzero in
 	// any run where a superseded primary tried to keep forwarding.
 	StaleRejects uint64
@@ -233,7 +232,9 @@ func RunHAChaos(cfg HAChaosConfig) (rep HAChaosReport, fail *Failure) {
 		if f := t.auditAcked(step); f != nil {
 			return f
 		}
-		return t.auditReplica(step)
+		n, f := t.auditRecovery(step)
+		rep.Recovered += n
+		return f
 	}
 
 	// isolate cuts the standby's lease path to the holder. The holder
@@ -319,9 +320,6 @@ func RunHAChaos(cfg HAChaosConfig) (rep HAChaosReport, fail *Failure) {
 		if f := t.auditMirrors(step); f != nil {
 			return rep, f
 		}
-		if step%5 == 0 {
-			t.pullReplica()
-		}
 		keys := keysOf(t.repo, stream.Next())
 		rep.Steps++
 		if f := sendRound(step, keys); f != nil {
@@ -389,7 +387,6 @@ func RunHAChaos(cfg HAChaosConfig) (rep HAChaosReport, fail *Failure) {
 			return rep, t.failf(cfg.Steps, "agent %s gate at epoch %d, fleet at %d", a.id, st.Epoch, rep.MaxEpoch)
 		}
 	}
-	rep.ReplicaRecords = t.replica.Applied()
 	if rep.Acked == 0 {
 		return rep, t.failf(cfg.Steps, "no request was ever acknowledged")
 	}

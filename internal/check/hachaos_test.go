@@ -7,8 +7,8 @@ import (
 
 // TestHAChaos runs the high-availability chaos schedule: primary
 // kills with two-tick promotion audits, lease-holder isolations with
-// epoch-fenced demotion, warm drain handoff, and the WAL read replica
-// byte-identity check. The run itself carries the invariants; this
+// epoch-fenced demotion, warm drain handoff, and the persistent agent's
+// recovery byte-identity check. The run itself carries the invariants; this
 // test asserts the schedule actually exercised them.
 func TestHAChaos(t *testing.T) {
 	cfg := HAChaosDefault(*seedFlag)
@@ -31,16 +31,16 @@ func TestHAChaos(t *testing.T) {
 	if rep.Acked == 0 {
 		t.Fatal("no request was ever acked")
 	}
-	if rep.ReplicaRecords == 0 {
-		t.Fatal("replica applied no WAL records")
+	if rep.Recovered == 0 {
+		t.Fatal("the recovery audits replayed no WAL records")
 	}
 	if rep.MaxEpoch < uint64(rep.Promotions) {
 		t.Fatalf("final epoch %d below promotion count %d", rep.MaxEpoch, rep.Promotions)
 	}
-	t.Logf("hachaos: steps=%d acked=%d unavailable=%d sheds=%d errors=%d kills=%d isolations=%d promotions=%d demotions=%d epoch=%d replica=%d staleRejects=%d handoff=%d",
+	t.Logf("hachaos: steps=%d acked=%d unavailable=%d sheds=%d errors=%d kills=%d isolations=%d promotions=%d demotions=%d epoch=%d recovered=%d staleRejects=%d handoff=%d",
 		rep.Steps, rep.Acked, rep.Unavailable, rep.Sheds, rep.Errors,
 		rep.Kills, rep.Isolations, rep.Promotions, rep.Demotions,
-		rep.MaxEpoch, rep.ReplicaRecords, rep.StaleRejects, rep.HandoffSpecs)
+		rep.MaxEpoch, rep.Recovered, rep.StaleRejects, rep.HandoffSpecs)
 }
 
 // TestHAChaosDeterministic pins the same for the HA schedule: two runs

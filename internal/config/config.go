@@ -370,7 +370,7 @@ func (s Site) LeaseInterval() time.Duration {
 	return time.Duration(s.LeaseIntervalMS) * time.Millisecond
 }
 
-// FleetHAConfig assembles the lease/replication half of a master. Zero
+// FleetHAConfig assembles the lease half of a master. Zero
 // (HA off) when MasterID is unset. A standby's peer is its primary
 // (standby_of); a primary's peer is its standby (peer_url), which a
 // deposed primary demotes into polling.

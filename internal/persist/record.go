@@ -25,8 +25,8 @@ import (
 // null, a leading zero, an overflowing number, an unknown kind,
 // trailing bytes) is unmarshalled by encoding/json, so accepted
 // inputs, decoded values and error texts are encoding/json's in every
-// case, and bytes on disk and on the replication stream are the ones
-// json.Marshal would have produced.
+// case, and the bytes on disk are the ones json.Marshal would have
+// produced.
 
 // appendRecord appends mut's payload to buf in place. false means one
 // of its strings is not plain: what was appended is to be discarded and

@@ -58,12 +58,6 @@ type Store struct {
 	tainted map[uint64]struct{}
 	heals   int64
 
-	// tap, when set, observes every successfully appended record's
-	// payload in append order, inside the commit critical section — the
-	// hook WAL streaming replication (stream.go) publishes from. The
-	// payload slice is only valid for the duration of the call.
-	tap func(payload []byte)
-
 	lastCkptUnixNano atomic.Int64
 
 	// Metric series; nil until RegisterMetrics.
@@ -100,18 +94,6 @@ func Open(dir string, opts Options) (*Store, error) {
 
 // Dir returns the state directory.
 func (st *Store) Dir() string { return st.dir }
-
-// SetTap installs fn as the append observer: it is called with every
-// successfully appended record's payload, in append order, under the
-// store's commit lock (so it must stay cheap and must not re-enter the
-// store). The payload slice is reused; implementations that retain it
-// must copy. Replication attaches a Streamer here. Call before traffic;
-// not safe to change concurrently with commits.
-func (st *Store) SetTap(fn func(payload []byte)) {
-	st.mu.Lock()
-	st.tap = fn
-	st.mu.Unlock()
-}
 
 // Err returns the sticky append error, if any. Once an append fails
 // (disk full, removed directory) the store stops logging and the cache
@@ -402,9 +384,6 @@ func (st *Store) Commit(mut core.Mutation) {
 		return
 	}
 	st.appendSeq++
-	if st.tap != nil {
-		st.tap(buf[frameHeaderSize:])
-	}
 	if mut.Kind == core.MutInsert || mut.Kind == core.MutMerge {
 		st.pending = append(st.pending, pendingRec{seq: st.appendSeq, id: mut.ImageID})
 	}

@@ -38,14 +38,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // io.ErrUnexpectedEOF instead.
 var ErrCorrupt = errors.New("persist: corrupt record")
 
-// appendFrame appends the framed payload to buf and returns it.
-func appendFrame(buf, payload []byte) []byte {
-	start := len(buf)
-	buf = append(append(buf, make([]byte, frameHeaderSize)...), payload...)
-	sealFrame(buf[start:])
-	return buf
-}
-
 // sealFrame fills in the header of frame, whose payload is already in
 // place after the frameHeaderSize bytes reserved for it.
 func sealFrame(frame []byte) {

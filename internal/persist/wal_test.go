@@ -26,6 +26,14 @@ func sampleMutations() []core.Mutation {
 	}
 }
 
+// appendFrame appends the framed payload to buf and returns it.
+func appendFrame(buf, payload []byte) []byte {
+	start := len(buf)
+	buf = append(append(buf, make([]byte, frameHeaderSize)...), payload...)
+	sealFrame(buf[start:])
+	return buf
+}
+
 func encodeAll(t *testing.T, muts []core.Mutation) []byte {
 	t.Helper()
 	var buf []byte

@@ -82,10 +82,6 @@ type Server struct {
 	// degraded-mode serving, and the state:* events.
 	shedder *resilience.Shedder
 	health  health
-
-	// streamer, when non-nil (EnableReplication), republishes every
-	// WAL record for read replicas pulling /ha/v1/wal.
-	streamer *persist.Streamer
 }
 
 // Config is everything Open assembles a cache node from. Each field is
@@ -415,10 +411,6 @@ func (s *Server) Handler() http.Handler {
 		"/v1/trace/":     s.handleTrace,
 		"/v1/warm":       s.handleWarm,
 		"/metrics":       s.handleMetrics,
-	}
-	if s.streamer != nil {
-		routes["/ha/v1/wal"] = s.handleStreamWAL
-		routes["/ha/v1/checkpoint"] = s.handleStreamCheckpoint
 	}
 	for route, h := range routes {
 		mux.Handle(route, telemetry.Middleware(s.reg, route, h))

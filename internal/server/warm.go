@@ -7,73 +7,24 @@ import (
 	"net/http"
 
 	"repro/internal/core"
-	"repro/internal/persist"
 	"repro/internal/pkggraph"
 	"repro/internal/spec"
 )
 
-// Replication and cache warming: the server side of the HA layer.
-//
-// EnableReplication republishes every WAL record the store commits
-// into a persist.Streamer, served at /ha/v1/wal with checkpoint
-// resync at /ha/v1/checkpoint, so read replicas follow the live WAL
-// instead of polling snapshots. /v1/warm lets a draining fleet agent push its hot specs
-// to the rendezvous successor — the warm-handoff half of the HA
-// design.
-
-// EnableReplication attaches a WAL streamer with stream identity id.
-// Requires a durable server (one with a state dir); call before Handler
-// and before serving traffic.
-func (s *Server) EnableReplication(id uint64) error {
-	if s.store == nil {
-		return fmt.Errorf("server: replication requires a persistent store")
-	}
-	str := persist.NewStreamer(id, func() ([]byte, uint64, error) {
-		var payload []byte
-		var next uint64
-		var err error
-		// All shards exclusively held: no commit — and therefore no
-		// Publish — is in flight, so the captured state and the stream
-		// position agree exactly.
-		s.cmgr.WithExclusiveAll(func(ms []*core.Manager) {
-			next = s.streamer.Next()
-			payload, err = json.Marshal(persist.StreamCheckpoint{
-				Next:  next,
-				State: core.MergedState(ms),
-			})
-		})
-		return payload, next, err
-	})
-	s.streamer = str
-	s.store.SetTap(func(payload []byte) {
-		str.Publish(payload)
-	})
-	return nil
-}
-
-// Streamer returns the replication streamer (nil unless
-// EnableReplication was called), for embedding processes that ship
-// the stream themselves.
-func (s *Server) Streamer() *persist.Streamer { return s.streamer }
+// Cache warming for drain handoff: /v1/warm lets a draining fleet
+// agent push its hot specs to the rendezvous successor. ExportState
+// and SnapshotNow expose the cache to callers embedding the server.
 
 // ExportState captures the full cache state with every shard
-// exclusively held — the primary side of a replica byte-identity
-// audit. Quiescent only in the sense that no commit is in flight while
-// the state is read.
+// exclusively held — the live side of a recovery byte-identity audit.
+// Quiescent only in the sense that no commit is in flight while the
+// state is read.
 func (s *Server) ExportState() core.ManagerState {
 	var st core.ManagerState
 	s.cmgr.WithExclusiveAll(func(ms []*core.Manager) {
 		st = core.MergedState(ms)
 	})
 	return st
-}
-
-func (s *Server) handleStreamWAL(w http.ResponseWriter, r *http.Request) {
-	s.streamer.ServeWAL(w, r)
-}
-
-func (s *Server) handleStreamCheckpoint(w http.ResponseWriter, r *http.Request) {
-	s.streamer.ServeCheckpoint(w, r)
 }
 
 // SnapshotNow returns the cache's image snapshots for callers
