@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race bench bench-guard bench-smoke fuzz check ha-chaos lint-metrics loc cover crash-test examples experiments clean
+.PHONY: all build vet test test-short race bench bench-guard bench-smoke fuzz check fleet-chaos lint-metrics loc cover crash-test examples experiments clean
 
 all: build vet lint-metrics test
 
@@ -126,10 +126,11 @@ fuzz:
 # simulation suite (one-shard and sharded rows, exact and MinHash,
 # every request validated by the oracle — the one reference for
 # Algorithm 1, in exact and in margin mode) and scaled-down soaks under
-# the race detector, the mutant self-test (each of the twenty-two seeded
+# the race detector, the mutant self-test (each of the twenty-three seeded
 # bugs — six Algorithm 1 clauses, the route-fold and budget-balancing
 # mutants, the three interned-path mutants intern/popcount/lshmiss, the
-# HA epoch-fencing mutant staleepoch, the mirror-index mutant
+# HA epoch-fencing mutant staleepoch, the HA promotion mutant leasetick,
+# the mirror-index mutant
 # staleindex, the request-scanner mutant reqscan, the merge-record
 # mutant deltadrop, the closure-union mutant closuredrop, the
 # record-scanner mutant walscan, the signing mutant probeskip, the
@@ -141,8 +142,10 @@ fuzz:
 # band candidate hid), probeskip by CheckIntegrity's re-sign with the
 # direct kernel at the first MinHash insert, route by both levels that
 # share its term table — the sharded rows' route audit and the fleet
-# stage's term audit in its first CheckIntegrity — staleepoch within
-# the HA stage's first lease isolation, staleindex within the fleet
+# stage's term audit in its first CheckIntegrity — staleepoch (by the
+# single-acking-primary audit) and leasetick (by the two-tick promotion
+# audit) within the HA-pair stage's first lease isolation, staleindex
+# within the fleet
 # stage's eviction audit, reqscan at the first escaped body and
 # closuredrop at the first close:true body of a fault-free
 # network-chaos stage, deltadrop, walscan and deltaoverlap by the
@@ -153,8 +156,9 @@ fuzz:
 # by the two-shard persistent MinHash row on its own, whose crash audit
 # compares shard by shard; dirscan by the fleet stage's mirror audit
 # after its first heartbeat round with an image, ckptscan by the crash
-# audit of the first recovery from a checkpoint), and one CLI chaos
-# pass. `landlord-check sim` runs the sharded rows too. The
+# audit of the first recovery from a checkpoint), and one CLI pass of
+# each deterministic harness; fleetchaos prints a plain-master row and an
+# HA-pair row. `landlord-check sim` runs the sharded rows too. The
 # first grep is a tripwire: the second decision pipeline, the middle
 # manager type, the second shadow, the master's sorted-key dictionary,
 # the per-request event hook beside the spans, and the seams only the
@@ -169,15 +173,18 @@ fuzz:
 # watermarks, which the lease's epoch and holder replaced, nor the WAL
 # read replica (its streamer, follower, store tap and /ha/v1/ routes),
 # whose audit a recovery of the durable agent's state directory
-# replaced (§13). The watermark names match unanchored: with the
+# replaced (§13), nor the second fleet harness (its config, report,
+# default and runner) and the fleet harness's random master kills, which
+# the one fleet harness and its fault schedule replaced (§7). The
+# watermark names match unanchored: with the
 # replica's stream headers gone no other name contains them. The second keeps the harnesses on the
 # in-memory network: no listener, no test server. The last two keep
 # every cache node on the one assembly, server.Open: no command opens a
 # store, recovers a server or starts a heal probe by hand, and no
 # harness builds a durable server around a store it opened itself.
 check:
-	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits|SetTracer|telemetry\.Tracer\b|newEvent|opTracer|timelineTracer|SetPaused|TransportFor|ChaosProxy|ReadHAState|repro/internal/cluster|StageClusterDispatch|cluster_dispatch|DeltaSite|landlord_site_|RunShardSim|ShardSimConfig|ShardSimReport|ShedderEnabled|replaySig|haRecord|haCheckpoint|haLogRing|HAState|RecoveredState|MirrorNext|StreamNext|haNoteMember|EnableReplication|NewStreamer|persist\.Streamer|persist\.Follower|StreamCheckpoint|ErrStreamGap|SetTap\(|/ha/v1/' --include='*.go' --exclude-dir=.bench_build . \
-		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, §10 for the route dictionary, §9 for the event hook, §7 for the harness seams, the site model and the simulation driver, §6 for the node assembly and the replay pass, §13 for the HA log the lease replaced and the WAL read replica the recovery audit replaced)"; exit 1; }
+	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits|SetTracer|telemetry\.Tracer\b|newEvent|opTracer|timelineTracer|SetPaused|TransportFor|ChaosProxy|ReadHAState|repro/internal/cluster|StageClusterDispatch|cluster_dispatch|DeltaSite|landlord_site_|RunShardSim|ShardSimConfig|ShardSimReport|ShedderEnabled|replaySig|haRecord|haCheckpoint|haLogRing|HAState|RecoveredState|MirrorNext|StreamNext|haNoteMember|EnableReplication|NewStreamer|persist\.Streamer|persist\.Follower|StreamCheckpoint|ErrStreamGap|SetTap\(|/ha/v1/|RunHAChaos|HAChaosConfig|HAChaosDefault|HAChaosReport|MasterKillEvery' --include='*.go' --exclude-dir=.bench_build . \
+		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, §10 for the route dictionary, §9 for the event hook, §7 for the harness seams, the site model, the simulation driver and the second fleet harness, §6 for the node assembly and the replay pass, §13 for the HA log the lease replaced and the WAL read replica the recovery audit replaced)"; exit 1; }
 	@! grep -nE 'net\.Listen|httptest\.' $$(ls internal/check/*.go | grep -v '_test\.go$$') \
 		|| { echo "check: a harness in internal/check opens a socket; run it on the in-memory network (DESIGN.md §7)"; exit 1; }
 	@! grep -nE 'persist\.Open\(|NewPersistent\(|StartDegradedProbe\(' $$(find cmd -name '*.go' ! -name '*_test.go') \
@@ -189,17 +196,19 @@ check:
 	$(GO) run ./cmd/landlord-check sim -seed 1
 	$(GO) run ./cmd/landlord-check tracesim -seed 1
 	$(GO) run ./cmd/landlord-check fleetchaos -seed 1
-	$(GO) run ./cmd/landlord-check hachaos -seed 1
 
-# High-availability chaos gate: the primary+standby failover harness
-# under the race detector (two-tick promotion, a promoted master
-# healthy toward every agent its predecessor could route to, single
-# acking primary per round, warm drain handoff, the durable agent's
-# recovered state equal to its live state after every primary kill),
-# then one CLI pass with a shifted fault schedule.
-ha-chaos:
-	$(GO) test -race -count=1 -run TestHAChaos ./internal/check
-	$(GO) run ./cmd/landlord-check hachaos -seed 1 -kill-phase 7
+# Fleet chaos gate: the one fleet harness, both rows (a plain master and
+# a primary + standby pair, agent 0 durable in each), under the race
+# detector — zero lost acks, route-around of partitioned agents,
+# soft-state recovery, bounded key movement, indexed and faithful
+# mirrors, two-tick promotion, a promoted master healthy toward every
+# agent its predecessor could route to, a single acking primary per
+# round, demotion of an isolated primary, warm drain handoff, the
+# durable agent's recovered state equal to its live state after every
+# kill — then one CLI pass with a shifted fault schedule.
+fleet-chaos:
+	$(GO) test -race -count=1 -run '^TestFleetChaos$$' ./internal/check
+	$(GO) run ./cmd/landlord-check fleetchaos -seed 1 -kill-phase 7
 
 # Static metric-registration audit: the same family registered under
 # two kinds or two help strings renders a /metrics exposition

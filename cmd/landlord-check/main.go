@@ -5,8 +5,7 @@
 //	landlord-check soak     -seed 1 [-requests 50000] [-workers 8]
 //	landlord-check netchaos -seed 1 [-steps 240] [-trace-dump path]
 //	landlord-check tracesim -seed 1 [-steps 48] [-trace-dump path]
-//	landlord-check fleetchaos -seed 1 [-steps 240] [-agents 3]
-//	landlord-check hachaos  -seed 1 [-steps 200] [-agents 3] [-kill-phase 0] [-trace-dump path]
+//	landlord-check fleetchaos -seed 1 [-steps 240] [-agents 3] [-kill-phase 0] [-trace-dump path]
 //	landlord-check chaos    -duration 10m [-seed 0] [-trace-dump path]
 //
 // sim runs the canonical deterministic suite under one seed: the
@@ -23,28 +22,30 @@
 // invariants. tracesim runs the deterministic span-tracing coverage
 // harness: a serially driven HTTP server whose tracer runs on a
 // logical clock, auditing that the retained trace dump covers every
-// canonical stage and replays byte-identically. fleetchaos runs a
-// master fronting N agents on a logical clock and audits the fleet
-// invariants — zero lost acks across master kill/restart cycles and
-// agent partitions, route-around of partitioned agents, and bounded
-// key movement under membership churn. hachaos runs a primary +
-// standby master pair with epoch-gated agents, one of them persistent,
-// and audits the high-availability invariants: two-tick standby
-// promotion, a promoted master healthy toward every agent the dead
-// primary could route to, a single acking primary per round, warm drain
-// handoff, and a recovery of the persistent agent's state directory
-// equal to its live state after every primary kill (-kill-phase
-// rotates the fault schedule; the nightly soak sweeps it). chaos loops the whole harness
-// over consecutive seeds until the duration expires (the nightly soak).
+// canonical stage and replays byte-identically. fleetchaos runs one
+// fault schedule twice on a logical clock, once against a plain master
+// and once against a primary + standby pair, each fronting N agents
+// (agent 0 persistent), and prints one line per row. It audits zero
+// lost acks across agent partitions and primary kills, route-around of
+// partitioned agents, soft-state recovery of a restarted master,
+// bounded key movement under membership churn, indexed and faithful
+// mirrors, and, after every kill, a recovery of the persistent agent's
+// state directory equal to its live state; in the pair also two-tick
+// standby promotion, a promoted master healthy toward every agent the
+// old primary could route to, a single acking primary per round and
+// demotion of an isolated primary; and a warm drain handoff at the
+// close (-kill-phase rotates the kills and isolations; the nightly
+// soak sweeps it). chaos loops the whole harness over consecutive
+// seeds until the duration expires (the nightly soak).
 //
 // -trace-dump writes the failing run's tail-sampling trace ring to the
 // given path as JSON, so CI can upload where-the-latency-went context
 // alongside the reproduction seed.
 //
 // Every failure prints its seed and a reproduction command, and the
-// process exits non-zero. sim, tracesim, fleetchaos and hachaos are
-// functions of their flags: rerun with the same ones and the failure
-// recurs at the same step with the same diagnostic. soak interleaves
+// process exits non-zero. sim, tracesim and fleetchaos are functions
+// of their flags: rerun with the same ones and the failure recurs at
+// the same step with the same diagnostic. soak interleaves
 // goroutines freely, and netchaos with faults injects latency and
 // backs off on the wall clock, so those replay their schedule, not
 // every count.
@@ -77,8 +78,6 @@ func main() {
 		err = runTraceSim(os.Args[2:])
 	case "fleetchaos":
 		err = runFleetChaos(os.Args[2:])
-	case "hachaos":
-		err = runHAChaos(os.Args[2:])
 	case "chaos":
 		err = runChaos(os.Args[2:])
 	default:
@@ -92,15 +91,14 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: landlord-check <sim|soak|netchaos|tracesim|fleetchaos|hachaos|chaos> [flags]
+	fmt.Fprintln(os.Stderr, `usage: landlord-check <sim|soak|netchaos|tracesim|fleetchaos|chaos> [flags]
 
   sim      -seed N [-steps N]               deterministic suite (one-shard and sharded rows) + persistent chaos runs
   soak     -seed N [-requests N] [-workers N] [-shards N]  concurrent soak with injected persist faults
   netchaos -seed N [-steps N] [-trace-dump P]  HTTP server under network + disk chaos
   tracesim -seed N [-steps N] [-trace-dump P]  deterministic span-trace coverage + replay audit
-  fleetchaos -seed N [-steps N] [-agents N]    master/agent fleet under partitions + master kills
-  hachaos  -seed N [-steps N] [-agents N] [-kill-phase N] [-trace-dump P]  primary+standby failover, epoch fencing, recovery audit
-  chaos    -duration D [-seed N] [-trace-dump P]  loop sim+soak+netchaos+tracesim+fleetchaos+hachaos over consecutive seeds (0 = from clock)`)
+  fleetchaos -seed N [-steps N] [-agents N] [-kill-phase N] [-trace-dump P]  plain master and HA pair under partitions, kills, isolations, drain
+  chaos    -duration D [-seed N] [-trace-dump P]  loop sim+soak+netchaos+tracesim+fleetchaos over consecutive seeds (0 = from clock)`)
 }
 
 // suite runs the canonical deterministic schedule for one seed: the
@@ -275,57 +273,31 @@ func runFleetChaos(args []string) error {
 	seed := fs.Int64("seed", 1, "fleetchaos seed")
 	steps := fs.Int("steps", 0, "override the request count (0 = canonical 240)")
 	agents := fs.Int("agents", 0, "override the fleet size (0 = canonical 3)")
-	fs.Parse(args)
-	return fleetchaos(*seed, *steps, *agents)
-}
-
-func fleetchaos(seed int64, steps, agents int) error {
-	cfg := check.FleetChaosDefault(seed)
-	if steps > 0 {
-		cfg.Steps = steps
-	}
-	if agents > 0 {
-		cfg.Agents = agents
-	}
-	rep, f := check.RunFleetChaos(cfg)
-	if f != nil {
-		return f
-	}
-	fmt.Printf("fleetchaos seed=%d steps=%d agents=%d: acked=%d unavailable=%d sheds=%d errors=%d partitions=%d master_kills=%d key_move=%.3f\n",
-		seed, rep.Steps, cfg.Agents, rep.Acked, rep.Unavailable, rep.Sheds, rep.Errors,
-		rep.Partitions, rep.MasterKills, rep.KeyMoveFraction)
-	return nil
-}
-
-func runHAChaos(args []string) error {
-	fs := flag.NewFlagSet("hachaos", flag.ExitOnError)
-	seed := fs.Int64("seed", 1, "hachaos seed")
-	steps := fs.Int("steps", 0, "override the request count (0 = canonical 200)")
-	agents := fs.Int("agents", 0, "override the fleet size (0 = canonical 3)")
-	killPhase := fs.Int("kill-phase", 0, "shift the fault schedule by this many steps (the nightly soak rotates it)")
+	killPhase := fs.Int("kill-phase", 0, "shift the kills and isolations by this many steps (the nightly soak rotates it)")
 	dump := fs.String("trace-dump", "", "on failure, write the persistent agent's trace ring to this path as JSON")
 	fs.Parse(args)
-	return hachaos(*seed, *steps, *agents, *killPhase, *dump)
+	return fleetchaos(*seed, *steps, *agents, *killPhase, *dump)
 }
 
-func hachaos(seed int64, steps, agents, killPhase int, dump string) error {
-	cfg := check.HAChaosDefault(seed)
-	if steps > 0 {
-		cfg.Steps = steps
+func fleetchaos(seed int64, steps, agents, killPhase int, dump string) error {
+	for _, cfg := range check.FleetChaosSuite(seed) {
+		if steps > 0 {
+			cfg.Steps = steps
+		}
+		if agents > 0 {
+			cfg.Agents = agents
+		}
+		cfg.KillPhase = killPhase
+		rep, f := check.RunFleetChaos(cfg)
+		if f != nil {
+			writeTraceDump(dump, f)
+			return f
+		}
+		fmt.Printf("fleetchaos seed=%d masters=%d steps=%d agents=%d kill_phase=%d: acked=%d unavailable=%d sheds=%d errors=%d partitions=%d kills=%d isolations=%d promotions=%d demotions=%d epoch=%d recovered=%d stale_rejects=%d handoff=%d key_move=%.3f\n",
+			seed, cfg.Masters, rep.Steps, cfg.Agents, killPhase, rep.Acked, rep.Unavailable, rep.Sheds, rep.Errors,
+			rep.Partitions, rep.Kills, rep.Isolations, rep.Promotions, rep.Demotions,
+			rep.MaxEpoch, rep.Recovered, rep.StaleRejects, rep.HandoffSpecs, rep.KeyMoveFraction)
 	}
-	if agents > 0 {
-		cfg.Agents = agents
-	}
-	cfg.KillPhase = killPhase
-	rep, f := check.RunHAChaos(cfg)
-	if f != nil {
-		writeTraceDump(dump, f)
-		return f
-	}
-	fmt.Printf("hachaos seed=%d steps=%d agents=%d kill_phase=%d: acked=%d unavailable=%d kills=%d isolations=%d promotions=%d demotions=%d epoch=%d recovered=%d stale_rejects=%d handoff=%d\n",
-		seed, rep.Steps, cfg.Agents, killPhase, rep.Acked, rep.Unavailable,
-		rep.Kills, rep.Isolations, rep.Promotions, rep.Demotions,
-		rep.MaxEpoch, rep.Recovered, rep.StaleRejects, rep.HandoffSpecs)
 	return nil
 }
 
@@ -358,12 +330,10 @@ func runChaos(args []string) error {
 		if err := tracesim(s, 0, *dump); err != nil {
 			return err
 		}
-		if err := fleetchaos(s, 0, 0); err != nil {
-			return err
-		}
-		// Rotate the HA kill schedule with the seed so the soak covers
-		// failovers landing at different points of the request stream.
-		if err := hachaos(s, 0, 0, int(s%29), *dump); err != nil {
+		// Rotate the kill schedule with the seed so the soak covers
+		// kills and failovers landing at different points of the
+		// request stream.
+		if err := fleetchaos(s, 0, 0, int(s%29), *dump); err != nil {
 			return err
 		}
 		iters++

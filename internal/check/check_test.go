@@ -24,8 +24,9 @@ var shardsFlag = flag.Int("shards", 4, "shard count for TestShardSoak (nightly r
 // in the harness prints `go test ./internal/check -run TestCheckReplay
 // -seed=N`, and this test re-runs the full schedule — the in-memory
 // suite (one-shard and sharded rows), the persistent disk-fault chaos runs (exact
-// and MinHash), the network-fault chaos run, and the fleet and HA chaos
-// runs (the default kill phase) — under that seed.
+// and MinHash), the network-fault chaos run, and both rows of the fleet
+// chaos suite (plain master and HA pair, the default kill phase) —
+// under that seed.
 func TestCheckReplay(t *testing.T) {
 	seed := *seedFlag
 	for _, cfg := range Suite(seed) {
@@ -41,11 +42,10 @@ func TestCheckReplay(t *testing.T) {
 	if _, f := RunNetChaos(NetChaosDefault(seed, t.TempDir())); f != nil {
 		t.Fatal(f)
 	}
-	if _, f := RunFleetChaos(FleetChaosDefault(seed)); f != nil {
-		t.Fatal(f)
-	}
-	if _, f := RunHAChaos(HAChaosDefault(seed)); f != nil {
-		t.Fatal(f)
+	for _, cfg := range FleetChaosSuite(seed) {
+		if _, f := RunFleetChaos(cfg); f != nil {
+			t.Fatal(f)
+		}
 	}
 }
 

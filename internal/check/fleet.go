@@ -38,12 +38,12 @@ type logicalClock struct{ ns atomic.Int64 }
 
 func (c *logicalClock) Now() time.Time { return time.Unix(0, c.ns.Load()) }
 
-// fleetTopo is the fleet both fleet harnesses run on: one plain master
-// or an HA pair, N agents and the harness's own client, all nodes of
-// one memNet and all on one logical clock. Agents have unlimited
-// capacity, so an acknowledged spec can never be evicted: any later
-// miss is a real loss. RunFleetChaos and RunHAChaos are fault
-// schedules and audits over it.
+// fleetTopo is the fleet the fleet harness runs on: one plain master
+// or an HA pair, N agents (agent 0 durable) and the harness's own
+// client, all nodes of one memNet and all on one logical clock. Agents
+// have unlimited capacity, so an acknowledged spec can never be
+// evicted: any later miss is a real loss. RunFleetChaos is a fault
+// schedule and audits over it.
 type fleetTopo struct {
 	name  string // the harness, prefixed to every diagnostic
 	seed  int64
@@ -56,10 +56,7 @@ type fleetTopo struct {
 	masters []*topoMaster
 	agents  []*topoAgent
 	acks    ackLog // every spec acknowledged through the fleet
-
-	// In an HA fleet agent 0 is durable, its state directory under dir.
-	durable *server.Server
-	dir     string
+	dir     string // scratch directory holding agent 0's state directory
 }
 
 type topoMaster struct {
@@ -85,31 +82,33 @@ type fleetReply struct {
 	res    fleet.RouteResponse
 }
 
-// newFleetTopo boots the fleet: agents, then masters, then one heartbeat
-// round. With ha set the masters are a pair, master-a starting as
-// primary, and agent 0 is persistent; otherwise one plain master fronts
-// in-memory agents.
-func newFleetTopo(name string, seed int64, agents int, alpha float64, ha bool) (*fleetTopo, *Failure) {
+// newFleetTopo boots the fleet: agents (agent 0 persistent, the rest
+// in memory), then masters, then one heartbeat round. With two masters
+// they are a pair, master-a starting as primary; with one it is a plain
+// master.
+func newFleetTopo(name string, seed int64, agents int, alpha float64, masters int) (*fleetTopo, *Failure) {
 	t := &fleetTopo{
 		name: name, seed: seed, alpha: alpha,
 		repo: SmallRepo(seed),
 		net:  newMemNet(),
 	}
 	t.client = t.net.client("client")
-	if ha {
+	if masters == 2 {
 		t.masters = []*topoMaster{{id: "master-a"}, {id: "master-b"}}
 	} else {
 		t.masters = []*topoMaster{{id: "master"}}
 	}
+	var err error
+	if t.dir, err = os.MkdirTemp("", name+"-*"); err != nil {
+		return nil, t.failf(0, "state directory: %v", err)
+	}
 	for i := 0; i < agents; i++ {
 		a := &topoAgent{id: fmt.Sprintf("agent-%d", i)}
-		var err error
-		if i == 0 && ha {
-			err = t.bootDurable(a)
-		} else {
-			a.srv, err = server.New(t.repo, core.Config{Alpha: alpha})
+		cfg := server.Config{Core: core.Config{Alpha: alpha}}
+		if i == 0 {
+			cfg.StateDir = filepath.Join(t.dir, a.id)
 		}
-		if err != nil {
+		if a.srv, _, err = server.Open(t.repo, cfg); err != nil {
 			t.close()
 			return nil, t.failf(0, "agent %s: %v", a.id, err)
 		}
@@ -123,32 +122,12 @@ func newFleetTopo(name string, seed int64, agents int, alpha float64, ha bool) (
 	return t, nil
 }
 
-// bootDurable makes a the persistent agent, its state directory under
-// a fresh scratch directory.
-func (t *fleetTopo) bootDurable(a *topoAgent) error {
-	dir, err := os.MkdirTemp("", t.name+"-*")
-	if err != nil {
-		return err
-	}
-	t.dir = dir
-	if a.srv, _, err = server.Open(t.repo, server.Config{
-		Core:     core.Config{Alpha: t.alpha},
-		StateDir: filepath.Join(dir, a.id),
-	}); err != nil {
-		return err
-	}
-	t.durable = a.srv
-	return nil
-}
-
 // close shuts the durable agent down and removes its scratch directory.
 func (t *fleetTopo) close() {
-	if t.durable != nil {
-		t.durable.Close()
+	if len(t.agents) > 0 {
+		t.agents[0].srv.Close()
 	}
-	if t.dir != "" {
-		os.RemoveAll(t.dir)
-	}
+	os.RemoveAll(t.dir)
 }
 
 func (t *fleetTopo) failf(step int, format string, args ...any) *Failure {
@@ -223,6 +202,22 @@ func (t *fleetTopo) leaseTicks() {
 			m.m.LeaseTick(context.Background())
 		}
 	}
+}
+
+// roles returns the live primary with the highest epoch and, in a pair,
+// the other master (-1 beside a plain master, which is always primary).
+func (t *fleetTopo) roles() (primary, other int) {
+	if len(t.masters) == 1 {
+		return 0, -1
+	}
+	primary = -1
+	var best uint64
+	for i, m := range t.masters {
+		if st := m.m.HAStatusNow(); m.alive && st.Role == "primary" && (primary < 0 || st.Epoch > best) {
+			primary, best = i, st.Epoch
+		}
+	}
+	return primary, 1 - primary
 }
 
 // partition cuts (on) or heals every link between a and the masters, in
@@ -337,7 +332,7 @@ func (t *fleetTopo) auditMirrors(step int) *Failure {
 			sizes[im.ID] = im
 		}
 		var want []fleet.DirEntry
-		for _, snap := range a.srv.SnapshotNow() {
+		for _, snap := range a.srv.ExportState().Images {
 			im := sizes[snap.ID]
 			want = append(want, fleet.DirEntry{ID: snap.ID, Version: im.Version, Size: im.Size, Packages: snap.Packages})
 		}

@@ -5,44 +5,57 @@ import (
 	"testing"
 )
 
-// TestFleetChaos is the fleet chaos run on its own: a master fronting
-// three agents on the in-memory network, seeded partitions between the
-// master and an agent, master kill/restart cycles, and the mid-stream
-// key-movement and mirror-eviction audits. The invariants live inside RunFleetChaos; this
-// test also sanity-checks that the schedule actually exercised them.
+// TestFleetChaos runs both rows of the fleet chaos suite — a plain
+// master and a primary + standby pair, each fronting three agents on
+// the in-memory network — under one fault schedule: seeded agent
+// partitions, primary kills (with two-tick promotion audits in the
+// pair), lease-holder isolations with epoch-fenced demotion, the
+// mid-stream key-movement and mirror-eviction audits, a warm drain and
+// the durable agent's recovery audit. The invariants live inside
+// RunFleetChaos; this test asserts the schedule exercised them.
 func TestFleetChaos(t *testing.T) {
-	rep, f := RunFleetChaos(FleetChaosDefault(*seedFlag))
-	if f != nil {
-		t.Fatal(f)
+	for _, cfg := range FleetChaosSuite(*seedFlag) {
+		rep, f := RunFleetChaos(cfg)
+		if f != nil {
+			t.Fatal(f)
+		}
+		t.Logf("fleetchaos masters=%d: %+v", cfg.Masters, rep)
+		switch {
+		case rep.Acked == 0:
+			t.Fatalf("masters=%d: no request was ever acked", cfg.Masters)
+		case rep.Kills <= cfg.Kills:
+			t.Fatalf("masters=%d: %d kills, want %d scheduled before the closing one", cfg.Masters, rep.Kills, cfg.Kills)
+		case rep.Partitions == 0:
+			t.Fatalf("masters=%d: no agent was ever partitioned", cfg.Masters)
+		case rep.Recovered == 0 || rep.HandoffSpecs == 0 || rep.KeyMoveFraction <= 0:
+			t.Fatalf("masters=%d: recovery, handoff or key-movement audit checked nothing", cfg.Masters)
+		case rep.Isolations != cfg.Isolations:
+			t.Fatalf("masters=%d: %d lease isolations, want %d", cfg.Masters, rep.Isolations, cfg.Isolations)
+		case cfg.Masters == 2 && rep.Promotions < rep.Kills+rep.Isolations:
+			t.Fatalf("%d promotions for %d kills + %d isolations", rep.Promotions, rep.Kills, rep.Isolations)
+		case rep.Demotions < rep.Isolations:
+			t.Fatalf("%d demotions for %d isolations", rep.Demotions, rep.Isolations)
+		case rep.MaxEpoch < uint64(rep.Promotions):
+			t.Fatalf("final epoch %d below promotion count %d", rep.MaxEpoch, rep.Promotions)
+		}
 	}
-	if rep.Acked == 0 {
-		t.Fatal("fleetchaos run acked nothing; the routing path never worked")
-	}
-	if rep.MasterKills == 0 {
-		t.Fatal("fleetchaos run never killed the master; the soft-state audit never ran")
-	}
-	if rep.KeyMoveFraction <= 0 {
-		t.Fatal("fleetchaos key-movement audit did not run")
-	}
-	t.Logf("fleetchaos: %d steps, %d acked, %d unavailable, %d sheds, %d errors, %d partitions, %d master kills, key movement %.3f",
-		rep.Steps, rep.Acked, rep.Unavailable, rep.Sheds, rep.Errors,
-		rep.Partitions, rep.MasterKills, rep.KeyMoveFraction)
 }
 
 // TestFleetChaosDeterministic pins what the printed seed promises: two
-// runs of the default config report identically, so a failure recurs
-// at the same step with the same diagnostic.
+// runs of each row report identically, so a failure recurs at the same
+// step with the same diagnostic.
 func TestFleetChaosDeterministic(t *testing.T) {
-	cfg := FleetChaosDefault(*seedFlag)
-	first, f := RunFleetChaos(cfg)
-	if f != nil {
-		t.Fatal(f)
-	}
-	second, f := RunFleetChaos(cfg)
-	if f != nil {
-		t.Fatal(f)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("two runs of seed %d diverge:\n first: %+v\nsecond: %+v", cfg.Seed, first, second)
+	for _, cfg := range FleetChaosSuite(*seedFlag) {
+		first, f := RunFleetChaos(cfg)
+		if f != nil {
+			t.Fatal(f)
+		}
+		second, f := RunFleetChaos(cfg)
+		if f != nil {
+			t.Fatal(f)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Fatalf("two runs of seed %d, masters=%d diverge:\n first: %+v\nsecond: %+v", cfg.Seed, cfg.Masters, first, second)
+		}
 	}
 }

@@ -14,7 +14,8 @@ import (
 // internal/similarity (see their mutant_on.go). It
 // asserts the harness DETECTS the mutant: the staged suites —
 // simulation (one-shard exact rows, one-shard MinHash rows, sharded
-// rows), HA — must report a Failure before they run dry. It runs the
+// rows), the fleet chaos suite's HA-pair row — must report a Failure
+// before they run dry. It runs the
 // stages twice and requires the two failures to be byte-identical — the
 // reproducibility the printed seed promises.
 //
@@ -26,33 +27,35 @@ func TestMutantSim(t *testing.T) {
 		t.Skip("LANDLORD_MUTANT not set")
 	}
 
-	// haStage is the fleet control-plane stage: a short HA chaos run
-	// whose first scheduled fault is a lease-holder isolation — the
-	// exact scenario the staleepoch mutant breaks. A stale-accepting
-	// epoch gate lets the isolated old primary keep acking alongside
-	// the newly promoted one, and the round's dual-primary audit fires
-	// at the isolation step itself.
-	haStage := func() (string, int) {
-		cfg := HAChaosDefault(*seedFlag)
-		cfg.Steps, cfg.Kills, cfg.Isolations = 120, 1, 1
-		rep, f := RunHAChaos(cfg)
+	// pairStage is the fleet control-plane stage: a short HA-pair row
+	// without partitions whose first scheduled fault is a lease-holder
+	// isolation — the exact scenario the staleepoch and leasetick
+	// mutants break. A stale-accepting epoch gate lets the isolated old
+	// primary keep acking alongside the newly promoted one, and the
+	// round's dual-primary audit fires at the isolation step itself; a
+	// standby that promotes after one missed tick fails the promotion
+	// audit of the isolation's cut.
+	pairStage := func() (string, int) {
+		cfg := FleetChaosSuite(*seedFlag)[1]
+		cfg.Steps, cfg.Kills, cfg.Isolations, cfg.PartitionEvery = 120, 1, 1, 0
+		rep, f := RunFleetChaos(cfg)
 		if f != nil {
 			return f.Error(), rep.Steps
 		}
 		return "", rep.Steps
 	}
 
-	// fleetStage is a short fault-free fleet chaos run: what it keeps is
-	// the mid-stream eviction audit, the only place a gossip frame
-	// carries Removes — the frames the staleindex mutant mishandles —
-	// with Master.CheckIntegrity after each, the CheckIntegrity of
-	// every step, whose term audit sees the first wrong route term the
-	// route mutant leaves in the master's key dictionary, and the mirror
-	// audit of every heartbeat round, which sees the first package key
-	// the dirscan mutant drops from a frame.
+	// fleetStage is a short plain-master row without kills or
+	// partitions: what it keeps is the mid-stream eviction audit, the
+	// only place a gossip frame carries Removes — the frames the
+	// staleindex mutant mishandles — with Master.CheckIntegrity after
+	// each, the CheckIntegrity of every step, whose term audit sees the
+	// first wrong route term the route mutant leaves in the master's key
+	// dictionary, and the mirror audit of every heartbeat round, which
+	// sees the first package key the dirscan mutant drops from a frame.
 	fleetStage := func() (string, int) {
-		cfg := FleetChaosDefault(*seedFlag)
-		cfg.Steps, cfg.PartitionEvery, cfg.MasterKillEvery = 60, 0, 0
+		cfg := FleetChaosSuite(*seedFlag)[0]
+		cfg.Steps, cfg.Kills, cfg.PartitionEvery = 60, 0, 0
 		rep, f := RunFleetChaos(cfg)
 		n := rep.Steps + mirrorAuditRequests
 		if f != nil {
@@ -121,7 +124,7 @@ func TestMutantSim(t *testing.T) {
 	detect := func() (string, int) {
 		requests := 0
 		// The fleet mutants are invisible to every single-process stage
-		// — only the fleet harnesses spawn masters — and the decoder
+		// — only the fleet harness spawns masters — and the decoder
 		// and closure mutants to every stage that calls the cache
 		// without HTTP (a stream closed by the same broken union is
 		// merely a different stream), so each runs its own stage first;
@@ -131,10 +134,10 @@ func TestMutantSim(t *testing.T) {
 		// replaystale lives at the end of a replay pass of more than one
 		// record, which only recovery runs, and ckptscan in the
 		// checkpoint a recovery reads, so both start at the persistent
-		// MinHash rows. Core mutants run the HA stage last
+		// MinHash rows. Core mutants run the pair stage last
 		// (they fall to a cheaper stage long before).
 		ownStage := map[string]func() (string, int){
-			"staleindex": fleetStage, "staleepoch": haStage, "reqscan": netStage,
+			"staleindex": fleetStage, "staleepoch": pairStage, "leasetick": pairStage, "reqscan": netStage,
 			"closuredrop": netStage, "lshmiss": minhashStage, "probeskip": minhashStage,
 			"replaystale": chaosStage, "dirscan": fleetStage, "ckptscan": chaosStage,
 		}[mutant]
@@ -168,8 +171,8 @@ func TestMutantSim(t *testing.T) {
 		if msg != "" {
 			return msg, requests
 		}
-		if mutant != "staleepoch" {
-			if msg, n := haStage(); msg != "" {
+		if mutant != "staleepoch" && mutant != "leasetick" {
+			if msg, n := pairStage(); msg != "" {
 				return msg, requests + n
 			} else {
 				requests += n

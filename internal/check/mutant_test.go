@@ -14,8 +14,8 @@ import (
 // (mutant_on.go in internal/core, internal/spec, internal/fleet,
 // internal/server, internal/pkggraph, internal/persist and
 // internal/similarity); each breaks exactly one clause of Algorithm 1,
-// the route fold both routing levels share, one rule of the HA
-// protocol, one maintenance point of the master's mirror index, one
+// the route fold both routing levels share, one of two rules of the
+// HA protocol (agent epoch fencing, two-tick promotion), one maintenance point of the master's mirror index, one
 // fallback rule of the request scanner, the merge record's completeness
 // as written or as read back, the closure union's, the signing probe's
 // first step, the end of a replay pass, the merge record's disjointness
@@ -24,7 +24,7 @@ import (
 var mutants = []string{
 	"superset", "threshold", "conflict", "lru", "capacity", "touch", "route", "balance",
 	"intern", "popcount", "lshmiss",
-	"staleepoch", "staleindex",
+	"staleepoch", "leasetick", "staleindex",
 	"reqscan",
 	"deltadrop",
 	"closuredrop",

@@ -237,7 +237,7 @@ func TestConcurrentReadOnlyTakesNoWriteLock(t *testing.T) {
 	cm.UniqueData()
 	cm.CacheEfficiency()
 	cm.Images()
-	cm.Snapshot()
+	cm.ExportState()
 	if _, err := cm.Request(pool[0]); err != nil { // cached: a hit
 		t.Fatal(err)
 	}

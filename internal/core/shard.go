@@ -500,19 +500,6 @@ func (sm *ShardedManager) Prune(maxUtilization float64, minServed int) ([]SplitR
 	return out, nil
 }
 
-// Snapshot captures every cached image across shards, ordered by last
-// use (the canonical cross-shard order: stamps are globally unique).
-func (sm *ShardedManager) Snapshot() []ImageSnapshot {
-	var snaps []ImageSnapshot
-	sm.WithSharedAll(func(ms []*Manager) {
-		for _, m := range ms {
-			snaps = append(snaps, m.Snapshot()...)
-		}
-	})
-	sort.SliceStable(snaps, func(a, b int) bool { return snaps[a].LastUse < snaps[b].LastUse })
-	return snaps
-}
-
 // ExportState captures the merged state of all shards (see
 // MergedState). For a checkpoint that must stay consistent with the
 // WAL, use WithExclusiveAll and export under the same critical section

@@ -237,7 +237,7 @@ func (a *Agent) beatLocked(ctx context.Context, l *masterLink) error {
 func (a *Agent) refreshDirLocked() {
 	imgs := a.srv.ImagesNow()
 	pkgs := make(map[uint64][]string, len(imgs))
-	for _, snap := range a.srv.SnapshotNow() {
+	for _, snap := range a.srv.ExportState().Images {
 		pkgs[snap.ID] = snap.Packages
 	}
 	want := make(map[uint64]DirEntry, len(imgs))

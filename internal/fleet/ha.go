@@ -261,7 +261,7 @@ func (m *Master) LeaseTick(ctx context.Context) HAStatus {
 			m.ha.holder = resp.Holder
 		}
 		m.ha.missed++
-		if m.ha.missed >= 2 {
+		if m.ha.missed >= 2 || mutantEnabled("leasetick") {
 			m.ha.promoted++
 			m.becomePrimaryLocked(m.ha.epoch + 1)
 		}

@@ -407,7 +407,7 @@ func TestHandoffDrainWarmsSuccessors(t *testing.T) {
 		}
 	}
 	holds := func(a *testAgent, keys []string) bool {
-		for _, snap := range a.srv.SnapshotNow() {
+		for _, snap := range a.srv.ExportState().Images {
 			have := map[string]bool{}
 			for _, k := range snap.Packages {
 				have[k] = true
@@ -598,7 +598,7 @@ func TestDrainedSpecHitsThroughAffinity(t *testing.T) {
 		}
 		var holder string
 		for _, a := range survivors {
-			if len(a.srv.SnapshotNow()) > 0 {
+			if len(a.srv.ExportState().Images) > 0 {
 				holder = a.id
 			}
 		}

@@ -14,8 +14,12 @@ import (
 //	staleepoch — the agent's epoch gate accepts forwards from a
 //	             demoted primary, so after a failover both the old
 //	             and new master can mutate the same agent's cache.
-//	             check.RunHAChaos must catch it via the per-agent
-//	             epoch-monotonicity audit.
+//	             check.RunFleetChaos's HA-pair row must catch it via
+//	             the single-acking-primary audit at its first lease
+//	             isolation.
+//	leasetick  — a standby promotes after one missed lease tick
+//	             instead of two. The HA-pair row must catch it via the
+//	             two-tick promotion audit at its first lease isolation.
 //	staleindex — a gossip frame's Removes drop the image from the
 //	             master's directory mirror but not from the mirror's
 //	             routing index, so affinity keeps steering specs to an

@@ -418,15 +418,16 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// handleSnapshot returns the cache state for external persistence, so
-// a site can survive daemon restarts (the HTTP face of
-// core.Snapshot/Restore used by the cmd/landlord wrapper).
+// handleSnapshot returns the cache's images for external persistence,
+// so a site can survive daemon restarts (the HTTP face of
+// core.Snapshot/Restore used by the cmd/landlord wrapper): the merged
+// state's image list, in last-use order, read under the shared locks.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.cmgr.Snapshot())
+	writeJSON(w, http.StatusOK, s.cmgr.ExportState().Images)
 }
 
 // handleRestore loads a previously saved snapshot. Like core.Restore

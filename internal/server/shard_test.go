@@ -3,11 +3,14 @@ package server
 import (
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/persist"
+	"repro/internal/pkggraph"
 )
 
 // shardSpecs are the five distinct dependency closures the test repo
@@ -142,6 +145,49 @@ func TestShardedServerPersistence(t *testing.T) {
 		}
 		if res.Op != core.OpHit {
 			t.Fatalf("recovered cache missed %q: %v", key, res.Op)
+		}
+	}
+}
+
+// TestSnapshotIsExportStateImages pins /v1/snapshot to the merged
+// state's image list: on a two-shard server whose cache has merged and
+// evicted, the decoded body equals ExportState().Images and runs in
+// ascending last-use order.
+func TestSnapshotIsExportStateImages(t *testing.T) {
+	repo := decodeRepo(t)
+	srv, err := New(repo, core.Config{Alpha: 0.5, Shards: 2, Capacity: 3 * repo.TotalSize()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	client := NewClient(ts.URL, ts.Client())
+	// Forty closed applications, then a few of them again: the repeats
+	// hit and restamp older images, so last-use order is not ID order.
+	for id := repo.Len() - 1; id >= repo.Len()-120; id -= 3 {
+		if _, err := client.Request([]string{repo.Key(pkggraph.PkgID(id))}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := repo.Len() - 100; id < repo.Len(); id += 12 {
+		if _, err := client.Request([]string{repo.Key(pkggraph.PkgID(id))}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := srv.StatsNow(); st.Merges == 0 || st.Deletes == 0 || st.Hits == 0 || st.Images < 4 {
+		t.Fatalf("want merges, evictions, hits and several images before the snapshot: %+v", st)
+	}
+
+	got, err := client.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := srv.ExportState().Images; !reflect.DeepEqual(got, want) {
+		t.Fatalf("/v1/snapshot is not ExportState().Images:\n got %+v\nwant %+v", got, want)
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i-1].LastUse >= got[i].LastUse {
+			t.Fatalf("snapshot image %d (lastUse %d) follows lastUse %d", got[i].ID, got[i].LastUse, got[i-1].LastUse)
 		}
 	}
 }

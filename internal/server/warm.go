@@ -13,7 +13,7 @@ import (
 
 // Cache warming for drain handoff: /v1/warm lets a draining fleet
 // agent push its hot specs to the rendezvous successor. ExportState
-// and SnapshotNow expose the cache to callers embedding the server.
+// exposes the cache to callers embedding the server.
 
 // ExportState captures the full cache state with every shard
 // exclusively held — the live side of a recovery byte-identity audit.
@@ -25,13 +25,6 @@ func (s *Server) ExportState() core.ManagerState {
 		st = core.MergedState(ms)
 	})
 	return st
-}
-
-// SnapshotNow returns the cache's image snapshots for callers
-// embedding the server — the fleet agent joins it with ImagesNow to
-// gossip each image's package set.
-func (s *Server) SnapshotNow() []core.ImageSnapshot {
-	return s.cmgr.Snapshot()
 }
 
 // WarmRequest is the POST /v1/warm payload: specs to pre-load, each a
