@@ -207,7 +207,7 @@ check:
 # durable agent's recovered state equal to its live state after every
 # kill — then one CLI pass with a shifted fault schedule.
 fleet-chaos:
-	$(GO) test -race -count=1 -run '^(TestFleetChaos|TestHAChaos)$$' ./internal/check
+	$(GO) test -race -count=1 -run '^(TestFleetChaos|TestHAChaos)(Deterministic)?$$' ./internal/check
 	$(GO) run ./cmd/landlord-check fleetchaos -seed 1 -kill-phase 7
 
 # Static metric-registration audit: the same family registered under

@@ -83,8 +83,9 @@ type FleetChaosConfig struct {
 	KillPhase int
 }
 
-// FleetChaosSuite is the canonical pair of runs for a seed: a plain
-// master, then a primary + standby pair, on one fault schedule.
+// FleetChaosSuite is the canonical pair of runs for a seed, in this
+// order: [0] a plain master, [1] a primary + standby pair, on one fault
+// schedule.
 func FleetChaosSuite(seed int64) []FleetChaosConfig {
 	plain := FleetChaosConfig{
 		Seed: seed, Steps: 240, Agents: 3, Alpha: 0.6,

@@ -5,19 +5,6 @@ import (
 	"testing"
 )
 
-// suiteRow returns the row of FleetChaosSuite with the given number of
-// masters: 1 for the plain master, 2 for the primary + standby pair.
-func suiteRow(t *testing.T, masters int) FleetChaosConfig {
-	t.Helper()
-	for _, cfg := range FleetChaosSuite(*seedFlag) {
-		if cfg.Masters == masters {
-			return cfg
-		}
-	}
-	t.Fatalf("FleetChaosSuite has no row with %d masters", masters)
-	return FleetChaosConfig{}
-}
-
 // runChaosRow runs one row of the fleet chaos suite — agents on the
 // in-memory network under one fault schedule: seeded agent partitions,
 // primary kills (with two-tick promotion audits in the pair),
@@ -71,21 +58,15 @@ func runChaosTwice(t *testing.T, cfg FleetChaosConfig) {
 }
 
 // TestFleetChaos runs the plain-master row of the fleet chaos suite.
-func TestFleetChaos(t *testing.T) { runChaosRow(t, suiteRow(t, 1)) }
+func TestFleetChaos(t *testing.T) { runChaosRow(t, FleetChaosSuite(*seedFlag)[0]) }
 
 // TestHAChaos runs the primary + standby row: on top of the plain
 // master's schedule it kills the primary with two-tick promotion audits
 // and isolates the lease holder, which must demote.
-func TestHAChaos(t *testing.T) {
-	cfg := suiteRow(t, 2)
-	if cfg.Isolations == 0 {
-		t.Fatal("the HA row schedules no lease isolations")
-	}
-	runChaosRow(t, cfg)
-}
+func TestHAChaos(t *testing.T) { runChaosRow(t, FleetChaosSuite(*seedFlag)[1]) }
 
 // TestFleetChaosDeterministic runs the plain-master row twice.
-func TestFleetChaosDeterministic(t *testing.T) { runChaosTwice(t, suiteRow(t, 1)) }
+func TestFleetChaosDeterministic(t *testing.T) { runChaosTwice(t, FleetChaosSuite(*seedFlag)[0]) }
 
 // TestHAChaosDeterministic runs the primary + standby row twice.
-func TestHAChaosDeterministic(t *testing.T) { runChaosTwice(t, suiteRow(t, 2)) }
+func TestHAChaosDeterministic(t *testing.T) { runChaosTwice(t, FleetChaosSuite(*seedFlag)[1]) }

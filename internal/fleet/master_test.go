@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,6 +155,45 @@ func TestFleetRegisterAndGossip(t *testing.T) {
 	f.beatAll()
 	if got := f.master.MembersNow()[0].DirRev; got != rev {
 		t.Fatalf("idle beat moved mirror revision %d -> %d", rev, got)
+	}
+}
+
+// TestBeatTakesNoWriteLock: a heartbeat's directory refresh reads the
+// cache on the read path, so beats never stall hits behind a shard's
+// write lock and never count as write-lock acquisitions.
+func TestBeatTakesNoWriteLock(t *testing.T) {
+	f := newTestFleet(t, 1, MasterConfig{SuspectAfter: -1})
+	a := f.agents[0]
+	for i := 0; i < 5; i++ {
+		if err := a.srv.WarmSpec(context.Background(), specKeys(f.repo, i, 3), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeLocks := func() string {
+		var sb strings.Builder
+		if err := a.srv.Registry().WriteText(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if strings.HasPrefix(line, "landlord_write_lock_acquisitions_total ") {
+				return line
+			}
+		}
+		t.Fatal("landlord_write_lock_acquisitions_total not exported")
+		return ""
+	}
+	before := writeLocks()
+	if strings.HasSuffix(before, " 0") {
+		t.Fatal("warming took no write lock")
+	}
+	for i := 0; i < 3; i++ {
+		f.beatAll()
+	}
+	if got := f.master.MembersNow()[0].DirImages; got != len(a.srv.ImagesNow()) {
+		t.Fatalf("master mirrors %d images, agent has %d", got, len(a.srv.ImagesNow()))
+	}
+	if after := writeLocks(); after != before {
+		t.Errorf("heartbeats took the write lock: %q -> %q", before, after)
 	}
 }
 

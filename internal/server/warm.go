@@ -15,16 +15,13 @@ import (
 // agent push its hot specs to the rendezvous successor. ExportState
 // exposes the cache to callers embedding the server.
 
-// ExportState captures the full cache state with every shard
-// exclusively held — the live side of a recovery byte-identity audit.
-// Quiescent only in the sense that no commit is in flight while the
-// state is read.
+// ExportState captures the full cache state with every shard quiescent
+// for reading (read lock plus hitMu): no commit is in flight while the
+// state is read — the live side of a recovery byte-identity audit —
+// and no write lock is taken, so the agent's per-beat directory refresh
+// stays on the read path. Its Images are the /v1/snapshot body.
 func (s *Server) ExportState() core.ManagerState {
-	var st core.ManagerState
-	s.cmgr.WithExclusiveAll(func(ms []*core.Manager) {
-		st = core.MergedState(ms)
-	})
-	return st
+	return s.cmgr.ExportState()
 }
 
 // WarmRequest is the POST /v1/warm payload: specs to pre-load, each a
