@@ -262,9 +262,9 @@ func tracesim(seed int64, steps int, dump string) error {
 		writeTraceDump(dump, f)
 		return f
 	}
-	fmt.Printf("tracesim seed=%d steps=%d: acked=%d traces_started=%d kept=%d propagated=%d stages=%d/%d\n",
+	fmt.Printf("tracesim seed=%d steps=%d: acked=%d traces_started=%d kept=%d propagated=%d stages=%d/%d checkpoints=%d\n",
 		seed, rep.Steps, rep.Acked, rep.Started, rep.Kept,
-		rep.Propagated, len(rep.StagesCovered), len(rep.StagesCovered)+len(rep.MissingStages))
+		rep.Propagated, len(rep.StagesCovered), len(rep.StagesCovered)+len(rep.MissingStages), rep.Checkpoints)
 	return nil
 }
 

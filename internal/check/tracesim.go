@@ -59,6 +59,10 @@ type TraceSimReport struct {
 	// Propagated counts kept traces whose RemoteParent is nonzero:
 	// they continued an X-Landlord-Trace header from the harness hop.
 	Propagated int
+	// Checkpoints counts the checkpoints the server took during the
+	// run. The store starts empty and nothing asks for one, so each was
+	// triggered by the WAL tail reaching its size threshold.
+	Checkpoints int64
 	// StagesCovered is the sorted set of stage names appearing in the
 	// dump; MissingStages is CanonicalStages minus that set.
 	StagesCovered []string
@@ -94,7 +98,9 @@ func RunTraceSim(cfg TraceSimConfig) (TraceSimReport, *Failure) {
 	var rep TraceSimReport
 
 	// Admission generous enough that nothing sheds (serial traffic),
-	// but armed, so every trace carries an admission span.
+	// but armed, so every trace carries an admission span. The
+	// checkpoint cadence is left at its default, so the 16 KB segments
+	// make the WAL tail cross its size threshold within the run.
 	srv, _, err := server.Open(repo, server.Config{
 		Core:      core.Config{Alpha: cfg.Alpha, Capacity: simCapacity(repo, cfg.CapacityFrac)},
 		StateDir:  cfg.Dir,
@@ -176,6 +182,7 @@ func RunTraceSim(cfg TraceSimConfig) (TraceSimReport, *Failure) {
 	}
 	rep.Errors++
 
+	rep.Checkpoints = srv.Registry().Counter("landlord_persist_checkpoints_total", "Checkpoints written").Value()
 	rep.Started = srv.SpanTracer().Started()
 	rep.Dump = srv.TraceRing().Dump(0)
 	rep.Kept = len(rep.Dump)
@@ -204,6 +211,9 @@ func RunTraceSim(cfg TraceSimConfig) (TraceSimReport, *Failure) {
 	}
 	if rep.Propagated == 0 {
 		return rep, failf(cfg.Seed, cfg.Steps, "tracesim: no kept trace continued a propagated header")
+	}
+	if rep.Checkpoints == 0 {
+		return rep, failf(cfg.Seed, cfg.Steps, "tracesim: the WAL never grew past its size threshold to trigger a checkpoint")
 	}
 	return rep, nil
 }

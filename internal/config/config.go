@@ -85,7 +85,11 @@ type Site struct {
 	// (default 100ms).
 	FsyncIntervalMS int `json:"fsync_interval_ms"`
 	// CheckpointEveryRequests compacts the WAL into a checkpoint every
-	// N requests (0 = only at shutdown and on POST /v1/checkpoint).
+	// N requests. 0 (the default) compacts by size instead: once the
+	// WAL tail (bytes written since the last checkpoint, plus the tail a
+	// restart replayed) reaches one segment (WALSegmentMB) or the last
+	// checkpoint's size, whichever is larger. Shutdown and POST
+	// /v1/checkpoint checkpoint in both cases.
 	CheckpointEveryRequests int `json:"checkpoint_every_requests"`
 	// WALSegmentMB rotates WAL segments at this size (default 4 MB).
 	WALSegmentMB int `json:"wal_segment_mb"`

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/check"
@@ -97,9 +98,25 @@ func TestHealClearsStickyAndTaint(t *testing.T) {
 	}
 
 	// The probe write heals the store in place.
+	if tail, _, _ := h.store.LogBytes(); tail == 0 {
+		t.Fatal("the store reports no WAL tail before the heal")
+	}
 	state := h.mgr.ExportState()
 	if err := h.store.Heal(state); err != nil {
 		t.Fatalf("Heal through a recovered filesystem: %v", err)
+	}
+	// The probe checkpoint covers everything: the tail starts over and
+	// the next size threshold is weighed against the probe's size.
+	probe, err := filepath.Glob(filepath.Join(h.dir, "checkpoint-*.ckpt"))
+	if err != nil || len(probe) != 1 {
+		t.Fatalf("after Heal the directory holds checkpoints %v (%v), want the probe alone", probe, err)
+	}
+	fi, err := os.Stat(probe[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tail, ckpt, _ := h.store.LogBytes(); tail != 0 || ckpt != fi.Size() {
+		t.Fatalf("after Heal LogBytes = %d, %d; want a reset tail and the probe checkpoint's %d bytes", tail, ckpt, fi.Size())
 	}
 	if err := h.store.Err(); err != nil {
 		t.Fatalf("sticky error survived Heal: %v", err)

@@ -314,7 +314,8 @@ func TestWALBytesUnchanged(t *testing.T) {
 
 // referenceRecover is the replay loop recovery ran before it streamed:
 // each segment materialised by ReadSegment, then applied. Test-side
-// only, as the oracle for the streamed loop.
+// only, as the oracle for the streamed loop; it counts TailBytes by
+// re-encoding each record read.
 func referenceRecover(t *testing.T, st *Store, mgr *core.ShardedManager) *RecoveryReport {
 	t.Helper()
 	segs, _, err := st.scan()
@@ -331,6 +332,13 @@ func referenceRecover(t *testing.T, st *Store, mgr *core.ShardedManager) *Recove
 		muts, readErr := ReadSegment(f)
 		f.Close()
 		for _, mut := range muts {
+			// Every record here is in the shape this store writes, so
+			// re-encoding it gives back the frame recovery read.
+			frame, err := EncodeRecord(nil, mut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep.TailBytes += int64(len(frame))
 			if err := mgr.ApplyMutation(mut); err != nil {
 				rep.RecordsSkipped++
 				rep.warn("segment %d: %v", seq, err)

@@ -60,6 +60,11 @@ type Store struct {
 
 	lastCkptUnixNano atomic.Int64
 
+	// The WAL tail and last checkpoint sizes LogBytes reports. Written
+	// under mu, read lock-free on every request.
+	tailBytes atomic.Int64
+	ckptBytes atomic.Int64
+
 	// Metric series; nil until RegisterMetrics.
 	walRecords  *telemetry.Counter
 	walBytes    *telemetry.Counter
@@ -113,6 +118,10 @@ type RecoveryReport struct {
 	SegmentsScanned  int
 	RecordsReplayed  int
 	RecordsSkipped   int
+	// TailBytes is the size of the WAL records recovery read, replayed
+	// or skipped: the tail the store starts out carrying. A slow
+	// recovery with a large TailBytes is a log that was not compacted.
+	TailBytes int64
 	// RecordsReference counts the records, replayed or skipped, whose
 	// payload was not in the shape this store writes and was decoded by
 	// encoding/json instead of the record scanner: 0 for a log this
@@ -130,8 +139,8 @@ type RecoveryReport struct {
 
 // String renders a one-line log summary.
 func (r *RecoveryReport) String() string {
-	return fmt.Sprintf("checkpoint seq=%d images=%d, replayed %d record(s) from %d segment(s) in %v (skipped=%d reference_decoded=%d checkpoint_reference=%v corrupt_segments=%d torn_tail=%v warnings=%d)",
-		r.CheckpointSeq, r.CheckpointImages, r.RecordsReplayed, r.SegmentsScanned,
+	return fmt.Sprintf("checkpoint seq=%d images=%d, replayed %d record(s) (%d bytes) from %d segment(s) in %v (skipped=%d reference_decoded=%d checkpoint_reference=%v corrupt_segments=%d torn_tail=%v warnings=%d)",
+		r.CheckpointSeq, r.CheckpointImages, r.RecordsReplayed, r.TailBytes, r.SegmentsScanned,
 		r.Duration.Round(time.Millisecond), r.RecordsSkipped, r.RecordsReference, r.CheckpointReference,
 		r.CorruptSegments, r.TornTail, len(r.Warnings))
 }
@@ -258,6 +267,9 @@ func (st *Store) RecoverSharded(repo *pkggraph.Repo, cfg core.Config) (*core.Sha
 		if ck.SavedUnixNano != 0 {
 			st.lastCkptUnixNano.Store(ck.SavedUnixNano)
 		}
+		if fi, err := st.opts.FS.Stat(st.ckptPath(seq)); err == nil {
+			st.ckptBytes.Store(fi.Size())
+		}
 		break
 	}
 	if mgr == nil {
@@ -320,6 +332,8 @@ func (st *Store) RecoverSharded(repo *pkggraph.Repo, cfg core.Config) (*core.Sha
 	}
 
 	rep.RecordsReference = sr.dec.reference
+	rep.TailBytes = sr.bytes
+	st.tailBytes.Store(sr.bytes)
 
 	// Open a fresh segment for post-recovery commits; earlier segments
 	// stay until the next checkpoint compacts them.
@@ -377,6 +391,7 @@ func (st *Store) Commit(mut core.Mutation) {
 	}
 	n, err := st.f.Write(buf)
 	st.segBytes += int64(n)
+	st.tailBytes.Add(int64(n))
 	if err != nil {
 		st.fail(fmt.Errorf("persist: appending WAL record: %w", err))
 		// The record may be torn on disk; not durable either way.
@@ -586,6 +601,8 @@ func (st *Store) Checkpoint(state core.ManagerState) (CheckpointInfo, error) {
 		info.Bytes = fi.Size()
 	}
 	st.lastCkptUnixNano.Store(now.UnixNano())
+	st.tailBytes.Store(0)
+	st.ckptBytes.Store(info.Bytes)
 	if st.checkpoints != nil {
 		st.checkpoints.Inc()
 	}
@@ -664,6 +681,10 @@ func (st *Store) Heal(state core.ManagerState) error {
 	st.markDurableLocked(st.appendSeq)
 	st.heals++
 	st.lastCkptUnixNano.Store(now.UnixNano())
+	st.tailBytes.Store(0)
+	if fi, err := st.opts.FS.Stat(path); err == nil {
+		st.ckptBytes.Store(fi.Size())
+	}
 	if st.healsCtr != nil {
 		st.healsCtr.Inc()
 	}
@@ -684,6 +705,15 @@ func (st *Store) Heal(state core.ManagerState) error {
 		}
 	}
 	return nil
+}
+
+// LogBytes reports the facts the server's compaction rule weighs: the
+// WAL tail (bytes appended since the last checkpoint or heal, plus the
+// bytes the recovery that opened the store replayed), the size of the
+// last checkpoint written or loaded (0 before the first), and the WAL
+// segment size.
+func (st *Store) LogBytes() (tail, checkpoint, segment int64) {
+	return st.tailBytes.Load(), st.ckptBytes.Load(), st.opts.SegmentBytes
 }
 
 // Heals returns how many times Heal has succeeded.

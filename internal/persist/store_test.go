@@ -385,6 +385,90 @@ func TestCheckpointCompaction(t *testing.T) {
 	}
 }
 
+// TestLogBytes pins the facts the server's size-triggered compaction
+// weighs: the tail grows by exactly the bytes appended to the WAL, a
+// checkpoint resets it and reports its own size, and a restart starts
+// from the bytes it replayed and the size of the checkpoint it loaded.
+func TestLogBytes(t *testing.T) {
+	repo := testRepo(t, 24, 10)
+	cfg := testConfig()
+	dir := t.TempDir()
+	st, err := Open(dir, Options{SegmentBytes: 512, SyncPolicy: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, rep, err := st.RecoverSharded(repo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tail, ckpt, segment := st.LogBytes(); tail != 0 || ckpt != 0 || segment != 512 || rep.TailBytes != 0 {
+		t.Fatalf("fresh store: LogBytes = %d, %d, %d and TailBytes %d, want 0, 0, 512 and 0", tail, ckpt, segment, rep.TailBytes)
+	}
+	// walBytes sums the segments on disk: every byte appended since the
+	// last checkpoint, which deleted the ones before it.
+	walBytes := func() int64 {
+		segs, _, err := st.scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		for _, seq := range segs {
+			fi, err := os.Stat(st.segPath(seq))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += fi.Size()
+		}
+		return n
+	}
+	rng := rand.New(rand.NewSource(3))
+	drive := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := live.Request(randSpec(rng, repo.Len())); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	drive(30)
+	if tail, _, _ := st.LogBytes(); tail == 0 || tail != walBytes() {
+		t.Fatalf("tail = %d after 30 requests, want the %d bytes on disk", tail, walBytes())
+	}
+	info, err := st.Checkpoint(live.ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tail, ckpt, _ := st.LogBytes(); tail != 0 || ckpt != info.Bytes || ckpt == 0 {
+		t.Fatalf("after a %d-byte checkpoint LogBytes = %d, %d, want 0, %d", info.Bytes, tail, ckpt, info.Bytes)
+	}
+	drive(30)
+	want := walBytes()
+	if tail, _, _ := st.LogBytes(); tail != want {
+		t.Fatalf("tail = %d after 30 more requests, want the %d bytes on disk", tail, want)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := Open(dir, Options{SegmentBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if _, rep, err = st2.RecoverSharded(repo, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if rep.TailBytes != want {
+		t.Errorf("recovery replayed %d bytes, want the %d-byte tail", rep.TailBytes, want)
+	}
+	if !strings.Contains(rep.String(), fmt.Sprintf("(%d bytes)", want)) {
+		t.Errorf("recovery line %q does not name the %d bytes replayed", rep, want)
+	}
+	if tail, ckpt, _ := st2.LogBytes(); tail != want || ckpt != info.Bytes {
+		t.Errorf("restart: LogBytes = %d, %d, want the replayed %d and the loaded checkpoint's %d", tail, ckpt, want, info.Bytes)
+	}
+}
+
 // TestRecoverFallsBackPastBadCheckpoints plants two newer, bad
 // checkpoints (one unreadable, one referencing unknown packages) above
 // a good one; recovery must skip both with warnings and land on the

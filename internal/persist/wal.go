@@ -105,6 +105,7 @@ type segmentReader struct {
 	br    *bufio.Reader
 	frame []byte
 	dec   recordDecoder
+	bytes int64 // size of the intact frames read so far, headers included
 }
 
 // newSegmentReader creates a reader whose buffer holds a few of the
@@ -129,6 +130,7 @@ func (sr *segmentReader) each(r io.Reader, fn func(core.Mutation)) error {
 			return err
 		}
 		sr.frame = payload
+		sr.bytes += frameHeaderSize + int64(len(payload))
 		mut, err := sr.dec.decode(payload)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrCorrupt, err)

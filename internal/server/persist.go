@@ -55,8 +55,9 @@ func (s *Server) CheckpointNow() (persist.CheckpointInfo, error) {
 // checkpointAll runs a checkpoint of the merged shard states; the
 // caller holds every shard's write lock (WithExclusiveAll), so no
 // mutation can slip between exporting the state and sealing the WAL
-// segment. The request counter resets only on success: a failed
-// checkpoint (full disk) is retried at the next threshold crossing.
+// segment. The request counter (and the store's tail) resets only on
+// success: a failed checkpoint (full disk) is retried at the next
+// threshold crossing.
 func (s *Server) checkpointAll(ms []*core.Manager) (persist.CheckpointInfo, error) {
 	if s.store == nil {
 		return persist.CheckpointInfo{}, errNoStore
@@ -69,30 +70,47 @@ func (s *Server) checkpointAll(ms []*core.Manager) (persist.CheckpointInfo, erro
 }
 
 // maybeCheckpoint is the per-request compaction trigger, called after
-// each successful request with no locks held. The counter is atomic
-// and the checkpoint itself is single-flight: the first goroutine over
-// the threshold takes the latch and runs the checkpoint (briefly
-// freezing the cache via the write lock); everyone else keeps serving.
-// Errors are not fatal to the request that tripped the threshold — the
-// WAL keeps the state recoverable, the checkpoint-age metric exposes
-// the stall, and a later request retries.
+// each successful request with no locks held. The threshold test is
+// lock-free and the checkpoint itself is single-flight: the first
+// goroutine over the threshold takes the latch and runs the checkpoint
+// inline, paying for it in its own latency; other threshold-crossers
+// skip it rather than queue behind it. The checkpoint holds every
+// shard's write lock (CheckpointNow), so requests arriving meanwhile —
+// hits included — wait for it too. Errors are not fatal to the request
+// that tripped the threshold — the WAL keeps the state recoverable,
+// the checkpoint-age metric exposes the stall, and a later request
+// retries.
 func (s *Server) maybeCheckpoint() {
-	if s.store == nil || s.ckptEvery <= 0 {
+	if s.store == nil {
 		return
 	}
-	if s.sinceCkpt.Add(1) < int64(s.ckptEvery) {
-		return
+	if s.ckptEvery > 0 {
+		s.sinceCkpt.Add(1)
 	}
-	if !s.ckptBusy.CompareAndSwap(false, true) {
+	if !s.checkpointDue() || !s.ckptBusy.CompareAndSwap(false, true) {
 		return
 	}
 	defer s.ckptBusy.Store(false)
 	// Re-check under the latch: a checkpoint that completed while we
-	// were acquiring it has already reset the counter.
-	if s.sinceCkpt.Load() < int64(s.ckptEvery) {
-		return
+	// were acquiring it has already reset the threshold.
+	if s.checkpointDue() {
+		s.CheckpointNow()
 	}
-	s.CheckpointNow()
+}
+
+// checkpointDue is the compaction rule. A positive CheckpointEvery
+// compacts after that many requests. Otherwise the log compacts by
+// size, once its tail — the bytes written since the last checkpoint,
+// plus the tail a restart replayed — reaches one WAL segment or the
+// last checkpoint's size, whichever is larger. Segment-sized tails keep
+// the state directory at about one checkpoint and two segments; a
+// checkpoint never costs more bytes than the tail it retires.
+func (s *Server) checkpointDue() bool {
+	if s.ckptEvery > 0 {
+		return s.sinceCkpt.Load() >= int64(s.ckptEvery)
+	}
+	tail, ckpt, segment := s.store.LogBytes()
+	return tail >= max(segment, ckpt)
 }
 
 // handleCheckpoint is POST /v1/checkpoint: durably checkpoint now.

@@ -1,9 +1,13 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,7 +17,14 @@ import (
 
 func persistentService(t *testing.T, dir string, ckptEvery int) (*Server, *Client, *persist.RecoveryReport) {
 	t.Helper()
-	store, err := persist.Open(dir, persist.Options{SyncPolicy: persist.FsyncNever})
+	return segmentedService(t, dir, ckptEvery, 0)
+}
+
+// segmentedService is persistentService with WAL segments of the given
+// size (0 for the store's default).
+func segmentedService(t *testing.T, dir string, ckptEvery int, segment int64) (*Server, *Client, *persist.RecoveryReport) {
+	t.Helper()
+	store, err := persist.Open(dir, persist.Options{SyncPolicy: persist.FsyncNever, SegmentBytes: segment})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,6 +107,231 @@ func TestCheckpointEveryRequests(t *testing.T) {
 	if rep.RecordsReplayed != 0 || rep.CheckpointImages != 1 {
 		t.Errorf("recovery after auto-checkpoint replayed %d records (images %d), want a pure checkpoint load",
 			rep.RecordsReplayed, rep.CheckpointImages)
+	}
+}
+
+// walAppended is the store's count of bytes appended to the WAL.
+func walAppended(s *Server) int64 {
+	return s.reg.Counter("landlord_persist_wal_bytes_total", "Bytes appended to the WAL").Value()
+}
+
+// checkpointsTaken is the store's count of checkpoints written.
+func checkpointsTaken(s *Server) int64 {
+	return s.reg.Counter("landlord_persist_checkpoints_total", "Checkpoints written").Value()
+}
+
+// stateFiles sizes a state directory: the WAL segments' total bytes and
+// their count, and the size of each checkpoint file by name.
+func stateFiles(t *testing.T, dir string) (walBytes int64, segments int, ckpts map[string]int64) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpts = make(map[string]int64)
+	for _, e := range entries {
+		fi, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch name := e.Name(); {
+		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
+			walBytes += fi.Size()
+			segments++
+		case strings.HasPrefix(name, "checkpoint-") && strings.HasSuffix(name, ".ckpt"):
+			ckpts[name] = fi.Size()
+		}
+	}
+	return walBytes, segments, ckpts
+}
+
+// TestCheckpointBySize: at the default cadence the server compacts on
+// the request whose records bring the WAL tail to max(one segment, the
+// last checkpoint's size), not one request sooner or later, and the
+// checkpoint deletes the segments and the checkpoint it covers.
+func TestCheckpointBySize(t *testing.T) {
+	const segment = 256
+	dir := t.TempDir()
+	srv, client, _ := segmentedService(t, dir, 0, segment)
+	keys := [][]string{{"libA/1.0/p"}, {"libB/1.0/p"}}
+	var tail int64
+	ran, byCheckpoint := 0, false
+	for i := 0; ran < 4; i++ {
+		if i == 2000 {
+			t.Fatalf("only %d size-triggered checkpoint(s) in %d requests", ran, i)
+		}
+		_, last, _ := srv.store.LogBytes()
+		appended, taken := walAppended(srv), checkpointsTaken(srv)
+		if _, err := client.Request(keys[i%2], true); err != nil {
+			t.Fatal(err)
+		}
+		tail += walAppended(srv) - appended
+		due := tail >= max(segment, last)
+		if got := checkpointsTaken(srv) > taken; got != due {
+			t.Fatalf("request %d: tail %d bytes against max(segment %d, checkpoint %d): checkpoint ran = %v, want %v",
+				i, tail, segment, last, got, due)
+		}
+		if due {
+			ran++
+			tail = 0
+			byCheckpoint = byCheckpoint || last > segment
+			walBytes, segments, ckpts := stateFiles(t, dir)
+			if walBytes != 0 || segments != 1 || len(ckpts) != 1 {
+				t.Fatalf("after checkpoint %d the directory holds %d WAL byte(s) in %d segment(s) and %d checkpoint(s); want the covered files deleted: one empty segment, one checkpoint",
+					ran, walBytes, segments, len(ckpts))
+			}
+			_, last, _ := srv.store.LogBytes()
+			for name, size := range ckpts {
+				if size != last {
+					t.Fatalf("store reports a last checkpoint of %d bytes, %s holds %d", last, name, size)
+				}
+			}
+		}
+		if got, _, _ := srv.store.LogBytes(); got != tail {
+			t.Fatalf("request %d: store reports a tail of %d bytes, want %d", i, got, tail)
+		}
+	}
+	if !byCheckpoint {
+		t.Fatalf("no checkpoint outgrew the %d-byte segment, so no threshold was set by a checkpoint's size", segment)
+	}
+}
+
+// TestRestartCountsRecoveredTail: a restart at the default cadence
+// leaves the WAL tail it replayed in place and counts it toward the
+// threshold. Over the threshold, the first request compacts; below it,
+// the first request only adds to the tail.
+func TestRestartCountsRecoveredTail(t *testing.T) {
+	// crashed leaves a directory holding only a WAL tail: requests under
+	// the default 4 MB segments, which they never fill, and no final
+	// checkpoint.
+	crashed := func() (string, int64) {
+		dir := t.TempDir()
+		srv, client, _ := segmentedService(t, dir, 0, 0)
+		for i := 0; i < 20; i++ {
+			if _, err := client.Request([]string{"libA/1.0/p"}, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := srv.store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		tail, _, _ := srv.store.LogBytes()
+		return dir, tail
+	}
+	for _, over := range []bool{true, false} {
+		dir, tail := crashed()
+		segment := 4 * tail // the tail is below the threshold...
+		if over {
+			segment = tail / 2 // ...or past it
+		}
+		srv, client, rep := segmentedService(t, dir, 0, segment)
+		if rep.TailBytes != tail || rep.RecordsReplayed != 20 {
+			t.Fatalf("recovery read %d bytes in %d records, want the %d-byte tail of 20 records", rep.TailBytes, rep.RecordsReplayed, tail)
+		}
+		if !strings.Contains(rep.String(), fmt.Sprintf("(%d bytes)", tail)) {
+			t.Errorf("recovery line %q does not name the %d bytes replayed", rep, tail)
+		}
+		if got, _, _ := srv.store.LogBytes(); got != tail {
+			t.Fatalf("restart reports a tail of %d bytes, want the %d it replayed", got, tail)
+		}
+		if _, _, ckpts := stateFiles(t, dir); len(ckpts) != 0 || checkpointsTaken(srv) != 0 {
+			t.Fatalf("the restart checkpointed before any request (%d file(s)); the size rule decides on the first request", len(ckpts))
+		}
+		appended := walAppended(srv)
+		if _, err := client.Request([]string{"libA/1.0/p"}, true); err != nil {
+			t.Fatal(err)
+		}
+		got, _, _ := srv.store.LogBytes()
+		switch {
+		case over && (checkpointsTaken(srv) != 1 || got != 0):
+			t.Errorf("tail %d over segment %d: the first request left %d checkpoint(s) and a %d-byte tail, want 1 and 0",
+				tail, segment, checkpointsTaken(srv), got)
+		case !over && (checkpointsTaken(srv) != 0 || got != tail+walAppended(srv)-appended):
+			t.Errorf("tail %d below segment %d: the first request left %d checkpoint(s) and a %d-byte tail, want 0 and %d",
+				tail, segment, checkpointsTaken(srv), got, tail+walAppended(srv)-appended)
+		}
+	}
+}
+
+// TestRestartCompactsDamagedTail: a tail recovery could not read whole
+// is checkpointed at startup whatever its size, so the next restart
+// does not meet the torn record again, now mid-log, as corruption.
+func TestRestartCompactsDamagedTail(t *testing.T) {
+	dir := t.TempDir()
+	srv, client, _ := persistentService(t, dir, 0)
+	for _, key := range []string{"libA/1.0/p", "libB/1.0/p"} {
+		if _, err := client.Request([]string{key}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one segment, got %v (%v)", segs, err)
+	}
+	fi, err := os.Stat(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(segs[0], fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, _, rep := persistentService(t, dir, 0)
+	if !rep.TornTail || rep.RecordsReplayed == 0 {
+		t.Fatalf("recovery did not see a torn tail after whole records: %s", rep)
+	}
+	if _, _, ckpts := stateFiles(t, dir); len(ckpts) != 1 || checkpointsTaken(srv2) != 1 {
+		t.Fatalf("restart over a torn tail left %d checkpoint file(s), took %d; want the tail compacted at once", len(ckpts), checkpointsTaken(srv2))
+	}
+	if err := srv2.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, rep = persistentService(t, dir, 0)
+	if rep.TornTail || rep.CorruptSegments != 0 || len(rep.Warnings) != 0 {
+		t.Errorf("the next restart met the damage again: %s %q", rep, rep.Warnings)
+	}
+}
+
+// TestWALStaysBounded is the disk bound the size rule buys. A long
+// hit-only stream at the default cadence, crashed and restarted every
+// 1,000 requests, must never leave more WAL in the state directory
+// after a request than the rule allows: under max(one segment, the one
+// checkpoint the directory holds). A hit appends one touch record, so
+// without compaction the WAL would grow by that much per request.
+func TestWALStaysBounded(t *testing.T) {
+	const segment = 4 << 10
+	dir := t.TempDir()
+	var srv *Server
+	var client *Client
+	for i := 0; i < 3000; i++ {
+		if i%1000 == 0 {
+			if srv != nil {
+				srv.store.Close() // a crash: the WAL synced, no final checkpoint
+			}
+			srv, client, _ = segmentedService(t, dir, 0, segment)
+		}
+		res, err := client.Request([]string{"libA/1.0/p"}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && res.Op != "hit" {
+			t.Fatalf("request %d: %s, want a hit", i, res.Op)
+		}
+		walBytes, _, ckpts := stateFiles(t, dir)
+		if i > 100 && len(ckpts) != 1 {
+			t.Fatalf("after request %d the directory holds %d checkpoints, want 1", i, len(ckpts))
+		}
+		var ckptBytes int64
+		for _, size := range ckpts {
+			ckptBytes = size
+		}
+		if bound := max(segment, ckptBytes); walBytes >= bound {
+			t.Fatalf("after request %d the directory holds %d WAL bytes, want under max(segment %d, checkpoint %d) = %d",
+				i, walBytes, segment, ckptBytes, bound)
+		}
 	}
 }
 

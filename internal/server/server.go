@@ -66,10 +66,11 @@ type Server struct {
 	// calls (Config.MaxInflight). Acquire = send, release = receive.
 	sem chan struct{}
 	// Durability (nil/zero without a store): the WAL+checkpoint store,
-	// the checkpoint-every-N-requests threshold, the number of requests
-	// served since the last successful checkpoint, the single-flight
-	// latch that keeps concurrent threshold-crossers from piling up
-	// behind one checkpoint, and the heal probe's stop.
+	// the checkpoint-every-N-requests threshold (0 compacts by WAL size,
+	// see checkpointDue), the number of requests served since the last
+	// successful checkpoint, the single-flight latch that keeps
+	// concurrent threshold-crossers from piling up behind one
+	// checkpoint, and the heal probe's stop.
 	store     *persist.Store
 	ckptEvery int
 	sinceCkpt atomic.Int64
@@ -95,7 +96,9 @@ type Config struct {
 	StateDir string
 	Persist  persist.Options
 	// CheckpointEvery > 0 compacts the log after that many requests;
-	// zero leaves checkpointing to Close and POST /v1/checkpoint.
+	// zero compacts it once its tail reaches one WAL segment or the last
+	// checkpoint's size, whichever is larger. Close and POST
+	// /v1/checkpoint compact in both cases.
 	CheckpointEvery int
 	// MaxInflight > 0 bounds how many /v1/request calls are processed
 	// concurrently; excess requests queue.
@@ -137,8 +140,12 @@ func New(repo *pkggraph.Repo, cfg core.Config) (*Server, error) {
 
 // open is the one assembly under Open, New and NewPersistent. With a
 // store the cache is recovered from its checkpoint + WAL and the store
-// becomes the cache's commit hook; a replayed WAL tail is checkpointed
-// at once, so the next restart starts from a compact log.
+// becomes the cache's commit hook. Under a request-count cadence a
+// replayed WAL tail is checkpointed at once, so the next restart starts
+// from a compact log; under the size rule the replayed tail counts
+// toward the threshold and the first request past it compacts. A tail
+// recovery could not read whole (torn or corrupt) is checkpointed at
+// once either way, so the next restart does not meet the damage again.
 func open(repo *pkggraph.Repo, cfg Config, store *persist.Store) (*Server, *persist.RecoveryReport, error) {
 	reg := telemetry.NewRegistry()
 	s := &Server{repo: repo, reg: reg, ring: telemetry.NewRing(EventRingSize), store: store,
@@ -162,7 +169,7 @@ func open(repo *pkggraph.Repo, cfg Config, store *persist.Store) (*Server, *pers
 	s.registerResilienceMetrics()
 	if store != nil {
 		store.RegisterMetrics(reg, rep)
-		if rep.RecordsReplayed > 0 {
+		if s.ckptEvery > 0 && rep.RecordsReplayed > 0 || rep.TornTail || rep.CorruptSegments > 0 {
 			if _, err := s.CheckpointNow(); err != nil {
 				return nil, nil, err
 			}
