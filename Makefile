@@ -147,8 +147,8 @@ fuzz:
 # audit) within the HA-pair stage's first lease isolation, staleindex
 # within the fleet
 # stage's eviction audit, reqscan at the first escaped body and
-# closuredrop at the first close:true body of a fault-free
-# network-chaos stage, deltadrop, walscan and deltaoverlap by the
+# closuredrop at the first close:true body the fleet stage's client
+# sends through its master, deltadrop, walscan and deltaoverlap by the
 # replayed-state byte-identity audit that ends the first simulation
 # (deltaoverlap by the replay pass's settle check inside it),
 # replaystale by the CheckIntegrity after the first crash of the
@@ -175,7 +175,10 @@ fuzz:
 # whose audit a recovery of the durable agent's state directory
 # replaced (§13), nor the second fleet harness (its config, report,
 # default and runner) and the fleet harness's random master kills, which
-# the one fleet harness and its fault schedule replaced (§7). The
+# the one fleet harness and its fault schedule replaced, nor the
+# single-server network-chaos and trace-coverage harnesses (their
+# configs, defaults, reports and runners), whose audits the fleet
+# harness's rows carry (§7). The
 # watermark names match unanchored: with the
 # replica's stream headers gone no other name contains them. The second keeps the harnesses on the
 # in-memory network: no listener, no test server. The last two keep
@@ -183,8 +186,8 @@ fuzz:
 # store, recovers a server or starts a heal probe by hand, and no
 # harness builds a durable server around a store it opened itself.
 check:
-	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits|SetTracer|telemetry\.Tracer\b|newEvent|opTracer|timelineTracer|SetPaused|TransportFor|ChaosProxy|ReadHAState|repro/internal/cluster|StageClusterDispatch|cluster_dispatch|DeltaSite|landlord_site_|RunShardSim|ShardSimConfig|ShardSimReport|ShedderEnabled|replaySig|haRecord|haCheckpoint|haLogRing|HAState|RecoveredState|MirrorNext|StreamNext|haNoteMember|EnableReplication|NewStreamer|persist\.Streamer|persist\.Follower|StreamCheckpoint|ErrStreamGap|SetTap\(|/ha/v1/|RunHAChaos|HAChaosConfig|HAChaosDefault|HAChaosReport|MasterKillEvery' --include='*.go' --exclude-dir=.bench_build . \
-		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, §10 for the route dictionary, §9 for the event hook, §7 for the harness seams, the site model, the simulation driver and the second fleet harness, §6 for the node assembly and the replay pass, §13 for the HA log the lease replaced and the WAL read replica the recovery audit replaced)"; exit 1; }
+	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits|SetTracer|telemetry\.Tracer\b|newEvent|opTracer|timelineTracer|SetPaused|TransportFor|ChaosProxy|ReadHAState|repro/internal/cluster|StageClusterDispatch|cluster_dispatch|DeltaSite|landlord_site_|RunShardSim|ShardSimConfig|ShardSimReport|ShedderEnabled|replaySig|haRecord|haCheckpoint|haLogRing|HAState|RecoveredState|MirrorNext|StreamNext|haNoteMember|EnableReplication|NewStreamer|persist\.Streamer|persist\.Follower|StreamCheckpoint|ErrStreamGap|SetTap\(|/ha/v1/|RunHAChaos|HAChaosConfig|HAChaosDefault|HAChaosReport|MasterKillEvery|RunNetChaos|NetChaosConfig|NetChaosDefault|NetChaosReport|RunTraceSim|TraceSimConfig|TraceSimDefault|TraceSimReport' --include='*.go' --exclude-dir=.bench_build . \
+		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, §10 for the route dictionary, §9 for the event hook, §7 for the harness seams, the site model, the simulation driver and the fleet harness's folded predecessors, §6 for the node assembly and the replay pass, §13 for the HA log the lease replaced and the WAL read replica the recovery audit replaced)"; exit 1; }
 	@! grep -nE 'net\.Listen|httptest\.' $$(ls internal/check/*.go | grep -v '_test\.go$$') \
 		|| { echo "check: a harness in internal/check opens a socket; run it on the in-memory network (DESIGN.md §7)"; exit 1; }
 	@! grep -nE 'persist\.Open\(|NewPersistent\(|StartDegradedProbe\(' $$(find cmd -name '*.go' ! -name '*_test.go') \
@@ -194,18 +197,23 @@ check:
 	$(GO) test -race -short -count=1 ./internal/check
 	$(GO) test -run 'TestMutants|TestMutantFailure' -count=1 ./internal/check
 	$(GO) run ./cmd/landlord-check sim -seed 1
-	$(GO) run ./cmd/landlord-check tracesim -seed 1
 	$(GO) run ./cmd/landlord-check fleetchaos -seed 1
 
-# Fleet chaos gate: the one fleet harness, both rows (a plain master and
-# a primary + standby pair, agent 0 durable in each), under the race
-# detector — zero lost acks, route-around of partitioned agents,
-# soft-state recovery, bounded key movement, indexed and faithful
-# mirrors, two-tick promotion, a promoted master healthy toward every
-# agent its predecessor could route to, a single acking primary per
-# round, demotion of an isolated primary, warm drain handoff, the
-# durable agent's recovered state equal to its live state after every
-# kill — then one CLI pass with a shifted fault schedule.
+# Fleet chaos gate: the one serving-path harness, both rows (a plain
+# master and a primary + standby pair, agent 0 durable on a faulty disk
+# in each, behind faulty client links), under the race detector — zero
+# lost acks across agent 0's crashes and the primary's kills, no valid
+# spec refused, echoed counts, sheds that never mutate, idempotent
+# closure, route-around of partitioned agents, soft-state recovery,
+# bounded key movement, indexed and faithful mirrors, two-tick
+# promotion, a promoted master healthy toward every agent its
+# predecessor could route to, a single acking primary per round,
+# demotion of an isolated primary, warm drain handoff, the durable
+# agent's recovered state equal to its crashed state after every crash
+# and passing CheckIntegrity in a copy recovered by the persist layer,
+# every span stage in the nodes' trace rings, and each row's report,
+# trace dump included, byte-identical across two runs — then one CLI
+# pass with a shifted fault schedule.
 fleet-chaos:
 	$(GO) test -race -count=1 -run '^(TestFleetChaos|TestHAChaos)(Deterministic)?$$' ./internal/check
 	$(GO) run ./cmd/landlord-check fleetchaos -seed 1 -kill-phase 7

@@ -3,8 +3,6 @@
 //
 //	landlord-check sim      -seed 1 [-steps 600]
 //	landlord-check soak     -seed 1 [-requests 50000] [-workers 8]
-//	landlord-check netchaos -seed 1 [-steps 240] [-trace-dump path]
-//	landlord-check tracesim -seed 1 [-steps 48] [-trace-dump path]
 //	landlord-check fleetchaos -seed 1 [-steps 240] [-agents 3] [-kill-phase 0] [-trace-dump path]
 //	landlord-check chaos    -duration 10m [-seed 0] [-trace-dump path]
 //
@@ -12,43 +10,43 @@
 // in-memory simulations of the serving cache, one-shard rows and
 // sharded rows (per-shard oracles, route and budget audits), plus the
 // persistent chaos runs with checkpoints, prune passes, injected
-// filesystem faults and crash/recovery cycles. soak hammers one cache from many goroutines with injected
-// persist faults (-shards > 1 soaks the sharded core with audited
-// rebalances); run the binary built with -race for full effect. The
-// HTTP harnesses run their nodes on an in-memory network (no sockets):
-// netchaos drives the HTTP server through a fault-injecting transport
-// (resets, truncation, latency, blackholes) on top of disk faults and
-// crashes, auditing the acked-request, shed, and degraded-mode
-// invariants. tracesim runs the deterministic span-tracing coverage
-// harness: a serially driven HTTP server whose tracer runs on a
-// logical clock, auditing that the retained trace dump covers every
-// canonical stage and replays byte-identically. fleetchaos runs one
-// fault schedule twice on a logical clock, once against a plain master
-// and once against a primary + standby pair, each fronting N agents
-// (agent 0 persistent), and prints one line per row. It audits zero
-// lost acks across agent partitions and primary kills, route-around of
-// partitioned agents, soft-state recovery of a restarted master,
-// bounded key movement under membership churn, indexed and faithful
-// mirrors, and, after every kill, a recovery of the persistent agent's
-// state directory equal to its live state; in the pair also two-tick
-// standby promotion, a promoted master healthy toward every agent the
-// old primary could route to, a single acking primary per round and
-// demotion of an isolated primary; and a warm drain handoff at the
-// close (-kill-phase rotates the kills and isolations; the nightly
-// soak sweeps it). chaos loops the whole harness over consecutive
-// seeds until the duration expires (the nightly soak).
+// filesystem faults and crash/recovery cycles. soak hammers one cache
+// from many goroutines with injected persist faults (-shards > 1 soaks
+// the sharded core with audited rebalances); run the binary built with
+// -race for full effect. fleetchaos is the serving-path harness: one
+// fault schedule, run on an in-memory network and a logical clock
+// against a plain master and against a primary + standby pair, each
+// fronting N agents, and one line per row. Agent 0 is durable on a
+// fault-injecting disk, admits a small burst, and is crashed (kill -9
+// or power loss) and recovered; the client's links to the masters
+// inject resets, truncations and blackholes; bodies go out in seeded
+// shapes, a quarter with close:true. It audits zero lost acks across
+// crashes, partitions and primary kills, that no valid spec is refused
+// and every answer echoes its spec, that sheds never mutate, that
+// closure is idempotent, route-around of partitioned agents, soft-state
+// recovery of a restarted master, bounded key movement under membership
+// churn, indexed and faithful mirrors, and, after every crash, agent
+// 0 and a copy of its state directory recovered by the persist layer
+// (which must pass CheckIntegrity) back at the state it crashed with;
+// in the pair also two-tick standby promotion, a promoted master healthy
+// toward every agent the old primary could route to, a single acking
+// primary per round and demotion of an isolated primary; and a warm
+// drain handoff at the close. Every node's span tracer runs on the
+// logical clock, and the rings must cover every canonical stage plus
+// fleet_route and fleet_forward (-kill-phase rotates the kills,
+// crashes and isolations; the nightly soak sweeps it). chaos loops sim,
+// soak and fleetchaos over consecutive seeds until the duration
+// expires (the nightly soak).
 //
-// -trace-dump writes the failing run's tail-sampling trace ring to the
-// given path as JSON, so CI can upload where-the-latency-went context
-// alongside the reproduction seed.
+// -trace-dump writes the failing run's trace rings — every agent's and
+// every live master's — to the given path as JSON, so CI can upload
+// where-the-latency-went context alongside the reproduction seed.
 //
 // Every failure prints its seed and a reproduction command, and the
-// process exits non-zero. sim, tracesim and fleetchaos are functions
-// of their flags: rerun with the same ones and the failure recurs at
-// the same step with the same diagnostic. soak interleaves
-// goroutines freely, and netchaos with faults injects latency and
-// backs off on the wall clock, so those replay their schedule, not
-// every count.
+// process exits non-zero. sim and fleetchaos are functions of their
+// flags: rerun with the same ones and the failure recurs at the same
+// step with the same diagnostic. soak interleaves goroutines freely,
+// so it replays its schedule, not every count.
 package main
 
 import (
@@ -72,10 +70,6 @@ func main() {
 		err = runSim(os.Args[2:])
 	case "soak":
 		err = runSoak(os.Args[2:])
-	case "netchaos":
-		err = runNetChaos(os.Args[2:])
-	case "tracesim":
-		err = runTraceSim(os.Args[2:])
 	case "fleetchaos":
 		err = runFleetChaos(os.Args[2:])
 	case "chaos":
@@ -91,14 +85,12 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: landlord-check <sim|soak|netchaos|tracesim|fleetchaos|chaos> [flags]
+	fmt.Fprintln(os.Stderr, `usage: landlord-check <sim|soak|fleetchaos|chaos> [flags]
 
   sim      -seed N [-steps N]               deterministic suite (one-shard and sharded rows) + persistent chaos runs
   soak     -seed N [-requests N] [-workers N] [-shards N]  concurrent soak with injected persist faults
-  netchaos -seed N [-steps N] [-trace-dump P]  HTTP server under network + disk chaos
-  tracesim -seed N [-steps N] [-trace-dump P]  deterministic span-trace coverage + replay audit
-  fleetchaos -seed N [-steps N] [-agents N] [-kill-phase N] [-trace-dump P]  plain master and HA pair under partitions, kills, isolations, drain
-  chaos    -duration D [-seed N] [-trace-dump P]  loop sim+soak+netchaos+tracesim+fleetchaos over consecutive seeds (0 = from clock)`)
+  fleetchaos -seed N [-steps N] [-agents N] [-kill-phase N] [-trace-dump P]  plain master and HA pair under network, disk and crash faults, partitions, kills, isolations, drain
+  chaos    -duration D [-seed N] [-trace-dump P]  loop sim+soak+fleetchaos over consecutive seeds (0 = from clock)`)
 }
 
 // suite runs the canonical deterministic schedule for one seed: the
@@ -189,7 +181,7 @@ func soak(seed int64, requests, workers, shards int) error {
 	return nil
 }
 
-// writeTraceDump writes a failure's tail-sampling trace ring to path
+// writeTraceDump writes a failure's tail-sampling trace rings to path
 // as JSON, so CI uploads latency context alongside the repro seed.
 // A failure without a dump (or an empty path) writes nothing.
 func writeTraceDump(path string, f *check.Failure) {
@@ -208,73 +200,13 @@ func writeTraceDump(path string, f *check.Failure) {
 	fmt.Fprintf(os.Stderr, "landlord-check: wrote %d trace(s) to %s\n", len(f.TraceDump), path)
 }
 
-func runNetChaos(args []string) error {
-	fs := flag.NewFlagSet("netchaos", flag.ExitOnError)
-	seed := fs.Int64("seed", 1, "netchaos seed")
-	steps := fs.Int("steps", 0, "override the request count (0 = canonical 240)")
-	dump := fs.String("trace-dump", "", "on failure, write the server's trace ring to this path as JSON")
-	fs.Parse(args)
-	return netchaos(*seed, *steps, *dump)
-}
-
-func netchaos(seed int64, steps int, dump string) error {
-	dir, err := os.MkdirTemp("", "landlord-netchaos-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	cfg := check.NetChaosDefault(seed, dir)
-	if steps > 0 {
-		cfg.Steps = steps
-	}
-	rep, f := check.RunNetChaos(cfg)
-	if f != nil {
-		writeTraceDump(dump, f)
-		return f
-	}
-	fmt.Printf("netchaos seed=%d steps=%d: acked=%d sheds=%d degraded=%d circuit_fast=%d net_errors=%d net_injected=%d disk_injected=%d crashes=%d heals=%d\n",
-		seed, rep.Steps, rep.Acked, rep.Sheds, rep.Degraded, rep.CircuitFast,
-		rep.NetErrors, rep.NetInjected, rep.DiskInjected, rep.Crashes, rep.Heals)
-	return nil
-}
-
-func runTraceSim(args []string) error {
-	fs := flag.NewFlagSet("tracesim", flag.ExitOnError)
-	seed := fs.Int64("seed", 1, "tracesim seed")
-	steps := fs.Int("steps", 0, "override the request count (0 = canonical 48)")
-	dump := fs.String("trace-dump", "", "on failure, write the server's trace ring to this path as JSON")
-	fs.Parse(args)
-	return tracesim(*seed, *steps, *dump)
-}
-
-func tracesim(seed int64, steps int, dump string) error {
-	dir, err := os.MkdirTemp("", "landlord-tracesim-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	cfg := check.TraceSimDefault(seed, dir)
-	if steps > 0 {
-		cfg.Steps = steps
-	}
-	rep, f := check.RunTraceSim(cfg)
-	if f != nil {
-		writeTraceDump(dump, f)
-		return f
-	}
-	fmt.Printf("tracesim seed=%d steps=%d: acked=%d traces_started=%d kept=%d propagated=%d stages=%d/%d checkpoints=%d\n",
-		seed, rep.Steps, rep.Acked, rep.Started, rep.Kept,
-		rep.Propagated, len(rep.StagesCovered), len(rep.StagesCovered)+len(rep.MissingStages), rep.Checkpoints)
-	return nil
-}
-
 func runFleetChaos(args []string) error {
 	fs := flag.NewFlagSet("fleetchaos", flag.ExitOnError)
 	seed := fs.Int64("seed", 1, "fleetchaos seed")
 	steps := fs.Int("steps", 0, "override the request count (0 = canonical 240)")
 	agents := fs.Int("agents", 0, "override the fleet size (0 = canonical 3)")
 	killPhase := fs.Int("kill-phase", 0, "shift the kills and isolations by this many steps (the nightly soak rotates it)")
-	dump := fs.String("trace-dump", "", "on failure, write the persistent agent's trace ring to this path as JSON")
+	dump := fs.String("trace-dump", "", "on failure, write every node's trace ring to this path as JSON")
 	fs.Parse(args)
 	return fleetchaos(*seed, *steps, *agents, *killPhase, *dump)
 }
@@ -293,10 +225,15 @@ func fleetchaos(seed int64, steps, agents, killPhase int, dump string) error {
 			writeTraceDump(dump, f)
 			return f
 		}
-		fmt.Printf("fleetchaos seed=%d masters=%d steps=%d agents=%d kill_phase=%d: acked=%d unavailable=%d sheds=%d errors=%d partitions=%d kills=%d isolations=%d promotions=%d demotions=%d epoch=%d recovered=%d stale_rejects=%d handoff=%d key_move=%.3f\n",
+		fmt.Printf("fleetchaos seed=%d masters=%d steps=%d agents=%d kill_phase=%d: acked=%d unavailable=%d sheds=%d errors=%d partitions=%d kills=%d isolations=%d promotions=%d demotions=%d epoch=%d recovered=%d stale_rejects=%d handoff=%d key_move=%.3f crashes=%d/%d disk_faults=%d net_faults=%d checkpoints=%d stages=%d/%d traces=%d\n",
 			seed, cfg.Masters, rep.Steps, cfg.Agents, killPhase, rep.Acked, rep.Unavailable, rep.Sheds, rep.Errors,
 			rep.Partitions, rep.Kills, rep.Isolations, rep.Promotions, rep.Demotions,
-			rep.MaxEpoch, rep.Recovered, rep.StaleRejects, rep.HandoffSpecs, rep.KeyMoveFraction)
+			rep.MaxEpoch, rep.Recovered, rep.StaleRejects, rep.HandoffSpecs, rep.KeyMoveFraction,
+			rep.CrashKills, rep.CrashPowers, rep.DiskFaults, rep.NetFaults, rep.Checkpoints,
+			len(rep.Stages), len(rep.Stages)+len(rep.MissingStages), len(rep.Dump))
+		if len(rep.MissingStages) > 0 {
+			return fmt.Errorf("fleetchaos seed=%d masters=%d: trace rings miss stages %v", seed, cfg.Masters, rep.MissingStages)
+		}
 	}
 	return nil
 }
@@ -322,12 +259,6 @@ func runChaos(args []string) error {
 		// Rotate the shard count with the seed, so a long chaos run
 		// covers the unsharded core and several sharded geometries.
 		if err := soak(s, 20000, 8, 1+int(s%4)); err != nil {
-			return err
-		}
-		if err := netchaos(s, 0, *dump); err != nil {
-			return err
-		}
-		if err := tracesim(s, 0, *dump); err != nil {
 			return err
 		}
 		// Rotate the kill schedule with the seed so the soak covers

@@ -24,9 +24,8 @@ var shardsFlag = flag.Int("shards", 4, "shard count for TestShardSoak (nightly r
 // in the harness prints `go test ./internal/check -run TestCheckReplay
 // -seed=N`, and this test re-runs the full schedule — the in-memory
 // suite (one-shard and sharded rows), the persistent disk-fault chaos runs (exact
-// and MinHash), the network-fault chaos run, and both rows of the fleet
-// chaos suite (plain master and HA pair, the default kill phase) —
-// under that seed.
+// and MinHash), and both rows of the fleet chaos suite (plain master
+// and HA pair, the default kill phase) — under that seed.
 func TestCheckReplay(t *testing.T) {
 	seed := *seedFlag
 	for _, cfg := range Suite(seed) {
@@ -39,36 +38,11 @@ func TestCheckReplay(t *testing.T) {
 			t.Fatal(f)
 		}
 	}
-	if _, f := RunNetChaos(NetChaosDefault(seed, t.TempDir())); f != nil {
-		t.Fatal(f)
-	}
 	for _, cfg := range FleetChaosSuite(seed) {
 		if _, f := RunFleetChaos(cfg); f != nil {
 			t.Fatal(f)
 		}
 	}
-}
-
-// TestNetChaos is the end-to-end network chaos run on its own: a real
-// HTTP server over a persistent store, a client injecting seeded
-// resets/truncations/latency/blackholes, disk faults and crash cycles
-// underneath. The audit inside RunNetChaos proves every acked request
-// is served as a hit after every recovery, sheds never mutate, and a
-// degraded server refuses non-durable acks.
-func TestNetChaos(t *testing.T) {
-	rep, f := RunNetChaos(NetChaosDefault(*seedFlag, t.TempDir()))
-	if f != nil {
-		t.Fatal(f)
-	}
-	if rep.Acked == 0 {
-		t.Fatal("netchaos run acked nothing; the harness is not exercising the serving path")
-	}
-	if rep.Crashes == 0 {
-		t.Fatal("netchaos run never crashed; the audit never ran")
-	}
-	t.Logf("netchaos: %d steps, %d acked, %d sheds, %d degraded, %d circuit-fast, %d net errors (%d injected), %d disk faults, %d crashes, %d heals",
-		rep.Steps, rep.Acked, rep.Sheds, rep.Degraded, rep.CircuitFast,
-		rep.NetErrors, rep.NetInjected, rep.DiskInjected, rep.Crashes, rep.Heals)
 }
 
 // TestSimDeterministic pins the bit-for-bit reproducibility contract:

@@ -1,74 +1,81 @@
 package check
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
+	"os"
+	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/server"
+	"repro/internal/spec"
+	"repro/internal/telemetry"
 )
 
-// FleetChaosConfig parameterizes one fleet chaos run: a plain master or
-// a primary + standby pair fronting N agents, agent 0 persistent
-// (fleetTopo). One fault schedule, built up front, drives both
-// topologies: seeded partitions between an agent and the masters,
-// primary kills and, in the pair, lease-holder isolations, then a
-// closing drain and a final kill. The run drives every lease tick and
-// heartbeat itself, so two runs of a config report identically
-// (TestFleetChaosDeterministic) and a failure recurs at the same step
-// with the same diagnostic.
+// FleetChaosConfig parameterizes one run of the serving-path harness:
+// a plain master or a primary + standby pair fronting N agents on one
+// logical clock (fleetTopo). One fault schedule, built up front, drives
+// both: seeded agent partitions, primary kills, crashes of the durable
+// agent 0 (kill -9 or power loss; its disk injects a seeded fault each
+// life), a request burst and, in the pair, lease-holder isolations,
+// then a drain and a final kill. The rounds' requests go out in
+// seeded body shapes, and a periodic stats read through Client's retry
+// path, over links that inject seeded network faults. Two runs of a
+// config report identically, trace dump included, so a failure recurs
+// at the same step with the same diagnostic. The audits:
 //
-// The invariants:
+//   - no lost acks: every acked spec is a hit on the agent that acked
+//     it and is served through the fleet after every kill, and every
+//     spec agent 0 acked is after each of its recoveries; agent 0, and
+//     a copy of its state directory recovered by the persist layer
+//     alone (CheckIntegrity), recover the state it crashed with, byte
+//     for byte, and a copy recovers its live state at the close; a heal
+//     leaves agent 0 ready;
+//   - faithful answers: no valid spec is refused; a 200 names an agent,
+//     never a partitioned one, and an op of hit, merge or insert, and
+//     echoes the spec's packages and bytes; an acked spec answered
+//     again by its agent is a hit; a closed list sent with close:true
+//     hits the same image sent unclosed; a 429 leaves agent 0's request
+//     counter alone; a stats read that survives the faulty links reads
+//     agent 0's live request counter;
+//   - routing: a restarted master is ready after one round; one agent
+//     joining moves at most 2/(N+1) of a sampled keyspace, all to it,
+//     and leaving restores it; after every round, and every gossip frame
+//     of a mid-stream eviction audit, each master's index equals a
+//     rebuild from its mirrors (CheckIntegrity, which catches
+//     staleindex), and each mirror equals its agent's directory
+//     (auditMirrors, which catches dirscan);
+//   - failover: a standby promotes after exactly two silent lease ticks
+//     (leasetick); no round is acked by two masters and no 200 carries
+//     an epoch older than one seen (staleepoch); the promoted master
+//     reaches every unpartitioned agent its predecessor could; an
+//     isolated primary demotes off the agents' epoch rejections; no
+//     gate records a same-epoch holder conflict;
+//   - handoff: a drained agent's acked specs are hits on the successors
+//     its drain warmed; a drain reports a successor that refused its
+//     slice (only agent 0's disk fault may cause one), and the slice is
+//     pushed again after a heal.
 //
-//   - zero lost acks: every request acknowledged through the fleet is
-//     still served after every kill — as a hit on the agent that acked
-//     it, and through whichever master holds the lease;
-//   - route-around: a 200 never comes from a partitioned agent, and
-//     never without an agent's name on it;
-//   - soft-state recovery: a killed master restarted with fresh soft
-//     state is ready again after one heartbeat round;
-//   - bounded key movement: one agent joining moves at most 2/(N+1) of
-//     a sampled keyspace (all of it to the joiner), and the agent
-//     leaving again restores the original assignment exactly;
-//   - indexed mirrors: after every round, and after every gossip frame
-//     of a mid-stream eviction audit, each live master's routing index
-//     equals a rebuild from its mirrored directories
-//     (Master.CheckIntegrity — the audit that catches the staleindex
-//     mutant);
-//   - faithful mirrors: after every heartbeat round, each live master's
-//     mirror of an agent the round reached equals that agent's own
-//     directory (auditMirrors — the audit that catches dirscan);
-//   - promotion in two: a standby becomes primary after exactly two
-//     driven lease ticks of primary silence, never after one (the
-//     audit that catches leasetick);
-//   - single primary per epoch: no round is acknowledged by two
-//     masters, no 200 arrives stamped with an epoch older than one the
-//     client has already seen (the audit that catches staleepoch), and
-//     no agent's epoch gate records a same-epoch holder conflict;
-//   - promoted routing: each agent healthy on the dead or isolated
-//     primary just before the cut, and not partitioned, is healthy on
-//     the promoted master before any further beat;
-//   - demotion: an isolated primary demotes itself off the agents'
-//     epoch rejections before its isolation heals;
-//   - recovery byte identity: after every kill, a copy of agent 0's
-//     state directory recovers to a cache that passes CheckIntegrity
-//     and equals the agent's ExportState;
-//   - warm handoff: a drained agent's acked specs are still hits
-//     through the fleet, served by the successors its drain warmed.
+// The report's dump and stage list feed the trace audits of the tests
+// and the command: well-formed trees covering every stage.
 type FleetChaosConfig struct {
 	Seed  int64
 	Steps int
-	// Agents is the fleet size (>= 2: agent 0 is the persistent one,
+	// Agents is the fleet size (>= 2: agent 0 is the durable one,
 	// agent 1 drains at the close).
 	Agents int
 	Alpha  float64
 	// Masters is 1 (a plain master) or 2 (a primary + standby pair).
 	Masters int
-	// Kills is how many scheduled primary kill/restart cycles run; a
-	// final kill always runs after the drain audit.
+	// Kills is how many scheduled primary kill/restart cycles run, and
+	// how many times agent 0 crashes and recovers; a final kill always
+	// runs after the drain audit.
 	Kills int
 	// Isolations is how many lease isolations run (pair only): the
 	// standby loses its path to the lease holder, promotes, and the old
@@ -77,9 +84,10 @@ type FleetChaosConfig struct {
 	// PartitionEvery is the mean gap, in steps, between seeded
 	// partition toggles (0 disables).
 	PartitionEvery int
-	// KillPhase shifts every kill and isolation by this many steps — the
-	// nightly soak rotates it so the faults land at different points of
-	// the request stream while each run stays reproducible.
+	// KillPhase shifts every kill, crash and isolation by this many
+	// steps — the nightly soak rotates it so the faults land at
+	// different points of the request stream while each run stays
+	// reproducible.
 	KillPhase int
 }
 
@@ -101,15 +109,15 @@ type FleetChaosReport struct {
 	Steps       int
 	Acked       int // rounds with exactly one master acking
 	Unavailable int // rounds with no ack (a fault being learned)
-	Sheds       int // rounds answered 429
-	Errors      int // rounds with any other failure
+	Sheds       int // requests answered 429
+	Errors      int // rounds and stats reads with any other failure
 	Partitions  int // agent partitions (cuts, not heals)
 	Kills       int // primary kills (scheduled + final)
 	Isolations  int // lease-holder isolations
 	Promotions  int // audited standby promotions
 	Demotions   int // audited old-primary demotions
 	MaxEpoch    uint64
-	// Recovered sums the WAL records the recovery audits replayed.
+	// Recovered sums the WAL records agent 0's recoveries replayed.
 	Recovered int
 	// StaleRejects sums the agents' epoch-gate rejections — nonzero in
 	// any pair run where a superseded primary tried to keep forwarding.
@@ -119,33 +127,49 @@ type FleetChaosReport struct {
 	// KeyMoveFraction is the sampled keyspace fraction the join audit
 	// moved.
 	KeyMoveFraction float64
+	// Agent 0's crashes by mode, the faults its disks and the client's
+	// links injected, and its size-triggered checkpoints.
+	CrashKills, CrashPowers, DiskFaults int
+	NetFaults, Checkpoints              int64
+	// Stages lists the canonical and fleet span stages the nodes' rings
+	// showed, in canonical order; MissingStages the rest. Dump is every
+	// agent's ring at the close, then every live master's.
+	Stages, MissingStages []string
+	Dump                  []telemetry.Trace
 }
 
 // fleetEvent is one scheduled fault.
 type fleetEvent struct {
-	kind  string // "kill", "isolate", "heal", "partition", "reconnect"
+	kind  string // "kill", "isolate", "heal", "crash", "recover", "burst", "partition", "reconnect"
 	agent int    // the agent a partition or reconnect moves
 }
 
-// isolationSteps is how long a lease isolation lasts before it heals.
-const isolationSteps = 6
+// isolationSteps is how long a lease isolation lasts before it heals,
+// crashSteps how long agent 0 stays down.
+const isolationSteps, crashSteps = 6, 4
 
 // fleetSchedule builds the run's faults as a step → events table:
 // kills and isolations alternate across evenly spaced slots shifted by
-// KillPhase, each isolation healing isolationSteps later, then seeded
-// partition toggles at gaps of 1 to 2×PartitionEvery steps, one agent
-// always left routable. A kill slot is listed before a toggle at the
-// same step.
+// KillPhase, each isolation healing isolationSteps later, and Kills
+// crashes of agent 0 sit halfway before the first slots, each
+// recovering crashSteps later; one burst follows the latest recovery,
+// which the crash spacing puts at least a third of the way into the
+// run; then seeded partition toggles at gaps of 1 to 2×PartitionEvery
+// steps, one agent always left routable. A kill slot and a burst are
+// listed before a toggle at the same step.
 func fleetSchedule(cfg FleetChaosConfig) map[int][]fleetEvent {
 	at := map[int][]fleetEvent{}
 	add := func(step int, kind string, agent int) {
 		at[step] = append(at[step], fleetEvent{kind: kind, agent: agent})
 	}
 	total := cfg.Kills + cfg.Isolations
+	slot := func(num, den int) int {
+		step := (cfg.Steps*num/den + cfg.KillPhase) % cfg.Steps
+		return min(max(step, 5), cfg.Steps-10)
+	}
 	isoLeft := cfg.Isolations
 	for k := 0; k < total; k++ {
-		step := (cfg.Steps*(k+1)/(total+1) + cfg.KillPhase) % cfg.Steps
-		step = min(max(step, 5), cfg.Steps-10)
+		step := slot(k+1, total+1)
 		if k%2 == 0 && isoLeft > 0 {
 			isoLeft--
 			add(step, "isolate", 0)
@@ -153,6 +177,16 @@ func fleetSchedule(cfg FleetChaosConfig) map[int][]fleetEvent {
 		} else {
 			add(step, "kill", 0)
 		}
+	}
+	last := -1
+	for k := 0; k < cfg.Kills; k++ {
+		step := slot(2*k+1, 2*(total+1))
+		add(step, "crash", 0)
+		add(step+crashSteps, "recover", 0)
+		last = max(last, step+crashSteps)
+	}
+	if last >= 0 {
+		add(last+1, "burst", 0)
 	}
 	if cfg.PartitionEvery > 0 {
 		rng := rand.New(rand.NewSource(cfg.Seed))
@@ -174,7 +208,8 @@ func fleetSchedule(cfg FleetChaosConfig) map[int][]fleetEvent {
 
 // RunFleetChaos executes the fleet chaos schedule and audits the
 // invariants. It returns a nil Failure on a clean run; a failure
-// carries the persistent agent's span-trace ring for latency context.
+// carries every node's span-trace ring, so a master's span for a
+// failing request sits beside the agent's under the same trace ID.
 func RunFleetChaos(cfg FleetChaosConfig) (rep FleetChaosReport, fail *Failure) {
 	if cfg.Agents < 2 || cfg.Steps < 20 || cfg.Masters < 1 || cfg.Masters > 2 || cfg.Masters == 1 && cfg.Isolations > 0 {
 		return rep, failf(cfg.Seed, 0, "fleetchaos: want Agents >= 2, Steps >= 20 and 1 or 2 Masters (2 for Isolations)")
@@ -189,17 +224,50 @@ func RunFleetChaos(cfg FleetChaosConfig) (rep FleetChaosReport, fail *Failure) {
 	}
 	defer func() {
 		if fail != nil {
-			fail.TraceDump = t.agents[0].srv.TraceRing().Dump(0)
+			fail.TraceDump = t.rings()
 		}
 		t.close()
 	}()
 	stream := NewStream(t.repo, cfg.Seed+1)
+	// Body shapes draw from their own source, so the stream stays what
+	// it is for a seed.
+	shapes := rand.New(rand.NewSource(cfg.Seed + 2))
 	ctx := context.Background()
+	agent0 := t.agents[0]
+	ckptBase := t.compactions()
+
+	// offer posts body to master i over c and audits what the answer
+	// says of the request alone: a shed leaves agent 0's request counter
+	// where it was — only agent 0 admits, and a forward stops at the
+	// agent that shed — and a valid spec is never refused.
+	offer := func(step, i int, c *http.Client, body []byte, shape string) (fleetReply, *Failure) {
+		before := agent0.srv.StatsNow().Requests
+		r := t.post(c, i, body)
+		switch r.status {
+		case http.StatusTooManyRequests:
+			rep.Sheds++
+			if after := agent0.srv.StatsNow().Requests; after != before {
+				return r, t.failf(step, "shed request moved %s's request counter (%d -> %d)", agent0.id, before, after)
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			return r, t.failf(step, "valid spec refused with status %d (%s body)", r.status, shape)
+		}
+		return r, nil
+	}
 
 	var maxEpochSeen uint64
-	// sendRound offers one spec to every live master and audits the
-	// single-primary contract and the ack's attribution.
-	sendRound := func(step int, keys []string) *Failure {
+	// sendRound offers the stream's next spec, in a seeded body shape
+	// and a quarter of the time as a closed list with close:true, to
+	// every live master over the faulty links, and audits the
+	// single-primary contract, the ack's attribution and what it echoes.
+	sendRound := func(step int) *Failure {
+		sp := stream.Next()
+		shape, closed := shapes.Intn(8), shapes.Intn(4) == 0
+		if closed {
+			sp = spec.WithClosure(t.repo, sp.IDs())
+		}
+		keys := keysOf(t.repo, sp)
+		body, shapeName := encodeRequest(shape, closed, keys)
 		acker := -1
 		var ack fleetReply
 		saw429, saw503 := false, false
@@ -207,7 +275,10 @@ func RunFleetChaos(cfg FleetChaosConfig) (rep FleetChaosReport, fail *Failure) {
 			if !m.alive {
 				continue
 			}
-			r := t.post(i, keys)
+			r, f := offer(step, i, t.chaos, body, shapeName)
+			if f != nil {
+				return f
+			}
 			switch r.status {
 			case http.StatusOK:
 				if acker >= 0 {
@@ -224,29 +295,145 @@ func RunFleetChaos(cfg FleetChaosConfig) (rep FleetChaosReport, fail *Failure) {
 				}
 			}
 		}
-		switch {
+		switch res := ack.res; {
 		case acker >= 0:
 			if ack.epoch < maxEpochSeen {
 				return t.failf(step, "%s acked at epoch %d after epoch %d was already active",
 					t.masters[acker].id, ack.epoch, maxEpochSeen)
 			}
-			if ack.res.Agent == "" {
+			if res.Agent == "" {
 				return t.failf(step, "200 with no agent attribution")
 			}
-			if a := t.agent(ack.res.Agent); a != nil && a.partitioned {
+			if res.Op != "hit" && res.Op != "merge" && res.Op != "insert" {
+				return t.failf(step, "200 with op %q", res.Op)
+			}
+			if a := t.agent(res.Agent); a != nil && a.partitioned {
 				return t.failf(step, "request attributed to partitioned agent %s", a.id)
+			}
+			if want := t.repo.SetSize(sp.IDs()); res.Packages != len(keys) || res.RequestBytes != want {
+				return t.failf(step, "spec of %d packages, %d bytes echoed as %d packages, %d bytes (%s body)",
+					len(keys), want, res.Packages, res.RequestBytes, shapeName)
 			}
 			maxEpochSeen = ack.epoch
 			rep.Acked++
-			t.acks.add(ackedReq{keys: keys, step: step, agent: ack.res.Agent})
-		case saw429:
-			rep.Sheds++
+			// Capacity is unlimited, so the agent that acked a spec holds it
+			// for good: sent there again it can only be a hit.
+			if prev, again := t.acks.add(ackedReq{keys: keys, step: step, agent: res.Agent}); again && prev.agent == res.Agent && res.Op != "hit" {
+				return t.failf(step, "spec acked by %s at step %d answered %q when re-sent, want hit (%s body)",
+					res.Agent, prev.step, res.Op, shapeName)
+			}
+			if closed {
+				// The agent closed a closed list: the same keys unclosed name
+				// the same spec, so they hit the image it answered with.
+				again, err := t.request(res.Agent, keys)
+				if err != nil || again.Op != "hit" || again.ImageID != res.ImageID || again.Packages != res.Packages || again.RequestBytes != res.RequestBytes {
+					return t.failf(step, "%s body answered image %d (%d packages, %d bytes) on %s; re-sent unclosed: %s on image %d (%d packages, %d bytes), err %v",
+						shapeName, res.ImageID, res.Packages, res.RequestBytes, res.Agent, again.Op, again.ImageID, again.Packages, again.RequestBytes, err)
+				}
+			}
+		case saw429: // counted by offer
 		case saw503:
 			rep.Unavailable++
 		default:
 			rep.Errors++
 		}
 		return nil
+	}
+
+	// burst makes agent 0 shed through the primary. It sends agent 0
+	// up to shedBurst acked specs the ring gives it, so that as their
+	// owner and holder it leads their routes, then re-sends them through
+	// the primary inside one tick until its bucket of shedBurst runs dry.
+	// A partition of agent 0 is healed first, so the burst reaches it.
+	burst := func(step int) *Failure {
+		p, _ := t.roles()
+		if agent0.partitioned {
+			t.partition(agent0, false)
+		}
+		t.beatAll()
+		var mine [][]string
+		for i := 0; i < len(t.acks.acks) && len(mine) < shedBurst; i++ {
+			keys := t.acks.acks[i].keys
+			var info fleet.RouteInfo
+			path := fmt.Sprintf("/fleet/v1/route?key=%d", fleet.RouteKey(keys))
+			if t.api(t.masters[p].id).DoCtx(ctx, http.MethodGet, path, nil, &info) == nil && info.Owner == agent0.id {
+				if _, err := t.request(agent0.id, keys); err != nil {
+					t.tick() // its disk failed the write: the tick's probe heals it
+					continue
+				}
+				mine = append(mine, keys)
+			}
+		}
+		t.beatAll()
+		for i, sheds := 0, rep.Sheds; i < 4*shedBurst && len(mine) > 0 && rep.Sheds == sheds; i++ {
+			body, _ := json.Marshal(server.RequestBody{Packages: mine[i%len(mine)]}) // a string list always marshals
+			if _, f := offer(step, p, t.client, body, "canonical"); f != nil {
+				return f
+			}
+		}
+		return nil
+	}
+
+	// crash heals agent 0, so its disk holds all it serves, folds its
+	// life into the report (its compactions, its epoch gate's
+	// rejections) and kills its process, its disk keeping what the mode
+	// lets survive: killed or powered off by turns from a seeded first
+	// mode. recoverAgent0 first recovers a copy of the crashed state
+	// directory through the persist layer and audits that cache's
+	// integrity, then restarts agent 0 on the directory as a fresh fleet
+	// agent, which re-registers. Both must recover the state it crashed
+	// with, byte for byte, and every spec agent 0 acked must hit on it
+	// and be served through the fleet.
+	firstMode := t.diskRNG.Intn(2)
+	var crashed []byte
+	crash := func(step int) *Failure {
+		agent0.srv.ProbeDegradedNow()
+		crashed, _ = json.Marshal(agent0.srv.ExportState())
+		rep.Checkpoints += t.compactions() - ckptBase
+		rep.StaleRejects += agent0.ag.Gate().Snapshot().StaleRejects
+		mode := CrashMode((rep.CrashKills + rep.CrashPowers + firstMode) % 2)
+		if mode == CrashKill {
+			rep.CrashKills++
+		} else {
+			rep.CrashPowers++
+		}
+		t.net.unregister(agent0.id)
+		agent0.down = true
+		err := t.disk.Crash(mode, t.diskRNG.Int63n(64))
+		t.diskFaults += t.disk.Injected()
+		agent0.srv.Close() // its final checkpoint fails on the dead disk
+		if err != nil {
+			return t.failf(step, "crashing %s: %v", agent0.id, err)
+		}
+		return nil
+	}
+	recoverAgent0 := func(step int) *Failure {
+		if err := t.recoverCopy(crashed); err != nil {
+			return t.failf(step, "recovering a copy of %s's state directory: %v", agent0.id, err)
+		}
+		srv, rec, err := t.bootAgent0()
+		if err != nil {
+			return t.failf(step, "recovering %s: %v", agent0.id, err)
+		}
+		t.join(agent0, srv)
+		ckptBase = t.compactions()
+		rep.Recovered += rec.RecordsReplayed
+		if got, _ := json.Marshal(srv.ExportState()); !bytes.Equal(got, crashed) {
+			return t.failf(step, "%s recovered a state other than the one it crashed with, after %d records", agent0.id, rec.RecordsReplayed)
+		}
+		// Restarts must not pile up the empty segments each start opens.
+		segs, _ := filepath.Glob(filepath.Join(t.dir, agent0.id, "wal-*.log"))
+		empty := 0
+		for _, name := range segs {
+			if fi, err := os.Stat(name); err == nil && fi.Size() == 0 {
+				empty++
+			}
+		}
+		if empty > 1 {
+			return t.failf(step, "%s's state directory holds %d empty WAL segments after %d recoveries", agent0.id, empty, agent0.lives-1)
+		}
+		agent0.ag.BeatNow(ctx)
+		return t.auditAcked(step, agent0.id)
 	}
 
 	// cutOff renews s's lease from primary p, reads the agents p can
@@ -310,12 +497,7 @@ func RunFleetChaos(cfg FleetChaosConfig) (rep FleetChaosReport, fail *Failure) {
 		if err := t.api(t.masters[p].id).Ready(); err != nil {
 			return t.failf(step, "restarted master %s never became ready: %v", t.masters[p].id, err)
 		}
-		if f := t.auditAcked(step); f != nil {
-			return f
-		}
-		n, f := t.auditRecovery(step)
-		rep.Recovered += n
-		return f
+		return t.auditAcked(step, "")
 	}
 
 	// isolate cuts the standby's lease path to the holder. The holder
@@ -365,6 +547,12 @@ func RunFleetChaos(cfg FleetChaosConfig) (rep FleetChaosReport, fail *Failure) {
 				f = isolate(step)
 			case "heal":
 				f = heal(step)
+			case "crash":
+				f = crash(step)
+			case "recover":
+				f = recoverAgent0(step)
+			case "burst":
+				f = burst(step)
 			case "partition":
 				t.partition(t.agents[ev.agent], true)
 				rep.Partitions++
@@ -390,11 +578,24 @@ func RunFleetChaos(cfg FleetChaosConfig) (rep FleetChaosReport, fail *Failure) {
 			return rep, f
 		}
 		rep.Steps++
-		if f := sendRound(step, keysOf(t.repo, stream.Next())); f != nil {
+		if f := sendRound(step); f != nil {
 			return rep, f
 		}
 		if f := t.checkIntegrity(step); f != nil {
 			return rep, f
+		}
+		if t.unready > 0 {
+			return rep, t.failf(step, "%s healed but not ready", agent0.id)
+		}
+		if step%10 == 9 {
+			// The idempotent stats read takes Client's retry path over the
+			// faulty links; what it reads is agent 0's live counter.
+			var st server.StatsResponse
+			if err := t.stats.DoCtx(ctx, http.MethodGet, "/v1/stats", nil, &st); err != nil {
+				rep.Errors++
+			} else if now := agent0.srv.StatsNow().Requests; st.Requests != now {
+				return rep, t.failf(step, "%s's stats read %d requests over a retried link, %d live", agent0.id, st.Requests, now)
+			}
 		}
 	}
 
@@ -403,13 +604,15 @@ func RunFleetChaos(cfg FleetChaosConfig) (rep FleetChaosReport, fail *Failure) {
 	// then drain agent 1 (an in-memory agent holding real acked state):
 	// its rendezvous successors are warmed, and every spec it acked must
 	// still be a hit through the fleet. No round of beats runs first: the
-	// drain's own beat must gossip what the last round added.
+	// drain's own beat must gossip what the last round added. A refused
+	// slice the drain did not report shows as a miss.
 	for _, a := range t.agents {
 		if a.partitioned {
 			t.partition(a, false)
 			a.ag.BeatNow(ctx)
 		}
 	}
+	agent0.srv.ProbeDegradedNow() // a degraded successor refuses to warm
 	drainer := t.agents[1]
 	var drained []ackedReq
 	for _, ack := range t.acks.acks {
@@ -417,7 +620,19 @@ func RunFleetChaos(cfg FleetChaosConfig) (rep FleetChaosReport, fail *Failure) {
 			drained = append(drained, ack)
 		}
 	}
-	if err := drainer.ag.Drain(ctx); err != nil {
+	faults := t.disk.Injected()
+	var refused *fleet.HandoffError
+	if err := drainer.ag.Drain(ctx); errors.As(err, &refused) && t.disk.Injected() != faults {
+		// Agent 0's disk failed mid-warm and it refused the rest of its
+		// slice, which the drain reported: heal it and push the slice
+		// again, as an operator reading the report would.
+		agent0.srv.ProbeDegradedNow()
+		for _, tg := range refused.Refused {
+			if err := t.api(tg.ID).DoCtx(ctx, http.MethodPost, "/v1/warm", server.WarmRequest{Specs: tg.Specs}, nil); err != nil {
+				return rep, t.failf(cfg.Steps, "re-warming %s after a refused handoff: %v", tg.ID, err)
+			}
+		}
+	} else if err != nil {
 		return rep, t.failf(cfg.Steps, "drain: %v", err)
 	}
 	drainer.drained = true
@@ -442,9 +657,18 @@ func RunFleetChaos(cfg FleetChaosConfig) (rep FleetChaosReport, fail *Failure) {
 	}
 	rep.HandoffSpecs = len(drained)
 
-	// ---- final kill: the run always ends with a full recovery audit ----
+	// ---- final kill: the run always ends with a zero-lost-acks audit
+	// and a recovery audit of agent 0's state directory as it lies ----
 	if f := killPrimary(cfg.Steps); f != nil {
 		return rep, f
+	}
+	agent0.srv.ProbeDegradedNow() // its disk then holds all it serves
+	live, _ := json.Marshal(agent0.srv.ExportState())
+	if err := t.recoverCopy(live); err != nil {
+		return rep, t.failf(cfg.Steps, "recovering a copy of %s's live state directory: %v", agent0.id, err)
+	}
+	if t.unready > 0 {
+		return rep, t.failf(cfg.Steps, "%s healed but not ready", agent0.id)
 	}
 
 	// ---- closing gate audits ----
@@ -462,6 +686,18 @@ func RunFleetChaos(cfg FleetChaosConfig) (rep FleetChaosReport, fail *Failure) {
 	}
 	if rep.Acked == 0 {
 		return rep, t.failf(cfg.Steps, "no request was ever acknowledged")
+	}
+	rep.Checkpoints += t.compactions() - ckptBase
+	rep.DiskFaults = t.diskFaults + t.disk.Injected()
+	rep.NetFaults = t.netFaults.Injected()
+	rep.Dump = t.rings()
+	t.harvest(rep.Dump)
+	for _, st := range append(telemetry.CanonicalStages(), telemetry.StageFleetRoute, telemetry.StageFleetForward) {
+		if t.stages[st] {
+			rep.Stages = append(rep.Stages, st)
+		} else {
+			rep.MissingStages = append(rep.MissingStages, st)
+		}
 	}
 	return rep, nil
 }
@@ -504,7 +740,7 @@ func auditKeyMovement(t *fleetTopo, p int, rep *FleetChaosReport, step int) *Fai
 	// agent-0's cache, receives no traffic, and leaves before traffic
 	// resumes.
 	const joiner = "agent-join-audit"
-	jag := t.newAgent(joiner, t.agents[0].srv)
+	jag := t.newAgent(joiner, 1, t.agents[0].srv)
 	defer t.net.unregister(joiner)
 	if err := jag.BeatNow(context.Background()); err != nil {
 		return t.failf(step, "joiner registration: %v", err)
@@ -561,8 +797,10 @@ func auditMirrorEvictions(t *fleetTopo, p, step int) *Failure {
 	if err != nil {
 		return t.failf(step, "eviction-audit server: %v", err)
 	}
+	t.trace(srv.SpanTracer())
+	defer func() { t.harvest(srv.TraceRing().Dump(0)) }()
 	const id = "agent-evict-audit"
-	ag := t.newAgent(id, srv)
+	ag := t.newAgent(id, 1, srv)
 	defer t.net.unregister(id)
 	direct := t.api(id)
 	stream := NewStream(t.repo, t.seed+3)

@@ -45,14 +45,19 @@ func TestMutantSim(t *testing.T) {
 		return "", rep.Steps
 	}
 
-	// fleetStage is a short plain-master row without kills or
+	// fleetStage is a short plain-master row without kills, crashes or
 	// partitions: what it keeps is the mid-stream eviction audit, the
 	// only place a gossip frame carries Removes — the frames the
 	// staleindex mutant mishandles — with Master.CheckIntegrity after
 	// each, the CheckIntegrity of every step, whose term audit sees the
 	// first wrong route term the route mutant leaves in the master's key
-	// dictionary, and the mirror audit of every heartbeat round, which
-	// sees the first package key the dirscan mutant drops from a frame.
+	// dictionary, the mirror audit of every heartbeat round, which sees
+	// the first package key the dirscan mutant drops from a frame, and
+	// the audits of every answered round. Its rounds are the only
+	// requests sent over HTTP in more than one body shape, which is what
+	// the reqscan mutant mishandles — the agent refuses the first escaped
+	// body the master forwards — and the only ones whose close:true
+	// answers are audited, which is where closuredrop shows.
 	fleetStage := func() (string, int) {
 		cfg := FleetChaosSuite(*seedFlag)[0]
 		cfg.Steps, cfg.Kills, cfg.PartitionEvery = 60, 0, 0
@@ -62,22 +67,6 @@ func TestMutantSim(t *testing.T) {
 			return f.Error(), n
 		}
 		return "", n
-	}
-
-	// netStage is a fault-free network chaos run: clean transport, no
-	// disk faults, no crashes, and few enough requests that the shedder's
-	// burst covers them all, so the run — and the step at which an
-	// escaped body is first answered wrongly — is a function of the seed.
-	// It is the only stage that sends bodies over HTTP in more than one
-	// shape, which is what the reqscan mutant mishandles, and the only
-	// one that audits what the server made of a close:true body, which
-	// is where closuredrop shows.
-	netStage := func() (string, int) {
-		rep, f := RunNetChaos(NetChaosConfig{Seed: *seedFlag, Steps: 60, Alpha: 0.6, Dir: t.TempDir()})
-		if f != nil {
-			return f.Error(), rep.Steps
-		}
-		return "", rep.Steps
 	}
 
 	// simStage is the simulation suite. Its replay audit —
@@ -127,7 +116,7 @@ func TestMutantSim(t *testing.T) {
 		// — only the fleet harness spawns masters — and the decoder
 		// and closure mutants to every stage that calls the cache
 		// without HTTP (a stream closed by the same broken union is
-		// merely a different stream), so each runs its own stage first;
+		// merely a different stream), so each runs its fleet stage first;
 		// lshmiss and probeskip live in code only a MinHash manager
 		// reaches, so they start at the MinHash rows instead of sitting
 		// through the 1000 exact-mode requests that cannot see them;
@@ -137,8 +126,8 @@ func TestMutantSim(t *testing.T) {
 		// MinHash rows. Core mutants run the pair stage last
 		// (they fall to a cheaper stage long before).
 		ownStage := map[string]func() (string, int){
-			"staleindex": fleetStage, "staleepoch": pairStage, "leasetick": pairStage, "reqscan": netStage,
-			"closuredrop": netStage, "lshmiss": minhashStage, "probeskip": minhashStage,
+			"staleindex": fleetStage, "staleepoch": pairStage, "leasetick": pairStage, "reqscan": fleetStage,
+			"closuredrop": fleetStage, "lshmiss": minhashStage, "probeskip": minhashStage,
 			"replaystale": chaosStage, "dirscan": fleetStage, "ckptscan": chaosStage,
 		}[mutant]
 		if ownStage != nil {

@@ -439,6 +439,29 @@ func TestHandoffDrainWarmsSuccessors(t *testing.T) {
 	}
 }
 
+// A successor that does not take its warm slice is reported, not
+// dropped: the drain still deregisters, and its error names the
+// successor with the specs it was sent.
+func TestDrainReportsRefusedWarm(t *testing.T) {
+	f := newTestFleet(t, 2, MasterConfig{SuspectAfter: -1})
+	f.beatAll()
+	drainer, successor := f.agents[0], f.agents[1]
+	if _, err := server.NewClient(drainer.ts.URL, nil).Request(specKeys(f.repo, 1, 3), true); err != nil {
+		t.Fatalf("warming drainer: %v", err)
+	}
+	successor.ts.Close() // still routable on the master, unreachable for the warm
+	err := drainer.ag.Drain(context.Background())
+	var he *HandoffError
+	if !errors.As(err, &he) || len(he.Refused) != 1 || he.Refused[0].ID != successor.id || len(he.Refused[0].Specs) != 1 {
+		t.Fatalf("drain error %v, want a HandoffError naming %s with one spec", err, successor.id)
+	}
+	for _, m := range f.master.MembersNow() {
+		if m.ID == drainer.id {
+			t.Fatalf("drainer still a member after a refused handoff")
+		}
+	}
+}
+
 func TestAgentMultiMasterBeatsAndGate(t *testing.T) {
 	p := newHAPair(t)
 	repo := testRepo(t)

@@ -87,13 +87,29 @@ func (m *Master) handoffPlanLocked(id string) HandoffPlan {
 	return plan
 }
 
+// HandoffError reports the successors that did not take their slice
+// of a drain's warm handoff: unreachable, or refusing /v1/warm (a
+// degraded store refuses, and a store that degrades mid-warm refuses
+// the rest of the batch). The drain itself completed — the agent left
+// the fleet — so a caller may heal a successor and push its Specs again.
+type HandoffError struct {
+	Agent   string
+	Refused []HandoffTarget
+	Err     error // the first refusal
+}
+
+func (e *HandoffError) Error() string {
+	return fmt.Sprintf("fleet agent %s: warm handoff refused by %d successor(s), first %s: %v",
+		e.Agent, len(e.Refused), e.Refused[0].ID, e.Err)
+}
+
 // Drain performs the warm handoff and deregisters: gossip the current
 // directory, fetch the plan from the first master that answers, push
 // each successor's slice to its /v1/warm, then leave the fleet. The
 // beat comes first because the plan is built from the masters' mirrors,
-// which lack any image made since the last one. Warm pushes are
-// best-effort — a refused or unreachable successor re-warms
-// organically — but the deregistration always runs.
+// which lack any image made since the last one. The deregistration
+// always runs; a successor that did not take its slice is then
+// reported in a *HandoffError.
 func (a *Agent) Drain(ctx context.Context) error {
 	a.BeatNow(ctx) // a master it cannot reach fails the plan request below
 	var plan HandoffPlan
@@ -106,6 +122,7 @@ func (a *Agent) Drain(ctx context.Context) error {
 			break
 		}
 	}
+	refused := &HandoffError{Agent: a.cfg.ID}
 	if got {
 		for _, t := range plan.Targets {
 			if t.URL == "" || len(t.Specs) == 0 {
@@ -113,7 +130,12 @@ func (a *Agent) Drain(ctx context.Context) error {
 			}
 			cl := server.NewClient(t.URL, a.cfg.HTTPClient)
 			cl.MaxRetries = 0
-			cl.DoCtx(ctx, http.MethodPost, "/v1/warm", server.WarmRequest{Specs: t.Specs}, nil)
+			if err := cl.DoCtx(ctx, http.MethodPost, "/v1/warm", server.WarmRequest{Specs: t.Specs}, nil); err != nil {
+				refused.Refused = append(refused.Refused, t)
+				if refused.Err == nil {
+					refused.Err = err
+				}
+			}
 		}
 	}
 	if err := a.Deregister(); err != nil {
@@ -121,6 +143,9 @@ func (a *Agent) Drain(ctx context.Context) error {
 	}
 	if !got && planErr != nil {
 		return fmt.Errorf("fleet agent %s: handoff plan: %w", a.cfg.ID, planErr)
+	}
+	if len(refused.Refused) > 0 {
+		return refused
 	}
 	return nil
 }

@@ -230,6 +230,10 @@ func NewMaster(cfg MasterConfig) *Master {
 // tests).
 func (m *Master) Registry() *telemetry.Registry { return m.reg }
 
+// SpanTracer returns the master's span tracer. Harnesses inject a
+// logical clock and seeded IDs through it.
+func (m *Master) SpanTracer() *telemetry.SpanTracer { return m.spans }
+
 // Handler returns the master's HTTP routes.
 func (m *Master) Handler() http.Handler {
 	mux := http.NewServeMux()

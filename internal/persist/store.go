@@ -336,8 +336,17 @@ func (st *Store) RecoverSharded(repo *pkggraph.Repo, cfg core.Config) (*core.Sha
 	st.tailBytes.Store(sr.bytes)
 
 	// Open a fresh segment for post-recovery commits; earlier segments
-	// stay until the next checkpoint compacts them.
+	// stay until the next checkpoint compacts them. An empty newest
+	// segment — the one the last start opened, if no commit followed —
+	// is replaced rather than kept, so restarts without traffic do not
+	// pile up empty segments.
 	st.seq = maxSeq + 1
+	if n := len(segs); n > 0 && segs[n-1] == maxSeq && maxSeq >= ckptSeq {
+		if fi, err := st.opts.FS.Stat(st.segPath(maxSeq)); err == nil && fi.Size() == 0 &&
+			st.opts.FS.Remove(st.segPath(maxSeq)) == nil {
+			st.seq = maxSeq
+		}
+	}
 	f, err := st.opts.FS.OpenFile(st.segPath(st.seq), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, nil, err

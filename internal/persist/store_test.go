@@ -385,6 +385,50 @@ func TestCheckpointCompaction(t *testing.T) {
 	}
 }
 
+// TestRestartsLeaveOneEmptySegment restarts a store six times with no
+// traffic after its first life: each start opens a segment for its
+// commits, and the empty one the previous start left must be replaced,
+// not kept beside it. The records written before stay recoverable.
+func TestRestartsLeaveOneEmptySegment(t *testing.T) {
+	repo := testRepo(t, 24, 10)
+	dir := t.TempDir()
+	var want string
+	for life := 0; life < 7; life++ {
+		st, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr, _, err := st.RecoverSharded(repo, testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if life == 0 {
+			if _, err := mgr.Request(spec.New([]pkggraph.PkgID{1, 2})); err != nil {
+				t.Fatal(err)
+			}
+			want = stateJSON(t, mgr.ExportState())
+		} else if got := stateJSON(t, mgr.ExportState()); got != want {
+			t.Fatalf("restart %d recovered %s, want %s", life, got, want)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var empty []string
+	for _, e := range entries {
+		if fi, err := e.Info(); err == nil && strings.HasPrefix(e.Name(), segPrefix) && fi.Size() == 0 {
+			empty = append(empty, e.Name())
+		}
+	}
+	if len(empty) > 1 {
+		t.Fatalf("six restarts without traffic left %d empty segments: %v", len(empty), empty)
+	}
+}
+
 // TestLogBytes pins the facts the server's size-triggered compaction
 // weighs: the tail grows by exactly the bytes appended to the WAL, a
 // checkpoint resets it and reports its own size, and a restart starts

@@ -15,7 +15,7 @@ import (
 //	closuredrop — Repo.Closure loses the highest-numbered member of any
 //	              union of two or more closures. A pure function of
 //	              the input, so reruns stay byte-identical.
-//	              check.RunNetChaos must catch it: its client sends a
+//	              check.RunFleetChaos must catch it: its client sends a
 //	              seeded share of its bodies as close:true over a
 //	              closed key list and audits the echoed package count.
 var (

@@ -6,12 +6,11 @@ import (
 	"math/rand"
 	"net/http"
 	"sync"
-	"time"
 )
 
 // ChaosPlan parameterizes seeded network fault injection. Each
 // probability is evaluated independently per attempt in a fixed order
-// (reset-before, blackhole, latency, reset-after, truncate) from one
+// (reset-before, blackhole, reset-after, truncate) from one
 // seeded RNG, so a given seed yields the same fault schedule on every
 // run.
 type ChaosPlan struct {
@@ -34,10 +33,6 @@ type ChaosPlan struct {
 	// TruncateP forwards the exchange but cuts the response body in
 	// half mid-stream, ending it with io.ErrUnexpectedEOF.
 	TruncateP float64
-	// LatencyP delays the attempt by up to MaxLatency before
-	// forwarding.
-	LatencyP   float64
-	MaxLatency time.Duration
 }
 
 // ChaosError is the error ChaosTransport fabricates, so tests can
@@ -62,8 +57,8 @@ func (e *ChaosError) Temporary() bool { return true }
 
 // ChaosTransport is an http.RoundTripper injecting seeded network
 // faults in front of an inner transport — connection resets (before
-// or after the server processes the request), blackholes, truncated
-// response bodies, and latency. Safe for concurrent use; concurrent
+// or after the server processes the request), blackholes and truncated
+// response bodies. Safe for concurrent use; concurrent
 // attempts serialize on the seeded RNG so the fault *sequence* is
 // deterministic even when the attempt interleaving is not.
 type ChaosTransport struct {
@@ -105,7 +100,6 @@ type decision struct {
 	attempt     int64
 	resetBefore bool
 	blackhole   bool
-	latency     time.Duration
 	resetAfter  bool
 	truncate    bool
 }
@@ -119,12 +113,9 @@ func (t *ChaosTransport) draw() decision {
 	p := t.plan
 	d.resetBefore = p.ResetBeforeP > 0 && t.rng.Float64() < p.ResetBeforeP
 	d.blackhole = p.BlackholeP > 0 && t.rng.Float64() < p.BlackholeP
-	if p.LatencyP > 0 && t.rng.Float64() < p.LatencyP && p.MaxLatency > 0 {
-		d.latency = time.Duration(t.rng.Int63n(int64(p.MaxLatency)))
-	}
 	d.resetAfter = p.ResetAfterP > 0 && t.rng.Float64() < p.ResetAfterP
 	d.truncate = p.TruncateP > 0 && t.rng.Float64() < p.TruncateP
-	if d.resetBefore || d.blackhole || d.latency > 0 || d.resetAfter || d.truncate {
+	if d.resetBefore || d.blackhole || d.resetAfter || d.truncate {
 		t.injected++
 	}
 	return d
@@ -143,13 +134,6 @@ func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 			return nil, &ChaosError{Kind: "blackhole", Attempt: d.attempt, timeout: true}
 		}
 		return nil, &ChaosError{Kind: "blackhole", Attempt: d.attempt, timeout: true}
-	}
-	if d.latency > 0 {
-		select {
-		case <-time.After(d.latency):
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
-		}
 	}
 	resp, err := t.inner.RoundTrip(req)
 	if err != nil {

@@ -14,8 +14,9 @@ import (
 //	reqscan — the request scanner takes a key containing a backslash as
 //	          a literal instead of handing the body to encoding/json, so
 //	          an escaped key resolves to the wrong package or to none.
-//	          check.RunNetChaos must catch it: its client escapes a
-//	          seeded share of its bodies and audits every answer.
+//	          check.RunFleetChaos must catch it: its client escapes a
+//	          seeded share of the bodies it sends through the master,
+//	          which forwards them as received, and audits every answer.
 var (
 	mutantOnce sync.Once
 	mutantName string

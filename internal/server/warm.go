@@ -74,7 +74,8 @@ func (s *Server) WarmSpec(ctx context.Context, packages []string, close bool) er
 // handleWarm pre-loads a batch of specs (POST /v1/warm) so a departing
 // agent's keyspace arrives hot at its successor. Per-spec failures
 // abort the batch: a partially warmed successor is still strictly
-// warmer than before, and the sender treats handoff as best-effort.
+// warmer than before, and the sender reports the refusal
+// (fleet.HandoffError) rather than retrying it.
 func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")

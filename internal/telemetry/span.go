@@ -55,8 +55,9 @@ const (
 	// StageFleetRoute is the fleet master's routing decision: hashing
 	// the spec signature onto the agent ring and assembling the
 	// candidate order. Fleet stages are recorded only on a master hop,
-	// so they sit outside CanonicalStages — whose contract is the
-	// single-node serving path the trace-sim harness audits 1:1.
+	// so they sit outside CanonicalStages, whose contract is one cache
+	// node's serving path; the fleet chaos harness audits that its
+	// nodes' rings cover both lists.
 	StageFleetRoute = "fleet_route"
 	// StageFleetForward is one master-to-agent forwarding attempt; a
 	// request that fails over records one span per candidate tried.
