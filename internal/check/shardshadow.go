@@ -415,11 +415,9 @@ func (sh *ShardShadow) Final() *Failure {
 	return sh.failure
 }
 
-// throughLog returns muts as recovery would read them: framed by the
-// WAL record encoder and decoded back by the segment reader. Replay
-// audits replay these, so a record that does not survive the codec
-// intact shows as a state divergence even in a run with no store.
-func throughLog(muts []core.Mutation) ([]core.Mutation, error) {
+// throughLog frames muts with the WAL record encoder, as the store
+// writes them.
+func throughLog(muts []core.Mutation) ([]byte, error) {
 	var log []byte
 	for i, mut := range muts {
 		var err error
@@ -427,27 +425,24 @@ func throughLog(muts []core.Mutation) ([]core.Mutation, error) {
 			return nil, fmt.Errorf("check: encoding mutation %d: %w", i, err)
 		}
 	}
-	read, err := persist.ReadSegment(bytes.NewReader(log))
-	if err != nil {
-		return nil, fmt.Errorf("check: reading back the encoded mutations: %w", err)
-	}
-	if len(read) != len(muts) {
-		return nil, fmt.Errorf("check: %d mutations encoded, %d read back", len(muts), len(read))
-	}
-	return read, nil
+	return log, nil
 }
 
 // VerifyState replays the observed mutation stream, in arrival order
-// and as the WAL codec renders it (throughLog), into a fresh cache of
+// and as recovery reads it — framed by the WAL record encoder
+// (throughLog) and read back by the reader RecoverSharded uses, keys
+// resolved in the scan (persist.ReadRecords) — into a fresh cache of
 // the same shard count and compares it, shard by shard, against the
 // live one — the crash-recovery equivalence (cross-shard records
 // commute; per-shard subsequences are monotone) checked without a
-// crash. base holds each shard's state when the stream started (nil for
-// an initially empty cache) and live each shard's state now (see
+// crash. Each record is a replay pass of its own, as ApplyMutation
+// replays. base holds each shard's state when the stream started (nil
+// for an initially empty cache) and live each shard's state now (see
 // shardStates).
 func (sh *ShardShadow) VerifyState(mcfg core.Config, base, live []core.ManagerState) error {
 	sh.mu.Lock()
-	muts, err := throughLog(sh.muts)
+	log, err := throughLog(sh.muts)
+	encoded := len(sh.muts)
 	sh.mu.Unlock()
 	if err != nil {
 		return err
@@ -460,10 +455,30 @@ func (sh *ShardShadow) VerifyState(mcfg core.Config, base, live []core.ManagerSt
 	if err != nil {
 		return fmt.Errorf("check: %w", err)
 	}
-	for i, mut := range muts {
-		if err := replayer.ApplyMutation(mut); err != nil {
-			return fmt.Errorf("check: replaying mutation %d (%s of image %d): %w", i, mut.Kind, mut.ImageID, err)
+	read := 0
+	var replayErr error
+	err = persist.ReadRecords(bytes.NewReader(log), sh.repo, func(rec *core.Record) {
+		i := read
+		read++
+		if replayErr != nil {
+			return
 		}
+		var applyErr error
+		settleErr := replayer.Replay(func(apply func(*core.Record) error) { applyErr = apply(rec) })
+		if applyErr == nil {
+			applyErr = settleErr
+		}
+		if applyErr != nil {
+			replayErr = fmt.Errorf("check: replaying mutation %d (%s of image %d): %w", i, rec.Kind, rec.ImageID, applyErr)
+		}
+	})
+	switch {
+	case err != nil:
+		return fmt.Errorf("check: reading back the encoded mutations: %w", err)
+	case read != encoded:
+		return fmt.Errorf("check: %d mutations encoded, %d read back", encoded, read)
+	case replayErr != nil:
+		return replayErr
 	}
 	if err := shardsEqual(shardStates(replayer), live); err != nil {
 		return fmt.Errorf("check: replayed state diverges from live state: %w", err)

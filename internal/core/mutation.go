@@ -98,17 +98,57 @@ func (m *Manager) keysOf(s spec.Spec) []string {
 	return keys
 }
 
-// specFromKeys resolves package keys against the repository.
-func (m *Manager) specFromKeys(keys []string) (spec.Spec, error) {
-	ids := make([]pkggraph.PkgID, 0, len(keys))
+// Record is a Mutation with its package keys resolved to repository
+// ids: what a replay pass applies. The recovery reader
+// (internal/persist) resolves each key as it scans the record;
+// ApplyMutation resolves a Mutation's with Resolve. Either way a key
+// the repository lacks is not an error until apply reads its list, so
+// a record is refused where, and with the words, it always was.
+type Record struct {
+	Kind         MutationKind
+	ImageID      uint64
+	LastUse      uint64
+	Version      uint64
+	Merges       int
+	RequestBytes int64
+	// Packages and Added are the ids of the Mutation's lists, in their
+	// order.
+	Packages, Added []pkggraph.PkgID
+	// PackagesErr and AddedErr are UnknownPackage of the first key of
+	// that list the repository lacks, and nil when it holds them all.
+	// A list with an error holds the ids of the keys before that one.
+	PackagesErr, AddedErr error
+}
+
+// UnknownPackage is the error for a logged package key the repository
+// does not hold.
+func UnknownPackage(key string) error {
+	return fmt.Errorf("core: unknown package %q", key)
+}
+
+// resolveKeys appends the ids of keys to ids, stopping at the first key
+// the repository lacks with UnknownPackage.
+func resolveKeys(repo *pkggraph.Repo, ids []pkggraph.PkgID, keys []string) ([]pkggraph.PkgID, error) {
 	for _, key := range keys {
-		id, ok := m.repo.Lookup(key)
+		id, ok := repo.Lookup(key)
 		if !ok {
-			return spec.Spec{}, fmt.Errorf("core: unknown package %q", key)
+			return ids, UnknownPackage(key)
 		}
 		ids = append(ids, id)
 	}
-	return spec.New(ids), nil
+	return ids, nil
+}
+
+// Resolve makes r mut with its keys resolved against repo, reusing r's
+// id storage.
+func (r *Record) Resolve(repo *pkggraph.Repo, mut Mutation) {
+	packages, added := r.Packages[:0], r.Added[:0]
+	*r = Record{
+		Kind: mut.Kind, ImageID: mut.ImageID, LastUse: mut.LastUse, Version: mut.Version,
+		Merges: mut.Merges, RequestBytes: mut.RequestBytes,
+	}
+	r.Packages, r.PackagesErr = resolveKeys(repo, packages, mut.Packages)
+	r.Added, r.AddedErr = resolveKeys(repo, added, mut.Added)
 }
 
 // ApplyMutation re-applies one logged mutation during recovery. It
@@ -116,14 +156,17 @@ func (m *Manager) specFromKeys(keys []string) (spec.Spec, error) {
 // explicitly), and does not rebuild hot-set windows (split tracking
 // restarts fresh after recovery). The stats it accumulates match what
 // the live manager recorded for the same operations. It resolves
-// Packages and Added to package ids at once and keeps neither slice, so
-// a caller may decode the next record into the same storage.
+// Packages and Added to package ids (Record.Resolve) and applies the
+// record as a replay pass does; it keeps neither slice, so a caller
+// may decode the next record into the same storage.
 //
 // One call is a replay pass of one record: the image it changed is
 // settled before it returns. ShardedManager.Replay runs a whole log as
 // one pass.
 func (m *Manager) ApplyMutation(mut Mutation) error {
-	err := m.apply(&mut)
+	var r Record
+	r.Resolve(m.repo, mut)
+	err := m.apply(&r)
 	if serr := m.settle(); err == nil {
 		err = serr
 	}
@@ -138,7 +181,7 @@ func (m *Manager) ApplyMutation(mut Mutation) error {
 // bits, MinHash signature and bands once, from the final package set,
 // when the pass ends. A record is validated before anything changes,
 // so a rejected one leaves the cache as it was.
-func (m *Manager) apply(mut *Mutation) error {
+func (m *Manager) apply(mut *Record) error {
 	switch mut.Kind {
 	case MutTouch:
 		img, ok := m.byID[mut.ImageID]
@@ -157,10 +200,10 @@ func (m *Manager) apply(mut *Mutation) error {
 		if _, ok := m.byID[mut.ImageID]; ok {
 			return fmt.Errorf("core: insert of already-live image %d", mut.ImageID)
 		}
-		s, err := m.specFromKeys(mut.Packages)
-		if err != nil {
+		if err := mut.PackagesErr; err != nil {
 			return fmt.Errorf("core: replaying insert of image %d: %w", mut.ImageID, err)
 		}
+		s := spec.New(mut.Packages)
 		if s.Empty() {
 			return fmt.Errorf("core: replaying insert of image %d: empty spec", mut.ImageID)
 		}
@@ -195,20 +238,31 @@ func (m *Manager) apply(mut *Mutation) error {
 		}
 		// A merge without a full list is a delta; one with it predates
 		// deltas and replays like a split.
-		if mut.Kind == MutMerge && len(mut.Packages) == 0 {
+		if mut.Kind == MutMerge && len(mut.Packages) == 0 && mut.PackagesErr == nil {
 			if mut.Version != img.Version+1 {
 				return fmt.Errorf("%w: image %d at version %d, delta yields %d", ErrDeltaBase, mut.ImageID, img.Version, mut.Version)
 			}
-			added, err := m.pend(img, mut.Added)
+			err := mut.AddedErr
+			if err == nil && len(mut.Added) == 0 {
+				err = errors.New("no packages")
+			}
 			if err != nil {
 				return fmt.Errorf("core: replaying merge of image %d: %w", mut.ImageID, err)
 			}
-			img.Size += added
-			m.total += added
+			// A delta holds only packages the image lacked, so their
+			// summed sizes are what the merge added to it.
+			img.pending = append(img.pending, mut.Added...)
+			for _, id := range mut.Added {
+				img.Size += m.repo.Package(id).Size
+				m.total += m.repo.Package(id).Size
+			}
 		} else {
-			s, err := m.specFromKeys(mut.Packages)
-			if err == nil && s.Empty() {
-				err = errors.New("no packages")
+			var s spec.Spec
+			err := mut.PackagesErr
+			if err == nil {
+				if s = spec.New(mut.Packages); s.Empty() {
+					err = errors.New("no packages")
+				}
 			}
 			if err != nil {
 				return fmt.Errorf("core: replaying %s of image %d: %w", mut.Kind, mut.ImageID, err)
@@ -257,28 +311,6 @@ func (m *Manager) apply(mut *Mutation) error {
 	default:
 		return fmt.Errorf("core: unknown mutation kind %q", mut.Kind)
 	}
-}
-
-// pend resolves a merge delta's keys onto img's pending list and
-// returns their summed package sizes: what the merge added to the
-// image, since a delta holds only keys the image lacked. On an error
-// the list is as it was.
-func (m *Manager) pend(img *Image, keys []string) (int64, error) {
-	if len(keys) == 0 {
-		return 0, errors.New("no packages")
-	}
-	n := len(img.pending)
-	var added int64
-	for _, key := range keys {
-		id, ok := m.repo.Lookup(key)
-		if !ok {
-			img.pending = img.pending[:n]
-			return 0, fmt.Errorf("core: unknown package %q", key)
-		}
-		img.pending = append(img.pending, id)
-		added += m.repo.Package(id).Size
-	}
-	return added, nil
 }
 
 // note puts img on the pass's settle list, once per pass.

@@ -189,7 +189,8 @@ func TestApplyMutationErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = sm.Replay(func(apply func(Mutation) error) {
+		err = sm.Replay(func(next func(*Record) error) {
+			apply := resolved(repo, next)
 			for i, mut := range good {
 				if err := apply(mut); err != nil {
 					t.Fatalf("%s of image %d: %v", mut.Kind, mut.ImageID, err)
@@ -254,7 +255,8 @@ func TestReplayPassMatchesPerRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pass.Replay(func(apply func(Mutation) error) {
+	if err := pass.Replay(func(next func(*Record) error) {
+		apply := resolved(repo, next)
 		for i, mut := range rec.muts {
 			if err := apply(mut); err != nil {
 				t.Fatalf("record %d: %v", i, err)
@@ -313,7 +315,8 @@ func TestReplayRefusesOverlappingDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = sm.Replay(func(apply func(Mutation) error) {
+	err = sm.Replay(func(next func(*Record) error) {
+		apply := resolved(repo, next)
 		for _, mut := range muts {
 			if err := apply(mut); err != nil {
 				t.Fatalf("%s: %v", mut.Kind, err)
@@ -388,5 +391,15 @@ func BenchmarkKeysOf(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		keysSink = m.keysOf(s)
+	}
+}
+
+// resolved adapts a replay pass's apply to key-form mutations, resolved
+// as ApplyMutation resolves them.
+func resolved(repo *pkggraph.Repo, apply func(*Record) error) func(Mutation) error {
+	return func(mut Mutation) error {
+		var r Record
+		r.Resolve(repo, mut)
+		return apply(&r)
 	}
 }

@@ -552,39 +552,41 @@ func (sm *ShardedManager) ImportState(st ManagerState) error {
 
 // ApplyMutation replays one logged mutation during recovery, routed to
 // the owning shard by ImageID: a replay pass of one record (see
-// Replay). Only for single-goroutine use before the manager serves
-// traffic.
+// Replay), its keys resolved first (Record.Resolve). Only for
+// single-goroutine use before the manager serves traffic.
 func (sm *ShardedManager) ApplyMutation(mut Mutation) error {
-	err := sm.apply(mut)
+	var r Record
+	r.Resolve(sm.repo, mut)
+	err := sm.apply(&r)
 	if serr := sm.settle(); err == nil {
 		err = serr
 	}
 	return err
 }
 
-// Replay runs fn as one replay pass: fn hands apply each logged
-// mutation in log order, and apply replays it as ApplyMutation does,
-// except that the images it changes are settled — merge deltas
-// unioned in, specs interned, signed and re-banded — once, when fn
-// returns, instead of after every record (see Manager.settle). A record
-// apply rejects changes nothing and the pass goes on. Replay returns
-// settle's error: a log whose merge deltas overlap their images, which
-// no writer of this package produces. Recovery replays a whole WAL tail
-// this way. Only for single-goroutine use before the manager serves
-// traffic.
-func (sm *ShardedManager) Replay(fn func(apply func(Mutation) error)) error {
+// Replay runs fn as one replay pass: fn hands apply each logged record
+// in log order, and apply replays it as ApplyMutation does, except
+// that the images it changes are settled — merge deltas unioned in,
+// specs interned, signed and re-banded — once, when fn returns,
+// instead of after every record (see Manager.settle). apply keeps
+// neither of the record's lists. A record apply rejects changes
+// nothing and the pass goes on. Replay returns settle's error: a log
+// whose merge deltas overlap their images, which no writer of this
+// package produces. Recovery replays a whole WAL tail this way. Only
+// for single-goroutine use before the manager serves traffic.
+func (sm *ShardedManager) Replay(fn func(apply func(*Record) error)) error {
 	fn(sm.apply)
 	return sm.settle()
 }
 
 // apply is one record of a replay pass, on the shard its ImageID names.
-func (sm *ShardedManager) apply(mut Mutation) error {
-	i := int(mut.ImageID % uint64(len(sm.shards)))
-	if err := sm.shards[i].m.apply(&mut); err != nil {
+func (sm *ShardedManager) apply(r *Record) error {
+	i := int(r.ImageID % uint64(len(sm.shards)))
+	if err := sm.shards[i].m.apply(r); err != nil {
 		return err
 	}
-	if mut.LastUse > sm.clockSrc.Load() {
-		sm.clockSrc.Store(mut.LastUse)
+	if r.LastUse > sm.clockSrc.Load() {
+		sm.clockSrc.Store(r.LastUse)
 	}
 	return nil
 }

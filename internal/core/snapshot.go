@@ -3,6 +3,9 @@ package core
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/pkggraph"
+	"repro/internal/spec"
 )
 
 // ImageSnapshot is the serializable state of one cached image, used by
@@ -80,11 +83,13 @@ func (m *Manager) ImportState(st ManagerState) error {
 		return fmt.Errorf("core: ImportState into non-empty manager (%d images)", len(m.byID))
 	}
 	var maxClock, maxID uint64
+	var ids []pkggraph.PkgID
 	for i, snap := range st.Images {
-		s, err := m.specFromKeys(snap.Packages)
-		if err != nil {
+		var err error
+		if ids, err = resolveKeys(m.repo, ids[:0], snap.Packages); err != nil {
 			return fmt.Errorf("core: checkpoint image %d: %w", i, err)
 		}
+		s := spec.New(ids)
 		if s.Empty() {
 			return fmt.Errorf("core: checkpoint image %d is empty", i)
 		}
@@ -141,11 +146,13 @@ func (m *Manager) Restore(snaps []ImageSnapshot) error {
 		return fmt.Errorf("core: Restore into non-empty manager (%d images)", len(m.byID))
 	}
 	var maxClock uint64
+	var ids []pkggraph.PkgID
 	for i, snap := range snaps {
-		s, err := m.specFromKeys(snap.Packages)
-		if err != nil {
+		var err error
+		if ids, err = resolveKeys(m.repo, ids[:0], snap.Packages); err != nil {
 			return fmt.Errorf("core: snapshot image %d: %w", i, err)
 		}
+		s := spec.New(ids)
 		if s.Empty() {
 			return fmt.Errorf("core: snapshot image %d is empty", i)
 		}

@@ -124,7 +124,7 @@ func (g codecGen) checkpoint() Checkpoint {
 	default:
 		for i := 0; i < n-1; i++ {
 			ck.State.Images = append(ck.State.Images, core.ImageSnapshot{
-				ID: g.counter(), Packages: g.list(), LastUse: g.counter(),
+				ID: g.counter(), Packages: g.list(g.key), LastUse: g.counter(),
 				Merges: int(g.signed()), Version: g.counter(),
 			})
 		}

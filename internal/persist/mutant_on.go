@@ -12,13 +12,14 @@ import (
 // mechanism as internal/core's, internal/fleet's, internal/server's and
 // internal/pkggraph's mutants):
 //
-//	walscan — the record scanner drops the last key of any "added" list
-//	          of two or more, so a replayed merge rebuilds a smaller
-//	          image than the one logged. A pure function of the input,
-//	          so reruns stay byte-identical. check.ShardShadow.VerifyState
-//	          must catch it: it replays the mutations it observed
-//	          through the record codec and compares the rebuilt state
-//	          with the live one.
+//	walscan — the resolving record scanner drops the last id of any
+//	          "added" list of two or more, so a replayed merge rebuilds a
+//	          smaller image than the one logged. A pure function of the
+//	          input, so reruns stay byte-identical.
+//	          check.ShardShadow.VerifyState must catch it: it replays the
+//	          mutations it observed through the record codec and the
+//	          reader recovery uses, and compares the rebuilt state with
+//	          the live one.
 //	deltaoverlap — the record encoder writes a merge's first added key
 //	          a second time, so the logged delta overlaps the image it
 //	          grows — a package the merge adds twice — while the commit

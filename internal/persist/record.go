@@ -1,11 +1,13 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"strconv"
 
 	"repro/internal/core"
+	"repro/internal/pkggraph"
 )
 
 // The WAL record payload: one core.Mutation as JSON.
@@ -18,7 +20,8 @@ import (
 //
 // fields in that order, no whitespace, minimal decimals, non-empty
 // lists, one of the five kinds. appendRecord writes that shape and
-// scan reads it, byte by byte, without reflection. Neither guesses at
+// scan reads it without reflection, resolving each key to its package
+// id as it goes (core.Record). Neither guesses at
 // anything else: a string json.Marshal would escape is marshalled by
 // encoding/json, and a payload that departs from the shape in any way
 // (an escape, whitespace, another field or field order or case, [] or
@@ -63,25 +66,34 @@ func appendRecord(buf []byte, mut core.Mutation) ([]byte, bool) {
 	return append(buf, '}'), true
 }
 
-// recordDecoder decodes record payloads into one reused key slice.
+// recordDecoder decodes record payloads into one reused record, its
+// keys resolved against the repository as they are scanned.
 type recordDecoder struct {
-	keys []string
+	repo *pkggraph.Repo
+	rec  core.Record
+	// plainIDs caches, per package id, whether the id's key is made only
+	// of plain bytes: 0 not yet known, 1 plain, 2 not. It is made when
+	// the first key resolves.
+	plainIDs []uint8
 	// reference counts the payloads that went through encoding/json.
 	reference int
 }
 
-// decode decodes one payload. The mutation's Packages and Added are
-// valid until the next call: they share the decoder's key slice (the
-// strings themselves are views into one copy of the payload and may be
-// kept). The error is json.Unmarshal's.
-func (d *recordDecoder) decode(payload []byte) (core.Mutation, error) {
-	if mut, ok := d.scan(payload); ok {
-		return mut, nil
+// decode decodes one payload. The record and its lists are valid until
+// the next call. The error is json.Unmarshal's; a key the repository
+// lacks is no error here but the record's (core.Record), whichever way
+// the payload was read.
+func (d *recordDecoder) decode(payload []byte) (*core.Record, error) {
+	if d.scan(payload) {
+		return &d.rec, nil
 	}
 	d.reference++
 	var mut core.Mutation
-	err := json.Unmarshal(payload, &mut)
-	return mut, err
+	if err := json.Unmarshal(payload, &mut); err != nil {
+		return nil, err
+	}
+	d.rec.Resolve(d.repo, mut)
+	return &d.rec, nil
 }
 
 // recordKinds are the kinds the scanner knows. Their names need no
@@ -89,12 +101,15 @@ func (d *recordDecoder) decode(payload []byte) (core.Mutation, error) {
 // it holds.
 var recordKinds = [...]core.MutationKind{core.MutInsert, core.MutMerge, core.MutTouch, core.MutDelete, core.MutSplit}
 
-// scan recognises the canonical shape. false means the payload is
-// something else, not that it is invalid.
-func (d *recordDecoder) scan(p []byte) (mut core.Mutation, ok bool) {
+// scan recognises the canonical shape into d.rec. false means the
+// payload is something else, not that it is invalid.
+func (d *recordDecoder) scan(p []byte) bool {
+	r := &d.rec
+	packages, added := r.Packages[:0], r.Added[:0]
+	*r = core.Record{}
 	c := NewCursor(p)
 	if !c.Lit(`{"kind":"`) {
-		return mut, false
+		return false
 	}
 	kind := c.i
 	for c.i < len(p) && p[c.i] != '"' {
@@ -102,45 +117,100 @@ func (d *recordDecoder) scan(p []byte) (mut core.Mutation, ok bool) {
 	}
 	for _, k := range recordKinds {
 		if string(p[kind:c.i]) == string(k) {
-			mut.Kind = k
+			r.Kind = k
 		}
 	}
-	if mut.Kind == "" || !c.Lit(`","image_id":`) {
-		return mut, false
+	if r.Kind == "" || !c.Lit(`","image_id":`) {
+		return false
 	}
-	mut.ImageID = c.Uint(math.MaxUint64)
+	r.ImageID = c.Uint(math.MaxUint64)
 	if c.Lit(`,"last_use":`) {
-		mut.LastUse = c.Uint(math.MaxUint64)
+		r.LastUse = c.Uint(math.MaxUint64)
 	}
 	if c.Lit(`,"version":`) {
-		mut.Version = c.Uint(math.MaxUint64)
+		r.Version = c.Uint(math.MaxUint64)
 	}
 	if c.Lit(`,"merges":`) {
-		mut.Merges = int(c.Int(math.MaxInt))
+		r.Merges = int(c.Int(math.MaxInt))
 	}
 	if c.Lit(`,"request_bytes":`) {
-		mut.RequestBytes = c.Int(math.MaxInt64)
+		r.RequestBytes = c.Int(math.MaxInt64)
 	}
-	keys, packages := d.keys[:0], 0
 	if c.Lit(`,"packages":`) {
-		keys = c.List(keys)
-		packages = len(keys)
+		packages, r.PackagesErr = d.ids(&c, packages)
 	}
 	if c.Lit(`,"added":`) {
-		keys = c.List(keys)
-		if mutantEnabled("walscan") && len(keys)-packages >= 2 {
-			keys = keys[:len(keys)-1]
+		added, r.AddedErr = d.ids(&c, added)
+		if mutantEnabled("walscan") && len(added) >= 2 {
+			added = added[:len(added)-1]
 		}
 	}
-	if !c.Lit(`}`) || !c.End() {
-		return mut, false
+	r.Packages, r.Added = packages, added
+	return c.Lit(`}`) && c.End()
+}
+
+// ids consumes ["k",…] of one or more plain strings, appending the id
+// of each key to ids. bytes.IndexByte finds a key's closing quote, and
+// the bytes before it resolve at once when they are a repository key
+// made only of plain bytes. Plain bytes the repository lacks are an
+// unknown key: the error is core.UnknownPackage of the first, ids stops
+// before it (as core.Record.Resolve does) and the scan goes on to the
+// list's end. Anything else — an escape, a byte that is not plain —
+// sets c.bad, for encoding/json to read the payload.
+func (d *recordDecoder) ids(c *Cursor, ids []pkggraph.PkgID) ([]pkggraph.PkgID, error) {
+	if !c.Lit(`["`) {
+		c.bad = true
+		return ids, nil
 	}
-	d.keys = keys
-	if packages > 0 {
-		mut.Packages = keys[:packages:packages]
+	var err error
+	for {
+		q := bytes.IndexByte(c.p[c.i:], '"')
+		if q < 0 {
+			c.bad = true
+			return ids, err
+		}
+		key := c.p[c.i : c.i+q]
+		if id, ok := d.repo.LookupBytes(key); ok && d.plainID(id) {
+			if err == nil {
+				ids = append(ids, id)
+			}
+		} else if !plainBytes(key) {
+			c.bad = true
+			return ids, err
+		} else if err == nil {
+			err = core.UnknownPackage(string(key))
+		}
+		c.i += q + 1
+		if !c.Lit(`,"`) {
+			if !c.Lit(`]`) {
+				c.bad = true
+			}
+			return ids, err
+		}
 	}
-	if len(keys) > packages {
-		mut.Added = keys[packages:]
+}
+
+// plainID reports whether id's key is made only of plain bytes, looking
+// at the key the first time the id is met.
+func (d *recordDecoder) plainID(id pkggraph.PkgID) bool {
+	if d.plainIDs == nil {
+		d.plainIDs = make([]uint8, d.repo.Len())
 	}
-	return mut, true
+	if d.plainIDs[id] == 0 {
+		d.plainIDs[id] = 2
+		if plainBytes(d.repo.Key(id)) {
+			d.plainIDs[id] = 1
+		}
+	}
+	return d.plainIDs[id] == 1
+}
+
+// plainBytes reports whether every byte of key is plain.
+func plainBytes[S string | []byte](key S) bool {
+	for i := 0; i < len(key); i++ {
+		if !plain[key[i]] {
+			return false
+		}
+	}
+	return true
 }

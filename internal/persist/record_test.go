@@ -35,11 +35,51 @@ func referenceFrame(t testing.TB, buf []byte, mut core.Mutation) []byte {
 	return append(append(buf, hdr[:]...), payload...)
 }
 
+// codecRepo is the repository the record codec tests resolve keys
+// against: the sample and corpus keys (a/1/x…f/1/x), keys of the
+// generator's shape, and keys that are not plain bytes, which the
+// scanner must leave to encoding/json even though the repository holds
+// them.
+var codecRepo = func() *pkggraph.Repo {
+	var keys [][3]string
+	for _, name := range []string{"a", "b", "c", "d", "e", "f", `R&D "core"`, "café", "a<b", `back\slash`} {
+		keys = append(keys, [3]string{name, "1", "x"})
+	}
+	for i := 0; i < 32; i++ {
+		keys = append(keys, [3]string{fmt.Sprintf("pkg-%03d", i), fmt.Sprintf("%d.%d.0", i%9, i%20), "x86_64-centos7-gcc8-opt"})
+	}
+	pkgs := make([]pkggraph.Package, len(keys))
+	for i, k := range keys {
+		pkgs[i] = pkggraph.Package{ID: pkggraph.PkgID(i), Name: k[0], Version: k[1], Platform: k[2], Size: 10, FileCount: 1}
+	}
+	repo, err := pkggraph.New(pkgs)
+	if err != nil {
+		panic(err)
+	}
+	return repo
+}()
+
+// newCodecDecoder is a record decoder over codecRepo.
+func newCodecDecoder() *recordDecoder { return &recordDecoder{repo: codecRepo} }
+
+// canonRecord is rec with empty lists as nil, so records compare by
+// their contents.
+func canonRecord(rec core.Record) core.Record {
+	if len(rec.Packages) == 0 {
+		rec.Packages = nil
+	}
+	if len(rec.Added) == 0 {
+		rec.Added = nil
+	}
+	return rec
+}
+
 // decodeBoth decodes payload with the record decoder and with
-// json.Unmarshal into a zero Mutation, and requires the same verdict:
-// the same error text, or values equal under reflect.DeepEqual (nil and
-// empty lists are different values). It returns the decoded mutation,
-// detached from the decoder's storage.
+// json.Unmarshal into a zero Mutation whose keys are then resolved one
+// by one with Repo.Lookup (core.Record.Resolve), and requires the same
+// verdict: the same error text, or the same record — kind, counters,
+// ids, and the same unknown-key error, word for word. It returns
+// json.Unmarshal's mutation.
 func decodeBoth(t testing.TB, dec *recordDecoder, payload []byte) (core.Mutation, error) {
 	t.Helper()
 	var want core.Mutation
@@ -51,8 +91,10 @@ func decodeBoth(t testing.TB, dec *recordDecoder, payload []byte) (core.Mutation
 	if gotErr != nil {
 		return core.Mutation{}, gotErr
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("payload %q:\ndecoder %#v\n   json %#v", payload, got, want)
+	var wantRec core.Record
+	wantRec.Resolve(dec.repo, want)
+	if g, w := canonRecord(*got), canonRecord(wantRec); !reflect.DeepEqual(g, w) {
+		t.Fatalf("payload %q:\ndecoder %#v\n   json %#v", payload, g, w)
 	}
 	return want, nil
 }
@@ -167,7 +209,7 @@ func (g codecGen) key() string {
 	return b.String()
 }
 
-func (g codecGen) list() []string {
+func (g codecGen) list(key func() string) []string {
 	switch g.pick(5) {
 	case 0:
 		return nil
@@ -176,16 +218,30 @@ func (g codecGen) list() []string {
 	}
 	keys := make([]string, 1+g.pick(5))
 	for i := range keys {
-		keys[i] = g.key()
+		keys[i] = key()
 	}
 	return keys
+}
+
+// recordKey is a codecRepo key half the time, and otherwise a key the
+// repository lacks: one of key's, or a proper prefix of a repository
+// key.
+func (g codecGen) recordKey() string {
+	switch g.pick(6) {
+	case 0, 1, 2:
+		return codecRepo.Key(pkggraph.PkgID(g.pick(codecRepo.Len())))
+	case 3:
+		k := codecRepo.Key(pkggraph.PkgID(g.pick(codecRepo.Len())))
+		return k[:g.pick(len(k))]
+	}
+	return g.key()
 }
 
 func (g codecGen) mutation() core.Mutation {
 	return core.Mutation{
 		Kind: g.kind(), ImageID: g.counter(), LastUse: g.counter(), Version: g.counter(),
 		Merges: int(g.signed()), RequestBytes: g.signed(),
-		Packages: g.list(), Added: g.list(),
+		Packages: g.list(g.recordKey), Added: g.list(g.recordKey),
 	}
 }
 
@@ -213,30 +269,38 @@ func TestRecordCodecDifferential(t *testing.T) {
 		n = 20_000
 	}
 	g := codecGen{rand.New(rand.NewSource(21))}
-	var dec recordDecoder
-	fast := 0
+	dec := newCodecDecoder()
+	fast, unknown := 0, 0
 	for i := 0; i < n; i++ {
 		mut := g.mutation()
 		payload := encodeBoth(t, mut)
 		before := dec.reference
-		checkPayload(t, &dec, payload)
+		checkPayload(t, dec, payload)
 		if dec.reference == before {
 			fast++
+			if dec.rec.PackagesErr != nil || dec.rec.AddedErr != nil {
+				unknown++
+			}
 		}
-		checkPayload(t, &dec, g.damage(payload))
+		checkPayload(t, dec, g.damage(payload))
 	}
 	// The generator leans on the awkward cases, but the scanner must
-	// still be what reads an ordinary record.
-	if fast < n/10 {
-		t.Fatalf("only %d of %d generated records took the scanner", fast, n)
+	// still be what reads an ordinary record, and what finds an unknown
+	// key in one.
+	if fast < n/10 || unknown < n/50 {
+		t.Fatalf("of %d generated records, %d took the scanner and %d of those named an unknown key", n, fast, unknown)
 	}
 }
 
 // FuzzRecordCodec throws raw payload bytes at the record decoder —
 // FuzzWALDecode mutates framed streams, so almost nothing it makes gets
-// past the checksum to the payload decoder. The corpus under
-// testdata/fuzz/FuzzRecordCodec holds each canonical shape and each
-// departure from it the scanner must hand to encoding/json.
+// past the checksum to the payload decoder — and holds its resolved
+// record to json.Unmarshal plus Repo.Lookup of each key. The corpus
+// under testdata/fuzz/FuzzRecordCodec holds each canonical shape and
+// each departure from it the scanner must hand to encoding/json; the
+// seeds added here are the keys resolution treats apart: one codecRepo
+// lacks, one a proper prefix of a key it holds, a /-escaped key it
+// holds, a raw < and a byte >= 0x80 in keys it holds, and [].
 func FuzzRecordCodec(f *testing.F) {
 	for _, mut := range sampleMutations() {
 		payload, err := json.Marshal(mut)
@@ -245,9 +309,18 @@ func FuzzRecordCodec(f *testing.F) {
 		}
 		f.Add(payload)
 	}
+	for _, payload := range []string{
+		`{"kind":"insert","image_id":1,"packages":["a/1/x","no/such/pkg"]}`,
+		`{"kind":"merge","image_id":1,"version":2,"added":["pkg-001/1.1.0/x86_64"]}`,
+		`{"kind":"insert","image_id":1,"packages":["a\/1\/x","b/1/x"]}`,
+		`{"kind":"split","image_id":1,"packages":["a<b/1/x"]}`,
+		`{"kind":"insert","image_id":1,"packages":["café/1/x"]}`,
+		`{"kind":"merge","image_id":1,"version":2,"added":[]}`,
+	} {
+		f.Add([]byte(payload))
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		var dec recordDecoder
-		checkPayload(t, &dec, payload)
+		checkPayload(t, newCodecDecoder(), payload)
 	})
 }
 
@@ -519,6 +592,64 @@ func TestRecoveryCountsReferenceRecords(t *testing.T) {
 	}
 }
 
+// TestRecoverUnknownKeys pins what recovery makes of records naming
+// keys the repository lacks — in an insert, a merge delta, a pre-delta
+// merge and a split, in plain bytes and in a payload only
+// encoding/json reads, next to ones the record kind never reads — to
+// the counts, warnings and state the key-string replay gave: resolving
+// keys in the scan refuses the same records, with the same words.
+func TestRecoverUnknownKeys(t *testing.T) {
+	repo := testRepo(t, 24, 10)
+	k := func(i int) string { return repo.Key(pkggraph.PkgID(i)) }
+	data := encodeAll(t, []core.Mutation{
+		{Kind: core.MutInsert, ImageID: 0, LastUse: 1, RequestBytes: 20, Packages: []string{k(0), k(1)}},
+		{Kind: core.MutInsert, ImageID: 1, LastUse: 2, RequestBytes: 30, Packages: []string{k(2), "pkg/v99/p", "nope/1/x"}},
+		{Kind: core.MutMerge, ImageID: 0, LastUse: 3, Version: 1, Merges: 1, RequestBytes: 20, Added: []string{k(3), "gone/1/x"}},
+		{Kind: core.MutMerge, ImageID: 0, LastUse: 4, Version: 1, Merges: 1, RequestBytes: 20, Added: []string{k(4), k(5)}},
+		{Kind: core.MutTouch, ImageID: 0, LastUse: 5, RequestBytes: 10, Added: []string{"ignored/1/x"}},
+		{Kind: core.MutInsert, ImageID: 2, LastUse: 6, RequestBytes: 10, Packages: []string{`R&D "x"/1/p`, k(6)}},
+		{Kind: core.MutMerge, ImageID: 0, LastUse: 7, Version: 2, Merges: 2, RequestBytes: 20, Packages: []string{k(0), "pkg/v1"}},
+		{Kind: core.MutSplit, ImageID: 0, Version: 2, Packages: []string{"", k(0)}},
+		{Kind: core.MutMerge, ImageID: 0, LastUse: 8, Version: 2, Merges: 2},
+		{Kind: core.MutInsert, ImageID: 4, LastUse: 9, RequestBytes: 10, Packages: []string{k(7)}, Added: []string{"not/a/key"}},
+		{Kind: core.MutMerge, ImageID: 4, LastUse: 10, Version: 5, Merges: 1, RequestBytes: 10, Added: []string{"late/1/x"}},
+		{Kind: core.MutMerge, ImageID: 4, LastUse: 11, Version: 1, Merges: 1, RequestBytes: 10, Added: []string{k(8), "café/1/x"}},
+		{Kind: core.MutMerge, ImageID: 4, LastUse: 12, Version: 1, Merges: 1, RequestBytes: 10, Added: []string{k(9)}},
+	})
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal-0000000000000001.log"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	mgr, rep, err := st.RecoverSharded(repo, core.Config{Alpha: 0.75, Capacity: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantWarnings := []string{
+		`segment 1: core: replaying insert of image 1: core: unknown package "pkg/v99/p"`,
+		`segment 1: core: replaying merge of image 0: core: unknown package "gone/1/x"`,
+		`segment 1: core: replaying insert of image 2: core: unknown package "R&D \"x\"/1/p"`,
+		`segment 1: core: replaying merge of image 0: core: unknown package "pkg/v1"`,
+		`segment 1: core: replaying split of image 0: core: unknown package ""`,
+		`segment 1: core: replaying merge of image 0: no packages`,
+		`segment 1: core: merge delta does not match the image's version: image 4 at version 0, delta yields 5`,
+		`segment 1: core: replaying merge of image 4: core: unknown package "café/1/x"`,
+	}
+	if rep.RecordsReplayed != 5 || rep.RecordsSkipped != 8 || rep.RecordsReference != 2 || !slices.Equal(rep.Warnings, wantWarnings) {
+		t.Errorf("recovery: %s\nwarnings %q\nwant replayed=5 skipped=8 reference_decoded=2, warnings %q", rep, rep.Warnings, wantWarnings)
+	}
+	const want = `{"images":[{"id":0,"packages":["pkg/v0/p","pkg/v1/p","pkg/v4/p","pkg/v5/p"],"last_use":5,"merges":1,"version":1},` +
+		`{"id":4,"packages":["pkg/v7/p","pkg/v9/p"],"last_use":12,"merges":1,"version":1}],"next_id":5,"clock":12,` +
+		`"stats":{"requests":5,"hits":1,"inserts":2,"merges":2,"deletes":0,"splits":0,"bytes_written":90,"requested_bytes":70,"container_eff_sum":3.25}}`
+	if got := stateJSON(t, mgr.ExportState()); got != want {
+		t.Errorf("recovered\n %s\nwant\n %s", got, want)
+	}
+}
+
 // benchKeys are n keys of the benchmark repository's shape.
 func benchKeys(n int) []string {
 	keys := make([]string, n)
@@ -558,9 +689,9 @@ func BenchmarkEncodeRecord(b *testing.B) {
 }
 
 // BenchmarkReplaySegment replays a segment of 10,000 touch records into
-// a manager, streamed as recovery does it. One op is the whole segment;
-// what it may allocate is the reader and its buffers, never anything
-// per record. Guarded at 8 allocs/op.
+// a cache, streamed as one replay pass as recovery does it. One op is
+// the whole segment; what it may allocate is the reader and its
+// buffers, never anything per record. Guarded at 8 allocs/op.
 func BenchmarkReplaySegment(b *testing.B) {
 	const records = 10_000
 	pkgs := make([]pkggraph.Package, 8)
@@ -571,7 +702,7 @@ func BenchmarkReplaySegment(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mgr, err := core.NewManager(repo, core.Config{Alpha: 0.5})
+	mgr, err := core.NewSharded(repo, core.Config{Alpha: 0.5})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -587,16 +718,19 @@ func BenchmarkReplaySegment(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sr := newSegmentReader()
+		sr := newSegmentReader(repo)
 		n := 0
-		err := sr.each(bytes.NewReader(segment), func(mut core.Mutation) {
-			if err := mgr.ApplyMutation(mut); err != nil {
-				b.Fatal(err)
-			}
-			n++
+		var readErr error
+		err := mgr.Replay(func(apply func(*core.Record) error) {
+			readErr = sr.each(bytes.NewReader(segment), func(rec *core.Record) {
+				if err := apply(rec); err != nil {
+					b.Fatal(err)
+				}
+				n++
+			})
 		})
-		if err != nil || n != records || sr.dec.reference != 0 {
-			b.Fatalf("replayed %d records, %d through encoding/json: %v", n, sr.dec.reference, err)
+		if err != nil || readErr != nil || n != records || sr.dec.reference != 0 {
+			b.Fatalf("replayed %d records, %d through encoding/json: %v, %v", n, sr.dec.reference, err, readErr)
 		}
 	}
 }
@@ -609,12 +743,13 @@ func TestSegmentReaderReusesStorage(t *testing.T) {
 		{Kind: core.MutInsert, ImageID: 1, Packages: []string{"a/1/x", "b/1/x"}},
 		{Kind: core.MutInsert, ImageID: 2, Packages: []string{"c/1/x", "d/1/x"}},
 	})
-	var seen []core.Mutation
-	if err := newSegmentReader().each(bytes.NewReader(data), func(mut core.Mutation) { seen = append(seen, mut) }); err != nil {
+	var seen [][]pkggraph.PkgID
+	if err := ReadRecords(bytes.NewReader(data), codecRepo, func(rec *core.Record) { seen = append(seen, rec.Packages) }); err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != 2 || !slices.Equal(seen[0].Packages, seen[1].Packages) {
-		t.Errorf("kept past the callback, the records read %+v; the second did not reuse the first one's key storage", seen)
+	c, _ := codecRepo.Lookup("c/1/x")
+	if len(seen) != 2 || !slices.Equal(seen[0], seen[1]) || seen[0][0] != c {
+		t.Errorf("kept past the callback, the records read %v; the second did not reuse the first one's id storage", seen)
 	}
 	muts, err := ReadSegment(bytes.NewReader(data))
 	if err != nil || len(muts) != 2 || !slices.Equal(muts[0].Packages, []string{"a/1/x", "b/1/x"}) {

@@ -323,9 +323,9 @@ func BenchmarkReplayMerges(b *testing.B) {
 		b.StartTimer()
 		var readErr, applyErr error
 		n := 0
-		err = mgr.Replay(func(apply func(core.Mutation) error) {
-			readErr = newSegmentReader().each(bytes.NewReader(tail), func(mut core.Mutation) {
-				if err := apply(mut); err != nil && applyErr == nil {
+		err = mgr.Replay(func(apply func(*core.Record) error) {
+			readErr = newSegmentReader(mix.repo).each(bytes.NewReader(tail), func(rec *core.Record) {
+				if err := apply(rec); err != nil && applyErr == nil {
 					applyErr = err
 				}
 				n++

@@ -283,11 +283,11 @@ func (st *Store) RecoverSharded(repo *pkggraph.Repo, cfg core.Config) (*core.Sha
 	if len(ckpts) > 0 {
 		maxSeq = ckpts[len(ckpts)-1]
 	}
-	sr := newSegmentReader()
+	sr := newSegmentReader(repo)
 	// The whole tail is one replay pass: each image it changed is
 	// settled — its merge deltas unioned in, its spec interned, signed
 	// and re-banded — once, when the pass ends.
-	err = mgr.Replay(func(apply func(core.Mutation) error) {
+	err = mgr.Replay(func(apply func(*core.Record) error) {
 		for i, seq := range segs {
 			if seq > maxSeq {
 				maxSeq = seq
@@ -302,11 +302,12 @@ func (st *Store) RecoverSharded(repo *pkggraph.Repo, cfg core.Config) (*core.Sha
 				rep.warn("segment %d unreadable: %v", seq, err)
 				continue
 			}
-			// Each record is applied as it is decoded, out of storage the
-			// next record overwrites (apply keeps neither key slice): a
-			// segment is never held in memory.
-			readErr := sr.each(f, func(mut core.Mutation) {
-				if err := apply(mut); err != nil {
+			// Each record is applied as it is decoded, its keys resolved
+			// to ids in the scan, out of storage the next record
+			// overwrites (apply keeps neither list): a segment is never
+			// held in memory.
+			readErr := sr.each(f, func(rec *core.Record) {
+				if err := apply(rec); err != nil {
 					rep.RecordsSkipped++
 					rep.warn("segment %d: %v", seq, err)
 					return

@@ -8,9 +8,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 
 	"repro/internal/core"
+	"repro/internal/pkggraph"
 )
 
 // Frame format, shared by WAL records and checkpoint files:
@@ -100,7 +100,7 @@ func EncodeRecord(buf []byte, mut core.Mutation) ([]byte, error) {
 }
 
 // segmentReader replays WAL segments through one frame buffer and one
-// key slice, reused from record to record and from segment to segment.
+// record, reused from record to record and from segment to segment.
 type segmentReader struct {
 	br    *bufio.Reader
 	frame []byte
@@ -108,18 +108,17 @@ type segmentReader struct {
 	bytes int64 // size of the intact frames read so far, headers included
 }
 
-// newSegmentReader creates a reader whose buffer holds a few of the
-// largest records the cache writes (a ~14 KB insert), so a record
-// rarely straddles a refill.
-func newSegmentReader() *segmentReader {
-	return &segmentReader{br: bufio.NewReaderSize(nil, 64<<10)}
+// newSegmentReader creates a reader that resolves keys against repo,
+// whose buffer holds a few of the largest records the cache writes (a
+// ~14 KB insert), so a record rarely straddles a refill.
+func newSegmentReader(repo *pkggraph.Repo) *segmentReader {
+	return &segmentReader{br: bufio.NewReaderSize(nil, 64<<10), dec: recordDecoder{repo: repo}}
 }
 
 // each decodes the records of segment r in order and hands each to fn.
 // It stops where ReadSegment does and returns the reason ReadSegment
-// returns. A mutation's Packages and Added are valid only until fn
-// returns.
-func (sr *segmentReader) each(r io.Reader, fn func(core.Mutation)) error {
+// returns. A record and its lists are valid only until fn returns.
+func (sr *segmentReader) each(r io.Reader, fn func(*core.Record)) error {
 	sr.br.Reset(r)
 	for {
 		payload, err := readFrame(sr.br, sr.frame)
@@ -131,12 +130,20 @@ func (sr *segmentReader) each(r io.Reader, fn func(core.Mutation)) error {
 		}
 		sr.frame = payload
 		sr.bytes += frameHeaderSize + int64(len(payload))
-		mut, err := sr.dec.decode(payload)
+		rec, err := sr.dec.decode(payload)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		fn(mut)
+		fn(rec)
 	}
+}
+
+// ReadRecords decodes the records of segment r as recovery does, each
+// resolved against repo, and hands each to fn in order. A record and
+// its lists are valid only until fn returns. It stops where ReadSegment
+// does, for the same reasons.
+func ReadRecords(r io.Reader, repo *pkggraph.Repo, fn func(*core.Record)) error {
+	return newSegmentReader(repo).each(r, fn)
 }
 
 // ReadSegment decodes every intact record from r, stopping at the
@@ -150,16 +157,25 @@ func (sr *segmentReader) each(r io.Reader, fn func(core.Mutation)) error {
 // frame are never interpreted, so the result is always a prefix of the
 // records originally appended.
 //
-// Recovery does not come through here: it applies each record as
-// segmentReader yields it. This is the collecting form, for callers
-// that want the records themselves.
+// Recovery does not come through here: it resolves each record's keys
+// as it scans them (ReadRecords). This is the collecting form, for
+// callers that want the records themselves, and it reads each payload
+// with encoding/json.
 func ReadSegment(r io.Reader) ([]core.Mutation, error) {
+	br := bufio.NewReader(r)
 	var out []core.Mutation
-	err := newSegmentReader().each(r, func(mut core.Mutation) {
-		// The reader reuses the lists' storage.
-		mut.Packages = slices.Clone(mut.Packages)
-		mut.Added = slices.Clone(mut.Added)
+	for {
+		payload, err := readFrame(br, nil)
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		var mut core.Mutation
+		if err := json.Unmarshal(payload, &mut); err != nil {
+			return out, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
 		out = append(out, mut)
-	})
-	return out, err
+	}
 }
