@@ -180,7 +180,10 @@ fuzz:
 # the one fleet harness and its fault schedule replaced, nor the
 # single-server network-chaos and trace-coverage harnesses (their
 # configs, defaults, reports and runners), whose audits the fleet
-# harness's rows carry (§7). The
+# harness's rows carry (§7), nor the batch queue and spec scanners no
+# command ran, the second cache-state loader (the re-IDing restore and
+# its sharded forms) that ImportState replaced, or the wrapper's
+# pre-checkpoint state.json reader (§6). The
 # watermark names match unanchored: with the
 # replica's stream headers gone no other name contains them. The second keeps the harnesses on the
 # in-memory network: no listener, no test server. The last two keep
@@ -188,8 +191,8 @@ fuzz:
 # store, recovers a server or starts a heal probe by hand, and no
 # harness builds a durable server around a store it opened itself.
 check:
-	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits|SetTracer|telemetry\.Tracer\b|newEvent|opTracer|timelineTracer|SetPaused|TransportFor|ChaosProxy|ReadHAState|repro/internal/cluster|StageClusterDispatch|cluster_dispatch|DeltaSite|landlord_site_|RunShardSim|ShardSimConfig|ShardSimReport|ShedderEnabled|replaySig|haRecord|haCheckpoint|haLogRing|HAState|RecoveredState|MirrorNext|StreamNext|haNoteMember|EnableReplication|NewStreamer|persist\.Streamer|persist\.Follower|StreamCheckpoint|ErrStreamGap|SetTap\(|/ha/v1/|RunHAChaos|HAChaosConfig|HAChaosDefault|HAChaosReport|MasterKillEvery|RunNetChaos|NetChaosConfig|NetChaosDefault|NetChaosReport|RunTraceSim|TraceSimConfig|TraceSimDefault|TraceSimReport' --include='*.go' --exclude-dir=.bench_build . \
-		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, §10 for the route dictionary, §9 for the event hook, §7 for the harness seams, the site model, the simulation driver and the fleet harness's folded predecessors, §6 for the node assembly and the replay pass, §13 for the HA log the lease replaced and the WAL read replica the recovery audit replaced)"; exit 1; }
+	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits|SetTracer|telemetry\.Tracer\b|newEvent|opTracer|timelineTracer|SetPaused|TransportFor|ChaosProxy|ReadHAState|repro/internal/cluster|StageClusterDispatch|cluster_dispatch|DeltaSite|landlord_site_|RunShardSim|ShardSimConfig|ShardSimReport|ShedderEnabled|replaySig|haRecord|haCheckpoint|haLogRing|HAState|RecoveredState|MirrorNext|StreamNext|haNoteMember|EnableReplication|NewStreamer|persist\.Streamer|persist\.Follower|StreamCheckpoint|ErrStreamGap|SetTap\(|/ha/v1/|RunHAChaos|HAChaosConfig|HAChaosDefault|HAChaosReport|MasterKillEvery|RunNetChaos|NetChaosConfig|NetChaosDefault|NetChaosReport|RunTraceSim|TraceSimConfig|TraceSimDefault|TraceSimReport|repro/internal/batch|repro/internal/specscan|RestoreAll|RestoreThen|legacyStateName' --include='*.go' --exclude-dir=.bench_build . \
+		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, §10 for the route dictionary, §9 for the event hook, §7 for the harness seams, the site model, the simulation driver and the fleet harness's folded predecessors, §6 for the node assembly, the replay pass and the one cache-state loader, §13 for the HA log the lease replaced and the WAL read replica the recovery audit replaced)"; exit 1; }
 	@! grep -nE 'net\.Listen|httptest\.' $$(ls internal/check/*.go | grep -v '_test\.go$$') \
 		|| { echo "check: a harness in internal/check opens a socket; run it on the in-memory network (DESIGN.md §7)"; exit 1; }
 	@! grep -nE 'persist\.Open\(|NewPersistent\(|StartDegradedProbe\(' $$(find cmd -name '*.go' ! -name '*_test.go') \
@@ -223,7 +226,10 @@ fleet-chaos:
 # Static metric-registration audit: the same family registered under
 # two kinds or two help strings renders a /metrics exposition
 # Prometheus rejects; the registry only catches it at runtime on paths
-# that execute. Fails the build on any conflict.
+# that execute. The same pass audits the import graph: an internal
+# package no cmd/* main reaches, or a change to the set of internal
+# packages landlordd links, fails it too. Fails the build on any
+# conflict.
 lint-metrics:
 	$(GO) run ./cmd/landlord-lint -root .
 
@@ -252,7 +258,6 @@ crash-test:
 
 examples:
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/specscan
 	$(GO) run ./examples/site-service
 	$(GO) run ./examples/hep-pipeline
 	$(GO) run ./examples/alpha-sweep

@@ -1,15 +1,12 @@
-// Benchmarks for the deployment layers (HTTP site service, batch
-// integration) and the remaining DESIGN.md ablations:
-// A5 image splitting and the LSH candidate index.
+// Benchmarks for the deployment layer (HTTP site service) and the
+// remaining DESIGN.md ablations: A5 image splitting and the LSH
+// candidate index.
 package repro
 
 import (
-	"fmt"
 	"net/http/httptest"
 	"testing"
-	"time"
 
-	"repro/internal/batch"
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/cvmfs"
@@ -48,34 +45,6 @@ func BenchmarkServerRequest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := client.Request(keys[i%len(keys)], false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBatchDrain measures the batch-system wrapper: queue 50 jobs
-// and drain them with per-job logs.
-func BenchmarkBatchDrain(b *testing.B) {
-	repo := benchMidRepo(b)
-	gen := workload.NewDepClosure(repo, 7)
-	gen.MaxInitial = 5
-	specs := make([]batch.Job, 50)
-	for i := range specs {
-		specs[i] = batch.Job{Name: fmt.Sprintf("job-%03d", i), Spec: gen.Next(), RunTime: time.Minute}
-	}
-	dir := b.TempDir()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mgr := core.MustNewManager(repo, core.Config{Alpha: 0.8, MinHash: core.DefaultMinHash()})
-		sys, err := batch.NewSystem(repo, mgr, dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, j := range specs {
-			sys.Submit(j)
-		}
-		if _, err := sys.Drain(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,4 +1,5 @@
-// Command landlord-lint statically audits metric registrations:
+// Command landlord-lint statically audits metric registrations and the
+// internal import graph:
 //
 //	landlord-lint [-root dir]
 //
@@ -14,7 +15,14 @@
 // This is the scrape-time failure class the registry itself can only
 // catch at runtime (and only on paths that actually execute): a
 // conflicting family renders /metrics output that Prometheus rejects.
-// CI runs this on every build via `make lint-metrics`.
+//
+// The import audit reads the non-test imports of every package under
+// root (parser.ImportsOnly; build tags are ignored, so a file's imports
+// count whatever its constraint) and fails when an internal/* package
+// is reachable from no cmd/* main — code no command can run — or when
+// cmd/landlordd links a set of internal packages other than
+// landlorddLinks. CI runs both audits on every build via
+// `make lint-metrics`.
 package main
 
 import (
@@ -25,6 +33,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -45,6 +54,16 @@ var metricMethods = map[string]bool{
 // non-conforming first arguments are skipped rather than guessed at.
 var metricName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
+// landlorddLinks is the set of internal packages the serving daemon
+// links. A package joining or leaving it changes what every node runs;
+// such a change is made here too, on purpose.
+var landlorddLinks = map[string]bool{
+	"internal/config": true, "internal/core": true, "internal/fleet": true,
+	"internal/persist": true, "internal/pkggraph": true, "internal/resilience": true,
+	"internal/server": true, "internal/similarity": true, "internal/spec": true,
+	"internal/stats": true, "internal/telemetry": true,
+}
+
 // registration is one resolved call site.
 type registration struct {
 	name string
@@ -61,19 +80,103 @@ func main() {
 		fmt.Fprintln(os.Stderr, "landlord-lint:", err)
 		os.Exit(1)
 	}
-	conflicts := findConflicts(regs)
-	for _, c := range conflicts {
-		fmt.Fprintln(os.Stderr, c)
+	problems := findConflicts(regs)
+	graph, err := auditImports(*root)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "landlord-lint:", err)
+		os.Exit(1)
 	}
-	if len(conflicts) > 0 {
+	problems = append(problems, graph...)
+	for _, p := range problems {
+		fmt.Fprintln(os.Stderr, p)
+	}
+	if len(problems) > 0 {
 		os.Exit(1)
 	}
 	names := map[string]bool{}
 	for _, r := range regs {
 		names[r.name] = true
 	}
-	fmt.Printf("landlord-lint: %d metric registration(s), %d family(ies), no conflicts\n",
-		len(regs), len(names))
+	fmt.Printf("landlord-lint: %d metric registration(s), %d family(ies), no conflicts; every internal package reachable from cmd/*, landlordd links %d\n",
+		len(regs), len(names), len(landlorddLinks))
+}
+
+// auditImports checks the import graph of the module at root: every
+// internal/* package must be reachable from a cmd/* main, and
+// cmd/landlordd must link exactly landlorddLinks.
+func auditImports(root string) ([]string, error) {
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	var module string
+	for _, line := range strings.Split(string(mod), "\n") {
+		if m, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			module = strings.TrimSpace(m)
+		}
+	}
+	dirs, err := goFiles(root)
+	if err != nil {
+		return nil, err
+	}
+	// imports maps each package, as a slash path relative to root, to
+	// the module's packages its files import.
+	imports := map[string][]string{}
+	var mains []string
+	for dir, files := range dirs {
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			return nil, err
+		}
+		rel = filepath.ToSlash(rel)
+		imports[rel] = nil
+		for _, file := range files {
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
+			if err != nil {
+				return nil, fmt.Errorf("parsing %s: %w", file, err)
+			}
+			if f.Name.Name == "main" && path.Dir(rel) == "cmd" {
+				mains = append(mains, rel)
+			}
+			for _, imp := range f.Imports {
+				p, _ := strconv.Unquote(imp.Path.Value)
+				if dep, ok := strings.CutPrefix(p, module+"/"); ok {
+					imports[rel] = append(imports[rel], dep)
+				}
+			}
+		}
+	}
+	reach := func(from ...string) map[string]bool {
+		seen := map[string]bool{}
+		for len(from) > 0 {
+			p := from[len(from)-1]
+			from = from[:len(from)-1]
+			if !seen[p] {
+				seen[p] = true
+				from = append(from, imports[p]...)
+			}
+		}
+		return seen
+	}
+	reached, daemon := reach(mains...), reach("cmd/landlordd")
+	var out []string
+	for p := range imports {
+		if strings.HasPrefix(p, "internal/") && !reached[p] {
+			out = append(out, fmt.Sprintf("%s: package %s/%s is reachable from no cmd/* main", filepath.Join(root, p), module, p))
+		}
+	}
+	for p := range daemon {
+		if strings.HasPrefix(p, "internal/") && !landlorddLinks[p] {
+			out = append(out, fmt.Sprintf("cmd/landlordd links %s/%s, which landlorddLinks lacks", module, p))
+		}
+	}
+	for p := range landlorddLinks {
+		if !daemon[p] {
+			out = append(out, fmt.Sprintf("cmd/landlordd does not link %s/%s, which landlorddLinks names", module, p))
+		}
+	}
+	sort.Strings(out)
+	return out, nil
 }
 
 // findConflicts groups registrations by name and reports any family
@@ -109,24 +212,7 @@ func findConflicts(regs []registration) []string {
 // scanTree walks root, parsing each package directory's non-test
 // files together so file-level consts resolve across the package.
 func scanTree(root string) ([]registration, error) {
-	dirs := map[string][]string{}
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if name == "testdata" || strings.HasPrefix(name, ".") && path != root {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-			dir := filepath.Dir(path)
-			dirs[dir] = append(dirs[dir], path)
-		}
-		return nil
-	})
+	dirs, err := goFiles(root)
 	if err != nil {
 		return nil, err
 	}
@@ -145,6 +231,30 @@ func scanTree(root string) ([]registration, error) {
 		regs = append(regs, r...)
 	}
 	return regs, nil
+}
+
+// goFiles maps each directory under root to its non-test Go files,
+// skipping testdata and dot directories.
+func goFiles(root string) (map[string][]string, error) {
+	dirs := map[string][]string{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if name == "testdata" || strings.HasPrefix(name, ".") && path != root {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			dir := filepath.Dir(path)
+			dirs[dir] = append(dirs[dir], path)
+		}
+		return nil
+	})
+	return dirs, err
 }
 
 // scanPackage parses the files of one package and extracts resolved

@@ -171,3 +171,45 @@ func TestRepoIsClean(t *testing.T) {
 		t.Fatalf("scanned the repository but found no registrations")
 	}
 }
+
+// TestImportAuditFindsOrphan: in a fixture module whose one command
+// imports internal/used, which imports internal/deep, the package
+// nothing imports is reported and the reachable ones are not.
+func TestImportAuditFindsOrphan(t *testing.T) {
+	dir := t.TempDir()
+	for _, sub := range []string{"cmd/tool", "internal/used", "internal/deep", "internal/orphan"} {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(t, dir, "go.mod", "module fixture\n\ngo 1.22\n")
+	write(t, dir, "cmd/tool/main.go", "package main\n\nimport _ \"fixture/internal/used\"\n\nfunc main() {}\n")
+	write(t, dir, "internal/used/used.go", "package used\n\nimport _ \"fixture/internal/deep\"\n")
+	write(t, dir, "internal/deep/deep.go", "package deep\n")
+	write(t, dir, "internal/orphan/orphan.go", "package orphan\n")
+	problems, err := auditImports(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var orphans []string
+	for _, p := range problems {
+		if strings.Contains(p, "reachable from no") {
+			orphans = append(orphans, p)
+		}
+	}
+	if len(orphans) != 1 || !strings.Contains(orphans[0], "fixture/internal/orphan ") {
+		t.Fatalf("orphan reports %q, want one naming fixture/internal/orphan", orphans)
+	}
+}
+
+// TestRepoImportGraph runs the import audit over the repository
+// itself, as CI does.
+func TestRepoImportGraph(t *testing.T) {
+	problems, err := auditImports("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(problems) != 0 {
+		t.Fatalf("import audit:\n%s", strings.Join(problems, "\n"))
+	}
+}

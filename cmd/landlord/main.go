@@ -12,13 +12,11 @@
 // The cache directory persists between invocations, so a stream of job
 // submissions sees exactly the hit/merge/insert behaviour the paper
 // describes. State is stored as a CRC-validated checkpoint
-// (internal/persist format, shared with landlordd); pre-existing
-// plain-JSON state.json directories are migrated on first save.
+// (internal/persist format, shared with landlordd).
 // `landlord -stats` prints the cache state.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -38,20 +36,8 @@ import (
 
 // State lives in <cache-dir>/state.ckpt, a single CRC-framed checkpoint
 // in the internal/persist format (the same one landlordd compacts its
-// WAL into). Older cache directories hold a plain-JSON state.json; it
-// is still read, and the first save migrates it to the new format.
-const (
-	stateName       = "state.ckpt"
-	legacyStateName = "state.json"
-)
-
-// legacyStateFile is the pre-checkpoint plain-JSON cache state, kept
-// only so existing cache directories survive the format change.
-type legacyStateFile struct {
-	RepoSeed int64                `json:"repo_seed"`
-	RepoFile string               `json:"repo_file,omitempty"`
-	Images   []core.ImageSnapshot `json:"images"`
-}
+// WAL into).
+const stateName = "state.ckpt"
 
 func main() {
 	var (
@@ -142,8 +128,8 @@ func run(cacheDir, specPath string, alpha, capacityGB float64, repoSeed int64, r
 			rep.Image.Files, stats.FormatBytes(rep.WrittenBytes), rep.PrepTime.Seconds())
 	}
 
-	// Record the per-package usage lines that specscan.ScanJobLog
-	// understands, so future specs can be derived from this job's log.
+	// Name every package the job's container holds, one line each, so
+	// the job's log records what it ran with.
 	for _, id := range s.IDs() {
 		fmt.Printf("landlord: using package %s\n", repo.Package(id).Key())
 	}
@@ -176,7 +162,7 @@ func loadState(cacheDir string, mgr *core.Manager, repoSeed int64, repoFile stri
 	path := filepath.Join(cacheDir, stateName)
 	ck, err := persist.ReadCheckpointFile(path)
 	if os.IsNotExist(err) {
-		return loadLegacyState(filepath.Join(cacheDir, legacyStateName), mgr)
+		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("corrupt state %s: %w", path, err)
@@ -188,50 +174,15 @@ func loadState(cacheDir string, mgr *core.Manager, repoSeed int64, repoFile stri
 	return mgr.ImportState(ck.State)
 }
 
-// loadLegacyState reads the pre-checkpoint state.json format. Image IDs
-// are reassigned (the legacy format predates stable IDs) and stats
-// start at zero, matching the old behaviour exactly.
-func loadLegacyState(path string, mgr *core.Manager) error {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	var st legacyStateFile
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("corrupt state %s: %w", path, err)
-	}
-	return mgr.Restore(st.Images)
-}
-
 func saveState(cacheDir string, mgr *core.Manager, repoSeed int64, repoFile string) error {
 	if err := os.MkdirAll(cacheDir, 0o755); err != nil {
 		return err
 	}
-	path := filepath.Join(cacheDir, stateName)
-	err := persist.WriteCheckpointFile(path, persist.Checkpoint{
+	return persist.WriteCheckpointFile(filepath.Join(cacheDir, stateName), persist.Checkpoint{
 		SavedUnixNano: time.Now().UnixNano(),
 		Meta:          repoMeta(repoSeed, repoFile),
 		State:         mgr.ExportState(),
 	})
-	if err != nil {
-		return err
-	}
-	// The checkpoint is durable; a leftover legacy file would shadow
-	// nothing (state.ckpt wins) but confuse operators, so retire it.
-	if legacy := filepath.Join(cacheDir, legacyStateName); fileExists(legacy) {
-		if err := os.Remove(legacy); err != nil {
-			return fmt.Errorf("retiring legacy %s: %w", legacy, err)
-		}
-	}
-	return nil
-}
-
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
 }
 
 func printStats(mgr *core.Manager, repo *pkggraph.Repo) {

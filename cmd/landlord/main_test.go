@@ -1,12 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/persist"
 	"repro/internal/pkggraph"
 )
@@ -143,55 +141,6 @@ func TestRunCorruptState(t *testing.T) {
 	specFile := specFileFor(t, repoFile, 1)
 	if err := run(cacheDir, specFile, 0.8, 0, 1, repoFile, false, false, nil); err == nil {
 		t.Fatal("corrupt state accepted")
-	}
-}
-
-func TestRunCorruptLegacyState(t *testing.T) {
-	repoFile := writeSmallRepo(t)
-	cacheDir := t.TempDir()
-	os.WriteFile(filepath.Join(cacheDir, legacyStateName), []byte("{broken"), 0o644)
-	specFile := specFileFor(t, repoFile, 1)
-	if err := run(cacheDir, specFile, 0.8, 0, 1, repoFile, false, false, nil); err == nil {
-		t.Fatal("corrupt legacy state accepted")
-	}
-}
-
-// TestRunLegacyStateMigration: a pre-checkpoint cache directory (plain
-// state.json) is read, and the next save upgrades it in place.
-func TestRunLegacyStateMigration(t *testing.T) {
-	repoFile := writeSmallRepo(t)
-	repo, err := pkggraph.LoadFile(repoFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cacheDir := t.TempDir()
-	legacy := legacyStateFile{
-		RepoSeed: 1,
-		RepoFile: repoFile,
-		Images: []core.ImageSnapshot{{
-			Packages: []string{repo.Package(0).Key()},
-			LastUse:  1,
-		}},
-	}
-	data, err := json.Marshal(&legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyPath := filepath.Join(cacheDir, legacyStateName)
-	if err := os.WriteFile(legacyPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	specFile := specFileFor(t, repoFile, 1)
-	if err := run(cacheDir, specFile, 0.8, 0, 1, repoFile, false, false, nil); err != nil {
-		t.Fatalf("run over legacy state: %v", err)
-	}
-	st := readState(t, cacheDir)
-	if len(st.State.Images) == 0 {
-		t.Fatal("legacy image lost in migration")
-	}
-	if _, err := os.Stat(legacyPath); !os.IsNotExist(err) {
-		t.Errorf("legacy state.json not retired after migration (stat err: %v)", err)
 	}
 }
 

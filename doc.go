@@ -18,11 +18,10 @@
 // (internal/shrinkwrap), Section III's baseline stores
 // (internal/image), workload generators and the trace-driven
 // simulation harness (internal/workload, internal/trace,
-// internal/sim), the Figure 2 LHC benchmark models (internal/hep), and
-// specification scanners (internal/specscan).
+// internal/sim), and the Figure 2 LHC benchmark models (internal/hep).
 //
 // Binaries: cmd/landlord (job wrapper), cmd/landlord-sim (regenerates
-// every paper table and figure), cmd/specgen (spec generation).
+// every paper table and figure), cmd/landlordd (the site service).
 // Runnable examples are under examples/. The benchmarks in
 // bench_test.go exercise one experiment per paper artifact plus the
 // ablations listed in DESIGN.md.

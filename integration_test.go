@@ -1,17 +1,14 @@
 // End-to-end integration: one scenario exercising the whole stack the
-// way a site would — repository on disk, specs derived from sources,
-// the HTTP service fronting the cache, Shrinkwrap materialization,
-// job logs feeding the next generation of specs, and a trace replay
-// reproducing the same cache decisions.
+// way a site would — repository on disk, a job spec named by package
+// keys, the HTTP service fronting the cache, Shrinkwrap materialization,
+// and a trace replay reproducing the same cache decisions.
 package repro
 
 import (
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"testing"
 
-	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/cvmfs"
 	"repro/internal/pkggraph"
@@ -19,7 +16,6 @@ import (
 	"repro/internal/shrinkwrap"
 	"repro/internal/sim"
 	"repro/internal/spec"
-	"repro/internal/specscan"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -39,8 +35,8 @@ func integrationRepo(t *testing.T) *pkggraph.Repo {
 
 // TestEndToEndSiteLifecycle drives the full pipeline:
 //
-//	repo file -> spec scan -> HTTP service -> shrinkwrap bundle ->
-//	batch logs -> derived specs -> trace replay.
+//	repo file -> job spec -> HTTP service -> shrinkwrap bundle ->
+//	trace replay.
 func TestEndToEndSiteLifecycle(t *testing.T) {
 	dir := t.TempDir()
 
@@ -54,24 +50,16 @@ func TestEndToEndSiteLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 2. Derive a job spec from an analysis project via specscan.
-	project := filepath.Join(dir, "analysis")
-	os.MkdirAll(project, 0o755)
-	os.WriteFile(filepath.Join(project, "driver.py"), []byte("import numpy\nimport uproot\n"), 0o644)
-	tokens, err := specscan.ScanDir(project)
+	// 2. A job spec names two library packages by key; like the
+	// wrapper, close it over their dependencies.
+	named, err := spec.ParseString(repo.Package(repo.FamilyVersions("library-0004")[3]).Key()+"\n"+
+		repo.Package(repo.FamilyVersions("library-0007")[3]).Key()+"\n", repo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapping := specscan.Mapping{
-		"numpy":  repo.Package(repo.FamilyVersions("library-0004")[3]).Key(),
-		"uproot": repo.Package(repo.FamilyVersions("library-0007")[3]).Key(),
-	}
-	jobSpec, missing, err := specscan.Resolve(tokens, mapping, repo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(missing) != 0 {
-		t.Fatalf("unresolved: %v", missing)
+	jobSpec := spec.WithClosure(repo, named.IDs())
+	if jobSpec.Len() <= named.Len() {
+		t.Fatalf("closure of %d packages added nothing", named.Len())
 	}
 
 	// 3. Run the site service over HTTP and submit through the client.
@@ -116,26 +104,7 @@ func TestEndToEndSiteLifecycle(t *testing.T) {
 		t.Fatalf("bundle round trip: %d vs %d bytes", got.Bytes, man.Bytes)
 	}
 
-	// 5. Run a batch generation whose logs seed the next generation.
-	mgr := core.MustNewManager(repo, core.Config{Alpha: 0.8, MinHash: core.DefaultMinHash()})
-	sys, err := batch.NewSystem(repo, mgr, filepath.Join(dir, "logs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Submit(batch.Job{Name: "analysis-v1", Spec: jobSpec})
-	recs, err := sys.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	derived, err := batch.DeriveSpec(recs[0].LogPath, repo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !derived.Equal(jobSpec) {
-		t.Fatal("log-derived spec differs from the submitted one")
-	}
-
-	// 6. Record a trace of a workload stream and replay it twice:
+	// 5. Record a trace of a workload stream and replay it twice:
 	// identical decisions both times.
 	stream, err := workload.Stream(workload.NewDepClosure(repo, 9), 15, 2, 4)
 	if err != nil {

@@ -27,7 +27,7 @@ import (
 // touches only images sharing at least one MinHash position. Candidates
 // are then ordered by each image's insertion ordinal (Image.ord), which
 // reproduces a linear scan's iteration order exactly — including after
-// ImportState/Restore re-sort the image slice by last use — so the
+// ImportState re-sorts the image slice by last use — so the
 // stable distance sort breaks ties the way the plain procedure would.
 //
 // There is no second copy of the procedure in this package to compare
@@ -111,8 +111,8 @@ func (m *Manager) appendImage(img *Image) {
 }
 
 // reorderOrds reassigns insertion ordinals to match the current image
-// slice order. ImportState and Restore call it after re-sorting the
-// slice by last use: scan order changed, so the ordinals must follow.
+// slice order. ImportState calls it after re-sorting the slice by
+// last use: scan order changed, so the ordinals must follow.
 func (m *Manager) reorderOrds() {
 	for i, img := range m.images {
 		img.ord = uint64(i)

@@ -9,10 +9,11 @@ import (
 
 // TestOrdSurvivesSnapshotRoundTrip pins the insertion-ordinal
 // bookkeeping the merge scan's band enumeration depends on for
-// stable-sort tie-breaking: after ImportState (and Restore), the
-// ordinals must be strictly increasing in image order — CheckIntegrity
-// enforces this — and the imported manager must keep answering
-// identically to the donor.
+// stable-sort tie-breaking: after ImportState — of a whole checkpoint
+// or of the image list alone, as /v1/restore takes it — the ordinals
+// must be strictly increasing in image order (CheckIntegrity enforces
+// this), and the imported manager must keep answering identically to
+// the donor.
 func TestOrdSurvivesSnapshotRoundTrip(t *testing.T) {
 	repo := concRepo(t)
 	cfg := Config{Alpha: 0.6, Capacity: repo.TotalSize() / 3, MinHash: DefaultMinHash()}
@@ -30,11 +31,11 @@ func TestOrdSurvivesSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("after ImportState: %v", err)
 	}
 	restored := mgr(t, repo, cfg)
-	if err := restored.Restore(m.Snapshot()); err != nil {
-		t.Fatalf("Restore: %v", err)
+	if err := restored.ImportState(ManagerState{Images: m.ExportState().Images}); err != nil {
+		t.Fatalf("ImportState of the image list: %v", err)
 	}
 	if err := restored.CheckIntegrity(); err != nil {
-		t.Fatalf("after Restore: %v", err)
+		t.Fatalf("after ImportState of the image list: %v", err)
 	}
 
 	// The donor and the imported copy must stay in lockstep on fresh

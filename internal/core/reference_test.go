@@ -122,9 +122,9 @@ func TestBandIndexIdenticalSelection(t *testing.T) {
 }
 
 // TestBandIndexSurvivesImportRestore pins index maintenance on the
-// bulk-load paths: a manager rebuilt via ImportState must keep making
-// the oracle's decisions afterwards, and one rebuilt via Restore must
-// pass the integrity audit and serve.
+// bulk-load path: a manager rebuilt via ImportState, from a whole
+// checkpoint or from its image list alone (what /v1/restore takes),
+// must keep making the oracle's decisions afterwards.
 func TestBandIndexSurvivesImportRestore(t *testing.T) {
 	repo := refRepo(77)
 	cfg := core.Config{Alpha: 0.6, MinHash: core.DefaultMinHash(), Capacity: repo.TotalSize() / 4}
@@ -144,7 +144,7 @@ func TestBandIndexSurvivesImportRestore(t *testing.T) {
 	underOracle(t, check.NewOracle(imported, 333), 300, gen.Next)
 
 	restored := core.MustNewManager(repo, cfg)
-	if err := restored.Restore(st.Images); err != nil {
+	if err := restored.ImportState(core.ManagerState{Images: st.Images}); err != nil {
 		t.Fatal(err)
 	}
 	underOracle(t, check.NewOracle(restored, 333), 100, gen.Next)

@@ -510,44 +510,11 @@ func (sm *ShardedManager) ExportState() ManagerState {
 	return st
 }
 
-// ImportState loads a merged checkpoint into an empty sharded manager:
-// each image goes to the shard its ID names (ID mod N), so identities,
-// versions, and LRU stamps survive exactly. Works for checkpoints
-// written by any shard count, including legacy unsharded ones.
+// ImportState loads a merged checkpoint into an empty sharded manager
+// (see ImportMerged). Only for use before the manager serves traffic;
+// a serving cache imports under WithExclusiveAll.
 func (sm *ShardedManager) ImportState(st ManagerState) error {
-	n := len(sm.shards)
-	parts := make([][]ImageSnapshot, n)
-	for _, snap := range st.Images {
-		i := int(snap.ID % uint64(n))
-		parts[i] = append(parts[i], snap)
-	}
-	maxClock := st.Clock
-	for _, snap := range st.Images {
-		if snap.LastUse > maxClock {
-			maxClock = snap.LastUse
-		}
-	}
-	for i, sh := range sm.shards {
-		sub := ManagerState{
-			Images: parts[i],
-			NextID: st.NextID,
-			Clock:  st.Clock,
-		}
-		// The merged stats land whole on shard 0 (summing per-shard
-		// stats reproduces them; splitting per shard is unknowable from
-		// a merged checkpoint, and "ops partition requests" holds for
-		// both the zero and the whole).
-		if i == 0 {
-			sub.Stats = st.Stats
-		}
-		if err := sh.m.ImportState(sub); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	if maxClock > sm.clockSrc.Load() {
-		sm.clockSrc.Store(maxClock)
-	}
-	return nil
+	return ImportMerged(sm.managers(), st)
 }
 
 // ApplyMutation replays one logged mutation during recovery, routed to
@@ -599,43 +566,6 @@ func (sm *ShardedManager) settle() error {
 			err = serr
 		}
 	}
-	return err
-}
-
-// Restore loads a legacy snapshot into an empty sharded cache: images
-// are routed by their package keys (the same pure route a fresh insert
-// of that spec would take) and re-IDed within each shard's residue
-// class. See Manager.Restore.
-func (sm *ShardedManager) Restore(snaps []ImageSnapshot) error {
-	return sm.RestoreThen(snaps, nil)
-}
-
-// RestoreThen is Restore with a continuation: on success, fn (if
-// non-nil) runs while every shard is still held exclusively — the
-// critical section a restore-then-checkpoint sequence needs so no
-// mutation can slip between the state rewrite and the log rotation.
-// fn must not retain ms or its elements.
-func (sm *ShardedManager) RestoreThen(snaps []ImageSnapshot, fn func(ms []*Manager)) error {
-	var err error
-	sm.WithExclusiveAll(func(ms []*Manager) {
-		if err = RestoreAll(ms, snaps); err != nil {
-			return
-		}
-		// Advance the shared clock source past the restored stamps —
-		// Restore bumps the per-shard clocks without drawing from it.
-		var max uint64
-		for _, m := range ms {
-			if m.clock > max {
-				max = m.clock
-			}
-		}
-		if max > sm.clockSrc.Load() {
-			sm.clockSrc.Store(max)
-		}
-		if fn != nil {
-			fn(ms)
-		}
-	})
 	return err
 }
 
@@ -751,20 +681,34 @@ func UnionData(ms []*Manager) int64 {
 	return u.Size(repo)
 }
 
-// RestoreAll loads a legacy snapshot into empty shard managers,
-// routing each image by the pure shard route of its package keys.
-// Callers must hold the shards exclusively.
-func RestoreAll(ms []*Manager, snaps []ImageSnapshot) error {
-	n := len(ms)
+// ImportMerged loads a merged state (MergedState's shape) into empty
+// shard managers: each image goes to the shard its ID names (ID mod
+// N), so identities, versions, and LRU stamps survive exactly, whatever
+// shard count wrote the state. The merged stats land whole on shard 0
+// (summing per-shard stats reproduces them; splitting per shard is
+// unknowable from a merged state, and "ops partition requests" holds
+// for both the zero and the whole). All or nothing: every shard is
+// checked and every image resolved before the first goes in. Callers
+// must hold the shards exclusively.
+func ImportMerged(ms []*Manager, st ManagerState) error {
+	n := uint64(len(ms))
 	parts := make([][]ImageSnapshot, n)
-	for _, snap := range snaps {
-		i := ShardRoute(snap.Packages, n)
-		parts[i] = append(parts[i], snap)
+	for _, snap := range st.Images {
+		parts[snap.ID%n] = append(parts[snap.ID%n], snap)
 	}
+	imgs := make([][]*Image, n)
 	for i, m := range ms {
-		if err := m.Restore(parts[i]); err != nil {
+		var err error
+		if imgs[i], err = m.importImages(parts[i]); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
+	}
+	for i, m := range ms {
+		sub := ManagerState{NextID: st.NextID, Clock: st.Clock}
+		if i == 0 {
+			sub.Stats = st.Stats
+		}
+		m.install(imgs[i], sub)
 	}
 	return nil
 }

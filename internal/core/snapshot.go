@@ -10,11 +10,11 @@ import (
 
 // ImageSnapshot is the serializable state of one cached image, used by
 // the persistence layer (internal/persist) and the HTTP
-// snapshot/restore endpoints to carry the cache across restarts.
+// snapshot/restore routes to carry the cache across restarts.
 type ImageSnapshot struct {
-	// ID is the image's identity. Restore ignores it (legacy snapshots
-	// predate it); ImportState preserves it so a recovered cache hands
-	// out the same (ImageID, Version) pairs workers already hold.
+	// ID is the image's identity. ImportState preserves it, so a
+	// recovered or restored cache hands out the same (ImageID, Version)
+	// pairs workers already hold, and ID mod N names the image's shard.
 	ID uint64 `json:"id"`
 	// Packages are the image's package keys (name/version/platform),
 	// portable across repository reloads.
@@ -41,8 +41,9 @@ type ManagerState struct {
 	Stats  Stats  `json:"stats"`
 }
 
-// Snapshot captures every cached image in insertion order.
-func (m *Manager) Snapshot() []ImageSnapshot {
+// ExportState captures the manager's full state for checkpointing:
+// every image in last-use order, and the counters.
+func (m *Manager) ExportState() ManagerState {
 	snaps := make([]ImageSnapshot, 0, len(m.byID))
 	for _, img := range m.images {
 		if img == nil {
@@ -56,12 +57,6 @@ func (m *Manager) Snapshot() []ImageSnapshot {
 			Version:  img.Version,
 		})
 	}
-	return snaps
-}
-
-// ExportState captures the manager's full state for checkpointing.
-func (m *Manager) ExportState() ManagerState {
-	snaps := m.Snapshot()
 	sort.SliceStable(snaps, func(a, b int) bool { return snaps[a].LastUse < snaps[b].LastUse })
 	return ManagerState{
 		Images: snaps,
@@ -74,29 +69,46 @@ func (m *Manager) ExportState() ManagerState {
 // ImportState loads a checkpoint into an empty Manager, reconstructing
 // images (with their original IDs and versions), sizes, signatures,
 // counters, and the LRU clock. Importing into a non-empty Manager is
-// an error. A state larger than the manager's capacity is accepted:
-// the LRU evictor brings the cache back under budget on the next
-// request, which is the right behaviour when a site shrinks its
-// configured capacity across a restart.
+// an error (it would interleave two cache histories), and so is a
+// state that names an unknown package, holds an empty image or gives
+// two images one ID; a refused state changes nothing. A state larger
+// than the manager's capacity is accepted: the LRU evictor brings the
+// cache back under budget on the next request, which is the right
+// behaviour when a site shrinks its configured capacity across a
+// restart.
 func (m *Manager) ImportState(st ManagerState) error {
-	if len(m.byID) != 0 {
-		return fmt.Errorf("core: ImportState into non-empty manager (%d images)", len(m.byID))
+	imgs, err := m.importImages(st.Images)
+	if err != nil {
+		return err
 	}
-	var maxClock, maxID uint64
+	m.install(imgs, st)
+	return nil
+}
+
+// importImages resolves and checks the images of a state imported into
+// m, changing nothing: m must be empty, and each image must name only
+// known packages, at least one, under an ID no other image carries.
+func (m *Manager) importImages(snaps []ImageSnapshot) ([]*Image, error) {
+	if len(m.byID) != 0 {
+		return nil, fmt.Errorf("core: ImportState into non-empty manager (%d images)", len(m.byID))
+	}
+	imgs := make([]*Image, len(snaps))
+	seen := make(map[uint64]bool, len(snaps))
 	var ids []pkggraph.PkgID
-	for i, snap := range st.Images {
+	for i, snap := range snaps {
 		var err error
 		if ids, err = resolveKeys(m.repo, ids[:0], snap.Packages); err != nil {
-			return fmt.Errorf("core: checkpoint image %d: %w", i, err)
+			return nil, fmt.Errorf("core: image %d: %w", snap.ID, err)
 		}
 		s := spec.New(ids)
 		if s.Empty() {
-			return fmt.Errorf("core: checkpoint image %d is empty", i)
+			return nil, fmt.Errorf("core: image %d is empty", snap.ID)
 		}
-		if _, dup := m.byID[snap.ID]; dup {
-			return fmt.Errorf("core: checkpoint image %d duplicates ID %d", i, snap.ID)
+		if seen[snap.ID] {
+			return nil, fmt.Errorf("core: two images have ID %d", snap.ID)
 		}
-		img := &Image{
+		seen[snap.ID] = true
+		imgs[i] = &Image{
 			ID:      snap.ID,
 			Spec:    s,
 			Size:    s.Size(m.repo),
@@ -105,78 +117,33 @@ func (m *Manager) ImportState(st ManagerState) error {
 			lastUse: snap.LastUse,
 			sig:     m.sign(s),
 		}
-		m.appendImage(img)
-		m.refreshBits(img)
-		m.indexInsert(img)
-		m.total += img.Size
-		if snap.LastUse > maxClock {
-			maxClock = snap.LastUse
-		}
-		if snap.ID > maxID {
-			maxID = snap.ID
-		}
 	}
-	sort.SliceStable(m.images, func(a, b int) bool { return m.images[a].lastUse < m.images[b].lastUse })
-	m.reorderOrds()
-	m.clock = maxClock
-	if st.Clock > m.clock {
-		m.clock = st.Clock
-	}
-	m.nextID = maxID + 1
-	if len(st.Images) == 0 {
-		m.nextID = 0
-	}
-	if st.NextID > m.nextID {
-		m.nextID = st.NextID
-	}
-	m.alignNextID()
-	m.stats = st.Stats
-	return nil
+	return imgs, nil
 }
 
-// Restore loads a snapshot into an empty Manager, reconstructing
-// images, sizes, signatures and the LRU clock. Image IDs are
-// reassigned in snapshot order (legacy format; use ImportState to
-// preserve identities). Restoring into a non-empty Manager is an error
-// (it would silently interleave two cache histories). A snapshot
-// larger than the configured capacity restores successfully; the LRU
-// evictor trims the overflow on the next request.
-func (m *Manager) Restore(snaps []ImageSnapshot) error {
-	if len(m.byID) != 0 {
-		return fmt.Errorf("core: Restore into non-empty manager (%d images)", len(m.byID))
-	}
-	var maxClock uint64
-	var ids []pkggraph.PkgID
-	for i, snap := range snaps {
-		var err error
-		if ids, err = resolveKeys(m.repo, ids[:0], snap.Packages); err != nil {
-			return fmt.Errorf("core: snapshot image %d: %w", i, err)
-		}
-		s := spec.New(ids)
-		if s.Empty() {
-			return fmt.Errorf("core: snapshot image %d is empty", i)
-		}
-		img := &Image{
-			ID:      m.nextID,
-			Spec:    s,
-			Size:    s.Size(m.repo),
-			Merges:  snap.Merges,
-			lastUse: snap.LastUse,
-			sig:     m.sign(s),
-		}
-		m.nextID += m.stride()
+// install adds the images importImages checked and takes st's stats.
+// Image IDs continue past the largest imported one and st.NextID, the
+// clock past the newest stamp and st.Clock, and a shard's shared clock
+// source past its clock; neither moves back.
+func (m *Manager) install(imgs []*Image, st ManagerState) {
+	nextID := max(m.nextID, st.NextID)
+	m.clock = max(m.clock, st.Clock)
+	for _, img := range imgs {
 		m.appendImage(img)
 		m.refreshBits(img)
 		m.indexInsert(img)
 		m.total += img.Size
-		if snap.LastUse > maxClock {
-			maxClock = snap.LastUse
-		}
+		m.clock = max(m.clock, img.lastUse)
+		nextID = max(nextID, img.ID+1)
 	}
-	// Keep insertion order stable by last use so LRU ties resolve the
+	// Keep the image slice in last-use order so LRU ties resolve the
 	// same way across save/load cycles.
 	sort.SliceStable(m.images, func(a, b int) bool { return m.images[a].lastUse < m.images[b].lastUse })
 	m.reorderOrds()
-	m.clock = maxClock
-	return nil
+	m.nextID = nextID
+	m.alignNextID()
+	m.stats = st.Stats
+	if m.clockSrc != nil && m.clock > m.clockSrc.Load() {
+		m.clockSrc.Store(m.clock)
+	}
 }

@@ -2,7 +2,10 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/pkggraph"
 )
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
@@ -11,14 +14,15 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	request(t, m, sp(1, 2, 3))
 	request(t, m, sp(1, 2, 4)) // merge
 	request(t, m, sp(10, 11))  // insert
-	snaps := m.Snapshot()
+	snaps := m.ExportState().Images
 	if len(snaps) != 2 {
 		t.Fatalf("snapshot has %d images, want 2", len(snaps))
 	}
 
+	// The image list alone, as /v1/snapshot serves it.
 	m2 := mgr(t, repo, Config{Alpha: 0.6})
-	if err := m2.Restore(snaps); err != nil {
-		t.Fatalf("Restore: %v", err)
+	if err := m2.ImportState(ManagerState{Images: snaps}); err != nil {
+		t.Fatalf("ImportState: %v", err)
 	}
 	if m2.Len() != m.Len() || m2.TotalData() != m.TotalData() || m2.UniqueData() != m.UniqueData() {
 		t.Fatalf("restored state differs: %d/%d vs %d/%d",
@@ -40,7 +44,7 @@ func TestRestorePreservesLRUOrder(t *testing.T) {
 	request(t, m, sp(1)) // 2 is now LRU
 
 	m2 := mgr(t, repo, Config{Alpha: 0, Capacity: 250})
-	if err := m2.Restore(m.Snapshot()); err != nil {
+	if err := m2.ImportState(ManagerState{Images: m.ExportState().Images}); err != nil {
 		t.Fatal(err)
 	}
 	// Inserting a third image must evict {2}, as it would in m.
@@ -50,32 +54,6 @@ func TestRestorePreservesLRUOrder(t *testing.T) {
 	}
 	if r := request(t, m2, sp(2)); r.Op != OpInsert {
 		t.Fatal("restored LRU kept the stale image")
-	}
-}
-
-func TestRestoreIntoNonEmptyFails(t *testing.T) {
-	repo := flatRepo(t, 5, 1)
-	m := mgr(t, repo, Config{Alpha: 0})
-	request(t, m, sp(1))
-	if err := m.Restore(nil); err == nil {
-		t.Fatal("Restore into non-empty manager accepted")
-	}
-}
-
-func TestRestoreRejectsUnknownPackage(t *testing.T) {
-	repo := flatRepo(t, 5, 1)
-	m := mgr(t, repo, Config{Alpha: 0})
-	err := m.Restore([]ImageSnapshot{{Packages: []string{"ghost/1/p"}, LastUse: 1}})
-	if err == nil {
-		t.Fatal("unknown package accepted")
-	}
-}
-
-func TestRestoreRejectsEmptyImage(t *testing.T) {
-	repo := flatRepo(t, 5, 1)
-	m := mgr(t, repo, Config{Alpha: 0})
-	if err := m.Restore([]ImageSnapshot{{LastUse: 1}}); err == nil {
-		t.Fatal("empty snapshot image accepted")
 	}
 }
 
@@ -90,8 +68,8 @@ func TestRestoreCapacityOverflow(t *testing.T) {
 	request(t, big, sp(3))
 
 	small := mgr(t, repo, Config{Alpha: 0, Capacity: 250})
-	if err := small.Restore(big.Snapshot()); err != nil {
-		t.Fatalf("over-capacity Restore: %v", err)
+	if err := small.ImportState(big.ExportState()); err != nil {
+		t.Fatalf("over-capacity ImportState: %v", err)
 	}
 	if small.Len() != 3 || small.TotalData() != 300 {
 		t.Fatalf("restore trimmed the snapshot early: %d images, %d bytes", small.Len(), small.TotalData())
@@ -110,8 +88,8 @@ func TestRestoreCapacityOverflow(t *testing.T) {
 }
 
 // TestSnapshotPruneSnapshotRoundTrip: prune a manager mid-life, carry
-// its snapshot through Restore, and verify the split survives the trip
-// and both managers stay behaviourally identical.
+// its state through ImportState, and verify the split survives the trip
+// exactly.
 func TestSnapshotPruneSnapshotRoundTrip(t *testing.T) {
 	repo := flatRepo(t, 20, 10)
 	m := mgr(t, repo, Config{Alpha: 0.5})
@@ -129,25 +107,13 @@ func TestSnapshotPruneSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("expected 1 split, got %+v", splits)
 	}
 
-	snaps := m.Snapshot()
+	st := m.ExportState()
 	m2 := mgr(t, repo, Config{Alpha: 0.5})
-	if err := m2.Restore(snaps); err != nil {
-		t.Fatalf("Restore: %v", err)
+	if err := m2.ImportState(st); err != nil {
+		t.Fatalf("ImportState: %v", err)
 	}
-	if m2.TotalData() != m.TotalData() || m2.Len() != m.Len() {
-		t.Fatalf("pruned state lost in round trip: %d/%d vs %d/%d",
-			m2.Len(), m2.TotalData(), m.Len(), m.TotalData())
-	}
-	// The snapshot of the restored manager must match modulo the IDs
-	// Restore reassigns.
-	again := m2.Snapshot()
-	for i := range snaps {
-		a, b := snaps[i], again[i]
-		a.ID, b.ID = 0, 0
-		a.Version, b.Version = 0, 0 // Restore resets content versions
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("snapshot %d changed in round trip:\n before %+v\n after  %+v", i, snaps[i], again[i])
-		}
+	if got := m2.ExportState(); !reflect.DeepEqual(got, st) {
+		t.Fatalf("pruned state changed in round trip:\n got %+v\nwant %+v", got, st)
 	}
 	if err := m2.CheckIntegrity(); err != nil {
 		t.Fatal(err)
@@ -186,31 +152,56 @@ func TestImportStateRoundTrip(t *testing.T) {
 	}
 }
 
+func TestRestoreIntoNonEmptyFails(t *testing.T) {
+	repo := flatRepo(t, 5, 1)
+	m := mgr(t, repo, Config{Alpha: 0})
+	request(t, m, sp(1))
+	if err := m.ImportState(ManagerState{}); err == nil {
+		t.Fatal("ImportState into non-empty manager accepted")
+	}
+}
+
+// rejectImages imports an image list into an empty manager and checks
+// that it is refused with an error containing want, leaving the manager
+// as empty as it was.
+func rejectImages(t *testing.T, repo *pkggraph.Repo, imgs []ImageSnapshot, want string) {
+	t.Helper()
+	m := mgr(t, repo, Config{})
+	empty := m.ExportState()
+	if err := m.ImportState(ManagerState{Images: imgs}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("error %v, want one containing %q", err, want)
+	}
+	if got := m.ExportState(); !reflect.DeepEqual(got, empty) {
+		t.Errorf("refused import left %+v", got)
+	}
+}
+
+func TestRestoreRejectsUnknownPackage(t *testing.T) {
+	rejectImages(t, flatRepo(t, 5, 1), []ImageSnapshot{
+		{ID: 0, Packages: []string{"ghost/1/p"}, LastUse: 1}}, `image 0: core: unknown package "ghost/1/p"`)
+}
+
+func TestRestoreRejectsEmptyImage(t *testing.T) {
+	rejectImages(t, flatRepo(t, 5, 1), []ImageSnapshot{{ID: 0, LastUse: 1}}, "image 0 is empty")
+}
+
 func TestImportStateRejects(t *testing.T) {
 	repo := flatRepo(t, 5, 10)
-	occupied := mgr(t, repo, Config{})
-	request(t, occupied, sp(1))
-	if err := occupied.ImportState(ManagerState{}); err == nil {
-		t.Error("ImportState into non-empty manager accepted")
-	}
-
+	// Each refusal names the image by its ID.
 	cases := []struct {
 		name string
 		st   ManagerState
+		want string
 	}{
-		{"unknown package", ManagerState{Images: []ImageSnapshot{
-			{ID: 0, Packages: []string{"ghost/1/p"}, LastUse: 1}}}},
-		{"empty image", ManagerState{Images: []ImageSnapshot{
-			{ID: 0, LastUse: 1}}}},
 		{"duplicate ID", ManagerState{Images: []ImageSnapshot{
 			{ID: 7, Packages: []string{key(repo, 1)}, LastUse: 1},
-			{ID: 7, Packages: []string{key(repo, 2)}, LastUse: 2}}}},
+			{ID: 7, Packages: []string{key(repo, 2)}, LastUse: 2}}}, "two images have ID 7"},
+		{"unknown package after a good image", ManagerState{Images: []ImageSnapshot{
+			{ID: 0, Packages: []string{key(repo, 1)}, LastUse: 1},
+			{ID: 5, Packages: []string{"ghost/1/p"}, LastUse: 2}}}, "image 5: "},
 	}
 	for _, tc := range cases {
-		m := mgr(t, repo, Config{})
-		if err := m.ImportState(tc.st); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
+		t.Run(tc.name, func(t *testing.T) { rejectImages(t, repo, tc.st.Images, tc.want) })
 	}
 }
 
@@ -220,10 +211,10 @@ func TestSnapshotWithMinHashRestores(t *testing.T) {
 	m := mgr(t, repo, cfg)
 	request(t, m, sp(1, 2, 3))
 	m2 := mgr(t, repo, cfg)
-	if err := m2.Restore(m.Snapshot()); err != nil {
+	if err := m2.ImportState(m.ExportState()); err != nil {
 		t.Fatal(err)
 	}
-	// Signature-dependent paths must still work after restore.
+	// Signature-dependent paths must still work after the import.
 	if r := request(t, m2, sp(1, 2)); r.Op != OpHit {
 		t.Fatalf("subset hit failed after minhash restore: %v", r.Op)
 	}

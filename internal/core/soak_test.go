@@ -44,10 +44,9 @@ func TestSoakInvariants(t *testing.T) {
 				}
 			case step%151 == 150:
 				// Snapshot/restore round trip mid-run.
-				snaps := m.Snapshot()
 				m2 := mgr(t, repo, cfg)
-				if err := m2.Restore(snaps); err != nil {
-					t.Fatalf("config %d step %d: Restore: %v", ci, step, err)
+				if err := m2.ImportState(m.ExportState()); err != nil {
+					t.Fatalf("config %d step %d: ImportState: %v", ci, step, err)
 				}
 				if err := m2.CheckIntegrity(); err != nil {
 					t.Fatalf("config %d step %d: restored manager: %v", ci, step, err)

@@ -426,9 +426,9 @@ func (s *Server) Handler() http.Handler {
 }
 
 // handleSnapshot returns the cache's images for external persistence,
-// so a site can survive daemon restarts (the HTTP face of
-// core.Snapshot/Restore used by the cmd/landlord wrapper): the merged
+// so a site can carry its cache across daemon restarts: the merged
 // state's image list, in last-use order, read under the shared locks.
+// /v1/restore takes this body back.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
@@ -437,9 +437,12 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.cmgr.ExportState().Images)
 }
 
-// handleRestore loads a previously saved snapshot. Like core.Restore
-// it only applies to an empty cache: restoring over live images would
-// interleave two cache histories.
+// handleRestore loads what /v1/snapshot served into an empty cache,
+// image IDs, versions and shard placement (ID mod N) included, as
+// recovery imports a checkpoint; the cache's counters carry on.
+// Restoring over live images would interleave two cache histories;
+// that, and a body with an unknown package, an empty image or two
+// images under one ID, is a 409 that changes nothing.
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
@@ -450,13 +453,14 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding snapshot: %v", err)
 		return
 	}
-	// Restore is not WAL-logged (it rewrites the whole state), so
+	// A restore is not WAL-logged (it rewrites the whole state), so
 	// checkpoint immediately — still inside the restore's all-shard
 	// critical section — to close the durability hole. Checkpoint
 	// failure is tolerable: the in-memory restore succeeded, and
 	// recovery skips WAL records that reference the missing images.
-	err := s.cmgr.RestoreThen(snaps, func(ms []*core.Manager) {
-		if s.store != nil {
+	var err error
+	s.cmgr.WithExclusiveAll(func(ms []*core.Manager) {
+		if err = core.ImportMerged(ms, core.ManagerState{Images: snaps, Stats: core.MergedStats(ms)}); err == nil && s.store != nil {
 			s.checkpointAll(ms)
 		}
 	})

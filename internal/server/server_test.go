@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -224,33 +226,108 @@ func TestClientAgainstDeadServer(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoreOverHTTP: /v1/restore takes back what
+// /v1/snapshot served, byte for byte — image IDs, versions and shard
+// placement included — and refuses a body it cannot take whole with a
+// 409 that leaves /v1/snapshot and /v1/stats as they were.
 func TestSnapshotRestoreOverHTTP(t *testing.T) {
-	_, client := testService(t, core.Config{Alpha: 0.6})
-	client.Request([]string{"libA/1.0/p"}, true)
-	client.Request([]string{"libB/1.0/p"}, true)
-	snaps, err := client.Snapshot()
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := core.Config{Alpha: 0.6, Shards: shards}
+			// libB, then a merge of libA into its image (version 1);
+			// with two shards libA alone then lands on shard 1 (ID 1).
+			donor, client := testService(t, cfg)
+			for _, keys := range [][]string{{"libB/1.0/p"}, {"libA/1.0/p", "libB/1.0/p"}, {"libA/1.0/p"}} {
+				if _, err := client.Request(keys, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap := httpGet(t, donor.URL+"/v1/snapshot")
+			var snaps []core.ImageSnapshot
+			if err := json.Unmarshal([]byte(snap), &snaps); err != nil {
+				t.Fatal(err)
+			}
+			if len(snaps) != shards || snaps[0].ID != 0 || snaps[0].Version != 1 {
+				t.Fatalf("donor snapshot %s: want %d image(s), the first ID 0 at version 1", snap, shards)
+			}
+
+			fresh, freshClient := testService(t, cfg)
+			if code := httpPost(t, fresh.URL+"/v1/restore", snap); code != http.StatusOK {
+				t.Fatalf("restore status %d", code)
+			}
+			if got := httpGet(t, fresh.URL+"/v1/snapshot"); got != snap {
+				t.Errorf("snapshot after restore:\n got %s\nwant %s", got, snap)
+			}
+			res, err := freshClient.Request([]string{"libA/1.0/p", "libB/1.0/p"}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Op != "hit" || res.ImageID != 0 || res.ImageVersion != 1 {
+				t.Errorf("restored service answered %+v, want a hit on image 0 at version 1", res)
+			}
+
+			good, err := json.Marshal(snaps[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			refused := []struct {
+				name string
+				keys []string // requested on the target first
+				body string
+			}{
+				{"over a live cache", []string{"libB/1.0/p"}, snap},
+				// libA's closure lives on the last shard, so every
+				// shard before it is empty.
+				{"last shard occupied", []string{"libA/1.0/p"}, snap},
+				{"unknown key in the second image", nil,
+					`[` + string(good) + `,{"id":1,"packages":["ghost/1.0/p"],"last_use":9}]`},
+				{"empty second image", nil, `[` + string(good) + `,{"id":1,"last_use":9}]`},
+				{"ID-less images", nil,
+					`[{"packages":["base/1.0/p"],"last_use":1},{"packages":["fw/1.0/p"],"last_use":2}]`},
+			}
+			for _, tc := range refused {
+				target, targetClient := testService(t, cfg)
+				if tc.keys != nil {
+					if _, err := targetClient.Request(tc.keys, true); err != nil {
+						t.Fatal(err)
+					}
+				}
+				before := httpGet(t, target.URL+"/v1/snapshot") + httpGet(t, target.URL+"/v1/stats")
+				if code := httpPost(t, target.URL+"/v1/restore", tc.body); code != http.StatusConflict {
+					t.Errorf("%s: status %d, want 409", tc.name, code)
+				}
+				if after := httpGet(t, target.URL+"/v1/snapshot") + httpGet(t, target.URL+"/v1/stats"); after != before {
+					t.Errorf("%s: refused restore changed the cache:\n before %s\n after  %s", tc.name, before, after)
+				}
+			}
+		})
+	}
+}
+
+// httpGet returns the body of a 200 GET.
+func httpGet(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) != 1 { // libB merged into libA's image at alpha 0.6
-		t.Fatalf("snapshot images = %d, want 1", len(snaps))
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d, %v", url, resp.StatusCode, err)
 	}
-	// Restore into a fresh service.
-	_, fresh := testService(t, core.Config{Alpha: 0.6})
-	if err := fresh.Restore(snaps); err != nil {
-		t.Fatal(err)
-	}
-	res, err := fresh.Request([]string{"libA/1.0/p"}, true)
+	return string(body)
+}
+
+// httpPost posts body and returns the status code.
+func httpPost(t *testing.T, url, body string) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Op != "hit" {
-		t.Fatalf("restored service op = %s, want hit", res.Op)
-	}
-	// Restoring over a non-empty cache is rejected.
-	if err := fresh.Restore(snaps); err == nil {
-		t.Fatal("restore over live cache accepted")
-	}
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
 func TestMetricsEndpoint(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 
 // Write renders the specification as text: one package key per line, in
 // a stable (key-sorted) order, so that equal specs serialize
-// identically. This is the format cmd/landlord and cmd/specgen exchange.
+// identically. This is the format cmd/landlord reads with -spec.
 func (s Spec) Write(w io.Writer, repo *pkggraph.Repo) error {
 	keys := make([]string, 0, len(s.ids))
 	for _, id := range s.ids {
