@@ -51,7 +51,8 @@ bench:
 # buffers (8 at most) but nothing per record. Replaying the closure
 # mix's merge-heavy MinHash tail (2,000 requests after a checkpoint) as
 # one pass, through the reader recovery builds, stays at its reading of
-# 1,656 allocations (1,750 at most; key strings resolved after the scan
+# 1,716 allocations (1,656 while each shard evicted under a share of the
+# capacity; 1,750 at most; key strings resolved after the scan
 # read 5,299, per-record replay 10,752): keys resolve to ids in the scan,
 # a merge is applied as a delta and each surviving image settled once,
 # so a key slice, union, signature or scratch allocated per record
@@ -129,8 +130,9 @@ fuzz:
 # every request validated by the oracle — the one reference for
 # Algorithm 1, in exact and in margin mode) and scaled-down soaks under
 # the race detector, the mutant self-test (each of the twenty-three seeded
-# bugs — six Algorithm 1 clauses, the route-fold and budget-balancing
-# mutants, the three interned-path mutants intern/popcount/lshmiss, the
+# bugs — six Algorithm 1 clauses, the route-fold mutant, the balance
+# mutant (the eviction step weighing one shard's bytes), the three
+# interned-path mutants intern/popcount/lshmiss, the
 # HA epoch-fencing mutant staleepoch, the HA promotion mutant leasetick,
 # the mirror-index mutant
 # staleindex, the request-scanner mutant reqscan, the merge-record
@@ -144,7 +146,9 @@ fuzz:
 # band candidate hid), probeskip by CheckIntegrity's re-sign with the
 # direct kernel at the first MinHash insert, route by both levels that
 # share its term table — the sharded rows' route audit and the fleet
-# stage's term audit in its first CheckIntegrity — staleepoch (by the
+# stage's term audit in its first CheckIntegrity — balance by the
+# oracle's eviction derivation across the first sharded row's shards,
+# staleepoch (by the
 # single-acking-primary audit) and leasetick (by the two-tick promotion
 # audit) within the HA-pair stage's first lease isolation, staleindex
 # within the fleet
@@ -183,7 +187,9 @@ fuzz:
 # harness's rows carry (§7), nor the batch queue and spec scanners no
 # command ran, the second cache-state loader (the re-IDing restore and
 # its sharded forms) that ImportState replaced, or the wrapper's
-# pre-checkpoint state.json reader (§6). The
+# pre-checkpoint state.json reader (§6), nor the per-shard byte budgets,
+# their balancer and its metrics, which one capacity across the shards
+# replaced (§11). The
 # watermark names match unanchored: with the
 # replica's stream headers gone no other name contains them. The second keeps the harnesses on the
 # in-memory network: no listener, no test server. The last two keep
@@ -191,8 +197,8 @@ fuzz:
 # store, recovers a server or starts a heal probe by hand, and no
 # harness builds a durable server around a store it opened itself.
 check:
-	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits|SetTracer|telemetry\.Tracer\b|newEvent|opTracer|timelineTracer|SetPaused|TransportFor|ChaosProxy|ReadHAState|repro/internal/cluster|StageClusterDispatch|cluster_dispatch|DeltaSite|landlord_site_|RunShardSim|ShardSimConfig|ShardSimReport|ShedderEnabled|replaySig|haRecord|haCheckpoint|haLogRing|HAState|RecoveredState|MirrorNext|StreamNext|haNoteMember|EnableReplication|NewStreamer|persist\.Streamer|persist\.Follower|StreamCheckpoint|ErrStreamGap|SetTap\(|/ha/v1/|RunHAChaos|HAChaosConfig|HAChaosDefault|HAChaosReport|MasterKillEvery|RunNetChaos|NetChaosConfig|NetChaosDefault|NetChaosReport|RunTraceSim|TraceSimConfig|TraceSimDefault|TraceSimReport|repro/internal/batch|repro/internal/specscan|RestoreAll|RestoreThen|legacyStateName' --include='*.go' --exclude-dir=.bench_build . \
-		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, §10 for the route dictionary, §9 for the event hook, §7 for the harness seams, the site model, the simulation driver and the fleet harness's folded predecessors, §6 for the node assembly, the replay pass and the one cache-state loader, §13 for the HA log the lease replaced and the WAL read replica the recovery audit replaced)"; exit 1; }
+	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits|SetTracer|telemetry\.Tracer\b|newEvent|opTracer|timelineTracer|SetPaused|TransportFor|ChaosProxy|ReadHAState|repro/internal/cluster|StageClusterDispatch|cluster_dispatch|DeltaSite|landlord_site_|RunShardSim|ShardSimConfig|ShardSimReport|ShedderEnabled|replaySig|haRecord|haCheckpoint|haLogRing|HAState|RecoveredState|MirrorNext|StreamNext|haNoteMember|EnableReplication|NewStreamer|persist\.Streamer|persist\.Follower|StreamCheckpoint|ErrStreamGap|SetTap\(|/ha/v1/|RunHAChaos|HAChaosConfig|HAChaosDefault|HAChaosReport|MasterKillEvery|RunNetChaos|NetChaosConfig|NetChaosDefault|NetChaosReport|RunTraceSim|TraceSimConfig|TraceSimDefault|TraceSimReport|repro/internal/batch|repro/internal/specscan|RestoreAll|RestoreThen|legacyStateName|SplitBudget|BalancerStats|SetBudgets|RebalanceEvery|ShrinkToCapacity|landlord_cache_rebalance|landlord_cache_shard_budget' --include='*.go' --exclude-dir=.bench_build . \
+		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, §10 for the route dictionary, §9 for the event hook, §7 for the harness seams, the site model, the simulation driver and the fleet harness's folded predecessors, §6 for the node assembly, the replay pass and the one cache-state loader, §11 for the one capacity across shards, §13 for the HA log the lease replaced and the WAL read replica the recovery audit replaced)"; exit 1; }
 	@! grep -nE 'net\.Listen|httptest\.' $$(ls internal/check/*.go | grep -v '_test\.go$$') \
 		|| { echo "check: a harness in internal/check opens a socket; run it on the in-memory network (DESIGN.md §7)"; exit 1; }
 	@! grep -nE 'persist\.Open\(|NewPersistent\(|StartDegradedProbe\(' $$(find cmd -name '*.go' ! -name '*_test.go') \
@@ -281,6 +287,7 @@ experiments:
 	bin/landlord-sim dedup -unique 150 | tee results/dedup.txt
 	bin/landlord-sim latency -reps 5   | tee results/latency.txt
 	bin/landlord-sim zone -reps 5      | tee results/zone.txt
+	bin/landlord-sim zone-shards -reps 5 | tee results/zone_sharded.txt
 	bin/landlord-sim campaign          | tee results/campaign.txt
 
 clean:

@@ -8,11 +8,11 @@
 //
 // sim runs the canonical deterministic suite under one seed: the
 // in-memory simulations of the serving cache, one-shard rows and
-// sharded rows (per-shard oracles, route and budget audits), plus the
-// persistent chaos runs with checkpoints, prune passes, injected
-// filesystem faults and crash/recovery cycles. soak hammers one cache
+// sharded rows (one oracle across the shards, route and capacity
+// audits), plus the persistent chaos runs with checkpoints, prune
+// passes, injected filesystem faults and crash/recovery cycles. soak hammers one cache
 // from many goroutines with injected persist faults (-shards > 1 soaks
-// the sharded core with audited rebalances); run the binary built with
+// the sharded core under its one capacity); run the binary built with
 // -race for full effect. fleetchaos is the serving-path harness: one
 // fault schedule, run on an in-memory network and a logical clock
 // against a plain master and against a primary + standby pair, each
@@ -136,10 +136,10 @@ func modeTag(minhash, uniform bool) string {
 }
 
 func report(cfg check.SimConfig, rep check.SimReport) {
-	fmt.Printf("sim seed=%d steps=%d shards=%d alpha=%.2f persist=%v%s: hits=%d merges=%d inserts=%d deletes=%d splits=%d rebalances=%d evicted=%d crashes=%d injected=%d state=%s\n",
+	fmt.Printf("sim seed=%d steps=%d shards=%d alpha=%.2f persist=%v%s: hits=%d merges=%d inserts=%d deletes=%d splits=%d crashes=%d injected=%d state=%s\n",
 		cfg.Seed, rep.Steps, max(cfg.Shards, 1), cfg.Alpha, cfg.Dir != "", modeTag(cfg.MinHash, cfg.UniformOnly),
 		rep.Stats.Hits, rep.Stats.Merges, rep.Stats.Inserts, rep.Stats.Deletes,
-		rep.Stats.Splits, rep.Rebalances, rep.Evicted, rep.Crashes, rep.Injected, rep.StateHash[:12])
+		rep.Stats.Splits, rep.Crashes, rep.Injected, rep.StateHash[:12])
 }
 
 func runSim(args []string) error {
@@ -155,7 +155,7 @@ func runSoak(args []string) error {
 	seed := fs.Int64("seed", 1, "soak seed")
 	requests := fs.Int("requests", 50000, "total requests across all workers")
 	workers := fs.Int("workers", 8, "concurrent request goroutines")
-	shards := fs.Int("shards", 1, "cache shards (>1 soaks the sharded core with audited rebalances)")
+	shards := fs.Int("shards", 1, "cache shards (>1 soaks the sharded core under its one capacity)")
 	fs.Parse(args)
 	return soak(*seed, *requests, *workers, *shards)
 }

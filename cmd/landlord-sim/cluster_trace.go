@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -150,7 +151,7 @@ func cmdTraceGen(repo *pkggraph.Repo, opt *options) error {
 	return nil
 }
 
-// cmdReplay replays a trace file against a fresh manager and prints
+// cmdReplay replays a trace file against a fresh cache and prints
 // the run summary — the paper's trace-driven simulation entry point.
 func cmdReplay(repo *pkggraph.Repo, opt *options) error {
 	if opt.traceFile == "" {
@@ -168,7 +169,7 @@ func cmdReplay(repo *pkggraph.Repo, opt *options) error {
 	if len(stream) == 0 {
 		return fmt.Errorf("trace %s is empty", opt.traceFile)
 	}
-	mgr, err := core.NewManager(repo, core.Config{
+	mgr, err := core.NewSharded(repo, core.Config{
 		Alpha:    opt.alpha,
 		Capacity: int64(opt.cacheX * float64(repo.TotalSize())),
 		MinHash:  core.DefaultMinHash(),
@@ -373,37 +374,98 @@ func cmdCampaign(repo *pkggraph.Repo, opt *options) error {
 	return nil
 }
 
+// zoneRatios are the cache sizes, as multiples of the repository,
+// whose operational zones zone and zone-shards map.
+var zoneRatios = []float64{1.0, 1.4, 2.0, 5.0}
+
 // cmdZone maps how the operational zone's bounds move with the
 // cache:repository ratio — the paper: "there is no general rule for
 // the placement of these limits, which depends strongly on the
 // performance characteristics of the execution environment".
 func cmdZone(repo *pkggraph.Repo, opt *options) error {
-	ratios := []float64{1.0, 1.4, 2.0, 5.0}
 	fmt.Fprintf(opt.out, "Operational zone vs cache size (cache eff >= 30%%, write amplification <= 2x)\n")
 	fmt.Fprintf(opt.out, "(%d unique jobs x%d, medians of %d runs)\n\n", opt.uniqueJobs, opt.repeats, opt.reps)
 	w := tabw(opt.out)
 	fmt.Fprintf(w, "cache\tzone\tcache eff at 0.75\tcontainer eff at 0.75\t\n")
-	for _, ratio := range ratios {
-		p := baseParams(repo, opt)
-		p.CacheBytes = int64(ratio * float64(repo.TotalSize()))
-		points, err := sweep(repo, opt, p)
+	for _, ratio := range zoneRatios {
+		points, err := zoneSweep(repo, opt, ratio, 1)
 		if err != nil {
 			return err
 		}
-		lo, hi, ok := sim.OperationalZone(points, 0.30, 2.0)
-		zone := "none"
-		if ok {
-			zone = fmt.Sprintf("[%.2f, %.2f]", lo, hi)
-		}
-		var at75 sim.SweepPoint
-		for _, pt := range points {
-			if pt.Alpha == 0.75 {
-				at75 = pt
-				break
-			}
-		}
+		zone, at75 := zoneOf(points)
 		fmt.Fprintf(w, "%.1fx\t%s\t%.1f%%\t%.1f%%\t\n",
 			ratio, zone, at75.CacheEfficiency*100, at75.ContainerEfficiency*100)
 	}
 	return w.Flush()
+}
+
+// cmdZoneShards is zone for the sharded cache the site service runs:
+// the same sweeps at 1, 2, 4, 8 and 16 shards under one capacity, and
+// the total bytes each cache ends a run holding, against that
+// capacity, at three α. The one-shard rows are zone's.
+func cmdZoneShards(repo *pkggraph.Repo, opt *options) error {
+	shardCounts := []int{1, 2, 4, 8, 16}
+	alphas := []float64{0.75, 0.90, 1.00}
+	fmt.Fprintf(opt.out, "Operational zone vs cache size and shard count (cache eff >= 30%%, write amplification <= 2x)\n")
+	fmt.Fprintf(opt.out, "(%d unique jobs x%d, medians of %d runs; one capacity across the shards)\n\n", opt.uniqueJobs, opt.repeats, opt.reps)
+	zones := tabw(opt.out)
+	fmt.Fprintf(zones, "shards\tcache\tzone\tcache eff at 0.75\tcontainer eff at 0.75\t\n")
+	var totals bytes.Buffer
+	tw := tabw(&totals)
+	fmt.Fprintf(tw, "shards\tcache\tcapacity (GB)\ttotal (GB) at 0.75\tat 0.90\tat 1.00\t\n")
+	for _, shards := range shardCounts {
+		for _, ratio := range zoneRatios {
+			points, err := zoneSweep(repo, opt, ratio, shards)
+			if err != nil {
+				return err
+			}
+			zone, at75 := zoneOf(points)
+			fmt.Fprintf(zones, "%d\t%.1fx\t%s\t%.1f%%\t%.1f%%\t\n",
+				shards, ratio, zone, at75.CacheEfficiency*100, at75.ContainerEfficiency*100)
+			fmt.Fprintf(tw, "%d\t%.1fx\t%.0f\t", shards, ratio, stats.BytesToGB(int64(ratio*float64(repo.TotalSize()))))
+			for _, a := range alphas {
+				for _, pt := range points {
+					if pt.Alpha == a {
+						fmt.Fprintf(tw, "%.0f\t", pt.TotalGB)
+					}
+				}
+			}
+			fmt.Fprintf(tw, "\n")
+		}
+	}
+	if err := zones.Flush(); err != nil {
+		return err
+	}
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	fmt.Fprintf(opt.out, "\nTotal cached data at the end of a run against the capacity (medians)\n\n")
+	_, err := opt.out.Write(totals.Bytes())
+	return err
+}
+
+// zoneSweep runs the standard α sweep on a cache of ratio times the
+// repository's size, at the given shard count.
+func zoneSweep(repo *pkggraph.Repo, opt *options, ratio float64, shards int) ([]sim.SweepPoint, error) {
+	p := baseParams(repo, opt)
+	p.CacheBytes = int64(ratio * float64(repo.TotalSize()))
+	p.Shards = shards
+	return sweep(repo, opt, p)
+}
+
+// zoneOf returns a sweep's operational zone, printed, and its point at
+// α = 0.75.
+func zoneOf(points []sim.SweepPoint) (string, sim.SweepPoint) {
+	zone := "none"
+	if lo, hi, ok := sim.OperationalZone(points, 0.30, 2.0); ok {
+		zone = fmt.Sprintf("[%.2f, %.2f]", lo, hi)
+	}
+	var at75 sim.SweepPoint
+	for _, pt := range points {
+		if pt.Alpha == 0.75 {
+			at75 = pt
+			break
+		}
+	}
+	return zone, at75
 }

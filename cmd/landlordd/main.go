@@ -367,10 +367,10 @@ func bootCache(site config.Site, repo *pkggraph.Repo, rf runFlags) (*node, error
 		}
 		// One maintenance loop. Runtime metrics (goroutines, heap, GC
 		// pauses, uptime) are polled here rather than at scrape time, so
-		// a slow collector can never stall /metrics; on sharded sites the
-		// eviction balancer rides the same tick, so budgets track load
-		// even when no prune schedule is configured; the prune pass is
-		// config-gated.
+		// a slow collector can never stall /metrics; the prune pass rides
+		// the same tick and is config-gated. Eviction is not maintenance:
+		// every merge or insert evicts on its own request path, across
+		// all shards, until the cache fits its one capacity.
 		interval := maintenanceInterval(site.PruneEveryRequests)
 		if site.PruneEveryRequests > 0 {
 			log.Printf("landlordd: maintenance pass every %v (prune_every_requests=%d)",
@@ -379,12 +379,6 @@ func bootCache(site config.Site, repo *pkggraph.Repo, rf runFlags) (*node, error
 		runtimeMetrics := telemetry.NewRuntimeCollector(srv.Registry())
 		every(ctx, interval, func() {
 			runtimeMetrics.Poll()
-			if site.Shards() > 1 {
-				if bal := srv.RebalanceNow(); bal.LastFreed > 0 {
-					log.Printf("landlordd: rebalance shrank hot shards by %s (pass %d)",
-						stats.FormatBytes(bal.LastFreed), bal.Rebalances)
-				}
-			}
 			if site.PruneEveryRequests > 0 {
 				if splits := srv.PruneNow(site.PruneUtilization, site.PruneMinServed); splits > 0 {
 					log.Printf("landlordd: maintenance pass split %d image(s)", splits)

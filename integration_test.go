@@ -120,7 +120,10 @@ func TestEndToEndSiteLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() sim.Result {
-		m := core.MustNewManager(repo, core.Config{Alpha: 0.8, MinHash: core.DefaultMinHash()})
+		m, err := core.NewSharded(repo, core.Config{Alpha: 0.8, MinHash: core.DefaultMinHash()})
+		if err != nil {
+			t.Fatal(err)
+		}
 		res, err := sim.Replay(m, loaded, 0, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -3,12 +3,7 @@ package check
 import (
 	"flag"
 	"reflect"
-	"sort"
-	"strings"
 	"testing"
-
-	"repro/internal/core"
-	"repro/internal/spec"
 )
 
 // seedFlag reproduces a reported failure: every Failure's Error()
@@ -73,8 +68,9 @@ func TestSimDeterministic(t *testing.T) {
 
 // TestShardSimDeterministic pins the sharded rows the same way: two
 // runs of each canonical sharded config must report identically, and
-// the configs must actually exercise the balancer (a suite that never
-// rebalances would let the balance mutant survive).
+// each config with a capacity must actually evict (a suite that never
+// runs the eviction pass across shards would let the balance mutant
+// survive).
 func TestShardSimDeterministic(t *testing.T) {
 	for _, cfg := range ShardSuite(*seedFlag) {
 		first, f := RunSim(cfg)
@@ -89,8 +85,8 @@ func TestShardSimDeterministic(t *testing.T) {
 			t.Errorf("two sharded runs of seed %d shards %d diverge:\n first: %+v\nsecond: %+v",
 				cfg.Seed, cfg.Shards, first, second)
 		}
-		if cfg.RebalanceEvery > 0 && first.Rebalances == 0 {
-			t.Errorf("shards=%d config never rebalanced; the balancer audit is dead weight", cfg.Shards)
+		if cfg.CapacityFrac > 0 && first.Stats.Deletes == 0 {
+			t.Errorf("shards=%d config never evicted; the capacity audit is dead weight", cfg.Shards)
 		}
 	}
 }
@@ -184,7 +180,7 @@ func TestCheckSoak(t *testing.T) {
 
 // TestShardSoak soaks the cache at several shards: 8 goroutines against
 // a ShardedManager over a persistent store, with worker 0 interleaving
-// checkpoints, audited rebalances, and prune passes. The shard count
+// checkpoints and prune passes. The shard count
 // comes from -shards so the nightly can randomize it; a failure names
 // the exact count to rerun with.
 func TestShardSoak(t *testing.T) {
@@ -218,104 +214,5 @@ func TestSoakMemoryOnly(t *testing.T) {
 	}
 	if _, err := RunSoak(cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRebalancePublishesBudgetsWithoutFalseAlarm is the regression test
-// for the 1-in-40 TestShardSoak failure ("shard N at X bytes exceeds
-// its budget … at the next request"). Rebalance has released every
-// shard lock by the time it returns, so a request can land on a shard
-// whose budget just grew before the driver hands the shadow the new
-// budgets; audited against the old ones, a legal fill reads as an
-// overflow. The scenario is built by hand — shard a holds two images
-// and fills its even share, shard b one — and then replayed twice: in
-// the old order (rebalance, request, publish) the shadow must raise
-// exactly that false alarm, which proves the request really lands in
-// the window; through ShardShadow.Rebalanced it must stay silent.
-func TestRebalancePublishesBudgetsWithoutFalseAlarm(t *testing.T) {
-	repo := SmallRepo(*seedFlag)
-	probe, err := core.NewSharded(repo, core.Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// From 64 fresh specs: shard a's two largest to fill its even share,
-	// its smallest to overfill it, and shard b's smallest so that nearly
-	// all of the balancer's pool follows the bytes to shard a. At alpha
-	// 0 each is an insert: the filler must not already be contained in
-	// an image.
-	stream := NewStream(repo, *seedFlag)
-	stream.RepeatProb = 0
-	var as, bs []spec.Spec
-	for i := 0; i < 64; i++ {
-		if s := stream.Next(); probe.ShardFor(s) == 0 {
-			as = append(as, s)
-		} else {
-			bs = append(bs, s)
-		}
-	}
-	bySize := func(ss []spec.Spec) {
-		sort.Slice(ss, func(i, j int) bool { return ss[i].Size(repo) > ss[j].Size(repo) })
-	}
-	bySize(as)
-	bySize(bs)
-	filler := len(as) - 1
-	for as[filler].SubsetOf(as[0]) || as[filler].SubsetOf(as[1]) {
-		filler--
-	}
-	as, b := []spec.Spec{as[0], as[1], as[filler]}, bs[len(bs)-1]
-	held := as[0].Size(repo) + as[1].Size(repo)
-	capacity := 2 * (held + 1) // shard a's even share holds exactly its first two images
-
-	for _, tc := range []struct {
-		name      string
-		rebalance func(sm *core.ShardedManager, shadow *ShardShadow, between func())
-		wantAlarm bool
-	}{
-		{"publish-after", func(sm *core.ShardedManager, shadow *ShardShadow, between func()) {
-			sm.Rebalance()
-			between()
-			shadow.SetBudgets(sm.Budgets())
-		}, true},
-		{"Rebalanced", func(sm *core.ShardedManager, shadow *ShardShadow, between func()) {
-			shadow.Rebalanced(func() []int64 {
-				sm.Rebalance()
-				between()
-				return sm.Budgets()
-			})
-		}, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sm, err := core.NewSharded(repo, core.Config{Capacity: capacity, Shards: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			shadow := NewShardShadow(repo, 2, *seedFlag, nil)
-			shadow.SetBudgets(sm.Budgets())
-			sm.SetCommitHook(shadow)
-			request := func(s spec.Spec) {
-				t.Helper()
-				if _, err := sm.Request(s); err != nil {
-					t.Fatal(err)
-				}
-			}
-			request(as[0])
-			request(as[1])
-			request(b)
-			old := sm.Budgets()[0]
-			tc.rebalance(sm, shadow, func() {
-				request(as[2]) // fills shard a past its old budget, inside its new one
-				request(as[0]) // the next stamped mutation on shard a: the audit point
-			})
-			if images, bytes, budget := sm.ShardUsage(0); images != 3 || bytes <= old || bytes > budget {
-				t.Fatalf("setup: shard 0 holds %d images, %d bytes, want 3 images above its old budget %d and within its new one %d", images, bytes, old, budget)
-			}
-			f := shadow.Final()
-			switch {
-			case tc.wantAlarm && (f == nil || !strings.Contains(f.Diagnostic, "exceeds its budget")):
-				t.Fatalf("the old publication order raised %v, want the false budget alarm (the request no longer lands in the window)", f)
-			case !tc.wantAlarm && f != nil:
-				t.Fatalf("false alarm across a rebalance: %v", f)
-			}
-		})
 	}
 }

@@ -152,9 +152,10 @@ func TestMutantSim(t *testing.T) {
 		// deltaoverlap are caught when the first row ends, by the replay
 		// audit (deltaoverlap by the settle check inside it). The
 		// sharding mutants (route, balance) are invisible to every
-		// one-shard row — none consults the router or the balancer —
-		// and fall to the sharded rows' route audit and budgets-sum
-		// audit, which run last.
+		// one-shard row — none consults the router, and one shard's
+		// bytes are the cache's — and fall to the sharded rows' route
+		// audit and the oracle's eviction derivation over every shard,
+		// which run last.
 		msg, n := simStage()
 		requests += n
 		if msg != "" {

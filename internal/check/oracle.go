@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -9,11 +10,15 @@ import (
 	"repro/internal/spec"
 )
 
-// Oracle validates a single-threaded Manager one request at a time: it
-// captures the cache before each request, independently re-derives the
-// decision Algorithm 1 must make (hit / merge / insert, on which
-// image, evicting which victims), and compares the manager's actual
-// transition against that derivation. It is a second, deliberately
+// Oracle validates a cache driven by one goroutine, one request at a
+// time — a Manager, or a ShardedManager's whole shard set: it captures
+// the cache before each request, independently re-derives the decision
+// Algorithm 1 must make (hit / merge / insert, on which image, evicting
+// which victims), and compares the cache's actual transition against
+// that derivation. The decision is derived from the pre-state of the
+// shard the request routes to (specs on different shards never merge),
+// the victims from every shard's images under the cache's one capacity.
+// With one shard both are the whole cache. It is a second, deliberately
 // naive implementation of the algorithm — O(images) per phase over
 // sorted id slices, no bitsets, no band index, no caching — and the
 // only reference there is: a bug must be present in both the production
@@ -29,7 +34,14 @@ import (
 // afresh by the direct kernel, so it shares neither stored signatures,
 // nor the merge fold, nor the probe index with the code it checks.
 type Oracle struct {
-	m      *core.Manager
+	request   func(spec.Spec) (core.Result, error)
+	route     func(spec.Spec) int
+	view      func(fn func(ms []*core.Manager)) // the shards, quiescent
+	integrity func() error
+	capacity  int64
+	alpha     float64
+	conflicts spec.ConflictPolicy
+
 	seed   int64
 	step   int
 	hasher *similarity.Hasher // nil in exact mode
@@ -48,7 +60,36 @@ type oimg struct {
 // NewOracle wraps m for validation. The seed labels failures for
 // reproduction; step counting starts at 0.
 func NewOracle(m *core.Manager, seed int64) *Oracle {
-	o := &Oracle{m: m, seed: seed}
+	o := &Oracle{
+		request:   m.Request,
+		route:     func(spec.Spec) int { return 0 },
+		view:      func(fn func([]*core.Manager)) { fn([]*core.Manager{m}) },
+		integrity: m.CheckIntegrity,
+		capacity:  m.Capacity(),
+	}
+	o.configure(m, seed)
+	return o
+}
+
+// NewShardedOracle wraps every shard of sm for validation: requests go
+// through sm.Request, routed by sm.ShardFor, and the capacity is sm's
+// one capacity.
+func NewShardedOracle(sm *core.ShardedManager, seed int64) *Oracle {
+	o := &Oracle{
+		request:   sm.Request,
+		route:     sm.ShardFor,
+		view:      sm.WithSharedAll,
+		integrity: sm.CheckIntegrity,
+		capacity:  sm.Capacity(),
+	}
+	sm.WithSharedAll(func(ms []*core.Manager) { o.configure(ms[0], seed) })
+	return o
+}
+
+// configure takes the merge rule — α, conflict policy, MinHash margin —
+// from m, which every shard of a cache shares.
+func (o *Oracle) configure(m *core.Manager, seed int64) {
+	o.seed, o.alpha, o.conflicts = seed, m.Alpha(), m.Conflicts()
 	if mh := m.MinHash(); mh != nil {
 		h, err := similarity.NewHasher(mh.K, mh.Seed)
 		if err != nil {
@@ -56,7 +97,6 @@ func NewOracle(m *core.Manager, seed int64) *Oracle {
 		}
 		o.hasher, o.margin = h, mh.Margin
 	}
-	return o
 }
 
 // Steps returns how many requests the oracle has validated.
@@ -68,41 +108,54 @@ func (o *Oracle) Steps() int { return o.step }
 // recoveries preceded it.
 func (o *Oracle) StartAt(step int) { o.step = step }
 
-// capture copies the checkable state of every image, in insertion
-// order (the order Algorithm 1's scans and tie-breaks follow).
-func (o *Oracle) capture() []oimg {
-	imgs := o.m.Images()
-	out := make([]oimg, len(imgs))
-	for i, img := range imgs {
-		out[i] = oimg{id: img.ID, spec: img.Spec, size: img.Size, lastUse: img.LastUse(), version: img.Version}
-	}
-	return out
+// capture copies the checkable state of every image, shard by shard,
+// each shard in insertion order (the order Algorithm 1's scans and
+// tie-breaks follow), and the cache's clock.
+func (o *Oracle) capture() ([][]oimg, uint64) {
+	var out [][]oimg
+	var clock uint64
+	o.view(func(ms []*core.Manager) {
+		clock = ms[0].Clock()
+		for _, m := range ms {
+			imgs := m.Images()
+			shard := make([]oimg, len(imgs))
+			for i, img := range imgs {
+				shard[i] = oimg{id: img.ID, spec: img.Spec, size: img.Size, lastUse: img.LastUse(), version: img.Version}
+			}
+			out = append(out, shard)
+		}
+	})
+	return out, clock
 }
 
-// Step issues one request through the manager and validates the
+// Step issues one request through the cache and validates the
 // transition. A nil Failure means the step upheld every invariant.
 func (o *Oracle) Step(s spec.Spec) (core.Result, *Failure) {
-	pre := o.capture()
-	preClock := o.m.Clock()
+	shards, preClock := o.capture()
+	shard := o.route(s)
 
-	res, err := o.m.Request(s)
+	res, err := o.request(s)
 	step := o.step
 	o.step++
 	if err != nil {
 		return res, failf(o.seed, step, "request error: %v", err)
 	}
+	if shard < 0 || shard >= len(shards) {
+		return res, failf(o.seed, step, "router returned shard %d outside [0,%d)", shard, len(shards))
+	}
 	if res.Seq != preClock+1 {
 		return res, failf(o.seed, step, "Seq %d, want clock %d+1", res.Seq, preClock)
 	}
 
-	post := o.capture()
+	postShards, _ := o.capture()
+	pre, post := slices.Concat(shards...), slices.Concat(postShards...)
 	postByID := make(map[uint64]oimg, len(post))
 	for _, img := range post {
 		postByID[img.id] = img
 	}
 
 	// Independently derive what Algorithm 1 must do.
-	wantOp, wantID := o.derive(pre, s)
+	wantOp, wantID := o.derive(shards[shard], s)
 	if res.Op != wantOp {
 		return res, failf(o.seed, step, "op %v on image %d, oracle derives %v on image %d",
 			res.Op, res.ImageID, wantOp, wantID)
@@ -110,16 +163,17 @@ func (o *Oracle) Step(s spec.Spec) (core.Result, *Failure) {
 	if wantOp != core.OpInsert && res.ImageID != wantID {
 		return res, failf(o.seed, step, "%v targeted image %d, oracle derives image %d", res.Op, res.ImageID, wantID)
 	}
-	if o.m.Alpha() == 0 && res.Op == core.OpMerge {
+	if o.alpha == 0 && res.Op == core.OpMerge {
 		return res, failf(o.seed, step, "merge at alpha=0 (must degenerate to pure LRU)")
 	}
 
 	// Per-op post-state: the served image and only the served image
 	// changed (modulo eviction, simulated below).
-	served, ok := postByID[res.ImageID]
-	if !ok {
+	i := slices.IndexFunc(postShards[shard], func(img oimg) bool { return img.id == res.ImageID })
+	if i < 0 {
 		return res, failf(o.seed, step, "served image %d not live after %v", res.ImageID, res.Op)
 	}
+	served := postShards[shard][i]
 	if served.lastUse != res.Seq {
 		return res, failf(o.seed, step, "served image %d lastUse %d, want Seq %d (LRU stamp not refreshed)",
 			res.ImageID, served.lastUse, res.Seq)
@@ -177,11 +231,11 @@ func (o *Oracle) Step(s spec.Spec) (core.Result, *Failure) {
 	// recovered over-capacity cache legitimately stays oversized while
 	// it serves only hits.
 	if res.Op != core.OpHit {
-		if f := o.checkEviction(step, pre, res); f != nil {
+		if f := o.checkEviction(step, pre, post, res); f != nil {
 			return res, f
 		}
 	}
-	if err := o.m.CheckIntegrity(); err != nil {
+	if err := o.integrity(); err != nil {
 		return res, failf(o.seed, step, "integrity: %v", err)
 	}
 	return res, nil
@@ -209,7 +263,7 @@ func (o *Oracle) derive(pre []oimg, s spec.Spec) (core.Op, uint64) {
 		return core.OpHit, pre[best].id
 	}
 
-	alpha := o.m.Alpha()
+	alpha := o.alpha
 	type cand struct {
 		idx int
 		d   float64
@@ -228,9 +282,8 @@ func (o *Oracle) derive(pre []oimg, s spec.Spec) (core.Op, uint64) {
 		}
 	}
 	sort.SliceStable(cands, func(a, b int) bool { return cands[a].d < cands[b].d })
-	policy := o.m.Conflicts()
 	for _, c := range cands {
-		if !policy.Conflicts(s, pre[c.idx].spec) {
+		if !o.conflicts.Conflicts(s, pre[c.idx].spec) {
 			return core.OpMerge, pre[c.idx].id
 		}
 	}
@@ -238,10 +291,11 @@ func (o *Oracle) derive(pre []oimg, s spec.Spec) (core.Op, uint64) {
 }
 
 // checkEviction simulates the LRU pass Algorithm 1 must run after the
-// request's op and compares the victims (identity, count, bytes) and
-// the surviving set against what actually happened.
-func (o *Oracle) checkEviction(step int, pre []oimg, res core.Result) *Failure {
-	cap := o.m.Capacity()
+// request's op over every shard's images and compares the victims
+// (identity, count, bytes) and the surviving set against what actually
+// happened.
+func (o *Oracle) checkEviction(step int, pre, post []oimg, res core.Result) *Failure {
+	cap := o.capacity
 	if cap <= 0 {
 		if res.Evicted != 0 {
 			return failf(o.seed, step, "evicted %d image(s) with unlimited capacity", res.Evicted)
@@ -297,11 +351,11 @@ func (o *Oracle) checkEviction(step int, pre []oimg, res core.Result) *Failure {
 			liveWant[img.id] = true
 		}
 	}
-	for _, img := range o.m.Images() {
-		if !liveWant[img.ID] {
-			return failf(o.seed, step, "image %d survived but the oracle derives it as the LRU victim", img.ID)
+	for _, img := range post {
+		if !liveWant[img.id] {
+			return failf(o.seed, step, "image %d survived but the oracle derives it as the LRU victim", img.id)
 		}
-		delete(liveWant, img.ID)
+		delete(liveWant, img.id)
 	}
 	if len(liveWant) > 0 {
 		low, first := uint64(0), true

@@ -35,42 +35,48 @@ import (
 //     per-shard oracle never notices a spec that landed on the wrong
 //     shard;
 //   - a merge logs exactly the packages it added on top of the version
-//     before it;
-//   - deletes pick the per-shard LRU victim, sparing the image the
-//     shard's in-flight request just used;
-//   - each shard's bytes respect its budget whenever a request's
-//     eviction pass has completed (via SetBudgets: the whole capacity
-//     at N = 1, the balancer's assignment otherwise; the budgets
-//     themselves summing to the global capacity is the driver's audit),
-//     so the global byte bound is the sum of the per-shard bounds.
+//     before it.
+//
+// Across shards it checks the cache's one capacity. A merge or insert
+// stamps and runs its eviction pass under one critical section — its
+// shard's write lock, or every shard's when the capacity spans them —
+// so no other stamp falls between the two:
+//
+//   - every delete takes the least-recently-used image of the whole
+//     cache, sparing only the image of the last stamped mutation (the
+//     one the evicting request used);
+//   - after each merge or insert the cache holds at most
+//     max(capacity, the size of the image it kept) bytes, audited at
+//     the next stamped mutation and at Final.
 //
 // Install it with SetCommitHook (chaining any existing hook, e.g. the
 // persist store) before serving traffic. All methods are safe for
 // concurrent use; the hook itself runs under the locks the cache
 // already holds, so the shadow's own mutex is uncontended in practice.
 type ShardShadow struct {
-	repo   *pkggraph.Repo
-	n      int
-	seed   int64
-	next   core.CommitHook // chained hook, may be nil
-	routes spec.RouteTerms
+	repo     *pkggraph.Repo
+	n        int
+	capacity int64 // the cache's one capacity; zero or negative: unlimited
+	seed     int64
+	next     core.CommitHook // chained hook, may be nil
+	routes   spec.RouteTerms
 
-	mu      sync.Mutex
-	shards  []*shardShadowState
-	budgets []int64 // per-shard byte budgets; nil disables the audit
-	muts    []core.Mutation
-	stamps  map[uint64]struct{} // global stamp uniqueness
-	base    uint64              // clock the stream started from
-	failure *Failure
+	mu        sync.Mutex
+	shards    []*shardShadowState
+	total     int64             // bytes across every shard
+	images    int               // images across every shard
+	lastImage uint64            // image of the most recent stamped mutation
+	lastKind  core.MutationKind // its kind
+	muts      []core.Mutation
+	stamps    map[uint64]struct{} // global stamp uniqueness
+	base      uint64              // clock the stream started from
+	failure   *Failure
 }
 
 // shardShadowState is one shard's copy of the checkable cache state.
 type shardShadowState struct {
 	images    map[uint64]*shadowImg
-	total     int64
-	lastStamp uint64            // clock of the shard's most recent stamped mutation
-	lastImage uint64            // image stamped by it (eviction must spare it)
-	lastKind  core.MutationKind // kind of the shard's most recent stamped mutation
+	lastStamp uint64 // clock of the shard's most recent stamped mutation
 }
 
 type shadowImg struct {
@@ -81,39 +87,29 @@ type shadowImg struct {
 }
 
 // NewShardShadow creates a shadow for a cache of shards shards (1 for a
-// plain Manager) over repo. next, if non-nil, receives every mutation
-// after validation — chain the persist store here so the WAL sees the
+// plain Manager) and the given byte capacity (zero or negative:
+// unlimited) over repo. next, if non-nil, receives every mutation after
+// validation — chain the persist store here so the WAL sees the
 // identical stream.
-func NewShardShadow(repo *pkggraph.Repo, shards int, seed int64, next core.CommitHook) *ShardShadow {
+func NewShardShadow(repo *pkggraph.Repo, shards int, capacity int64, seed int64, next core.CommitHook) *ShardShadow {
 	if shards < 1 {
 		shards = 1
 	}
 	sh := &ShardShadow{
-		repo:   repo,
-		n:      shards,
-		seed:   seed,
-		next:   next,
-		routes: spec.NewRouteTerms(repo),
-		shards: make([]*shardShadowState, shards),
-		stamps: make(map[uint64]struct{}),
+		repo:      repo,
+		n:         shards,
+		capacity:  capacity,
+		seed:      seed,
+		next:      next,
+		routes:    spec.NewRouteTerms(repo),
+		shards:    make([]*shardShadowState, shards),
+		stamps:    make(map[uint64]struct{}),
+		lastImage: ^uint64(0),
 	}
 	for i := range sh.shards {
-		sh.shards[i] = &shardShadowState{images: make(map[uint64]*shadowImg), lastImage: ^uint64(0)}
+		sh.shards[i] = &shardShadowState{images: make(map[uint64]*shadowImg)}
 	}
 	return sh
-}
-
-// SetBudgets installs the current per-shard byte budgets (a copy is
-// taken). The driver calls this after every Rebalance; nil or an
-// all-zero slice disables the per-shard capacity audit (unlimited).
-func (sh *ShardShadow) SetBudgets(budgets []int64) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if budgets == nil {
-		sh.budgets = nil
-		return
-	}
-	sh.budgets = append(sh.budgets[:0], budgets...)
 }
 
 // LoadState seeds the shadow with a recovered manager state, so a
@@ -126,31 +122,17 @@ func (sh *ShardShadow) LoadState(base core.ManagerState) {
 		ss := sh.shards[snap.ID%uint64(sh.n)]
 		s := sh.specOf(snap.Packages)
 		ss.images[snap.ID] = &shadowImg{spec: s, size: s.Size(sh.repo), lastUse: snap.LastUse, version: snap.Version}
-		ss.total += s.Size(sh.repo)
+		sh.total += s.Size(sh.repo)
+		sh.images++
 	}
 	// A recovered cache may legitimately exceed capacity (e.g. the WAL
 	// was cut between a merge and its evictions); the bound is only
 	// re-established by the next merge or insert, so lastKind stays
-	// unset and that mutation restarts the budget audit.
+	// unset and that mutation restarts the capacity audit.
 	for _, ss := range sh.shards {
 		ss.lastStamp = base.Clock
 	}
 	sh.base = base.Clock
-}
-
-// Rebalanced runs pass — one balancer pass, returning the budgets it
-// left, which Rebalanced installs and returns — with the per-shard
-// budget audit suspended across it. The pass has released every shard
-// lock by the time it returns, so a request on a shard whose budget
-// just grew can fill past its *old* budget before the new ones are
-// installed here; audited against the old budget that is a false
-// "exceeds its budget". The shrink's own deletes are unstamped and stay
-// checked (LRU victim order).
-func (sh *ShardShadow) Rebalanced(pass func() []int64) []int64 {
-	sh.SetBudgets(nil)
-	budgets := pass()
-	sh.SetBudgets(budgets)
-	return budgets
 }
 
 // Err returns the first recorded violation, or nil.
@@ -181,13 +163,6 @@ func (sh *ShardShadow) failf(format string, args ...any) {
 	}
 }
 
-func (sh *ShardShadow) budgetOf(shard int) int64 {
-	if sh.budgets == nil || shard >= len(sh.budgets) {
-		return 0
-	}
-	return sh.budgets[shard]
-}
-
 // Commit implements core.CommitHook.
 func (sh *ShardShadow) Commit(mut core.Mutation) {
 	sh.mu.Lock()
@@ -212,10 +187,22 @@ func stamped(kind core.MutationKind) bool {
 	return false
 }
 
-// evicts reports whether the request that emitted this stamped
-// mutation runs the eviction pass afterwards (hits never evict).
-func evicts(kind core.MutationKind) bool {
-	return kind == core.MutMerge || kind == core.MutInsert
+// overCapacity says how the cache exceeds its capacity after the last
+// stamped request's eviction pass, or "" when it does not or that
+// request ran none: the pass may keep only the image it spared, if
+// that image outgrows the capacity alone.
+func (sh *ShardShadow) overCapacity() string {
+	if sh.capacity <= 0 || (sh.lastKind != core.MutMerge && sh.lastKind != core.MutInsert) {
+		return ""
+	}
+	limit := sh.capacity
+	if img := sh.shards[sh.lastImage%uint64(sh.n)].images[sh.lastImage]; img != nil {
+		limit = max(limit, img.size)
+	}
+	if sh.total <= limit {
+		return ""
+	}
+	return fmt.Sprintf("%d images hold %d bytes, over the capacity %d", sh.images, sh.total, sh.capacity)
 }
 
 // check validates mut against shard's shadow state (sh.mu held).
@@ -237,11 +224,10 @@ func (sh *ShardShadow) check(shard int, mut core.Mutation) {
 			sh.failf("shard %d: %s of image %d reuses stamp %d (shared clock not unique)",
 				shard, mut.Kind, mut.ImageID, mut.LastUse)
 		}
-		// The shard's previous request finished its eviction pass before
-		// this one stamped (same lock), so the shard's budget must hold.
-		if b := sh.budgetOf(shard); b > 0 && evicts(ss.lastKind) && ss.total > b && len(ss.images) > 1 {
-			sh.failf("shard %d at %d bytes exceeds its budget %d with %d images at the next request",
-				shard, ss.total, b, len(ss.images))
+		// The previous request finished its eviction pass before this
+		// one stamped, so the cache must fit.
+		if over := sh.overCapacity(); over != "" {
+			sh.failf("%s at the next request", over)
 		}
 	}
 	img := ss.images[mut.ImageID]
@@ -284,20 +270,22 @@ func (sh *ShardShadow) check(shard int, mut core.Mutation) {
 			sh.failf("shard %d: delete of unknown image %d", shard, mut.ImageID)
 			return
 		}
-		if mut.ImageID == ss.lastImage {
-			sh.failf("shard %d: evicted image %d, the image the shard's in-flight request just used", shard, mut.ImageID)
+		if mut.ImageID == sh.lastImage {
+			sh.failf("shard %d: evicted image %d, the image the in-flight request just used", shard, mut.ImageID)
 		}
 		oldest, oldestID := img.lastUse, mut.ImageID
-		for id, other := range ss.images {
-			if id == mut.ImageID || id == ss.lastImage {
-				continue
-			}
-			if other.lastUse < oldest || (other.lastUse == oldest && id < oldestID) {
-				oldest, oldestID = other.lastUse, id
+		for _, other := range sh.shards {
+			for id, o := range other.images {
+				if id == mut.ImageID || id == sh.lastImage {
+					continue
+				}
+				if o.lastUse < oldest || (o.lastUse == oldest && id < oldestID) {
+					oldest, oldestID = o.lastUse, id
+				}
 			}
 		}
 		if oldestID != mut.ImageID {
-			sh.failf("shard %d: evicted image %d (lastUse %d) while image %d (lastUse %d) is older — not the shard's LRU victim",
+			sh.failf("shard %d: evicted image %d (lastUse %d) while image %d (lastUse %d) is older — not the cache's LRU victim",
 				shard, mut.ImageID, img.lastUse, oldestID, oldest)
 		}
 	case core.MutSplit:
@@ -316,8 +304,8 @@ func (sh *ShardShadow) apply(shard int, mut core.Mutation) {
 		if mut.LastUse > ss.lastStamp {
 			ss.lastStamp = mut.LastUse
 		}
-		ss.lastImage = mut.ImageID
-		ss.lastKind = mut.Kind
+		sh.lastImage = mut.ImageID
+		sh.lastKind = mut.Kind
 		sh.stamps[mut.LastUse] = struct{}{}
 	}
 	switch mut.Kind {
@@ -328,14 +316,15 @@ func (sh *ShardShadow) apply(shard int, mut core.Mutation) {
 	case core.MutInsert:
 		s := sh.specOf(mut.Packages)
 		ss.images[mut.ImageID] = &shadowImg{spec: s, size: s.Size(sh.repo), lastUse: mut.LastUse, version: mut.Version}
-		ss.total += s.Size(sh.repo)
+		sh.total += s.Size(sh.repo)
+		sh.images++
 	case core.MutMerge, core.MutSplit:
 		if img := ss.images[mut.ImageID]; img != nil {
 			s := sh.specOf(mut.Packages)
 			if mut.Kind == core.MutMerge {
 				s = img.spec.Union(sh.specOf(mut.Added))
 			}
-			ss.total += s.Size(sh.repo) - img.size
+			sh.total += s.Size(sh.repo) - img.size
 			img.spec = s
 			img.size = s.Size(sh.repo)
 			img.version = mut.Version
@@ -345,7 +334,8 @@ func (sh *ShardShadow) apply(shard int, mut core.Mutation) {
 		}
 	case core.MutDelete:
 		if img := ss.images[mut.ImageID]; img != nil {
-			ss.total -= img.size
+			sh.total -= img.size
+			sh.images--
 			delete(ss.images, mut.ImageID)
 		}
 	}
@@ -387,8 +377,8 @@ func (sh *ShardShadow) specOf(keys []string) spec.Spec {
 	return spec.New(ids)
 }
 
-// Final runs the end-of-run checks: per-shard budget bounds with no
-// in-flight request to excuse an overflow, and stamp density — the N
+// Final runs the end-of-run checks: the capacity bound with no request
+// in flight to excuse an overflow, and stamp density — the N
 // per-shard total orders, merged by Seq, must form exactly the dense
 // sequence base+1..base+K with no gap and no duplicate, which is what
 // makes "sort by Seq" a linearization of the whole run.
@@ -398,12 +388,9 @@ func (sh *ShardShadow) Final() *Failure {
 	if sh.failure != nil {
 		return sh.failure
 	}
-	for i, ss := range sh.shards {
-		if b := sh.budgetOf(i); b > 0 && evicts(ss.lastKind) && ss.total > b && len(ss.images) > 1 {
-			sh.failure = failf(sh.seed, len(sh.muts), "shard %d at %d bytes exceeds its budget %d with %d images after the run",
-				i, ss.total, b, len(ss.images))
-			return sh.failure
-		}
+	if over := sh.overCapacity(); over != "" {
+		sh.failure = failf(sh.seed, len(sh.muts), "%s after the run", over)
+		return sh.failure
 	}
 	for k := uint64(1); k <= uint64(len(sh.stamps)); k++ {
 		if _, ok := sh.stamps[sh.base+k]; !ok {

@@ -13,7 +13,7 @@ import (
 
 // SimConfig parameterizes one deterministic chaos run. Everything
 // derives from Seed: the repository, the request stream, the schedule
-// of checkpoints, rebalances, prunes and crashes, and the fault plans.
+// of checkpoints, prunes and crashes, and the fault plans.
 // The same config always produces the same SimReport or the same
 // Failure.
 type SimConfig struct {
@@ -22,8 +22,8 @@ type SimConfig struct {
 	// Shards is the cache's shard count (0 or 1: one shard).
 	Shards int
 	// Alpha is the merge threshold; CapacityFrac sizes the cache as a
-	// fraction of the repository's total bytes (0 = unlimited); the
-	// balancer divides it across shards.
+	// fraction of the repository's total bytes (0 = unlimited), one
+	// capacity across all shards.
 	Alpha        float64
 	CapacityFrac float64
 	// Conflicts enables the single-version conflict policy (every
@@ -39,11 +39,10 @@ type SimConfig struct {
 	// Dir, when non-empty, runs the simulation over a persistent store
 	// (WAL + checkpoints) rooted there, with fsync=always semantics.
 	Dir string
-	// CheckpointEvery / RebalanceEvery / PruneEvery / CrashEvery are
-	// mean gaps, in requests, between the respective events (0
-	// disables). Crashes and checkpoints require Dir.
+	// CheckpointEvery / PruneEvery / CrashEvery are mean gaps, in
+	// requests, between the respective events (0 disables). Crashes and
+	// checkpoints require Dir.
 	CheckpointEvery int
-	RebalanceEvery  int
 	PruneEvery      int
 	CrashEvery      int
 	// Faults arms a seeded FaultPlan each process life: injected write
@@ -54,15 +53,13 @@ type SimConfig struct {
 // SimReport summarizes a clean run. Two runs of the same config must
 // report identically — TestSimDeterministic compares these wholesale.
 type SimReport struct {
-	Steps      int
-	Stats      core.Stats
-	Images     int
-	Rebalances int64 // balancer passes
-	Evicted    int64 // images the balancer's shrink passes evicted
-	Crashes    int
-	Injected   int
-	Acked      int // mutations covered by an acknowledged request
-	StateHash  string
+	Steps     int
+	Stats     core.Stats
+	Images    int
+	Crashes   int
+	Injected  int
+	Acked     int // mutations covered by an acknowledged request
+	StateHash string
 }
 
 // simCapacity derives the byte capacity from the repository.
@@ -123,19 +120,21 @@ func MinHashSuite(seed int64) []SimConfig {
 }
 
 // ShardSuite returns Suite's sharded rows: a merge-heavy run under byte
-// pressure with frequent rebalances (the regime where the balancer
-// works and budgets move), and a higher-alpha run at a different shard
-// count (coprime with the first, so residue-class bugs cannot hide in a
-// common divisor). Together they issue 1000 requests — the detection
-// budget for the sharding mutants (route, balance). The last row is
-// MinHash across four shards: the shards share one hasher (and its
-// probe index), each has a band index of its own, and each is checked
-// by a margin-mode oracle.
+// pressure, and a higher-alpha run at a different shard count (coprime
+// with the first, so residue-class bugs cannot hide in a common
+// divisor). Together they issue 1000 requests — the detection budget
+// for the sharding mutants (route, balance). Next comes MinHash across
+// four shards: the shards share one hasher (and its probe index), each
+// has a band index of its own, and the oracle runs in margin mode.
+// Last, sixteen shards at a fifth of the repository: most victims of
+// a request's eviction step then lie on shards other than its own,
+// which only a cache-wide pass can reach.
 func ShardSuite(seed int64) []SimConfig {
 	return []SimConfig{
-		{Seed: seed, Steps: 500, Shards: 4, Alpha: 0.6, CapacityFrac: 0.3, RebalanceEvery: 50, PruneEvery: 90},
-		{Seed: seed, Steps: 500, Shards: 3, Alpha: 0.8, CapacityFrac: 0.25, RebalanceEvery: 40},
+		{Seed: seed, Steps: 500, Shards: 4, Alpha: 0.6, CapacityFrac: 0.3, PruneEvery: 90},
+		{Seed: seed, Steps: 500, Shards: 3, Alpha: 0.8, CapacityFrac: 0.25},
 		{Seed: seed, Steps: 200, Shards: 4, Alpha: 0.6, CapacityFrac: 0.3, MinHash: true},
+		{Seed: seed, Steps: 300, Shards: 16, Alpha: 0.75, CapacityFrac: 0.2},
 	}
 }
 
@@ -162,17 +161,16 @@ func ChaosSuite(seed int64, dir string) []SimConfig {
 
 // RunSim executes the chaos schedule on the cache that serves,
 // core.ShardedManager at cfg.Shards shards: a single goroutine
-// interleaving oracle-validated requests with audited rebalances,
-// checkpoints, prune passes and — when persistence is on — injected
-// filesystem faults and simulated crashes, each followed by recovery
-// and a durability audit. Every request is routed by the production
-// router (ShardFor) and validated by that shard's Oracle against the
-// shard's pre-state; the ShardShadow checks the commit stream; every
-// Rebalance is followed by the budgets-sum audit (budgets must sum
-// exactly to the global capacity — the identity that makes the global
-// byte bound the sum of per-shard bounds). The run ends with the
-// shadow's finals and a full replay of the mutation stream into a
-// fresh cache. It returns a nil Failure on a clean run.
+// interleaving oracle-validated requests with checkpoints, prune passes
+// and — when persistence is on — injected filesystem faults and
+// simulated crashes, each followed by recovery and a durability audit.
+// Every request goes through ShardedManager.Request and is validated by
+// the cache's one Oracle: the decision against the routed shard's
+// pre-state, the evictions against every shard under the one capacity.
+// The ShardShadow checks the commit stream, the capacity bound
+// included. The run ends with the shadow's finals and a full replay of
+// the mutation stream into a fresh cache. It returns a nil Failure on a
+// clean run.
 func RunSim(cfg SimConfig) (SimReport, *Failure) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	repo := SmallRepo(cfg.Seed)
@@ -194,18 +192,18 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 	var rep SimReport
 	persistent := cfg.Dir != ""
 
-	// One process life: the cache, its validating hook chain (a
-	// per-shard oracle around each shard, the shadow inside, the store
-	// last), and the durability bookkeeping for the next crash audit.
+	// One process life: the cache, its validating hook chain (the
+	// oracle around the cache, the shadow inside, the store last), and
+	// the durability bookkeeping for the next crash audit.
 	var (
-		sm      *core.ShardedManager
-		store   *persist.Store
-		ffs     *FaultFS
-		shadow  *ShardShadow
-		oracles []*Oracle
-		base    []core.ManagerState // each shard's state when this life started
-		ckpts   []lifeCheckpoint    // checkpoints this life attempted
-		acked   int                 // shadow mutations covered by acked requests
+		sm     *core.ShardedManager
+		store  *persist.Store
+		ffs    *FaultFS
+		shadow *ShardShadow
+		oracle *Oracle
+		base   []core.ManagerState // each shard's state when this life started
+		ckpts  []lifeCheckpoint    // checkpoints this life attempted
+		acked  int                 // shadow mutations covered by acked requests
 	)
 
 	// boot starts a life at global request index step: in memory a
@@ -236,20 +234,10 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 			return failf(cfg.Seed, step, "sharded manager: %v", err)
 		}
 		base, ckpts = shardStates(sm), nil
-		shadow = NewShardShadow(repo, n, cfg.Seed, next)
+		shadow = NewShardShadow(repo, n, capacity, cfg.Seed, next)
 		shadow.LoadState(sm.ExportState())
-		if capacity > 0 {
-			shadow.SetBudgets(sm.Budgets())
-		}
 		sm.SetCommitHook(shadow)
-		// The driver is single-goroutine, so the oracles may drive the
-		// shards' managers directly.
-		oracles = oracles[:0]
-		sm.WithExclusiveAll(func(ms []*core.Manager) {
-			for _, m := range ms {
-				oracles = append(oracles, NewOracle(m, cfg.Seed))
-			}
-		})
+		oracle = NewShardedOracle(sm, cfg.Seed)
 		acked = 0
 		return nil
 	}
@@ -287,26 +275,6 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 		return nil
 	}
 
-	auditBudgets := func(step int) *Failure {
-		if capacity <= 0 {
-			return nil
-		}
-		budgets := sm.Budgets()
-		var sum int64
-		for i, b := range budgets {
-			if b <= 0 {
-				return failf(cfg.Seed, step, "balancer left shard %d with non-positive budget %d", i, b)
-			}
-			sum += b
-		}
-		if sum != capacity {
-			return failf(cfg.Seed, step, "shard budgets %v sum to %d, want exactly the global capacity %d",
-				budgets, sum, capacity)
-		}
-		shadow.SetBudgets(budgets)
-		return nil
-	}
-
 	if f := boot(0); f != nil {
 		return rep, f
 	}
@@ -318,18 +286,6 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 	for step := 0; step < cfg.Steps; step++ {
 		if persistent && event(cfg.CrashEvery) {
 			if f := crash(step); f != nil {
-				return rep, f
-			}
-		}
-		if event(cfg.RebalanceEvery) {
-			sm.Rebalance()
-			if f := auditBudgets(step); f != nil {
-				return rep, f
-			}
-			if err := sm.CheckIntegrity(); err != nil {
-				return rep, failf(cfg.Seed, step, "integrity after rebalance: %v", err)
-			}
-			if f := shadow.Err(); f != nil {
 				return rep, f
 			}
 		}
@@ -354,13 +310,8 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 			}
 		}
 
-		s := stream.Next()
-		shard := sm.ShardFor(s)
-		if shard < 0 || shard >= n {
-			return rep, failf(cfg.Seed, step, "router returned shard %d outside [0,%d)", shard, n)
-		}
-		oracles[shard].StartAt(step)
-		if _, f := oracles[shard].Step(s); f != nil {
+		oracle.StartAt(step)
+		if _, f := oracle.Step(stream.Next()); f != nil {
 			return rep, f
 		}
 		if f := shadow.Err(); f != nil {
@@ -377,9 +328,6 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 	if f := shadow.Final(); f != nil {
 		return rep, f
 	}
-	if f := auditBudgets(cfg.Steps); f != nil {
-		return rep, f
-	}
 	if err := shadow.VerifyState(mcfg, base, shardStates(sm)); err != nil {
 		return rep, failf(cfg.Seed, cfg.Steps, "%v", err)
 	}
@@ -393,10 +341,8 @@ func RunSim(cfg SimConfig) (SimReport, *Failure) {
 		live = sm.ExportState()
 	}
 
-	bal := sm.BalancerStats()
 	rep.Stats = sm.Stats()
 	rep.Images = sm.Len()
-	rep.Rebalances, rep.Evicted = bal.Rebalances, bal.Evicted
 	rep.StateHash = StateHash(live)
 	if persistent {
 		rep.Injected += ffs.Injected()

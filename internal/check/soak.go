@@ -26,7 +26,7 @@ type SoakConfig struct {
 	Conflicts    bool
 	// Shards is the cache's shard count (minimum 1). Above 1 the
 	// ShardShadow demultiplexes the merged commit stream by owning
-	// shard, and maintenance adds audited Rebalance passes.
+	// shard, and every eviction pass runs across the shards.
 	Shards int
 	// Dir, when non-empty, wires a persistent store (fsync=always)
 	// into the hook chain; Faults arms injected write/sync failures
@@ -35,8 +35,7 @@ type SoakConfig struct {
 	Dir    string
 	Faults bool
 	// MaintainEvery makes worker 0 run a checkpoint and a prune pass
-	// (plus a rebalance, when sharded) every that many of its own
-	// requests (0 disables).
+	// every that many of its own requests (0 disables).
 	MaintainEvery int
 }
 
@@ -102,30 +101,8 @@ func RunSoak(cfg SoakConfig) (SoakReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	shadow := NewShardShadow(repo, mcfg.Shards, cfg.Seed, next)
-	if capacity > 0 {
-		shadow.SetBudgets(cache.Budgets())
-	}
+	shadow := NewShardShadow(repo, mcfg.Shards, capacity, cfg.Seed, next)
 	cache.SetCommitHook(shadow)
-	// rebalance runs one audited balancer pass: the budgets it leaves
-	// must sum exactly to the global capacity.
-	rebalance := func() error {
-		if capacity <= 0 || mcfg.Shards < 2 {
-			return nil // nothing to balance
-		}
-		budgets := shadow.Rebalanced(func() []int64 {
-			cache.Rebalance()
-			return cache.Budgets()
-		})
-		var sum int64
-		for _, b := range budgets {
-			sum += b
-		}
-		if sum != capacity {
-			return fmt.Errorf("check: shard budgets %v sum to %d, want the global capacity %d", budgets, sum, capacity)
-		}
-		return nil
-	}
 
 	perWorker := cfg.Requests / cfg.Workers
 	total := perWorker * cfg.Workers
@@ -154,10 +131,6 @@ func RunSoak(cfg SoakConfig) (SoakReport, error) {
 						cache.WithExclusiveAll(func(ms []*core.Manager) {
 							store.Checkpoint(core.MergedState(ms)) // errors expected under faults
 						})
-					}
-					if err := rebalance(); err != nil {
-						errs[w] = err
-						return
 					}
 					if _, err := cache.Prune(0.5, 2); err != nil {
 						errs[w] = fmt.Errorf("worker %d prune: %w", w, err)

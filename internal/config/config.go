@@ -43,11 +43,13 @@ type Site struct {
 	MinHash *bool `json:"minhash,omitempty"`
 	// CacheShards partitions the cache into this many independently
 	// locked shards (default 1). Requests route to a shard by the hash
-	// of their package keys; the capacity splits across shards and the
-	// eviction balancer reshapes the split at maintenance points. Keep
-	// it stable across restarts of a durable site: reloading a cache
-	// under a different shard count re-homes only newly inserted
-	// images, costing hit locality on the old ones.
+	// of their package keys, and specs on different shards never merge.
+	// The capacity is not split: it bounds the whole cache, and a merge
+	// or insert evicts the least-recently-used images of any shard,
+	// holding every shard's lock while it does. Keep it stable across
+	// restarts of a durable site: reloading a cache under a different
+	// shard count re-homes only newly inserted images, costing hit
+	// locality on the old ones.
 	CacheShards *int `json:"cache_shards,omitempty"`
 
 	// RepoFile loads the repository from a JSONL file; when empty, the

@@ -245,6 +245,12 @@ type Manager struct {
 	// (which keeps CheckIntegrity's lastUse ≤ clock bound local).
 	clockSrc *atomic.Uint64
 
+	// peers is the cache this manager evicts within: itself alone, or
+	// every shard of the ShardedManager it is one of, which share the
+	// one capacity in cfg. A request that evicts across shards must
+	// hold every shard exclusively.
+	peers []*Manager
+
 	// idOffset/idStride partition the image-ID space across shards:
 	// shard i of N allocates IDs ≡ i (mod N), so ImageID mod N names
 	// the owning shard in every mutation and checkpoint without any
@@ -308,6 +314,7 @@ func newManager(repo *pkggraph.Repo, cfg Config, h *similarity.Hasher) (*Manager
 		byID: make(map[uint64]*Image),
 		fast: newFastPath(repo),
 	}
+	m.peers = []*Manager{m}
 	if cfg.MinHash != nil {
 		if h == nil {
 			var err error
@@ -593,11 +600,19 @@ func (m *Manager) hit(at *telemetry.ActiveTrace, hitSpan telemetry.SpanRef, img 
 }
 
 // noteOccupancy records the cache's occupancy after the request —
-// bytes cached and images resident, read under the lock that ordered
-// it — on the request's hit, merge or insert span.
+// bytes cached and images resident in every shard that shares the
+// capacity (m.peers), read under the locks that ordered it — on the
+// request's hit, merge or insert span.
 func (m *Manager) noteOccupancy(at *telemetry.ActiveTrace, outcome telemetry.SpanRef) {
-	at.AttrInt(outcome, "cached_bytes", m.total)
-	at.AttrInt(outcome, "images", int64(len(m.byID)))
+	if at == nil {
+		return
+	}
+	images := 0
+	for _, p := range m.peers {
+		images += len(p.byID)
+	}
+	at.AttrInt(outcome, "cached_bytes", totalOf(m.peers))
+	at.AttrInt(outcome, "images", int64(images))
 }
 
 // commitSpan is commit wrapped in a wal_append child span: the commit
@@ -706,81 +721,87 @@ func (m *Manager) pickMergeTarget(at *telemetry.ActiveTrace, scanSpan telemetry.
 	return nil
 }
 
-// evict removes least-recently-used images until the cache fits its
-// capacity, never evicting the image just used (keep). It returns the
-// number of images and bytes evicted.
+// evict runs Algorithm 1's eviction step over the cache this manager
+// evicts within (see evictLRU and Manager.peers).
 func (m *Manager) evict(keep uint64) (int, int64) {
-	if m.cfg.Capacity <= 0 {
+	return evictLRU(m.peers, m.cfg.Capacity, keep)
+}
+
+// evictLRU removes least-recently-used images from ms — one cache, or
+// every shard of one — until their summed bytes fit capacity, never
+// evicting the image just used (keep). Each delete commits through the
+// hook of the manager that held the image. The shards of a cache draw
+// their stamps from one clock, so lastUse orders every image of the
+// set and the victim is the cache-wide least recently used. It returns
+// the number of images and bytes evicted.
+func evictLRU(ms []*Manager, capacity int64, keep uint64) (int, int64) {
+	if capacity <= 0 {
 		return 0, 0
 	}
-	limit := m.cfg.Capacity
+	limit := capacity
 	if mutantEnabled("capacity") {
 		limit += limit / 4
 	}
+	weighed := ms
+	if mutantEnabled("balance") {
+		own := keep % uint64(len(ms))
+		weighed = ms[own : own+1]
+	}
 	var n int
 	var bytes int64
-	for m.total > limit {
+	for totalOf(weighed) > limit {
 		var victim *Image
+		var owner *Manager
 		vi := -1
-		for i, img := range m.images {
-			if img == nil || img.ID == keep {
-				continue
-			}
-			older := victim == nil || img.lastUse < victim.lastUse
-			if victim != nil && mutantEnabled("lru") {
-				older = img.lastUse > victim.lastUse
-			}
-			if older {
-				victim = img
-				vi = i
+		for _, m := range ms {
+			for i, img := range m.images {
+				if img == nil || img.ID == keep {
+					continue
+				}
+				older := victim == nil || img.lastUse < victim.lastUse
+				if victim != nil && mutantEnabled("lru") {
+					older = img.lastUse > victim.lastUse
+				}
+				if older {
+					victim, owner, vi = img, m, i
+				}
 			}
 		}
 		if victim == nil {
 			break // only the in-use image remains; allow overflow
 		}
-		m.images[vi] = nil
-		delete(m.byID, victim.ID)
-		m.indexRemove(victim.ID)
-		m.total -= victim.Size
-		m.stats.Deletes++
-		m.commit(Mutation{Kind: MutDelete, ImageID: victim.ID})
+		owner.drop(vi)
+		owner.commit(Mutation{Kind: MutDelete, ImageID: victim.ID})
 		n++
 		bytes += victim.Size
 	}
 	if n > 0 {
-		m.compact()
+		for _, m := range ms {
+			m.compact()
+		}
 	}
 	return n, bytes
 }
 
-// SetCapacity replaces the byte capacity (the shard's budget when this
-// manager is one shard of a ShardedManager). Zero or negative means
-// unlimited. It does not evict; callers shrink explicitly if needed.
-func (m *Manager) SetCapacity(c int64) { m.cfg.Capacity = c }
+// totalOf sums the byte totals of ms.
+func totalOf(ms []*Manager) int64 {
+	var t int64
+	for _, m := range ms {
+		t += m.total
+	}
+	return t
+}
 
-// ShrinkToCapacity evicts least-recently-used images until the cache
-// fits its capacity, sparing the most-recently-used image (the same
-// image Request's eviction pass would spare, keeping the LRU-victim
-// invariant uniform for the check harness). The balancer calls this
-// after lowering a shard's budget. Evictions commit as ordinary
-// MutDelete records.
-func (m *Manager) ShrinkToCapacity() (int, int64) {
-	if m.cfg.Capacity <= 0 {
-		return 0, 0
-	}
-	var mru *Image
-	for _, img := range m.images {
-		if img == nil {
-			continue
-		}
-		if mru == nil || img.lastUse > mru.lastUse {
-			mru = img
-		}
-	}
-	if mru == nil {
-		return 0, 0
-	}
-	return m.evict(mru.ID)
+// drop removes the image at position i of the insertion-ordered slice
+// and counts the delete. Callers commit the delete, if it is to be
+// logged, and compact.
+func (m *Manager) drop(i int) {
+	img := m.images[i]
+	m.images[i] = nil
+	delete(m.byID, img.ID)
+	m.indexRemove(img.ID)
+	m.total -= img.Size
+	m.stats.Deletes++
 }
 
 // compact removes nil entries from the insertion-ordered slice once

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/pkggraph"
 	"repro/internal/similarity"
@@ -295,16 +296,7 @@ func (m *Manager) apply(mut *Record) error {
 		if !ok {
 			return fmt.Errorf("core: delete of unknown image %d", mut.ImageID)
 		}
-		for i, cur := range m.images {
-			if cur == img {
-				m.images[i] = nil
-				break
-			}
-		}
-		delete(m.byID, img.ID)
-		m.indexRemove(img.ID)
-		m.total -= img.Size
-		m.stats.Deletes++
+		m.drop(slices.Index(m.images, img))
 		m.compact()
 		return nil
 

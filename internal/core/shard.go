@@ -21,10 +21,13 @@ import (
 // a lock pair, keyed by the request's package keys (the route fold the
 // fleet shares, internal/spec's RouteTerms). Hits — the overwhelmingly common case in the paper's
 // operational zone — are served under a shard's shared read lock so
-// they scale across cores; merges, inserts, evictions and maintenance
-// take that shard's write lock, so slow-path traffic on different
-// shards proceeds in parallel too. shards=1 is the plain concurrent
-// cache and is byte-identical to an unsharded Manager.
+// they scale across cores; maintenance takes that shard's write lock,
+// and so do merges and inserts (with their evictions) unless the cache
+// has a capacity, which one eviction step enforces across every shard:
+// those slow paths take every shard's write lock. Without a capacity,
+// slow-path traffic on different shards proceeds in parallel too.
+// shards=1 is the plain concurrent cache and is byte-identical to an
+// unsharded Manager.
 //
 // Lock hierarchy (acquire strictly in this order, release in reverse;
 // multi-shard sections take shards in index order):
@@ -65,11 +68,13 @@ import (
 //     checkpoint. Recovery and checkpoint import route records with no
 //     format change.
 //
-//   - Per-shard byte budgets summing exactly to the global capacity,
-//     with a balancer (balance.go) that shifts budget toward hot
-//     shards at maintenance points under full exclusion. The global
-//     byte bound is the sum of per-shard bounds, which the check
-//     harness audits across shards.
+//   - One byte capacity for the whole cache. With one shard the shard
+//     holds it and evicts within itself, exactly as an unsharded
+//     Manager does. With more, no shard has a capacity of its own:
+//     every shard evicts within the whole shard set (Manager.peers),
+//     the globally least-recently-used image first and never the image
+//     the request just used, so a request's slow path holds every
+//     shard's write lock (see requestCtx).
 //
 // Commit hooks configured on a ShardedManager must be safe for
 // concurrent use (the persist store is). A request's spans belong to
@@ -78,14 +83,11 @@ type ShardedManager struct {
 	repo     *pkggraph.Repo
 	shards   []*shard
 	clockSrc *atomic.Uint64
-	capacity int64 // global byte budget (zero or negative: unlimited)
+	capacity int64 // the one byte capacity (zero or negative: unlimited)
 
 	// routes is the interned route-term table ShardFor sums (nil with
 	// one shard: there is nothing to route).
 	routes spec.RouteTerms
-
-	balMu sync.Mutex
-	bal   BalancerStats
 }
 
 // shard is one partition: a Manager behind its lock pair.
@@ -93,6 +95,11 @@ type shard struct {
 	mu    sync.RWMutex
 	hitMu sync.Mutex
 	m     *Manager
+
+	// slowSet is what a slow-path request on this shard write-locks:
+	// the shard itself, or every shard when the cache's one capacity
+	// spans them and the request may evict from any.
+	slowSet []*shard
 
 	// Contention accounting, always on (atomics are ~free next to a
 	// cache scan): hits served under the read lock, and write-lock
@@ -206,17 +213,23 @@ func (sh *shard) requestCtx(ctx context.Context, s spec.Spec) (Result, error) {
 		res := m.hit(at, hitSpan, img, s, reqBytes)
 		sh.hitMu.Unlock()
 		at.EndInt(hitSpan, "image_id", int64(img.ID))
-		m.noteOccupancy(at, hitSpan)
+		if len(sh.slowSet) == 1 {
+			m.noteOccupancy(at, hitSpan)
+		}
 		sh.readHits.Add(1)
 		sh.mu.RUnlock()
+		if len(sh.slowSet) > 1 {
+			sh.noteOccupancy(at, hitSpan)
+		}
 		return res, nil
 	}
 	sh.mu.RUnlock()
 
-	// Slow path: the full algorithm under exclusion. Reuses the
-	// single-threaded Request verbatim — including its own phase-1
-	// rescan — so the decision procedure has exactly one
-	// implementation. The second ctx check catches deadlines that
+	// Slow path: the full algorithm under exclusion — of this shard,
+	// or of every shard when its eviction step may take any shard's
+	// image. Reuses the single-threaded Request verbatim — including
+	// its own phase-1 rescan — so the decision procedure has exactly
+	// one implementation. The second ctx check catches deadlines that
 	// expired while this request queued behind the write lock — the
 	// common shape under overload, and the window where aborting still
 	// costs nothing.
@@ -224,15 +237,51 @@ func (sh *shard) requestCtx(ctx context.Context, s spec.Spec) (Result, error) {
 		return Result{}, err
 	}
 	wlSpan := at.Begin(telemetry.StageLockWaitWrite, at.Root())
-	sh.lock()
+	lockAll(sh.slowSet)
 	at.End(wlSpan)
 	if err := ctx.Err(); err != nil {
-		sh.mu.Unlock()
+		unlockAll(sh.slowSet)
 		return Result{}, err
 	}
 	res, err := m.RequestTraced(s, at)
-	sh.mu.Unlock()
+	unlockAll(sh.slowSet)
 	return res, err
+}
+
+// noteOccupancy is Manager.noteOccupancy for a hit on a shard whose
+// capacity spans the whole set, which holds only its own read lock:
+// once that is released it reads each shard under its read lock in
+// turn, never two at once (a writer waiting for all of them in index
+// order would deadlock against a reader holding one and asking for
+// another), so the sum may include requests that finished meanwhile.
+func (sh *shard) noteOccupancy(at *telemetry.ActiveTrace, outcome telemetry.SpanRef) {
+	if at == nil {
+		return
+	}
+	var bytes, images int64
+	for _, p := range sh.slowSet {
+		p.mu.RLock()
+		bytes += p.m.total
+		images += int64(len(p.m.byID))
+		p.mu.RUnlock()
+	}
+	at.AttrInt(outcome, "cached_bytes", bytes)
+	at.AttrInt(outcome, "images", images)
+}
+
+// lockAll write-locks shards in index order, the fixed order that makes
+// multi-shard exclusion deadlock-free; unlockAll releases them in
+// reverse.
+func lockAll(shards []*shard) {
+	for _, sh := range shards {
+		sh.lock()
+	}
+}
+
+func unlockAll(shards []*shard) {
+	for i := len(shards) - 1; i >= 0; i-- {
+		shards[i].mu.Unlock()
+	}
 }
 
 // peekHit answers "would this spec hit?" under the read lock alone.
@@ -277,11 +326,9 @@ func ShardOf(sum uint64, shards int) int {
 }
 
 // NewSharded validates cfg and creates an empty sharded manager with
-// cfg.Shards shards (minimum 1). The capacity is split evenly across
-// shards (remainder bytes to the lowest indices) so budgets sum to the
-// configured capacity exactly; Rebalance reshapes the split later.
-// cfg.Commit is shared by every shard and must be safe for concurrent
-// use.
+// cfg.Shards shards (minimum 1). cfg.Capacity bounds the whole cache,
+// not each shard. cfg.Commit is shared by every shard and must be safe
+// for concurrent use.
 func NewSharded(repo *pkggraph.Repo, cfg Config) (*ShardedManager, error) {
 	n := cfg.Shards
 	if n < 1 {
@@ -292,15 +339,13 @@ func NewSharded(repo *pkggraph.Repo, cfg Config) (*ShardedManager, error) {
 		capacity: cfg.Capacity,
 		clockSrc: new(atomic.Uint64),
 	}
+	scfg := cfg
+	scfg.Shards = n
 	if n >= 2 {
 		sm.routes = spec.NewRouteTerms(repo)
 	}
-	budgets := SplitBudget(cfg.Capacity, n)
 	var hasher *similarity.Hasher // the first shard's, shared: one probe index per cache
 	for i := 0; i < n; i++ {
-		scfg := cfg
-		scfg.Shards = n
-		scfg.Capacity = budgets[i]
 		m, err := newManager(repo, scfg, hasher)
 		if err != nil {
 			return nil, err
@@ -310,7 +355,15 @@ func NewSharded(repo *pkggraph.Repo, cfg Config) (*ShardedManager, error) {
 		m.idOffset = uint64(i)
 		m.idStride = uint64(n)
 		m.nextID = uint64(i)
-		sm.shards = append(sm.shards, &shard{m: m})
+		sh := &shard{m: m}
+		sh.slowSet = []*shard{sh}
+		sm.shards = append(sm.shards, sh)
+	}
+	if n >= 2 && cfg.Capacity > 0 { // a merge or insert may evict from any shard
+		ms := sm.managers()
+		for i, sh := range sm.shards {
+			sh.slowSet, ms[i].peers = sm.shards, ms
+		}
 	}
 	return sm, nil
 }
@@ -318,18 +371,15 @@ func NewSharded(repo *pkggraph.Repo, cfg Config) (*ShardedManager, error) {
 // NumShards returns the shard count.
 func (sm *ShardedManager) NumShards() int { return len(sm.shards) }
 
-// ShardUsage returns shard i's resident image count and bytes and its
-// current byte budget (zero or negative means unlimited; the balancer
-// moves it between maintenance passes) — the per-shard gauges.
-func (sm *ShardedManager) ShardUsage(i int) (images int, bytes, budget int64) {
-	sm.shards[i].read(func(m *Manager) {
-		images, bytes, budget = m.Len(), m.TotalData(), m.Capacity()
-	})
-	return images, bytes, budget
+// ShardUsage returns shard i's resident image count and bytes — the
+// per-shard gauges.
+func (sm *ShardedManager) ShardUsage(i int) (images int, bytes int64) {
+	sm.shards[i].read(func(m *Manager) { images, bytes = m.Len(), m.TotalData() })
+	return images, bytes
 }
 
-// Capacity returns the global byte capacity (zero or negative means
-// unlimited).
+// Capacity returns the cache's one byte capacity (zero or negative
+// means unlimited).
 func (sm *ShardedManager) Capacity() int64 { return sm.capacity }
 
 // ShardFor returns the shard a request for s routes to: the interned
@@ -383,17 +433,14 @@ func (sm *ShardedManager) managers() []*Manager {
 // shard locks are acquired in index order (the fixed order that makes
 // multi-shard exclusion deadlock-free) and released in reverse. This is
 // the critical section for checkpoints (export state + WAL rotation
-// with no mutation in between), restores, and rebalancing — anything
+// with no mutation in between), restores, and the slow path of a
+// request that may evict from any shard — anything
 // that must observe or mutate a globally frozen cache. fn must not
 // retain ms or its elements.
 func (sm *ShardedManager) WithExclusiveAll(fn func(ms []*Manager)) {
-	for _, sh := range sm.shards {
-		sh.lock()
-	}
+	lockAll(sm.shards)
 	fn(sm.managers())
-	for i := len(sm.shards) - 1; i >= 0; i-- {
-		sm.shards[i].mu.Unlock()
-	}
+	unlockAll(sm.shards)
 }
 
 // WithSharedAll runs fn with every shard quiescent for reading (read

@@ -378,117 +378,51 @@ func TestShardedPruneVsHitOrdering(t *testing.T) {
 	}
 }
 
-// TestBalancerStarvation drives all traffic at one shard of eight and
-// pins the balancer's contract: budgets always sum exactly to the
-// global capacity (the identity the global byte bound rests on), cold
-// shards never drop below the capacity/(4·shards) floor, the hot
-// shard's budget grows past its even share, and the resident bytes
-// never exceed the global budget at rebalance points.
-func TestBalancerStarvation(t *testing.T) {
+// TestHotShardUsesWholeCapacity drives all traffic at one shard of
+// eight. The cache has one capacity, not eight shares of it: the hot
+// shard grows past an eighth of the capacity, the cache still evicts,
+// and after every request it fits the capacity unless one image alone
+// outgrows it.
+func TestHotShardUsesWholeCapacity(t *testing.T) {
 	repo := concRepo(t)
 	const shards = 8
 	capacity := repo.TotalSize() / 5
-	cfg := Config{Alpha: 0.6, Capacity: capacity, Shards: shards}
-	sm, err := NewSharded(repo, cfg)
+	sm, err := NewSharded(repo, Config{Alpha: 0.6, Capacity: capacity, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	pool := specPool(repo, 600, 7)
 	target := sm.ShardFor(pool[0])
-	var hot []reqRec
+	var hot []spec.Spec
 	for _, s := range pool {
 		if sm.ShardFor(s) == target {
-			hot = append(hot, reqRec{s: s})
+			hot = append(hot, s)
 		}
 	}
 	if len(hot) < 10 {
 		t.Fatalf("only %d specs route to shard %d; need more diversity", len(hot), target)
 	}
 
-	floor := capacity / (4 * shards)
-	even := capacity / shards
-	audit := func(step int) {
-		t.Helper()
-		budgets := sm.Budgets()
-		var sum int64
-		for i, b := range budgets {
-			sum += b
-			if b < floor {
-				t.Fatalf("step %d: shard %d budget %d below floor %d (starved)", step, i, b, floor)
-			}
-		}
-		if sum != capacity {
-			t.Fatalf("step %d: budgets sum to %d, want exactly %d", step, sum, capacity)
-		}
-		sm.WithSharedAll(func(ms []*Manager) {
-			var resident int64
-			for i, m := range ms {
-				if m.TotalData() > m.Capacity() && m.Len() > 1 {
-					t.Fatalf("step %d: shard %d holds %d bytes over its %d budget with %d images",
-						step, i, m.TotalData(), m.Capacity(), m.Len())
-				}
-				if m.Len() > 1 {
-					resident += m.TotalData()
-				}
-			}
-			// Multi-image shards respect their budgets, and budgets sum
-			// to capacity, so multi-image residency is globally bounded.
-			if resident > capacity {
-				t.Fatalf("step %d: %d resident bytes exceed the %d global budget", step, resident, capacity)
-			}
-		})
-	}
-
+	var peak int64
 	for i := 0; i < 40*len(hot); i++ {
-		if _, err := sm.Request(hot[i%len(hot)].s); err != nil {
+		if _, err := sm.Request(hot[i%len(hot)]); err != nil {
 			t.Fatal(err)
 		}
-		if i%97 == 0 {
-			sm.Rebalance()
-			audit(i)
+		if total, images := sm.TotalData(), sm.Len(); total > capacity && images > 1 {
+			t.Fatalf("request %d: %d images hold %d bytes, over the capacity %d", i, images, total, capacity)
 		}
+		_, bytes := sm.ShardUsage(target)
+		peak = max(peak, bytes)
 	}
-	sm.Rebalance()
-	audit(-1)
-
-	budgets := sm.Budgets()
-	if budgets[target] <= even {
-		t.Errorf("hot shard %d budget %d never grew past its even share %d", target, budgets[target], even)
+	if peak <= capacity/shards {
+		t.Errorf("hot shard %d peaked at %d bytes, never past an eighth of the capacity %d", target, peak, capacity)
 	}
-	bal := sm.BalancerStats()
-	if bal.Rebalances == 0 || bal.BudgetMoved == 0 {
-		t.Errorf("balancer idle: %+v", bal)
+	if sm.Stats().Deletes == 0 {
+		t.Error("nothing evicted: the traffic never filled the cache")
 	}
 	if err := sm.CheckIntegrity(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSplitBudget pins the even split's exactness.
-func TestSplitBudget(t *testing.T) {
-	for _, tc := range []struct {
-		c int64
-		n int
-	}{{100, 3}, {7, 4}, {0, 5}, {-3, 2}, {1, 1}, {1 << 40, 16}} {
-		got := SplitBudget(tc.c, tc.n)
-		if len(got) != tc.n {
-			t.Fatalf("SplitBudget(%d,%d) returned %d budgets", tc.c, tc.n, len(got))
-		}
-		var sum int64
-		for i, b := range got {
-			sum += b
-			if tc.c > 0 && i > 0 && b > got[i-1] {
-				t.Errorf("SplitBudget(%d,%d): remainder not front-loaded: %v", tc.c, tc.n, got)
-			}
-		}
-		want := tc.c
-		if want < 0 {
-			want = 0
-		}
-		if sum != want {
-			t.Errorf("SplitBudget(%d,%d) sums to %d", tc.c, tc.n, sum)
-		}
 	}
 }
 

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/pkggraph"
 	"repro/internal/spec"
 	"repro/internal/telemetry"
 )
@@ -291,6 +294,71 @@ func TestShardedManagerTracesLockWaits(t *testing.T) {
 	if hitEv.Op != "hit" || hitEv.SupersetScanned != 1 || hitEv.CachedBytes != cm.TotalData() || hitEv.Images != cm.Len() {
 		t.Fatalf("read-path hit event %+v, want scanned 1 and %d bytes in %d images", hitEv, cm.TotalData(), cm.Len())
 	}
+}
+
+// TestShardedEventsReportWholeCache: with two shards under one
+// capacity, every request's event — hit, merge or insert, on either
+// shard — snapshots the whole cache the eviction step bounds, not the
+// shard that served it. Concurrent traced requests, whose read-path
+// hits read every shard's occupancy while merges and inserts hold all
+// the write locks, must neither race nor deadlock.
+func TestShardedEventsReportWholeCache(t *testing.T) {
+	repo := flatRepo(t, 40, 1)
+	cm, err := NewSharded(repo, Config{Alpha: 0.8, Capacity: 12, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	draw := func(rng *rand.Rand) spec.Spec {
+		ids := make([]pkggraph.PkgID, 1+rng.Intn(4))
+		for j := range ids {
+			ids[j] = pkggraph.PkgID(rng.Intn(16))
+		}
+		return spec.New(ids)
+	}
+	rig := newTraceRig()
+	rng := rand.New(rand.NewSource(7))
+	ops := map[string]int{}
+	for i := 0; i < 60; i++ {
+		s := draw(rng)
+		_, ev, _ := rig.sharded(t, cm, s)
+		ops[ev.Op]++
+		if ev.CachedBytes != cm.TotalData() || ev.Images != cm.Len() {
+			t.Fatalf("request %d (%s on shard %d): event reads %d bytes in %d images, the cache holds %d in %d",
+				i, ev.Op, cm.ShardFor(s), ev.CachedBytes, ev.Images, cm.TotalData(), cm.Len())
+		}
+	}
+	for _, op := range []string{"hit", "merge", "insert"} {
+		if ops[op] == 0 {
+			t.Errorf("no %s among %v", op, ops)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if n, _ := cm.ShardUsage(i); n == 0 {
+			t.Errorf("shard %d ends empty; the requests must span both", i)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				s := draw(rng)
+				at := rig.spans.Start(0, 0)
+				res, err := cm.RequestCtx(telemetry.ContextWithTrace(context.Background(), at), s)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if ev := EventOf(s, res, at, time.Microsecond); ev.Images < 1 || ev.CachedBytes < 1 {
+					t.Errorf("concurrent %s event reads an empty cache: %+v", ev.Op, ev)
+				}
+				at.Finish(res.Op.String(), "", res.Seq)
+			}
+		}(rand.New(rand.NewSource(int64(w))))
+	}
+	wg.Wait()
 }
 
 // BenchmarkTracedHit is the server's hit as core sees it: a one-shard

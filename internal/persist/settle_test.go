@@ -68,7 +68,9 @@ func (c *closureMix) next() spec.Spec {
 // crash serves head requests into a store in dir, checkpoints, serves
 // tail more with a prune pass every 100, and stops without a final
 // checkpoint, as a crash leaves the directory. It returns the stats the
-// tail added.
+// tail added. Halfway through the tail it leaves part of an image
+// unused (leaveStalePart), so the tail logs a split record whatever the
+// mix's own prune passes find.
 func (c *closureMix) crash(tb testing.TB, dir string, head, tail int) core.Stats {
 	tb.Helper()
 	st, err := Open(dir, Options{SyncPolicy: FsyncNever})
@@ -95,6 +97,9 @@ func (c *closureMix) crash(tb testing.TB, dir string, head, tail int) core.Stats
 				tb.Fatal(err)
 			}
 		}
+		if i == head+tail/2 {
+			c.leaveStalePart(tb, live)
+		}
 	}
 	if err := st.Close(); err != nil {
 		tb.Fatal(err)
@@ -103,6 +108,36 @@ func (c *closureMix) crash(tb testing.TB, dir string, head, tail int) core.Stats
 	return core.Stats{
 		Merges: end.Merges - atCheckpoint.Merges, Deletes: end.Deletes - atCheckpoint.Deletes,
 		Splits: end.Splits - atCheckpoint.Splits,
+	}
+}
+
+// leaveStalePart splits an image on purpose: a prune pass closes every
+// image's served window, two requests for the closure of the largest
+// image's first package hit an image that holds it, and the next pass
+// finds at most 90% of that image used.
+func (c *closureMix) leaveStalePart(tb testing.TB, live *core.ShardedManager) {
+	tb.Helper()
+	if _, err := live.Prune(0.9, 2); err != nil {
+		tb.Fatal(err)
+	}
+	var big core.Image
+	for _, img := range live.Images() {
+		if img.Size > big.Size {
+			big = img
+		}
+	}
+	part := spec.WithClosure(c.repo, big.Spec.IDs()[:1])
+	for range 2 {
+		if _, err := live.Request(part); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	split, err := live.Prune(0.9, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(split) == 0 {
+		tb.Fatalf("two requests for %d of image %d's %d packages split no image", part.Len(), big.ID, big.Spec.Len())
 	}
 }
 
@@ -230,6 +265,7 @@ func TestRecoverSettlesLikePerRecordReplay(t *testing.T) {
 	}{
 		{"testdata/state_pr15", core.Config{Alpha: 0.75, Capacity: 200}},
 		{"testdata/state_sharded2", shardedConfig(2)},
+		{"testdata/state_sharded2_onebudget", shardedConfig(2)},
 	} {
 		want, err := os.ReadFile(filepath.Join(golden.dir, "state.json"))
 		if err != nil {

@@ -192,8 +192,8 @@ func TestRecoverShardedCrossCount(t *testing.T) {
 	}
 }
 
-// writeShardedState is the run behind testdata/state_sharded2: a
-// 2-shard cache over testRepo(24, 10) serves 150 seeded 1-3 package
+// writeShardedState is the run behind the sharded golden directories:
+// a 2-shard cache over testRepo(24, 10) serves 150 seeded 1-3 package
 // specs, checkpointing after the 100th, and closes.
 func writeShardedState(t *testing.T, dir string) {
 	t.Helper()
@@ -222,16 +222,33 @@ func writeShardedState(t *testing.T, dir string) {
 	}
 }
 
-// TestRecoverShardedGoldenStateDir: testdata/state_sharded2 holds the
-// files writeShardedState left when the shard route was still computed
-// by internal/core's own copy of the fold, and state.json the state
-// that commit recovered from them. Recovering the directory today must
-// give that state byte for byte — images, ids, clock and stats — and
-// the same run today must write the same segment and checkpoint the
-// same state: no spec changed shard, so no image id and no WAL record
-// moved.
+// TestRecoverShardedGoldenStateDir: each golden directory holds the
+// files writeShardedState left, and state.json the state its commit
+// recovered from them. testdata/state_sharded2 was written when the
+// shard route was still computed by internal/core's own copy of the
+// fold and each shard evicted under half the capacity;
+// testdata/state_sharded2_onebudget was written under the one capacity
+// both shards share. Recovering either directory today must give its
+// state byte for byte — images, ids, clock and stats — and every insert
+// its segment logs must route, under today's fold, to the shard its id
+// names. The same run today must write the one-budget directory's
+// segment byte for byte and checkpoint the same state: that pins the
+// sharded writer's decisions, eviction and record encoding.
 func TestRecoverShardedGoldenStateDir(t *testing.T) {
-	const golden = "testdata/state_sharded2"
+	for _, golden := range []struct {
+		dir     string
+		current bool // today's writeShardedState writes these files
+	}{
+		{"testdata/state_sharded2", false},
+		{"testdata/state_sharded2_onebudget", true},
+	} {
+		t.Run(filepath.Base(golden.dir), func(t *testing.T) {
+			checkShardedGolden(t, golden.dir, golden.current)
+		})
+	}
+}
+
+func checkShardedGolden(t *testing.T, golden string, current bool) {
 	want, err := os.ReadFile(filepath.Join(golden, "state.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -267,6 +284,31 @@ func TestRecoverShardedGoldenStateDir(t *testing.T) {
 	}
 	if err := mgr.CheckIntegrity(); err != nil {
 		t.Errorf("recovered cache fails its invariants: %v", err)
+	}
+
+	wal, err := os.ReadFile(filepath.Join(golden, "wal-0000000000000002.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	muts, err := ReadSegment(bytes.NewReader(wal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inserts := 0
+	for _, mut := range muts {
+		if mut.Kind != core.MutInsert {
+			continue
+		}
+		inserts++
+		if got := core.ShardRoute(mut.Packages, 2); uint64(got) != mut.ImageID%2 {
+			t.Errorf("insert of image %d routes to shard %d today, its id names shard %d", mut.ImageID, got, mut.ImageID%2)
+		}
+	}
+	if inserts == 0 {
+		t.Error("the golden segment logs no insert")
+	}
+	if !current {
+		return
 	}
 
 	again := t.TempDir()

@@ -290,35 +290,17 @@ func (s *Server) registerCacheMetrics() {
 }
 
 // registerShardMetrics exposes the sharded core: per-shard residency
-// and budget gauges (labelled by shard index) plus the eviction
-// balancer's counters. With cache_shards=1 the series still exist —
-// one shard whose budget is the whole capacity — so dashboards need no
+// gauges, labelled by shard index. With cache_shards=1 the series still
+// exist — one shard holding the whole cache — so dashboards need no
 // special case for sharded sites.
 func (s *Server) registerShardMetrics() {
 	for i := 0; i < s.cmgr.NumShards(); i++ {
 		label := telemetry.Label{Key: "shard", Value: strconv.Itoa(i)}
 		s.reg.GaugeFunc("landlord_cache_shard_images", "Images cached on this shard",
-			func() float64 { images, _, _ := s.cmgr.ShardUsage(i); return float64(images) }, label)
+			func() float64 { images, _ := s.cmgr.ShardUsage(i); return float64(images) }, label)
 		s.reg.GaugeFunc("landlord_cache_shard_bytes", "Bytes cached on this shard",
-			func() float64 { _, bytes, _ := s.cmgr.ShardUsage(i); return float64(bytes) }, label)
-		s.reg.GaugeFunc("landlord_cache_shard_budget_bytes",
-			"This shard's byte budget (the balancer reshapes it; 0 = unlimited)",
-			func() float64 { _, _, budget := s.cmgr.ShardUsage(i); return float64(budget) }, label)
+			func() float64 { _, bytes := s.cmgr.ShardUsage(i); return float64(bytes) }, label)
 	}
-	bal := func(f func(st core.BalancerStats) float64) func() float64 {
-		return func() float64 { return f(s.cmgr.BalancerStats()) }
-	}
-	s.reg.GaugeFunc("landlord_cache_rebalances_total", "Completed eviction-balancer passes",
-		bal(func(st core.BalancerStats) float64 { return float64(st.Rebalances) }))
-	s.reg.GaugeFunc("landlord_cache_rebalance_budget_moved_bytes_total",
-		"Bytes of budget reassigned between shards by the balancer",
-		bal(func(st core.BalancerStats) float64 { return float64(st.BudgetMoved) }))
-	s.reg.GaugeFunc("landlord_cache_rebalance_evicted_images_total",
-		"Images evicted by post-rebalance shrink passes",
-		bal(func(st core.BalancerStats) float64 { return float64(st.Evicted) }))
-	s.reg.GaugeFunc("landlord_cache_rebalance_evicted_bytes_total",
-		"Bytes evicted by post-rebalance shrink passes",
-		bal(func(st core.BalancerStats) float64 { return float64(st.EvictedBytes) }))
 }
 
 // RequestBody is the POST /v1/request payload.
@@ -841,11 +823,8 @@ func (s *Server) PruneNow(maxUtilization float64, minServed int) int {
 	return len(splits)
 }
 
-// RebalanceNow runs one eviction-balancer pass, reshaping the
-// per-shard byte budgets toward the current load and shrinking any
-// shard left over its new budget. A no-op for single-shard or
-// unlimited caches; the daemon calls it on its maintenance cadence.
-// Returns the cumulative balancer counters.
-func (s *Server) RebalanceNow() core.BalancerStats {
-	return s.cmgr.Rebalance()
-}
+// RebalanceNow does nothing: the cache has one capacity and evicts
+// across its shards on the request path, so there are no shard budgets
+// to rebalance. It remains only because the repository's benchmark
+// (bench/topology.go) calls it.
+func (s *Server) RebalanceNow() {}

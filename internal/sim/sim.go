@@ -5,10 +5,11 @@
 //
 // Every run is deterministic given its Params. Sweeps fan repetitions
 // out over a bounded worker pool; each repetition is an independent
-// Manager, so no locking is needed beyond the result collection.
+// cache, so no locking is needed beyond the result collection.
 package sim
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -51,6 +52,9 @@ type Params struct {
 	Alpha float64
 	// CacheBytes is the cache capacity (0 = unlimited).
 	CacheBytes int64
+	// Shards is the cache's shard count under its one capacity, as the
+	// site service runs it (core.ShardedManager); 0 or 1 is one shard.
+	Shards int
 	// UniqueJobs and Repeats define the request stream: UniqueJobs
 	// distinct specifications, each repeated Repeats times, shuffled.
 	UniqueJobs int
@@ -158,7 +162,7 @@ func (p Params) managerConfig() core.Config {
 }
 
 // Run generates the request stream for p and replays it against a
-// fresh Manager.
+// fresh cache of p.Shards shards.
 func Run(p Params) (Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, err
@@ -167,23 +171,25 @@ func Run(p Params) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	mgr, err := core.NewManager(p.Repo, p.managerConfig())
+	cfg := p.managerConfig()
+	cfg.Shards = p.Shards
+	mgr, err := core.NewSharded(p.Repo, cfg)
 	if err != nil {
 		return Result{}, err
 	}
 	return Replay(mgr, stream, p.TimelineEvery, p.Events)
 }
 
-// Replay drives an existing Manager with a request stream, recording a
+// Replay drives an existing cache with a request stream, recording a
 // timeline point every `every` requests (0 disables the timeline). It
 // is also the entry point for trace-driven runs (see internal/trace).
 // Timeline counters start at zero from the first replayed request,
-// regardless of the Manager's prior history. The Figure 5 timeline
+// regardless of the cache's prior history. The Figure 5 timeline
 // accumulates from each request's Result and the cache's occupancy
 // after it. With a non-nil events sink, each request runs under a span
 // trace and its event (core.EventOf) is written before the trace is
 // finished.
-func Replay(mgr *core.Manager, stream []spec.Spec, every int, events *telemetry.JSONLSink) (Result, error) {
+func Replay(mgr *core.ShardedManager, stream []spec.Spec, every int, events *telemetry.JSONLSink) (Result, error) {
 	var spans *telemetry.SpanTracer // nil: requests run untraced
 	if events != nil {
 		spans = telemetry.NewSpanTracer(nil)
@@ -194,7 +200,7 @@ func Replay(mgr *core.Manager, stream []spec.Spec, every int, events *telemetry.
 	for i, s := range stream {
 		at := spans.Start(0, 0)
 		start := time.Now()
-		res, err := mgr.RequestTraced(s, at)
+		res, err := mgr.RequestCtx(telemetry.ContextWithTrace(context.Background(), at), s)
 		if err != nil {
 			return Result{}, fmt.Errorf("sim: request %d: %w", i, err)
 		}

@@ -423,7 +423,7 @@ func TestReplayWithTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := core.NewManager(repo, core.Config{Alpha: 0.8, MinHash: core.DefaultMinHash()})
+	m, err := core.NewSharded(repo, core.Config{Alpha: 0.8, MinHash: core.DefaultMinHash()})
 	if err != nil {
 		t.Fatal(err)
 	}

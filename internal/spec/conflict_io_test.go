@@ -1,7 +1,6 @@
 package spec
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -66,14 +65,11 @@ func TestSingleVersionPolicyInternallyConflicted(t *testing.T) {
 	}
 }
 
+// TestWriteParseRoundTrip reads a spec back from its written key list.
 func TestWriteParseRoundTrip(t *testing.T) {
 	repo := versionedRepo(t)
 	orig := New(ids(0, 2))
-	var buf bytes.Buffer
-	if err := orig.Write(&buf, repo); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	parsed, err := Parse(&buf, repo)
+	parsed, err := Parse(strings.NewReader(keysText(orig, repo)), repo)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}

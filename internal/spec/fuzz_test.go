@@ -1,13 +1,16 @@
 package spec
 
 import (
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/pkggraph"
 )
 
 // FuzzParse throws arbitrary text at the specification parser: it must
-// never panic, and anything it accepts must round-trip through Write.
+// never panic, and anything it accepts must round-trip through its key
+// list (keysText).
 func FuzzParse(f *testing.F) {
 	pkgs := []pkggraph.Package{
 		{ID: 0, Name: "base", Version: "1.0", Platform: "p", Tier: pkggraph.TierCore, Size: 10, FileCount: 1},
@@ -34,11 +37,7 @@ func FuzzParse(f *testing.F) {
 				t.Fatalf("non-canonical spec from %q", input)
 			}
 		}
-		var sb stringsBuilder
-		if err := s.Write(&sb, repo); err != nil {
-			t.Fatalf("Write failed on accepted spec: %v", err)
-		}
-		back, err := ParseString(sb.String(), repo)
+		back, err := ParseString(keysText(s, repo), repo)
 		if err != nil {
 			t.Fatalf("round trip parse failed: %v", err)
 		}
@@ -83,11 +82,7 @@ func FuzzSpecParse(f *testing.F) {
 		if repo.SetSize(closure) < repo.SetSize(ids) {
 			t.Fatalf("closure smaller than its roots")
 		}
-		var sb stringsBuilder
-		if err := s.Write(&sb, repo); err != nil {
-			t.Fatalf("Write failed on accepted spec: %v", err)
-		}
-		back, err := ParseString(sb.String(), repo)
+		back, err := ParseString(keysText(s, repo), repo)
 		if err != nil {
 			t.Fatalf("round trip parse failed: %v", err)
 		}
@@ -97,13 +92,17 @@ func FuzzSpecParse(f *testing.F) {
 	})
 }
 
-// stringsBuilder is a minimal io.Writer over a string (avoids
-// importing strings just for Builder in a fuzz file).
-type stringsBuilder struct{ buf []byte }
-
-func (b *stringsBuilder) Write(p []byte) (int, error) {
-	b.buf = append(b.buf, p...)
-	return len(p), nil
+// keysText renders s in the text form Parse reads: one package key per
+// line, in key order.
+func keysText(s Spec, repo *pkggraph.Repo) string {
+	keys := make([]string, 0, s.Len())
+	for _, id := range s.IDs() {
+		keys = append(keys, repo.Package(id).Key())
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	for _, k := range keys {
+		b.WriteString(k + "\n")
+	}
+	return b.String()
 }
-
-func (b *stringsBuilder) String() string { return string(b.buf) }

@@ -4,29 +4,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/pkggraph"
 )
-
-// Write renders the specification as text: one package key per line, in
-// a stable (key-sorted) order, so that equal specs serialize
-// identically. This is the format cmd/landlord reads with -spec.
-func (s Spec) Write(w io.Writer, repo *pkggraph.Repo) error {
-	keys := make([]string, 0, len(s.ids))
-	for _, id := range s.ids {
-		keys = append(keys, repo.Package(id).Key())
-	}
-	sort.Strings(keys)
-	bw := bufio.NewWriter(w)
-	for _, k := range keys {
-		if _, err := fmt.Fprintln(bw, k); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
 
 // String renders the spec compactly for logs: up to eight keys followed
 // by an ellipsis with the total count.
