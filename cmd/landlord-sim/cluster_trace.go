@@ -31,17 +31,16 @@ type sitePolicy struct {
 
 // sitePolicies returns the placements the multi-site experiment
 // compares over the named sites: rotation, seeded uniform random, and
-// the fleet ring — fleet.NewRing(0) over the site names, looked up with
-// fleet.RouteKey of the job's package keys, which is where a landlordd
-// master sends the spec before directory affinity (not modelled here)
-// can redirect it to an agent already holding a superset.
+// the fleet hash — the head of fleet.RendezvousOrder over the site
+// names for fleet.RouteKey of the job's package keys, which is where a
+// landlordd master sends the spec before directory affinity (not
+// modelled here) can redirect it to an agent already holding a
+// superset.
 func sitePolicies(repo *pkggraph.Repo, sites []string, seed int64) []sitePolicy {
 	next := 0
 	rng := rand.New(rand.NewSource(seed))
-	ring := fleet.NewRing(0)
 	index := make(map[string]int, len(sites))
 	for i, name := range sites {
-		ring.Add(name)
 		index[name] = i
 	}
 	return []sitePolicy{
@@ -51,8 +50,8 @@ func sitePolicies(repo *pkggraph.Repo, sites []string, seed int64) []sitePolicy 
 			return i
 		}},
 		{"random", func(spec.Spec) int { return rng.Intn(len(sites)) }},
-		{"fleet ring", func(job spec.Spec) int {
-			return index[ring.Lookup(fleet.RouteKey(jobKeys(repo, job)))]
+		{"fleet hash", func(job spec.Spec) int {
+			return index[fleet.RendezvousOrder(sites, fleet.RouteKey(jobKeys(repo, job)))[0]]
 		}},
 	}
 }
@@ -119,7 +118,7 @@ func cmdCluster(repo *pkggraph.Repo, opt *options) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	fmt.Fprintf(opt.out, "\nthe fleet ring sends every repeat of a spec to one site, so it hits the image built there\n")
+	fmt.Fprintf(opt.out, "\nthe fleet hash sends every repeat of a spec to one site, so it hits the image built there\n")
 	return nil
 }
 

@@ -220,39 +220,35 @@ func TestCmdCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"round-robin", "random", "fleet ring"} {
+	for _, want := range []string{"round-robin", "random", "fleet hash"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("cluster missing %q", want)
 		}
 	}
 
-	// The fleet-ring row places jobs exactly as a master's ring does:
-	// every repeat of a spec lands on one site, the ring's owner of
-	// the spec's route key.
+	// The fleet-hash row places jobs exactly as a master does: every
+	// repeat of a spec lands on one site, the rendezvous owner of the
+	// spec's route key.
 	stream, err := workload.Stream(workload.NewDepClosure(repo, opt.seed), opt.uniqueJobs, opt.repeats, opt.seed+0x5eed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	names := []string{"site-0", "site-1", "site-2", "site-3"}
-	ring := fleet.NewRing(0)
-	for _, name := range names {
-		ring.Add(name)
-	}
 	var pol *sitePolicy
 	policies := sitePolicies(repo, names, opt.seed)
 	for i := range policies {
-		if policies[i].name == "fleet ring" {
+		if policies[i].name == "fleet hash" {
 			pol = &policies[i]
 		}
 	}
 	if pol == nil {
-		t.Fatal("no fleet ring policy")
+		t.Fatal("no fleet hash policy")
 	}
 	placed := make(map[uint64]int)
 	for n, job := range stream {
 		i := pol.place(job)
-		if want := ring.Lookup(fleet.RouteKey(jobKeys(repo, job))); names[i] != want {
-			t.Fatalf("job %d placed on %s, ring owner is %s", n, names[i], want)
+		if want := fleet.RendezvousOrder(names, fleet.RouteKey(jobKeys(repo, job)))[0]; names[i] != want {
+			t.Fatalf("job %d placed on %s, rendezvous owner is %s", n, names[i], want)
 		}
 		if prev, ok := placed[job.Hash()]; ok && prev != i {
 			t.Fatalf("job %d: repeat placed on %s, earlier copy on %s", n, names[i], names[prev])

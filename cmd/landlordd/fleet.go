@@ -1,6 +1,6 @@
 // Fleet-mode wiring: -mode master serves the internal/fleet control
 // plane (no repository, no cache — it routes /v1/request to registered
-// agents by consistent-hashed spec signature); -mode agent runs the
+// agents by the rendezvous hash of the spec signature); -mode agent runs the
 // normal cache daemon and additionally registers with a master,
 // heartbeating its image directory so the master's routing and
 // placement state stay warm.
@@ -17,7 +17,7 @@ import (
 )
 
 // bootMaster boots the fleet control plane. The master holds only soft
-// state — membership, ring, directory mirrors — all rebuilt from agent
+// state — membership, breakers, directory mirrors — all rebuilt from agent
 // re-registration after a restart, so there is no state directory, no
 // recovery phase, and readiness is purely "a quorum of agents has
 // registered" (fleet_quorum).

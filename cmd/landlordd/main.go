@@ -36,7 +36,7 @@
 // -mode selects the fleet deployment role (internal/fleet):
 // "standalone" (default) serves the local cache directly; "master"
 // runs only the routing control plane, forwarding /v1/request to
-// registered agents by consistent-hashed spec signature; "agent"
+// registered agents by the rendezvous hash of the spec signature; "agent"
 // serves the local cache and registers with -master-url, advertising
 // -advertise and heartbeating its image directory:
 //

@@ -134,4 +134,19 @@ func TestSiteFlags(t *testing.T) {
 	if got, _, err := parseArgs([]string{"-config", path}); err != nil || !reflect.DeepEqual(got, file) {
 		t.Errorf("no site flags: got %+v (%v), want the file's %+v", got, err, file)
 	}
+
+	// -master-url over a file's master_urls would leave the agent one
+	// of the two lists; the result is refused, naming both.
+	agentPath := filepath.Join(t.TempDir(), "agent.json")
+	if err := os.WriteFile(agentPath, []byte(`{"mode": "agent", "advertise": "http://me:1",
+		"master_urls": ["http://a:1", "http://b:2"]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	site, _, err := parseArgs([]string{"-config", agentPath, "-master-url", "http://m:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := site.Validate(); err == nil || !strings.Contains(err.Error(), "master_url and master_urls") {
+		t.Errorf("-master-url over a file's master_urls: Validate = %v, want an error naming both", err)
+	}
 }

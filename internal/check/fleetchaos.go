@@ -341,7 +341,7 @@ func RunFleetChaos(cfg FleetChaosConfig) (rep FleetChaosReport, fail *Failure) {
 	}
 
 	// burst makes agent 0 shed through the primary. It sends agent 0
-	// up to shedBurst acked specs the ring gives it, so that as their
+	// up to shedBurst acked specs it owns, so that as their
 	// owner and holder it leads their routes, then re-sends them through
 	// the primary inside one tick until its bucket of shedBurst runs dry.
 	// A partition of agent 0 is healed first, so the burst reaches it.
@@ -736,7 +736,7 @@ func auditKeyMovement(t *fleetTopo, p int, rep *FleetChaosReport, step int) *Fai
 		return f
 	}
 
-	// Join a throwaway agent. Only its ring membership matters: it serves
+	// Join a throwaway agent. Only its membership matters: it serves
 	// agent-0's cache, receives no traffic, and leaves before traffic
 	// resumes.
 	const joiner = "agent-join-audit"

@@ -122,9 +122,10 @@ type Site struct {
 	// Fleet deployment (internal/fleet). Mode selects the daemon role:
 	// "" or "standalone" serves the local cache directly; "master"
 	// runs the routing control plane only (no repository, no cache) and
-	// forwards /v1/request to registered agents by consistent-hashed
-	// spec signature; "agent" serves the local cache and additionally
-	// registers with MasterURL, heartbeating its image directory.
+	// forwards /v1/request to registered agents by the rendezvous hash
+	// of the spec signature; "agent" serves the local cache and
+	// additionally registers with MasterURL (or every MasterURLs entry),
+	// heartbeating its image directory.
 	Mode string `json:"mode"`
 	// MasterURL is the master's base URL (agent mode only).
 	MasterURL string `json:"master_url"`
@@ -137,9 +138,11 @@ type Site struct {
 	// FleetQuorum is how many healthy agents the master's /v1/readyz
 	// requires before reporting ready (default 1).
 	FleetQuorum int `json:"fleet_quorum"`
-	// FleetVNodes is the consistent-hash ring's virtual nodes per
-	// agent (0 = the fleet default).
-	FleetVNodes int `json:"fleet_vnodes"`
+	// FleetVNodes configures nothing: placement is rendezvous hashing,
+	// which has no virtual nodes, and a site file's "fleet_vnodes" is
+	// ignored. It remains only because the repository's benchmark
+	// (bench/workloads.go) sets it.
+	FleetVNodes int `json:"-"`
 	// HeartbeatIntervalMS is the agent's register/heartbeat cadence
 	// (default 1000ms). The master's suspect/dead timers scale from
 	// it: suspect after 3 missed beats, dead after 10.
@@ -152,7 +155,8 @@ type Site struct {
 	// mode): the agent registers with and heartbeats all of them, so
 	// whichever master holds the lease always has a live membership
 	// view, and the agent learns a failover from whichever master still
-	// reaches it. Empty means MasterURL alone.
+	// reaches it. It and MasterURL are mutually exclusive: a single
+	// master is MasterURL, more than one all go here.
 	MasterURLs []string `json:"master_urls"`
 
 	// High availability (master mode; internal/fleet ha.go). MasterID
@@ -286,6 +290,9 @@ func (s Site) Validate() error {
 		if s.MasterURL == "" && len(s.MasterURLs) == 0 {
 			return fmt.Errorf("mode %q requires master_url or master_urls", ModeAgent)
 		}
+		if s.MasterURL != "" && len(s.MasterURLs) > 0 {
+			return fmt.Errorf("master_url and master_urls are mutually exclusive (list every master in master_urls)")
+		}
 		if s.Advertise == "" {
 			return fmt.Errorf("mode %q requires advertise (the URL the master dials back)", ModeAgent)
 		}
@@ -294,9 +301,6 @@ func (s Site) Validate() error {
 	}
 	if s.FleetQuorum < 0 {
 		return fmt.Errorf("fleet_quorum must be non-negative")
-	}
-	if s.FleetVNodes < 0 {
-		return fmt.Errorf("fleet_vnodes must be non-negative")
 	}
 	if s.HeartbeatIntervalMS < 0 {
 		return fmt.Errorf("heartbeat_interval_ms must be non-negative")
@@ -348,13 +352,12 @@ func (s Site) HeartbeatInterval() time.Duration {
 
 // FleetMasterConfig assembles the master control-plane configuration.
 // Suspect/dead timers derive from the heartbeat cadence — an agent is
-// suspect after 3 missed beats and dead (removed from the ring) after
+// suspect after 3 missed beats and dead (giving up its keys) after
 // 10 — so operators tune one knob, not three that can disagree.
 func (s Site) FleetMasterConfig() fleet.MasterConfig {
 	beat := s.HeartbeatInterval()
 	return fleet.MasterConfig{
 		Quorum:         s.FleetQuorum,
-		VNodes:         s.FleetVNodes,
 		SuspectAfter:   3 * beat,
 		DeadAfter:      10 * beat,
 		ForwardTimeout: time.Duration(s.ForwardTimeoutMS) * time.Millisecond,

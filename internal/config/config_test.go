@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -126,9 +127,6 @@ func TestLoadErrors(t *testing.T) {
 	if _, err := Load(writeConfig(t, `{"mode": "master", "fleet_quorum": -1}`)); err == nil {
 		t.Error("negative fleet_quorum accepted")
 	}
-	if _, err := Load(writeConfig(t, `{"mode": "master", "fleet_vnodes": -1}`)); err == nil {
-		t.Error("negative fleet_vnodes accepted")
-	}
 	if _, err := Load(writeConfig(t, `{"heartbeat_interval_ms": -1}`)); err == nil {
 		t.Error("negative heartbeat_interval_ms accepted")
 	}
@@ -182,7 +180,6 @@ func TestFleetConfig(t *testing.T) {
 	s, err := Load(writeConfig(t, `{
 		"mode": "master",
 		"fleet_quorum": 2,
-		"fleet_vnodes": 64,
 		"heartbeat_interval_ms": 500,
 		"forward_timeout_ms": 1500,
 		"breaker_failures": 4
@@ -191,7 +188,7 @@ func TestFleetConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	mc := s.FleetMasterConfig()
-	if mc.Quorum != 2 || mc.VNodes != 64 {
+	if mc.Quorum != 2 {
 		t.Fatalf("master config: %+v", mc)
 	}
 	if mc.SuspectAfter != 1500*time.Millisecond || mc.DeadAfter != 5*time.Second {
@@ -334,6 +331,41 @@ func TestResilienceConfig(t *testing.T) {
 	}
 	if bc := d.BreakerConfig(); bc.Failures != 0 || bc.OpenFor != 0 || bc.Probes != 0 {
 		t.Errorf("default breaker config not zero: %+v", bc)
+	}
+}
+
+// TestRetiredFleetVNodesStillLoads: fleet_vnodes sized the retired
+// consistent-hash ring and configures nothing, but a site file that
+// still sets it — to any value — must keep loading, with the rest of
+// the file applied and the Go field left unset.
+func TestRetiredFleetVNodesStillLoads(t *testing.T) {
+	for _, v := range []string{"96", "-1"} {
+		s, err := Load(writeConfig(t, `{"mode": "master", "fleet_vnodes": `+v+`, "fleet_quorum": 2}`))
+		if err != nil {
+			t.Fatalf("fleet_vnodes %s: %v", v, err)
+		}
+		if s.FleetQuorum != 2 || s.FleetVNodes != 0 {
+			t.Errorf("fleet_vnodes %s: fleet_quorum = %d, FleetVNodes = %d, want 2 and 0", v, s.FleetQuorum, s.FleetVNodes)
+		}
+	}
+}
+
+// TestMasterURLAndURLsExclusive: an agent given both master_url and
+// master_urls is refused with an error naming both, rather than one
+// silently dropping the other.
+func TestMasterURLAndURLsExclusive(t *testing.T) {
+	_, err := Load(writeConfig(t, `{"mode": "agent", "advertise": "http://a:1",
+		"master_url": "http://m0:1", "master_urls": ["http://m1:1", "http://m2:1"]}`))
+	if err == nil || !strings.Contains(err.Error(), "master_url and master_urls") {
+		t.Fatalf("master_url with master_urls: err = %v, want one naming both", err)
+	}
+	for _, body := range []string{
+		`{"mode": "agent", "advertise": "http://a:1", "master_url": "http://m0:1"}`,
+		`{"mode": "agent", "advertise": "http://a:1", "master_urls": ["http://m1:1", "http://m2:1"]}`,
+	} {
+		if _, err := Load(writeConfig(t, body)); err != nil {
+			t.Errorf("%s: %v", body, err)
+		}
 	}
 }
 

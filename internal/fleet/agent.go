@@ -18,7 +18,7 @@ const (
 
 // AgentConfig tunes an Agent.
 type AgentConfig struct {
-	// ID is the agent's stable identity (its ring membership key). A
+	// ID is the agent's stable identity (the name placement scores). A
 	// restarted agent keeps its ID — its keyspace slice — but bumps
 	// Gen.
 	ID string
@@ -26,7 +26,7 @@ type AgentConfig struct {
 	AdvertiseURL string
 	// MasterURLs lists the masters' base URLs: one, or every master in
 	// an HA fleet. The agent registers with and heartbeats all of them,
-	// which is what keeps the standby's membership, ring, and gossip
+	// which is what keeps the standby's membership and gossip
 	// mirrors warm for promotion.
 	MasterURLs []string
 	// Gen is the process generation; it must differ across restarts so

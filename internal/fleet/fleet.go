@@ -2,20 +2,20 @@
 // deployment of the paper's one-LANDLORD-cache-per-site model, each
 // agent one site's cache. A landlordd running in master mode routes
 // every /v1/request to one of N landlordd agents over HTTP, choosing
-// the agent by consistent hashing on the job specification's signature
+// the agent by rendezvous hashing on the job specification's signature
 // so the same spec keeps landing on the same cache (and membership
-// churn moves a bounded slice of the keyspace). Agents register with the
-// master, heartbeat their liveness, and gossip their image-directory
-// state as delta-sync frames (gossip.go) carried in the heartbeat body;
-// the master indexes each mirror (dirindex.go) so affinity routing
-// never scans package lists.
+// churn moves only the keys the joining or departing agent owns).
+// Agents register with the master, heartbeat their liveness, and gossip
+// their image-directory state as delta-sync frames (gossip.go) carried
+// in the heartbeat body; the master indexes each mirror (dirindex.go) so
+// affinity routing never scans package lists.
 //
 // The resilience stack rides every hop: the master keeps a circuit
 // breaker per agent, propagates request deadlines (X-Landlord-Deadline)
-// and trace context (X-Landlord-Trace) downstream, fails over to
-// rendezvous-ordered fallback candidates when the ring's pick is
-// suspect or refusing, and reports fleet membership on /v1/readyz —
-// 503 until a configured quorum of agents is healthy.
+// and trace context (X-Landlord-Trace) downstream, fails over along
+// the same rendezvous order when the owner is suspect or refusing, and
+// reports fleet membership on /v1/readyz — 503 until a configured
+// quorum of agents is healthy.
 //
 // Cache state is never replicated across agents: each agent owns its
 // slice of the keyspace independently, and a restarted master rebuilds
@@ -33,6 +33,7 @@ package fleet
 import (
 	"hash/fnv"
 	"slices"
+	"sort"
 
 	"repro/internal/spec"
 )
@@ -42,7 +43,8 @@ import (
 
 // RegisterRequest announces an agent to the master.
 type RegisterRequest struct {
-	// ID is the agent's stable identity (ring membership key).
+	// ID is the agent's stable identity (the name RendezvousOrder
+	// scores).
 	ID string `json:"id"`
 	// URL is the agent's advertised base URL for forwarded requests.
 	URL string `json:"url"`
@@ -142,10 +144,10 @@ type RouteInfo struct {
 }
 
 // RouteKey derives the routing key from a job's package keys: the
-// spec-signature hash the ring consumes. It sums the route terms of the
-// distinct keys (spec.RouteSum), so neither ordering nor a repeated key
-// (the agent's spec is a set) scatters one spec across agents, and
-// finalises the sum with routeKey. Closure happens on the agent, so it
+// spec-signature hash RendezvousOrder places. It sums the route terms
+// of the distinct keys (spec.RouteSum), so neither ordering nor a
+// repeated key (the agent's spec is a set) scatters one spec across
+// agents, and finalises the sum with routeKey. Closure happens on the agent, so it
 // hashes the requested packages, which is as stable. It is the string
 // form of KeyDict.Route, which the master computes instead.
 func RouteKey(packages []string) uint64 {
@@ -161,17 +163,50 @@ func RouteKey(packages []string) uint64 {
 // up its sleeve: any seed places specs as another random draw would.
 const agentRouteSeed = 0x6c62272e07bb0142
 
-// routeKey finalises a route sum into the key the ring places. The seed
-// alone would separate the levels, since Ring.Lookup and
-// RendezvousOrder mix their key again; the mix here is kept because the
-// key also leaves the ring (RouteInfo.Key, the trace's route_key), and a
-// raw sum of fnv terms is a poor hash to hand out: the low k bits of a
-// term depend only on the low k bits of the key's bytes. Dropping it
-// would also re-draw every spec's agent a second time.
+// routeKey finalises a route sum into the key RendezvousOrder places.
+// The seed alone would separate the levels, since RendezvousOrder mixes
+// the key again with each member's hash; the mix here is kept because
+// the key also leaves the master (RouteInfo.Key, the trace's
+// route_key), and a raw sum of fnv terms is a poor hash to hand out:
+// the low k bits of a term depend only on the low k bits of the key's
+// bytes. Dropping it would also re-draw every spec's agent.
 func routeKey(sum uint64) uint64 { return spec.RouteMix(sum ^ agentRouteSeed) }
 
-// hashString is fnv64a of s, the member-name hash the ring and
-// rendezvous scorer share.
+// RendezvousOrder returns members sorted by descending
+// highest-random-weight score for key, the fleet's one placement
+// function. Each member scores the key independently, so the order is a
+// pure function of (key, member set) and churn never reorders the
+// survivors: a key's owner is the first member of its order that is
+// not dead, a joiner takes over exactly the keys it outscores everyone
+// on (1/(N+1) of them in expectation, all moved to it), a departure
+// hands each of its keys to the next member of that key's order and
+// leaves every other owner unchanged, and failover walks the same
+// order. There is no virtual-node count to tune: the spread over N
+// members is that of N independent draws per key.
+func RendezvousOrder(members []string, key uint64) []string {
+	type scored struct {
+		member string
+		score  uint64
+	}
+	ss := make([]scored, 0, len(members))
+	for _, m := range members {
+		ss = append(ss, scored{member: m, score: spec.RouteMix(key ^ hashString(m))})
+	}
+	sort.Slice(ss, func(i, j int) bool {
+		if ss[i].score != ss[j].score {
+			return ss[i].score > ss[j].score
+		}
+		return ss[i].member < ss[j].member
+	})
+	out := make([]string, len(ss))
+	for i, s := range ss {
+		out[i] = s.member
+	}
+	return out
+}
+
+// hashString is fnv64a of s, the member-name hash the rendezvous scorer
+// mixes with the key.
 func hashString(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))

@@ -198,9 +198,7 @@ func seedMember(t *testing.T, m *Master, id string, entries ...DirEntry) {
 	now := time.Unix(0, 0)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.ms.Register(RegisterRequest{ID: id, URL: "http://" + id, Gen: 1}, now) {
-		m.ring.Add(id)
-	}
+	m.ms.Register(RegisterRequest{ID: id, URL: "http://" + id, Gen: 1}, now)
 	d := NewDirectory(DefaultDirJournal)
 	for _, e := range entries {
 		d.Put(e)
@@ -212,9 +210,9 @@ func seedMember(t *testing.T, m *Master, id string, entries ...DirEntry) {
 
 // TestRouteAffinityOrder pins routeLocked's preference order:
 //
-//  1. the ring owner, when routable AND holding a superset
+//  1. the owner, when routable AND holding a superset
 //  2. non-owner superset holders, in rendezvous order
-//  3. the ring owner, when routable (no superset)
+//  3. the owner, when routable (no superset)
 //  4. remaining routable agents, in rendezvous order
 func TestRouteAffinityOrder(t *testing.T) {
 	m := NewMaster(MasterConfig{SuspectAfter: -1, MaxAttempts: 10})
@@ -307,7 +305,7 @@ func TestRouteAffinityCounterEndToEnd(t *testing.T) {
 	f := newTestFleet(t, 3, MasterConfig{SuspectAfter: -1})
 	f.beatAll()
 
-	// Find a spec the ring does NOT own on agent 0, then warm agent 0
+	// Find a spec agent 0 does NOT own, then warm agent 0
 	// with it directly — the affinity case: the hash says elsewhere, the
 	// gossiped directory says agent 0 already has the bytes.
 	warm := f.agents[0]
@@ -595,12 +593,14 @@ func TestAgentHandlerGatesStaleForwards(t *testing.T) {
 }
 
 // TestDrainedSpecHitsThroughAffinity records why route affinity stays
-// (DESIGN.md §10). A drain hands each image to its rendezvous successor
-// among the survivors, but a request for the spec goes where the
-// consistent-hash ring says, and over the survivors the two picks often
-// differ. Then only the affinity redirect — the gossiped directory says
-// the successor already holds a superset — turns the warm handoff into
-// a hit instead of a rebuild on the ring owner.
+// (DESIGN.md §10). A drain hands each image to the rendezvous successor
+// of the image's package list among the survivors, but a request for
+// the spec is owned by the rendezvous head of the keys it names, and an
+// image is the closure of those keys (or a merge of several specs), so
+// over the survivors the two picks often differ. Then only the affinity
+// redirect — the gossiped directory says the successor already holds a
+// superset — turns the warm handoff into a hit instead of a rebuild on
+// the owner.
 func TestDrainedSpecHitsThroughAffinity(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		f := newTestFleet(t, 3, MasterConfig{SuspectAfter: -1})
@@ -633,7 +633,7 @@ func TestDrainedSpecHitsThroughAffinity(t *testing.T) {
 		info := f.master.routeLocked(f.master.ms.dict.Route(keyViews(keys)))
 		f.master.mu.Unlock()
 		if owner == holder {
-			continue // the ring agrees with the handoff here; try another spec
+			continue // the owner is the successor here; try another spec
 		}
 
 		if !info.Affinity || info.Candidates[0] != holder {
@@ -644,12 +644,12 @@ func TestDrainedSpecHitsThroughAffinity(t *testing.T) {
 			t.Fatalf("request: %v", err)
 		}
 		if res.Agent != holder || res.Op != "hit" {
-			t.Fatalf("drained spec %v was a %q on %s, want a hit on successor %s (ring owner %s)", keys, res.Op, res.Agent, holder, owner)
+			t.Fatalf("drained spec %v was a %q on %s, want a hit on successor %s (owner %s)", keys, res.Op, res.Agent, holder, owner)
 		}
 		if got := f.master.Registry().Counter(metricRouteAffinity, helpRouteAffinity).Value(); got != 1 {
 			t.Fatalf("%s = %d, want 1", metricRouteAffinity, got)
 		}
 		return
 	}
-	t.Fatal("no spec in 20 whose post-drain ring owner differs from its successor")
+	t.Fatal("no spec in 20 whose post-drain owner differs from its successor")
 }

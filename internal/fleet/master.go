@@ -27,9 +27,6 @@ const (
 	metricRouteTotal = "landlord_fleet_route_total"
 	helpRouteTotal   = "Routed requests by agent and outcome"
 
-	metricKeyMovement = "landlord_fleet_ring_key_movement"
-	helpKeyMovement   = "Fraction of sampled keyspace that changed owner per ring membership change"
-
 	metricAgents = "landlord_fleet_agents"
 	helpAgents   = "Registered agents by state"
 
@@ -37,14 +34,8 @@ const (
 	helpRouteAffinity   = "Requests routed to a non-owner agent already holding a superset of the spec"
 
 	metricRouteSeconds = "landlord_fleet_route_seconds"
-	helpRouteSeconds   = "Time to choose a request's candidate agents: route key, ring and rendezvous order, directory affinity"
+	helpRouteSeconds   = "Time to choose a request's candidate agents: route key, rendezvous order, directory affinity"
 )
-
-// probeKeys is how many sampled keys the key-movement histogram probes
-// around each ring change: enough resolution to see 1/N slices at
-// realistic fleet sizes, cheap enough to run inline under the route
-// lock.
-const probeKeys = 512
 
 // forwardIdleConns is how many idle connections the master keeps to
 // each agent. It must cover the forwards in flight to one agent at once:
@@ -53,30 +44,26 @@ const probeKeys = 512
 const forwardIdleConns = 64
 
 // MasterConfig tunes a Master. The zero value is serviceable: quorum 1,
-// default vnodes, 3s suspect / never dead, 5s forward timeout, 3
-// forward attempts.
+// 3s suspect / never dead, 5s forward timeout, 3 forward attempts.
 type MasterConfig struct {
 	// Quorum is how many healthy agents /v1/readyz requires before the
 	// master reports ready (<= 0 means 1).
 	Quorum int
-	// VNodes is the ring's virtual-node count per agent (<= 0 takes
-	// DefaultVNodes).
-	VNodes int
 	// SuspectAfter is the heartbeat age that marks an agent suspect
 	// (0 takes 3s; negative disables the age-based transition).
 	SuspectAfter time.Duration
-	// DeadAfter is the heartbeat age that removes an agent from the
-	// ring (<= 0: never — partitioned agents stay suspect, which keeps
-	// the keyspace stable through partitions and routes around them
-	// via the rendezvous fallback).
+	// DeadAfter is the heartbeat age that marks an agent dead, giving
+	// up its keys (<= 0: never — partitioned agents stay suspect, which
+	// keeps the keyspace stable through partitions and routes around
+	// them along the rendezvous order).
 	DeadAfter time.Duration
 	// ForwardTimeout caps each routed request's downstream budget
 	// (<= 0 takes 5s). An incoming X-Landlord-Deadline tighter than
 	// this wins.
 	ForwardTimeout time.Duration
 	// MaxAttempts bounds how many agents one request may be offered to
-	// (<= 0 takes 3): the ring's pick plus rendezvous-ordered
-	// fallbacks.
+	// (<= 0 takes 3): the head of the key's candidate order and the
+	// fallbacks after it.
 	MaxAttempts int
 	// Breaker configures the per-agent circuit breaker.
 	Breaker resilience.BreakerConfig
@@ -162,10 +149,10 @@ func (c *agentConn) resolve() {
 	}
 }
 
-// Master is the fleet control plane: it owns membership, the
-// consistent-hash ring, per-agent breakers and gossip mirrors, and
-// forwards /v1/request to agents. All of its state is soft — rebuilt
-// from agent re-registration after a restart.
+// Master is the fleet control plane: it owns membership, per-agent
+// breakers and gossip mirrors, and forwards /v1/request to agents. All
+// of its state is soft — rebuilt from agent re-registration after a
+// restart.
 type Master struct {
 	cfg    MasterConfig
 	reg    *telemetry.Registry
@@ -174,10 +161,8 @@ type Master struct {
 
 	mu    sync.Mutex
 	ms    *Membership
-	ring  *Ring
 	conns map[string]*agentConn
 
-	keyMove   *telemetry.Histogram
 	routeTime *telemetry.Histogram
 	// decoder reads /v1/request bodies; the master has no repository to
 	// derive the body bound from, so it takes the default.
@@ -199,11 +184,8 @@ func NewMaster(cfg MasterConfig) *Master {
 		spans:  telemetry.NewSpanTracer(traces),
 		traces: traces,
 		ms:     NewMembership(cfg.SuspectAfter, cfg.DeadAfter),
-		ring:   NewRing(cfg.VNodes),
 		conns:  make(map[string]*agentConn),
 	}
-	m.keyMove = reg.Histogram(metricKeyMovement, helpKeyMovement,
-		[]float64{0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.75, 1})
 	m.routeTime = reg.Histogram(metricRouteSeconds, helpRouteSeconds, telemetry.DefaultLatencyBuckets())
 	m.decoder = server.NewRequestDecoder(reg, server.DefaultRequestBodyLimit)
 	m.initHA(cfg.HA)
@@ -266,8 +248,7 @@ func (m *Master) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		fleetWriteError(w, http.StatusBadRequest, "decoding register: %v", err)
+	if !decodeMembershipBody(w, r, "register", &req) {
 		return
 	}
 	if req.ID == "" || req.URL == "" {
@@ -275,9 +256,7 @@ func (m *Master) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m.mu.Lock()
-	if m.ms.Register(req, m.cfg.Clock()) {
-		m.observeRingChange(func() { m.ring.Add(req.ID) })
-	}
+	m.ms.Register(req, m.cfg.Clock())
 	if c, ok := m.conns[req.ID]; ok && c.url != req.URL {
 		delete(m.conns, req.ID) // re-registered elsewhere: drop the stale conn
 	}
@@ -312,19 +291,37 @@ func (m *Master) handleDeregister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DeregisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		fleetWriteError(w, http.StatusBadRequest, "decoding deregister: %v", err)
+	if !decodeMembershipBody(w, r, "deregister", &req) {
 		return
 	}
 	m.mu.Lock()
 	if m.ms.Deregister(req.ID) {
-		if m.ring.Has(req.ID) {
-			m.observeRingChange(func() { m.ring.Remove(req.ID) })
-		}
 		delete(m.conns, req.ID)
 	}
 	m.mu.Unlock()
 	fleetWriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
+}
+
+// membershipBodyLimit bounds a register or deregister body. Either is a
+// few short strings and a number, well under 1 KiB; the bound only
+// keeps a stray or hostile body from being buffered whole.
+const membershipBodyLimit = 4 << 10
+
+// decodeMembershipBody reads a register or deregister body into v,
+// answering 413 past membershipBodyLimit and 400 on anything else it
+// cannot decode. It reports whether v was filled.
+func decodeMembershipBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, membershipBodyLimit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		fleetWriteError(w, http.StatusRequestEntityTooLarge, "%s body exceeds %d bytes", what, membershipBodyLimit)
+	} else {
+		fleetWriteError(w, http.StatusBadRequest, "decoding %s: %v", what, err)
+	}
+	return false
 }
 
 func (m *Master) handleMembers(w http.ResponseWriter, r *http.Request) {
@@ -336,8 +333,8 @@ func (m *Master) handleMembers(w http.ResponseWriter, r *http.Request) {
 
 // handleRoute is GET /fleet/v1/route?key=N: where a key routes right
 // now. Chaos harnesses sample it across membership changes to assert
-// the bounded-movement property on the live master, not just the ring
-// in isolation.
+// the bounded-movement property on the live master, not just on
+// RendezvousOrder in isolation.
 func (m *Master) handleRoute(w http.ResponseWriter, r *http.Request) {
 	key, err := strconv.ParseUint(r.URL.Query().Get("key"), 10, 64)
 	if err != nil {
@@ -371,16 +368,20 @@ func (m *Master) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // ---- routing ----
 
-// routeLocked computes a key's owner and failover candidates. When
-// packages is non-nil, routing is affinity-aware: an agent whose
-// gossiped directory already holds a superset image of the requested
-// packages serves the spec as a pure hit — no merge, no new bytes —
-// so superset holders outrank everything except the owner-when-it-
-// also-holds. The pinned preference order (TestRouteAffinityOrder):
+// routeLocked computes a key's owner and failover candidates from one
+// rendezvous order. The owner is the first member of the order that is
+// not dead; the candidates are the routable members in that order,
+// truncated to MaxAttempts. When the request is known to the mirrors'
+// dictionary, routing is affinity-aware: an agent whose gossiped
+// directory already holds a superset image of the requested packages
+// serves the spec as a pure hit — no merge, no new bytes — so superset
+// holders move ahead of the rest, each part keeping the order. A
+// routable owner leads its part, which gives the pinned preference
+// order (TestRouteAffinityOrder):
 //
-//  1. the ring owner, when routable AND holding a superset
+//  1. the owner, when routable AND holding a superset
 //  2. non-owner superset holders, in rendezvous order
-//  3. the ring owner, when routable (no superset)
+//  3. the owner, when routable (no superset)
 //  4. remaining routable agents, in rendezvous order
 //
 // The superset question is answered from the mirrors' index for q, a
@@ -391,39 +392,27 @@ func (m *Master) handleTrace(w http.ResponseWriter, r *http.Request) {
 // Caller holds m.mu.
 func (m *Master) routeLocked(key uint64, q KeyQuery, known bool) RouteInfo {
 	info := RouteInfo{Key: key}
+	order := RendezvousOrder(m.ms.Live(), key)
+	if len(order) > 0 {
+		info.Owner = order[0]
+	}
+	// An owner that is not routable (suspect, or draining) is skipped:
+	// its keys spill to the next routable members of their order until
+	// it returns.
 	routable := m.ms.Routable()
-	owner := m.ring.Lookup(key)
-	// The ring's pick leads iff it is currently routable; otherwise the
-	// rendezvous order alone decides (the owner is partitioned or
-	// draining — its keys spill to stable fallbacks until it returns).
-	ownerRoutable := contains(routable, owner)
-	if owner != "" {
-		info.Owner = owner
-	}
-	order := RendezvousOrder(routable, key)
-	ownerHolds := false
-	if known {
-		ownerHolds = ownerRoutable && m.ms.HoldsSuperset(owner, q)
-		if ownerHolds {
-			info.Candidates = append(info.Candidates, owner)
-		}
-		for _, id := range order {
-			if id != owner && m.ms.HoldsSuperset(id, q) {
-				info.Candidates = append(info.Candidates, id)
-			}
-		}
-		// A leading non-owner holder is an affinity redirect.
-		info.Affinity = !ownerHolds && len(info.Candidates) > 0
-	}
-	if ownerRoutable && !ownerHolds {
-		info.Candidates = append(info.Candidates, owner)
-	}
+	var rest []string
 	for _, id := range order {
-		if id == owner || contains(info.Candidates, id) {
-			continue
+		switch {
+		case !contains(routable, id):
+		case known && m.ms.HoldsSuperset(id, q):
+			info.Candidates = append(info.Candidates, id)
+		default:
+			rest = append(rest, id)
 		}
-		info.Candidates = append(info.Candidates, id)
 	}
+	// A leading non-owner holder is an affinity redirect.
+	info.Affinity = len(info.Candidates) > 0 && info.Candidates[0] != info.Owner
+	info.Candidates = append(info.Candidates, rest...)
 	if len(info.Candidates) > m.cfg.MaxAttempts {
 		info.Candidates = info.Candidates[:m.cfg.MaxAttempts]
 	}
@@ -687,20 +676,16 @@ func retryAfterSeconds(se *server.StatusError) string {
 	return "1"
 }
 
-// ---- sweeping & ring movement ----
+// ---- sweeping ----
 
 // SweepNow runs one membership sweep: ages healthy members to suspect
-// and (when DeadAfter is set) suspect to dead, removing the dead from
-// the ring. Returns the IDs that died.
+// and (when DeadAfter is set) suspect to dead, which gives up their
+// keys. Returns the IDs that died.
 func (m *Master) SweepNow() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	died := m.ms.Sweep(m.cfg.Clock())
 	for _, id := range died {
-		if m.ring.Has(id) {
-			id := id
-			m.observeRingChange(func() { m.ring.Remove(id) })
-		}
 		delete(m.conns, id)
 	}
 	return died
@@ -727,46 +712,6 @@ func (m *Master) StartSweeper(interval time.Duration) (stop func()) {
 		}
 	}()
 	return func() { once.Do(func() { close(done) }) }
-}
-
-// observeRingChange runs mutate (an Add or Remove) and observes the
-// fraction of a fixed probe keyset whose owner changed. Transitions
-// from or to an empty ring are not observed — movement there is total
-// by construction, not a churn property. Caller holds m.mu.
-func (m *Master) observeRingChange(mutate func()) {
-	if m.ring.Len() == 0 {
-		mutate()
-		return
-	}
-	before := make([]string, probeKeys)
-	for i := range before {
-		before[i] = m.ring.Lookup(probeKey(i))
-	}
-	mutate()
-	if m.ring.Len() == 0 {
-		return
-	}
-	moved := 0
-	for i := range before {
-		if m.ring.Lookup(probeKey(i)) != before[i] {
-			moved++
-		}
-	}
-	m.keyMove.Observe(float64(moved) / float64(probeKeys))
-}
-
-// probeKey spreads probe indices across the keyspace (golden-ratio
-// stride; Lookup mixes again, so the stride just needs distinctness).
-func probeKey(i int) uint64 { return uint64(i) * 0x9e3779b97f4a7c15 }
-
-// KeyMovementStats exposes the key-movement histogram's count and mean
-// for tests and the chaos harness audit.
-func (m *Master) KeyMovementStats() (count int64, mean float64) {
-	count = m.keyMove.Count()
-	if count > 0 {
-		mean = m.keyMove.Sum() / float64(count)
-	}
-	return count, mean
 }
 
 // CheckIntegrity audits the routing index: every route term the key

@@ -365,8 +365,8 @@ func TestFleetSweepAgesSilentAgents(t *testing.T) {
 		}
 	}
 
-	// One agent beats again: healthy. The other ages to dead and leaves
-	// the ring.
+	// One agent beats again: healthy. The other ages to dead and gives
+	// up its keys.
 	if err := f.agents[0].ag.BeatNow(context.Background()); err != nil {
 		t.Fatalf("beat: %v", err)
 	}
@@ -375,15 +375,12 @@ func TestFleetSweepAgesSilentAgents(t *testing.T) {
 	if len(died) != 1 || died[0] != f.agents[1].id {
 		t.Fatalf("sweep killed %v, want [%s]", died, f.agents[1].id)
 	}
-	f.master.mu.Lock()
-	onRing := f.master.ring.Has(f.agents[1].id)
-	f.master.mu.Unlock()
-	if onRing {
-		t.Fatal("dead agent still on the ring")
+	if owned := ownedKeys(f.master, f.agents[1].id); owned != 0 {
+		t.Fatalf("dead agent still owns %d of %d probe keys", owned, probeRouteKeys)
 	}
 
 	// The dead agent's next beat is told Unknown and re-registers
-	// inside BeatNow, rejoining the ring.
+	// inside BeatNow, taking its keys back.
 	if err := f.agents[1].ag.BeatNow(context.Background()); err != nil {
 		t.Fatalf("dead agent beat: %v", err)
 	}
@@ -393,11 +390,35 @@ func TestFleetSweepAgesSilentAgents(t *testing.T) {
 		}
 	}
 
-	// Ring churn was observed by the key-movement histogram: dead
-	// removal + re-add, at least.
-	if count, mean := f.master.KeyMovementStats(); count < 2 || mean <= 0 {
-		t.Fatalf("key movement histogram count=%d mean=%v, want >= 2 observations", count, mean)
+	if owned := ownedKeys(f.master, f.agents[1].id); owned == 0 {
+		t.Fatalf("resurrected agent owns none of %d probe keys", probeRouteKeys)
 	}
+}
+
+// probeRouteKeys is how many fixed keys the membership tests route to
+// see who owns what.
+const probeRouteKeys = 64
+
+// probeOwners returns the owner of each probe key on m.
+func probeOwners(m *Master) []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	owners := make([]string, probeRouteKeys)
+	for i := range owners {
+		owners[i] = m.routeLocked(uint64(i)*0x9e3779b97f4a7c15, KeyQuery{}, false).Owner
+	}
+	return owners
+}
+
+// ownedKeys counts the probe keys id owns on m.
+func ownedKeys(m *Master, id string) int {
+	n := 0
+	for _, o := range probeOwners(m) {
+		if o == id {
+			n++
+		}
+	}
+	return n
 }
 
 // TestFleetRepeatedKeysRouteTogether: a spec sent with a repeated key
@@ -456,7 +477,6 @@ func TestMasterKeepsAgentConnections(t *testing.T) {
 	m := NewMaster(MasterConfig{SuspectAfter: -1})
 	m.mu.Lock()
 	m.ms.Register(RegisterRequest{ID: "agent-0", URL: agent.URL, Gen: 1}, time.Unix(0, 0))
-	m.ring.Add("agent-0")
 	m.mu.Unlock()
 	mts := httptest.NewServer(m.Handler())
 	defer mts.Close()

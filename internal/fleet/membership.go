@@ -13,11 +13,11 @@ const (
 	// AgentHealthy: heartbeats arriving, forwards succeeding.
 	AgentHealthy AgentState = iota
 	// AgentSuspect: heartbeats missing past SuspectAfter, or the last
-	// forward to it failed at the transport. Suspect members stay on
-	// the ring (so the keyspace does not reshuffle during a blip) but
-	// are routed around via the rendezvous fallback order.
+	// forward to it failed at the transport. Suspect members keep
+	// owning their keys (so the keyspace does not reshuffle during a
+	// blip) but are routed around along the rendezvous order.
 	AgentSuspect
-	// AgentDead: missing past DeadAfter; removed from the ring.
+	// AgentDead: missing past DeadAfter; owns no keys.
 	AgentDead
 )
 
@@ -68,19 +68,14 @@ func NewMembership(suspectAfter, deadAfter time.Duration) *Membership {
 	}
 }
 
-// Register inserts or refreshes an agent. It returns whether the ring
-// membership changed (a new agent, or one back from the dead). A
-// generation change resets the gossip mirror: the agent's directory
-// revisions restarted with its process.
-func (ms *Membership) Register(req RegisterRequest, now time.Time) (ringChanged bool) {
+// Register inserts or refreshes an agent, healthy again even if it was
+// dead. A generation change resets the gossip mirror: the agent's
+// directory revisions restarted with its process.
+func (ms *Membership) Register(req RegisterRequest, now time.Time) {
 	m, ok := ms.members[req.ID]
 	if !ok {
 		m = &member{id: req.ID, dir: NewFollower(ms.dict)}
 		ms.members[req.ID] = m
-		ringChanged = true
-	}
-	if m.state == AgentDead {
-		ringChanged = true
 	}
 	if m.gen != req.Gen {
 		m.dir.Reset()
@@ -89,7 +84,6 @@ func (ms *Membership) Register(req RegisterRequest, now time.Time) (ringChanged 
 	m.gen = req.Gen
 	m.state = AgentHealthy
 	m.lastBeat = now
-	return ringChanged
 }
 
 // Deregister removes an agent, reporting whether it was known.
@@ -107,8 +101,8 @@ func (ms *Membership) Deregister(id string) bool {
 func (ms *Membership) Heartbeat(req HeartbeatRequest, now time.Time) HeartbeatResponse {
 	m, ok := ms.members[req.ID]
 	if !ok || m.gen != req.Gen || m.state == AgentDead {
-		// A dead member is off the ring; it must re-register so the
-		// master re-admits it (and re-observes the key movement).
+		// A dead member owns no keys; it must re-register so the
+		// master re-admits it.
 		return HeartbeatResponse{Unknown: true}
 	}
 	m.lastBeat = now
@@ -134,7 +128,7 @@ func (ms *Membership) Suspect(id string) {
 
 // Sweep ages members: healthy -> suspect past suspectAfter, anything
 // -> dead past deadAfter. It returns the IDs that just died (the
-// caller removes them from the ring).
+// caller drops their connections).
 func (ms *Membership) Sweep(now time.Time) (died []string) {
 	for id, m := range ms.members {
 		age := now.Sub(m.lastBeat)
@@ -180,6 +174,18 @@ func (ms *Membership) Counts() (known, healthy, suspect int) {
 		}
 	}
 	return known, healthy, suspect
+}
+
+// Live returns the IDs of members that are not dead: the members a key's
+// owner is drawn from.
+func (ms *Membership) Live() []string {
+	ids := make([]string, 0, len(ms.members))
+	for id, m := range ms.members {
+		if m.state != AgentDead {
+			ids = append(ids, id)
+		}
+	}
+	return ids
 }
 
 // Routable returns member IDs forwarding may target, sorted: healthy

@@ -2,41 +2,56 @@ package fleet
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
+	"time"
 )
 
-func ringWith(n, vnodes int) (*Ring, []string) {
-	r := NewRing(vnodes)
-	var members []string
-	for i := 0; i < n; i++ {
-		m := fmt.Sprintf("agent-%d", i)
-		members = append(members, m)
-		r.Add(m)
+// rendezvousOwner is a key's owner among members: the head of its
+// rendezvous order ("" for no members), as routeLocked names it.
+func rendezvousOwner(members []string, key uint64) string {
+	if order := RendezvousOrder(members, key); len(order) > 0 {
+		return order[0]
 	}
-	return r, members
+	return ""
 }
 
-func owners(r *Ring, keys int) []string {
+func agentNames(n int) []string {
+	members := make([]string, n)
+	for i := range members {
+		members[i] = fmt.Sprintf("agent-%d", i)
+	}
+	return members
+}
+
+func owners(members []string, keys int) []string {
 	out := make([]string, keys)
 	for k := 0; k < keys; k++ {
-		out[k] = r.Lookup(uint64(k) * 0x9e3779b97f4a7c15)
+		out[k] = rendezvousOwner(members, uint64(k)*0x9e3779b97f4a7c15)
 	}
 	return out
 }
 
-// TestRingKeyMovementBound pins the consistent-hashing contract the
-// fleet-chaos acceptance criterion states: removing (or adding) one of
-// N members moves at most 2/N of the keyspace, and every moved key
-// involves the churned member.
+// without returns members minus one.
+func without(members []string, gone string) []string {
+	return slices.DeleteFunc(slices.Clone(members), func(m string) bool { return m == gone })
+}
+
+// TestRingKeyMovementBound pins the placement contract the fleet-chaos
+// harness audits on a live master: removing one of N members moves at
+// most 2/N of the keyspace, every moved key was the removed member's,
+// re-adding it restores the exact assignment, and adding a fresh member
+// moves at most 2/(N+1), all of it to the newcomer.
 func TestRingKeyMovementBound(t *testing.T) {
 	const keys = 20000
 	for _, n := range []int{2, 3, 4, 8, 16} {
-		r, members := ringWith(n, 0)
-		before := owners(r, keys)
+		members := agentNames(n)
+		before := owners(members, keys)
 
 		victim := members[n/2]
-		r.Remove(victim)
-		after := owners(r, keys)
+		after := owners(without(members, victim), keys)
 		moved := 0
 		for k := 0; k < keys; k++ {
 			if before[k] != after[k] {
@@ -55,19 +70,17 @@ func TestRingKeyMovementBound(t *testing.T) {
 			t.Fatalf("n=%d: removal moved nothing; the member owned no keyspace", n)
 		}
 
-		// Re-adding restores the exact original assignment (the ring is
-		// a pure function of the member set).
-		r.Add(victim)
-		restored := owners(r, keys)
+		// Re-adding restores the exact original assignment, in whatever
+		// position the member comes back: the owner is a pure function
+		// of the member set.
+		restored := owners(append(without(members, victim), victim), keys)
 		for k := 0; k < keys; k++ {
 			if restored[k] != before[k] {
 				t.Fatalf("n=%d: key %d not restored after re-add: %s != %s", n, k, restored[k], before[k])
 			}
 		}
 
-		// Adding a fresh member moves at most 2/(N+1), all toward it.
-		r.Add("agent-new")
-		grown := owners(r, keys)
+		grown := owners(append(slices.Clone(members), "agent-new"), keys)
 		moved = 0
 		for k := 0; k < keys; k++ {
 			if before[k] != grown[k] {
@@ -83,37 +96,45 @@ func TestRingKeyMovementBound(t *testing.T) {
 	}
 }
 
-// TestRingBalance sanity-checks vnode spreading: no member owns more
-// than ~3x its fair share at default vnodes.
+// TestRingBalance checks the spread: with no virtual nodes to tune,
+// each of 6 members owns within 10% of its fair share of 30,000 keys
+// (the share is binomial, σ ≈ 1.3% of it, so the bound is ~7.7σ).
 func TestRingBalance(t *testing.T) {
-	const keys = 30000
-	r, _ := ringWith(6, 0)
+	const keys, n = 30000, 6
 	counts := map[string]int{}
-	for _, o := range owners(r, keys) {
+	for _, o := range owners(agentNames(n), keys) {
 		counts[o]++
 	}
-	fair := keys / 6
+	fair := keys / n
+	if len(counts) != n {
+		t.Fatalf("%d of %d members own keys: %v", len(counts), n, counts)
+	}
 	for m, c := range counts {
-		if c > 3*fair || c < fair/3 {
-			t.Fatalf("member %s owns %d of %d keys (fair %d): vnode spread too lumpy", m, c, keys, fair)
+		if c > fair*11/10 || c < fair*9/10 {
+			t.Fatalf("member %s owns %d of %d keys (fair %d): spread too lumpy", m, c, keys, fair)
 		}
 	}
 }
 
 func TestRingEmptyAndSingle(t *testing.T) {
-	r := NewRing(8)
-	if got := r.Lookup(42); got != "" {
-		t.Fatalf("empty ring returned %q", got)
+	if got := rendezvousOwner(nil, 42); got != "" {
+		t.Fatalf("no members: owner %q", got)
 	}
-	r.Add("only")
 	for k := uint64(0); k < 100; k++ {
-		if got := r.Lookup(k); got != "only" {
-			t.Fatalf("single-member ring returned %q", got)
+		if got := rendezvousOwner([]string{"only"}, k); got != "only" {
+			t.Fatalf("single member: owner %q", got)
 		}
 	}
-	r.Remove("only")
-	if got := r.Lookup(42); got != "" {
-		t.Fatalf("emptied ring returned %q", got)
+	// The same holds on a master: no live member names no owner and no
+	// candidate, even while a dead one is still in the table.
+	m := NewMaster(MasterConfig{SuspectAfter: -1})
+	seedMember(t, m, "only")
+	m.mu.Lock()
+	m.ms.members["only"].state = AgentDead
+	info := m.routeLocked(42, KeyQuery{}, false)
+	m.mu.Unlock()
+	if info.Owner != "" || len(info.Candidates) != 0 {
+		t.Fatalf("only member dead: route %+v, want no owner and no candidates", info)
 	}
 }
 
@@ -141,23 +162,122 @@ func TestRendezvousStableUnderChurn(t *testing.T) {
 	}
 }
 
-// TestRingDeterministicAcrossInsertionOrder: the ring is a pure
-// function of the member set, not of Add ordering — a restarted master
-// re-learning members in arbitrary order must route identically.
+// TestRingDeterministicAcrossInsertionOrder: placement is a pure
+// function of the member set, not of the order members are listed in —
+// a restarted master re-learning members in arbitrary order must route
+// identically.
 func TestRingDeterministicAcrossInsertionOrder(t *testing.T) {
-	a := NewRing(32)
-	b := NewRing(32)
-	for _, m := range []string{"x", "y", "z", "w"} {
-		a.Add(m)
-	}
-	for _, m := range []string{"w", "z", "x", "y"} {
-		b.Add(m)
-	}
+	a := []string{"x", "y", "z", "w"}
+	b := []string{"w", "z", "x", "y"}
 	for k := uint64(0); k < 5000; k++ {
-		if a.Lookup(k) != b.Lookup(k) {
+		if !slices.Equal(RendezvousOrder(a, k), RendezvousOrder(b, k)) {
 			t.Fatalf("key %d routes differently across insertion orders", k)
 		}
 	}
+}
+
+// tieredRoute is the candidate order the master computed when a
+// consistent-hash ring named the owner: four tiers built around an
+// owner chosen apart from the rendezvous order. Kept here only as the
+// reference routeLocked's single partition must reproduce, given the
+// rendezvous owner.
+func tieredRoute(ms *Membership, owner string, key uint64, q KeyQuery, known bool, maxAttempts int) RouteInfo {
+	info := RouteInfo{Key: key, Owner: owner}
+	routable := ms.Routable()
+	ownerRoutable := contains(routable, owner)
+	order := RendezvousOrder(routable, key)
+	ownerHolds := false
+	if known {
+		ownerHolds = ownerRoutable && ms.HoldsSuperset(owner, q)
+		if ownerHolds {
+			info.Candidates = append(info.Candidates, owner)
+		}
+		for _, id := range order {
+			if id != owner && ms.HoldsSuperset(id, q) {
+				info.Candidates = append(info.Candidates, id)
+			}
+		}
+		info.Affinity = !ownerHolds && len(info.Candidates) > 0
+	}
+	if ownerRoutable && !ownerHolds {
+		info.Candidates = append(info.Candidates, owner)
+	}
+	for _, id := range order {
+		if id == owner || contains(info.Candidates, id) {
+			continue
+		}
+		info.Candidates = append(info.Candidates, id)
+	}
+	if len(info.Candidates) > maxAttempts {
+		info.Candidates = info.Candidates[:maxAttempts]
+	}
+	return info
+}
+
+// TestRouteOrderDifferential holds routeLocked's one partition of the
+// rendezvous order to the four-tier order it replaced, fed the
+// rendezvous owner: 1–8 agents in random healthy/suspect/dead states,
+// random subsets holding a superset of the request, MaxAttempts 1–5,
+// and requests the dictionary knows, partly knows, or does not know.
+func TestRouteOrderDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	states := []AgentState{AgentHealthy, AgentSuspect, AgentDead}
+	pkgs := []string{"p0", "p1", "p2", "p3", "p4", "p5"}
+	var redirects, spilled, truncated int
+	for round := 0; round < 2000; round++ {
+		maxAttempts := 1 + rng.Intn(5)
+		m := NewMaster(MasterConfig{SuspectAfter: -1, MaxAttempts: maxAttempts})
+		n := 1 + rng.Intn(8)
+		req := []string{pkgs[rng.Intn(3)], pkgs[3+rng.Intn(3)]}
+		if rng.Intn(5) == 0 {
+			req = append(req, "unknown-"+strconv.Itoa(round))
+		}
+		for i := 0; i < n; i++ {
+			id := "agent-" + strconv.Itoa(i)
+			var entries []DirEntry
+			if rng.Intn(2) == 0 {
+				// A superset of the request's known keys.
+				entries = append(entries, DirEntry{ID: 1, Version: 1, Size: 1, Packages: append([]string{"extra"}, req...)})
+			} else {
+				// Every key of the request but its first.
+				entries = append(entries, DirEntry{ID: 1, Version: 1, Size: 1, Packages: append([]string{"extra"}, req[1:]...)})
+			}
+			seedMember(t, m, id, entries...)
+		}
+		m.mu.Lock()
+		for i := 0; i < n; i++ {
+			m.ms.members["agent-"+strconv.Itoa(i)].state = states[rng.Intn(len(states))]
+		}
+		key, q, known := m.ms.dict.Route(keyViews(req))
+		for _, k := range []struct {
+			q     KeyQuery
+			known bool
+		}{{q, known}, {KeyQuery{}, false}} {
+			got := m.routeLocked(key, k.q, k.known)
+			want := tieredRoute(m.ms, rendezvousOwner(m.ms.Live(), key), key, k.q, k.known, maxAttempts)
+			if got.Owner != want.Owner || got.Affinity != want.Affinity || !slices.Equal(got.Candidates, want.Candidates) {
+				snap := m.ms.Snapshot(time.Unix(0, 0))
+				m.mu.Unlock()
+				t.Fatalf("round %d (n=%d, max %d, known %v, members %+v): route %+v, four-tier order %+v",
+					round, n, maxAttempts, k.known, snap, got, want)
+			}
+			if got.Affinity {
+				redirects++
+			}
+			if got.Owner != "" && !contains(got.Candidates, got.Owner) {
+				spilled++
+			}
+			if len(got.Candidates) == maxAttempts && maxAttempts < len(m.ms.Routable()) {
+				truncated++
+			}
+		}
+		m.mu.Unlock()
+	}
+	// Every branch the partition replaces must have been exercised.
+	if redirects == 0 || spilled == 0 || truncated == 0 {
+		t.Fatalf("rounds with an affinity redirect %d, an unrouted owner %d, a truncated list %d: want all nonzero", redirects, spilled, truncated)
+	}
+	t.Logf("affinity redirects %d, unrouted owners %d, truncated lists %d", redirects, spilled, truncated)
 }
 
 func TestRouteKeyOrderInsensitive(t *testing.T) {

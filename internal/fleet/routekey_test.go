@@ -228,30 +228,30 @@ func TestRouteKeyPlacement(t *testing.T) {
 	}
 }
 
-// ringOf builds the ring of agents agent-1..agent-n, the benchmark
-// topology's names.
-func ringOf(n int) *Ring {
-	r := NewRing(DefaultVNodes)
-	for i := 1; i <= n; i++ {
-		r.Add("agent-" + strconv.Itoa(i))
+// benchAgents names agents agent-1..agent-n, the benchmark topology's
+// names.
+func benchAgents(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = "agent-" + strconv.Itoa(i+1)
 	}
-	return r
+	return names
 }
 
-// TestRouteLevelsIndependent: an agent's arc and a spec's shard inside
-// that agent fold the same route sum, so they must not read the same
-// bits, or an agent would see only the specs of a few of its shards.
-// 10,000 seed-1 specs go through a 3-agent ring; inside each agent's
-// arc, the busiest shard at N ∈ {2, 4, 16} may hold at most 1.25× an
-// even share. (That is ~3.5 standard deviations at N = 16, where an
-// even share is ~210 specs.)
+// TestRouteLevelsIndependent: a spec's agent and its shard inside that
+// agent fold the same route sum, so they must not read the same bits,
+// or an agent would see only the specs of a few of its shards. 10,000
+// seed-1 specs are placed on 3 agents by their rendezvous owner; among
+// each agent's specs, the busiest shard at N ∈ {2, 4, 16} may hold at
+// most 1.25× an even share. (That is ~3.5 standard deviations at
+// N = 16, where an even share is ~210 specs.)
 func TestRouteLevelsIndependent(t *testing.T) {
 	const maxOverMean = 1.25
 	specs := seedSpecKeys(t, 10000)
-	ring := ringOf(3)
+	names := benchAgents(3)
 	agents := make([]string, len(specs))
 	for i, keys := range specs {
-		agents[i] = ring.Lookup(RouteKey(keys))
+		agents[i] = rendezvousOwner(names, RouteKey(keys))
 	}
 	for _, shards := range []int{2, 4, 16} {
 		hist := map[string][]int{}
@@ -276,7 +276,7 @@ func TestRouteLevelsIndependent(t *testing.T) {
 			}
 			worst = max(worst, ratio)
 		}
-		t.Logf("%d shards: busiest shard in any agent's arc holds %.3f× an even share", shards, worst)
+		t.Logf("%d shards: busiest shard among any agent's specs holds %.3f× an even share", shards, worst)
 	}
 }
 
@@ -296,15 +296,15 @@ func sortedFNVRouteKey(packages []string) uint64 {
 
 // TestRouteUpgradeCost counts what the summed route costs once, at
 // upgrade: of the benchmark's 256 seed-1 warm specs, how many change
-// agent between sortedFNVRouteKey and RouteKey on a ring of 2 and of 3
-// agents (DESIGN.md §10 quotes these counts). A random reassignment
-// would move (N−1)/N of them.
+// agent between sortedFNVRouteKey and RouteKey, each placed on its
+// rendezvous owner among 2 and among 3 agents (DESIGN.md §10 quotes
+// these counts). A random reassignment would move (N−1)/N of them.
 func TestRouteUpgradeCost(t *testing.T) {
 	specs := seedSpecKeys(t, 256)
-	for agents, want := range map[int]int{2: 115, 3: 153} {
-		ring, moved := ringOf(agents), 0
+	for agents, want := range map[int]int{2: 143, 3: 166} {
+		names, moved := benchAgents(agents), 0
 		for _, keys := range specs {
-			if ring.Lookup(sortedFNVRouteKey(keys)) != ring.Lookup(RouteKey(keys)) {
+			if rendezvousOwner(names, sortedFNVRouteKey(keys)) != rendezvousOwner(names, RouteKey(keys)) {
 				moved++
 			}
 		}

@@ -80,7 +80,7 @@ func (t RouteTerms) Sum(s Spec) uint64 {
 
 // RouteMix is the splitmix64 finaliser. A route sum concentrates its
 // entropy in the low bits poorly, so it is mixed before it is reduced
-// mod a shard count or placed on a ring.
+// mod a shard count or scored against an agent's name.
 func RouteMix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
