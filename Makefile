@@ -194,7 +194,9 @@ fuzz:
 # default, its key-movement histogram and that histogram's probe and
 # accessor, which rendezvous order as the one placement function
 # replaced (§10; the retired FleetVNodes field and the telemetry
-# package's event ring do not match). The
+# package's event ring do not match), nor the store's separate heal,
+# which the checkpoint — the one compaction, healing a failed store
+# when it is written — replaced (§8). The
 # watermark names match unanchored: with the
 # replica's stream headers gone no other name contains them. The second keeps the harnesses on the
 # in-memory network: no listener, no test server. The last two keep
@@ -202,8 +204,8 @@ fuzz:
 # store, recovers a server or starts a heal probe by hand, and no
 # harness builds a durable server around a store it opened itself.
 check:
-	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits|SetTracer|telemetry\.Tracer\b|newEvent|opTracer|timelineTracer|SetPaused|TransportFor|ChaosProxy|ReadHAState|repro/internal/cluster|StageClusterDispatch|cluster_dispatch|DeltaSite|landlord_site_|RunShardSim|ShardSimConfig|ShardSimReport|ShedderEnabled|replaySig|haRecord|haCheckpoint|haLogRing|HAState|RecoveredState|MirrorNext|StreamNext|haNoteMember|EnableReplication|NewStreamer|persist\.Streamer|persist\.Follower|StreamCheckpoint|ErrStreamGap|SetTap\(|/ha/v1/|RunHAChaos|HAChaosConfig|HAChaosDefault|HAChaosReport|MasterKillEvery|RunNetChaos|NetChaosConfig|NetChaosDefault|NetChaosReport|RunTraceSim|TraceSimConfig|TraceSimDefault|TraceSimReport|repro/internal/batch|repro/internal/specscan|RestoreAll|RestoreThen|legacyStateName|SplitBudget|BalancerStats|SetBudgets|RebalanceEvery|ShrinkToCapacity|landlord_cache_rebalance|landlord_cache_shard_budget|fleet\.NewRing|DefaultVNodes|observeRingChange|KeyMovementStats|landlord_fleet_ring_key_movement' --include='*.go' --exclude-dir=.bench_build . \
-		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, §10 for the route dictionary, §9 for the event hook, §7 for the harness seams, the site model, the simulation driver and the fleet harness's folded predecessors, §6 for the node assembly, the replay pass and the one cache-state loader, §11 for the one capacity across shards, §10 for the one placement hash that replaced the consistent-hash ring, §13 for the HA log the lease replaced and the WAL read replica the recovery audit replaced)"; exit 1; }
+	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits|SetTracer|telemetry\.Tracer\b|newEvent|opTracer|timelineTracer|SetPaused|TransportFor|ChaosProxy|ReadHAState|repro/internal/cluster|StageClusterDispatch|cluster_dispatch|DeltaSite|landlord_site_|RunShardSim|ShardSimConfig|ShardSimReport|ShedderEnabled|replaySig|haRecord|haCheckpoint|haLogRing|HAState|RecoveredState|MirrorNext|StreamNext|haNoteMember|EnableReplication|NewStreamer|persist\.Streamer|persist\.Follower|StreamCheckpoint|ErrStreamGap|SetTap\(|/ha/v1/|RunHAChaos|HAChaosConfig|HAChaosDefault|HAChaosReport|MasterKillEvery|RunNetChaos|NetChaosConfig|NetChaosDefault|NetChaosReport|RunTraceSim|TraceSimConfig|TraceSimDefault|TraceSimReport|repro/internal/batch|repro/internal/specscan|RestoreAll|RestoreThen|legacyStateName|SplitBudget|BalancerStats|SetBudgets|RebalanceEvery|ShrinkToCapacity|landlord_cache_rebalance|landlord_cache_shard_budget|fleet\.NewRing|DefaultVNodes|observeRingChange|KeyMovementStats|landlord_fleet_ring_key_movement|\) Heal\(|\.Heal\(' --include='*.go' --exclude-dir=.bench_build . \
+		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, §10 for the route dictionary, §9 for the event hook, §7 for the harness seams, the site model, the simulation driver and the fleet harness's folded predecessors, §6 for the node assembly, the replay pass and the one cache-state loader, §11 for the one capacity across shards, §10 for the one placement hash that replaced the consistent-hash ring, §8 for the store's one compaction, the checkpoint that replaced Heal, §13 for the HA log the lease replaced and the WAL read replica the recovery audit replaced)"; exit 1; }
 	@! grep -nE 'net\.Listen|httptest\.' $$(ls internal/check/*.go | grep -v '_test\.go$$') \
 		|| { echo "check: a harness in internal/check opens a socket; run it on the in-memory network (DESIGN.md §7)"; exit 1; }
 	@! grep -nE 'persist\.Open\(|NewPersistent\(|StartDegradedProbe\(' $$(find cmd -name '*.go' ! -name '*_test.go') \
@@ -262,9 +264,12 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -1
 
 # Durability gauntlet: the persist fault-injection suite (every WAL
-# truncation and bit-flip) plus the end-to-end kill -9 daemon test.
+# truncation and bit-flip), the segment lifecycle (each new segment's
+# directory fsynced before its first record, a failed seal or Sync
+# failing the store, a closed store staying closed) plus the end-to-end
+# kill -9 daemon test.
 crash-test:
-	$(GO) test -v -run 'TestCrashRecovery|TestTornTail|TestRecoverFallsBack|TestCheckpointCompaction' ./internal/persist
+	$(GO) test -v -run 'TestCrashRecovery|TestTornTail|TestRecoverFallsBack|TestCheckpointCompaction|TestNewSegmentSyncsDirectory|TestFailedSealFailsStore|TestSyncAndCloseStick' ./internal/persist
 	$(GO) test -v -run TestDaemonSurvivesKill9 ./cmd/landlordd
 
 examples:

@@ -236,13 +236,6 @@ func (s *Store) Publish(id pkggraph.PkgID) *Catalog {
 	return cat
 }
 
-// PublishSet publishes every package in ids.
-func (s *Store) PublishSet(ids []pkggraph.PkgID) {
-	for _, id := range ids {
-		s.Publish(id)
-	}
-}
-
 // Catalog returns the catalog for a published package, or false if the
 // package has not been published.
 func (s *Store) Catalog(id pkggraph.PkgID) (*Catalog, bool) {
@@ -250,14 +243,6 @@ func (s *Store) Catalog(id pkggraph.PkgID) (*Catalog, bool) {
 	defer s.mu.RUnlock()
 	c, ok := s.catalogs[id]
 	return c, ok
-}
-
-// HasObject reports whether an object is present and returns its size.
-func (s *Store) HasObject(d Digest) (int64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	size, ok := s.objects[d]
-	return size, ok
 }
 
 // Stats summarizes the store's deduplication state.

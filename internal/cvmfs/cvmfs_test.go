@@ -108,29 +108,6 @@ func TestCatalogLookup(t *testing.T) {
 	}
 }
 
-func TestHasObject(t *testing.T) {
-	repo := famRepo(t)
-	s := NewStore(repo)
-	cat := s.Publish(0)
-	size, ok := s.HasObject(cat.Files[0].Digest)
-	if !ok || size != cat.Files[0].Size {
-		t.Fatalf("HasObject = %d,%v", size, ok)
-	}
-	var missing Digest
-	if _, ok := s.HasObject(missing); ok {
-		t.Fatal("zero digest should be absent")
-	}
-}
-
-func TestPublishSet(t *testing.T) {
-	repo := famRepo(t)
-	s := NewStore(repo)
-	s.PublishSet([]pkggraph.PkgID{0, 1, 2, 3})
-	if st := s.Stats(); st.Packages != 4 {
-		t.Fatalf("Packages = %d, want 4", st.Packages)
-	}
-}
-
 func TestDigestDeterministic(t *testing.T) {
 	a := fileDigest("tool", 1, 3, 100)
 	b := fileDigest("tool", 1, 3, 100)

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"sync"
@@ -205,8 +204,7 @@ func (m *Master) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		fleetWriteError(w, http.StatusBadRequest, "decoding lease: %v", err)
+	if !server.DecodeSmallBody(w, r, "lease", &req) {
 		return
 	}
 	m.ha.mu.Lock()

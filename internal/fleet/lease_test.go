@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/server"
 )
 
 // TestHALeaseMixedVersionWire: a pair where one master still speaks
@@ -57,6 +59,36 @@ func TestHALeaseMixedVersionWire(t *testing.T) {
 	if st := standby.LeaseTick(ctx); st.Role != "standby" || st.Missed != 0 || st.Epoch != 1 || st.Holder != "m1" {
 		t.Fatalf("grant with batch and checkpoint: %+v, want a renewed standby at epoch 1 held by m1", st)
 	}
+}
+
+// TestLeaseBodyBound: a lease body past server.SmallBodyLimit is
+// refused 413 on a primary and on a standby, and leaves /fleet/v1/ha as
+// it was, though its epoch would demote the primary and teach the
+// standby.
+func TestLeaseBodyBound(t *testing.T) {
+	primary := NewMaster(MasterConfig{SuspectAfter: -1, HA: HAConfig{ID: "m1", StartPrimary: true}})
+	standby := NewMaster(MasterConfig{SuspectAfter: -1, HA: HAConfig{ID: "m2"}})
+	body := []byte(`{"id":"m3","epoch":9,"pad":"` + strings.Repeat("x", server.SmallBodyLimit) + `"}`)
+	for _, m := range []*Master{primary, standby} {
+		before := haView(t, m)
+		if code, _ := postLease(m, body); code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%d-byte lease body: %d, want 413", len(body), code)
+		}
+		if after := haView(t, m); after != before {
+			t.Fatalf("oversized lease body changed /fleet/v1/ha:\n%s\n%s", before, after)
+		}
+	}
+}
+
+// haView reads m's GET /fleet/v1/ha body.
+func haView(t *testing.T, m *Master) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	m.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/fleet/v1/ha", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /fleet/v1/ha: %d", rec.Code)
+	}
+	return rec.Body.String()
 }
 
 // FuzzLease: no body POSTed to /fleet/v1/lease, on a primary or on a

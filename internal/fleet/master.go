@@ -248,7 +248,7 @@ func (m *Master) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RegisterRequest
-	if !decodeMembershipBody(w, r, "register", &req) {
+	if !server.DecodeSmallBody(w, r, "register", &req) {
 		return
 	}
 	if req.ID == "" || req.URL == "" {
@@ -291,7 +291,7 @@ func (m *Master) handleDeregister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DeregisterRequest
-	if !decodeMembershipBody(w, r, "deregister", &req) {
+	if !server.DecodeSmallBody(w, r, "deregister", &req) {
 		return
 	}
 	m.mu.Lock()
@@ -300,28 +300,6 @@ func (m *Master) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	}
 	m.mu.Unlock()
 	fleetWriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
-}
-
-// membershipBodyLimit bounds a register or deregister body. Either is a
-// few short strings and a number, well under 1 KiB; the bound only
-// keeps a stray or hostile body from being buffered whole.
-const membershipBodyLimit = 4 << 10
-
-// decodeMembershipBody reads a register or deregister body into v,
-// answering 413 past membershipBodyLimit and 400 on anything else it
-// cannot decode. It reports whether v was filled.
-func decodeMembershipBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, membershipBodyLimit)).Decode(v)
-	if err == nil {
-		return true
-	}
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		fleetWriteError(w, http.StatusRequestEntityTooLarge, "%s body exceeds %d bytes", what, membershipBodyLimit)
-	} else {
-		fleetWriteError(w, http.StatusBadRequest, "decoding %s: %v", what, err)
-	}
-	return false
 }
 
 func (m *Master) handleMembers(w http.ResponseWriter, r *http.Request) {

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/server"
 )
 
 // membershipMaster is a master on a fixed clock with two registered
@@ -33,11 +35,11 @@ func postMembership(m *Master, path string, body []byte) int {
 // is refused 413 and leaves the members and the owner of every probe
 // key as they were — even when it names a real agent.
 func TestMembershipBodyBound(t *testing.T) {
-	pad := strings.Repeat("x", membershipBodyLimit)
+	pad := strings.Repeat("x", server.SmallBodyLimit)
 	for _, c := range []struct{ path, body string }{
 		{"/fleet/v1/register", `{"id":"agent-2","url":"http://agent-2/` + pad + `","gen":1}`},
 		{"/fleet/v1/register", `{"id":"agent-0","url":"http://elsewhere","gen":9,"pad":"` + pad + `"}`},
-		{"/fleet/v1/register", strings.Repeat(" ", membershipBodyLimit) + `{"id":"agent-2","url":"http://agent-2","gen":1}`},
+		{"/fleet/v1/register", strings.Repeat(" ", server.SmallBodyLimit) + `{"id":"agent-2","url":"http://agent-2","gen":1}`},
 		{"/fleet/v1/deregister", `{"pad":"` + pad + `","id":"agent-0"}`},
 	} {
 		m := membershipMaster(t)

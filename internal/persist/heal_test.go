@@ -102,7 +102,7 @@ func TestHealClearsStickyAndTaint(t *testing.T) {
 		t.Fatal("the store reports no WAL tail before the heal")
 	}
 	state := h.mgr.ExportState()
-	if err := h.store.Heal(state); err != nil {
+	if _, err := h.store.Checkpoint(state); err != nil {
 		t.Fatalf("Heal through a recovered filesystem: %v", err)
 	}
 	// The probe checkpoint covers everything: the tail starts over and
@@ -164,7 +164,7 @@ func TestHealRetriesAfterFailedProbe(t *testing.T) {
 	h.driveUntilSticky(t, stream)
 
 	state := h.mgr.ExportState()
-	if err := h.store.Heal(state); err == nil {
+	if _, err := h.store.Checkpoint(state); err == nil {
 		t.Fatal("Heal succeeded despite the torn probe write")
 	}
 	if h.store.Err() == nil {
@@ -175,7 +175,7 @@ func TestHealRetriesAfterFailedProbe(t *testing.T) {
 	}
 
 	// Faults exhausted: the next probe goes through.
-	if err := h.store.Heal(state); err != nil {
+	if _, err := h.store.Checkpoint(state); err != nil {
 		t.Fatalf("second Heal: %v", err)
 	}
 	if err := h.store.Err(); err != nil {
@@ -246,7 +246,7 @@ func TestFailedRotationTripsSticky(t *testing.T) {
 
 	// The probe heals it in place once the directory is writable again.
 	fs.armed = false
-	if err := store.Heal(mgr.ExportState()); err != nil {
+	if _, err := store.Checkpoint(mgr.ExportState()); err != nil {
 		t.Fatalf("Heal after failed rotation: %v", err)
 	}
 	if err := store.Err(); err != nil {
@@ -269,7 +269,7 @@ func TestHealRefusesClosedStore(t *testing.T) {
 	if err := h.store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.store.Heal(state); err == nil {
+	if _, err := h.store.Checkpoint(state); err == nil {
 		t.Fatal("Heal resurrected a closed store")
 	}
 }

@@ -30,8 +30,8 @@ type Store struct {
 	opts Options
 
 	mu       sync.Mutex
-	f        File   // open append segment; nil before RecoverSharded / after Close
-	seq      uint64 // sequence number of the open segment
+	f        File   // open append segment; nil before RecoverSharded, after a failed rotation and after Close
+	seq      uint64 // sequence number of the open segment; 0 before RecoverSharded
 	segBytes int64
 	lastSync time.Time
 	sticky   error
@@ -43,7 +43,7 @@ type Store struct {
 	// covers every record appended so far — the shared batch.
 	appendSeq  uint64     // records appended to the OS, guarded by mu
 	durableSeq uint64     // records known to be on stable storage, guarded by mu
-	flushing   bool       // a leader's fsync is in flight
+	flushing   File       // the segment a leader is fsyncing outside mu; nil when none
 	flushCond  *sync.Cond // on mu; signaled whenever durableSeq advances
 
 	// Taint tracking for degraded-mode serving: pending holds the
@@ -52,8 +52,8 @@ type Store struct {
 	// when the store fails they move to tainted, joined by every
 	// insert/merge dropped while sticky. A tainted image exists in
 	// memory but is not guaranteed to survive a crash, so a degraded
-	// server must refuse to ack hits on it (see Tainted). Heal clears
-	// both — its full-state checkpoint re-covers everything.
+	// server must refuse to ack hits on it (see Tainted). A checkpoint
+	// clears both: it covers everything in memory.
 	pending []pendingRec
 	tainted map[uint64]struct{}
 	heals   int64
@@ -348,13 +348,9 @@ func (st *Store) RecoverSharded(repo *pkggraph.Repo, cfg core.Config) (*core.Sha
 			st.seq = maxSeq
 		}
 	}
-	f, err := st.opts.FS.OpenFile(st.segPath(st.seq), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-	if err != nil {
+	if err := st.openSegmentLocked(st.seq); err != nil {
 		return nil, nil, err
 	}
-	st.f = f
-	st.segBytes = 0
-	st.lastSync = time.Now()
 	if st.lastCkptUnixNano.Load() == 0 {
 		st.lastCkptUnixNano.Store(time.Now().UnixNano())
 	}
@@ -393,8 +389,7 @@ func (st *Store) Commit(mut core.Mutation) {
 		return
 	}
 	if st.segBytes > 0 && st.segBytes+int64(len(buf)) > st.opts.SegmentBytes {
-		if err := st.rotateLocked(); err != nil {
-			st.fail(err)
+		if st.rotateLocked(); st.sticky != nil {
 			st.taintLocked(mut)
 			return
 		}
@@ -446,27 +441,29 @@ func (st *Store) WaitDurable() error {
 	}
 	target := st.appendSeq
 	for st.durableSeq < target && st.sticky == nil {
-		if st.flushing {
+		if st.flushing != nil {
 			st.flushCond.Wait()
 			continue
 		}
-		st.flushing = true
 		f := st.f
-		seg := st.seq
+		st.flushing = f
 		upto := st.appendSeq
 		st.mu.Unlock()
 		err := f.Sync()
 		st.mu.Lock()
-		st.flushing = false
+		st.flushing = nil
+		// A seal while we synced covered our records, and left the
+		// handle for us to close (sealLocked).
+		sealed := st.f != f
+		if sealed {
+			f.Close()
+		}
 		switch {
-		case st.seq != seg:
-			// The segment rotated (or the store closed) while we were
-			// syncing: rotation fsynced the records we cover, and
-			// markDurableLocked already advanced past upto. Any error
-			// from syncing the closed handle is expected noise.
 		case err != nil:
+			// Even when the segment was sealed meanwhile: the seal's
+			// fsync of the same file may pass over the pages ours lost.
 			st.fail(fmt.Errorf("persist: group-commit sync: %w", err))
-		default:
+		case !sealed:
 			if st.batchHist != nil && upto > st.durableSeq {
 				st.batchHist.Observe(float64(upto - st.durableSeq))
 			}
@@ -503,8 +500,12 @@ func (st *Store) taintLocked(mut core.Mutation) {
 	}
 }
 
+// fail makes err the sticky error, unless the store already has one:
+// the first error sticks.
 func (st *Store) fail(err error) {
-	st.sticky = err
+	if st.sticky == nil {
+		st.sticky = err
+	}
 	// Everything appended but not yet durable is now suspect.
 	for _, p := range st.pending {
 		st.tainted[p.id] = struct{}{}
@@ -546,32 +547,59 @@ func (st *Store) TaintedCount() int {
 	return len(st.tainted)
 }
 
-// rotateLocked seals the current segment (flush + fsync + close) and
-// opens the next one. Sealing makes every record appended so far
-// durable, so the group-commit watermark advances with it.
-func (st *Store) rotateLocked() error {
-	if err := st.f.Sync(); err != nil {
-		return fmt.Errorf("persist: sealing segment %d: %w", st.seq, err)
+// sealLocked fsyncs and closes the open segment, if there is one. A
+// good fsync makes every record appended so far durable; a close error
+// after it loses nothing. A failed fsync fails the store: the kernel
+// may have dropped the pages it could not write back, so a later fsync
+// could succeed without them. The seal's error is returned too.
+func (st *Store) sealLocked() error {
+	if st.f == nil {
+		return nil
 	}
-	if err := st.f.Close(); err != nil {
-		return fmt.Errorf("persist: closing segment %d: %w", st.seq, err)
+	err := st.f.Sync()
+	if st.f != st.flushing {
+		st.f.Close() // else the leader fsyncing it closes it (WaitDurable)
 	}
-	st.markDurableLocked(st.appendSeq)
-	st.seq++
-	f, err := st.opts.FS.OpenFile(st.segPath(st.seq), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+	st.f = nil
 	if err != nil {
-		// The old segment is already sealed and closed: without a new
-		// one the store cannot log at all. Mark it failed so the
-		// degraded-mode heal probe retries the open, instead of leaving
-		// a closed handle to trip over on the next append.
-		err = fmt.Errorf("persist: opening segment %d: %w", st.seq, err)
+		err = fmt.Errorf("persist: sealing segment %d: %w", st.seq, err)
 		st.fail(err)
 		return err
+	}
+	st.markDurableLocked(st.appendSeq)
+	return nil
+}
+
+// openSegmentLocked creates wal-<seq>.log and makes it the open
+// segment. It fsyncs the state directory before the first record is
+// written, so the new name survives a power loss with the records
+// later fsynced into the file. It is the only place a segment is
+// created. seq becomes the store's sequence even when the open fails,
+// so the next attempt takes a fresh name.
+func (st *Store) openSegmentLocked(seq uint64) error {
+	st.seq = seq
+	f, err := st.opts.FS.OpenFile(st.segPath(seq), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+	if err != nil {
+		return fmt.Errorf("persist: opening segment %d: %w", seq, err)
+	}
+	if err := syncDir(st.opts.FS, st.dir); err != nil {
+		f.Close()
+		return fmt.Errorf("persist: syncing the directory entry of segment %d: %w", seq, err)
 	}
 	st.f = f
 	st.segBytes = 0
 	st.lastSync = time.Now()
 	return nil
+}
+
+// rotateLocked seals the open segment and opens the next. Either
+// failure fails the store; one left without an open segment logs
+// nothing until a checkpoint opens the next.
+func (st *Store) rotateLocked() {
+	st.sealLocked()
+	if err := st.openSegmentLocked(st.seq + 1); err != nil {
+		st.fail(err)
+	}
 }
 
 // CheckpointInfo reports one completed checkpoint.
@@ -582,20 +610,33 @@ type CheckpointInfo struct {
 	Duration time.Duration `json:"-"`
 }
 
-// Checkpoint compacts the log: it rotates the WAL, durably writes
-// state as checkpoint-<newseq>, and deletes the now-covered older
-// segments and checkpoints. The caller must prevent concurrent
+// Checkpoint is the store's one compaction: it rotates the WAL, durably
+// writes state as checkpoint-<newseq>, and deletes the older segments
+// and checkpoints it covers. The caller must prevent concurrent
 // mutations between exporting state and this call returning (the HTTP
-// server holds its manager mutex across both).
+// server holds every shard's write lock across both).
+//
+// The checkpoint holds everything in memory, so one written by a
+// failed store heals it in place: the sticky error and the taint set
+// are cleared and Heals counts it. Its write exercises create, write,
+// fsync, rename and the directory fsync, so its success is direct
+// evidence the fault cleared; the server's degraded-mode probe is this
+// call. A checkpoint that cannot be written leaves the store as it was:
+// a healthy store logs on into the new segment, its predecessors still
+// holding every record it acknowledged, and a failed one stays failed.
+// Only the rotation (a failed seal or segment open) fails a store here.
 func (st *Store) Checkpoint(state core.ManagerState) (CheckpointInfo, error) {
 	start := time.Now()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.f == nil {
+	if errors.Is(st.sticky, errClosed) {
+		return CheckpointInfo{}, st.sticky
+	}
+	if st.seq == 0 {
 		return CheckpointInfo{}, errNotRecovered
 	}
-	if err := st.rotateLocked(); err != nil {
-		return CheckpointInfo{}, err
+	if st.rotateLocked(); st.f == nil {
+		return CheckpointInfo{}, st.sticky
 	}
 	now := time.Now()
 	path := st.ckptPath(st.seq)
@@ -604,11 +645,22 @@ func (st *Store) Checkpoint(state core.ManagerState) (CheckpointInfo, error) {
 		WALSeq:        st.seq,
 		State:         state,
 	}); err != nil {
-		return CheckpointInfo{}, err
+		return CheckpointInfo{}, fmt.Errorf("persist: writing checkpoint %d: %w", st.seq, err)
 	}
 	info := CheckpointInfo{Seq: st.seq, Images: len(state.Images)}
 	if fi, err := st.opts.FS.Stat(path); err == nil {
 		info.Bytes = fi.Size()
+	}
+	// Every record appended before the checkpoint is durable in it,
+	// whatever the seal returned.
+	st.markDurableLocked(st.appendSeq)
+	if st.sticky != nil {
+		st.sticky = nil
+		clear(st.tainted)
+		st.heals++
+		if st.healsCtr != nil {
+			st.healsCtr.Inc()
+		}
 	}
 	st.lastCkptUnixNano.Store(now.UnixNano())
 	st.tailBytes.Store(0)
@@ -616,8 +668,10 @@ func (st *Store) Checkpoint(state core.ManagerState) (CheckpointInfo, error) {
 	if st.checkpoints != nil {
 		st.checkpoints.Inc()
 	}
-	// Garbage-collect covered files; failures leave stale files that
-	// recovery ignores and the next checkpoint retries.
+	// Delete the covered files. A failed removal leaves a stale file
+	// that recovery ignores and the next checkpoint retries. The
+	// removals need no directory fsync: one a crash undoes brings back
+	// only files the durable checkpoint supersedes.
 	if segs, ckpts, err := st.scan(); err == nil {
 		for _, seq := range segs {
 			if seq < info.Seq {
@@ -634,91 +688,8 @@ func (st *Store) Checkpoint(state core.ManagerState) (CheckpointInfo, error) {
 	return info, nil
 }
 
-// Heal attempts to recover a failed store in place: it abandons the
-// broken segment, opens a fresh one at a higher sequence, and durably
-// writes a full-state checkpoint there. The checkpoint write IS the
-// probe — it exercises create, write, fsync, and rename on the state
-// directory, so its success is direct evidence the fault cleared. On
-// success the sticky error, pending queue, and taint set are all
-// cleared: every image in memory is now covered by the checkpoint.
-// On failure the store stays failed and the error says why.
-//
-// Like Checkpoint, the caller must prevent concurrent mutations
-// between exporting state and Heal returning (the server holds the
-// manager's exclusive lock across both).
-func (st *Store) Heal(state core.ManagerState) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if errors.Is(st.sticky, errClosed) {
-		return st.sticky
-	}
-	if st.f == nil && st.sticky == nil {
-		return errNotRecovered
-	}
-	// Abandon the broken segment; its handle may be beyond repair and
-	// the checkpoint below makes its contents irrelevant.
-	if st.f != nil {
-		st.f.Sync()
-		st.f.Close()
-		st.f = nil
-	}
-	st.seq++ // invalidates in-flight group-commit leaders' captures
-	f, err := st.opts.FS.OpenFile(st.segPath(st.seq), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-	if err != nil {
-		err = fmt.Errorf("persist: heal: opening segment %d: %w", st.seq, err)
-		st.fail(err)
-		return err
-	}
-	now := time.Now()
-	path := st.ckptPath(st.seq)
-	if werr := writeCheckpointFile(st.opts.FS, path, Checkpoint{
-		SavedUnixNano: now.UnixNano(),
-		WALSeq:        st.seq,
-		State:         state,
-	}); werr != nil {
-		f.Close()
-		werr = fmt.Errorf("persist: heal: writing probe checkpoint: %w", werr)
-		st.fail(werr)
-		return werr
-	}
-	// Probe succeeded: the store is whole again.
-	st.f = f
-	st.segBytes = 0
-	st.lastSync = time.Now()
-	st.sticky = nil
-	st.pending = st.pending[:0]
-	st.tainted = make(map[uint64]struct{})
-	st.markDurableLocked(st.appendSeq)
-	st.heals++
-	st.lastCkptUnixNano.Store(now.UnixNano())
-	st.tailBytes.Store(0)
-	if fi, err := st.opts.FS.Stat(path); err == nil {
-		st.ckptBytes.Store(fi.Size())
-	}
-	if st.healsCtr != nil {
-		st.healsCtr.Inc()
-	}
-	if st.checkpoints != nil {
-		st.checkpoints.Inc()
-	}
-	// Older files are covered by the probe checkpoint.
-	if segs, ckpts, err := st.scan(); err == nil {
-		for _, seq := range segs {
-			if seq < st.seq {
-				st.opts.FS.Remove(st.segPath(seq))
-			}
-		}
-		for _, seq := range ckpts {
-			if seq < st.seq {
-				st.opts.FS.Remove(st.ckptPath(seq))
-			}
-		}
-	}
-	return nil
-}
-
 // LogBytes reports the facts the server's compaction rule weighs: the
-// WAL tail (bytes appended since the last checkpoint or heal, plus the
+// WAL tail (bytes appended since the last checkpoint, plus the
 // bytes the recovery that opened the store replayed), the size of the
 // last checkpoint written or loaded (0 before the first), and the WAL
 // segment size.
@@ -726,48 +697,40 @@ func (st *Store) LogBytes() (tail, checkpoint, segment int64) {
 	return st.tailBytes.Load(), st.ckptBytes.Load(), st.opts.SegmentBytes
 }
 
-// Heals returns how many times Heal has succeeded.
+// Heals returns how many checkpoints found the store failed and left
+// it whole.
 func (st *Store) Heals() int64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.heals
 }
 
-// Sync forces the WAL to stable storage regardless of policy.
+// Sync forces the WAL to stable storage regardless of policy. A failed
+// fsync fails the store, as every fsync failure does; the sticky error
+// is returned.
 func (st *Store) Sync() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.f == nil {
-		return nil
+		return st.sticky
 	}
 	if err := st.f.Sync(); err != nil {
-		return err
+		st.fail(fmt.Errorf("persist: syncing WAL: %w", err))
+		return st.sticky
 	}
 	st.markDurableLocked(st.appendSeq)
-	return nil
+	return st.sticky
 }
 
-// Close seals the WAL. Commits after Close are dropped (and counted as
-// errors).
+// Close seals the WAL and closes the store for good, whatever the seal
+// returned: commits after Close are dropped and Checkpoint refuses it.
+// It returns the seal's error.
 func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.f == nil {
-		return nil
-	}
-	err := st.f.Sync()
-	if cerr := st.f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		st.markDurableLocked(st.appendSeq)
-	}
-	st.f = nil
-	st.seq++ // invalidate any in-flight group-commit leader's segment capture
-	if st.sticky == nil {
-		st.sticky = errClosed
-		st.flushCond.Broadcast()
-	}
+	err := st.sealLocked()
+	st.sticky = errClosed
+	st.flushCond.Broadcast()
 	return err
 }
 

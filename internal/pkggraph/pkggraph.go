@@ -302,9 +302,3 @@ func (r *Repo) SetSize(ids []PkgID) int64 {
 	}
 	return total
 }
-
-// ClosureSize returns the installed size of the dependency closure of
-// ids.
-func (r *Repo) ClosureSize(ids []PkgID) int64 {
-	return r.SetSize(r.Closure(ids))
-}

@@ -142,9 +142,6 @@ func TestSetSizeAndClosureSize(t *testing.T) {
 	if got := r.SetSize([]PkgID{0, 0, 1}); got != 150 {
 		t.Errorf("SetSize with dup = %d, want 150", got)
 	}
-	if got := r.ClosureSize([]PkgID{4}); got != 210 {
-		t.Errorf("ClosureSize = %d, want 210", got)
-	}
 }
 
 func TestLookupAndFamilies(t *testing.T) {

@@ -52,23 +52,6 @@ func WriteSweepCSV(w io.Writer, points []sim.SweepPoint) error {
 	return writeRecords(w, header, rows)
 }
 
-// WriteSweepDat emits the sweep as a gnuplot-style .dat block: a
-// commented header line followed by whitespace-separated columns.
-func WriteSweepDat(w io.Writer, points []sim.SweepPoint) error {
-	if _, err := fmt.Fprintln(w, "# alpha hits inserts deletes merges unique_gb total_gb actual_write_gb requested_write_gb cache_eff container_eff"); err != nil {
-		return err
-	}
-	for _, p := range points {
-		if _, err := fmt.Fprintf(w, "%.2f %.0f %.0f %.0f %.0f %.3f %.3f %.3f %.3f %.4f %.4f\n",
-			p.Alpha, p.Hits, p.Inserts, p.Deletes, p.Merges,
-			p.UniqueGB, p.TotalGB, p.ActualWriteGB, p.RequestedWriteGB,
-			p.CacheEfficiency, p.ContainerEfficiency); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WriteTimelineCSV emits a single-run timeline (Figure 5) as CSV.
 func WriteTimelineCSV(w io.Writer, points []sim.TimelinePoint) error {
 	header := []string{"request", "hits", "inserts", "deletes", "merges", "cached_gb", "written_gb"}

@@ -42,23 +42,6 @@ func TestWriteSweepCSV(t *testing.T) {
 	}
 }
 
-func TestWriteSweepDat(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteSweepDat(&buf, samplePoints()); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "# alpha") {
-		t.Fatalf("missing gnuplot header: %q", lines[0])
-	}
-	if fields := strings.Fields(lines[1]); len(fields) != 11 {
-		t.Fatalf("data line has %d fields, want 11", len(fields))
-	}
-}
-
 func TestWriteTimelineCSV(t *testing.T) {
 	points := []sim.TimelinePoint{
 		{Request: 50, Hits: 4, Inserts: 10, Deletes: 3, Merges: 36,

@@ -57,7 +57,9 @@ func (s *Server) CheckpointNow() (persist.CheckpointInfo, error) {
 // mutation can slip between exporting the state and sealing the WAL
 // segment. The request counter (and the store's tail) resets only on
 // success: a failed checkpoint (full disk) is retried at the next
-// threshold crossing.
+// threshold crossing. A checkpoint that succeeds leaves the store
+// whole, healing it if it was failing, so a degraded or recovering
+// server serves in full again.
 func (s *Server) checkpointAll(ms []*core.Manager) (persist.CheckpointInfo, error) {
 	if s.store == nil {
 		return persist.CheckpointInfo{}, errNoStore
@@ -65,6 +67,9 @@ func (s *Server) checkpointAll(ms []*core.Manager) (persist.CheckpointInfo, erro
 	info, err := s.store.Checkpoint(core.MergedState(ms))
 	if err == nil {
 		s.sinceCkpt.Store(0)
+		if !s.Ready() {
+			s.transition(StateHealthy)
+		}
 	}
 	return info, err
 }

@@ -146,6 +146,28 @@ func DecodeFailure(err error) (int, string) {
 	return http.StatusBadRequest, "decoding request: " + err.Error()
 }
 
+// SmallBodyLimit bounds a body of a few fields: a prune's two
+// thresholds, a lease, a register or a deregister. Each is well under
+// 1 KiB; the bound only keeps a stray or hostile body from being
+// buffered whole.
+const SmallBodyLimit = 4 << 10
+
+// DecodeSmallBody reads a small JSON body into v, answering 413 past
+// SmallBodyLimit and 400 on anything else it cannot decode; what names
+// the body in the error text. It reports whether v was filled.
+func DecodeSmallBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, SmallBodyLimit)).Decode(v)
+	switch {
+	case err == nil:
+		return true
+	case tooLarge(err) != nil:
+		writeError(w, http.StatusRequestEntityTooLarge, "%s body exceeds %d bytes", what, SmallBodyLimit)
+	default:
+		writeError(w, http.StatusBadRequest, "decoding %s: %v", what, err)
+	}
+	return false
+}
+
 // tooLarge returns the body-bound violation in err, if it is one.
 func tooLarge(err error) *http.MaxBytesError {
 	var over *http.MaxBytesError

@@ -67,7 +67,8 @@ func (st ServeState) String() string {
 
 // health is the server's serve-state machine. Transitions are driven
 // by admission decisions (healthy↔shedding), WAL failures
-// (→degraded), and the probe loop (degraded→recovering→healthy).
+// (→degraded), the probe loop (degraded→recovering→healthy) and any
+// other checkpoint that heals the store (→healthy).
 // Degraded-or-worse always wins over shedding: a shed decision never
 // masks a durability failure.
 type health struct {
@@ -217,9 +218,9 @@ func requestContext(r *http.Request) (context.Context, context.CancelFunc) {
 }
 
 // StartDegradedProbe runs the self-healing loop: every interval, if
-// the store has a sticky error, attempt Store.Heal under the exclusive
-// lock. Returns a stop function (idempotent). interval <= 0 disables
-// probing.
+// the store has a sticky error, checkpoint under every shard's write
+// lock (ProbeDegradedNow). Returns a stop function (idempotent).
+// interval <= 0 disables probing.
 func (s *Server) StartDegradedProbe(interval time.Duration) (stop func()) {
 	if s.store == nil || interval <= 0 {
 		return func() {}
@@ -241,22 +242,22 @@ func (s *Server) StartDegradedProbe(interval time.Duration) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// ProbeDegradedNow runs one heal probe if the store is failing. It
-// reports whether the probe healed a failing store, and the store's
-// health afterwards (nil = healthy). Safe to call at any time; a
-// healthy store is a no-op.
+// ProbeDegradedNow runs one heal probe if the store is failing: a
+// checkpoint, which covers everything in memory and so heals the store
+// when it can be written. It reports whether the probe healed a
+// failing store, and the probe's error (nil = healthy). Safe to call
+// at any time; a healthy store is a no-op.
 func (s *Server) ProbeDegradedNow() (healed bool, err error) {
 	if s.store == nil || s.store.Err() == nil {
 		return false, nil
 	}
 	s.transition(StateRecovering)
 	s.cmgr.WithExclusiveAll(func(ms []*core.Manager) {
-		err = s.store.Heal(core.MergedState(ms))
+		_, err = s.checkpointAll(ms)
 	})
 	if err != nil {
 		s.transition(StateDegraded)
 		return false, err
 	}
-	s.transition(StateHealthy)
 	return true, nil
 }

@@ -494,6 +494,45 @@ func TestStartDegradedProbeHeals(t *testing.T) {
 	}
 }
 
+// TestCheckpointHealsDegradedServer: a checkpoint is a heal wherever
+// it comes from. One an operator asks for through /v1/checkpoint
+// covers the failed store's lost records, so the store is whole and the
+// server ready again without waiting for the probe.
+func TestCheckpointHealsDegradedServer(t *testing.T) {
+	tfs := &toggleFS{inner: persist.OSFS{}}
+	store, err := persist.Open(t.TempDir(), persist.Options{SyncPolicy: persist.FsyncAlways, FS: tfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	srv, _, err := NewPersistent(testRepo(t), core.Config{Alpha: 0}, store, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	libA := RequestBody{Packages: []string{"libA/1.0/p"}, Close: true}
+	tfs.fail.Store(true)
+	postRequest(t, ts.URL, libA)
+	if srv.ServeStateNow() != StateDegraded {
+		t.Fatal("server did not degrade")
+	}
+	tfs.fail.Store(false)
+	if _, err := NewClient(ts.URL, ts.Client()).Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after the disk returned: %v", err)
+	}
+	if err := store.Err(); err != nil {
+		t.Fatalf("store still failing after the checkpoint: %v", err)
+	}
+	if got := srv.ServeStateNow(); got != StateHealthy {
+		t.Fatalf("serve state after a healing checkpoint = %v, want healthy", got)
+	}
+	if resp := postRequest(t, ts.URL, libA); resp.StatusCode != http.StatusOK || resp.Header.Get(DegradedHeader) != "" {
+		t.Fatalf("request after the healing checkpoint: status %d, degraded header %q", resp.StatusCode, resp.Header.Get(DegradedHeader))
+	}
+}
+
 // scriptedHandler serves a fixed sequence of behaviours, then a
 // terminal one, counting how many requests actually reached it.
 type scriptedHandler struct {

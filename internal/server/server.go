@@ -733,8 +733,7 @@ func (s *Server) handlePrune(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var body PruneBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !DecodeSmallBody(w, r, "prune", &body) {
 		return
 	}
 	splits, err := s.cmgr.Prune(body.MaxUtilization, body.MinServed)

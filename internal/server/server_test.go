@@ -185,6 +185,49 @@ func TestPruneEndpoint(t *testing.T) {
 	}
 }
 
+// TestPruneBodyBound: a prune body past SmallBodyLimit is refused 413
+// and splits nothing, even when it names thresholds that would split.
+func TestPruneBodyBound(t *testing.T) {
+	ts, client := testService(t, core.Config{Alpha: 0.9})
+	client.Request([]string{"libA/1.0/p"}, true)
+	client.Request([]string{"libB/1.0/p"}, true)
+	if _, err := client.Prune(0.9, 100); err != nil {
+		t.Fatal(err)
+	}
+	client.Request([]string{"base/1.0/p"}, false)
+	client.Request([]string{"base/1.0/p"}, false)
+	images := func() string {
+		t.Helper()
+		res, err := http.Get(ts.URL + "/v1/images")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		b, err := io.ReadAll(res.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	before := images()
+	body := `{"max_utilization":0.75,"min_served":2,"pad":"` + strings.Repeat("x", SmallBodyLimit) + `"}`
+	res, err := http.Post(ts.URL+"/v1/prune", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte prune body: %d, want 413", len(body), res.StatusCode)
+	}
+	if after := images(); after != before {
+		t.Fatalf("oversized prune body changed the images:\n%s\n%s", before, after)
+	}
+	// The same thresholds under the bound split the merged image.
+	if splits, err := client.Prune(0.75, 2); err != nil || len(splits) != 1 {
+		t.Fatalf("prune under the bound: %+v, %v", splits, err)
+	}
+}
+
 func TestConcurrentClients(t *testing.T) {
 	_, client := testService(t, core.Config{Alpha: 0.8, MinHash: core.DefaultMinHash()})
 	keys := [][]string{

@@ -145,11 +145,6 @@ func (s Spec) IntersectionLen(t Spec) int {
 	return n
 }
 
-// UnionLen returns |s ∪ t| without allocating.
-func (s Spec) UnionLen(t Spec) int {
-	return len(s.ids) + len(t.ids) - s.IntersectionLen(t)
-}
-
 // Union returns the merged specification s ∪ t: the paper's composite
 // specification, usable in place of either constituent.
 func (s Spec) Union(t Spec) Spec {

@@ -145,9 +145,6 @@ func TestIntersectionAndUnionLen(t *testing.T) {
 	if n := a.IntersectionLen(b); n != 2 {
 		t.Errorf("IntersectionLen = %d, want 2", n)
 	}
-	if n := a.UnionLen(b); n != 5 {
-		t.Errorf("UnionLen = %d, want 5", n)
-	}
 }
 
 func TestHashDistinguishes(t *testing.T) {

@@ -104,38 +104,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Summary captures the five-number-ish summary of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Median float64
-	Std    float64
-	Min    float64
-	Max    float64
-	P25    float64
-	P75    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		Median: Median(xs),
-		Std:    StdDev(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		P25:    Quantile(xs, 0.25),
-		P75:    Quantile(xs, 0.75),
-	}
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g median=%.4g std=%.4g min=%.4g p25=%.4g p75=%.4g max=%.4g",
-		s.N, s.Mean, s.Median, s.Std, s.Min, s.P25, s.P75, s.Max)
-}
-
 // MedianOfColumns reduces a matrix of repeated runs (rows = repetitions,
 // columns = series points) to the per-column median. All rows must have
 // equal length; it panics otherwise, since mismatched repetition output

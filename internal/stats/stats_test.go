@@ -106,16 +106,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Median != 3 || s.Mean != 3 || s.Min != 1 || s.Max != 5 {
-		t.Fatalf("bad summary: %+v", s)
-	}
-	if s.String() == "" {
-		t.Fatal("empty summary string")
-	}
-}
-
 func TestMedianOfColumns(t *testing.T) {
 	rows := [][]float64{
 		{1, 10, 100},

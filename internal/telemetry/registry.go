@@ -157,9 +157,6 @@ func (h *Histogram) BucketExemplar(i int) *Exemplar {
 	return h.ex[i].Load()
 }
 
-// Bounds returns the bucket upper bounds (excluding +Inf).
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 {
 	var n int64
