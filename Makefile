@@ -19,8 +19,8 @@ test-short:
 	$(GO) test -short ./...
 
 # Full race-detector pass. Every package runs under -race — the
-# concurrent request pipeline (core.ShardedManager's per-shard lock
-# pair, the server's handler fan-out, WAL group commit) makes data
+# concurrent request pipeline (core.ShardedManager's lock pair, the
+# server's handler fan-out, WAL group commit) makes data
 # races a correctness bug anywhere, not just in the historically
 # concurrent corners. The oracle-equivalence harness and soak are the
 # heavyweight entries; the timeout gives them headroom on slow CI
@@ -32,7 +32,8 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Allocation regression guards. The interned hot path's hit-heavy steady
-# state (cached spec repeats against a warm Manager), the fleet
+# state (cached spec repeats against a warm Manager, serially and in
+# parallel through the concurrent cache's read lock), the fleet
 # master's per-request affinity question (one translated request tested
 # against every agent's indexed directory mirror), its route key (seed-1
 # closed specs summed from a gossiped dictionary's stored route terms,
@@ -51,14 +52,13 @@ bench:
 # buffers (8 at most) but nothing per record. Replaying the closure
 # mix's merge-heavy MinHash tail (2,000 requests after a checkpoint) as
 # one pass, through the reader recovery builds, stays at its reading of
-# 1,716 allocations (1,656 while each shard evicted under a share of the
-# capacity; 1,750 at most; key strings resolved after the scan
+# 1,677 allocations in one cache (1,716 split over two shards; 1,750 at
+# most; key strings resolved after the scan
 # read 5,299, per-record replay 10,752): keys resolve to ids in the scan,
 # a merge is applied as a delta and each surviving image settled once,
 # so a key slice, union, signature or scratch allocated per record
 # again breaks the bound (DESIGN.md §6). A traced
-# hit — one shard,
-# RequestCtx with a live span trace on the context, every span and
+# hit — RequestCtx with a live span trace on the context, every span and
 # attribute recorded into the pooled trace's reused storage — may
 # allocate only the context that carries the trace. Signing a spec into a
 # reused signature allocates nothing on either side of the probe gate
@@ -79,6 +79,7 @@ alloc_guard = awk -v pat='$(1)' -v max='$(2)' '$$0 ~ pat { allocs = $$(NF-1); pr
 
 bench-guard:
 	$(GO) test -run '^$$' -bench '^BenchmarkManagerSerial$$/hit-heavy' -benchmem -benchtime 2000x . | $(call alloc_guard,hit-heavy)
+	$(GO) test -run '^$$' -bench '^BenchmarkManagerSharded$$/hit-heavy' -benchmem -benchtime 2000x . | $(call alloc_guard,BenchmarkManagerSharded/hit-heavy)
 	$(GO) test -run '^$$' -bench '^BenchmarkRouteAffinity$$' -benchmem -benchtime 2000x ./internal/fleet | $(call alloc_guard,BenchmarkRouteAffinity)
 	$(GO) test -run '^$$' -bench '^BenchmarkRouteKey$$' -benchmem -benchtime 2000x ./internal/fleet | $(call alloc_guard,BenchmarkRouteKey)
 	$(GO) test -run '^$$' -bench '^BenchmarkRequestDecode$$' -benchmem -benchtime 2000x ./internal/server | $(call alloc_guard,BenchmarkRequestDecode)
@@ -127,12 +128,13 @@ fuzz:
 	$(GO) test ./internal/similarity -fuzz '^FuzzSign$$' -fuzztime 30s
 
 # Short-budget invariant harness for every PR: the deterministic
-# simulation suite (one-shard and sharded rows, exact and MinHash,
+# simulation suite (exact and MinHash rows,
 # every request validated by the oracle — the one reference for
 # Algorithm 1, in exact and in margin mode) and scaled-down soaks under
 # the race detector, the mutant self-test (each of the twenty-three seeded
-# bugs — six Algorithm 1 clauses, the route-fold mutant, the balance
-# mutant (the eviction step weighing one shard's bytes), the three
+# bugs — six Algorithm 1 clauses, the route-fold mutant, the weigh
+# mutant (the eviction step leaving the just-used image's bytes out of
+# the weighed total), the three
 # interned-path mutants intern/popcount/lshmiss, the
 # HA epoch-fencing mutant staleepoch, the HA promotion mutant leasetick,
 # the mirror-index mutant
@@ -145,10 +147,9 @@ fuzz:
 # and lshmiss by the oracle's re-derivation (lshmiss in a MinHash row,
 # where the oracle's index-free margin scan takes the merge the dropped
 # band candidate hid), probeskip by CheckIntegrity's re-sign with the
-# direct kernel at the first MinHash insert, route by both levels that
-# share its term table — the sharded rows' route audit and the fleet
-# stage's term audit in its first CheckIntegrity — balance by the
-# oracle's eviction derivation across the first sharded row's shards,
+# direct kernel at the first MinHash insert, route by the fleet
+# stage's term audit in its first CheckIntegrity, weigh by the
+# oracle's eviction derivation in the first row,
 # staleepoch (by the
 # single-acking-primary audit) and leasetick (by the two-tick promotion
 # audit) within the HA-pair stage's first lease isolation, staleindex
@@ -159,13 +160,11 @@ fuzz:
 # replayed-state byte-identity audit that ends the first simulation
 # (deltaoverlap by the replay pass's settle check inside it),
 # replaystale by the CheckIntegrity after the first crash of the
-# persistent MinHash chaos row; replaystale and deltaoverlap each again
-# by the two-shard persistent MinHash row on its own, whose crash audit
-# compares shard by shard; dirscan by the fleet stage's mirror audit
+# persistent MinHash chaos row; dirscan by the fleet stage's mirror audit
 # after its first heartbeat round with an image, ckptscan by the crash
 # audit of the first recovery from a checkpoint), and one CLI pass of
 # each deterministic harness; fleetchaos prints a plain-master row and an
-# HA-pair row. `landlord-check sim` runs the sharded rows too. The
+# HA-pair row. The
 # first grep is a tripwire: the second decision pipeline, the middle
 # manager type, the second shadow, the master's sorted-key dictionary,
 # the per-request event hook beside the spans, and the seams only the
@@ -190,7 +189,10 @@ fuzz:
 # its sharded forms) that ImportState replaced, or the wrapper's
 # pre-checkpoint state.json reader (§6), nor the per-shard byte budgets,
 # their balancer and its metrics, which one capacity across the shards
-# replaced (§11), nor the fleet's consistent-hash ring, its virtual-node
+# replaced, nor the shard set itself — its router, its per-shard
+# gauges, its strided ids, its merged states and imports, its oracle
+# and its zone sweep — which one cache per node replaced (§11), nor the
+# fleet's consistent-hash ring, its virtual-node
 # default, its key-movement histogram and that histogram's probe and
 # accessor, which rendezvous order as the one placement function
 # replaced (§10; the retired FleetVNodes field and the telemetry
@@ -204,8 +206,8 @@ fuzz:
 # store, recovers a server or starts a heal probe by hand, and no
 # harness builds a durable server around a store it opened itself.
 check:
-	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits|SetTracer|telemetry\.Tracer\b|newEvent|opTracer|timelineTracer|SetPaused|TransportFor|ChaosProxy|ReadHAState|repro/internal/cluster|StageClusterDispatch|cluster_dispatch|DeltaSite|landlord_site_|RunShardSim|ShardSimConfig|ShardSimReport|ShedderEnabled|replaySig|haRecord|haCheckpoint|haLogRing|HAState|RecoveredState|MirrorNext|StreamNext|haNoteMember|EnableReplication|NewStreamer|persist\.Streamer|persist\.Follower|StreamCheckpoint|ErrStreamGap|SetTap\(|/ha/v1/|RunHAChaos|HAChaosConfig|HAChaosDefault|HAChaosReport|MasterKillEvery|RunNetChaos|NetChaosConfig|NetChaosDefault|NetChaosReport|RunTraceSim|TraceSimConfig|TraceSimDefault|TraceSimReport|repro/internal/batch|repro/internal/specscan|RestoreAll|RestoreThen|legacyStateName|SplitBudget|BalancerStats|SetBudgets|RebalanceEvery|ShrinkToCapacity|landlord_cache_rebalance|landlord_cache_shard_budget|fleet\.NewRing|DefaultVNodes|observeRingChange|KeyMovementStats|landlord_fleet_ring_key_movement|\) Heal\(|\.Heal\(' --include='*.go' --exclude-dir=.bench_build . \
-		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, §10 for the route dictionary, §9 for the event hook, §7 for the harness seams, the site model, the simulation driver and the fleet harness's folded predecessors, §6 for the node assembly, the replay pass and the one cache-state loader, §11 for the one capacity across shards, §10 for the one placement hash that replaced the consistent-hash ring, §8 for the store's one compaction, the checkpoint that replaced Heal, §13 for the HA log the lease replaced and the WAL read replica the recovery audit replaced)"; exit 1; }
+	@! grep -rnE 'NoFastPath|NoBandIndex|ConcurrentManager|refManager|NewShadow\(|rerank|byRank|rankBits|SetTracer|telemetry\.Tracer\b|newEvent|opTracer|timelineTracer|SetPaused|TransportFor|ChaosProxy|ReadHAState|repro/internal/cluster|StageClusterDispatch|cluster_dispatch|DeltaSite|landlord_site_|RunShardSim|ShardSimConfig|ShardSimReport|ShedderEnabled|replaySig|haRecord|haCheckpoint|haLogRing|HAState|RecoveredState|MirrorNext|StreamNext|haNoteMember|EnableReplication|NewStreamer|persist\.Streamer|persist\.Follower|StreamCheckpoint|ErrStreamGap|SetTap\(|/ha/v1/|RunHAChaos|HAChaosConfig|HAChaosDefault|HAChaosReport|MasterKillEvery|RunNetChaos|NetChaosConfig|NetChaosDefault|NetChaosReport|RunTraceSim|TraceSimConfig|TraceSimDefault|TraceSimReport|repro/internal/batch|repro/internal/specscan|RestoreAll|RestoreThen|legacyStateName|SplitBudget|BalancerStats|SetBudgets|RebalanceEvery|ShrinkToCapacity|landlord_cache_rebalance|landlord_cache_shard_budget|fleet\.NewRing|DefaultVNodes|observeRingChange|KeyMovementStats|landlord_fleet_ring_key_movement|\) Heal\(|\.Heal\(|landlord_cache_shard_images|landlord_cache_shard_bytes|NewShardedOracle|ShardUsage|ImportMerged|MergedState|zone-shards|idStride' --include='*.go' --exclude-dir=.bench_build . \
+		|| { echo "check: a folded-away name is back in a .go file (see DESIGN.md §12, §10 for the route dictionary, §9 for the event hook, §7 for the harness seams, the site model, the simulation driver and the fleet harness's folded predecessors, §6 for the node assembly, the replay pass and the one cache-state loader, §11 for the one cache per node, §10 for the one placement hash that replaced the consistent-hash ring, §8 for the store's one compaction, the checkpoint that replaced Heal, §13 for the HA log the lease replaced and the WAL read replica the recovery audit replaced)"; exit 1; }
 	@! grep -nE 'net\.Listen|httptest\.' $$(ls internal/check/*.go | grep -v '_test\.go$$') \
 		|| { echo "check: a harness in internal/check opens a socket; run it on the in-memory network (DESIGN.md §7)"; exit 1; }
 	@! grep -nE 'persist\.Open\(|NewPersistent\(|StartDegradedProbe\(' $$(find cmd -name '*.go' ! -name '*_test.go') \
@@ -297,7 +299,6 @@ experiments:
 	bin/landlord-sim dedup -unique 150 | tee results/dedup.txt
 	bin/landlord-sim latency -reps 5   | tee results/latency.txt
 	bin/landlord-sim zone -reps 5      | tee results/zone.txt
-	bin/landlord-sim zone-shards -reps 5 | tee results/zone_sharded.txt
 	bin/landlord-sim campaign          | tee results/campaign.txt
 
 clean:

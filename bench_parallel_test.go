@@ -9,7 +9,6 @@
 package repro
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -53,57 +52,52 @@ func BenchmarkManagerSerial(b *testing.B) {
 	})
 }
 
-// BenchmarkManagerSharded runs the concurrent cache at 1, 4 and 16
-// shards: the single lock pair, then the sharded cache against it on
-// the merge-heavy workload that bottlenecks one write lock. At GOMAXPROCS=8, shards=16 must deliver at least 3x
-// the shards=1 throughput (EXPERIMENTS.md records the measured table).
+// BenchmarkManagerSharded runs the concurrent cache the site service
+// serves from (one lock pair in front of one Manager) under parallel
+// load: hits of warm specs, which share the read lock, and fresh
+// merge-heavy specs, which queue on the write lock.
 func BenchmarkManagerSharded(b *testing.B) {
 	repo := benchFullRepo(b)
-	base := core.Config{Alpha: 0.75, Capacity: repo.TotalSize() * 2, MinHash: core.DefaultMinHash()}
+	cfg := core.Config{Alpha: 0.75, Capacity: repo.TotalSize() * 2, MinHash: core.DefaultMinHash()}
 
-	for _, shards := range []int{1, 4, 16} {
-		cfg := base
-		cfg.Shards = shards
-
-		b.Run(fmt.Sprintf("hit-heavy/shards=%d", shards), func(b *testing.B) {
-			sm, err := core.NewSharded(repo, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			warm := warmSpecs(b, sm.Request, 11)
-			var worker atomic.Uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				off := int(worker.Add(1))
-				i := 0
-				for pb.Next() {
-					i++
-					if _, err := sm.Request(warm[(off*31+i)%len(warm)]); err != nil {
-						b.Fatal(err)
-					}
+	b.Run("hit-heavy", func(b *testing.B) {
+		sm, err := core.NewSharded(repo, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		warm := warmSpecs(b, sm.Request, 11)
+		var worker atomic.Uint64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			off := int(worker.Add(1))
+			i := 0
+			for pb.Next() {
+				i++
+				if _, err := sm.Request(warm[(off*31+i)%len(warm)]); err != nil {
+					b.Fatal(err)
 				}
-			})
-		})
-
-		b.Run(fmt.Sprintf("merge-heavy/shards=%d", shards), func(b *testing.B) {
-			sm, err := core.NewSharded(repo, cfg)
-			if err != nil {
-				b.Fatal(err)
 			}
-			var seed atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				gen := workload.NewDepClosure(repo, 1000+seed.Add(1))
-				for pb.Next() {
-					if _, err := sm.Request(gen.Next()); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
 		})
-	}
+	})
+
+	b.Run("merge-heavy", func(b *testing.B) {
+		sm, err := core.NewSharded(repo, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var seed atomic.Int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			gen := workload.NewDepClosure(repo, 1000+seed.Add(1))
+			for pb.Next() {
+				if _, err := sm.Request(gen.Next()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	})
 }
 
 // warmSpecs populates the cache with parallelWarmImages images via

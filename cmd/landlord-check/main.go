@@ -7,13 +7,11 @@
 //	landlord-check chaos    -duration 10m [-seed 0] [-trace-dump path]
 //
 // sim runs the canonical deterministic suite under one seed: the
-// in-memory simulations of the serving cache, one-shard rows and
-// sharded rows (one oracle across the shards, route and capacity
-// audits), plus the persistent chaos runs with checkpoints, prune
-// passes, injected filesystem faults and crash/recovery cycles. soak hammers one cache
-// from many goroutines with injected persist faults (-shards > 1 soaks
-// the sharded core under its one capacity); run the binary built with
-// -race for full effect. fleetchaos is the serving-path harness: one
+// in-memory simulations of the serving cache, exact and MinHash, plus
+// the persistent chaos runs with checkpoints, prune passes, injected
+// filesystem faults and crash/recovery cycles. soak hammers one cache
+// from many goroutines with injected persist faults; run the binary
+// built with -race for full effect. fleetchaos is the serving-path harness: one
 // fault schedule, run on an in-memory network and a logical clock
 // against a plain master and against a primary + standby pair, each
 // fronting N agents, and one line per row. Agent 0 is durable on a
@@ -87,15 +85,15 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: landlord-check <sim|soak|fleetchaos|chaos> [flags]
 
-  sim      -seed N [-steps N]               deterministic suite (one-shard and sharded rows) + persistent chaos runs
-  soak     -seed N [-requests N] [-workers N] [-shards N]  concurrent soak with injected persist faults
+  sim      -seed N [-steps N]               deterministic suite + persistent chaos runs
+  soak     -seed N [-requests N] [-workers N]  concurrent soak with injected persist faults
   fleetchaos -seed N [-steps N] [-agents N] [-kill-phase N] [-trace-dump P]  plain master and HA pair under network, disk and crash faults, partitions, kills, isolations, drain
   chaos    -duration D [-seed N] [-trace-dump P]  loop sim+soak+fleetchaos over consecutive seeds (0 = from clock)`)
 }
 
 // suite runs the canonical deterministic schedule for one seed: the
-// in-memory suite (one-shard exact rows, one-shard MinHash rows,
-// sharded rows), then the persistent chaos runs in a throwaway
+// in-memory suite (exact rows, MinHash rows), then the persistent
+// chaos runs in a throwaway
 // directory. steps > 0 overrides the chaos runs' length.
 func suite(seed int64, steps int) error {
 	for _, cfg := range check.Suite(seed) {
@@ -136,8 +134,8 @@ func modeTag(minhash, uniform bool) string {
 }
 
 func report(cfg check.SimConfig, rep check.SimReport) {
-	fmt.Printf("sim seed=%d steps=%d shards=%d alpha=%.2f persist=%v%s: hits=%d merges=%d inserts=%d deletes=%d splits=%d crashes=%d injected=%d state=%s\n",
-		cfg.Seed, rep.Steps, max(cfg.Shards, 1), cfg.Alpha, cfg.Dir != "", modeTag(cfg.MinHash, cfg.UniformOnly),
+	fmt.Printf("sim seed=%d steps=%d alpha=%.2f persist=%v%s: hits=%d merges=%d inserts=%d deletes=%d splits=%d crashes=%d injected=%d state=%s\n",
+		cfg.Seed, rep.Steps, cfg.Alpha, cfg.Dir != "", modeTag(cfg.MinHash, cfg.UniformOnly),
 		rep.Stats.Hits, rep.Stats.Merges, rep.Stats.Inserts, rep.Stats.Deletes,
 		rep.Stats.Splits, rep.Crashes, rep.Injected, rep.StateHash[:12])
 }
@@ -155,28 +153,27 @@ func runSoak(args []string) error {
 	seed := fs.Int64("seed", 1, "soak seed")
 	requests := fs.Int("requests", 50000, "total requests across all workers")
 	workers := fs.Int("workers", 8, "concurrent request goroutines")
-	shards := fs.Int("shards", 1, "cache shards (>1 soaks the sharded core under its one capacity)")
 	fs.Parse(args)
-	return soak(*seed, *requests, *workers, *shards)
+	return soak(*seed, *requests, *workers)
 }
 
-func soak(seed int64, requests, workers, shards int) error {
+func soak(seed int64, requests, workers int) error {
 	dir, err := os.MkdirTemp("", "landlord-soak-")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
 	cfg := check.SoakConfig{
-		Seed: seed, Requests: requests, Workers: workers, Shards: shards,
+		Seed: seed, Requests: requests, Workers: workers,
 		Alpha: 0.6, CapacityFrac: 0.3,
 		Dir: dir, Faults: true, MaintainEvery: 200,
 	}
 	rep, err := check.RunSoak(cfg)
 	if err != nil {
-		return fmt.Errorf("soak seed=%d shards=%d: %w", seed, shards, err)
+		return fmt.Errorf("soak seed=%d: %w", seed, err)
 	}
-	fmt.Printf("soak seed=%d requests=%d workers=%d shards=%d: hits=%d merges=%d splits=%d injected=%d images=%d\n",
-		seed, requests, workers, shards, rep.Stats.Hits, rep.Stats.Merges, rep.Stats.Splits,
+	fmt.Printf("soak seed=%d requests=%d workers=%d: hits=%d merges=%d splits=%d injected=%d images=%d\n",
+		seed, requests, workers, rep.Stats.Hits, rep.Stats.Merges, rep.Stats.Splits,
 		rep.Injected, rep.Images)
 	return nil
 }
@@ -256,9 +253,7 @@ func runChaos(args []string) error {
 		if err := suite(s, 0); err != nil {
 			return err
 		}
-		// Rotate the shard count with the seed, so a long chaos run
-		// covers the unsharded core and several sharded geometries.
-		if err := soak(s, 20000, 8, 1+int(s%4)); err != nil {
+		if err := soak(s, 20000, 8); err != nil {
 			return err
 		}
 		// Rotate the kill schedule with the seed so the soak covers

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -374,7 +373,7 @@ func cmdCampaign(repo *pkggraph.Repo, opt *options) error {
 }
 
 // zoneRatios are the cache sizes, as multiples of the repository,
-// whose operational zones zone and zone-shards map.
+// whose operational zones zone maps.
 var zoneRatios = []float64{1.0, 1.4, 2.0, 5.0}
 
 // cmdZone maps how the operational zone's bounds move with the
@@ -387,7 +386,7 @@ func cmdZone(repo *pkggraph.Repo, opt *options) error {
 	w := tabw(opt.out)
 	fmt.Fprintf(w, "cache\tzone\tcache eff at 0.75\tcontainer eff at 0.75\t\n")
 	for _, ratio := range zoneRatios {
-		points, err := zoneSweep(repo, opt, ratio, 1)
+		points, err := zoneSweep(repo, opt, ratio)
 		if err != nil {
 			return err
 		}
@@ -398,57 +397,11 @@ func cmdZone(repo *pkggraph.Repo, opt *options) error {
 	return w.Flush()
 }
 
-// cmdZoneShards is zone for the sharded cache the site service runs:
-// the same sweeps at 1, 2, 4, 8 and 16 shards under one capacity, and
-// the total bytes each cache ends a run holding, against that
-// capacity, at three α. The one-shard rows are zone's.
-func cmdZoneShards(repo *pkggraph.Repo, opt *options) error {
-	shardCounts := []int{1, 2, 4, 8, 16}
-	alphas := []float64{0.75, 0.90, 1.00}
-	fmt.Fprintf(opt.out, "Operational zone vs cache size and shard count (cache eff >= 30%%, write amplification <= 2x)\n")
-	fmt.Fprintf(opt.out, "(%d unique jobs x%d, medians of %d runs; one capacity across the shards)\n\n", opt.uniqueJobs, opt.repeats, opt.reps)
-	zones := tabw(opt.out)
-	fmt.Fprintf(zones, "shards\tcache\tzone\tcache eff at 0.75\tcontainer eff at 0.75\t\n")
-	var totals bytes.Buffer
-	tw := tabw(&totals)
-	fmt.Fprintf(tw, "shards\tcache\tcapacity (GB)\ttotal (GB) at 0.75\tat 0.90\tat 1.00\t\n")
-	for _, shards := range shardCounts {
-		for _, ratio := range zoneRatios {
-			points, err := zoneSweep(repo, opt, ratio, shards)
-			if err != nil {
-				return err
-			}
-			zone, at75 := zoneOf(points)
-			fmt.Fprintf(zones, "%d\t%.1fx\t%s\t%.1f%%\t%.1f%%\t\n",
-				shards, ratio, zone, at75.CacheEfficiency*100, at75.ContainerEfficiency*100)
-			fmt.Fprintf(tw, "%d\t%.1fx\t%.0f\t", shards, ratio, stats.BytesToGB(int64(ratio*float64(repo.TotalSize()))))
-			for _, a := range alphas {
-				for _, pt := range points {
-					if pt.Alpha == a {
-						fmt.Fprintf(tw, "%.0f\t", pt.TotalGB)
-					}
-				}
-			}
-			fmt.Fprintf(tw, "\n")
-		}
-	}
-	if err := zones.Flush(); err != nil {
-		return err
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprintf(opt.out, "\nTotal cached data at the end of a run against the capacity (medians)\n\n")
-	_, err := opt.out.Write(totals.Bytes())
-	return err
-}
-
 // zoneSweep runs the standard α sweep on a cache of ratio times the
-// repository's size, at the given shard count.
-func zoneSweep(repo *pkggraph.Repo, opt *options, ratio float64, shards int) ([]sim.SweepPoint, error) {
+// repository's size.
+func zoneSweep(repo *pkggraph.Repo, opt *options, ratio float64) ([]sim.SweepPoint, error) {
 	p := baseParams(repo, opt)
 	p.CacheBytes = int64(ratio * float64(repo.TotalSize()))
-	p.Shards = shards
 	return sweep(repo, opt, p)
 }
 

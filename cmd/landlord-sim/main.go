@@ -81,7 +81,6 @@ commands:
   latency     per-job preparation latency over alpha
   campaign    multi-experiment WLCG-style campaign scenario
   zone        operational-zone bounds vs cache size
-  zone-shards operational-zone bounds vs cache size and shard count
 
 run 'landlord-sim <command> -h' for command flags
 `)
@@ -175,26 +174,25 @@ func openEvents(path string) (*telemetry.JSONLSink, func() error, error) {
 }
 
 var commands = map[string]func(*pkggraph.Repo, *options) error{
-	"repo":        cmdRepo,
-	"packages":    cmdPackages,
-	"dot":         cmdDot,
-	"table2":      cmdTable2,
-	"fig3":        cmdFig3,
-	"fig4":        cmdFig4,
-	"fig5":        cmdFig5,
-	"fig6":        cmdFig6,
-	"fig7":        cmdFig7,
-	"fig8":        cmdFig8,
-	"baselines":   cmdBaselines,
-	"cluster":     cmdCluster,
-	"trace-gen":   cmdTraceGen,
-	"replay":      cmdReplay,
-	"drift":       cmdDrift,
-	"dedup":       cmdDedup,
-	"latency":     cmdLatency,
-	"campaign":    cmdCampaign,
-	"zone":        cmdZone,
-	"zone-shards": cmdZoneShards,
+	"repo":      cmdRepo,
+	"packages":  cmdPackages,
+	"dot":       cmdDot,
+	"table2":    cmdTable2,
+	"fig3":      cmdFig3,
+	"fig4":      cmdFig4,
+	"fig5":      cmdFig5,
+	"fig6":      cmdFig6,
+	"fig7":      cmdFig7,
+	"fig8":      cmdFig8,
+	"baselines": cmdBaselines,
+	"cluster":   cmdCluster,
+	"trace-gen": cmdTraceGen,
+	"replay":    cmdReplay,
+	"drift":     cmdDrift,
+	"dedup":     cmdDedup,
+	"latency":   cmdLatency,
+	"campaign":  cmdCampaign,
+	"zone":      cmdZone,
 }
 
 func loadRepo(opt *options) (*pkggraph.Repo, error) {

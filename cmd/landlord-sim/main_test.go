@@ -389,46 +389,6 @@ func TestCmdZone(t *testing.T) {
 	}
 }
 
-// TestCmdZoneShards pins the sharded zone's shape: a zone row per shard
-// count and cache size, then the totals against the capacity; the
-// one-shard rows are zone's.
-func TestCmdZoneShards(t *testing.T) {
-	repo := testRepo(t)
-	opt, buf := testOptions(t)
-	opt.uniqueJobs = 10
-	opt.reps = 1
-	if err := cmdZoneShards(repo, opt); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"shards", "16 ", "capacity (GB)", "at 1.00"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("zone-shards missing %q:\n%s", want, out)
-		}
-	}
-	zopt, zbuf := testOptions(t)
-	zopt.uniqueJobs, zopt.reps = 10, 1
-	if err := cmdZone(repo, zopt); err != nil {
-		t.Fatal(err)
-	}
-	var zone []string
-	for _, line := range strings.Split(zbuf.String(), "\n")[4:] {
-		if f := strings.Fields(line); len(f) >= 4 {
-			zone = append(zone, strings.Join(f, " "))
-		}
-	}
-	var one []string
-	zones, _, _ := strings.Cut(out, "Total cached data")
-	for _, line := range strings.Split(zones, "\n") {
-		if f := strings.Fields(line); len(f) >= 5 && f[0] == "1" {
-			one = append(one, strings.Join(f[1:], " "))
-		}
-	}
-	if len(zone) != 4 || strings.Join(zone, "\n") != strings.Join(one, "\n") {
-		t.Errorf("one-shard rows %q differ from zone's %q", one, zone)
-	}
-}
-
 func TestCmdDot(t *testing.T) {
 	opt, buf := testOptions(t)
 	opt.uniqueJobs = 40

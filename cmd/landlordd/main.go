@@ -125,11 +125,6 @@ var siteFlags = []siteFlag{
 		s.CapacityGB, err = strconv.ParseFloat(v, 64)
 		return err
 	}},
-	{"cache-shards", "independently locked cache shards, >= 1", func(s *config.Site, v string) (err error) {
-		s.CacheShards = new(int)
-		*s.CacheShards, err = strconv.Atoi(v)
-		return err
-	}},
 	{"repo-seed", "seed for the synthetic repository", func(s *config.Site, v string) (err error) {
 		s.RepoSeed, err = strconv.ParseInt(v, 10, 64)
 		return err
@@ -369,8 +364,8 @@ func bootCache(site config.Site, repo *pkggraph.Repo, rf runFlags) (*node, error
 		// pauses, uptime) are polled here rather than at scrape time, so
 		// a slow collector can never stall /metrics; the prune pass rides
 		// the same tick and is config-gated. Eviction is not maintenance:
-		// every merge or insert evicts on its own request path, across
-		// all shards, until the cache fits its one capacity.
+		// every merge or insert evicts on its own request path until the
+		// cache fits its capacity.
 		interval := maintenanceInterval(site.PruneEveryRequests)
 		if site.PruneEveryRequests > 0 {
 			log.Printf("landlordd: maintenance pass every %v (prune_every_requests=%d)",
@@ -390,8 +385,8 @@ func bootCache(site config.Site, repo *pkggraph.Repo, rf runFlags) (*node, error
 				log.Printf("landlordd: cache %s", statsLogLine(srv.StatsNow()))
 			})
 		}
-		log.Printf("landlordd: serving %d-package repository (%s) on %s (alpha=%.2f, cache_shards=%d, pprof=%v)",
-			repo.Len(), stats.FormatBytes(repo.TotalSize()), site.Addr, *site.Alpha, site.Shards(), rf.pprof)
+		log.Printf("landlordd: serving %d-package repository (%s) on %s (alpha=%.2f, pprof=%v)",
+			repo.Len(), stats.FormatBytes(repo.TotalSize()), site.Addr, *site.Alpha, rf.pprof)
 	}
 
 	// Seal the durable state: Close checkpoints the drained cache, so

@@ -79,7 +79,7 @@ func TestMountPprof(t *testing.T) {
 func TestSiteFlags(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "site.json")
 	if err := os.WriteFile(path, []byte(`{
-		"addr": "127.0.0.1:7", "alpha": 0.6, "capacity_gb": 2, "cache_shards": 2,
+		"addr": "127.0.0.1:7", "alpha": 0.6, "capacity_gb": 2,
 		"repo_seed": 7, "repo_file": "repo.jsonl", "mode": "master",
 		"advertise": "http://adv:1", "agent_id": "a-1", "fleet_quorum": 3,
 		"heartbeat_interval_ms": 150, "master_id": "m-1", "peer_url": "http://peer:1",
@@ -98,7 +98,6 @@ func TestSiteFlags(t *testing.T) {
 		{"addr", "127.0.0.1:9", func(s *config.Site) { s.Addr = "127.0.0.1:9" }},
 		{"alpha", "0.3", func(s *config.Site) { a := 0.3; s.Alpha = &a }},
 		{"capacity-gb", "12.5", func(s *config.Site) { s.CapacityGB = 12.5 }},
-		{"cache-shards", "5", func(s *config.Site) { n := 5; s.CacheShards = &n }},
 		{"repo-seed", "99", func(s *config.Site) { s.RepoSeed = 99 }},
 		{"repo-file", "other.jsonl", func(s *config.Site) { s.RepoFile = "other.jsonl" }},
 		{"state-dir", "state", func(s *config.Site) { s.StateDir = "state" }},
@@ -114,7 +113,7 @@ func TestSiteFlags(t *testing.T) {
 		{"peer-url", "http://s:5", func(s *config.Site) { s.PeerURL = "http://s:5" }},
 		{"lease-ms", "300", func(s *config.Site) { s.LeaseIntervalMS = 300 }},
 	}
-	if len(cases) != 18 || len(siteFlags) != len(cases) {
+	if len(cases) != 17 || len(siteFlags) != len(cases) {
 		t.Fatalf("%d site flags, %d cases: every site flag needs a case here", len(siteFlags), len(cases))
 	}
 	for i, c := range cases {

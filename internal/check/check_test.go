@@ -10,16 +10,10 @@ import (
 // names the exact command. The default matches the CI run.
 var seedFlag = flag.Int64("seed", 1, "simulation seed (failures print the seed that reproduces them)")
 
-// shardsFlag sets the shard count for the sharded soak. The nightly
-// workflow randomizes it and echoes the chosen value in the repro
-// command; the default matches the per-commit CI run.
-var shardsFlag = flag.Int("shards", 4, "shard count for TestShardSoak (nightly randomizes this)")
-
 // TestCheckReplay is the reproduction entry point: a failure anywhere
 // in the harness prints `go test ./internal/check -run TestCheckReplay
 // -seed=N`, and this test re-runs the full schedule — the in-memory
-// suite (one-shard and sharded rows), the persistent disk-fault chaos runs (exact
-// and MinHash), and both rows of the fleet chaos suite (plain master
+// suite, the persistent disk-fault chaos runs (exact and MinHash), and both rows of the fleet chaos suite (plain master
 // and HA pair, the default kill phase) — under that seed.
 func TestCheckReplay(t *testing.T) {
 	seed := *seedFlag
@@ -66,27 +60,31 @@ func TestSimDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardSimDeterministic pins the sharded rows the same way: two
-// runs of each canonical sharded config must report identically, and
-// each config with a capacity must actually evict (a suite that never
-// runs the eviction pass across shards would let the balance mutant
-// survive).
+// TestShardSimDeterministic pins the persistent MinHash chaos row —
+// the site service's shape, once run at two shards — the same way: two
+// runs report identically, and the row evicts (a row that never runs
+// the eviction step would let the capacity, lru and weigh mutants
+// survive it).
 func TestShardSimDeterministic(t *testing.T) {
-	for _, cfg := range ShardSuite(*seedFlag) {
-		first, f := RunSim(cfg)
-		if f != nil {
-			t.Fatal(f)
+	for _, cfg := range ChaosSuite(*seedFlag, "") {
+		if !cfg.MinHash {
+			continue
 		}
-		second, f := RunSim(cfg)
-		if f != nil {
-			t.Fatal(f)
+		run := func() SimReport {
+			c := cfg
+			c.Dir = t.TempDir() // fresh dir per run: state must come from the seed, not the disk
+			rep, f := RunSim(c)
+			if f != nil {
+				t.Fatal(f)
+			}
+			return rep
 		}
+		first, second := run(), run()
 		if !reflect.DeepEqual(first, second) {
-			t.Errorf("two sharded runs of seed %d shards %d diverge:\n first: %+v\nsecond: %+v",
-				cfg.Seed, cfg.Shards, first, second)
+			t.Errorf("two runs of seed %d diverge:\n first: %+v\nsecond: %+v", cfg.Seed, first, second)
 		}
-		if cfg.CapacityFrac > 0 && first.Stats.Deletes == 0 {
-			t.Errorf("shards=%d config never evicted; the capacity audit is dead weight", cfg.Shards)
+		if first.Stats.Deletes == 0 || first.Crashes == 0 {
+			t.Errorf("the row never evicted or crashed: %+v", first)
 		}
 	}
 }
@@ -178,32 +176,8 @@ func TestCheckSoak(t *testing.T) {
 		rep.Stats.Requests, rep.Stats.Hits, rep.Stats.Merges, rep.Images, rep.Injected)
 }
 
-// TestShardSoak soaks the cache at several shards: 8 goroutines against
-// a ShardedManager over a persistent store, with worker 0 interleaving
-// checkpoints and prune passes. The shard count
-// comes from -shards so the nightly can randomize it; a failure names
-// the exact count to rerun with.
-func TestShardSoak(t *testing.T) {
-	shards := *shardsFlag
-	cfg := SoakConfig{
-		Seed: *seedFlag + 13, Requests: 20000, Workers: 8,
-		Alpha: 0.6, CapacityFrac: 0.3, Shards: shards,
-		Dir: t.TempDir(), Faults: true, MaintainEvery: 250,
-	}
-	if testing.Short() {
-		cfg.Requests = 4000
-	}
-	rep, err := RunSoak(cfg)
-	if err != nil {
-		t.Fatalf("%v\nreproduce: go test ./internal/check -run TestShardSoak -seed=%d -shards=%d", err, *seedFlag, shards)
-	}
-	t.Logf("shard soak (shards=%d): %d requests, %d hits, %d merges, %d images, %d faults injected",
-		shards, rep.Stats.Requests, rep.Stats.Hits, rep.Stats.Merges, rep.Images, rep.Injected)
-}
-
-// TestSoakMemoryOnly soaks the pure in-memory concurrent path at one
-// shard (no store in the hook chain), where read-path hits take the
-// shared lock.
+// TestSoakMemoryOnly soaks the pure in-memory concurrent path (no
+// store in the hook chain), where read-path hits take the shared lock.
 func TestSoakMemoryOnly(t *testing.T) {
 	cfg := SoakConfig{
 		Seed: *seedFlag + 7, Requests: 20000, Workers: 8,

@@ -12,35 +12,24 @@ import (
 // measures every image from freshly signed id slices — so CI runs them
 // on their own under the race detector.
 
-// TestDifferentialEquivalence runs every MinHash row of the suite, one
-// shard and sharded: each request's op, target, post-state and victims
-// must be the oracle's, with CheckIntegrity (direct-kernel re-sign,
-// bitset round trip) after every step.
+// TestDifferentialEquivalence runs every MinHash row of the suite:
+// each request's op, target, post-state and victims must be the
+// oracle's, with CheckIntegrity (direct-kernel re-sign, bitset round
+// trip) after every step.
 func TestDifferentialEquivalence(t *testing.T) {
-	sharded := 0
-	for i, cfg := range Suite(*seedFlag) {
-		if !cfg.MinHash {
-			continue
-		}
-		if cfg.Shards > 1 {
-			sharded++
-		}
+	for i, cfg := range MinHashSuite(*seedFlag) {
 		rep, fail := RunSim(cfg)
 		if fail != nil {
 			t.Fatalf("MinHash row %d (%+v): %v", i, cfg, fail)
 		}
-		t.Logf("row %d: %d shards, %d steps, %d images, hits=%d merges=%d inserts=%d, state %s",
-			i, max(cfg.Shards, 1), rep.Steps, rep.Images, rep.Stats.Hits, rep.Stats.Merges, rep.Stats.Inserts, rep.StateHash[:12])
-	}
-	if sharded == 0 {
-		t.Fatal("Suite has no sharded MinHash row")
+		t.Logf("row %d: %d steps, %d images, hits=%d merges=%d inserts=%d, state %s",
+			i, rep.Steps, rep.Images, rep.Stats.Hits, rep.Stats.Merges, rep.Stats.Inserts, rep.StateHash[:12])
 	}
 }
 
 // TestDifferentialDeterministic pins the rows themselves: the same
 // config must reproduce the same report (steps, stats, final state
-// hash), or seed-based failure reproduction is worthless. The sharded
-// row is covered by TestShardSimDeterministic.
+// hash), or seed-based failure reproduction is worthless.
 func TestDifferentialDeterministic(t *testing.T) {
 	for _, cfg := range MinHashSuite(*seedFlag) {
 		a, failA := RunSim(cfg)

@@ -13,8 +13,8 @@ import (
 // internal/server, internal/pkggraph, internal/persist or
 // internal/similarity (see their mutant_on.go). It
 // asserts the harness DETECTS the mutant: the staged suites —
-// simulation (one-shard exact rows, one-shard MinHash rows, sharded
-// rows), the fleet chaos suite's HA-pair row — must report a Failure
+// simulation (exact rows, MinHash rows), the fleet chaos suite's rows
+// — must report a Failure
 // before they run dry. It runs the
 // stages twice and requires the two failures to be byte-identical — the
 // reproducibility the printed seed promises.
@@ -92,23 +92,22 @@ func TestMutantSim(t *testing.T) {
 	// rows in which a band index is consulted and a signature signed.
 	minhashStage := func() (string, int) { return simRows(MinHashSuite(*seedFlag)) }
 
-	// chaosRows is the persistent chaos suite's MinHash rows at the given
-	// shard count (0: every count, one shard first): the only rows whose
-	// cache one replay pass rebuilds and CheckIntegrity then audits — its
-	// re-sign with the direct kernel and its band audit, right after
-	// every recovery — which is where replaystale shows, and the only
-	// rows that recover from a checkpoint, which is where ckptscan
-	// shows, to the crash audit. Each call runs in fresh directories.
-	chaosRows := func(shards int) []SimConfig {
+	// chaosStage is the persistent chaos suite's MinHash row: the only
+	// row whose cache one replay pass rebuilds and CheckIntegrity then
+	// audits — its re-sign with the direct kernel and its band audit,
+	// right after every recovery — which is where replaystale shows, and
+	// the only row that recovers from a checkpoint, which is where
+	// ckptscan shows, to the crash audit. Each call runs in a fresh
+	// directory.
+	chaosStage := func() (string, int) {
 		var rows []SimConfig
 		for _, cfg := range ChaosSuite(*seedFlag, t.TempDir()) {
-			if cfg.MinHash && (shards == 0 || max(cfg.Shards, 1) == shards) {
+			if cfg.MinHash {
 				rows = append(rows, cfg)
 			}
 		}
-		return rows
+		return simRows(rows)
 	}
-	chaosStage := func() (string, int) { return simRows(chaosRows(0)) }
 
 	detect := func() (string, int) {
 		requests := 0
@@ -127,7 +126,7 @@ func TestMutantSim(t *testing.T) {
 		// (they fall to a cheaper stage long before).
 		ownStage := map[string]func() (string, int){
 			"staleindex": fleetStage, "staleepoch": pairStage, "leasetick": pairStage, "reqscan": fleetStage,
-			"closuredrop": fleetStage, "lshmiss": minhashStage, "probeskip": minhashStage,
+			"closuredrop": fleetStage, "route": fleetStage, "lshmiss": minhashStage, "probeskip": minhashStage,
 			"replaystale": chaosStage, "dirscan": fleetStage, "ckptscan": chaosStage,
 		}[mutant]
 		if ownStage != nil {
@@ -137,8 +136,8 @@ func TestMutantSim(t *testing.T) {
 				return msg, requests
 			}
 		}
-		// The suite's one-shard rows run first, and there is one
-		// pipeline in them, so everything falls to the oracle or to the
+		// The suite's rows run next, and there is one pipeline in
+		// them, so everything falls to the oracle or to the
 		// audits it runs after every request. The six Algorithm 1 mutants and the
 		// interned-representation ones fall to its re-derivation over
 		// sorted id slices: superset, threshold, conflict, lru, capacity
@@ -150,12 +149,9 @@ func TestMutantSim(t *testing.T) {
 		// and probeskip to CheckIntegrity's re-sign with the direct
 		// kernel at the first MinHash insert. deltadrop, walscan and
 		// deltaoverlap are caught when the first row ends, by the replay
-		// audit (deltaoverlap by the settle check inside it). The
-		// sharding mutants (route, balance) are invisible to every
-		// one-shard row — none consults the router, and one shard's
-		// bytes are the cache's — and fall to the sharded rows' route
-		// audit and the oracle's eviction derivation over every shard,
-		// which run last.
+		// audit (deltaoverlap by the settle check inside it). weigh falls
+		// to the oracle's eviction derivation at the first eviction whose
+		// victims the spared image's bytes change.
 		msg, n := simStage()
 		requests += n
 		if msg != "" {
@@ -182,28 +178,4 @@ func TestMutantSim(t *testing.T) {
 	}
 	t.Logf("mutant %q detected within %d requests", mutant, n1)
 	fmt.Printf("MUTANT_FAILURE %s: %s\n", mutant, first)
-
-	// route breaks the term table both routing levels keep, so each
-	// level's audit must catch it on its own: the sharded rows' route
-	// audit above, and the fleet stage's term audit here.
-	if mutant == "route" {
-		msg, n := fleetStage()
-		if msg == "" {
-			t.Fatalf("mutant %q survived the fleet stage's %d requests undetected", mutant, n)
-		}
-		t.Logf("mutant %q detected by the fleet stage within %d requests", mutant, n)
-		fmt.Printf("MUTANT_FAILURE %s/fleet: %s\n", mutant, msg)
-	}
-
-	// The replay-pass mutants must also fall to the two-shard persistent
-	// row on its own — the shape the site service recovers — whose crash
-	// audit compares shard by shard.
-	if mutant == "replaystale" || mutant == "deltaoverlap" {
-		msg, n := simRows(chaosRows(2))
-		if msg == "" {
-			t.Fatalf("mutant %q survived the two-shard chaos row's %d requests undetected", mutant, n)
-		}
-		t.Logf("mutant %q detected by the two-shard chaos row within %d requests", mutant, n)
-		fmt.Printf("MUTANT_FAILURE %s/shards2: %s\n", mutant, msg)
-	}
 }

@@ -22,7 +22,7 @@ import (
 // from its image, or the completeness of a heartbeat frame or a
 // checkpoint as read back.
 var mutants = []string{
-	"superset", "threshold", "conflict", "lru", "capacity", "touch", "route", "balance",
+	"superset", "threshold", "conflict", "lru", "capacity", "touch", "route", "weigh",
 	"intern", "popcount", "lshmiss",
 	"staleepoch", "leasetick", "staleindex",
 	"reqscan",

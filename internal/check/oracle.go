@@ -2,7 +2,6 @@ package check
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -11,14 +10,10 @@ import (
 )
 
 // Oracle validates a cache driven by one goroutine, one request at a
-// time — a Manager, or a ShardedManager's whole shard set: it captures
-// the cache before each request, independently re-derives the decision
-// Algorithm 1 must make (hit / merge / insert, on which image, evicting
-// which victims), and compares the cache's actual transition against
-// that derivation. The decision is derived from the pre-state of the
-// shard the request routes to (specs on different shards never merge),
-// the victims from every shard's images under the cache's one capacity.
-// With one shard both are the whole cache. It is a second, deliberately
+// time: it captures the cache before each request, independently
+// re-derives the decision Algorithm 1 must make (hit / merge / insert,
+// on which image, evicting which victims), and compares the cache's
+// actual transition against that derivation. It is a second, deliberately
 // naive implementation of the algorithm — O(images) per phase over
 // sorted id slices, no bitsets, no band index, no caching — and the
 // only reference there is: a bug must be present in both the production
@@ -34,10 +29,7 @@ import (
 // afresh by the direct kernel, so it shares neither stored signatures,
 // nor the merge fold, nor the probe index with the code it checks.
 type Oracle struct {
-	request   func(spec.Spec) (core.Result, error)
-	route     func(spec.Spec) int
-	view      func(fn func(ms []*core.Manager)) // the shards, quiescent
-	integrity func() error
+	cache     *core.ShardedManager
 	capacity  int64
 	alpha     float64
 	conflicts spec.ConflictPolicy
@@ -57,46 +49,21 @@ type oimg struct {
 	version uint64
 }
 
-// NewOracle wraps m for validation. The seed labels failures for
+// NewOracle wraps c for validation. The seed labels failures for
 // reproduction; step counting starts at 0.
-func NewOracle(m *core.Manager, seed int64) *Oracle {
-	o := &Oracle{
-		request:   m.Request,
-		route:     func(spec.Spec) int { return 0 },
-		view:      func(fn func([]*core.Manager)) { fn([]*core.Manager{m}) },
-		integrity: m.CheckIntegrity,
-		capacity:  m.Capacity(),
-	}
-	o.configure(m, seed)
-	return o
-}
-
-// NewShardedOracle wraps every shard of sm for validation: requests go
-// through sm.Request, routed by sm.ShardFor, and the capacity is sm's
-// one capacity.
-func NewShardedOracle(sm *core.ShardedManager, seed int64) *Oracle {
-	o := &Oracle{
-		request:   sm.Request,
-		route:     sm.ShardFor,
-		view:      sm.WithSharedAll,
-		integrity: sm.CheckIntegrity,
-		capacity:  sm.Capacity(),
-	}
-	sm.WithSharedAll(func(ms []*core.Manager) { o.configure(ms[0], seed) })
-	return o
-}
-
-// configure takes the merge rule — α, conflict policy, MinHash margin —
-// from m, which every shard of a cache shares.
-func (o *Oracle) configure(m *core.Manager, seed int64) {
-	o.seed, o.alpha, o.conflicts = seed, m.Alpha(), m.Conflicts()
-	if mh := m.MinHash(); mh != nil {
-		h, err := similarity.NewHasher(mh.K, mh.Seed)
-		if err != nil {
-			panic(fmt.Sprintf("check: oracle hasher: %v", err)) // the manager validated the same K
+func NewOracle(c *core.ShardedManager, seed int64) *Oracle {
+	o := &Oracle{cache: c, capacity: c.Capacity(), seed: seed}
+	c.WithShared(func(m *core.Manager) {
+		o.alpha, o.conflicts = m.Alpha(), m.Conflicts()
+		if mh := m.MinHash(); mh != nil {
+			h, err := similarity.NewHasher(mh.K, mh.Seed)
+			if err != nil {
+				panic(fmt.Sprintf("check: oracle hasher: %v", err)) // the manager validated the same K
+			}
+			o.hasher, o.margin = h, mh.Margin
 		}
-		o.hasher, o.margin = h, mh.Margin
-	}
+	})
+	return o
 }
 
 // Steps returns how many requests the oracle has validated.
@@ -108,21 +75,16 @@ func (o *Oracle) Steps() int { return o.step }
 // recoveries preceded it.
 func (o *Oracle) StartAt(step int) { o.step = step }
 
-// capture copies the checkable state of every image, shard by shard,
-// each shard in insertion order (the order Algorithm 1's scans and
-// tie-breaks follow), and the cache's clock.
-func (o *Oracle) capture() ([][]oimg, uint64) {
-	var out [][]oimg
+// capture copies the checkable state of every image, in insertion
+// order (the order Algorithm 1's scans and tie-breaks follow), and the
+// cache's clock.
+func (o *Oracle) capture() ([]oimg, uint64) {
+	var out []oimg
 	var clock uint64
-	o.view(func(ms []*core.Manager) {
-		clock = ms[0].Clock()
-		for _, m := range ms {
-			imgs := m.Images()
-			shard := make([]oimg, len(imgs))
-			for i, img := range imgs {
-				shard[i] = oimg{id: img.ID, spec: img.Spec, size: img.Size, lastUse: img.LastUse(), version: img.Version}
-			}
-			out = append(out, shard)
+	o.cache.WithShared(func(m *core.Manager) {
+		clock = m.Clock()
+		for _, img := range m.Images() {
+			out = append(out, oimg{id: img.ID, spec: img.Spec, size: img.Size, lastUse: img.LastUse(), version: img.Version})
 		}
 	})
 	return out, clock
@@ -131,31 +93,26 @@ func (o *Oracle) capture() ([][]oimg, uint64) {
 // Step issues one request through the cache and validates the
 // transition. A nil Failure means the step upheld every invariant.
 func (o *Oracle) Step(s spec.Spec) (core.Result, *Failure) {
-	shards, preClock := o.capture()
-	shard := o.route(s)
+	pre, preClock := o.capture()
 
-	res, err := o.request(s)
+	res, err := o.cache.Request(s)
 	step := o.step
 	o.step++
 	if err != nil {
 		return res, failf(o.seed, step, "request error: %v", err)
 	}
-	if shard < 0 || shard >= len(shards) {
-		return res, failf(o.seed, step, "router returned shard %d outside [0,%d)", shard, len(shards))
-	}
 	if res.Seq != preClock+1 {
 		return res, failf(o.seed, step, "Seq %d, want clock %d+1", res.Seq, preClock)
 	}
 
-	postShards, _ := o.capture()
-	pre, post := slices.Concat(shards...), slices.Concat(postShards...)
+	post, _ := o.capture()
 	postByID := make(map[uint64]oimg, len(post))
 	for _, img := range post {
 		postByID[img.id] = img
 	}
 
 	// Independently derive what Algorithm 1 must do.
-	wantOp, wantID := o.derive(shards[shard], s)
+	wantOp, wantID := o.derive(pre, s)
 	if res.Op != wantOp {
 		return res, failf(o.seed, step, "op %v on image %d, oracle derives %v on image %d",
 			res.Op, res.ImageID, wantOp, wantID)
@@ -169,11 +126,10 @@ func (o *Oracle) Step(s spec.Spec) (core.Result, *Failure) {
 
 	// Per-op post-state: the served image and only the served image
 	// changed (modulo eviction, simulated below).
-	i := slices.IndexFunc(postShards[shard], func(img oimg) bool { return img.id == res.ImageID })
-	if i < 0 {
+	served, ok := postByID[res.ImageID]
+	if !ok {
 		return res, failf(o.seed, step, "served image %d not live after %v", res.ImageID, res.Op)
 	}
-	served := postShards[shard][i]
 	if served.lastUse != res.Seq {
 		return res, failf(o.seed, step, "served image %d lastUse %d, want Seq %d (LRU stamp not refreshed)",
 			res.ImageID, served.lastUse, res.Seq)
@@ -235,7 +191,7 @@ func (o *Oracle) Step(s spec.Spec) (core.Result, *Failure) {
 			return res, f
 		}
 	}
-	if err := o.integrity(); err != nil {
+	if err := o.cache.CheckIntegrity(); err != nil {
 		return res, failf(o.seed, step, "integrity: %v", err)
 	}
 	return res, nil
@@ -291,7 +247,7 @@ func (o *Oracle) derive(pre []oimg, s spec.Spec) (core.Op, uint64) {
 }
 
 // checkEviction simulates the LRU pass Algorithm 1 must run after the
-// request's op over every shard's images and compares the victims
+// request's op and compares the victims
 // (identity, count, bytes) and the surviving set against what actually
 // happened.
 func (o *Oracle) checkEviction(step int, pre, post []oimg, res core.Result) *Failure {

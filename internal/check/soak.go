@@ -24,10 +24,6 @@ type SoakConfig struct {
 	Alpha        float64
 	CapacityFrac float64
 	Conflicts    bool
-	// Shards is the cache's shard count (minimum 1). Above 1 the
-	// ShardShadow demultiplexes the merged commit stream by owning
-	// shard, and every eviction pass runs across the shards.
-	Shards int
 	// Dir, when non-empty, wires a persistent store (fsync=always)
 	// into the hook chain; Faults arms injected write/sync failures
 	// partway through, which the store must absorb as a sticky error
@@ -59,7 +55,6 @@ func RunSoak(cfg SoakConfig) (SoakReport, error) {
 	if cfg.Conflicts {
 		mcfg.Conflicts = spec.NewSingleVersionPolicy(repo)
 	}
-	mcfg.Shards = max(cfg.Shards, 1)
 
 	var (
 		rep   SoakReport
@@ -101,7 +96,7 @@ func RunSoak(cfg SoakConfig) (SoakReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	shadow := NewShardShadow(repo, mcfg.Shards, capacity, cfg.Seed, next)
+	shadow := NewShardShadow(repo, capacity, cfg.Seed, next)
 	cache.SetCommitHook(shadow)
 
 	perWorker := cfg.Requests / cfg.Workers
@@ -128,8 +123,8 @@ func RunSoak(cfg SoakConfig) (SoakReport, error) {
 				switch {
 				case w == 0 && cfg.MaintainEvery > 0 && i%cfg.MaintainEvery == cfg.MaintainEvery-1:
 					if store != nil {
-						cache.WithExclusiveAll(func(ms []*core.Manager) {
-							store.Checkpoint(core.MergedState(ms)) // errors expected under faults
+						cache.WithExclusive(func(m *core.Manager) {
+							store.Checkpoint(m.ExportState()) // errors expected under faults
 						})
 					}
 					if _, err := cache.Prune(0.5, 2); err != nil {
@@ -153,8 +148,7 @@ func RunSoak(cfg SoakConfig) (SoakReport, error) {
 	}
 
 	// Every request got a unique, dense logical timestamp: Seqs are
-	// exactly 1..total (nothing else advances the clock — under
-	// sharding, every shard draws from the same source).
+	// exactly 1..total (nothing else advances the clock).
 	var all []uint64
 	for _, s := range seqs {
 		all = append(all, s...)
@@ -175,7 +169,7 @@ func RunSoak(cfg SoakConfig) (SoakReport, error) {
 	if err := cache.CheckIntegrity(); err != nil {
 		return rep, fmt.Errorf("check: integrity after soak: %w", err)
 	}
-	if err := shadow.VerifyState(mcfg, nil, shardStates(cache)); err != nil {
+	if err := shadow.VerifyState(mcfg, core.ManagerState{}, cache.ExportState()); err != nil {
 		return rep, err
 	}
 

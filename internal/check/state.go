@@ -49,54 +49,16 @@ func statesEqual(want, got core.ManagerState) error {
 		got.Clock, got.NextID, got.Stats, want.Clock, want.NextID, want.Stats)
 }
 
-// shardStates exports every shard's own state, in shard order. Replay
-// audits compare these, not the merged ExportState: merging sums the
-// shards' float counters in shard order and keeps the largest shard
-// allocator as NextID, and importing a merged state puts the whole
-// Stats on shard 0 and rounds NextID up per residue class, so a merged
-// state is not what a replay rebuilds bit for bit.
-func shardStates(sm *core.ShardedManager) []core.ManagerState {
-	var out []core.ManagerState
-	sm.WithSharedAll(func(ms []*core.Manager) {
-		for _, m := range ms {
-			out = append(out, m.ExportState())
-		}
-	})
-	return out
-}
-
-// shardReplayer returns a cache of len(base) shards, without a commit
-// hook, each shard holding exactly its state in base: where a
-// shard-by-shard replay starts.
-func shardReplayer(repo *pkggraph.Repo, mcfg core.Config, base []core.ManagerState) (*core.ShardedManager, error) {
-	mcfg.Commit, mcfg.Shards = nil, len(base)
-	sm, err := core.NewSharded(repo, mcfg)
+// newReplayer returns a cache without a commit hook holding exactly
+// base: where a replay of the mutations that followed base starts.
+func newReplayer(repo *pkggraph.Repo, mcfg core.Config, base core.ManagerState) (*core.ShardedManager, error) {
+	mcfg.Commit = nil
+	c, err := core.NewSharded(repo, mcfg)
 	if err != nil {
 		return nil, err
 	}
-	sm.WithExclusiveAll(func(ms []*core.Manager) {
-		for i := 0; i < len(ms) && err == nil; i++ {
-			if err = ms[i].ImportState(base[i]); err != nil {
-				err = fmt.Errorf("importing shard %d's base state: %w", i, err)
-			}
-		}
-	})
-	return sm, err
-}
-
-// shardsEqual is statesEqual shard by shard, naming the first shard
-// that differs when there is more than one.
-func shardsEqual(want, got []core.ManagerState) error {
-	if len(want) != len(got) {
-		return fmt.Errorf("%d shards, want %d", len(got), len(want))
+	if err := c.ImportState(base); err != nil {
+		return nil, fmt.Errorf("importing the base state: %w", err)
 	}
-	for i := range want {
-		if err := statesEqual(want[i], got[i]); err != nil {
-			if len(want) == 1 {
-				return err
-			}
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
+	return c, nil
 }

@@ -41,16 +41,10 @@ type Site struct {
 	CapacityGB float64 `json:"capacity_gb"`
 	// MinHash enables the candidate prefilter (default true).
 	MinHash *bool `json:"minhash,omitempty"`
-	// CacheShards partitions the cache into this many independently
-	// locked shards (default 1). Requests route to a shard by the hash
-	// of their package keys, and specs on different shards never merge.
-	// The capacity is not split: it bounds the whole cache, and a merge
-	// or insert evicts the least-recently-used images of any shard,
-	// holding every shard's lock while it does. Keep it stable across
-	// restarts of a durable site: reloading a cache under a different
-	// shard count re-homes only newly inserted images, costing hit
-	// locality on the old ones.
-	CacheShards *int `json:"cache_shards,omitempty"`
+	// CacheShards configures nothing: a node runs one cache, and a site
+	// file's "cache_shards" is ignored. It remains only because the
+	// repository's benchmark (bench/workloads.go) sets it.
+	CacheShards *int `json:"-"`
 
 	// RepoFile loads the repository from a JSONL file; when empty, the
 	// default synthetic repository is generated from RepoSeed.
@@ -226,9 +220,6 @@ func (s Site) Validate() error {
 	}
 	if s.CapacityGB < 0 {
 		return fmt.Errorf("capacity_gb must be non-negative")
-	}
-	if s.CacheShards != nil && *s.CacheShards < 1 {
-		return fmt.Errorf("cache_shards must be at least 1 (got %d)", *s.CacheShards)
 	}
 	if s.MaxInflight < 0 {
 		return fmt.Errorf("max_inflight must be non-negative")
@@ -474,19 +465,14 @@ func (s Site) OpenRepo() (*pkggraph.Repo, error) {
 	return pkggraph.Generate(pkggraph.DefaultGenConfig(), s.RepoSeed)
 }
 
-// Shards returns the configured cache shard count (default 1).
-func (s Site) Shards() int {
-	if s.CacheShards == nil || *s.CacheShards < 1 {
-		return 1
-	}
-	return *s.CacheShards
-}
+// Shards returns 1, the number of caches a node runs. It remains only
+// because the repository's benchmark (bench/topology.go) calls it.
+func (s Site) Shards() int { return 1 }
 
 // CoreConfig assembles the manager configuration for the repository.
 func (s Site) CoreConfig(repo *pkggraph.Repo) core.Config {
 	cfg := core.Config{
 		Capacity: int64(s.CapacityGB * float64(stats.GB)),
-		Shards:   s.Shards(),
 	}
 	if s.Alpha != nil {
 		cfg.Alpha = *s.Alpha

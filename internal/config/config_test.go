@@ -1,7 +1,6 @@
 package config
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -135,35 +134,25 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
-// TestCacheShardsValidation pins the cache_shards contract: nil
-// defaults to 1, valid counts pass through, and counts below 1 are
-// rejected with exactly the documented message (operators grep for
-// it; DESIGN.md §11 quotes it).
+// TestCacheShardsValidation: cache_shards partitioned the retired
+// multi-shard cache. A node runs one cache, so a site file naming it —
+// any value, even one validation once refused — still loads, and the
+// field configures nothing.
 func TestCacheShardsValidation(t *testing.T) {
-	if got := Default().Shards(); got != 1 {
-		t.Fatalf("default shard count = %d, want 1", got)
-	}
-	s, err := Load(writeConfig(t, `{"cache_shards": 16}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Shards() != 16 {
-		t.Fatalf("cache_shards lost: %d", s.Shards())
-	}
-	if got := s.CoreConfig(nil).Shards; got != 16 {
-		t.Fatalf("CoreConfig shards = %d, want 16", got)
-	}
-	for _, n := range []int{0, -4} {
-		bad := Default()
-		bad.CacheShards = &n
-		err := bad.Validate()
-		if err == nil {
-			t.Fatalf("cache_shards=%d accepted", n)
+	for _, v := range []string{"16", "1", "0", "-4"} {
+		s, err := Load(writeConfig(t, `{"cache_shards": `+v+`, "alpha": 0.6}`))
+		if err != nil {
+			t.Fatalf("cache_shards %s: %v", v, err)
 		}
-		want := fmt.Sprintf("cache_shards must be at least 1 (got %d)", n)
-		if err.Error() != want {
-			t.Errorf("cache_shards=%d error = %q, want %q", n, err, want)
+		if s.CacheShards != nil || s.Shards() != 1 || *s.Alpha != 0.6 {
+			t.Errorf("cache_shards %s: CacheShards = %v, Shards() = %d, alpha = %v; want nil, 1, 0.6", v, s.CacheShards, s.Shards(), *s.Alpha)
 		}
+	}
+	n := 4
+	set := Default()
+	set.CacheShards = &n
+	if err := set.Validate(); err != nil || set.Shards() != 1 {
+		t.Errorf("a set CacheShards changes the site: %v, Shards() = %d", err, set.Shards())
 	}
 }
 

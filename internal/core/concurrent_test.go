@@ -11,7 +11,7 @@ import (
 	"repro/internal/workload"
 )
 
-// The oracle-equivalence harness: drive a one-shard ShardedManager with N
+// The oracle-equivalence harness: drive a ShardedManager with N
 // goroutines over a seeded workload, then prove the concurrent
 // execution equals SOME sequential execution of the same requests.
 //
@@ -140,8 +140,7 @@ func TestConcurrentOracleEquivalence(t *testing.T) {
 				}
 				// Quiescent point: full structural invariants, byte
 				// accounting, and counter partition.
-				cm.WithExclusiveAll(func(ms []*Manager) {
-					m := ms[0]
+				cm.WithExclusive(func(m *Manager) {
 					if err := m.CheckIntegrity(); err != nil {
 						t.Fatalf("round %d invariants: %v", round, err)
 					}

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/pkggraph"
@@ -98,10 +97,6 @@ type Config struct {
 	// image insertion order, which Algorithm 1's comment ("Selection
 	// can be sorted by dj()") marks as optional.
 	NoCandidateSort bool
-	// Shards is the shard count used by NewSharded and the server
-	// (default 1). NewManager itself ignores it: a Manager is always a
-	// single partition.
-	Shards int
 	// Commit, when non-nil, receives one Mutation per state change
 	// (touch/merge/insert/delete/split) as it is applied — the hook the
 	// durability layer (internal/persist) logs through. A nil hook
@@ -203,11 +198,11 @@ func (s Stats) MeanContainerEfficiency() float64 {
 	return s.ContainerEffSum / float64(s.Requests)
 }
 
-// Manager is the LANDLORD cache manager: one partition, one goroutine.
-// It is not safe for concurrent use: the simulator runs one Manager per
-// goroutine, and the site service runs one per shard of a
-// ShardedManager, which serves hits under a shared read lock and
-// everything else under that shard's write lock.
+// Manager is the LANDLORD cache manager: one cache, one goroutine. It
+// is not safe for concurrent use: the simulator runs one Manager per
+// goroutine, and the site service runs one behind a ShardedManager,
+// which serves hits under a shared read lock and everything else under
+// its write lock.
 type Manager struct {
 	repo   *pkggraph.Repo
 	cfg    Config
@@ -237,71 +232,10 @@ type Manager struct {
 	// and bands when the pass ends (mutation.go). Replay holds the
 	// manager exclusively.
 	noted []*Image
-
-	// clockSrc, when non-nil, replaces the manager-local logical clock
-	// with a shared atomic counter: every shard of a ShardedManager
-	// draws stamps from one source, so Seq stays globally dense across
-	// shards. m.clock then tracks the last stamp THIS manager drew
-	// (which keeps CheckIntegrity's lastUse ≤ clock bound local).
-	clockSrc *atomic.Uint64
-
-	// peers is the cache this manager evicts within: itself alone, or
-	// every shard of the ShardedManager it is one of, which share the
-	// one capacity in cfg. A request that evicts across shards must
-	// hold every shard exclusively.
-	peers []*Manager
-
-	// idOffset/idStride partition the image-ID space across shards:
-	// shard i of N allocates IDs ≡ i (mod N), so ImageID mod N names
-	// the owning shard in every mutation and checkpoint without any
-	// format change. Stride 0 or 1 is the single-manager legacy.
-	idOffset uint64
-	idStride uint64
-}
-
-// stride returns the ID-allocation stride (1 for unsharded managers).
-func (m *Manager) stride() uint64 {
-	if m.idStride > 1 {
-		return m.idStride
-	}
-	return 1
-}
-
-// alignNextID rounds nextID up into the manager's ID residue class
-// after replay or import moved it arbitrarily. No-op when unsharded.
-func (m *Manager) alignNextID() {
-	st := m.stride()
-	if st == 1 {
-		return
-	}
-	if rem := m.nextID % st; rem != m.idOffset {
-		m.nextID += (m.idOffset + st - rem) % st
-	}
-}
-
-// tick draws the next logical-clock stamp: the shared atomic source
-// when this manager is a shard, the local counter otherwise. Callers
-// hold the lock that orders this manager's commits (the write lock or
-// hitMu), so m.clock is safely published.
-func (m *Manager) tick() uint64 {
-	if m.clockSrc != nil {
-		c := m.clockSrc.Add(1)
-		m.clock = c
-		return c
-	}
-	m.clock++
-	return m.clock
 }
 
 // NewManager validates cfg and creates an empty Manager over repo.
 func NewManager(repo *pkggraph.Repo, cfg Config) (*Manager, error) {
-	return newManager(repo, cfg, nil)
-}
-
-// newManager is NewManager with the MinHash hasher supplied: the shards
-// of a ShardedManager share one, and with it one probe index. A nil
-// hasher is built from cfg.
-func newManager(repo *pkggraph.Repo, cfg Config, h *similarity.Hasher) (*Manager, error) {
 	if cfg.Alpha < 0 || cfg.Alpha > 1 {
 		return nil, fmt.Errorf("core: alpha %v out of range [0,1]", cfg.Alpha)
 	}
@@ -314,15 +248,12 @@ func newManager(repo *pkggraph.Repo, cfg Config, h *similarity.Hasher) (*Manager
 		byID: make(map[uint64]*Image),
 		fast: newFastPath(repo),
 	}
-	m.peers = []*Manager{m}
 	if cfg.MinHash != nil {
-		if h == nil {
-			var err error
-			if h, err = similarity.NewHasher(cfg.MinHash.K, cfg.MinHash.Seed); err != nil {
-				return nil, err
-			}
-			h.HintUniverse(repo.Len())
+		h, err := similarity.NewHasher(cfg.MinHash.K, cfg.MinHash.Seed)
+		if err != nil {
+			return nil, err
 		}
+		h.HintUniverse(repo.Len())
 		if cfg.MinHash.Margin < 0 {
 			return nil, fmt.Errorf("core: MinHash margin %v must be non-negative", cfg.MinHash.Margin)
 		}
@@ -479,7 +410,7 @@ func (m *Manager) RequestTraced(s spec.Spec, at *telemetry.ActiveTrace) (Result,
 		m.noteOccupancy(at, hitSpan)
 		return res, nil
 	}
-	m.tick()
+	m.clock++
 	m.stats.Requests++
 	m.stats.RequestedBytes += reqBytes
 
@@ -549,7 +480,7 @@ func (m *Manager) RequestTraced(s spec.Spec, at *telemetry.ActiveTrace) (Result,
 		sig:     slices.Clone(sig),
 		hot:     s,
 	}
-	m.nextID += m.stride()
+	m.nextID++
 	m.appendImage(img)
 	m.refreshBits(img)
 	m.indexInsert(img)
@@ -582,10 +513,11 @@ func (m *Manager) RequestTraced(s spec.Spec, at *telemetry.ActiveTrace) (Result,
 // applies the whole mutable remainder — request and hit counters, the
 // image's LRU stamp and hot-set window, the touch record — as a child
 // of the caller's hit span. Callers hold whatever orders this manager's
-// commits: nothing (single-threaded use), the shard's write lock, or
-// its hitMu under the read lock.
+// commits: nothing (single-threaded use), the ShardedManager's write
+// lock, or its hitMu under the read lock.
 func (m *Manager) hit(at *telemetry.ActiveTrace, hitSpan telemetry.SpanRef, img *Image, s spec.Spec, reqBytes int64) Result {
-	clock := m.tick()
+	m.clock++
+	clock := m.clock
 	if !mutantEnabled("touch") {
 		img.lastUse = clock
 	}
@@ -600,19 +532,14 @@ func (m *Manager) hit(at *telemetry.ActiveTrace, hitSpan telemetry.SpanRef, img 
 }
 
 // noteOccupancy records the cache's occupancy after the request —
-// bytes cached and images resident in every shard that shares the
-// capacity (m.peers), read under the locks that ordered it — on the
-// request's hit, merge or insert span.
+// bytes cached and images resident, read under the lock that ordered
+// it — on the request's hit, merge or insert span.
 func (m *Manager) noteOccupancy(at *telemetry.ActiveTrace, outcome telemetry.SpanRef) {
 	if at == nil {
 		return
 	}
-	images := 0
-	for _, p := range m.peers {
-		images += len(p.byID)
-	}
-	at.AttrInt(outcome, "cached_bytes", totalOf(m.peers))
-	at.AttrInt(outcome, "images", int64(images))
+	at.AttrInt(outcome, "cached_bytes", m.total)
+	at.AttrInt(outcome, "images", int64(len(m.byID)))
 }
 
 // commitSpan is commit wrapped in a wal_append child span: the commit
@@ -721,20 +648,12 @@ func (m *Manager) pickMergeTarget(at *telemetry.ActiveTrace, scanSpan telemetry.
 	return nil
 }
 
-// evict runs Algorithm 1's eviction step over the cache this manager
-// evicts within (see evictLRU and Manager.peers).
+// evict runs Algorithm 1's eviction step: it removes least-recently-
+// used images until the cache fits its capacity, never evicting the
+// image just used (keep), and commits each delete. It returns the
+// number of images and bytes evicted.
 func (m *Manager) evict(keep uint64) (int, int64) {
-	return evictLRU(m.peers, m.cfg.Capacity, keep)
-}
-
-// evictLRU removes least-recently-used images from ms — one cache, or
-// every shard of one — until their summed bytes fit capacity, never
-// evicting the image just used (keep). Each delete commits through the
-// hook of the manager that held the image. The shards of a cache draw
-// their stamps from one clock, so lastUse orders every image of the
-// set and the victim is the cache-wide least recently used. It returns
-// the number of images and bytes evicted.
-func evictLRU(ms []*Manager, capacity int64, keep uint64) (int, int64) {
+	capacity := m.cfg.Capacity
 	if capacity <= 0 {
 		return 0, 0
 	}
@@ -742,54 +661,39 @@ func evictLRU(ms []*Manager, capacity int64, keep uint64) (int, int64) {
 	if mutantEnabled("capacity") {
 		limit += limit / 4
 	}
-	weighed := ms
-	if mutantEnabled("balance") {
-		own := keep % uint64(len(ms))
-		weighed = ms[own : own+1]
+	var spared int64 // bytes the weighing leaves out
+	if img := m.byID[keep]; img != nil && mutantEnabled("weigh") {
+		spared = img.Size
 	}
 	var n int
 	var bytes int64
-	for totalOf(weighed) > limit {
-		var victim *Image
-		var owner *Manager
+	for m.total-spared > limit {
 		vi := -1
-		for _, m := range ms {
-			for i, img := range m.images {
-				if img == nil || img.ID == keep {
-					continue
-				}
-				older := victim == nil || img.lastUse < victim.lastUse
-				if victim != nil && mutantEnabled("lru") {
-					older = img.lastUse > victim.lastUse
-				}
-				if older {
-					victim, owner, vi = img, m, i
-				}
+		for i, img := range m.images {
+			if img == nil || img.ID == keep {
+				continue
+			}
+			older := vi < 0 || img.lastUse < m.images[vi].lastUse
+			if vi >= 0 && mutantEnabled("lru") {
+				older = img.lastUse > m.images[vi].lastUse
+			}
+			if older {
+				vi = i
 			}
 		}
-		if victim == nil {
+		if vi < 0 {
 			break // only the in-use image remains; allow overflow
 		}
-		owner.drop(vi)
-		owner.commit(Mutation{Kind: MutDelete, ImageID: victim.ID})
+		victim := m.images[vi]
+		m.drop(vi)
+		m.commit(Mutation{Kind: MutDelete, ImageID: victim.ID})
 		n++
 		bytes += victim.Size
 	}
 	if n > 0 {
-		for _, m := range ms {
-			m.compact()
-		}
+		m.compact()
 	}
 	return n, bytes
-}
-
-// totalOf sums the byte totals of ms.
-func totalOf(ms []*Manager) int64 {
-	var t int64
-	for _, m := range ms {
-		t += m.total
-	}
-	return t
 }
 
 // drop removes the image at position i of the insertion-ordered slice

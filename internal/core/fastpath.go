@@ -44,8 +44,8 @@ type fastPath struct {
 	pool   sync.Pool // *scratch
 }
 
-// scratch is the pooled per-request working set. Requests under a
-// shard's shared read lock scan concurrently, so scratch must be drawn
+// scratch is the pooled per-request working set. Requests under the
+// shared read lock scan concurrently, so scratch must be drawn
 // per request, never stored per manager.
 type scratch struct {
 	words []uint64             // dense form of the request spec

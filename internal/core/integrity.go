@@ -22,7 +22,7 @@ import (
 // run continuously in tests but is not intended for the serving path.
 //
 // Callers holding a ShardedManager must go through
-// ShardedManager.CheckIntegrity, which quiesces each shard first.
+// ShardedManager.CheckIntegrity, which quiesces the cache first.
 func (m *Manager) CheckIntegrity() error {
 	var total int64
 	live := 0
@@ -121,16 +121,8 @@ func (m *Manager) Capacity() int64 { return m.cfg.Capacity }
 func (m *Manager) Conflicts() spec.ConflictPolicy { return m.cfg.Conflicts }
 
 // Clock returns the manager's logical clock: the Seq that the next
-// request's stamp will follow. For a shard drawing stamps from a
-// shared source this is the *global* clock — the value the next stamp
-// anywhere in the sharded cache increments — which is what the oracle's
-// Seq == Clock()+1 check needs when it drives one shard at a time.
-func (m *Manager) Clock() uint64 {
-	if m.clockSrc != nil {
-		return m.clockSrc.Load()
-	}
-	return m.clock
-}
+// request's stamp will follow.
+func (m *Manager) Clock() uint64 { return m.clock }
 
 // MinHash returns the approximate-prefilter configuration (nil in exact
 // mode). The invariant oracle (internal/check) reads K, Seed and Margin
@@ -158,8 +150,7 @@ func (img *Image) LastUse() uint64 { return img.lastUse }
 // SetCommitHook replaces the commit hook. Harnesses use it to stack a
 // validating hook (internal/check's shadow checker) in front of an
 // already-installed durability hook; it must be called before the
-// manager serves traffic (ShardedManager.SetCommitHook
-// installs one hook on every shard).
+// manager serves traffic (ShardedManager.SetCommitHook forwards here).
 func (m *Manager) SetCommitHook(h CommitHook) { m.cfg.Commit = h }
 
 // CommitHook returns the installed commit hook (nil when disabled).

@@ -18,9 +18,9 @@ import (
 //	lru       — eviction removes the most recently used image
 //	capacity  — eviction tolerates 25% overflow
 //	touch     — hits do not refresh the image's LRU stamp
-//	balance   — the eviction step weighs only the requesting shard's
-//	            bytes against the cache's one capacity, so a sharded
-//	            cache overruns it while the other shards hold bytes
+//	weigh     — the eviction step weighs the cache's bytes less the
+//	            image the request just used against the capacity, so
+//	            the cache overruns it by up to that image
 //	intern    — the package interner aliases two packages to one bit
 //	            position (an intern collision): fast-path bitsets see
 //	            them as the same package

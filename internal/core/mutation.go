@@ -220,10 +220,7 @@ func (m *Manager) apply(mut *Record) error {
 		m.appendImage(img)
 		m.note(img)
 		m.total += img.Size
-		if mut.ImageID >= m.nextID {
-			m.nextID = mut.ImageID + m.stride()
-			m.alignNextID()
-		}
+		m.nextID = max(m.nextID, mut.ImageID+1)
 		m.bumpClock(mut.LastUse)
 		m.stats.Requests++
 		m.stats.Inserts++

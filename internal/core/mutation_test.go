@@ -215,14 +215,14 @@ func TestApplyMutationErrors(t *testing.T) {
 	}
 }
 
-// TestReplayPassMatchesPerRecord: one replay pass over a sharded
-// cache's whole mutation stream — merges as deltas, each surviving
+// TestReplayPassMatchesPerRecord: one replay pass over a cache's whole
+// mutation stream — merges as deltas, each surviving
 // image settled once at the end — rebuilds what per-record replay and
 // the live cache hold, signatures and bands included.
 func TestReplayPassMatchesPerRecord(t *testing.T) {
 	repo := flatRepo(t, 24, 10)
 	rec := &recorder{}
-	cfg := Config{Alpha: 0.8, Capacity: 240, MinHash: DefaultMinHash(), Shards: 2}
+	cfg := Config{Alpha: 0.8, Capacity: 240, MinHash: DefaultMinHash()}
 	live, err := NewSharded(repo, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +311,7 @@ func TestReplayRefusesOverlappingDelta(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "image 3") {
 		t.Fatalf("per-record replay of an overlapping delta: err = %v, want one naming image 3", err)
 	}
-	sm, err := NewSharded(repo, Config{Shards: 2})
+	sm, err := NewSharded(repo, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,10 @@ import (
 // The reference for Algorithm 1 is internal/check's Oracle — a naive
 // re-derivation over sorted id slices with linear scans, no bitsets, no
 // band index, and signatures from the direct kernel. These tests drive
-// a Manager through it on a mid-sized repository: every request's
-// operation, target image, post-state and eviction victims must be what
-// the oracle derives, and CheckIntegrity must hold after each.
+// the concurrent cache through it on a mid-sized repository: every
+// request's operation, target image, post-state and eviction victims
+// must be what the oracle derives, and CheckIntegrity must hold after
+// each.
 
 // refRepo is the mid-sized generated repository the reference tests
 // share.
@@ -28,6 +29,16 @@ func refRepo(seed int64) *pkggraph.Repo {
 	cfg.LibraryFamilies = 37
 	cfg.ApplicationFamilies = 72
 	return pkggraph.MustGenerate(cfg, seed)
+}
+
+// newCache is core.NewSharded that fails the test on error.
+func newCache(t *testing.T, repo *pkggraph.Repo, cfg core.Config) *core.ShardedManager {
+	t.Helper()
+	c, err := core.NewSharded(repo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // underOracle issues n specs from next through the oracle.
@@ -52,7 +63,7 @@ func TestManagerMatchesReference(t *testing.T) {
 				capacity = repo.TotalSize() / capDiv
 			}
 			t.Run(fmt.Sprintf("alpha=%v/cap=%d", alpha, capacity), func(t *testing.T) {
-				m := core.MustNewManager(repo, core.Config{Alpha: alpha, Capacity: capacity})
+				m := newCache(t, repo, core.Config{Alpha: alpha, Capacity: capacity})
 				gen := workload.NewDepClosure(repo, int64(alpha*100)+capDiv)
 				gen.MaxInitial = 6
 				rng := rand.New(rand.NewSource(5))
@@ -76,7 +87,7 @@ func TestManagerMatchesReference(t *testing.T) {
 // the margin prefilter admits.
 func TestManagerMinHashNearReference(t *testing.T) {
 	repo := refRepo(78)
-	m := core.MustNewManager(repo, core.Config{
+	m := newCache(t, repo, core.Config{
 		Alpha:   0.75,
 		MinHash: &core.MinHashConfig{K: 128, Seed: 3, Margin: 0.3},
 	})
@@ -105,7 +116,7 @@ func TestBandIndexIdenticalSelection(t *testing.T) {
 	}
 	for ci, cfg := range configs {
 		t.Run(fmt.Sprintf("config%d", ci), func(t *testing.T) {
-			m := core.MustNewManager(repo, cfg)
+			m := newCache(t, repo, cfg)
 			o := check.NewOracle(m, int64(200+ci))
 			gen := workload.NewDepClosure(repo, int64(200+ci))
 			for r := 0; r < rounds; r++ {
@@ -137,13 +148,13 @@ func TestBandIndexSurvivesImportRestore(t *testing.T) {
 	}
 	st := donor.ExportState()
 
-	imported := core.MustNewManager(repo, cfg)
+	imported := newCache(t, repo, cfg)
 	if err := imported.ImportState(st); err != nil {
 		t.Fatal(err)
 	}
 	underOracle(t, check.NewOracle(imported, 333), 300, gen.Next)
 
-	restored := core.MustNewManager(repo, cfg)
+	restored := newCache(t, repo, cfg)
 	if err := restored.ImportState(core.ManagerState{Images: st.Images}); err != nil {
 		t.Fatal(err)
 	}

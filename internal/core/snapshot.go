@@ -14,7 +14,7 @@ import (
 type ImageSnapshot struct {
 	// ID is the image's identity. ImportState preserves it, so a
 	// recovered or restored cache hands out the same (ImageID, Version)
-	// pairs workers already hold, and ID mod N names the image's shard.
+	// pairs workers already hold.
 	ID uint64 `json:"id"`
 	// Packages are the image's package keys (name/version/platform),
 	// portable across repository reloads.
@@ -123,8 +123,7 @@ func (m *Manager) importImages(snaps []ImageSnapshot) ([]*Image, error) {
 
 // install adds the images importImages checked and takes st's stats.
 // Image IDs continue past the largest imported one and st.NextID, the
-// clock past the newest stamp and st.Clock, and a shard's shared clock
-// source past its clock; neither moves back.
+// clock past the newest stamp and st.Clock; neither moves back.
 func (m *Manager) install(imgs []*Image, st ManagerState) {
 	nextID := max(m.nextID, st.NextID)
 	m.clock = max(m.clock, st.Clock)
@@ -141,9 +140,5 @@ func (m *Manager) install(imgs []*Image, st ManagerState) {
 	sort.SliceStable(m.images, func(a, b int) bool { return m.images[a].lastUse < m.images[b].lastUse })
 	m.reorderOrds()
 	m.nextID = nextID
-	m.alignNextID()
 	m.stats = st.Stats
-	if m.clockSrc != nil && m.clock > m.clockSrc.Load() {
-		m.clockSrc.Store(m.clock)
-	}
 }

@@ -88,7 +88,7 @@ type pruneEvent struct {
 }
 
 // TestSoakConcurrent is the multi-goroutine soak: 8 workers hammer a
-// one-shard ShardedManager with a seeded mixed workload — requests plus
+// ShardedManager with a seeded mixed workload — requests plus
 // periodic split passes — with full invariant checks at every
 // quiescent point, and the final stats and state cross-checked against
 // the sequential oracle (the same requests and prunes replayed in
@@ -131,8 +131,7 @@ func TestSoakConcurrent(t *testing.T) {
 						step := round*perRound + i
 						if g == 0 && i > 0 && i%150 == 0 {
 							// Worker 0 doubles as the maintenance loop.
-							cm.WithExclusiveAll(func(ms []*Manager) {
-								m := ms[0]
+							cm.WithExclusive(func(m *Manager) {
 								ev := pruneEvent{afterClock: m.clock, maxUtil: 0.7, minServed: 2}
 								if _, err := m.Prune(ev.maxUtil, ev.minServed); err != nil {
 									t.Errorf("prune: %v", err)
@@ -159,8 +158,7 @@ func TestSoakConcurrent(t *testing.T) {
 			if t.Failed() {
 				t.Fatalf("config %d round %d aborted", ci, round)
 			}
-			cm.WithExclusiveAll(func(ms []*Manager) {
-				m := ms[0]
+			cm.WithExclusive(func(m *Manager) {
 				if err := m.CheckIntegrity(); err != nil {
 					t.Fatalf("config %d round %d: %v", ci, round, err)
 				}

@@ -156,16 +156,17 @@ func RouteKey(packages []string) uint64 {
 	return routeKey(spec.RouteSum(slices.Compact(distinct)))
 }
 
-// agentRouteSeed keeps the fleet's route off the bits the cache's shard
-// route reduces (core.ShardOf finalises the same sum unseeded): a
-// spec's agent and its shard inside that agent are independent draws.
-// It is the high half of fnv128's offset basis, a constant with nothing
-// up its sleeve: any seed places specs as another random draw would.
+// agentRouteSeed salts the route sum before it is mixed. It once kept
+// the fleet's route off the bits a cache-level shard route reduced;
+// that router is gone, and the seed stays because dropping it would
+// re-draw every spec's agent. It is the high half of fnv128's offset
+// basis, a constant with nothing up its sleeve: any seed places specs
+// as another random draw would.
 const agentRouteSeed = 0x6c62272e07bb0142
 
 // routeKey finalises a route sum into the key RendezvousOrder places.
-// The seed alone would separate the levels, since RendezvousOrder mixes
-// the key again with each member's hash; the mix here is kept because
+// RendezvousOrder mixes the key again with each member's hash; the mix
+// here is kept because
 // the key also leaves the master (RouteInfo.Key, the trace's
 // route_key), and a raw sum of fnv terms is a poor hash to hand out:
 // the low k bits of a term depend only on the low k bits of the key's

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/pkggraph"
 	"repro/internal/workload"
 )
@@ -236,48 +235,6 @@ func benchAgents(n int) []string {
 		names[i] = "agent-" + strconv.Itoa(i+1)
 	}
 	return names
-}
-
-// TestRouteLevelsIndependent: a spec's agent and its shard inside that
-// agent fold the same route sum, so they must not read the same bits,
-// or an agent would see only the specs of a few of its shards. 10,000
-// seed-1 specs are placed on 3 agents by their rendezvous owner; among
-// each agent's specs, the busiest shard at N ∈ {2, 4, 16} may hold at
-// most 1.25× an even share. (That is ~3.5 standard deviations at
-// N = 16, where an even share is ~210 specs.)
-func TestRouteLevelsIndependent(t *testing.T) {
-	const maxOverMean = 1.25
-	specs := seedSpecKeys(t, 10000)
-	names := benchAgents(3)
-	agents := make([]string, len(specs))
-	for i, keys := range specs {
-		agents[i] = rendezvousOwner(names, RouteKey(keys))
-	}
-	for _, shards := range []int{2, 4, 16} {
-		hist := map[string][]int{}
-		for i, keys := range specs {
-			if hist[agents[i]] == nil {
-				hist[agents[i]] = make([]int, shards)
-			}
-			hist[agents[i]][core.ShardRoute(keys, shards)]++
-		}
-		if len(hist) != 3 {
-			t.Fatalf("%d agents own specs, want 3", len(hist))
-		}
-		worst := 0.0
-		for agent, h := range hist {
-			total := 0
-			for _, c := range h {
-				total += c
-			}
-			ratio := float64(slices.Max(h)) * float64(shards) / float64(total)
-			if ratio > maxOverMean {
-				t.Errorf("%s at %d shards: busiest shard holds %.2f× an even share of its %d specs %v", agent, shards, ratio, total, h)
-			}
-			worst = max(worst, ratio)
-		}
-		t.Logf("%d shards: busiest shard among any agent's specs holds %.3f× an even share", shards, worst)
-	}
 }
 
 // sortedFNVRouteKey is the route key the fleet used before it summed

@@ -331,7 +331,7 @@ func TestCheckpointReference(t *testing.T) {
 		cfg core.Config
 	}{
 		{"testdata/state_pr15", core.Config{Alpha: 0.75, Capacity: 200}},
-		{"testdata/state_sharded2", shardedConfig(2)},
+		{"testdata/state_sharded2", testConfig()},
 	} {
 		_, rep := recoverDir(copyDir(golden.dir), golden.cfg)
 		if rep.CheckpointSeq == 0 || rep.CheckpointReference {

@@ -11,7 +11,7 @@ import (
 
 // TestConcurrentLoadSurvivesInjectedFaults extends the single-threaded
 // truncation tests to concurrent load: four goroutines drive a
-// persistent one-shard ShardedManager through a filesystem that injects a
+// persistent ShardedManager through a filesystem that injects a
 // sync failure and a torn write mid-run, then the process "loses
 // power" with a torn tail. The WAL must degrade to its sticky error
 // without disturbing the serving path, and recovery from the damaged

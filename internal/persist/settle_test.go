@@ -22,7 +22,7 @@ import (
 // ApplyMutation call settles at once.
 
 // closureMix is the closure_mixed workload's cache and traffic: the
-// seed-1 full repository, MinHash on, two shards, capacity 1.4x the
+// seed-1 full repository, MinHash on, capacity 1.4x the
 // repository, and closure-style requests (1-100 packages closed over
 // their dependencies), half of them repeats of the first 128 fresh
 // specs.
@@ -43,7 +43,7 @@ func newClosureMix(tb testing.TB) *closureMix {
 		repo: repo,
 		cfg: core.Config{
 			Alpha: 0.8, Capacity: repo.TotalSize() * 14 / 10,
-			MinHash: core.DefaultMinHash(), Shards: 2,
+			MinHash: core.DefaultMinHash(),
 		},
 		rng: rand.New(rand.NewSource(1)),
 	}
@@ -174,8 +174,8 @@ func recoverPerRecord(t *testing.T, dir string, repo *pkggraph.Repo, cfg core.Co
 
 // sameDerived requires pass and perRecord, two caches with equal
 // exported state, to hold image by image the same signature, the direct
-// kernel's, and each shard's band index to give the same candidates for
-// every live signature.
+// kernel's, and the band index to give the same candidates for every
+// live signature.
 func sameDerived(t *testing.T, pass, perRecord *core.ShardedManager, mh *core.MinHashConfig) {
 	t.Helper()
 	h, err := similarity.NewHasher(mh.K, mh.Seed)
@@ -194,15 +194,13 @@ func sameDerived(t *testing.T, pass, perRecord *core.ShardedManager, mh *core.Mi
 			t.Fatalf("image %d: signature differs from the direct kernel's", pi[i].ID)
 		}
 	}
-	pass.WithSharedAll(func(ps []*core.Manager) {
-		perRecord.WithSharedAll(func(rs []*core.Manager) {
-			for s := range ps {
-				for _, img := range pi {
-					got, err1 := ps[s].BandCandidates(img.Signature())
-					want, err2 := rs[s].BandCandidates(img.Signature())
-					if err1 != nil || err2 != nil || !slices.Equal(got, want) {
-						t.Fatalf("shard %d, signature of image %d: candidates %v (%v), per-record replay's %v (%v)", s, img.ID, got, err1, want, err2)
-					}
+	pass.WithShared(func(p *core.Manager) {
+		perRecord.WithShared(func(r *core.Manager) {
+			for _, img := range pi {
+				got, err1 := p.BandCandidates(img.Signature())
+				want, err2 := r.BandCandidates(img.Signature())
+				if err1 != nil || err2 != nil || !slices.Equal(got, want) {
+					t.Fatalf("signature of image %d: candidates %v (%v), per-record replay's %v (%v)", img.ID, got, err1, want, err2)
 				}
 			}
 		})
@@ -260,17 +258,19 @@ func TestRecoverSettlesLikePerRecordReplay(t *testing.T) {
 	}
 
 	for _, golden := range []struct {
-		dir string
-		cfg core.Config
+		dir     string
+		cfg     core.Config
+		sharded bool // written by a 2-shard cache (see goldenWant)
 	}{
-		{"testdata/state_pr15", core.Config{Alpha: 0.75, Capacity: 200}},
-		{"testdata/state_sharded2", shardedConfig(2)},
-		{"testdata/state_sharded2_onebudget", shardedConfig(2)},
+		{"testdata/state_pr15", core.Config{Alpha: 0.75, Capacity: 200}, false},
+		{shardedGoldens[0], testConfig(), true},
+		{shardedGoldens[1], testConfig(), true},
 	} {
-		want, err := os.ReadFile(filepath.Join(golden.dir, "state.json"))
+		data, err := os.ReadFile(filepath.Join(golden.dir, "state.json"))
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := string(data)
 		names, err := filepath.Glob(filepath.Join(golden.dir, "*-*"))
 		if err != nil {
 			t.Fatal(err)
@@ -299,7 +299,11 @@ func TestRecoverSettlesLikePerRecordReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, m := range map[string]*core.ShardedManager{"replay pass": pass, "per-record replay": perRecord} {
-			if got := stateJSON(t, m.ExportState()); got != string(want) {
+			st := m.ExportState()
+			if golden.sharded {
+				want = goldenWant(t, golden.dir, st)
+			}
+			if got := stateJSON(t, st); got != want {
 				t.Errorf("%s: %s recovers\n %s\nwant the writer's\n %s", golden.dir, name, got, want)
 			}
 			if err := m.CheckIntegrity(); err != nil {

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,30 +11,23 @@ import (
 	"repro/internal/core"
 )
 
-// Sharded crash recovery.
+// Recovery into one cache.
 //
-// The sharded cache shares one Store: every shard's commit hook
-// appends to the same WAL, so the log is a merge of per-shard
-// subsequences each strictly monotone in Seq, with arbitrary
-// cross-shard interleaving. These tests pin that RecoverSharded
-// rebuilds the exact sharded state from that merged log: strided IDs
-// route every record and checkpoint image back to its owning shard
-// (ImageID mod shards) with no format change.
-
-func shardedConfig(shards int) core.Config {
-	cfg := testConfig()
-	cfg.Shards = shards
-	return cfg
-}
+// The node's cache is one Manager behind one lock pair, whose WAL
+// holds its mutations in Seq order. These tests pin that RecoverSharded
+// rebuilds the exact cache from that log, with and without a
+// checkpoint, and that a state directory written while the cache was
+// partitioned into shards — strided image ids, per-shard subsequences
+// interleaved out of Seq order in one WAL — recovers into one cache,
+// records applied in file order: images of different shards were
+// disjoint, so their records commute.
 
 // TestRecoverShardedWALOnly replays a pure WAL (no checkpoint) into a
-// fresh sharded cache and requires the merged export byte-identical to
-// the live cache that wrote it: per-shard insert replay re-derives the
-// same strided NextID values, so even the ID allocator state survives
-// exactly.
+// fresh cache and requires its export byte-identical to the live cache
+// that wrote it, the ID allocator included.
 func TestRecoverShardedWALOnly(t *testing.T) {
 	repo := testRepo(t, 24, 10)
-	cfg := shardedConfig(4)
+	cfg := testConfig()
 	dir := t.TempDir()
 	st, err := Open(dir, Options{SyncPolicy: FsyncNever})
 	if err != nil {
@@ -71,22 +65,19 @@ func TestRecoverShardedWALOnly(t *testing.T) {
 		t.Fatal("no WAL records replayed")
 	}
 	if got := stateJSON(t, mgr.ExportState()); got != want {
-		t.Errorf("recovered sharded state != live state:\n got %s\nwant %s", got, want)
+		t.Errorf("recovered state != live state:\n got %s\nwant %s", got, want)
 	}
 	if err := mgr.CheckIntegrity(); err != nil {
 		t.Errorf("recovered integrity: %v", err)
 	}
 }
 
-// TestRecoverShardedCheckpointed restarts from a mid-stream merged
-// checkpoint plus the WAL tail. Importing a merged checkpoint aligns
-// each shard's NextID up into its residue class, so the allocator
-// watermark may legitimately exceed the live cache's (never shrink —
-// IDs must not be reused); everything else — images, stamps, clock,
-// stats — must match exactly.
+// TestRecoverShardedCheckpointed restarts from a mid-stream checkpoint
+// plus the WAL tail: images, stamps, clock, ID allocator and stats must
+// all match the live cache exactly.
 func TestRecoverShardedCheckpointed(t *testing.T) {
 	repo := testRepo(t, 24, 10)
-	cfg := shardedConfig(4)
+	cfg := testConfig()
 	dir := t.TempDir()
 	st, err := Open(dir, Options{SegmentBytes: 512, SyncPolicy: FsyncNever})
 	if err != nil {
@@ -108,7 +99,7 @@ func TestRecoverShardedCheckpointed(t *testing.T) {
 			}
 		}
 	}
-	liveState := live.ExportState()
+	want := stateJSON(t, live.ExportState())
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -125,134 +116,71 @@ func TestRecoverShardedCheckpointed(t *testing.T) {
 	if rep.CheckpointSeq == 0 {
 		t.Fatal("recovery did not load a checkpoint")
 	}
-	gotState := mgr.ExportState()
-	if gotState.NextID < liveState.NextID {
-		t.Errorf("recovered NextID %d < live %d: IDs could be reused", gotState.NextID, liveState.NextID)
-	}
-	gotState.NextID, liveState.NextID = 0, 0
-	if got, want := stateJSON(t, gotState), stateJSON(t, liveState); got != want {
-		t.Errorf("recovered sharded state != live state (NextID normalized):\n got %s\nwant %s", got, want)
+	if got := stateJSON(t, mgr.ExportState()); got != want {
+		t.Errorf("recovered state != live state:\n got %s\nwant %s", got, want)
 	}
 	if err := mgr.CheckIntegrity(); err != nil {
 		t.Errorf("recovered integrity: %v", err)
 	}
 }
 
-// TestRecoverShardedCrossCount reloads a directory written by a
-// shards=1 daemon into a shards=4 cache (and back): strided routing by
-// ImageID mod shards accepts any historical allocation pattern, so
-// every image survives the reload — only future hit locality changes
-// when the count changes.
-func TestRecoverShardedCrossCount(t *testing.T) {
-	repo := testRepo(t, 24, 10)
-	dir := t.TempDir()
-	st, err := Open(dir, Options{SyncPolicy: FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, _, err := st.RecoverSharded(repo, shardedConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(37))
-	for i := 0; i < 80; i++ {
-		if _, err := live.Request(randSpec(rng, repo.Len())); err != nil {
-			t.Fatal(err)
-		}
-	}
-	images, bytes := live.Len(), live.TotalData()
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+// shardedGoldens are the state directories a 2-shard cache over
+// testRepo(24, 10) wrote, serving 150 seeded 1-3 package specs and
+// checkpointing after the 100th: testdata/state_sharded2 while each
+// shard evicted under half the capacity, and
+// testdata/state_sharded2_onebudget under one capacity both shards
+// shared. Shard i of 2 allocated the ids congruent to i mod 2. Each
+// directory's state.json is the state that writer held.
+var shardedGoldens = []string{"testdata/state_sharded2", "testdata/state_sharded2_onebudget"}
 
-	st2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	wide, _, err := st2.RecoverSharded(repo, shardedConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wide.Len() != images || wide.TotalData() != bytes {
-		t.Errorf("cross-count reload lost state: %d images/%d bytes, want %d/%d",
-			wide.Len(), wide.TotalData(), images, bytes)
-	}
-	if err := wide.CheckIntegrity(); err != nil {
-		t.Errorf("cross-count integrity: %v", err)
-	}
-	// The reloaded cache must keep serving.
-	for i := 0; i < 40; i++ {
-		if _, err := wide.Request(randSpec(rng, repo.Len())); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := wide.CheckIntegrity(); err != nil {
-		t.Errorf("post-reload integrity: %v", err)
-	}
-}
-
-// writeShardedState is the run behind the sharded golden directories:
-// a 2-shard cache over testRepo(24, 10) serves 150 seeded 1-3 package
-// specs, checkpointing after the 100th, and closes.
-func writeShardedState(t *testing.T, dir string) {
+// goldenWant is the state a sharded golden directory must recover to:
+// its state.json with next_id set to got's. The writer's next_id is the
+// larger of its shards' strided allocators, which may stand above the
+// next id one cache allocates; got's must lie at or below it and above
+// every id the directory ever issued — the checkpoint's next_id and
+// each insert the segment logs — so no id is ever reused.
+func goldenWant(t *testing.T, golden string, got core.ManagerState) string {
 	t.Helper()
-	repo := testRepo(t, 24, 10)
-	st, err := Open(dir, Options{SyncPolicy: FsyncNever})
+	data, err := os.ReadFile(filepath.Join(golden, "state.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, _, err := st.RecoverSharded(repo, shardedConfig(2))
+	var want core.ManagerState
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if stateJSON(t, want) != string(data) {
+		t.Fatalf("%s/state.json is not in canonical form", golden)
+	}
+	ckpt, err := ReadCheckpointFile(filepath.Join(golden, "checkpoint-0000000000000002.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(41))
-	for i := 0; i < 150; i++ {
-		if _, err := live.Request(randSpec(rng, repo.Len())); err != nil {
-			t.Fatal(err)
-		}
-		if i+1 == 100 {
-			if _, err := st.Checkpoint(live.ExportState()); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := st.Close(); err != nil {
+	issued := ckpt.State.NextID
+	wal, err := os.ReadFile(filepath.Join(golden, "wal-0000000000000002.log"))
+	if err != nil {
 		t.Fatal(err)
 	}
+	muts, err := ReadSegment(bytes.NewReader(wal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mut := range muts {
+		if mut.Kind == core.MutInsert {
+			issued = max(issued, mut.ImageID+1)
+		}
+	}
+	if got.NextID < issued || got.NextID > want.NextID {
+		t.Errorf("%s: recovered next_id %d outside [%d, the writer's %d]", golden, got.NextID, issued, want.NextID)
+	}
+	want.NextID = got.NextID
+	return stateJSON(t, want)
 }
 
-// TestRecoverShardedGoldenStateDir: each golden directory holds the
-// files writeShardedState left, and state.json the state its commit
-// recovered from them. testdata/state_sharded2 was written when the
-// shard route was still computed by internal/core's own copy of the
-// fold and each shard evicted under half the capacity;
-// testdata/state_sharded2_onebudget was written under the one capacity
-// both shards share. Recovering either directory today must give its
-// state byte for byte — images, ids, clock and stats — and every insert
-// its segment logs must route, under today's fold, to the shard its id
-// names. The same run today must write the one-budget directory's
-// segment byte for byte and checkpoint the same state: that pins the
-// sharded writer's decisions, eviction and record encoding.
-func TestRecoverShardedGoldenStateDir(t *testing.T) {
-	for _, golden := range []struct {
-		dir     string
-		current bool // today's writeShardedState writes these files
-	}{
-		{"testdata/state_sharded2", false},
-		{"testdata/state_sharded2_onebudget", true},
-	} {
-		t.Run(filepath.Base(golden.dir), func(t *testing.T) {
-			checkShardedGolden(t, golden.dir, golden.current)
-		})
-	}
-}
-
-func checkShardedGolden(t *testing.T, golden string, current bool) {
-	want, err := os.ReadFile(filepath.Join(golden, "state.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+// recoverGolden copies a golden directory's state files into a fresh
+// directory and recovers them into one cache.
+func recoverGolden(t *testing.T, golden string) (*core.ShardedManager, *RecoveryReport, *Store) {
+	t.Helper()
 	names, err := filepath.Glob(filepath.Join(golden, "*-*"))
 	if err != nil || len(names) < 2 {
 		t.Fatalf("golden directory holds %d state files (%v), want a checkpoint and a segment", len(names), err)
@@ -271,63 +199,85 @@ func checkShardedGolden(t *testing.T, golden string, current bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	mgr, rep, err := st.RecoverSharded(testRepo(t, 24, 10), shardedConfig(2))
+	t.Cleanup(func() { st.Close() })
+	mgr, rep, err := st.RecoverSharded(testRepo(t, 24, 10), testConfig())
 	if err != nil {
 		t.Fatalf("RecoverSharded: %v", err)
 	}
-	if rep.CheckpointSeq == 0 || rep.RecordsSkipped != 0 || len(rep.Warnings) != 0 {
-		t.Errorf("recovery of the golden directory was not clean: %s %v", rep, rep.Warnings)
-	}
-	if got := stateJSON(t, mgr.ExportState()); got != string(want) {
-		t.Errorf("recovered state differs from the writer's:\n got %s\nwant %s", got, want)
-	}
-	if err := mgr.CheckIntegrity(); err != nil {
-		t.Errorf("recovered cache fails its invariants: %v", err)
-	}
+	return mgr, rep, st
+}
 
-	wal, err := os.ReadFile(filepath.Join(golden, "wal-0000000000000002.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	muts, err := ReadSegment(bytes.NewReader(wal))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inserts := 0
-	for _, mut := range muts {
-		if mut.Kind != core.MutInsert {
-			continue
-		}
-		inserts++
-		if got := core.ShardRoute(mut.Packages, 2); uint64(got) != mut.ImageID%2 {
-			t.Errorf("insert of image %d routes to shard %d today, its id names shard %d", mut.ImageID, got, mut.ImageID%2)
-		}
-	}
-	if inserts == 0 {
-		t.Error("the golden segment logs no insert")
-	}
-	if !current {
-		return
-	}
-
-	again := t.TempDir()
-	writeShardedState(t, again)
-	// A checkpoint stamps its save time, so it is compared by content.
-	for _, name := range names {
-		base := filepath.Base(name)
-		if filepath.Ext(base) == ".ckpt" {
-			old, err1 := ReadCheckpointFile(name)
-			now, err2 := ReadCheckpointFile(filepath.Join(again, base))
-			if err1 != nil || err2 != nil || now.WALSeq != old.WALSeq || stateJSON(t, now.State) != stateJSON(t, old.State) {
-				t.Errorf("%s: the same run today checkpoints a different state (%v, %v)", base, err1, err2)
+// TestRecoverShardedCrossCount: a directory written at two shards
+// recovers into one cache that keeps serving. The allocator continues
+// above every recovered id, so an insert never reuses a strided id
+// still live, and forty further requests and a restart from the
+// cache's own checkpoint keep it whole.
+func TestRecoverShardedCrossCount(t *testing.T) {
+	for _, golden := range shardedGoldens {
+		t.Run(filepath.Base(golden), func(t *testing.T) {
+			mgr, _, st := recoverGolden(t, golden)
+			var maxID uint64
+			for _, img := range mgr.Images() {
+				maxID = max(maxID, img.ID)
 			}
-			continue
-		}
-		old, _ := os.ReadFile(name)
-		now, err := os.ReadFile(filepath.Join(again, base))
-		if err != nil || !bytes.Equal(now, old) {
-			t.Errorf("%s: the same run today writes %d different bytes (%v)", base, len(now), err)
-		}
+			rng := rand.New(rand.NewSource(37))
+			inserted := false
+			for i := 0; i < 40; i++ {
+				res, err := mgr.Request(randSpec(rng, 24))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Op == core.OpInsert && !inserted {
+					inserted = true
+					if res.ImageID <= maxID {
+						t.Errorf("the first insert after recovery got id %d, not above the recovered %d", res.ImageID, maxID)
+					}
+				}
+				if err := mgr.CheckIntegrity(); err != nil {
+					t.Fatalf("request %d after recovery: %v", i, err)
+				}
+			}
+			if !inserted {
+				t.Fatal("forty requests inserted nothing")
+			}
+			if _, err := st.Checkpoint(mgr.ExportState()); err != nil {
+				t.Fatal(err)
+			}
+			want := stateJSON(t, mgr.ExportState())
+			st2, err := Open(st.Dir(), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st2.Close()
+			again, _, err := st2.RecoverSharded(testRepo(t, 24, 10), testConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := stateJSON(t, again.ExportState()); got != want {
+				t.Errorf("restart from the cache's own checkpoint:\n got %s\nwant %s", got, want)
+			}
+		})
+	}
+}
+
+// TestRecoverShardedGoldenStateDir: recovering either sharded golden
+// directory into one cache gives its writer's state byte for byte —
+// images, ids, versions, clock and stats; the allocator as goldenWant
+// allows — and a cache that passes CheckIntegrity.
+func TestRecoverShardedGoldenStateDir(t *testing.T) {
+	for _, golden := range shardedGoldens {
+		t.Run(filepath.Base(golden), func(t *testing.T) {
+			mgr, rep, _ := recoverGolden(t, golden)
+			if rep.CheckpointSeq == 0 || rep.RecordsSkipped != 0 || len(rep.Warnings) != 0 {
+				t.Errorf("recovery of the golden directory was not clean: %s %v", rep, rep.Warnings)
+			}
+			st := mgr.ExportState()
+			if got, want := stateJSON(t, st), goldenWant(t, golden, st); got != want {
+				t.Errorf("recovered state differs from the writer's:\n got %s\nwant %s", got, want)
+			}
+			if err := mgr.CheckIntegrity(); err != nil {
+				t.Errorf("recovered cache fails its invariants: %v", err)
+			}
+		})
 	}
 }

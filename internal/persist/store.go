@@ -23,7 +23,7 @@ import (
 // Commit flows mutations to the WAL until Close. Checkpoint compacts at
 // any point; the caller must hold whatever lock serializes access to
 // the cache while exporting the state it passes in (the HTTP server
-// holds every shard's write lock, so commits and checkpoints never
+// holds the cache's write lock, so commits and checkpoints never
 // interleave).
 type Store struct {
 	dir  string
@@ -195,38 +195,28 @@ func (st *Store) scan() (segs, ckpts []uint64, err error) {
 	return segs, ckpts, nil
 }
 
-// RecoverSharded rebuilds the cache — a ShardedManager with
-// cfg.Shards shards — from the newest valid checkpoint plus the WAL
-// tail, installs the store as its commit hook (overriding any hook
-// already in cfg), and opens a fresh segment for subsequent commits. It
-// never fails on corrupt state — the report's Warnings say what was
-// skipped — only on I/O errors reaching the directory, invalid cfg, or
-// a tail whose merge deltas repeat packages their images hold, which
-// this store never writes (see core.ShardedManager.Replay).
+// RecoverSharded rebuilds the cache from the newest valid checkpoint
+// plus the WAL tail, installs the store as its commit hook (overriding
+// any hook already in cfg), and opens a fresh segment for subsequent
+// commits. It never fails on corrupt state — the report's Warnings say
+// what was skipped — only on I/O errors reaching the directory, invalid
+// cfg, or a tail whose merge deltas repeat packages their images hold,
+// which this store never writes (see core.ShardedManager.Replay).
+// Recovery builds one cache per checkpoint candidate (abandoning the
+// half-imported cache when a checkpoint is unreadable or rejected) and
+// a final empty one when no checkpoint loads.
 //
-// Checkpoints partition by ImageID mod shards (strided ID allocation
-// makes the owner recoverable from the ID with no format change), so a
-// directory written at one shard count reloads into any other — though
-// changing the count across a restart re-homes only *new* images, so
-// resident images stop matching the router until they age out; keep
-// cache_shards stable for full hit retention. Recovery builds one
-// cache per checkpoint candidate (abandoning the half-imported cache
-// when a checkpoint is unreadable or rejected) and a final empty one
-// when no checkpoint loads.
-//
-// WAL ordering under sharding: every shard's commit hook fires under
-// that shard's stamping lock, so the log is a merge of per-shard
-// subsequences, each strictly monotone in Seq (stamps are drawn from
-// one shared clock and are globally unique). The cross-shard
-// interleaving in the file is whatever order the hooks reached the
-// store's append lock — NOT globally Seq-sorted — and replay tolerates
-// that because shards own disjoint ImageIDs (ID mod shards names the
-// owner), so records from different shards commute under
-// ApplyMutation. A merge delta depends only on the records of its own
-// image before it, and those come from one shard, in order; when one
-// of them is missing (a corrupt segment skipped), the image's later
-// deltas are refused and counted in RecordsSkipped rather than applied
-// to the wrong base.
+// The cache's commit hook fires under the lock that stamped the
+// mutation, so the log is in Seq order, and replay applies it in file
+// order. A directory written while the cache was partitioned into
+// shards holds per-shard subsequences interleaved out of Seq order;
+// it replays the same way, because the shards owned disjoint image ids
+// and records of different images commute. A merge delta depends only
+// on the earlier records of its own image; when one of them is missing
+// (a corrupt segment skipped), the image's later deltas are refused and
+// counted in RecordsSkipped rather than applied to the wrong base. The
+// allocator resumes above every id the checkpoint and the tail issued,
+// so the shards' strided ids stay unique.
 func (st *Store) RecoverSharded(repo *pkggraph.Repo, cfg core.Config) (*core.ShardedManager, *RecoveryReport, error) {
 	cfg.Commit = st
 	start := time.Now()
@@ -363,7 +353,7 @@ func (st *Store) RecoverSharded(repo *pkggraph.Repo, cfg core.Config) (*core.Sha
 // failures — the first error sticks, later mutations are dropped, and
 // Err/metrics surface it.
 //
-// Commit is called with the cache's locks held (a ShardedManager shard
+// Commit is called with the cache's locks held (a ShardedManager
 // invokes the hook before releasing the lock that ordered the
 // mutation), so it must stay cheap: it writes to the OS but never
 // fsyncs under FsyncAlways. Durability under that policy is paid in
@@ -612,9 +602,13 @@ type CheckpointInfo struct {
 
 // Checkpoint is the store's one compaction: it rotates the WAL, durably
 // writes state as checkpoint-<newseq>, and deletes the older segments
-// and checkpoints it covers. The caller must prevent concurrent
+// and checkpoints it covers. An open segment that holds no record is
+// not rotated: the checkpoint takes its sequence and the records that
+// follow land in it, so a failing store's heal probes — checkpoints
+// that cannot be written — leave at most the one empty segment the
+// first of them opened. The caller must prevent concurrent
 // mutations between exporting state and this call returning (the HTTP
-// server holds every shard's write lock across both).
+// server holds the cache's write lock across both).
 //
 // The checkpoint holds everything in memory, so one written by a
 // failed store heals it in place: the sticky error and the taint set
@@ -635,8 +629,10 @@ func (st *Store) Checkpoint(state core.ManagerState) (CheckpointInfo, error) {
 	if st.seq == 0 {
 		return CheckpointInfo{}, errNotRecovered
 	}
-	if st.rotateLocked(); st.f == nil {
-		return CheckpointInfo{}, st.sticky
+	if st.f == nil || st.segBytes > 0 {
+		if st.rotateLocked(); st.f == nil {
+			return CheckpointInfo{}, st.sticky
+		}
 	}
 	now := time.Now()
 	path := st.ckptPath(st.seq)

@@ -768,7 +768,7 @@ func TestRecoveryOf10kImages(t *testing.T) {
 	t.Logf("recovered %d images + %d WAL records in %v", nImages, nTail, rep.Duration)
 }
 
-// TestGroupCommitConcurrent drives a one-shard ShardedManager backed by an
+// TestGroupCommitConcurrent drives a ShardedManager backed by an
 // FsyncAlways store from many goroutines, each acknowledging its
 // requests only after WaitDurable — the server's request pipeline in
 // miniature. It pins the two properties group commit must preserve:

@@ -218,11 +218,11 @@ func TestRequestLatencyCoversLockWait(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Hold every shard's read lock: the merge scans beside it, then
+	// Hold the cache's read lock: the merge scans beside it, then
 	// queues for the write lock until the hold ends.
 	release := make(chan struct{})
 	held := make(chan struct{})
-	go srv.cmgr.WithSharedAll(func([]*core.Manager) {
+	go srv.cmgr.WithShared(func(*core.Manager) {
 		close(held)
 		<-release
 	})

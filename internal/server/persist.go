@@ -46,25 +46,24 @@ func (s *Server) CheckpointNow() (persist.CheckpointInfo, error) {
 	}
 	var info persist.CheckpointInfo
 	var err error
-	s.cmgr.WithExclusiveAll(func(ms []*core.Manager) {
-		info, err = s.checkpointAll(ms)
+	s.cmgr.WithExclusive(func(m *core.Manager) {
+		info, err = s.checkpoint(m)
 	})
 	return info, err
 }
 
-// checkpointAll runs a checkpoint of the merged shard states; the
-// caller holds every shard's write lock (WithExclusiveAll), so no
-// mutation can slip between exporting the state and sealing the WAL
-// segment. The request counter (and the store's tail) resets only on
+// checkpoint runs a checkpoint of the cache's state; the caller holds
+// the cache's write lock (WithExclusive), so no mutation can slip
+// between exporting the state and sealing the WAL segment. The request counter (and the store's tail) resets only on
 // success: a failed checkpoint (full disk) is retried at the next
 // threshold crossing. A checkpoint that succeeds leaves the store
 // whole, healing it if it was failing, so a degraded or recovering
 // server serves in full again.
-func (s *Server) checkpointAll(ms []*core.Manager) (persist.CheckpointInfo, error) {
+func (s *Server) checkpoint(m *core.Manager) (persist.CheckpointInfo, error) {
 	if s.store == nil {
 		return persist.CheckpointInfo{}, errNoStore
 	}
-	info, err := s.store.Checkpoint(core.MergedState(ms))
+	info, err := s.store.Checkpoint(m.ExportState())
 	if err == nil {
 		s.sinceCkpt.Store(0)
 		if !s.Ready() {
@@ -79,8 +78,8 @@ func (s *Server) checkpointAll(ms []*core.Manager) (persist.CheckpointInfo, erro
 // lock-free and the checkpoint itself is single-flight: the first
 // goroutine over the threshold takes the latch and runs the checkpoint
 // inline, paying for it in its own latency; other threshold-crossers
-// skip it rather than queue behind it. The checkpoint holds every
-// shard's write lock (CheckpointNow), so requests arriving meanwhile —
+// skip it rather than queue behind it. The checkpoint holds the
+// cache's write lock (CheckpointNow), so requests arriving meanwhile —
 // hits included — wait for it too. Errors are not fatal to the request
 // that tripped the threshold — the WAL keeps the state recoverable,
 // the checkpoint-age metric exposes the stall, and a later request

@@ -218,7 +218,7 @@ func requestContext(r *http.Request) (context.Context, context.CancelFunc) {
 }
 
 // StartDegradedProbe runs the self-healing loop: every interval, if
-// the store has a sticky error, checkpoint under every shard's write
+// the store has a sticky error, checkpoint under the cache's write
 // lock (ProbeDegradedNow). Returns a stop function (idempotent).
 // interval <= 0 disables probing.
 func (s *Server) StartDegradedProbe(interval time.Duration) (stop func()) {
@@ -252,8 +252,8 @@ func (s *Server) ProbeDegradedNow() (healed bool, err error) {
 		return false, nil
 	}
 	s.transition(StateRecovering)
-	s.cmgr.WithExclusiveAll(func(ms []*core.Manager) {
-		_, err = s.checkpointAll(ms)
+	s.cmgr.WithExclusive(func(m *core.Manager) {
+		_, err = s.checkpoint(m)
 	})
 	if err != nil {
 		s.transition(StateDegraded)

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -452,6 +453,128 @@ func TestDegradedModeLifecycle(t *testing.T) {
 		if states[i] != want[i] {
 			t.Fatalf("state events = %v, want %v", states, want)
 		}
+	}
+}
+
+// TestPruneRefusedWhileDegraded: a degraded node's store drops every
+// record, so a prune pass would split images in memory that recovery
+// never sees. /v1/prune answers 503 with Retry-After instead, changing
+// nothing: /v1/snapshot stays byte-identical, though the image is one
+// the pass would split. Once healed, the same prune splits it.
+func TestPruneRefusedWhileDegraded(t *testing.T) {
+	tfs := &toggleFS{inner: persist.OSFS{}}
+	store, err := persist.Open(t.TempDir(), persist.Options{SyncPolicy: persist.FsyncAlways, FS: tfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	srv, _, err := NewPersistent(testRepo(t), core.Config{Alpha: 0}, store, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	prune := func() *http.Response {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/prune", "application/json",
+			strings.NewReader(`{"max_utilization":0.9,"min_served":1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+
+	// One image of all four packages (200 bytes); a first pass resets
+	// its hot window, then two hits leave libA's closure (170 bytes)
+	// the only part in use.
+	postRequest(t, ts.URL, RequestBody{Packages: []string{"libA/1.0/p", "libB/1.0/p"}, Close: true})
+	if resp := prune(); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthy prune: status %d", resp.StatusCode)
+	}
+	for i := 0; i < 2; i++ {
+		postRequest(t, ts.URL, RequestBody{Packages: []string{"libA/1.0/p"}, Close: true})
+	}
+
+	// The disk dies under a hit, which degrades the node.
+	tfs.fail.Store(true)
+	postRequest(t, ts.URL, RequestBody{Packages: []string{"base/1.0/p"}})
+	if got := srv.ServeStateNow(); got != StateDegraded {
+		t.Fatalf("serve state = %v after the WAL failed, want degraded", got)
+	}
+	before := httpGet(t, ts.URL+"/v1/snapshot")
+	resp := prune()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("degraded prune: status %d, Retry-After %q; want 503 with Retry-After", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if got := httpGet(t, ts.URL+"/v1/snapshot"); got != before {
+		t.Fatalf("a refused prune changed the cache:\n before %s\n after  %s", before, got)
+	}
+	if n := srv.PruneNow(0.9, 1); n != 0 {
+		t.Fatalf("the maintenance pass split %d image(s) while degraded", n)
+	}
+
+	tfs.fail.Store(false)
+	if healed, err := srv.ProbeDegradedNow(); !healed || err != nil {
+		t.Fatalf("heal: %v, %v", healed, err)
+	}
+	var splits []SplitInfo
+	if resp := prune(); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healed prune: status %d", resp.StatusCode)
+	} else if err := json.NewDecoder(resp.Body).Decode(&splits); err != nil || len(splits) != 1 || splits[0].NewSize != 170 {
+		t.Fatalf("healed prune split %+v (%v), want the one image cut to 170 bytes", splits, err)
+	}
+}
+
+// TestFailedProbesLeaveOneEmptySegment: each heal probe of a failing
+// store is a checkpoint that cannot be written. Five of them may leave
+// one empty WAL segment more than the outage began with, not five, and
+// the probe that heals compacts the directory back to one segment.
+func TestFailedProbesLeaveOneEmptySegment(t *testing.T) {
+	dir := t.TempDir()
+	tfs := &toggleFS{inner: persist.OSFS{}}
+	store, err := persist.Open(dir, persist.Options{SyncPolicy: persist.FsyncAlways, FS: tfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	srv, _, err := NewPersistent(testRepo(t), core.Config{Alpha: 0}, store, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	segments := func() int {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(names)
+	}
+
+	postRequest(t, ts.URL, RequestBody{Packages: []string{"libA/1.0/p"}, Close: true})
+	tfs.fail.Store(true)
+	postRequest(t, ts.URL, RequestBody{Packages: []string{"libB/1.0/p"}, Close: true})
+	if srv.ServeStateNow() != StateDegraded {
+		t.Fatal("server did not degrade")
+	}
+	before := segments()
+	for i := 0; i < 5; i++ {
+		if healed, err := srv.ProbeDegradedNow(); healed || err == nil {
+			t.Fatalf("probe %d healed a failing disk: %v, %v", i, healed, err)
+		}
+	}
+	if after := segments(); after > before+1 {
+		t.Fatalf("five failed probes grew the WAL from %d to %d segments", before, after)
+	}
+
+	tfs.fail.Store(false)
+	if healed, err := srv.ProbeDegradedNow(); !healed || err != nil {
+		t.Fatalf("heal: %v, %v", healed, err)
+	}
+	if n := segments(); n != 1 {
+		t.Fatalf("the healing checkpoint left %d segments, want 1", n)
 	}
 }
 

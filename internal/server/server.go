@@ -7,11 +7,9 @@
 // passes.
 //
 // The service runs a concurrent request pipeline: the cache is a
-// core.ShardedManager — cache_shards independently locked shards
-// (default 1), each serving hits under a shared read lock while merges,
-// inserts, and maintenance serialize on that shard's write lock. Requests route to their shard by the hash of
-// their package keys, so with more than one shard even slow-path
-// traffic proceeds in parallel across shards. Read-only endpoints
+// core.ShardedManager — one cache that serves hits under a shared read
+// lock while merges, inserts, and maintenance serialize on its write
+// lock. Read-only endpoints
 // (/v1/stats, /v1/images, the cache gauges on /metrics) ride the read
 // path and never block request traffic. Config.MaxInflight optionally
 // bounds concurrently processed requests.
@@ -40,7 +38,7 @@ import (
 // /v1/events.
 const EventRingSize = 4096
 
-// Server wraps a sharded concurrent cache behind an HTTP API. Create
+// Server wraps the concurrent cache behind an HTTP API. Create
 // with Open, mount via Handler, stop with Close.
 type Server struct {
 	repo *pkggraph.Repo
@@ -89,7 +87,7 @@ type Server struct {
 // a value the site file already carries; config.Site.ServerConfig
 // builds it.
 type Config struct {
-	// Core configures the cache: shards, α, capacity, MinHash.
+	// Core configures the cache: α, capacity, MinHash.
 	Core core.Config
 	// StateDir, when non-empty, makes the cache durable: Open opens the
 	// store there with Persist and recovers the cache from it.
@@ -164,7 +162,6 @@ func open(repo *pkggraph.Repo, cfg Config, store *persist.Store) (*Server, *pers
 	s.initTracing()
 	s.registerRequestMetrics()
 	s.registerCacheMetrics()
-	s.registerShardMetrics()
 	s.registerContentionMetrics()
 	s.registerResilienceMetrics()
 	if store != nil {
@@ -289,20 +286,6 @@ func (s *Server) registerCacheMetrics() {
 	})
 }
 
-// registerShardMetrics exposes the sharded core: per-shard residency
-// gauges, labelled by shard index. With cache_shards=1 the series still
-// exist — one shard holding the whole cache — so dashboards need no
-// special case for sharded sites.
-func (s *Server) registerShardMetrics() {
-	for i := 0; i < s.cmgr.NumShards(); i++ {
-		label := telemetry.Label{Key: "shard", Value: strconv.Itoa(i)}
-		s.reg.GaugeFunc("landlord_cache_shard_images", "Images cached on this shard",
-			func() float64 { images, _ := s.cmgr.ShardUsage(i); return float64(images) }, label)
-		s.reg.GaugeFunc("landlord_cache_shard_bytes", "Bytes cached on this shard",
-			func() float64 { _, bytes := s.cmgr.ShardUsage(i); return float64(bytes) }, label)
-	}
-}
-
 // RequestBody is the POST /v1/request payload.
 type RequestBody struct {
 	// Packages are the required package keys.
@@ -420,8 +403,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRestore loads what /v1/snapshot served into an empty cache,
-// image IDs, versions and shard placement (ID mod N) included, as
-// recovery imports a checkpoint; the cache's counters carry on.
+// image IDs and versions included, as recovery imports a checkpoint;
+// the cache's counters carry on.
 // Restoring over live images would interleave two cache histories;
 // that, and a body with an unknown package, an empty image or two
 // images under one ID, is a 409 that changes nothing.
@@ -436,14 +419,14 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// A restore is not WAL-logged (it rewrites the whole state), so
-	// checkpoint immediately — still inside the restore's all-shard
-	// critical section — to close the durability hole. Checkpoint
+	// checkpoint immediately — still inside the restore's critical
+	// section — to close the durability hole. Checkpoint
 	// failure is tolerable: the in-memory restore succeeded, and
 	// recovery skips WAL records that reference the missing images.
 	var err error
-	s.cmgr.WithExclusiveAll(func(ms []*core.Manager) {
-		if err = core.ImportMerged(ms, core.ManagerState{Images: snaps, Stats: core.MergedStats(ms)}); err == nil && s.store != nil {
-			s.checkpointAll(ms)
+	s.cmgr.WithExclusive(func(m *core.Manager) {
+		if err = m.ImportState(core.ManagerState{Images: snaps, Stats: m.Stats()}); err == nil && s.store != nil {
+			s.checkpoint(m)
 		}
 	})
 	if err != nil {
@@ -656,20 +639,13 @@ func (s *Server) writeDegradedHit(w http.ResponseWriter, res core.Result, packag
 
 // StatsNow snapshots the cache's aggregate state — the /v1/stats
 // payload — for callers embedding the server (the daemon logs it
-// periodically and on shutdown). It reads with every shard quiescent
-// under shared locks, so the snapshot is internally consistent across
-// shards but never blocks requests for long.
+// periodically and on shutdown). It reads with the cache quiescent
+// under its shared locks, so the snapshot is internally consistent but
+// never blocks requests for long.
 func (s *Server) StatsNow() StatsResponse {
 	var out StatsResponse
-	s.cmgr.WithSharedAll(func(ms []*core.Manager) {
-		st := core.MergedStats(ms)
-		var images int
-		var total int64
-		for _, m := range ms {
-			images += m.Len()
-			total += m.TotalData()
-		}
-		unique := core.UnionData(ms)
+	s.cmgr.WithShared(func(m *core.Manager) {
+		st, total, unique := m.Stats(), m.TotalData(), m.UniqueData()
 		eff := 1.0
 		if total > 0 {
 			eff = float64(unique) / float64(total)
@@ -683,7 +659,7 @@ func (s *Server) StatsNow() StatsResponse {
 			Splits:              st.Splits,
 			BytesWritten:        st.BytesWritten,
 			RequestedBytes:      st.RequestedBytes,
-			Images:              images,
+			Images:              m.Len(),
 			TotalData:           total,
 			UniqueData:          unique,
 			CacheEfficiency:     eff,
@@ -730,6 +706,13 @@ func (s *Server) handleImages(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePrune(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		return
+	}
+	if st, refused := s.pruneRefused(); refused {
+		w.Header().Set("Retry-After", "1")
+		w.Header().Set(DegradedHeader, "1")
+		writeError(w, http.StatusServiceUnavailable,
+			"prune refused while %s: the store cannot log the splits", st)
 		return
 	}
 	var body PruneBody
@@ -811,10 +794,26 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, events)
 }
 
+// pruneRefused reports whether a prune pass must wait, and the serve
+// state that makes it: a degraded or recovering node's store drops the
+// split records, so a split would live in memory only. A store that
+// failed since the last request degrades the node here.
+func (s *Server) pruneRefused() (ServeState, bool) {
+	if s.store != nil && s.store.Err() != nil {
+		s.noteDegraded()
+	}
+	st := s.health.get()
+	return st, st == StateDegraded || st == StateRecovering
+}
+
 // PruneNow runs one maintenance split pass, for the daemon's
 // background scheduler. Invalid parameters are treated as a no-op pass
-// (the daemon validated its configuration at startup).
+// (the daemon validated its configuration at startup), and so is a
+// pass while the node is degraded or recovering.
 func (s *Server) PruneNow(maxUtilization float64, minServed int) int {
+	if _, refused := s.pruneRefused(); refused {
+		return 0
+	}
 	splits, err := s.cmgr.Prune(maxUtilization, minServed)
 	if err != nil {
 		return 0
@@ -822,8 +821,8 @@ func (s *Server) PruneNow(maxUtilization float64, minServed int) int {
 	return len(splits)
 }
 
-// RebalanceNow does nothing: the cache has one capacity and evicts
-// across its shards on the request path, so there are no shard budgets
-// to rebalance. It remains only because the repository's benchmark
-// (bench/topology.go) calls it.
+// RebalanceNow does nothing: the cache is one cache under one capacity,
+// evicting on the request path, so there is nothing to rebalance. It
+// remains only because the repository's benchmark (bench/topology.go)
+// calls it.
 func (s *Server) RebalanceNow() {}

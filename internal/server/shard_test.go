@@ -13,10 +13,9 @@ import (
 	"repro/internal/pkggraph"
 )
 
-// shardSpecs are the five distinct dependency closures the test repo
-// offers; with alpha 0 nothing merges, so each inserts its own image
-// and the router scatters them across shards.
-var shardSpecs = [][]string{
+// closureSpecs are the five distinct dependency closures the test repo
+// offers; with alpha 0 nothing merges, so each inserts its own image.
+var closureSpecs = [][]string{
 	{"base/1.0/p"},
 	{"fw/1.0/p"},
 	{"libA/1.0/p"},
@@ -24,15 +23,14 @@ var shardSpecs = [][]string{
 	{"libA/1.0/p", "libB/1.0/p"},
 }
 
-// TestShardedServerEndToEnd drives the HTTP API with cache_shards=4:
-// inserts and repeat hits behave exactly as on the unsharded server,
-// /v1/stats aggregates across shards, /v1/images lists the merged
-// image set in stable ID order, and /metrics exposes the per-shard
-// gauges.
+// TestShardedServerEndToEnd drives the HTTP API of the concurrent
+// cache: inserts and repeat hits, /v1/stats, /v1/images in stable ID
+// order, and /metrics exposing the cache's residency as the one pair
+// of gauges, with no per-shard series.
 func TestShardedServerEndToEnd(t *testing.T) {
-	ts, client := testService(t, core.Config{Alpha: 0, Shards: 4})
+	ts, client := testService(t, core.Config{Alpha: 0})
 
-	for _, pkgs := range shardSpecs {
+	for _, pkgs := range closureSpecs {
 		res, err := client.Request(pkgs, true)
 		if err != nil {
 			t.Fatal(err)
@@ -41,9 +39,7 @@ func TestShardedServerEndToEnd(t *testing.T) {
 			t.Fatalf("first request of %v: op %q, want insert", pkgs, res.Op)
 		}
 	}
-	// A repeat routes to the same shard its insert landed on, so the
-	// image is there to hit.
-	for _, pkgs := range shardSpecs {
+	for _, pkgs := range closureSpecs {
 		res, err := client.Request(pkgs, true)
 		if err != nil {
 			t.Fatal(err)
@@ -58,7 +54,7 @@ func TestShardedServerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Requests != 10 || st.Inserts != 5 || st.Hits != 5 || st.Images != 5 {
-		t.Fatalf("merged stats wrong: %+v", st)
+		t.Fatalf("stats wrong: %+v", st)
 	}
 
 	imgs, err := client.Images()
@@ -83,24 +79,23 @@ func TestShardedServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, series := range []string{
-		`landlord_cache_shard_images{shard="0"}`,
-		`landlord_cache_shard_images{shard="3"}`,
-		`landlord_cache_shard_bytes{shard="1"}`,
-	} {
+	for _, series := range []string{"landlord_images 5", "landlord_cached_bytes "} {
 		if !strings.Contains(string(body), series) {
 			t.Errorf("/metrics missing %s", series)
 		}
 	}
+	if strings.Contains(string(body), "landlord_cache_shard_") {
+		t.Error("/metrics still serves per-shard gauges")
+	}
 }
 
-// TestShardedServerPersistence restarts a sharded persistent server
-// and requires the recovered cache to serve every pre-restart spec as
-// a hit with identical aggregate state — the merged checkpoint/WAL
-// round-trip through the server's own checkpoint path.
+// TestShardedServerPersistence restarts a persistent server and
+// requires the recovered cache to serve every pre-restart spec as a hit
+// with identical aggregate state — the checkpoint/WAL round-trip
+// through the server's own checkpoint path.
 func TestShardedServerPersistence(t *testing.T) {
 	dir := t.TempDir()
-	cfg := core.Config{Alpha: 0, Shards: 3}
+	cfg := core.Config{Alpha: 0}
 	open := func() (*Server, *persist.Store) {
 		store, err := persist.Open(dir, persist.Options{SyncPolicy: persist.FsyncNever})
 		if err != nil {
@@ -146,13 +141,12 @@ func TestShardedServerPersistence(t *testing.T) {
 	}
 }
 
-// TestSnapshotIsExportStateImages pins /v1/snapshot to the merged
-// state's image list: on a two-shard server whose cache has merged and
-// evicted, the decoded body equals ExportState().Images and runs in
+// TestSnapshotIsExportStateImages pins /v1/snapshot to the state's
+// image list: on a server whose cache has merged and evicted, the decoded body equals ExportState().Images and runs in
 // ascending last-use order.
 func TestSnapshotIsExportStateImages(t *testing.T) {
 	repo := decodeRepo(t)
-	srv, err := New(repo, core.Config{Alpha: 0.5, Shards: 2, Capacity: 3 * repo.TotalSize()})
+	srv, err := New(repo, core.Config{Alpha: 0.5, Capacity: 3 * repo.TotalSize()})
 	if err != nil {
 		t.Fatal(err)
 	}

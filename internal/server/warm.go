@@ -15,7 +15,7 @@ import (
 // agent push its hot specs to the rendezvous successor. ExportState
 // exposes the cache to callers embedding the server.
 
-// ExportState captures the full cache state with every shard quiescent
+// ExportState captures the full cache state with the cache quiescent
 // for reading (read lock plus hitMu): no commit is in flight while the
 // state is read — the live side of a recovery byte-identity audit —
 // and no write lock is taken, so the agent's per-beat directory refresh

@@ -52,9 +52,6 @@ type Params struct {
 	Alpha float64
 	// CacheBytes is the cache capacity (0 = unlimited).
 	CacheBytes int64
-	// Shards is the cache's shard count under its one capacity, as the
-	// site service runs it (core.ShardedManager); 0 or 1 is one shard.
-	Shards int
 	// UniqueJobs and Repeats define the request stream: UniqueJobs
 	// distinct specifications, each repeated Repeats times, shuffled.
 	UniqueJobs int
@@ -162,7 +159,8 @@ func (p Params) managerConfig() core.Config {
 }
 
 // Run generates the request stream for p and replays it against a
-// fresh cache of p.Shards shards.
+// fresh cache, the concurrent one the site service runs
+// (core.ShardedManager).
 func Run(p Params) (Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, err
@@ -171,9 +169,7 @@ func Run(p Params) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	cfg := p.managerConfig()
-	cfg.Shards = p.Shards
-	mgr, err := core.NewSharded(p.Repo, cfg)
+	mgr, err := core.NewSharded(p.Repo, p.managerConfig())
 	if err != nil {
 		return Result{}, err
 	}

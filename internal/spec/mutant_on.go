@@ -12,10 +12,9 @@ import (
 // mechanism as internal/core's and internal/fleet's mutants):
 //
 //	route — the interned term table holds a wrong term for every fifth
-//	        id, so both levels' table routes part from their string
-//	        form. check.ShardShadow must catch it at the shard level
-//	        (an insert routed off its key string's shard), and the term
-//	        audit in fleet's Master.CheckIntegrity at the fleet level.
+//	        id, so the fleet's table routes part from their string
+//	        form. The term audit in fleet's Master.CheckIntegrity must
+//	        catch it.
 var (
 	mutantOnce sync.Once
 	mutantName string

@@ -4,19 +4,16 @@ import "repro/internal/pkggraph"
 
 // Route fold.
 //
-// Both routing levels place a request by one order-free fold over its
-// package keys. Each key contributes a term, fnv64a over the key's
-// bytes and a '\n', and the terms are summed: a sum needs no sort, a
-// pair of equal keys does not cancel as it would under XOR, and a term
-// can be computed once per key and kept under a dense id. The cache's
-// shard router (core.ShardFor) sums a table indexed by PkgID, built at
+// The fleet places a request by one order-free fold over its package
+// keys. Each key contributes a term, fnv64a over the key's bytes and a
+// '\n', and the terms are summed: a sum needs no sort, a pair of equal
+// keys does not cancel as it would under XOR, and a term can be
+// computed once per key and kept under a dense id. An agent's directory
+// index (fleet's dirindex) sums a table indexed by PkgID, built at
 // repository load; the fleet master's key dictionary (fleet.KeyDict)
 // stores a key's term when gossip first names it. Beside each table
-// stands a string form that streams the same terms (core.ShardRoute,
-// fleet.RouteKey), which the audits hold the table to. The levels
-// finalise the sum differently — the shard level by RouteMix mod N, the
-// fleet with a seed of its own — so that a spec's agent and its shard
-// inside that agent are independent draws.
+// stands the string form that streams the same terms (fleet.RouteKey),
+// which the audits hold the table to.
 
 // fnv64a's parameters.
 const (
@@ -79,8 +76,8 @@ func (t RouteTerms) Sum(s Spec) uint64 {
 }
 
 // RouteMix is the splitmix64 finaliser. A route sum concentrates its
-// entropy in the low bits poorly, so it is mixed before it is reduced
-// mod a shard count or scored against an agent's name.
+// entropy in the low bits poorly, so it is mixed before it is scored
+// against an agent's name.
 func RouteMix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

@@ -212,15 +212,19 @@ type SpanTracer struct {
 }
 
 // NewSpanTracer creates a tracer delivering finished traces to sink
-// (DiscardSink when nil). The default clock is the wall clock and the
-// default ID generator draws from crypto/rand.
+// (DiscardSink when nil). The default clock reads the wall clock once
+// and advances it by the monotonic clock, so StartWall is wall time
+// while a step or slew of the wall clock never stretches or shrinks a
+// span. The default ID generator draws from crypto/rand.
 func NewSpanTracer(sink TraceSink) *SpanTracer {
 	if sink == nil {
 		sink = DiscardSink()
 	}
+	anchor := time.Now()
+	wall := anchor.UnixNano()
 	t := &SpanTracer{
 		sink:  sink,
-		clock: func() int64 { return time.Now().UnixNano() },
+		clock: func() int64 { return wall + int64(time.Since(anchor)) },
 		newID: randomID,
 	}
 	t.pool.New = func() any { return &ActiveTrace{} }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
+	"time"
 )
 
 // stepClock returns a deterministic clock ticking 1000ns per call.
@@ -73,6 +74,27 @@ func TestSpanTreeShape(t *testing.T) {
 	}
 	if got.DurationNanos != got.Spans[0].End {
 		t.Fatalf("duration %d != root end %d", got.DurationNanos, got.Spans[0].End)
+	}
+}
+
+// TestDefaultClockStampsWallTime: the default clock is anchored to
+// the wall clock, so StartWall reads as wall time, and advances by the
+// monotonic clock, so the root span spans at least the wall time slept
+// inside it.
+func TestDefaultClockStampsWallTime(t *testing.T) {
+	sink := &captureSink{}
+	tr := NewSpanTracer(sink)
+	before := time.Now().UnixNano()
+	at := tr.Start(0, 0)
+	time.Sleep(2 * time.Millisecond)
+	at.Finish("hit", "", 1)
+	after := time.Now().UnixNano()
+	got := sink.traces[0]
+	if got.StartWall < before-int64(time.Second) || got.StartWall > after+int64(time.Second) {
+		t.Fatalf("StartWall %d is not wall time (now %d..%d)", got.StartWall, before, after)
+	}
+	if got.DurationNanos < int64(2*time.Millisecond) {
+		t.Fatalf("a trace around a 2ms sleep lasted %dns", got.DurationNanos)
 	}
 }
 
