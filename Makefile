@@ -40,8 +40,9 @@ bench:
 # one in five with a key it never saw, so a streamed term is deduplicated
 # and added too) and the
 # /v1/request body decoder (a 325-key canonical body read, scanned and
-# resolved on an agent; read, scanned and translated into route key and
-# affinity query on the master) must all run allocation-free, and rendering a 2,000-package spec's
+# resolved on an agent, or once remembered read, hashed and verified
+# against its memo entry; read, scanned and translated into route key
+# and affinity query on the master) must all run allocation-free, and rendering a 2,000-package spec's
 # keys for a WAL record or checkpoint must cost the one result slice
 # (the keys come from the repository's table; per-key concatenation was
 # ~660 allocations per merge), as must closing a 100-package selection
@@ -83,6 +84,7 @@ bench-guard:
 	$(GO) test -run '^$$' -bench '^BenchmarkRouteAffinity$$' -benchmem -benchtime 2000x ./internal/fleet | $(call alloc_guard,BenchmarkRouteAffinity)
 	$(GO) test -run '^$$' -bench '^BenchmarkRouteKey$$' -benchmem -benchtime 2000x ./internal/fleet | $(call alloc_guard,BenchmarkRouteKey)
 	$(GO) test -run '^$$' -bench '^BenchmarkRequestDecode$$' -benchmem -benchtime 2000x ./internal/server | $(call alloc_guard,BenchmarkRequestDecode)
+	$(GO) test -run '^$$' -bench '^BenchmarkRequestMemoHit$$' -benchmem -benchtime 2000x ./internal/server | $(call alloc_guard,BenchmarkRequestMemoHit)
 	$(GO) test -run '^$$' -bench '^BenchmarkRequestDecode$$' -benchmem -benchtime 2000x ./internal/fleet | $(call alloc_guard,BenchmarkRequestDecode)
 	$(GO) test -run '^$$' -bench '^BenchmarkKeysOf$$' -benchmem -benchtime 2000x ./internal/core | $(call alloc_guard,BenchmarkKeysOf,1)
 	$(GO) test -run '^$$' -bench '^BenchmarkTracedHit$$' -benchmem -benchtime 2000x ./internal/core | $(call alloc_guard,BenchmarkTracedHit,1)
@@ -123,6 +125,7 @@ fuzz:
 	$(GO) test ./internal/spec -fuzz '^FuzzBitsetJaccard$$' -fuzztime 30s
 	$(GO) test ./internal/core -fuzz '^FuzzShardRoute$$' -fuzztime 30s
 	$(GO) test ./internal/fleet -fuzz '^FuzzRequestDecode$$' -fuzztime 30s
+	$(GO) test ./internal/server -fuzz '^FuzzRequestMemo$$' -fuzztime 30s
 	$(GO) test ./internal/fleet -fuzz '^FuzzLease$$' -fuzztime 30s
 	$(GO) test ./internal/fleet -fuzz '^FuzzMembershipBodies$$' -fuzztime 30s
 	$(GO) test ./internal/similarity -fuzz '^FuzzSign$$' -fuzztime 30s
@@ -131,14 +134,15 @@ fuzz:
 # simulation suite (exact and MinHash rows,
 # every request validated by the oracle — the one reference for
 # Algorithm 1, in exact and in margin mode) and scaled-down soaks under
-# the race detector, the mutant self-test (each of the twenty-three seeded
+# the race detector, the mutant self-test (each of the twenty-four seeded
 # bugs — six Algorithm 1 clauses, the route-fold mutant, the weigh
 # mutant (the eviction step leaving the just-used image's bytes out of
 # the weighed total), the three
 # interned-path mutants intern/popcount/lshmiss, the
 # HA epoch-fencing mutant staleepoch, the HA promotion mutant leasetick,
 # the mirror-index mutant
-# staleindex, the request-scanner mutant reqscan, the merge-record
+# staleindex, the request-scanner mutant reqscan, the request-memo
+# mutant reqmemo, the merge-record
 # mutant deltadrop, the closure-union mutant closuredrop, the
 # record-scanner mutant walscan, the signing mutant probeskip, the
 # replay-pass mutant replaystale, the record-encoder mutant
@@ -156,7 +160,9 @@ fuzz:
 # within the fleet
 # stage's eviction audit, reqscan at the first escaped body and
 # closuredrop at the first close:true body the fleet stage's client
-# sends through its master, deltadrop, walscan and deltaoverlap by the
+# sends through its master, reqmemo at that round's close-flag audit
+# (one package sent alone with close:true, then close:false; round 14
+# of the fleet stage's plain-master row at seed 1), deltadrop, walscan and deltaoverlap by the
 # replayed-state byte-identity audit that ends the first simulation
 # (deltaoverlap by the replay pass's settle check inside it),
 # replaystale by the CheckIntegrity after the first crash of the

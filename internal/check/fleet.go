@@ -452,12 +452,43 @@ func (t *fleetTopo) serve(keys []string) (res fleet.RouteResponse, ok bool) {
 
 // request offers keys straight to agent id, retrying past each shed:
 // agent 0's admission refills on the logical clock.
-func (t *fleetTopo) request(id string, keys []string) (res server.RequestResponse, err error) {
+func (t *fleetTopo) request(id string, keys []string) (server.RequestResponse, error) {
+	return t.requestClose(id, keys, false)
+}
+
+// requestClose is request with the body's close flag.
+func (t *fleetTopo) requestClose(id string, keys []string, close bool) (res server.RequestResponse, err error) {
 	t.retry(func() bool {
-		res, err = t.api(id).Request(keys, false)
+		res, err = t.api(id).Request(keys, close)
 		return !isStatus(err, http.StatusTooManyRequests)
 	})
 	return res, err
+}
+
+// auditCloseFlag sends package id alone to agent, which holds its
+// closure, twice: with close:true it must hit as the closure, then with
+// close:false as the one package. A package without dependencies is
+// its own closure and is skipped. The second body differs from the
+// first only in its close flag, which is where the reqmemo mutant
+// (internal/server) answers from the first one's memo entry.
+func (t *fleetTopo) auditCloseFlag(step int, agent string, id pkggraph.PkgID) *Failure {
+	one := spec.New([]pkggraph.PkgID{id})
+	closed := spec.WithClosure(t.repo, one.IDs())
+	if closed.Len() == 1 {
+		return nil
+	}
+	keys := keysOf(t.repo, one)
+	for _, want := range []struct {
+		close bool
+		sp    spec.Spec
+	}{{true, closed}, {false, one}} {
+		res, err := t.requestClose(agent, keys, want.close)
+		if bytes := t.repo.SetSize(want.sp.IDs()); err != nil || res.Op != "hit" || res.Packages != want.sp.Len() || res.RequestBytes != bytes {
+			return t.failf(step, "%s held the closure of %s; sent alone with close:%v: %s of %d packages, %d bytes, want a hit of %d packages, %d bytes, err %v",
+				agent, keys[0], want.close, res.Op, res.Packages, res.RequestBytes, want.sp.Len(), bytes, err)
+		}
+	}
+	return nil
 }
 
 // auditAcked is the zero-lost-acks audit, in ack order: every spec

@@ -41,9 +41,10 @@ import (
 //     never a partitioned one, and an op of hit, merge or insert, and
 //     echoes the spec's packages and bytes; an acked spec answered
 //     again by its agent is a hit; a closed list sent with close:true
-//     hits the same image sent unclosed; a 429 leaves agent 0's request
-//     counter alone; a stats read that survives the faulty links reads
-//     agent 0's live request counter;
+//     hits the same image sent unclosed, and its last package alone is
+//     a hit closed with close:true and unclosed with close:false; a 429
+//     leaves agent 0's request counter alone; a stats read that
+//     survives the faulty links reads agent 0's live request counter;
 //   - routing: a restarted master is ready after one round; one agent
 //     joining moves at most 2/(N+1) of a sampled keyspace, all to it,
 //     and leaving restores it; after every round, and every gossip frame
@@ -329,6 +330,12 @@ func RunFleetChaos(cfg FleetChaosConfig) (rep FleetChaosReport, fail *Failure) {
 				if err != nil || again.Op != "hit" || again.ImageID != res.ImageID || again.Packages != res.Packages || again.RequestBytes != res.RequestBytes {
 					return t.failf(step, "%s body answered image %d (%d packages, %d bytes) on %s; re-sent unclosed: %s on image %d (%d packages, %d bytes), err %v",
 						shapeName, res.ImageID, res.Packages, res.RequestBytes, res.Agent, again.Op, again.ImageID, again.Packages, again.RequestBytes, err)
+				}
+				// The list's last package alone, which it holds with its
+				// closure, is a hit either way: closed to that closure with
+				// close:true, and to itself sent again with close:false.
+				if f := t.auditCloseFlag(step, res.Agent, sp.IDs()[sp.Len()-1]); f != nil {
+					return f
 				}
 			}
 		case saw429: // counted by offer

@@ -57,7 +57,10 @@ func TestMutantSim(t *testing.T) {
 	// requests sent over HTTP in more than one body shape, which is what
 	// the reqscan mutant mishandles — the agent refuses the first escaped
 	// body the master forwards — and the only ones whose close:true
-	// answers are audited, which is where closuredrop shows.
+	// answers are audited, which is where closuredrop shows; each such
+	// round sends its list's last package alone with close:true and then
+	// close:false, a hit both times, and the second is the body the
+	// reqmemo mutant answers from the first one's memo entry.
 	fleetStage := func() (string, int) {
 		cfg := FleetChaosSuite(*seedFlag)[0]
 		cfg.Steps, cfg.Kills, cfg.PartitionEvery = 60, 0, 0
@@ -125,7 +128,7 @@ func TestMutantSim(t *testing.T) {
 		// MinHash rows. Core mutants run the pair stage last
 		// (they fall to a cheaper stage long before).
 		ownStage := map[string]func() (string, int){
-			"staleindex": fleetStage, "staleepoch": pairStage, "leasetick": pairStage, "reqscan": fleetStage,
+			"staleindex": fleetStage, "staleepoch": pairStage, "leasetick": pairStage, "reqscan": fleetStage, "reqmemo": fleetStage,
 			"closuredrop": fleetStage, "route": fleetStage, "lshmiss": minhashStage, "probeskip": minhashStage,
 			"replaystale": chaosStage, "dirscan": fleetStage, "ckptscan": chaosStage,
 		}[mutant]

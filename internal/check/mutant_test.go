@@ -16,7 +16,8 @@ import (
 // internal/similarity); each breaks exactly one clause of Algorithm 1,
 // the route fold both routing levels share, one of two rules of the
 // HA protocol (agent epoch fencing, two-tick promotion), one maintenance point of the master's mirror index, one
-// fallback rule of the request scanner, the merge record's completeness
+// fallback rule of the request scanner, the request memo's verification
+// of a body's close flag, the merge record's completeness
 // as written or as read back, the closure union's, the signing probe's
 // first step, the end of a replay pass, the merge record's disjointness
 // from its image, or the completeness of a heartbeat frame or a
@@ -25,7 +26,7 @@ var mutants = []string{
 	"superset", "threshold", "conflict", "lru", "capacity", "touch", "route", "weigh",
 	"intern", "popcount", "lshmiss",
 	"staleepoch", "leasetick", "staleindex",
-	"reqscan",
+	"reqscan", "reqmemo",
 	"deltadrop",
 	"closuredrop",
 	"walscan",

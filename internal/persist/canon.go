@@ -31,13 +31,54 @@ var plain = func() (t [256]bool) {
 	return t
 }()
 
+// Word masks for plainString: every byte 0x01, 0x20 or 0x80, and the
+// five ASCII bytes plain excludes, paired where two differ in one bit:
+// '"' (0x22) and '&' (0x26) in bit 2, '<' (0x3c) and '>' (0x3e) in bit 1.
+const (
+	ones      = 0x0101010101010101
+	spaces    = 0x20 * ones
+	highs     = 0x80 * ones
+	quoteAmp  = 0x22 * ones
+	bit2      = 0x04 * ones
+	angles    = 0x3c * ones
+	bit1      = 0x02 * ones
+	backslash = '\\' * ones
+)
+
+// plainString reports whether every byte of s is plain, eight bytes per
+// load. A word holds a byte that is not plain iff one of these flags a
+// high bit: (w-spaces)&^w (a byte below 0x20), w itself (a byte at or
+// above 0x80), and the zero-byte test (x-ones)&^x on w xor '"' with bit
+// 2 cleared, on w xor '<' with bit 1 cleared, and on w xor '\'. A
+// borrow raises a spurious flag only above a true one, so the verdict
+// is exact; the last < 8 bytes go through the plain table.
+func plainString(s string) bool {
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		b := s[i : i+8]
+		w := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+		qa := (w ^ quoteAmp) &^ bit2
+		lg := (w ^ angles) &^ bit1
+		bs := w ^ backslash
+		m := (w-spaces)&^w | w | (qa-ones)&^qa | (lg-ones)&^lg | (bs-ones)&^bs
+		if m&highs != 0 {
+			return false
+		}
+	}
+	for ; i < len(s); i++ {
+		if !plain[s[i]] {
+			return false
+		}
+	}
+	return true
+}
+
 // AppendString appends s as a JSON string; false means s has a byte
 // that is not plain and nothing usable was appended.
 func AppendString(buf []byte, s string) ([]byte, bool) {
-	for i := 0; i < len(s); i++ {
-		if !plain[s[i]] {
-			return buf, false
-		}
+	if !plainString(s) {
+		return buf, false
 	}
 	buf = append(buf, '"')
 	buf = append(buf, s...)

@@ -17,6 +17,13 @@ import (
 //	          check.RunFleetChaos must catch it: its client escapes a
 //	          seeded share of the bodies it sends through the master,
 //	          which forwards them as received, and audits every answer.
+//	reqmemo — the request memo identifies a body without its suffix:
+//	          the slot's hash and the verification both stop at the key
+//	          list, so a body differing from a remembered one only in its
+//	          close flag is answered with the remembered spec.
+//	          check.RunFleetChaos must catch it: after every close:true
+//	          round it sends one package alone with close:true, then with
+//	          close:false, both hits on the agent, and audits the counts.
 var (
 	mutantOnce sync.Once
 	mutantName string

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"repro/internal/pkggraph"
+	"repro/internal/spec"
 	"repro/internal/telemetry"
 )
 
@@ -42,7 +43,7 @@ const (
 	maxPooledBody = 1 << 20
 
 	metricDecodeTotal = "landlord_request_decode_total"
-	helpDecodeTotal   = "Decoded /v1/request bodies by decoder path (fast: canonical-shape scan; reference: encoding/json)"
+	helpDecodeTotal   = "Decoded /v1/request bodies by decoder path (memo: a remembered body's spec; fast: canonical-shape scan; reference: encoding/json)"
 )
 
 // RequestBodyLimit derives the /v1/request body bound from the
@@ -59,10 +60,15 @@ func RequestBodyLimit(repo *pkggraph.Repo) int64 {
 }
 
 // RequestDecoder decodes /v1/request bodies for one process: it owns
-// the body bound, the per-path counter and the decode span.
+// the body bound, the per-path counter and the decode span, and on a
+// cache node the request memo (reqmemo.go).
 type RequestDecoder struct {
 	limit           int64
 	fast, reference *telemetry.Counter
+	// memo and its counter are nil on the fleet master, whose answer
+	// to a body depends on the gossiped dictionary, not on the body.
+	memo     *requestMemo
+	memoHits *telemetry.Counter
 }
 
 // NewRequestDecoder creates a decoder refusing bodies over limit bytes
@@ -75,16 +81,32 @@ func NewRequestDecoder(reg *telemetry.Registry, limit int64) *RequestDecoder {
 	}
 }
 
+// newMemoDecoder is NewRequestDecoder for a cache node over repo: a
+// body it has answered with a hit before skips the scan, the key
+// lookups and the closure.
+func newMemoDecoder(reg *telemetry.Registry, repo *pkggraph.Repo) *RequestDecoder {
+	rd := NewRequestDecoder(reg, RequestBodyLimit(repo))
+	rd.memo = newRequestMemo(repo)
+	rd.memoHits = reg.Counter(metricDecodeTotal, helpDecodeTotal, telemetry.Label{Key: "path", Value: "memo"})
+	return rd
+}
+
 // DecodedRequest is one decoded body. Keys alias pooled storage: they
 // are valid until Release.
 type DecodedRequest struct {
-	// Keys are the requested package keys in body order.
+	// Keys are the requested package keys in body order. A memo hit
+	// leaves them empty and Close false: its spec is memo.spec.
 	Keys [][]byte
 	// Close is the body's "close" member (false when absent).
 	Close bool
 
 	buf []byte
 	ids []pkggraph.PkgID
+	// memo is the entry a memo hit found; hash is the body's memo hash
+	// and scanned whether the scan took it — what remember needs.
+	memo    *memoEntry
+	hash    uint64
+	scanned bool
 }
 
 var decodePool = sync.Pool{New: func() any { return new(DecodedRequest) }}
@@ -98,6 +120,7 @@ func (d *DecodedRequest) Release() {
 	if cap(d.buf) > maxPooledBody {
 		*d = DecodedRequest{}
 	}
+	d.memo, d.scanned = nil, false
 	decodePool.Put(d)
 }
 
@@ -122,7 +145,17 @@ func (rd *RequestDecoder) DecodeBody(src io.Reader, sizeHint int64, at *telemetr
 		d.Release()
 		return nil, readErr
 	}
+	if rd.memo != nil && readErr == nil {
+		if d.memo, d.hash = rd.memo.lookup(d.buf); d.memo != nil {
+			d.Keys, d.Close = d.Keys[:0], false
+			rd.memoHits.Inc()
+			at.AttrStr(span, "path", "memo")
+			at.AttrInt(span, "keys", int64(len(d.memo.ids)))
+			return d, nil
+		}
+	}
 	if readErr == nil && d.scan() {
+		d.scanned = true
 		rd.fast.Inc()
 		at.AttrStr(span, "path", "fast")
 	} else {
@@ -343,4 +376,24 @@ func (d *DecodedRequest) Resolve(repo *pkggraph.Repo) (ids []pkggraph.PkgID, unk
 	}
 	d.ids = ids
 	return ids, nil
+}
+
+// specFor is the specification a decoded body asks for, or the text of
+// its refusal: no packages, or the first unknown one. A memo hit's spec
+// is the one its body came to when it was remembered.
+func (d *DecodedRequest) specFor(repo *pkggraph.Repo) (spec.Spec, string) {
+	if d.memo != nil {
+		return d.memo.spec, ""
+	}
+	if len(d.Keys) == 0 {
+		return spec.Spec{}, "no packages in specification"
+	}
+	ids, unknown := d.Resolve(repo)
+	if unknown != nil {
+		return spec.Spec{}, fmt.Sprintf("unknown package %q", unknown)
+	}
+	if d.Close {
+		return spec.WithClosure(repo, ids), ""
+	}
+	return spec.New(ids), ""
 }

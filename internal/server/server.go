@@ -58,7 +58,8 @@ type Server struct {
 
 	cmgr *core.ShardedManager
 	// decoder reads /v1/request bodies (reqdecode.go), bounded by a
-	// limit derived from repo.
+	// limit derived from repo, and remembers the bodies it has seen hit
+	// (reqmemo.go).
 	decoder *RequestDecoder
 	// sem, when non-nil, bounds concurrently processed /v1/request
 	// calls (Config.MaxInflight). Acquire = send, release = receive.
@@ -147,7 +148,7 @@ func New(repo *pkggraph.Repo, cfg core.Config) (*Server, error) {
 func open(repo *pkggraph.Repo, cfg Config, store *persist.Store) (*Server, *persist.RecoveryReport, error) {
 	reg := telemetry.NewRegistry()
 	s := &Server{repo: repo, reg: reg, ring: telemetry.NewRing(EventRingSize), store: store,
-		ckptEvery: cfg.CheckpointEvery, decoder: NewRequestDecoder(reg, RequestBodyLimit(repo)),
+		ckptEvery: cfg.CheckpointEvery, decoder: newMemoDecoder(reg, repo),
 		stopProbe: func() {}}
 	var rep *persist.RecoveryReport
 	var err error
@@ -509,7 +510,7 @@ func (s *Server) serveRequest(w http.ResponseWriter, r *http.Request, at *teleme
 			return "shed", "max_inflight queue abandoned: " + ctx.Err().Error(), 0
 		}
 	}
-	sp, errMsg := s.requestSpec(w, r, at)
+	sp, dec, errMsg := s.requestSpec(w, r, at)
 	if errMsg != "" {
 		return "error", errMsg, 0
 	}
@@ -522,6 +523,7 @@ func (s *Server) serveRequest(w http.ResponseWriter, r *http.Request, at *teleme
 	// harness audits: a degraded server never acks state recovery
 	// cannot rebuild.
 	if s.store != nil && s.store.Err() != nil {
+		dec.Release()
 		s.noteDegraded()
 		return s.serveDegraded(w, sp)
 	}
@@ -529,6 +531,12 @@ func (s *Server) serveRequest(w http.ResponseWriter, r *http.Request, at *teleme
 	start := time.Now()
 	res, err := s.cmgr.RequestCtx(ctx, sp)
 	took := time.Since(start)
+	// The body is kept only until the cache has answered: a hit is
+	// what makes it worth remembering (reqmemo.go).
+	if err == nil && res.Op == core.OpHit {
+		s.decoder.memo.remember(dec, sp)
+	}
+	dec.Release()
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
@@ -581,31 +589,25 @@ func (s *Server) serveRequest(w http.ResponseWriter, r *http.Request, at *teleme
 }
 
 // requestSpec decodes the request body into the specification to
-// submit. A body it cannot use has been answered (413 or 400) when it
-// returns a non-empty error message. The order of the refusals is part
-// of the API: undecodable, then empty, then the first unknown package.
-func (s *Server) requestSpec(w http.ResponseWriter, r *http.Request, at *telemetry.ActiveTrace) (spec.Spec, string) {
+// submit, and returns the decoded body for the caller to release. A
+// body it cannot use has been answered (413 or 400) and released when
+// it returns a non-empty error message. The order of the refusals is
+// part of the API: undecodable, then empty, then the first unknown
+// package. A body the memo knows comes with its remembered spec.
+func (s *Server) requestSpec(w http.ResponseWriter, r *http.Request, at *telemetry.ActiveTrace) (spec.Spec, *DecodedRequest, string) {
 	dec, err := s.decoder.Decode(w, r, at, at.Root())
 	if err != nil {
 		status, msg := DecodeFailure(err)
 		writeError(w, status, "%s", msg)
-		return spec.Spec{}, msg
+		return spec.Spec{}, nil, msg
 	}
-	defer dec.Release()
-	if len(dec.Keys) == 0 {
-		writeError(w, http.StatusBadRequest, "no packages in specification")
-		return spec.Spec{}, "no packages in specification"
-	}
-	ids, unknown := dec.Resolve(s.repo)
-	if unknown != nil {
-		msg := fmt.Sprintf("unknown package %q", unknown)
+	sp, msg := dec.specFor(s.repo)
+	if msg != "" {
+		dec.Release()
 		writeError(w, http.StatusBadRequest, "%s", msg)
-		return spec.Spec{}, msg
+		return spec.Spec{}, nil, msg
 	}
-	if dec.Close {
-		return spec.WithClosure(s.repo, ids), ""
-	}
-	return spec.New(ids), ""
+	return sp, dec, ""
 }
 
 // serveDegraded answers a /v1/request while the store is failing.

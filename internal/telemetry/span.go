@@ -25,8 +25,8 @@ const (
 	// context construction.
 	StageDeadline = "deadline"
 	// StageDecode is reading and decoding the /v1/request body (attrs
-	// bytes, keys, path=fast|reference). On a fleet master it sits
-	// under fleet_route.
+	// bytes, keys, path=memo|fast|reference; memo only on a cache
+	// node). On a fleet master it sits under fleet_route.
 	StageDecode = "decode"
 	// StageLockWaitRead is time queued for the cache's shared lock.
 	StageLockWaitRead = "lock_wait_read"
