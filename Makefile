@@ -70,7 +70,10 @@ bench:
 # is read and scanned in 5 allocations (the body, its one string copy,
 # one entry slice, one key slice), and the closure mix's checkpoint is
 # framed in 1 and read back in 4 — never one per key or image, as the
-# encoding/json paths they replaced (17,221 and 6,311) did.
+# encoding/json paths they replaced (17,221 and 6,311) did. The durable
+# path of fsync=always — a ~6 KB merge record committed to a real
+# segment, extended with zeros ahead of it, and made durable by
+# WaitDurable's datasync — allocates nothing either.
 # A fixed iteration count keeps the runs cheap and deterministic; the
 # guard fails the build the moment any per-request allocation sneaks
 # back onto one of these paths.
@@ -90,6 +93,7 @@ bench-guard:
 	$(GO) test -run '^$$' -bench '^BenchmarkTracedHit$$' -benchmem -benchtime 2000x ./internal/core | $(call alloc_guard,BenchmarkTracedHit,1)
 	$(GO) test -run '^$$' -bench '^BenchmarkClosure$$' -benchmem -benchtime 2000x . | $(call alloc_guard,BenchmarkClosure,1)
 	$(GO) test -run '^$$' -bench '^BenchmarkEncodeRecord$$' -benchmem -benchtime 2000x ./internal/persist | $(call alloc_guard,BenchmarkEncodeRecord)
+	$(GO) test -run '^$$' -bench '^BenchmarkGroupCommit$$' -benchmem -benchtime 2000x ./internal/persist | $(call alloc_guard,BenchmarkGroupCommit)
 	$(GO) test -run '^$$' -bench '^BenchmarkReplaySegment$$' -benchmem -benchtime 100x ./internal/persist | $(call alloc_guard,BenchmarkReplaySegment,8)
 	$(GO) test -run '^$$' -bench '^BenchmarkReplayMerges$$' -benchmem -benchtime 5x ./internal/persist | $(call alloc_guard,BenchmarkReplayMerges,1750)
 	$(GO) test -run '^$$' -bench '^BenchmarkSignInto$$' -benchmem -benchtime 2000x ./internal/similarity | $(call alloc_guard,BenchmarkSignInto)
@@ -134,7 +138,7 @@ fuzz:
 # simulation suite (exact and MinHash rows,
 # every request validated by the oracle — the one reference for
 # Algorithm 1, in exact and in margin mode) and scaled-down soaks under
-# the race detector, the mutant self-test (each of the twenty-four seeded
+# the race detector, the mutant self-test (each of the twenty-five seeded
 # bugs — six Algorithm 1 clauses, the route-fold mutant, the weigh
 # mutant (the eviction step leaving the just-used image's bytes out of
 # the weighed total), the three
@@ -147,7 +151,7 @@ fuzz:
 # record-scanner mutant walscan, the signing mutant probeskip, the
 # replay-pass mutant replaystale, the record-encoder mutant
 # deltaoverlap, the heartbeat-scanner mutant dirscan and the
-# checkpoint-scanner mutant ckptscan — must be caught reproducibly: the Algorithm 1 six, intern, popcount
+# checkpoint-scanner mutant ckptscan and the zero-tail mutant zerotail — must be caught reproducibly: the Algorithm 1 six, intern, popcount
 # and lshmiss by the oracle's re-derivation (lshmiss in a MinHash row,
 # where the oracle's index-free margin scan takes the merge the dropped
 # band candidate hid), probeskip by CheckIntegrity's re-sign with the
@@ -168,7 +172,11 @@ fuzz:
 # replaystale by the CheckIntegrity after the first crash of the
 # persistent MinHash chaos row; dirscan by the fleet stage's mirror audit
 # after its first heartbeat round with an image, ckptscan by the crash
-# audit of the first recovery from a checkpoint), and one CLI pass of
+# audit of the first recovery from a checkpoint, zerotail by the
+# zero-header audit at the first record boundary of a sealed segment:
+# a frame header zeroed in front of intact records must be reported as
+# damage, never taken for the clean end only zeros to the end of a
+# segment are), and one CLI pass of
 # each deterministic harness; fleetchaos prints a plain-master row and an
 # HA-pair row. The
 # first grep is a tripwire: the second decision pipeline, the middle

@@ -112,6 +112,15 @@ func TestMutantSim(t *testing.T) {
 		return simRows(rows)
 	}
 
+	// zeroStage is the zero-header audit: a frame header zeroed in front
+	// of intact records, in a sealed segment and in the newest one, at
+	// each record boundary, recovered in turn. Nothing else writes a zero
+	// header with records behind it — a crash leaves zeros only to the
+	// end of a segment — so it is the only stage where zerotail, which
+	// takes any zero header for the clean end, shows: at the first
+	// boundary of the sealed segment.
+	zeroStage := func() (string, int) { return zeroHeaderAudit(t, t.TempDir()) }
+
 	detect := func() (string, int) {
 		requests := 0
 		// The fleet mutants are invisible to every single-process stage
@@ -125,12 +134,14 @@ func TestMutantSim(t *testing.T) {
 		// replaystale lives at the end of a replay pass of more than one
 		// record, which only recovery runs, and ckptscan in the
 		// checkpoint a recovery reads, so both start at the persistent
-		// MinHash rows. Core mutants run the pair stage last
-		// (they fall to a cheaper stage long before).
+		// MinHash rows, and zerotail in a zero frame header with records
+		// behind it, which only the zero-header audit writes. Core
+		// mutants run the pair stage last (they fall to a cheaper stage
+		// long before).
 		ownStage := map[string]func() (string, int){
 			"staleindex": fleetStage, "staleepoch": pairStage, "leasetick": pairStage, "reqscan": fleetStage, "reqmemo": fleetStage,
 			"closuredrop": fleetStage, "route": fleetStage, "lshmiss": minhashStage, "probeskip": minhashStage,
-			"replaystale": chaosStage, "dirscan": fleetStage, "ckptscan": chaosStage,
+			"replaystale": chaosStage, "dirscan": fleetStage, "ckptscan": chaosStage, "zerotail": zeroStage,
 		}[mutant]
 		if ownStage != nil {
 			msg, n := ownStage()

@@ -20,8 +20,9 @@ import (
 // of a body's close flag, the merge record's completeness
 // as written or as read back, the closure union's, the signing probe's
 // first step, the end of a replay pass, the merge record's disjointness
-// from its image, or the completeness of a heartbeat frame or a
-// checkpoint as read back.
+// from its image, the completeness of a heartbeat frame or a
+// checkpoint as read back, or the WAL reader's rule that only zeros to
+// the end of a segment end it cleanly.
 var mutants = []string{
 	"superset", "threshold", "conflict", "lru", "capacity", "touch", "route", "weigh",
 	"intern", "popcount", "lshmiss",
@@ -33,6 +34,7 @@ var mutants = []string{
 	"probeskip",
 	"replaystale", "deltaoverlap",
 	"dirscan", "ckptscan",
+	"zerotail",
 }
 
 // buildMutantBinary compiles this package's tests with the mutant tag

@@ -15,8 +15,10 @@ import (
 type FS interface {
 	MkdirAll(path string, perm os.FileMode) error
 	// OpenFile mirrors os.OpenFile; the store only uses the flag
-	// combinations os.O_CREATE|os.O_WRONLY|os.O_EXCL (new WAL segment)
-	// and read-only opens via Open.
+	// combination os.O_CREATE|os.O_WRONLY|os.O_EXCL, for a new WAL
+	// segment, and opens nothing else through it. The handle's Sync
+	// need only make the file's data and size durable (fdatasync(2)),
+	// which is all a segment's reader needs.
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	Open(name string) (File, error)
 	ReadDir(name string) ([]fs.DirEntry, error)
@@ -29,11 +31,16 @@ type FS interface {
 }
 
 // File is the handle surface the store needs; *os.File satisfies it.
+// Write writes at the handle's offset and advances it, over a WAL
+// segment's zeros; WriteAt, which leaves the offset alone, extends the
+// segment with them, and Truncate cuts them off.
 type File interface {
 	io.Reader
 	io.Writer
+	io.WriterAt
 	io.Closer
 	Sync() error
+	Truncate(size int64) error
 	Name() string
 }
 
@@ -42,8 +49,13 @@ type OSFS struct{}
 
 func (OSFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 
+// OpenFile opens a WAL segment, whose Sync is a data flush (datasync).
 func (OSFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
-	return os.OpenFile(name, flag, perm)
+	f, err := os.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return newSegmentFile(f), nil
 }
 
 func (OSFS) Open(name string) (File, error) { return os.Open(name) }

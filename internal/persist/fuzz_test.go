@@ -10,7 +10,11 @@ import (
 // FuzzWALDecode throws arbitrary bytes at the WAL record decoder. The
 // invariants: never panic, never allocate beyond the record cap, and
 // whatever decodes must re-encode and decode back to the same records
-// (the decoder only ever accepts well-formed prefixes).
+// (the decoder only ever accepts well-formed prefixes). A stream that
+// ends cleanly still does, with the same records, behind zeros short
+// of a header or longer — an open segment's zero tail — and fails
+// behind a zero header followed by a nonzero byte. The committed
+// corpus (testdata/fuzz/FuzzWALDecode) seeds the three tails.
 func FuzzWALDecode(f *testing.F) {
 	// Seed corpus: empty, a real single-record stream, a real
 	// multi-record stream (a delta merge and a pre-delta full-list one
@@ -55,7 +59,16 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xA5}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		muts, _ := ReadSegment(bytes.NewReader(data))
+		muts, err := ReadSegment(bytes.NewReader(data))
+		if err == nil {
+			for _, tail := range [][]byte{make([]byte, 3), make([]byte, 8), make([]byte, 100), append(make([]byte, 8), 1)} {
+				got, err := ReadSegment(bytes.NewReader(append(data[:len(data):len(data)], tail...)))
+				if clean := allZero(tail); clean != (err == nil) || len(got) != len(muts) {
+					t.Fatalf("a clean stream of %d records behind %d-byte tail (zeros: %v) read %d records, err %v",
+						len(muts), len(tail), clean, len(got), err)
+				}
+			}
+		}
 		// Round-trip: accepted records are canonical.
 		var reenc []byte
 		for _, mut := range muts {

@@ -30,6 +30,12 @@ import (
 //	          recovery from a checkpoint loses it while the checkpoint
 //	          on disk is whole. check.RunSim's crash audit must catch it
 //	          at the first recovery from a checkpoint.
+//	zerotail — the frame reader takes a zero header for the clean end of
+//	          a segment without reading the rest for zeros, so a header
+//	          zeroed in front of intact records ends the segment there
+//	          in silence. The zero-header audit in internal/check must
+//	          catch it: each such header must cost a warning, a corrupt
+//	          segment or a torn tail.
 var (
 	mutantOnce sync.Once
 	mutantName string

@@ -38,8 +38,12 @@
 // the cache's locks held and must not stall concurrent hits behind a
 // disk flush), and the server calls WaitDurable after releasing those
 // locks, before acknowledging. Concurrent WaitDurable callers elect a
-// leader whose single fsync covers every record appended so far, so N
-// in-flight requests cost ~2 fsyncs instead of N.
+// leader whose single sync covers every record appended so far, so N
+// in-flight requests cost ~2 syncs instead of N. A WAL sync is a data
+// flush (fdatasync), and the open segment is extended with zeros ahead
+// of its records, which overwrite them: most syncs then write data
+// blocks and no new file size, so the filesystem commits no journal
+// transaction for them. A sealed segment is truncated to its records.
 package persist
 
 import (

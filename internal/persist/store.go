@@ -32,7 +32,8 @@ type Store struct {
 	mu       sync.Mutex
 	f        File   // open append segment; nil before RecoverSharded, after a failed rotation and after Close
 	seq      uint64 // sequence number of the open segment; 0 before RecoverSharded
-	segBytes int64
+	segBytes int64  // the open segment's records: its logical length, and the handle's offset
+	segAlloc int64  // the open segment's length on disk: segBytes and the zeros ahead of it
 	lastSync time.Time
 	sticky   error
 	buf      []byte // scratch frame buffer, reused across commits
@@ -274,6 +275,7 @@ func (st *Store) RecoverSharded(repo *pkggraph.Repo, cfg core.Config) (*core.Sha
 		maxSeq = ckpts[len(ckpts)-1]
 	}
 	sr := newSegmentReader(repo)
+	newestEmpty := false // the newest segment was scanned, and holds no record but zeros
 	// The whole tail is one replay pass: each image it changed is
 	// settled — its merge deltas unioned in, its spec interned, signed
 	// and re-banded — once, when the pass ends.
@@ -296,7 +298,9 @@ func (st *Store) RecoverSharded(repo *pkggraph.Repo, cfg core.Config) (*core.Sha
 			// to ids in the scan, out of storage the next record
 			// overwrites (apply keeps neither list): a segment is never
 			// held in memory.
+			records := 0
 			readErr := sr.each(f, func(rec *core.Record) {
+				records++
 				if err := apply(rec); err != nil {
 					rep.RecordsSkipped++
 					rep.warn("segment %d: %v", seq, err)
@@ -305,6 +309,7 @@ func (st *Store) RecoverSharded(repo *pkggraph.Repo, cfg core.Config) (*core.Sha
 				rep.RecordsReplayed++
 			})
 			f.Close()
+			newestEmpty = i == len(segs)-1 && records == 0 && readErr == nil
 			if readErr != nil {
 				if i == len(segs)-1 {
 					// The normal crash signature: the final record was
@@ -327,16 +332,14 @@ func (st *Store) RecoverSharded(repo *pkggraph.Repo, cfg core.Config) (*core.Sha
 	st.tailBytes.Store(sr.bytes)
 
 	// Open a fresh segment for post-recovery commits; earlier segments
-	// stay until the next checkpoint compacts them. An empty newest
-	// segment — the one the last start opened, if no commit followed —
+	// stay until the next checkpoint compacts them. A newest segment
+	// that holds no record — the one the last start opened, if no
+	// commit followed, or zeros a crash left before the first record —
 	// is replaced rather than kept, so restarts without traffic do not
 	// pile up empty segments.
 	st.seq = maxSeq + 1
-	if n := len(segs); n > 0 && segs[n-1] == maxSeq && maxSeq >= ckptSeq {
-		if fi, err := st.opts.FS.Stat(st.segPath(maxSeq)); err == nil && fi.Size() == 0 &&
-			st.opts.FS.Remove(st.segPath(maxSeq)) == nil {
-			st.seq = maxSeq
-		}
+	if newestEmpty && segs[len(segs)-1] == maxSeq && st.opts.FS.Remove(st.segPath(maxSeq)) == nil {
+		st.seq = maxSeq
 	}
 	if err := st.openSegmentLocked(st.seq); err != nil {
 		return nil, nil, err
@@ -384,6 +387,13 @@ func (st *Store) Commit(mut core.Mutation) {
 			return
 		}
 	}
+	if end := st.segBytes + int64(len(buf)); end > st.segAlloc {
+		if err := st.extendLocked(end); err != nil {
+			st.fail(fmt.Errorf("persist: extending WAL segment %d: %w", st.seq, err))
+			st.taintLocked(mut)
+			return
+		}
+	}
 	n, err := st.f.Write(buf)
 	st.segBytes += int64(n)
 	st.tailBytes.Add(int64(n))
@@ -409,6 +419,35 @@ func (st *Store) Commit(mut core.Mutation) {
 		st.lastSync = time.Now()
 		st.markDurableLocked(st.appendSeq)
 	}
+}
+
+// zeroStep is how far the open segment is extended at a time, and
+// zeros the bytes an extension writes: static storage, not heap.
+const zeroStep = 64 << 10
+
+var zeros [zeroStep]byte
+
+// extendLocked writes zeros from the open segment's end on disk up to
+// the next zeroStep boundary at or past end, but never past the larger
+// of SegmentBytes and end, where the segment rotates. The records that
+// follow overwrite the zeros in place, so the segment's size changes
+// once per step: a sync between extensions flushes data blocks only,
+// not the filesystem's journal for a new size, and the sync after an
+// extension makes the new size durable with the record that needed
+// it. (Preallocation by fallocate would not do: the first write into
+// an unwritten extent needs a journal commit again.) A reader takes
+// the zeros for the segment's clean end (readFrame), and a seal cuts
+// them off.
+func (st *Store) extendLocked(end int64) error {
+	target := min((end+zeroStep-1)/zeroStep*zeroStep, max(st.opts.SegmentBytes, end))
+	for st.segAlloc < target {
+		n, err := st.f.WriteAt(zeros[:min(zeroStep, target-st.segAlloc)], st.segAlloc)
+		st.segAlloc += int64(n)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // WaitDurable blocks until every record appended before the call is on
@@ -537,16 +576,24 @@ func (st *Store) TaintedCount() int {
 	return len(st.tainted)
 }
 
-// sealLocked fsyncs and closes the open segment, if there is one. A
-// good fsync makes every record appended so far durable; a close error
-// after it loses nothing. A failed fsync fails the store: the kernel
-// may have dropped the pages it could not write back, so a later fsync
-// could succeed without them. The seal's error is returned too.
+// sealLocked cuts the open segment's zeros off, syncs it and closes
+// it, if there is one, so a sealed segment holds its records and
+// nothing else. A good sync makes every record appended so far
+// durable; a close error after it loses nothing. A failed truncation or
+// sync fails the store: the kernel may have dropped the pages it could
+// not write back, so a later sync could succeed without them. The
+// seal's error is returned too.
 func (st *Store) sealLocked() error {
 	if st.f == nil {
 		return nil
 	}
-	err := st.f.Sync()
+	var err error
+	if st.segAlloc > st.segBytes {
+		err = st.f.Truncate(st.segBytes)
+	}
+	if err == nil {
+		err = st.f.Sync()
+	}
 	if st.f != st.flushing {
 		st.f.Close() // else the leader fsyncing it closes it (WaitDurable)
 	}
@@ -577,7 +624,7 @@ func (st *Store) openSegmentLocked(seq uint64) error {
 		return fmt.Errorf("persist: syncing the directory entry of segment %d: %w", seq, err)
 	}
 	st.f = f
-	st.segBytes = 0
+	st.segBytes, st.segAlloc = 0, 0
 	st.lastSync = time.Now()
 	return nil
 }

@@ -51,14 +51,28 @@ func sealFrame(frame []byte) {
 // nil and get storage of their own). io.EOF means a clean end of
 // stream; io.ErrUnexpectedEOF a torn (partially written) frame; and
 // ErrCorrupt a frame that fails its length sanity check or checksum.
+//
+// A stream ends cleanly where it ends, or where every byte left is
+// zero: the zeros an open WAL segment is extended with ahead of its
+// writer (Store.Commit). A zero header with anything but zeros after
+// it is a frame of length 0, corrupt as ever, and a short header with
+// a nonzero byte a torn one.
 func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 	// The header is read in place in r's buffer: an array handed to
 	// r.Read would be one heap allocation per frame.
 	hdr, err := r.Peek(frameHeaderSize)
-	if err != nil {
-		if len(hdr) == 0 && err == io.EOF {
+	if allZero(hdr) {
+		switch {
+		case err == io.EOF:
+			return nil, io.EOF
+		case err != nil:
+			return nil, io.ErrUnexpectedEOF
+		case mutantEnabled("zerotail") || zeroToEOF(r):
 			return nil, io.EOF
 		}
+		return nil, fmt.Errorf("%w: frame length 0", ErrCorrupt)
+	}
+	if err != nil {
 		return nil, io.ErrUnexpectedEOF
 	}
 	length, sum := binary.LittleEndian.Uint32(hdr[0:4]), binary.LittleEndian.Uint32(hdr[4:8])
@@ -79,6 +93,34 @@ func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	return payload, nil
+}
+
+// allZero reports whether every byte of b is zero; an empty b is.
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// zeroToEOF reports whether every byte left in r, read to its end, is
+// zero. It consumes what it reads. A read error other than io.EOF
+// answers false.
+func zeroToEOF(r *bufio.Reader) bool {
+	for {
+		if r.Buffered() == 0 {
+			if _, err := r.Peek(1); err != nil {
+				return err == io.EOF
+			}
+		}
+		b, _ := r.Peek(r.Buffered())
+		if !allZero(b) {
+			return false
+		}
+		r.Discard(len(b))
+	}
 }
 
 // EncodeRecord frames one mutation for appending to a WAL segment. The

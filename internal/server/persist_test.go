@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -136,13 +137,55 @@ func stateFiles(t *testing.T, dir string) (walBytes int64, segments int, ckpts m
 		}
 		switch name := e.Name(); {
 		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
-			walBytes += fi.Size()
+			frames, _ := segmentFrames(t, filepath.Join(dir, name))
+			walBytes += frames
 			segments++
 		case strings.HasPrefix(name, "checkpoint-") && strings.HasSuffix(name, ".ckpt"):
 			ckpts[name] = fi.Size()
 		}
 	}
 	return walBytes, segments, ckpts
+}
+
+// segmentFrames reads the WAL segment at path: the bytes of its intact
+// frames — each record ReadSegment decodes, framed again by
+// EncodeRecord, as the store framed it — and the segment's length on
+// disk.
+func segmentFrames(t *testing.T, path string) (frames, size int64) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	muts, _ := persist.ReadSegment(bytes.NewReader(b))
+	for _, mut := range muts {
+		frame, err := persist.EncodeRecord(nil, mut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames += int64(len(frame))
+	}
+	return frames, int64(len(b))
+}
+
+// checkSegmentsOnDisk asserts what a state directory's segments hold
+// past their frames: nothing in a sealed segment, and at most one
+// 64 KiB step of zeros in the open one, the newest.
+func checkSegmentsOnDisk(t *testing.T, dir string) {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names { // Glob sorts; sequence numbers are zero-padded
+		frames, size := segmentFrames(t, name)
+		b, _ := os.ReadFile(name)
+		open := i == len(names)-1
+		if !open && size != frames || size-frames > 64<<10 || bytes.Count(b[frames:], []byte{0}) != len(b[frames:]) {
+			t.Fatalf("%s (open: %v) holds %d bytes of frames in %d bytes on disk; want a sealed segment byte-exact, an open one followed by at most 64 KiB of zeros",
+				filepath.Base(name), open, frames, size)
+		}
+	}
 }
 
 // TestCheckpointBySize: at the default cadence the server compacts on
@@ -321,6 +364,7 @@ func TestWALStaysBounded(t *testing.T) {
 			t.Fatalf("request %d: %s, want a hit", i, res.Op)
 		}
 		walBytes, _, ckpts := stateFiles(t, dir)
+		checkSegmentsOnDisk(t, dir)
 		if i > 100 && len(ckpts) != 1 {
 			t.Fatalf("after request %d the directory holds %d checkpoints, want 1", i, len(ckpts))
 		}
